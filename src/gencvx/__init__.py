@@ -25,6 +25,7 @@ from .checks import (
     SegmentCheck,
     check_gradient_kernel,
     check_interlacing,
+    check_interpolation_bounds,
     check_pseudoconvex_pair,
     check_quasiconvex_segment,
     check_semistrict_quasiconvex_segment,

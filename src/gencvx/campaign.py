@@ -23,6 +23,7 @@ so results are identical however the work is scheduled.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,7 +58,6 @@ NEAR_MISS_CANDIDATES = 6
 MAX_WITNESSES = 8
 
 _DOMAIN_PAIR = 0x9A12
-_VACUOUS_SCORE = -1000.0
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,6 @@ class SamplingPlan:
     lambda_grid: int = 33
     refinement_rounds: int = 3
     seed: int = 0
-    clarke_steps: int = 9
-    clarke_probes: int = 64
     subdiff_radius: float = 1e-5
     subdiff_count: int | None = None
 
@@ -83,18 +81,6 @@ class SamplingPlan:
         if self.subdiff_count is not None:
             return self.subdiff_count
         return max(8, 2 * dimension + 1)
-
-    def to_dict(self) -> dict:
-        return {
-            "pair_count": self.pair_count,
-            "lambda_grid": self.lambda_grid,
-            "refinement_rounds": self.refinement_rounds,
-            "seed": self.seed,
-            "clarke_steps": self.clarke_steps,
-            "clarke_probes": self.clarke_probes,
-            "subdiff_radius": self.subdiff_radius,
-            "subdiff_count": self.subdiff_count,
-        }
 
 
 @dataclass(frozen=True)
@@ -212,14 +198,23 @@ class _Context:
             raise ValueError("function and region dimensions differ")
         self.fn = fn
         self.neg_fn = negate_handle(fn)
+        self.smooth = fn.smoothness != LOCALLY_LIPSCHITZ
         self.region = region
         self.plan = plan
         self.lam_grid = tuple(float(t) for t in np.linspace(0.0, 1.0, plan.lambda_grid))
+        self.interior_lams = tuple(t for t in self.lam_grid if 0.0 < t < 1.0)
         self._subdiffs: dict[tuple[bytes, bool], object] = {}
         self._pairs: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def handle(self, negated: bool) -> FunctionHandle:
         return self.neg_fn if negated else self.fn
+
+    def grid(self, lam: float | None) -> tuple[float, ...]:
+        return self.lam_grid if lam is None else (lam,)
+
+    def gradient(self, x: np.ndarray, negated: bool) -> np.ndarray | None:
+        """The gradient at x of a smooth handle, when it has one there."""
+        return self.handle(negated).grad(x) if self.smooth else None
 
     # -- deterministic sampling ------------------------------------------------
 
@@ -310,190 +305,96 @@ class _Context:
 
 
 # --------------------------------------------------------------------------
-# Predicate evaluation by name (shared by campaign, refinement and replay)
+# Predicates: one check per name, run alike by sampling, near-miss search,
+# refinement (which climbs the check's margin) and replay
 # --------------------------------------------------------------------------
 
 
-def _kernel_check(ctx: _Context, negated: bool, x: np.ndarray, y: np.ndarray):
-    """Gradient kernel for smooth handles, subdifferential kernel otherwise."""
+class _LazySubdiff:
+    """ctx.subdiff(x, negated), estimated when a check first reads its
+    generators: a check that finds its pair vacuous never pays for it."""
+
+    def __init__(self, ctx: _Context, x: np.ndarray, negated: bool):
+        self._ctx, self._x, self._negated = ctx, x, negated
+
+    @property
+    def generators(self):
+        return self._ctx.subdiff(self._x, self._negated).generators
+
+
+def _kernel(ctx: _Context, negated: bool, x, y, lam):
+    """Gradient kernel where the handle is smooth and has a gradient at x,
+    the kernels of the subdifferentials of f and -f otherwise."""
     fn = ctx.handle(negated)
-    if ctx.fn.smoothness != LOCALLY_LIPSCHITZ:
-        g = fn.grad(x)
-        if g is not None:
-            return ck.check_gradient_kernel(fn, x, y, g)
-    sub = ctx.subdiff(x, negated)
-    return ck.check_subdiff_kernel_pair(fn, x, y, sub, negate_estimate(sub)).overall
-
-
-def _b_bounds_check(ctx: _Context, negated: bool, x, y, lam: float, strict: bool):
-    fn = ctx.handle(negated)
-    rec = ck.compute_b(fn, x, y, lam)
-    name = "interpolation-strict-bounds" if strict else "interpolation-weak-bounds"
-    gap = abs(rec.fy - rec.fx)
-    eps = ck.eps_strict(rec.fx, rec.fy)
-    if rec.degenerate:
-        return ck.SegmentCheck(name, rec.x, rec.y, rec.fx, rec.fy, VACUOUS, lam=lam, fz=rec.fz)
-    ok = rec.strict if strict else rec.weak
-    if ok:
-        return ck.SegmentCheck(name, rec.x, rec.y, rec.fx, rec.fy, PASS, lam=lam, fz=rec.fz)
-    violated = rec.strict_violated if strict else rec.weak_violated
-    if not violated:
-        return ck.SegmentCheck(
-            name, rec.x, rec.y, rec.fx, rec.fy, INCONCLUSIVE, lam=lam, fz=rec.fz,
-            detail=f"lambda*b = {rec.lam_b:.9g} pinned at a bound",
-        )
-    return ck.SegmentCheck(
-        name, rec.x, rec.y, rec.fx, rec.fy, FAIL, lam=lam, fz=rec.fz,
-        residual=gap * min(lam, 1.0 - lam),
-        threshold=ck.WITNESS_FACTOR * eps,
-        detail=f"lambda*b = {rec.lam_b:.9g} outside the required range",
-    )
-
-
-def _evaluate_predicate(
-    ctx: _Context, predicate: str, negated: bool, x: np.ndarray, y: np.ndarray,
-    lam: float | None,
-):
-    """Run one named predicate on concrete points; used for refinement and replay."""
-    fn = ctx.handle(negated)
-    if predicate == "pseudoconvex-pair":
-        return ck.check_pseudoconvex_pair(fn, x, y, ctx.subdiff(x, negated))
-    if predicate == "weak-monotone-pair":
-        return ck.check_weak_monotone_pair(fn, x, y, ctx.subdiff(x, negated))
-    if predicate == "proportional-identity":
-        return ck.verify_p_identity(fn, x, y, ctx.subdiff(x, negated))
-    if predicate == "symmetric-equality":
-        return ck.check_symmetric_equality(
-            fn, x, y, ctx.subdiff(x, negated), ctx.subdiff(y, negated)
-        )
-    if predicate == "gradient-kernel":
-        g = fn.grad(x)
-        if g is None:
-            raise EstimationError("gradient unavailable at the witness point")
+    g = ctx.gradient(x, negated)
+    if g is not None:
         return ck.check_gradient_kernel(fn, x, y, g)
-    if predicate == "subdifferential-kernel":
-        sub = ctx.subdiff(x, negated)
-        return ck.check_subdiff_kernel_pair(fn, x, y, sub, negate_estimate(sub)).overall
-    grid = ctx.lam_grid if lam is None else (lam,)
-    seg = Segment(x, y)
-    if predicate == "quasiconvex-segment":
-        return ck.check_quasiconvex_segment(fn, seg, grid)
-    if predicate == "semistrict-quasiconvex-segment":
-        return ck.check_semistrict_quasiconvex_segment(fn, seg, grid)
-    if predicate == "interlacing-segment":
-        return ck.check_interlacing(fn, seg, grid)
-    if predicate in ("interpolation-weak-bounds", "interpolation-strict-bounds"):
-        if lam is None:
-            raise ValueError(f"{predicate} needs a concrete lambda")
-        return _b_bounds_check(ctx, negated, x, y, lam, predicate.endswith("strict-bounds"))
-    raise ValueError(f"unknown predicate {predicate!r}")
+    return ck.check_subdiff_kernel_pair(
+        fn, x, y, ctx.subdiff(x, negated), ctx.subdiff(x, not negated)
+    ).overall
+
+
+@dataclass(frozen=True)
+class _Predicate:
+    """A named check, called as check(ctx, negated, x, y, lam).
+
+    Checks are looked up in `checks` at call time.  Those with `lam` set
+    are segment conditions: lam=None runs them over the plan's lambda grid,
+    and refinement seeds and moves a single lambda for them.
+    """
+
+    name: str
+    check: Callable[[_Context, bool, np.ndarray, np.ndarray, float | None], object]
+    lam: bool = False
+
+
+_PSEUDOCONVEX = _Predicate("pseudoconvex-pair", lambda c, neg, x, y, lam: (
+    ck.check_pseudoconvex_pair(c.handle(neg), x, y, _LazySubdiff(c, x, neg))))
+_P_IDENTITY = _Predicate("proportional-identity", lambda c, neg, x, y, lam: (
+    ck.verify_p_identity(c.handle(neg), x, y, _LazySubdiff(c, x, neg))))
+_SYMMETRIC = _Predicate("symmetric-equality", lambda c, neg, x, y, lam: (
+    ck.check_symmetric_equality(
+        c.handle(neg), x, y, _LazySubdiff(c, x, neg), _LazySubdiff(c, y, neg))))
+_GRADIENT_KERNEL = _Predicate("gradient-kernel", _kernel)
+_SUBDIFF_KERNEL = _Predicate("subdifferential-kernel", _kernel)
+_QUASICONVEX = _Predicate("quasiconvex-segment", lambda c, neg, x, y, lam: (
+    ck.check_quasiconvex_segment(c.handle(neg), Segment(x, y), c.grid(lam))), lam=True)
+_SEMISTRICT = _Predicate("semistrict-quasiconvex-segment", lambda c, neg, x, y, lam: (
+    ck.check_semistrict_quasiconvex_segment(c.handle(neg), Segment(x, y), c.grid(lam))),
+    lam=True)
+_INTERLACING = _Predicate("interlacing-segment", lambda c, neg, x, y, lam: (
+    ck.check_interlacing(c.handle(neg), Segment(x, y), c.grid(lam))), lam=True)
+_STRICT_BOUNDS = _Predicate("interpolation-strict-bounds", lambda c, neg, x, y, lam: (
+    ck.check_interpolation_bounds(c.handle(neg), x, y, lam, strict=True)), lam=True)
+_WEAK_BOUNDS = _Predicate("interpolation-weak-bounds", lambda c, neg, x, y, lam: (
+    ck.check_interpolation_bounds(c.handle(neg), x, y, lam, strict=False)), lam=True)
+
+_PREDICATES: dict[str, _Predicate] = {
+    p.name: p
+    for p in (
+        _PSEUDOCONVEX, _P_IDENTITY, _SYMMETRIC, _GRADIENT_KERNEL, _SUBDIFF_KERNEL,
+        _QUASICONVEX, _SEMISTRICT, _INTERLACING, _STRICT_BOUNDS, _WEAK_BOUNDS,
+    )
+}
+
+
+def _check(ctx: _Context, c: Candidate | Witness):
+    """Run the predicate a candidate or witness names, at its points."""
+    return _PREDICATES[c.predicate].check(ctx, c.negated, c.x, c.y, c.lam)
 
 
 # --------------------------------------------------------------------------
-# Refinement scores: negative while passing, violation residual once failing
+# Counterexample refinement: coordinate ascent on a check's margin
 # --------------------------------------------------------------------------
-
-
-def _interior_lams(ctx: _Context):
-    return [t for t in ctx.lam_grid if 0.0 < t < 1.0]
-
-
-def _score(ctx: _Context, cand: Candidate) -> float:
-    """Larger is closer to (or deeper into) a violation of cand.predicate."""
-    fn = ctx.handle(cand.negated)
-    x, y = cand.x, cand.y
-    fx, fy = fn.value(x), fn.value(y)
-    eps = ck.eps_strict(fx, fy)
-    pred = cand.predicate
-
-    if pred == "pseudoconvex-pair":
-        if not (fy < fx - eps):
-            return _VACUOUS_SCORE - (fy - fx)
-        check = ck.check_pseudoconvex_pair(fn, x, y, ctx.subdiff(x, cand.negated))
-        if check.outcome == FAIL:
-            return check.residual
-        d = y - x
-        return max(float(np.dot(g, d)) for g in ctx.subdiff(x, cand.negated).generators) + eps
-
-    if pred == "weak-monotone-pair":
-        if not (fy <= fx + eps):
-            return _VACUOUS_SCORE - (fy - fx)
-        vals = [float(np.dot(g, y - x)) for g in ctx.subdiff(x, cand.negated).generators]
-        worst = max(vals)
-        return worst if worst > eps else worst - eps
-
-    if pred in ("gradient-kernel", "subdifferential-kernel"):
-        if pred == "gradient-kernel":
-            g = fn.grad(x)
-            if g is None:
-                return _VACUOUS_SCORE
-            gens = [g]
-        else:
-            gens = list(ctx.subdiff(x, cand.negated).generators)
-        closest = min(abs(float(np.dot(g, y - x))) for g in gens)
-        if closest > eps:
-            return -closest
-        gap = abs(fy - fx)
-        return gap if gap > eps else gap - eps
-
-    if pred in ("proportional-identity", "symmetric-equality"):
-        if abs(fy - fx) <= 3.0 * eps:
-            return _VACUOUS_SCORE + abs(fy - fx)
-        check = _evaluate_predicate(ctx, pred, cand.negated, x, y, None)
-        if check.outcome == FAIL:
-            return check.residual
-        gens = ctx.subdiff(x, cand.negated).generators
-        return -min(abs(float(np.dot(g, y - x))) for g in gens)
-
-    # Segment predicates: score over the lambda grid (or the candidate lambda).
-    lams = [cand.lam] if cand.lam is not None else _interior_lams(ctx)
-    seg = Segment(x, y)
-    eta = ck.noise_floor(fx, fy)
-    if pred == "quasiconvex-segment":
-        top = max(fx, fy)
-        bump = max(fn.value(seg.point_at(t)) - top for t in lams)
-        return bump if bump > eps else bump - eps
-    if pred == "semistrict-quasiconvex-segment":
-        if not (fy < fx - eps):
-            return _VACUOUS_SCORE - (fy - fx)
-        gap = fx - fy
-        best = -np.inf
-        for t in lams:
-            fz = fn.value(seg.point_at(t))
-            if fz >= fx - eta:
-                best = max(best, gap * min(t, 1.0 - t))
-            else:
-                best = max(best, fz - fx)
-        return float(best)
-    if pred in ("interlacing-segment", "interpolation-strict-bounds",
-                "interpolation-weak-bounds"):
-        if not (fy < fx - eps) and pred != "interpolation-weak-bounds":
-            return _VACUOUS_SCORE - (fy - fx)
-        if abs(fy - fx) <= eps:
-            return _VACUOUS_SCORE
-        lo, hi = min(fx, fy), max(fx, fy)
-        gap = hi - lo
-        best = -np.inf
-        for t in lams:
-            fz = fn.value(seg.point_at(t))
-            if fz <= lo + eta or fz >= hi - eta:
-                best = max(best, gap * min(t, 1.0 - t))
-            else:
-                best = max(best, max(fz - hi, lo - fz))
-        return float(best)
-    raise ValueError(f"no refinement score for predicate {pred!r}")
 
 
 def _best_lambda(ctx: _Context, cand: Candidate) -> float | None:
-    """Grid lambda with the largest single-lambda score, for segment seeds."""
-    if cand.predicate in (
-        "pseudoconvex-pair", "weak-monotone-pair", "gradient-kernel",
-        "subdifferential-kernel", "proportional-identity", "symmetric-equality",
-    ):
+    """Grid lambda with the largest single-lambda margin, for segment seeds."""
+    if not _PREDICATES[cand.predicate].lam:
         return None
     best_t, best_s = None, -np.inf
-    for t in _interior_lams(ctx):
-        s = _score(ctx, replace(cand, lam=t))
+    for t in ctx.interior_lams:
+        s = _check(ctx, replace(cand, lam=t)).margin
         if s > best_s:
             best_t, best_s = t, s
     return best_t
@@ -503,6 +404,8 @@ _REFINE_RUNGS = tuple(0.25 / (5.0**k) for k in range(9))
 
 
 def _refine(ctx: _Context, cand: Candidate, rounds: int) -> RefineResult:
+    if cand.lam is None:
+        cand = replace(cand, lam=_best_lambda(ctx, cand))
     lam_needed = cand.lam is not None
     span = ctx.region.upper - ctx.region.lower
     # Lambda stays within the grid's interior resolution: the strict segment
@@ -512,7 +415,7 @@ def _refine(ctx: _Context, cand: Candidate, rounds: int) -> RefineResult:
     x = cand.x.copy()
     y = cand.y.copy()
     lam = cand.lam
-    current = _score(ctx, replace(cand, x=x, y=y, lam=lam))
+    current = _check(ctx, cand).margin
     trace = [current]
 
     def trial_score(tx, ty, tl) -> float:
@@ -520,7 +423,7 @@ def _refine(ctx: _Context, cand: Candidate, rounds: int) -> RefineResult:
             return -np.inf
         if np.array_equal(tx, ty):
             return -np.inf
-        return _score(ctx, replace(cand, x=tx, y=ty, lam=tl))
+        return _check(ctx, replace(cand, x=tx, y=ty, lam=tl)).margin
 
     for _ in range(rounds):
         improved = False
@@ -558,14 +461,14 @@ def _refine(ctx: _Context, cand: Candidate, rounds: int) -> RefineResult:
         if not improved:
             break
 
-    final = _evaluate_predicate(ctx, cand.predicate, cand.negated, x, y, lam)
+    final = _check(ctx, replace(cand, x=x, y=y, lam=lam))
     witness = _witness_from_check(cand.predicate, cand.negated, final)
     return RefineResult(witness, tuple(trace))
 
 
 def _witness_from_check(predicate: str, negated: bool, check) -> Witness | None:
     """Turn a credible failed check into a Witness (else None)."""
-    if check.outcome != FAIL or not (check.residual > check.threshold):
+    if not check.credible:
         return None
     values = {"fx": check.fx, "fy": check.fy}
     lam = getattr(check, "lam", None)
@@ -596,22 +499,17 @@ def refine_counterexample(
 ) -> RefineResult:
     """Locally maximize the violation of candidate.predicate around the seed.
 
-    Coordinate descent over (x, y, lambda): while the predicate passes, the
-    score climbs toward the violation boundary; once it fails, the score is
-    the violation residual, so the trace is nondecreasing.  Candidates whose
-    final residual stays inside the hysteresis band are discarded (None).
+    Coordinate descent over (x, y, lambda) on the check's margin: while the
+    predicate passes, it climbs toward the violation boundary; once it
+    fails, it is the violation residual, so the trace is nondecreasing.
+    Candidates whose final residual stays inside the hysteresis band are
+    discarded (None).
     """
-    ctx = _Context(fn, region, plan or SamplingPlan())
-    seed = candidate
-    if seed.lam is None:
-        lam = _best_lambda(ctx, seed)
-        if lam is not None:
-            seed = replace(seed, lam=lam)
-    return _refine(ctx, seed, rounds)
+    return _refine(_Context(fn, region, plan or SamplingPlan()), candidate, rounds)
 
 
 # --------------------------------------------------------------------------
-# Property -> predicate mapping
+# Property -> predicate probes
 # --------------------------------------------------------------------------
 
 
@@ -642,96 +540,101 @@ def _project_to_kernel(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> np.ndarra
     return None if np.allclose(yp, x, atol=1e-12, rtol=0.0) else yp
 
 
-def _pair_samples(ctx: _Context, prop: str, x: np.ndarray, y: np.ndarray):
-    """All predicate results this property derives from one sampled pair."""
-    results: list[tuple[object, str, bool, float | None]] = []
-
-    def run(check, predicate, negated, lam=None):
-        results.append((check, predicate, negated, lam))
-
-    def kernel_probes(negated: bool):
-        for a, b in ((x, y), (y, x)):
-            run(_kernel_check(ctx, negated, a, b), _kernel_name(ctx), negated)
-            fn = ctx.handle(negated)
-            gens: list[np.ndarray]
-            if ctx.fn.smoothness != LOCALLY_LIPSCHITZ and fn.grad(a) is not None:
-                gens = [fn.grad(a)]
-            else:
-                gens = list(ctx.subdiff(a, negated).generators)
-            for g in gens:
-                bp = _project_to_kernel(a, b, g)
-                if bp is not None and ctx.feasible(bp):
-                    run(_kernel_check(ctx, negated, a, bp), _kernel_name(ctx), negated)
-
-    if prop in ("pseudoconvex", "pseudoconcave"):
-        negated = prop == "pseudoconcave"
-        fn = ctx.handle(negated)
-        for a, b in ((x, y), (y, x)):
-            run(ck.check_pseudoconvex_pair(fn, a, b, ctx.subdiff(a, negated)),
-                "pseudoconvex-pair", negated)
-        return results
-
-    if prop in ("quasiconvex", "quasiconcave", "quasilinear"):
-        seg = Segment(x, y)
-        sides = {"quasiconvex": (False,), "quasiconcave": (True,),
-                 "quasilinear": (False, True)}[prop]
-        for negated in sides:
-            run(ck.check_quasiconvex_segment(ctx.handle(negated), seg, ctx.lam_grid),
-                "quasiconvex-segment", negated)
-        return results
-
-    if prop in ("semistrictly-quasiconvex", "semistrictly-quasiconcave"):
-        negated = prop == "semistrictly-quasiconcave"
-        fn = ctx.handle(negated)
-        for a, b in ((x, y), (y, x)):
-            run(ck.check_semistrict_quasiconvex_segment(fn, Segment(a, b), ctx.lam_grid),
-                "semistrict-quasiconvex-segment", negated)
-        return results
-
-    if prop == "semistrictly-quasilinear":
-        for a, b in ((x, y), (y, x)):
-            run(ck.check_interlacing(ctx.fn, Segment(a, b), ctx.lam_grid),
-                "interlacing-segment", False)
-        for lam in _interior_lams(ctx):
-            run(_b_bounds_check(ctx, False, x, y, lam, strict=True),
-                "interpolation-strict-bounds", False, lam)
-        return results
-
-    if prop == "pseudolinear":
-        for a, b in ((x, y), (y, x)):
-            run(ck.verify_p_identity(ctx.fn, a, b, ctx.subdiff(a)),
-                "proportional-identity", False)
-        run(ck.check_symmetric_equality(ctx.fn, x, y, ctx.subdiff(x), ctx.subdiff(y)),
-            "symmetric-equality", False)
-        for lam in _interior_lams(ctx):
-            run(_b_bounds_check(ctx, False, x, y, lam, strict=False),
-                "interpolation-weak-bounds", False, lam)
-        kernel_probes(False)
-        return results
-
-    raise ValueError(f"unknown property {prop!r}")
+# Where a probe runs its predicate on a sampled pair (x, y).
+_PAIR = "pair"      # (x, y) once
+_BOTH = "both"      # (x, y), then (y, x)
+_SWEEP = "sweep"    # (x, y) at each interior grid lambda
+_KERNEL = "kernel"  # both orientations, each followed by its kernel projections
 
 
-def _kernel_name(ctx: _Context) -> str:
-    return (
-        "subdifferential-kernel"
-        if ctx.fn.smoothness == LOCALLY_LIPSCHITZ
-        else "gradient-kernel"
-    )
+@dataclass(frozen=True)
+class _Probe:
+    predicate: _Predicate
+    sides: tuple[bool, ...] = (False,)  # run on f (False), on -f (True), or both
+    placement: str = _BOTH
+    near_miss: bool = False  # searched over all pairs when nothing failed
+    nonsmooth: _Predicate | None = None  # runs instead on locally Lipschitz handles
+
+    def predicate_for(self, ctx: _Context) -> _Predicate:
+        return self.predicate if ctx.smooth or self.nonsmooth is None else self.nonsmooth
 
 
-# Predicates worth near-miss refinement per property, when nothing failed raw.
-_NEAR_MISS_PREDICATES: dict[str, tuple[tuple[str, bool], ...]] = {
-    "pseudoconvex": (("pseudoconvex-pair", False),),
-    "pseudoconcave": (("pseudoconvex-pair", True),),
-    "quasiconvex": (("quasiconvex-segment", False),),
-    "quasiconcave": (("quasiconvex-segment", True),),
-    "quasilinear": (("quasiconvex-segment", False), ("quasiconvex-segment", True)),
-    "semistrictly-quasiconvex": (("semistrict-quasiconvex-segment", False),),
-    "semistrictly-quasiconcave": (("semistrict-quasiconvex-segment", True),),
-    "semistrictly-quasilinear": (("interlacing-segment", False),),
-    "pseudolinear": (("proportional-identity", False), ("KERNEL", False)),
+# Each property's probes, in sampling order.
+_PROBES: dict[str, tuple[_Probe, ...]] = {
+    "pseudoconvex": (_Probe(_PSEUDOCONVEX, near_miss=True),),
+    "pseudoconcave": (_Probe(_PSEUDOCONVEX, (True,), near_miss=True),),
+    "quasiconvex": (_Probe(_QUASICONVEX, placement=_PAIR, near_miss=True),),
+    "quasiconcave": (_Probe(_QUASICONVEX, (True,), _PAIR, near_miss=True),),
+    "quasilinear": (_Probe(_QUASICONVEX, (False, True), _PAIR, near_miss=True),),
+    "semistrictly-quasiconvex": (_Probe(_SEMISTRICT, near_miss=True),),
+    "semistrictly-quasiconcave": (_Probe(_SEMISTRICT, (True,), near_miss=True),),
+    "semistrictly-quasilinear": (
+        _Probe(_INTERLACING, near_miss=True),
+        _Probe(_STRICT_BOUNDS, placement=_SWEEP),
+    ),
+    "pseudolinear": (
+        _Probe(_P_IDENTITY, near_miss=True),
+        _Probe(_SYMMETRIC, placement=_PAIR),
+        _Probe(_WEAK_BOUNDS, placement=_SWEEP),
+        _Probe(_GRADIENT_KERNEL, placement=_KERNEL, near_miss=True,
+               nonsmooth=_SUBDIFF_KERNEL),
+    ),
 }
+
+
+def _placements(ctx: _Context, probe: _Probe, negated: bool, x, y):
+    """The (a, b, lam) at which a probe runs on the sampled pair (x, y)."""
+    if probe.placement == _PAIR:
+        yield x, y, None
+    elif probe.placement == _SWEEP:
+        for lam in ctx.interior_lams:
+            yield x, y, lam
+    else:
+        for a, b in ((x, y), (y, x)):
+            yield a, b, None
+            if probe.placement != _KERNEL:
+                continue
+            # Kernel conditions bind on measure-zero sets: also probe b
+            # projected onto the kernel of each generator at a.
+            g = ctx.gradient(a, negated)
+            for gen in [g] if g is not None else ctx.subdiff(a, negated).generators:
+                bp = _project_to_kernel(a, b, gen)
+                if bp is not None and ctx.feasible(bp):
+                    yield a, bp, None
+
+
+def _pair_samples(ctx: _Context, prop: str, x: np.ndarray, y: np.ndarray):
+    """All (check, predicate, negated) this property derives from one
+    sampled pair."""
+    results = []
+    for probe in _PROBES[prop]:
+        pred = probe.predicate_for(ctx)
+        for negated in probe.sides:
+            for a, b, lam in _placements(ctx, probe, negated, x, y):
+                results.append((pred.check(ctx, negated, a, b, lam), pred.name, negated))
+    return results
+
+
+def _near_misses(ctx: _Context, prop: str) -> list[Candidate]:
+    """The pairs, in both orientations, closest to violating each near-miss
+    probe of the property."""
+    out = []
+    for probe in _PROBES[prop]:
+        if not probe.near_miss:
+            continue
+        pred = probe.predicate_for(ctx)
+        for negated in probe.sides:
+            scored = []
+            for x, y in ctx.pairs:
+                for a, b in ((x, y), (y, x)):
+                    try:
+                        margin = pred.check(ctx, negated, a, b, None).margin
+                    except EstimationError:
+                        continue
+                    scored.append((margin, Candidate(pred.name, negated, a, b)))
+            scored.sort(key=lambda t: -t[0])
+            out.extend(c for _, c in scored[:NEAR_MISS_CANDIDATES])
+    return out
 
 
 def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
@@ -745,9 +648,9 @@ def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
         except EstimationError:
             tally.inconclusive += 1
             continue
-        if any(check.outcome == PASS for check, _, _, _ in outcomes):
+        if any(check.outcome == PASS for check, _, _ in outcomes):
             tally.pass_pairs += 1
-        for check, predicate, negated, lam in outcomes:
+        for check, predicate, negated in outcomes:
             tally.add(check.outcome)
             if check.outcome != FAIL:
                 continue
@@ -755,10 +658,10 @@ def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
             if w is not None:
                 raw_witnesses.append(replace(w, property=prop))
             else:
+                # A segment check names its failing lambda.
                 soft_candidates.append(
                     (check.residual,
-                     Candidate(predicate, negated, x, y,
-                               lam if lam is not None else getattr(check, "lam", None)))
+                     Candidate(predicate, negated, x, y, getattr(check, "lam", None)))
                 )
 
     witnesses = sorted(raw_witnesses, key=Witness.sort_key)[:MAX_WITNESSES]
@@ -766,30 +669,14 @@ def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
     # Refine near-ties, and search near-misses when nothing failed outright.
     candidates = [c for _, c in sorted(soft_candidates, key=lambda t: -t[0])]
     if not witnesses and not candidates:
-        for predicate, negated in _NEAR_MISS_PREDICATES[prop]:
-            pred = _kernel_name(ctx) if predicate == "KERNEL" else predicate
-            scored = []
-            for x, y in ctx.pairs:
-                for a, b in ((x, y), (y, x)):
-                    cand = Candidate(pred, negated, a, b)
-                    try:
-                        scored.append((_score(ctx, cand), cand))
-                    except EstimationError:
-                        continue
-            scored.sort(key=lambda t: -t[0])
-            candidates.extend(c for _, c in scored[:NEAR_MISS_CANDIDATES])
+        candidates = _near_misses(ctx, prop)
 
     soft_set = {id(c) for _, c in soft_candidates}
     for cand in candidates[:MAX_REFINED_CANDIDATES]:
         if len(witnesses) >= 4:
             break
-        seed = cand
-        if seed.lam is None:
-            lam = _best_lambda(ctx, seed)
-            if lam is not None:
-                seed = replace(seed, lam=lam)
         try:
-            result = _refine(ctx, seed, ctx.plan.refinement_rounds)
+            result = _refine(ctx, cand, ctx.plan.refinement_rounds)
         except EstimationError:
             tally.inconclusive += 1
             continue
@@ -849,10 +736,7 @@ def replay_witness(
     Returns the fresh check result; a healthy witness reproduces outcome
     FAIL with the recorded residual to float identity.
     """
-    ctx = _Context(fn, region, plan or SamplingPlan())
-    return _evaluate_predicate(
-        ctx, witness.predicate, witness.negated, witness.x, witness.y, witness.lam
-    )
+    return _check(_Context(fn, region, plan or SamplingPlan()), witness)
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,13 @@ float-level ties on honest functions can never masquerade as witnesses.  For
 segment checks the credibility of a violation additionally scales with
 min(lam, 1-lam): ties arbitrarily close to an endpoint prove nothing.
 
+Every check also carries a signed `margin`, the score counterexample
+refinement climbs: negative while the predicate passes (larger is closer to
+a violation) and equal to the residual once it fails.  Pairs that cannot
+bear on the predicate score near VACUOUS_MARGIN, far below any real pair;
+so do, failing or not, ascending pairs under the strict interpolation
+bounds and pairs tied within 3 eps under the proportional checks.
+
 Universally quantified subdifferential conditions are checked on the finite
 generator set only.  All such conditions are affine in the generator, so
 satisfaction on the generators is equivalent to satisfaction on their convex
@@ -22,7 +29,8 @@ hull (a property the test suite asserts directly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import wraps
 
 import numpy as np
 
@@ -46,6 +54,7 @@ __all__ = [
     "check_quasiconvex_segment",
     "check_semistrict_quasiconvex_segment",
     "check_interlacing",
+    "check_interpolation_bounds",
     "compute_p",
     "verify_p_identity",
     "check_symmetric_equality",
@@ -66,6 +75,8 @@ EPS_COEFF = 1e-7
 NOISE_COEFF = 1e-12
 # Residuals must clear WITNESS_FACTOR * eps to count as a refutation.
 WITNESS_FACTOR = 100.0
+# Margin of a pair the predicate says nothing about (offset by a tie-breaker).
+VACUOUS_MARGIN = -1000.0
 
 PASS = "pass"
 VACUOUS = "vacuous"
@@ -97,6 +108,7 @@ class PairCheck:
     generator: np.ndarray | None = None
     generator_index: int | None = None
     detail: str = ""
+    margin: float = 0.0
 
     @property
     def credible(self) -> bool:
@@ -118,6 +130,7 @@ class SegmentCheck:
     residual: float = 0.0
     threshold: float = float("inf")
     detail: str = ""
+    margin: float = 0.0
 
     @property
     def credible(self) -> bool:
@@ -137,15 +150,18 @@ def check_pseudoconvex_pair(
     Vacuous when the antecedent does not hold beyond the margin.  A failing
     pair records the antecedent gap f(x)-f(y) as its residual: the violation
     is credible exactly when the descent in value is substantial while no
-    generator certifies a strict descent direction.
+    generator certifies a strict descent direction.  A pass scores its
+    largest pairing: the generator closest to failing.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     fx, fy = fn.value(x), fn.value(y)
     eps = eps_strict(fx, fy)
     if not (fy < fx - eps):
-        return PairCheck("pseudoconvex-pair", x, y, fx, fy, VACUOUS)
+        return PairCheck("pseudoconvex-pair", x, y, fx, fy, VACUOUS,
+                         margin=VACUOUS_MARGIN - (fy - fx))
     d = y - x
+    worst = -np.inf
     for k, g in enumerate(sub_x.generators):
         v = float(np.dot(g, d))
         if not (v < -eps):
@@ -155,8 +171,10 @@ def check_pseudoconvex_pair(
                 threshold=WITNESS_FACTOR * eps,
                 generator=g, generator_index=k,
                 detail=f"<g, y-x> = {v:.6g} is not strictly negative",
+                margin=fx - fy,
             )
-    return PairCheck("pseudoconvex-pair", x, y, fx, fy, PASS)
+        worst = max(worst, v)
+    return PairCheck("pseudoconvex-pair", x, y, fx, fy, PASS, margin=worst + eps)
 
 
 def check_weak_monotone_pair(
@@ -168,8 +186,10 @@ def check_weak_monotone_pair(
     fx, fy = fn.value(x), fn.value(y)
     eps = eps_strict(fx, fy)
     if not (fy <= fx + eps):
-        return PairCheck("weak-monotone-pair", x, y, fx, fy, VACUOUS)
+        return PairCheck("weak-monotone-pair", x, y, fx, fy, VACUOUS,
+                         margin=VACUOUS_MARGIN - (fy - fx))
     d = y - x
+    worst = -np.inf
     for k, g in enumerate(sub_x.generators):
         v = float(np.dot(g, d))
         if v > eps:
@@ -179,8 +199,10 @@ def check_weak_monotone_pair(
                 threshold=WITNESS_FACTOR * eps,
                 generator=g, generator_index=k,
                 detail=f"<g, y-x> = {v:.6g} is positive on a non-increasing pair",
+                margin=v,
             )
-    return PairCheck("weak-monotone-pair", x, y, fx, fy, PASS)
+        worst = max(worst, v)
+    return PairCheck("weak-monotone-pair", x, y, fx, fy, PASS, margin=worst - eps)
 
 
 # --------------------------------------------------------------------------
@@ -195,16 +217,22 @@ def _lam_weight(lam: float) -> float:
 def check_quasiconvex_segment(fn: FunctionHandle, seg, lam_grid) -> SegmentCheck:
     """Values along the segment may not exceed the endpoint maximum.
 
-    A failure reports the grid lambda with the largest exceedance.
+    A failure reports the grid lambda with the largest exceedance.  The
+    margin is the largest exceedance over the interior grid lambdas.
     """
     fx, fy = fn.value(seg.x), fn.value(seg.y)
     eps = eps_strict(fx, fy)
     top = max(fx, fy)
     worst: tuple[float, float] | None = None
+    bump = -np.inf
     for lam in lam_grid:
-        fz = fn.value(seg.point_at(float(lam)))
+        lam = float(lam)
+        fz = fn.value(seg.point_at(lam))
+        if 0.0 < lam < 1.0:
+            bump = max(bump, fz - top)
         if fz > top + eps and (worst is None or fz > worst[1]):
-            worst = (float(lam), fz)
+            worst = (lam, fz)
+    margin = bump if bump > eps else bump - eps
     if worst is not None:
         lam, fz = worst
         return SegmentCheck(
@@ -213,8 +241,9 @@ def check_quasiconvex_segment(fn: FunctionHandle, seg, lam_grid) -> SegmentCheck
             residual=fz - top,
             threshold=WITNESS_FACTOR * eps,
             detail="interior value exceeds endpoint maximum",
+            margin=margin,
         )
-    return SegmentCheck("quasiconvex-segment", seg.x, seg.y, fx, fy, PASS)
+    return SegmentCheck("quasiconvex-segment", seg.x, seg.y, fx, fy, PASS, margin=margin)
 
 
 def check_semistrict_quasiconvex_segment(
@@ -226,26 +255,33 @@ def check_semistrict_quasiconvex_segment(
     strictly below f(x) but inside the eps band is a near-tie and leaves the
     segment inconclusive.  The residual of a failure is the endpoint gap
     scaled by min(lam, 1-lam): a tie arbitrarily close to an endpoint, or on
-    a negligible gap, proves nothing.
+    a negligible gap, proves nothing.  A descending lambda scores
+    f(z) - f(x), a tied one its would-be residual.
     """
     fx, fy = fn.value(seg.x), fn.value(seg.y)
     eps = eps_strict(fx, fy)
     eta = noise_floor(fx, fy)
     if not (fy < fx - eps):
-        return SegmentCheck("semistrict-quasiconvex-segment", seg.x, seg.y, fx, fy, VACUOUS)
+        return SegmentCheck("semistrict-quasiconvex-segment", seg.x, seg.y, fx, fy, VACUOUS,
+                            margin=VACUOUS_MARGIN - (fy - fx))
     gap = fx - fy
     near_tie = None
     worst: tuple[float, float, float] | None = None
+    margin = -np.inf
     for lam in lam_grid:
         lam = float(lam)
         if not (0.0 < lam < 1.0):
             continue
         fz = fn.value(seg.point_at(lam))
         if fz >= fx - eta:
-            if worst is None or gap * _lam_weight(lam) > worst[0]:
-                worst = (gap * _lam_weight(lam), lam, fz)
-        elif not (fz < fx - eps):
-            near_tie = lam
+            r = gap * _lam_weight(lam)
+            margin = max(margin, r)
+            if worst is None or r > worst[0]:
+                worst = (r, lam, fz)
+        else:
+            margin = max(margin, fz - fx)
+            if not (fz < fx - eps):
+                near_tie = lam
     if worst is not None:
         _, lam, fz = worst
         return SegmentCheck(
@@ -254,39 +290,48 @@ def check_semistrict_quasiconvex_segment(
             residual=gap * _lam_weight(lam),
             threshold=WITNESS_FACTOR * eps,
             detail=f"f(z) = {fz:.6g} does not descend below f(x) = {fx:.6g}",
+            margin=margin,
         )
     if near_tie is not None:
         return SegmentCheck(
             "semistrict-quasiconvex-segment", seg.x, seg.y, fx, fy, INCONCLUSIVE,
-            lam=near_tie, detail="descent inside the strictness band",
+            lam=near_tie, detail="descent inside the strictness band", margin=margin,
         )
-    return SegmentCheck("semistrict-quasiconvex-segment", seg.x, seg.y, fx, fy, PASS)
+    return SegmentCheck("semistrict-quasiconvex-segment", seg.x, seg.y, fx, fy, PASS,
+                        margin=margin)
 
 
 def check_interlacing(fn: FunctionHandle, seg, lam_grid) -> SegmentCheck:
     """f(y) < f(x) requires f(y) < f(z(lam)) < f(x) strictly inside.
 
     This is the combined test for semistrict quasilinearity; tie handling
-    matches check_semistrict_quasiconvex_segment, on both sides.
+    matches check_semistrict_quasiconvex_segment, on both sides, and so
+    does the margin.
     """
     fx, fy = fn.value(seg.x), fn.value(seg.y)
     eps = eps_strict(fx, fy)
     eta = noise_floor(fx, fy)
     if not (fy < fx - eps):
-        return SegmentCheck("interlacing-segment", seg.x, seg.y, fx, fy, VACUOUS)
+        return SegmentCheck("interlacing-segment", seg.x, seg.y, fx, fy, VACUOUS,
+                            margin=VACUOUS_MARGIN - (fy - fx))
     gap = fx - fy
     near_tie = None
     worst: tuple[float, float, float] | None = None
+    margin = -np.inf
     for lam in lam_grid:
         lam = float(lam)
         if not (0.0 < lam < 1.0):
             continue
         fz = fn.value(seg.point_at(lam))
         if fz <= fy + eta or fz >= fx - eta:
-            if worst is None or gap * _lam_weight(lam) > worst[0]:
-                worst = (gap * _lam_weight(lam), lam, fz)
-        elif not (fy + eps < fz < fx - eps):
-            near_tie = lam
+            r = gap * _lam_weight(lam)
+            margin = max(margin, r)
+            if worst is None or r > worst[0]:
+                worst = (r, lam, fz)
+        else:
+            margin = max(margin, max(fz - fx, fy - fz))
+            if not (fy + eps < fz < fx - eps):
+                near_tie = lam
     if worst is not None:
         _, lam, fz = worst
         side = "below f(y)" if fz <= fy + eta else "above f(x)"
@@ -296,13 +341,14 @@ def check_interlacing(fn: FunctionHandle, seg, lam_grid) -> SegmentCheck:
             residual=gap * _lam_weight(lam),
             threshold=WITNESS_FACTOR * eps,
             detail=f"interior value {fz:.6g} pinned {side}",
+            margin=margin,
         )
     if near_tie is not None:
         return SegmentCheck(
             "interlacing-segment", seg.x, seg.y, fx, fy, INCONCLUSIVE,
-            lam=near_tie, detail="interior value inside the strictness band",
+            lam=near_tie, detail="interior value inside the strictness band", margin=margin,
         )
-    return SegmentCheck("interlacing-segment", seg.x, seg.y, fx, fy, PASS)
+    return SegmentCheck("interlacing-segment", seg.x, seg.y, fx, fy, PASS, margin=margin)
 
 
 # --------------------------------------------------------------------------
@@ -340,6 +386,28 @@ def compute_p(fn: FunctionHandle, x, y, generator) -> PValue:
     return PValue(p, False, p > 0.0, num, den)
 
 
+def _proportional_margin(check_fn):
+    """Adds the margin of the proportional-function checks.  Values tied
+    within 3 eps make the pair vacuous; otherwise a failure scores its
+    residual and anything else minus its smallest pairing |<g, y-x>| at x."""
+
+    @wraps(check_fn)
+    def checked(fn, x, y, sub_x, *sub_y) -> PairCheck:
+        check = check_fn(fn, x, y, sub_x, *sub_y)
+        gap = abs(check.fy - check.fx)
+        if gap <= 3.0 * eps_strict(check.fx, check.fy):
+            margin = VACUOUS_MARGIN + gap
+        elif check.outcome == FAIL:
+            margin = check.residual
+        else:
+            d = check.y - check.x
+            margin = -min(abs(float(np.dot(g, d))) for g in sub_x.generators)
+        return replace(check, margin=margin)
+
+    return checked
+
+
+@_proportional_margin
 def verify_p_identity(
     fn: FunctionHandle, x, y, sub_x: SubdifferentialEstimate
 ) -> PairCheck:
@@ -387,6 +455,7 @@ def verify_p_identity(
     return PairCheck("proportional-identity", x, y, fx, fy, PASS)
 
 
+@_proportional_margin
 def check_symmetric_equality(
     fn: FunctionHandle,
     x,
@@ -458,6 +527,7 @@ def check_symmetric_equality(
     return PairCheck("symmetric-equality", x, y, fx, fy, PASS)
 
 
+
 def check_symmetric_inequality(
     fn: FunctionHandle,
     x,
@@ -475,6 +545,7 @@ def check_symmetric_inequality(
     y = np.asarray(y, dtype=float)
     fx, fy = fn.value(x), fn.value(y)
     eps = eps_strict(fx, fy)
+    worst = -np.inf
     for k, g in enumerate(sub_x.generators):
         pv1 = compute_p(fn, x, y, g)
         p1 = pv1.p if (not pv1.band and pv1.positive) else 1.0
@@ -489,8 +560,10 @@ def check_symmetric_inequality(
                     threshold=WITNESS_FACTOR * eps,
                     generator=g, generator_index=k,
                     detail=f"symmetric sum S = {s:.6g} is positive",
+                    margin=s,
                 )
-    return PairCheck("symmetric-inequality", x, y, fx, fy, PASS)
+            worst = max(worst, s)
+    return PairCheck("symmetric-inequality", x, y, fx, fy, PASS, margin=worst - eps)
 
 
 # --------------------------------------------------------------------------
@@ -558,6 +631,46 @@ def compute_b(fn: FunctionHandle, x, y, lam: float) -> BRecord:
     return BRecord(x, y, lam, b, fx, fy, fz, degenerate=False,
                    strict=strict, weak=weak, boundary=boundary,
                    strict_violated=strict_violated, weak_violated=weak_violated)
+
+
+def check_interpolation_bounds(fn: FunctionHandle, x, y, lam: float, strict: bool) -> SegmentCheck:
+    """0 < lam*b < 1 (strict) or 0 < b <= 1/lam (weak) at one lambda.
+
+    A lam*b inside the eps band but off the noise floor is inconclusive; a
+    failure's residual is |f(y) - f(x)| * min(lam, 1-lam).  The margin
+    scores f(z) against the open interval between f(x) and f(y), and is
+    vacuous for tied pairs and, under the strict bounds, for ascending ones.
+    """
+    rec = compute_b(fn, x, y, lam)
+    fx, fy, fz = rec.fx, rec.fy, rec.fz
+    gap = abs(fy - fx)
+    eps = eps_strict(fx, fy)
+    eta = noise_floor(fx, fy)
+    lo, hi = min(fx, fy), max(fx, fy)
+    if strict and not (fy < fx - eps):
+        margin = VACUOUS_MARGIN - (fy - fx)
+    elif gap <= eps:
+        margin = VACUOUS_MARGIN
+    elif fz <= lo + eta or fz >= hi - eta:
+        margin = gap * _lam_weight(lam)
+    else:
+        margin = max(fz - hi, lo - fz)
+    name = "interpolation-strict-bounds" if strict else "interpolation-weak-bounds"
+    outcome, detail = PASS, ""
+    if rec.degenerate:
+        outcome = VACUOUS
+    elif not (rec.strict if strict else rec.weak):
+        if rec.strict_violated if strict else rec.weak_violated:
+            return SegmentCheck(
+                name, rec.x, rec.y, fx, fy, FAIL, lam=lam, fz=fz,
+                residual=gap * _lam_weight(lam),
+                threshold=WITNESS_FACTOR * eps,
+                detail=f"lambda*b = {rec.lam_b:.9g} outside the required range",
+                margin=margin,
+            )
+        outcome, detail = INCONCLUSIVE, f"lambda*b = {rec.lam_b:.9g} pinned at a bound"
+    return SegmentCheck(name, rec.x, rec.y, fx, fy, outcome, lam=lam, fz=fz,
+                        detail=detail, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -682,16 +795,18 @@ def check_gradient_kernel(fn: FunctionHandle, x, y, grad_x) -> PairCheck:
     eps = eps_strict(fx, fy)
     d = float(np.dot(g, y - x))
     if abs(d) > eps:
-        return PairCheck("gradient-kernel", x, y, fx, fy, VACUOUS)
-    if abs(fy - fx) > eps:
+        return PairCheck("gradient-kernel", x, y, fx, fy, VACUOUS, margin=-abs(d))
+    gap = abs(fy - fx)
+    if gap > eps:
         return PairCheck(
             "gradient-kernel", x, y, fx, fy, FAIL,
-            residual=abs(fy - fx),
+            residual=gap,
             threshold=WITNESS_FACTOR * eps,
             generator=g, generator_index=0,
             detail="kernel direction changes the value",
+            margin=gap,
         )
-    return PairCheck("gradient-kernel", x, y, fx, fy, PASS)
+    return PairCheck("gradient-kernel", x, y, fx, fy, PASS, margin=gap - eps)
 
 
 @dataclass(frozen=True)
@@ -710,12 +825,22 @@ def check_subdiff_kernel_pair(
     sub_x: SubdifferentialEstimate,
     sub_neg_x: SubdifferentialEstimate,
 ) -> KernelPairCheck:
-    """Kernel conditions for both f and -f at x, combined verdict included."""
+    """Kernel conditions for both f and -f at x, combined verdict included.
+
+    The margin is minus the smallest |<g, y-x>| while no generator lies in
+    the kernel, then |f(y) - f(x)| less eps, or the residual once failing.
+    """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     fx, fy = fn.value(x), fn.value(y)
     eps = eps_strict(fx, fy)
     d = y - x
+    gap = abs(fy - fx)
+    closest = min(abs(float(np.dot(g, d))) for g in (*sub_x.generators, *sub_neg_x.generators))
+    if closest > eps:
+        margin = -closest
+    else:
+        margin = gap if gap > eps else gap - eps
 
     def _side(est: SubdifferentialEstimate, lower: bool) -> tuple[str, PairCheck | None]:
         outcome = VACUOUS
@@ -727,10 +852,11 @@ def check_subdiff_kernel_pair(
                 which = "f(y) >= f(x)" if lower else "f(y) <= f(x)"
                 return FAIL, PairCheck(
                     "subdifferential-kernel", x, y, fx, fy, FAIL,
-                    residual=abs(fy - fx),
+                    residual=gap,
                     threshold=WITNESS_FACTOR * eps,
                     generator=g, generator_index=k,
                     detail=f"kernel generator violates {which}",
+                    margin=margin,
                 )
             outcome = PASS
         return outcome, None
@@ -744,5 +870,5 @@ def check_subdiff_kernel_pair(
         return KernelPairCheck(fail, low, up)
     combined = PASS if (low == PASS or up == PASS) else VACUOUS
     return KernelPairCheck(
-        PairCheck("subdifferential-kernel", x, y, fx, fy, combined), low, up
+        PairCheck("subdifferential-kernel", x, y, fx, fy, combined, margin=margin), low, up
     )

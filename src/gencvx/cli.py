@@ -5,9 +5,11 @@ Verbs:
               a JSON report; exit 0 when nothing is refuted, 2 on refutation,
               1 on error.
     bcurve    emit the interpolation-coefficient curve b(lambda) as CSV.
-    corpus    classify every corpus member against its ground-truth labels;
-              exit 0 on full agreement, 3 on insufficient sampling, 4 on a
-              label mismatch.
+    corpus    classify every corpus member against its ground-truth labels
+              and check the verdicts against the implication lattice; exit 0
+              on full agreement, 3 on insufficient sampling, 4 on a label
+              mismatch or a lattice violation.  The member replaces any
+              corpus or function target given; every other setting applies.
 
 `--config FILE` loads a JSON RunConfig; explicit flags override file fields.
 The environment variable GENCVX_SEED is the seed fallback when no --seed is
@@ -23,9 +25,9 @@ import sys
 
 import numpy as np
 
-from .campaign import HOLDS, REFUTED, classify
+from .campaign import HOLDS, REFUTED, check_implication_lattice, classify
 from .checks import compute_b
-from .functions import PROPERTIES, corpus, corpus_entry, function_from_expression
+from .functions import corpus, corpus_entry, function_from_expression
 from .geometry import parse_region
 from .report import Report, RunConfig
 
@@ -35,23 +37,17 @@ EXIT_REFUTED = 2
 EXIT_INSUFFICIENT = 3
 EXIT_MISMATCH = 4
 
-_CONFIG_FLAGS = (
-    "corpus_name", "function_source", "dimension", "region_text", "properties",
-    "pair_count", "lambda_grid", "refinement_rounds", "seed",
-    "clarke_steps", "clarke_probes", "subdiff_radius", "subdiff_count",
-)
-
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _resolve_config(args) -> RunConfig:
+def _resolve_config(args, **fixed) -> RunConfig:
+    """The file's fields, overridden by the flags given, then by `fixed`."""
     base: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             base = json.load(fh)
-        RunConfig.from_dict(base)  # reject unknown keys early
     overrides = {
         "corpus_name": args.corpus,
         "function_source": args.function,
@@ -62,8 +58,6 @@ def _resolve_config(args) -> RunConfig:
         "lambda_grid": args.lambda_grid,
         "refinement_rounds": args.refine_rounds,
         "seed": args.seed,
-        "clarke_steps": args.clarke_steps,
-        "clarke_probes": args.clarke_probes,
         "subdiff_radius": args.subdiff_radius,
         "subdiff_count": args.subdiff_count,
     }
@@ -71,11 +65,12 @@ def _resolve_config(args) -> RunConfig:
     for key, value in overrides.items():
         if value is not None:
             merged[key] = value
+    merged.update(fixed)
     if merged.get("seed") is None:
         env = os.environ.get("GENCVX_SEED")
         merged["seed"] = int(env) if env else 0
-    merged = {k: v for k, v in merged.items() if k in _CONFIG_FLAGS and v is not None}
-    return RunConfig.from_dict(merged)
+    # RunConfig.from_dict rejects unknown keys.
+    return RunConfig.from_dict({k: v for k, v in merged.items() if v is not None})
 
 
 def _load_target(config: RunConfig):
@@ -161,55 +156,47 @@ def cmd_bcurve(args) -> int:
 
 
 def cmd_corpus(args, label_overrides: dict[str, dict[str, bool]] | None = None) -> int:
-    config_seed = args.seed
-    if config_seed is None:
-        env = os.environ.get("GENCVX_SEED")
-        config_seed = int(env) if env else 0
     mismatches: list[str] = []
     starved: list[str] = []
     results = {}
     for entry in corpus():
-        config = RunConfig(
-            corpus_name=entry.handle.name,
-            properties=PROPERTIES,
-            pair_count=args.samples if args.samples is not None else 200,
-            lambda_grid=args.lambda_grid if args.lambda_grid is not None else 33,
-            refinement_rounds=args.refine_rounds if args.refine_rounds is not None else 3,
-            seed=config_seed,
-            subdiff_radius=args.subdiff_radius if args.subdiff_radius is not None else 1e-5,
-            subdiff_count=args.subdiff_count,
+        name = entry.handle.name
+        # Each member replaces the target; --config and the flags set the rest.
+        config = _resolve_config(
+            args, corpus_name=name, function_source=None, dimension=None, region_text=None
         )
-        verdicts = classify(entry.handle, entry.region, PROPERTIES, config.plan())
+        verdicts = classify(entry.handle, entry.region, config.properties, config.plan())
         labels = dict(entry.labels)
-        if label_overrides and entry.handle.name in label_overrides:
-            labels.update(label_overrides[entry.handle.name])
-        results[entry.handle.name] = {
+        if label_overrides and name in label_overrides:
+            labels.update(label_overrides[name])
+        results[name] = {
             "verdicts": {v.property: v.verdict for v in verdicts},
             "labels": labels,
             "config": config.to_dict(),
         }
-        print(f"-- {entry.handle.name}")
+        print(f"-- {name}")
         for v in verdicts:
             expected = HOLDS if labels[v.property] else REFUTED
             status = "ok"
             if v.verdict == "inconclusive":
                 status = "insufficient"
-                starved.append(f"{entry.handle.name}/{v.property}")
+                starved.append(f"{name}/{v.property}")
             elif v.verdict != expected:
                 status = f"MISMATCH (expected {expected})"
-                mismatches.append(
-                    f"{entry.handle.name}/{v.property}: verdict={v.verdict} expected={expected}"
-                )
+                mismatches.append(f"{name}/{v.property}: verdict={v.verdict} expected={expected}")
             print(f"   {v.property:28s} {v.verdict:17s} [{status}]")
+    # Self-check: a violated implication is a tool bug, whatever the labels say.
+    violations = check_implication_lattice({n: r["verdicts"] for n, r in results.items()})
 
     if args.out:
         doc = {
             "schema_version": "v1",
             "kind": "corpus",
-            "seed": config_seed,
+            "seed": config.seed,
             "entries": results,
             "mismatches": mismatches,
             "insufficient": starved,
+            "lattice_violations": [v.to_dict() for v in violations],
         }
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
@@ -219,6 +206,11 @@ def cmd_corpus(args, label_overrides: dict[str, dict[str, bool]] | None = None) 
         print("label mismatches:")
         for m in mismatches:
             print(f"  {m}")
+    if violations:
+        print("implication lattice violations:")
+        for v in violations:
+            print(f"  {v.function}: {v.antecedent} holds but {v.consequent} is refuted")
+    if mismatches or violations:
         return EXIT_MISMATCH
     if starved:
         print(f"insufficient sampling for {len(starved)} verdict(s)")
@@ -238,8 +230,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--lambda-grid", dest="lambda_grid", type=int, help="lambda grid size (default 33)")
     p.add_argument("--refine-rounds", dest="refine_rounds", type=int, help="refinement rounds (default 3)")
     p.add_argument("--seed", type=int, help="campaign seed (env GENCVX_SEED, then 0)")
-    p.add_argument("--clarke-steps", dest="clarke_steps", type=int, help="step-scale count (default 9)")
-    p.add_argument("--clarke-probes", dest="clarke_probes", type=int, help="probes per scale (default 64)")
     p.add_argument("--subdiff-radius", dest="subdiff_radius", type=float, help="sampling radius (default 1e-5)")
     p.add_argument("--subdiff-count", dest="subdiff_count", type=int, help="gradient samples (default max(8, 2n+1))")
     p.add_argument("--out", type=str, help="output path")

@@ -396,8 +396,8 @@ def _value(e: Expr, x: np.ndarray) -> float:
                 raise EvalError(f"log of non-positive value {a!r}", e)
             return float(np.log(a))
         if e.name == "sqrt":
-            if a <= 0.0:
-                raise EvalError(f"sqrt of non-positive value {a!r}", e)
+            if a < 0.0:
+                raise EvalError(f"sqrt of negative value {a!r}", e)
             return float(np.sqrt(a))
         if e.name == "abs":
             return abs(a)

@@ -45,8 +45,6 @@ class RunConfig:
     lambda_grid: int = 33
     refinement_rounds: int = 3
     seed: int = 0
-    clarke_steps: int = 9
-    clarke_probes: int = 64
     subdiff_radius: float = 1e-5
     subdiff_count: int | None = None
 
@@ -62,33 +60,12 @@ class RunConfig:
         object.__setattr__(self, "properties", tuple(self.properties))
 
     def plan(self) -> SamplingPlan:
-        return SamplingPlan(
-            pair_count=self.pair_count,
-            lambda_grid=self.lambda_grid,
-            refinement_rounds=self.refinement_rounds,
-            seed=self.seed,
-            clarke_steps=self.clarke_steps,
-            clarke_probes=self.clarke_probes,
-            subdiff_radius=self.subdiff_radius,
-            subdiff_count=self.subdiff_count,
-        )
+        return SamplingPlan(**{f.name: getattr(self, f.name) for f in fields(SamplingPlan)})
 
     def to_dict(self) -> dict:
-        return {
-            "corpus_name": self.corpus_name,
-            "function_source": self.function_source,
-            "dimension": self.dimension,
-            "region_text": self.region_text,
-            "properties": list(self.properties),
-            "pair_count": self.pair_count,
-            "lambda_grid": self.lambda_grid,
-            "refinement_rounds": self.refinement_rounds,
-            "seed": self.seed,
-            "clarke_steps": self.clarke_steps,
-            "clarke_probes": self.clarke_probes,
-            "subdiff_radius": self.subdiff_radius,
-            "subdiff_count": self.subdiff_count,
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d["properties"] = list(self.properties)
+        return d
 
     @staticmethod
     def from_dict(d: dict) -> "RunConfig":
@@ -96,10 +73,7 @@ class RunConfig:
         unknown = set(d) - known
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        d = dict(d)
-        if "properties" in d and d["properties"] is not None:
-            d["properties"] = tuple(d["properties"])
-        return RunConfig(**d)
+        return RunConfig(**d)  # __post_init__ makes properties a tuple
 
 
 @dataclass(frozen=True)

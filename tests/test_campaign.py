@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from gencvx import (
     Candidate,
@@ -8,11 +9,13 @@ from gencvx import (
     Witness,
     check_implication_lattice,
     classify,
+    corpus,
     corpus_entry,
     refine_counterexample,
     replay_witness,
 )
-from gencvx.campaign import HOLDS, REFUTED, _Context
+from gencvx.campaign import HOLDS, REFUTED, _Context, _pair_samples
+from gencvx.functions import SMOOTH, FunctionHandle
 
 PLAN = SamplingPlan(seed=42)
 FAST = SamplingPlan(pair_count=60, seed=42)
@@ -58,16 +61,48 @@ def test_ramp_semistrict_quasiconcave_refuted_with_flat_witness():
 
 
 def test_witness_replay_all_refuted_properties():
-    e = corpus_entry("paraboloid")
-    verdicts = classify(e.handle, e.region, None, FAST)
-    replayed = 0
-    for v in verdicts:
-        for w in v.witnesses:
-            res = replay_witness(e.handle, e.region, w, FAST)
-            assert res.outcome == "fail"
-            assert abs(res.residual - w.residual) <= 1e-12
-            replayed += 1
-    assert replayed > 0
+    # Every corpus member, so that every predicate a witness can name is
+    # replayed through the same check that sampled or refined it.
+    predicates = set()
+    for e in corpus():
+        for v in classify(e.handle, e.region, None, FAST):
+            for w in v.witnesses:
+                res = replay_witness(e.handle, e.region, w, FAST)
+                assert res.outcome == "fail"
+                assert res.residual == w.residual
+                predicates.add(w.predicate)
+    assert {"pseudoconvex-pair", "quasiconvex-segment", "gradient-kernel"} <= predicates
+
+
+def test_gradient_kernel_without_gradient_replays_and_refines_as_sampled():
+    # A smooth handle with no gradient at x: sampling judges its kernel pair
+    # by the subdifferential, and so must replay and refinement.
+    e = corpus_entry("cubic")
+    fn = FunctionHandle(
+        name="cubic-no-gradient", dimension=1, evaluate=e.handle.evaluate,
+        gradient=lambda x: None, smoothness=SMOOTH,
+    )
+    x, y = np.array([0.0]), np.array([-0.9])
+    ctx = _Context(fn, e.region, FAST)
+    (check, _, _) = next(
+        s for s in _pair_samples(ctx, "pseudolinear", x, y) if s[1] == "gradient-kernel"
+    )
+    assert check.outcome == "fail"
+    assert check.residual == pytest.approx(0.729, rel=1e-12)
+    witness = Witness(
+        property="pseudolinear", predicate="gradient-kernel", negated=False,
+        x=x, y=y, lam=None, generator=check.generator, values={},
+        relation=check.detail, residual=check.residual, threshold=check.threshold,
+    )
+    res = replay_witness(fn, e.region, witness, FAST)
+    assert (res.outcome, res.residual) == (check.outcome, check.residual)
+    cand = Candidate("gradient-kernel", False, x, y)
+    still = refine_counterexample(fn, e.region, cand, rounds=0, plan=FAST)
+    assert still.witness.residual == check.residual
+    assert still.scores == (check.residual,)
+    moved = refine_counterexample(fn, e.region, cand, rounds=3, plan=FAST)
+    assert moved.scores[0] == check.residual
+    assert moved.witness.residual == moved.scores[-1] >= check.residual
 
 
 def test_classification_deterministic():

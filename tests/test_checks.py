@@ -11,6 +11,7 @@ from gencvx.checks import (
     VACUOUS,
     check_gradient_kernel,
     check_interlacing,
+    check_interpolation_bounds,
     check_pseudoconvex_pair,
     check_quasiconvex_segment,
     check_semistrict_quasiconvex_segment,
@@ -25,7 +26,7 @@ from gencvx.checks import (
     estimate_q_limit,
     verify_p_identity,
 )
-from gencvx.geometry import Segment
+from gencvx.geometry import Segment, sample_region
 from gencvx.nonsmooth import SubdifferentialEstimate
 
 LAM_GRID = np.linspace(0.0, 1.0, 33)
@@ -545,3 +546,39 @@ def test_pseudoconvex_pass_implies_weak_monotone_pass(a, b):
     first = check_pseudoconvex_pair(fn, x, y, sub)
     if first.outcome == PASS:
         assert check_weak_monotone_pair(fn, x, y, sub).outcome == PASS
+
+
+# -- margins: the score counterexample refinement climbs ----------------------
+
+
+@pytest.mark.parametrize("name", ["cubic", "ramp", "paraboloid", "fractional"])
+def test_margin_is_residual_when_failing_and_nonpositive_when_passing(name):
+    entry = corpus_entry(name)
+    fn = entry.handle
+    points = sample_region(entry.region, 60, seed=11)
+    # Axis-aligned partners hit the kernel and flat-piece cases as well.
+    partners = points[30:] + [np.where(np.arange(fn.dimension) == 0, p, 0.0) for p in points[:30]]
+    checked = 0
+    for x, y in zip(points[:30] * 2, partners):
+        if np.array_equal(x, y):
+            continue
+        seg = Segment(x, y)
+        sub = est(*(g for g in [fn.grad(x)] if g is not None), [0.0] * fn.dimension)
+        checks = [
+            check_quasiconvex_segment(fn, seg, LAM_GRID),
+            check_semistrict_quasiconvex_segment(fn, seg, LAM_GRID),
+            check_interlacing(fn, seg, LAM_GRID),
+            check_pseudoconvex_pair(fn, x, y, sub),
+            check_weak_monotone_pair(fn, x, y, sub),
+            check_subdiff_kernel_pair(fn, x, y, sub, est(*(-g for g in sub.generators))).overall,
+        ]
+        # The strict bounds score ascending pairs as vacuous, failing or not.
+        if fn.value(y) < fn.value(x):
+            checks.append(check_interpolation_bounds(fn, x, y, 0.25, strict=True))
+        for check in checks:
+            if check.outcome == FAIL:
+                assert check.margin == check.residual, check
+            elif check.outcome == PASS:
+                assert check.margin <= 0.0, check
+            checked += check.outcome in (FAIL, PASS)
+    assert checked > 100

@@ -12,6 +12,7 @@ from gencvx.cli import (
     cmd_corpus,
     main,
 )
+from gencvx.campaign import LatticeViolation
 from gencvx.report import Report, RunConfig
 
 
@@ -145,8 +146,6 @@ class _Args:
         self.lambda_grid = None
         self.refine_rounds = None
         self.seed = None
-        self.clarke_steps = None
-        self.clarke_probes = None
         self.subdiff_radius = None
         self.subdiff_count = None
         self.out = None
@@ -168,6 +167,48 @@ def test_corpus_injected_wrong_label_exits_4(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["mismatches"]
     assert "affine/pseudoconvex" in doc["mismatches"][0]
+
+
+def test_corpus_applies_config_file(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"corpus_name": "affine", "pair_count": 20}))
+    out = tmp_path / "corpus.json"
+    code = main(["corpus", "--config", str(cfg), "--seed", "42", "--out", str(out)])
+    assert code in (EXIT_OK, EXIT_INSUFFICIENT, EXIT_MISMATCH)
+    doc = json.loads(out.read_text())
+    assert len(doc["entries"]) == 7
+    for name, entry in doc["entries"].items():
+        assert entry["config"]["pair_count"] == 20
+        assert entry["config"]["corpus_name"] == name
+
+
+def test_corpus_lattice_violation_exits_4(tmp_path, monkeypatch, capsys):
+    import gencvx.cli as cli
+
+    def violated(verdict_sets):
+        return [LatticeViolation("affine", "pseudoconvex", "quasiconvex")]
+
+    monkeypatch.setattr(cli, "check_implication_lattice", violated)
+    out = tmp_path / "corpus.json"
+    code = cmd_corpus(_Args(samples=40, seed=42, properties="quasiconvex", out=str(out)))
+    assert code == EXIT_MISMATCH
+    doc = json.loads(out.read_text())
+    assert doc["mismatches"] == []
+    assert doc["lattice_violations"] == [
+        {"function": "affine", "antecedent": "pseudoconvex", "consequent": "quasiconvex"}
+    ]
+    assert "affine: pseudoconvex holds but quasiconvex is refuted" in capsys.readouterr().out
+
+
+def test_bcurve_sqrt_through_zero(capsys):
+    code = main([
+        "bcurve", "--function", "sqrt(x1^2)", "--dim", "1",
+        "--region", "box(-1..1)", "--x=-1", "--y", "1", "--grid", "1",
+    ])
+    assert code == EXIT_OK
+    (header, row) = capsys.readouterr().out.strip().splitlines()
+    assert row.split(",")[0] == "0.5"
+    assert row.endswith(",true")  # f(x) = f(y): the degenerate marker
 
 
 def test_config_file_with_flag_override(tmp_path):
