@@ -188,7 +188,7 @@ class RefineResult:
 
 
 # --------------------------------------------------------------------------
-# Campaign context: seeded sampling streams and estimate caches
+# Campaign context: seeded sampling streams, the value table and estimate caches
 # --------------------------------------------------------------------------
 
 
@@ -196,8 +196,23 @@ class _Context:
     def __init__(self, fn: FunctionHandle, region: Region, plan: SamplingPlan):
         if fn.dimension != region.dimension:
             raise ValueError("function and region dimensions differ")
-        self.fn = fn
-        self.neg_fn = negate_handle(fn)
+        # One table of f's values per context, keyed by the point's bytes:
+        # every predicate on f and on -f reads each point's value once.  It
+        # holds only what `evaluate` returned, so FunctionHandle.value still
+        # checks every read, and a raising point is never stored.
+        values: dict[bytes, float] = {}
+        evaluate = fn.evaluate
+
+        def tabled(x: np.ndarray) -> float:
+            key = x.tobytes()
+            try:
+                return values[key]
+            except KeyError:
+                v = values[key] = evaluate(x)
+                return v
+
+        self.fn = replace(fn, evaluate=tabled)
+        self.neg_fn = negate_handle(self.fn)
         self.smooth = fn.smoothness != LOCALLY_LIPSCHITZ
         self.region = region
         self.plan = plan

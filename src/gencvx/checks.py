@@ -225,9 +225,9 @@ def check_quasiconvex_segment(fn: FunctionHandle, seg, lam_grid) -> SegmentCheck
     top = max(fx, fy)
     worst: tuple[float, float] | None = None
     bump = -np.inf
-    for lam in lam_grid:
-        lam = float(lam)
-        fz = fn.value(seg.point_at(lam))
+    lams = [float(lam) for lam in lam_grid]
+    for lam, z in zip(lams, seg.point_at(lams)):
+        fz = fn.value(z)
         if 0.0 < lam < 1.0:
             bump = max(bump, fz - top)
         if fz > top + eps and (worst is None or fz > worst[1]):
@@ -268,11 +268,9 @@ def check_semistrict_quasiconvex_segment(
     near_tie = None
     worst: tuple[float, float, float] | None = None
     margin = -np.inf
-    for lam in lam_grid:
-        lam = float(lam)
-        if not (0.0 < lam < 1.0):
-            continue
-        fz = fn.value(seg.point_at(lam))
+    lams = [lam for lam in map(float, lam_grid) if 0.0 < lam < 1.0]
+    for lam, z in zip(lams, seg.point_at(lams)):
+        fz = fn.value(z)
         if fz >= fx - eta:
             r = gap * _lam_weight(lam)
             margin = max(margin, r)
@@ -318,11 +316,9 @@ def check_interlacing(fn: FunctionHandle, seg, lam_grid) -> SegmentCheck:
     near_tie = None
     worst: tuple[float, float, float] | None = None
     margin = -np.inf
-    for lam in lam_grid:
-        lam = float(lam)
-        if not (0.0 < lam < 1.0):
-            continue
-        fz = fn.value(seg.point_at(lam))
+    lams = [lam for lam in map(float, lam_grid) if 0.0 < lam < 1.0]
+    for lam, z in zip(lams, seg.point_at(lams)):
+        fz = fn.value(z)
         if fz <= fy + eta or fz >= fx - eta:
             r = gap * _lam_weight(lam)
             margin = max(margin, r)

@@ -13,6 +13,7 @@ the test suite before being hard-coded here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -74,7 +75,7 @@ class FunctionHandle:
 
     def value(self, x) -> float:
         v = float(self.evaluate(np.asarray(x, dtype=float)))
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ArithmeticError(f"{self.name} returned non-finite value at {x}")
         return v
 

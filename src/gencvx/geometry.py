@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import re
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "RegionError",
@@ -237,15 +238,24 @@ class Segment:
         if np.array_equal(self.x, self.y):
             raise ValueError("degenerate segment: x == y")
 
-    def point_at(self, lam: float) -> np.ndarray:
+    def point_at(self, lam: ArrayLike) -> np.ndarray:
         return segment_point(self, lam)
 
 
-def segment_point(seg: Segment, lam: float) -> np.ndarray:
-    """Point x + lam*(y - x); lam must lie in [0, 1]."""
-    if not (0.0 <= lam <= 1.0):
+def segment_point(seg: Segment, lam: ArrayLike) -> np.ndarray:
+    """Point x + lam*(y - x); every lam must lie in [0, 1].
+
+    A 1-D array of k lambdas gives the read-only (k, n) array of their
+    points, each row bit-identical to the point of its lambda alone.
+    """
+    lams = np.asarray(lam, dtype=float)
+    if not np.all((lams >= 0.0) & (lams <= 1.0)):
         raise ValueError(f"lambda outside [0, 1]: {lam}")
-    return as_point(seg.x + lam * (seg.y - seg.x))
+    pts = seg.x + lams[..., None] * (seg.y - seg.x)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError(f"point has non-finite coordinates: {pts}")
+    pts.flags.writeable = False
+    return pts
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from gencvx import (
     replay_witness,
 )
 from gencvx.campaign import HOLDS, REFUTED, _Context, _pair_samples
-from gencvx.functions import SMOOTH, FunctionHandle
+from gencvx.expr import EvalError
+from gencvx.functions import SMOOTH, FunctionHandle, function_from_expression
 
 PLAN = SamplingPlan(seed=42)
 FAST = SamplingPlan(pair_count=60, seed=42)
@@ -112,6 +114,38 @@ def test_classification_deterministic():
     da = json.dumps([v.to_dict() for v in a], sort_keys=True)
     db = json.dumps([v.to_dict() for v in b], sort_keys=True)
     assert da == db
+
+
+@pytest.mark.parametrize("name", ["arctan", "paraboloid"])
+def test_classify_evaluates_each_distinct_point_once(name):
+    # quasilinear probes both f and -f, and near-miss search and refinement
+    # revisit sampled points: all of them read one value table.
+    e = corpus_entry(name)
+    keys = []
+
+    def counted(x):
+        keys.append(x.tobytes())
+        return e.handle.evaluate(x)
+
+    fn = replace(e.handle, evaluate=counted)
+    plan = SamplingPlan(pair_count=20, lambda_grid=9, seed=3)
+    (v,) = classify(fn, e.region, ("quasilinear",), plan)
+    (ref,) = classify(e.handle, e.region, ("quasilinear",), plan)
+    assert v.to_dict() == ref.to_dict()
+    assert keys and len(keys) == len(set(keys))
+
+
+@pytest.mark.parametrize("bad, error", [
+    (FunctionHandle("inf-at-half", 1, lambda x: float("inf") if x[0] == 0.5 else float(x[0])),
+     ArithmeticError),
+    (function_from_expression("log(x1 - 0.5)", 1), EvalError),
+])
+def test_value_table_never_hides_a_failure(bad, error):
+    ctx = _Context(bad, corpus_entry("arctan").region, FAST)
+    for handle in (ctx.fn, ctx.neg_fn, ctx.fn, ctx.neg_fn):
+        with pytest.raises(error):
+            handle.value([0.5])
+    assert ctx.fn.value([1.0]) == -ctx.neg_fn.value([1.0])
 
 
 def test_witness_serialization_round_trip():

@@ -44,14 +44,36 @@ def test_segment_point_endpoint_identity():
     assert np.array_equal(segment_point(seg, 0.0), x)
 
 
+def test_segment_point_grid_rows_match_scalar_calls():
+    seg = Segment([0.3, -0.7, 1.1], [-2.9, 0.1 / 3.0, 1e-3])
+    grid = np.linspace(0.0, 1.0, 33)
+    pts = segment_point(seg, grid)
+    assert pts.shape == (33, 3)
+    assert not pts.flags.writeable
+    for lam, row in zip(grid, pts):
+        assert np.array_equal(row, segment_point(seg, float(lam)))
+        assert np.array_equal(row, seg.x + float(lam) * (seg.y - seg.x))
+    assert np.array_equal(pts[0], seg.x)
+    assert np.array_equal(seg.point_at(grid), pts)
+    assert segment_point(seg, []).shape == (0, 3)
+
+
 def test_segment_rejects_degenerate_and_bad_lambda():
     with pytest.raises(ValueError):
         Segment([1.0, 2.0], [1.0, 2.0])
     seg = Segment([0.0], [1.0])
-    with pytest.raises(ValueError):
-        segment_point(seg, -0.1)
-    with pytest.raises(ValueError):
-        segment_point(seg, 1.1)
+    for lam in (-0.1, 1.1, float("nan"), [0.5, 1.1], [-0.1, 0.5]):
+        with pytest.raises(ValueError):
+            segment_point(seg, lam)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_segment_rejects_non_finite_points():
+    # y - x overflows to -inf, so every interior point is non-finite.
+    seg = Segment([1e308], [-1e308])
+    for lam in (0.5, [0.0, 0.5]):
+        with pytest.raises(ValueError):
+            segment_point(seg, lam)
 
 
 def test_sample_region_deterministic_and_in_margin_box():
@@ -156,3 +178,4 @@ def test_segment_stays_in_region(lam, seed):
         return
     z = segment_point(Segment(x, y), lam)
     assert region.contains(z)
+    assert np.array_equal(segment_point(Segment(x, y), np.array([0.0, lam, 1.0]))[1], z)
