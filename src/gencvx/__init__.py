@@ -20,9 +20,8 @@ from .campaign import (
 )
 from .checks import (
     BRecord,
-    PairCheck,
+    Check,
     QLimit,
-    SegmentCheck,
     check_gradient_kernel,
     check_interlacing,
     check_interpolation_bounds,
@@ -53,7 +52,6 @@ from .functions import (
 from .geometry import (
     Region,
     RegionTooThinError,
-    Segment,
     as_point,
     parse_region,
     sample_region,

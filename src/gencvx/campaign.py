@@ -31,7 +31,7 @@ import numpy as np
 from . import checks as ck
 from .checks import FAIL, INCONCLUSIVE, PASS, VACUOUS
 from .functions import LOCALLY_LIPSCHITZ, PROPERTIES, FunctionHandle, negate_handle
-from .geometry import Region, RegionTooThinError, Segment
+from .geometry import Region, RegionTooThinError
 from .nonsmooth import EstimationError, negate_estimate, subdifferential
 
 __all__ = [
@@ -313,10 +313,8 @@ class _Context:
         return est
 
     def feasible(self, p: np.ndarray) -> bool:
-        return (
-            self.region.contains(p)
-            and self.region.interior_slack(p) >= self.plan.subdiff_radius
-        )
+        # The radius is positive, so this already implies region.contains(p).
+        return self.region.interior_slack(p) >= self.plan.subdiff_radius
 
 
 # --------------------------------------------------------------------------
@@ -359,7 +357,7 @@ class _Predicate:
     """
 
     name: str
-    check: Callable[[_Context, bool, np.ndarray, np.ndarray, float | None], object]
+    check: Callable[[_Context, bool, np.ndarray, np.ndarray, float | None], ck.Check]
     lam: bool = False
 
 
@@ -373,12 +371,11 @@ _SYMMETRIC = _Predicate("symmetric-equality", lambda c, neg, x, y, lam: (
 _GRADIENT_KERNEL = _Predicate("gradient-kernel", _kernel)
 _SUBDIFF_KERNEL = _Predicate("subdifferential-kernel", _kernel)
 _QUASICONVEX = _Predicate("quasiconvex-segment", lambda c, neg, x, y, lam: (
-    ck.check_quasiconvex_segment(c.handle(neg), Segment(x, y), c.grid(lam))), lam=True)
+    ck.check_quasiconvex_segment(c.handle(neg), x, y, c.grid(lam))), lam=True)
 _SEMISTRICT = _Predicate("semistrict-quasiconvex-segment", lambda c, neg, x, y, lam: (
-    ck.check_semistrict_quasiconvex_segment(c.handle(neg), Segment(x, y), c.grid(lam))),
-    lam=True)
+    ck.check_semistrict_quasiconvex_segment(c.handle(neg), x, y, c.grid(lam))), lam=True)
 _INTERLACING = _Predicate("interlacing-segment", lambda c, neg, x, y, lam: (
-    ck.check_interlacing(c.handle(neg), Segment(x, y), c.grid(lam))), lam=True)
+    ck.check_interlacing(c.handle(neg), x, y, c.grid(lam))), lam=True)
 _STRICT_BOUNDS = _Predicate("interpolation-strict-bounds", lambda c, neg, x, y, lam: (
     ck.check_interpolation_bounds(c.handle(neg), x, y, lam, strict=True)), lam=True)
 _WEAK_BOUNDS = _Predicate("interpolation-weak-bounds", lambda c, neg, x, y, lam: (
@@ -393,7 +390,7 @@ _PREDICATES: dict[str, _Predicate] = {
 }
 
 
-def _check(ctx: _Context, c: Candidate | Witness):
+def _check(ctx: _Context, c: Candidate | Witness) -> ck.Check:
     """Run the predicate a candidate or witness names, at its points."""
     return _PREDICATES[c.predicate].check(ctx, c.negated, c.x, c.y, c.lam)
 
@@ -403,101 +400,77 @@ def _check(ctx: _Context, c: Candidate | Witness):
 # --------------------------------------------------------------------------
 
 
-def _best_lambda(ctx: _Context, cand: Candidate) -> float | None:
-    """Grid lambda with the largest single-lambda margin, for segment seeds."""
-    if not _PREDICATES[cand.predicate].lam:
-        return None
-    best_t, best_s = None, -np.inf
-    for t in ctx.interior_lams:
-        s = _check(ctx, replace(cand, lam=t)).margin
-        if s > best_s:
-            best_t, best_s = t, s
-    return best_t
-
-
 _REFINE_RUNGS = tuple(0.25 / (5.0**k) for k in range(9))
 
 
 def _refine(ctx: _Context, cand: Candidate, rounds: int) -> RefineResult:
-    if cand.lam is None:
-        cand = replace(cand, lam=_best_lambda(ctx, cand))
-    lam_needed = cand.lam is not None
+    pred = _PREDICATES[cand.predicate]
+    x, y, lam = cand.x, cand.y, cand.lam
+    if lam is None and pred.lam:
+        # A segment seed starts at the first grid lambda of largest margin.
+        lam = max(ctx.interior_lams, default=None,
+                  key=lambda t: pred.check(ctx, cand.negated, x, y, t).margin)
     span = ctx.region.upper - ctx.region.lower
     # Lambda stays within the grid's interior resolution: the strict segment
     # conditions are sampled no finer than the grid, and ties manufactured at
     # vanishing lambda carry no evidence.
     lam_lo = 1.0 / (ctx.plan.lambda_grid - 1) if ctx.plan.lambda_grid >= 3 else 0.25
-    x = cand.x.copy()
-    y = cand.y.copy()
-    lam = cand.lam
-    current = _check(ctx, cand).margin
-    trace = [current]
-
-    def trial_score(tx, ty, tl) -> float:
-        if not (ctx.feasible(tx) and ctx.feasible(ty)):
-            return -np.inf
-        if np.array_equal(tx, ty):
-            return -np.inf
-        return _check(ctx, replace(cand, x=tx, y=ty, lam=tl)).margin
+    best = pred.check(ctx, cand.negated, x, y, lam)
+    trace = [best.margin]
+    # A seed outside the feasible region is scored but never moved; after
+    # that only the point a move changes needs testing.
+    if not (ctx.feasible(x) and ctx.feasible(y)):
+        rounds = 0
 
     for _ in range(rounds):
         improved = False
         moves: list[tuple[str, int]] = [("x", i) for i in range(x.size)]
         moves += [("y", i) for i in range(y.size)]
-        if lam_needed:
+        if lam is not None:
             moves.append(("lam", 0))
         for kind, i in moves:
             for rung in _REFINE_RUNGS:
                 accepted = False
                 for sign in (1.0, -1.0):
+                    tx, ty, tl = x, y, lam
                     if kind == "lam":
                         tl = float(np.clip(lam + sign * rung, lam_lo, 1.0 - lam_lo))
-                        s = trial_score(x, y, tl)
-                        if s > current:
-                            lam, current = tl, s
-                            accepted = improved = True
-                            break
                     else:
-                        target = x if kind == "x" else y
-                        t2 = target.copy()
-                        t2[i] += sign * rung * span[i]
-                        s = trial_score(t2 if kind == "x" else x, t2 if kind == "y" else y, lam)
-                        if s > current:
-                            if kind == "x":
-                                x = t2
-                            else:
-                                y = t2
-                            current = s
-                            accepted = improved = True
-                            break
+                        moved = (x if kind == "x" else y).copy()
+                        moved[i] += sign * rung * span[i]
+                        tx, ty = (moved, y) if kind == "x" else (x, moved)
+                        if not ctx.feasible(moved) or np.array_equal(tx, ty):
+                            continue
+                    trial = pred.check(ctx, cand.negated, tx, ty, tl)
+                    if trial.margin > best.margin:
+                        x, y, lam, best = tx, ty, tl, trial
+                        accepted = improved = True
+                        break
                 if accepted:
-                    trace.append(current)
+                    trace.append(best.margin)
                     break
         if not improved:
             break
 
-    final = _check(ctx, replace(cand, x=x, y=y, lam=lam))
-    witness = _witness_from_check(cand.predicate, cand.negated, final)
+    witness = _witness_from_check(cand.predicate, cand.negated, best)
     return RefineResult(witness, tuple(trace))
 
 
-def _witness_from_check(predicate: str, negated: bool, check) -> Witness | None:
+def _witness_from_check(predicate: str, negated: bool, check: ck.Check) -> Witness | None:
     """Turn a credible failed check into a Witness (else None)."""
     if not check.credible:
         return None
     values = {"fx": check.fx, "fy": check.fy}
-    lam = getattr(check, "lam", None)
-    fz = getattr(check, "fz", None)
-    if fz is not None:
-        values["fz"] = fz
+    if check.fz is not None:
+        values["fz"] = check.fz
     return Witness(
         property="",
         predicate=predicate,
         negated=negated,
         x=check.x,
         y=check.y,
-        lam=lam,
-        generator=getattr(check, "generator", None),
+        lam=check.lam,
+        generator=check.generator,
         values=values,
         relation=check.detail or predicate,
         residual=check.residual,
@@ -652,6 +625,13 @@ def _near_misses(ctx: _Context, prop: str) -> list[Candidate]:
     return out
 
 
+def _candidate(predicate: str, negated: bool, check: ck.Check) -> Candidate:
+    """Refinement seed of a failed check: the pair it ran on, which may be a
+    kernel projection or the reversed orientation of the sampled pair, and
+    its failing lambda for a segment check."""
+    return Candidate(predicate, negated, check.x, check.y, check.lam)
+
+
 def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
     tally = _Tally()
     raw_witnesses: list[Witness] = []
@@ -673,11 +653,7 @@ def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
             if w is not None:
                 raw_witnesses.append(replace(w, property=prop))
             else:
-                # A segment check names its failing lambda.
-                soft_candidates.append(
-                    (check.residual,
-                     Candidate(predicate, negated, x, y, getattr(check, "lam", None)))
-                )
+                soft_candidates.append((check.residual, _candidate(predicate, negated, check)))
 
     witnesses = sorted(raw_witnesses, key=Witness.sort_key)[:MAX_WITNESSES]
 

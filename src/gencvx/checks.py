@@ -1,8 +1,15 @@
 """Executable predicates for generalized-convexity characterizations.
 
-Each predicate operates on concrete points, segments, or subdifferential
-estimates and reports pass/fail together with a numeric residual.  Strict
-inequalities are tested with the margin
+Every predicate (the `check_*` functions and `verify_p_identity`) takes the
+function handle and the plain endpoints of a pair, `(fn, x, y, ...)`, then
+what it needs besides: a lambda grid or one lambda for the segment
+conditions, subdifferential estimates or a gradient for the first-order
+ones.  Each returns one `Check` (`check_subdiff_kernel_pair` as `overall`,
+beside its two one-sided outcomes), which reports pass/fail together with a
+numeric residual; segment predicates also name their lambda and f there,
+generator predicates the generator.  Segment points come from
+`geometry.segment_point`, which rejects x == y.  Strict inequalities are
+tested with the margin
 
     eps = 1e-7 * (1 + |f(x)| + |f(y)|)
 
@@ -18,8 +25,8 @@ Every check also carries a signed `margin`, the score counterexample
 refinement climbs: negative while the predicate passes (larger is closer to
 a violation) and equal to the residual once it fails.  Pairs that cannot
 bear on the predicate score near VACUOUS_MARGIN, far below any real pair;
-so do, failing or not, ascending pairs under the strict interpolation
-bounds and pairs tied within 3 eps under the proportional checks.
+so do, failing or not, pairs tied within 3 eps under the proportional
+checks.
 
 Universally quantified subdifferential conditions are checked on the finite
 generator set only.  All such conditions are affine in the generator, so
@@ -35,6 +42,7 @@ from functools import wraps
 import numpy as np
 
 from .functions import FunctionHandle
+from .geometry import segment_point
 from .nonsmooth import SubdifferentialEstimate
 
 __all__ = [
@@ -43,8 +51,7 @@ __all__ = [
     "FAIL",
     "INCONCLUSIVE",
     "eps_strict",
-    "PairCheck",
-    "SegmentCheck",
+    "Check",
     "PValue",
     "BRecord",
     "CrossCheck",
@@ -93,9 +100,20 @@ def noise_floor(fx: float, fy: float) -> float:
     return NOISE_COEFF * (1.0 + abs(fx) + abs(fy))
 
 
+def _endpoints(fn: FunctionHandle, x, y) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The pair as float arrays, and f's values there."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return x, y, fn.value(x), fn.value(y)
+
+
 @dataclass(frozen=True)
-class PairCheck:
-    """Outcome of a point-pair predicate."""
+class Check:
+    """Outcome of a predicate on the pair (x, y).
+
+    Segment predicates name the witness lambda and f there (`lam`, `fz`);
+    generator predicates name the generator a failure was found with.
+    """
 
     predicate: str
     x: np.ndarray
@@ -107,28 +125,8 @@ class PairCheck:
     threshold: float = float("inf")
     generator: np.ndarray | None = None
     generator_index: int | None = None
-    detail: str = ""
-    margin: float = 0.0
-
-    @property
-    def credible(self) -> bool:
-        return self.outcome == FAIL and self.residual > self.threshold
-
-
-@dataclass(frozen=True)
-class SegmentCheck:
-    """Outcome of a segment predicate; failures name the witness lambda."""
-
-    predicate: str
-    x: np.ndarray
-    y: np.ndarray
-    fx: float
-    fy: float
-    outcome: str
     lam: float | None = None
     fz: float | None = None
-    residual: float = 0.0
-    threshold: float = float("inf")
     detail: str = ""
     margin: float = 0.0
 
@@ -144,7 +142,7 @@ class SegmentCheck:
 
 def check_pseudoconvex_pair(
     fn: FunctionHandle, x, y, sub_x: SubdifferentialEstimate
-) -> PairCheck:
+) -> Check:
     """f(y) < f(x) requires <g, y-x> < 0 for every generator g at x.
 
     Vacuous when the antecedent does not hold beyond the margin.  A failing
@@ -153,19 +151,17 @@ def check_pseudoconvex_pair(
     generator certifies a strict descent direction.  A pass scores its
     largest pairing: the generator closest to failing.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fx, fy = fn.value(x), fn.value(y)
+    x, y, fx, fy = _endpoints(fn, x, y)
     eps = eps_strict(fx, fy)
     if not (fy < fx - eps):
-        return PairCheck("pseudoconvex-pair", x, y, fx, fy, VACUOUS,
-                         margin=VACUOUS_MARGIN - (fy - fx))
+        return Check("pseudoconvex-pair", x, y, fx, fy, VACUOUS,
+                     margin=VACUOUS_MARGIN - (fy - fx))
     d = y - x
     worst = -np.inf
     for k, g in enumerate(sub_x.generators):
         v = float(np.dot(g, d))
         if not (v < -eps):
-            return PairCheck(
+            return Check(
                 "pseudoconvex-pair", x, y, fx, fy, FAIL,
                 residual=fx - fy,
                 threshold=WITNESS_FACTOR * eps,
@@ -174,26 +170,24 @@ def check_pseudoconvex_pair(
                 margin=fx - fy,
             )
         worst = max(worst, v)
-    return PairCheck("pseudoconvex-pair", x, y, fx, fy, PASS, margin=worst + eps)
+    return Check("pseudoconvex-pair", x, y, fx, fy, PASS, margin=worst + eps)
 
 
 def check_weak_monotone_pair(
     fn: FunctionHandle, x, y, sub_x: SubdifferentialEstimate
-) -> PairCheck:
+) -> Check:
     """f(y) <= f(x) requires <g, y-x> <= 0 for every generator g at x."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fx, fy = fn.value(x), fn.value(y)
+    x, y, fx, fy = _endpoints(fn, x, y)
     eps = eps_strict(fx, fy)
     if not (fy <= fx + eps):
-        return PairCheck("weak-monotone-pair", x, y, fx, fy, VACUOUS,
-                         margin=VACUOUS_MARGIN - (fy - fx))
+        return Check("weak-monotone-pair", x, y, fx, fy, VACUOUS,
+                     margin=VACUOUS_MARGIN - (fy - fx))
     d = y - x
     worst = -np.inf
     for k, g in enumerate(sub_x.generators):
         v = float(np.dot(g, d))
         if v > eps:
-            return PairCheck(
+            return Check(
                 "weak-monotone-pair", x, y, fx, fy, FAIL,
                 residual=v,
                 threshold=WITNESS_FACTOR * eps,
@@ -202,7 +196,7 @@ def check_weak_monotone_pair(
                 margin=v,
             )
         worst = max(worst, v)
-    return PairCheck("weak-monotone-pair", x, y, fx, fy, PASS, margin=worst - eps)
+    return Check("weak-monotone-pair", x, y, fx, fy, PASS, margin=worst - eps)
 
 
 # --------------------------------------------------------------------------
@@ -214,19 +208,19 @@ def _lam_weight(lam: float) -> float:
     return min(lam, 1.0 - lam)
 
 
-def check_quasiconvex_segment(fn: FunctionHandle, seg, lam_grid) -> SegmentCheck:
+def check_quasiconvex_segment(fn: FunctionHandle, x, y, lam_grid) -> Check:
     """Values along the segment may not exceed the endpoint maximum.
 
     A failure reports the grid lambda with the largest exceedance.  The
     margin is the largest exceedance over the interior grid lambdas.
     """
-    fx, fy = fn.value(seg.x), fn.value(seg.y)
+    x, y, fx, fy = _endpoints(fn, x, y)
     eps = eps_strict(fx, fy)
     top = max(fx, fy)
     worst: tuple[float, float] | None = None
     bump = -np.inf
     lams = [float(lam) for lam in lam_grid]
-    for lam, z in zip(lams, seg.point_at(lams)):
+    for lam, z in zip(lams, segment_point(x, y, lams)):
         fz = fn.value(z)
         if 0.0 < lam < 1.0:
             bump = max(bump, fz - top)
@@ -235,20 +229,18 @@ def check_quasiconvex_segment(fn: FunctionHandle, seg, lam_grid) -> SegmentCheck
     margin = bump if bump > eps else bump - eps
     if worst is not None:
         lam, fz = worst
-        return SegmentCheck(
-            "quasiconvex-segment", seg.x, seg.y, fx, fy, FAIL,
+        return Check(
+            "quasiconvex-segment", x, y, fx, fy, FAIL,
             lam=lam, fz=fz,
             residual=fz - top,
             threshold=WITNESS_FACTOR * eps,
             detail="interior value exceeds endpoint maximum",
             margin=margin,
         )
-    return SegmentCheck("quasiconvex-segment", seg.x, seg.y, fx, fy, PASS, margin=margin)
+    return Check("quasiconvex-segment", x, y, fx, fy, PASS, margin=margin)
 
 
-def check_semistrict_quasiconvex_segment(
-    fn: FunctionHandle, seg, lam_grid
-) -> SegmentCheck:
+def check_semistrict_quasiconvex_segment(fn: FunctionHandle, x, y, lam_grid) -> Check:
     """f(y) < f(x) requires f(z(lam)) < f(x) at every interior grid lambda.
 
     An interior value tied with f(x) at the noise floor fails; one that is
@@ -258,18 +250,18 @@ def check_semistrict_quasiconvex_segment(
     a negligible gap, proves nothing.  A descending lambda scores
     f(z) - f(x), a tied one its would-be residual.
     """
-    fx, fy = fn.value(seg.x), fn.value(seg.y)
+    x, y, fx, fy = _endpoints(fn, x, y)
     eps = eps_strict(fx, fy)
     eta = noise_floor(fx, fy)
     if not (fy < fx - eps):
-        return SegmentCheck("semistrict-quasiconvex-segment", seg.x, seg.y, fx, fy, VACUOUS,
-                            margin=VACUOUS_MARGIN - (fy - fx))
+        return Check("semistrict-quasiconvex-segment", x, y, fx, fy, VACUOUS,
+                     margin=VACUOUS_MARGIN - (fy - fx))
     gap = fx - fy
     near_tie = None
     worst: tuple[float, float, float] | None = None
     margin = -np.inf
     lams = [lam for lam in map(float, lam_grid) if 0.0 < lam < 1.0]
-    for lam, z in zip(lams, seg.point_at(lams)):
+    for lam, z in zip(lams, segment_point(x, y, lams)):
         fz = fn.value(z)
         if fz >= fx - eta:
             r = gap * _lam_weight(lam)
@@ -282,8 +274,8 @@ def check_semistrict_quasiconvex_segment(
                 near_tie = lam
     if worst is not None:
         _, lam, fz = worst
-        return SegmentCheck(
-            "semistrict-quasiconvex-segment", seg.x, seg.y, fx, fy, FAIL,
+        return Check(
+            "semistrict-quasiconvex-segment", x, y, fx, fy, FAIL,
             lam=lam, fz=fz,
             residual=gap * _lam_weight(lam),
             threshold=WITNESS_FACTOR * eps,
@@ -291,33 +283,32 @@ def check_semistrict_quasiconvex_segment(
             margin=margin,
         )
     if near_tie is not None:
-        return SegmentCheck(
-            "semistrict-quasiconvex-segment", seg.x, seg.y, fx, fy, INCONCLUSIVE,
+        return Check(
+            "semistrict-quasiconvex-segment", x, y, fx, fy, INCONCLUSIVE,
             lam=near_tie, detail="descent inside the strictness band", margin=margin,
         )
-    return SegmentCheck("semistrict-quasiconvex-segment", seg.x, seg.y, fx, fy, PASS,
-                        margin=margin)
+    return Check("semistrict-quasiconvex-segment", x, y, fx, fy, PASS, margin=margin)
 
 
-def check_interlacing(fn: FunctionHandle, seg, lam_grid) -> SegmentCheck:
+def check_interlacing(fn: FunctionHandle, x, y, lam_grid) -> Check:
     """f(y) < f(x) requires f(y) < f(z(lam)) < f(x) strictly inside.
 
     This is the combined test for semistrict quasilinearity; tie handling
     matches check_semistrict_quasiconvex_segment, on both sides, and so
     does the margin.
     """
-    fx, fy = fn.value(seg.x), fn.value(seg.y)
+    x, y, fx, fy = _endpoints(fn, x, y)
     eps = eps_strict(fx, fy)
     eta = noise_floor(fx, fy)
     if not (fy < fx - eps):
-        return SegmentCheck("interlacing-segment", seg.x, seg.y, fx, fy, VACUOUS,
-                            margin=VACUOUS_MARGIN - (fy - fx))
+        return Check("interlacing-segment", x, y, fx, fy, VACUOUS,
+                     margin=VACUOUS_MARGIN - (fy - fx))
     gap = fx - fy
     near_tie = None
     worst: tuple[float, float, float] | None = None
     margin = -np.inf
     lams = [lam for lam in map(float, lam_grid) if 0.0 < lam < 1.0]
-    for lam, z in zip(lams, seg.point_at(lams)):
+    for lam, z in zip(lams, segment_point(x, y, lams)):
         fz = fn.value(z)
         if fz <= fy + eta or fz >= fx - eta:
             r = gap * _lam_weight(lam)
@@ -331,8 +322,8 @@ def check_interlacing(fn: FunctionHandle, seg, lam_grid) -> SegmentCheck:
     if worst is not None:
         _, lam, fz = worst
         side = "below f(y)" if fz <= fy + eta else "above f(x)"
-        return SegmentCheck(
-            "interlacing-segment", seg.x, seg.y, fx, fy, FAIL,
+        return Check(
+            "interlacing-segment", x, y, fx, fy, FAIL,
             lam=lam, fz=fz,
             residual=gap * _lam_weight(lam),
             threshold=WITNESS_FACTOR * eps,
@@ -340,11 +331,11 @@ def check_interlacing(fn: FunctionHandle, seg, lam_grid) -> SegmentCheck:
             margin=margin,
         )
     if near_tie is not None:
-        return SegmentCheck(
-            "interlacing-segment", seg.x, seg.y, fx, fy, INCONCLUSIVE,
+        return Check(
+            "interlacing-segment", x, y, fx, fy, INCONCLUSIVE,
             lam=near_tie, detail="interior value inside the strictness band", margin=margin,
         )
-    return SegmentCheck("interlacing-segment", seg.x, seg.y, fx, fy, PASS, margin=margin)
+    return Check("interlacing-segment", x, y, fx, fy, PASS, margin=margin)
 
 
 # --------------------------------------------------------------------------
@@ -369,10 +360,8 @@ class PValue:
 
 
 def compute_p(fn: FunctionHandle, x, y, generator) -> PValue:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y, fx, fy = _endpoints(fn, x, y)
     g = np.asarray(generator, dtype=float)
-    fx, fy = fn.value(x), fn.value(y)
     eps = eps_strict(fx, fy)
     num = fy - fx
     den = float(np.dot(g, y - x))
@@ -388,7 +377,7 @@ def _proportional_margin(check_fn):
     residual and anything else minus its smallest pairing |<g, y-x>| at x."""
 
     @wraps(check_fn)
-    def checked(fn, x, y, sub_x, *sub_y) -> PairCheck:
+    def checked(fn, x, y, sub_x, *sub_y) -> Check:
         check = check_fn(fn, x, y, sub_x, *sub_y)
         gap = abs(check.fy - check.fx)
         if gap <= 3.0 * eps_strict(check.fx, check.fy):
@@ -406,23 +395,21 @@ def _proportional_margin(check_fn):
 @_proportional_margin
 def verify_p_identity(
     fn: FunctionHandle, x, y, sub_x: SubdifferentialEstimate
-) -> PairCheck:
+) -> Check:
     """f(y) - f(x) = p * <g, y-x> with positive p, for every generator.
 
     With p constructed by compute_p the residual vanishes identically except
     in the band case, where <g, y-x> ~ 0 while the values differ -- which is
     exactly the refutation. A nonpositive p refutes as well.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fx, fy = fn.value(x), fn.value(y)
+    x, y, fx, fy = _endpoints(fn, x, y)
     eps = eps_strict(fx, fy)
     for k, g in enumerate(sub_x.generators):
         pv = compute_p(fn, x, y, g)
         r = abs(pv.numerator - pv.p * pv.denominator)
         if pv.band:
             if r > eps:
-                return PairCheck(
+                return Check(
                     "proportional-identity", x, y, fx, fy, FAIL,
                     residual=abs(pv.numerator),
                     threshold=WITNESS_FACTOR * eps,
@@ -431,7 +418,7 @@ def verify_p_identity(
                 )
             continue
         if not pv.positive:
-            return PairCheck(
+            return Check(
                 "proportional-identity", x, y, fx, fy, FAIL,
                 residual=min(abs(pv.numerator), abs(pv.denominator))
                 if abs(pv.numerator) > eps
@@ -441,14 +428,14 @@ def verify_p_identity(
                 detail=f"proportional factor p = {pv.p:.6g} is not positive",
             )
         if r > eps:
-            return PairCheck(
+            return Check(
                 "proportional-identity", x, y, fx, fy, FAIL,
                 residual=r,
                 threshold=WITNESS_FACTOR * eps,
                 generator=g, generator_index=k,
                 detail="identity residual above margin",
             )
-    return PairCheck("proportional-identity", x, y, fx, fy, PASS)
+    return Check("proportional-identity", x, y, fx, fy, PASS)
 
 
 @_proportional_margin
@@ -458,23 +445,21 @@ def check_symmetric_equality(
     y,
     sub_x: SubdifferentialEstimate,
     sub_y: SubdifferentialEstimate,
-) -> PairCheck:
+) -> Check:
     """p(x,y,g) <g, y-x> + p(y,x,h) <h, x-y> = 0 over all generator pairs.
 
     Band cases (a vanishing pairing on either side) are decidable only when
     the opposite term is large; small mixed sums are inconclusive rather
     than refuting.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fx, fy = fn.value(x), fn.value(y)
+    x, y, fx, fy = _endpoints(fn, x, y)
     eps = eps_strict(fx, fy)
     band_limit = WITNESS_FACTOR * eps
     saw_band = False
     for k, g in enumerate(sub_x.generators):
         pv1 = compute_p(fn, x, y, g)
         if not pv1.band and not pv1.positive:
-            return PairCheck(
+            return Check(
                 "symmetric-equality", x, y, fx, fy, FAIL,
                 residual=min(abs(pv1.numerator), abs(pv1.denominator))
                 if abs(pv1.numerator) > eps
@@ -486,7 +471,7 @@ def check_symmetric_equality(
         for j, h in enumerate(sub_y.generators):
             pv2 = compute_p(fn, y, x, h)
             if not pv2.band and not pv2.positive:
-                return PairCheck(
+                return Check(
                     "symmetric-equality", x, y, fx, fy, FAIL,
                     residual=min(abs(pv2.numerator), abs(pv2.denominator))
                     if abs(pv2.numerator) > eps
@@ -499,7 +484,7 @@ def check_symmetric_equality(
             if pv1.band or pv2.band:
                 saw_band = True
                 if abs(s) > band_limit:
-                    return PairCheck(
+                    return Check(
                         "symmetric-equality", x, y, fx, fy, FAIL,
                         residual=abs(s),
                         threshold=band_limit,
@@ -508,7 +493,7 @@ def check_symmetric_equality(
                     )
                 continue
             if abs(s) > eps:
-                return PairCheck(
+                return Check(
                     "symmetric-equality", x, y, fx, fy, FAIL,
                     residual=abs(s),
                     threshold=band_limit,
@@ -516,11 +501,11 @@ def check_symmetric_equality(
                     detail=f"symmetric sum S = {s:.6g} is nonzero",
                 )
     if saw_band:
-        return PairCheck(
+        return Check(
             "symmetric-equality", x, y, fx, fy, INCONCLUSIVE,
             detail="pairing inside the equality band; sum not decidable",
         )
-    return PairCheck("symmetric-equality", x, y, fx, fy, PASS)
+    return Check("symmetric-equality", x, y, fx, fy, PASS)
 
 
 
@@ -530,16 +515,14 @@ def check_symmetric_inequality(
     y,
     sub_x: SubdifferentialEstimate,
     sub_y: SubdifferentialEstimate,
-) -> PairCheck:
+) -> Check:
     """p(x,y,g) <g, y-x> + p(y,x,h) <h, x-y> <= 0 over all generator pairs.
 
     The inequality is existential in p, so it is evaluated with the
     constructed p where that is valid and with the fallback p = 1 otherwise.
     A pass is evidence consistent with pseudoconvexity, never a certificate.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fx, fy = fn.value(x), fn.value(y)
+    x, y, fx, fy = _endpoints(fn, x, y)
     eps = eps_strict(fx, fy)
     worst = -np.inf
     for k, g in enumerate(sub_x.generators):
@@ -550,7 +533,7 @@ def check_symmetric_inequality(
             p2 = pv2.p if (not pv2.band and pv2.positive) else 1.0
             s = p1 * pv1.denominator + p2 * pv2.denominator
             if s > eps:
-                return PairCheck(
+                return Check(
                     "symmetric-inequality", x, y, fx, fy, FAIL,
                     residual=s,
                     threshold=WITNESS_FACTOR * eps,
@@ -559,7 +542,7 @@ def check_symmetric_inequality(
                     margin=s,
                 )
             worst = max(worst, s)
-    return PairCheck("symmetric-inequality", x, y, fx, fy, PASS, margin=worst - eps)
+    return Check("symmetric-inequality", x, y, fx, fy, PASS, margin=worst - eps)
 
 
 # --------------------------------------------------------------------------
@@ -629,13 +612,13 @@ def compute_b(fn: FunctionHandle, x, y, lam: float) -> BRecord:
                    strict_violated=strict_violated, weak_violated=weak_violated)
 
 
-def check_interpolation_bounds(fn: FunctionHandle, x, y, lam: float, strict: bool) -> SegmentCheck:
+def check_interpolation_bounds(fn: FunctionHandle, x, y, lam: float, strict: bool) -> Check:
     """0 < lam*b < 1 (strict) or 0 < b <= 1/lam (weak) at one lambda.
 
     A lam*b inside the eps band but off the noise floor is inconclusive; a
     failure's residual is |f(y) - f(x)| * min(lam, 1-lam).  The margin
-    scores f(z) against the open interval between f(x) and f(y), and is
-    vacuous for tied pairs and, under the strict bounds, for ascending ones.
+    scores f(z) against the open interval between f(x) and f(y) in either
+    orientation, so a failure scores its residual; tied pairs are vacuous.
     """
     rec = compute_b(fn, x, y, lam)
     fx, fy, fz = rec.fx, rec.fy, rec.fz
@@ -643,9 +626,7 @@ def check_interpolation_bounds(fn: FunctionHandle, x, y, lam: float, strict: boo
     eps = eps_strict(fx, fy)
     eta = noise_floor(fx, fy)
     lo, hi = min(fx, fy), max(fx, fy)
-    if strict and not (fy < fx - eps):
-        margin = VACUOUS_MARGIN - (fy - fx)
-    elif gap <= eps:
+    if gap <= eps:
         margin = VACUOUS_MARGIN
     elif fz <= lo + eta or fz >= hi - eta:
         margin = gap * _lam_weight(lam)
@@ -657,7 +638,7 @@ def check_interpolation_bounds(fn: FunctionHandle, x, y, lam: float, strict: boo
         outcome = VACUOUS
     elif not (rec.strict if strict else rec.weak):
         if rec.strict_violated if strict else rec.weak_violated:
-            return SegmentCheck(
+            return Check(
                 name, rec.x, rec.y, fx, fy, FAIL, lam=lam, fz=fz,
                 residual=gap * _lam_weight(lam),
                 threshold=WITNESS_FACTOR * eps,
@@ -665,8 +646,8 @@ def check_interpolation_bounds(fn: FunctionHandle, x, y, lam: float, strict: boo
                 margin=margin,
             )
         outcome, detail = INCONCLUSIVE, f"lambda*b = {rec.lam_b:.9g} pinned at a bound"
-    return SegmentCheck(name, rec.x, rec.y, fx, fy, outcome, lam=lam, fz=fz,
-                        detail=detail, margin=margin)
+    return Check(name, rec.x, rec.y, fx, fy, outcome, lam=lam, fz=fz,
+                 detail=detail, margin=margin)
 
 
 @dataclass(frozen=True)
@@ -740,9 +721,7 @@ def estimate_q_limit(
     for comparison.  A non-contracting extrapolant sequence clears the
     convergence flag.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fx, fy = fn.value(x), fn.value(y)
+    x, y, fx, fy = _endpoints(fn, x, y)
     if abs(fy - fx) <= eps_strict(fx, fy):
         raise ValueError("f(y) inside the equality band of f(x); q-limit undefined")
     if len(schedule) < 2:
@@ -782,19 +761,17 @@ def estimate_q_limit(
 # --------------------------------------------------------------------------
 
 
-def check_gradient_kernel(fn: FunctionHandle, x, y, grad_x) -> PairCheck:
+def check_gradient_kernel(fn: FunctionHandle, x, y, grad_x) -> Check:
     """grad f(x)(y - x) = 0 requires f(y) = f(x)  (smooth handles)."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y, fx, fy = _endpoints(fn, x, y)
     g = np.asarray(grad_x, dtype=float)
-    fx, fy = fn.value(x), fn.value(y)
     eps = eps_strict(fx, fy)
     d = float(np.dot(g, y - x))
     if abs(d) > eps:
-        return PairCheck("gradient-kernel", x, y, fx, fy, VACUOUS, margin=-abs(d))
+        return Check("gradient-kernel", x, y, fx, fy, VACUOUS, margin=-abs(d))
     gap = abs(fy - fx)
     if gap > eps:
-        return PairCheck(
+        return Check(
             "gradient-kernel", x, y, fx, fy, FAIL,
             residual=gap,
             threshold=WITNESS_FACTOR * eps,
@@ -802,14 +779,14 @@ def check_gradient_kernel(fn: FunctionHandle, x, y, grad_x) -> PairCheck:
             detail="kernel direction changes the value",
             margin=gap,
         )
-    return PairCheck("gradient-kernel", x, y, fx, fy, PASS, margin=gap - eps)
+    return Check("gradient-kernel", x, y, fx, fy, PASS, margin=gap - eps)
 
 
 @dataclass(frozen=True)
 class KernelPairCheck:
     """Joint outcome of the two one-sided subdifferential kernel conditions."""
 
-    overall: PairCheck
+    overall: Check
     lower: str  # generators of f:   <xi, y-x> = 0  =>  f(y) >= f(x)
     upper: str  # generators of -f:  <eta, y-x> = 0  =>  f(y) <= f(x)
 
@@ -826,9 +803,7 @@ def check_subdiff_kernel_pair(
     The margin is minus the smallest |<g, y-x>| while no generator lies in
     the kernel, then |f(y) - f(x)| less eps, or the residual once failing.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fx, fy = fn.value(x), fn.value(y)
+    x, y, fx, fy = _endpoints(fn, x, y)
     eps = eps_strict(fx, fy)
     d = y - x
     gap = abs(fy - fx)
@@ -838,7 +813,7 @@ def check_subdiff_kernel_pair(
     else:
         margin = gap if gap > eps else gap - eps
 
-    def _side(est: SubdifferentialEstimate, lower: bool) -> tuple[str, PairCheck | None]:
+    def _side(est: SubdifferentialEstimate, lower: bool) -> tuple[str, Check | None]:
         outcome = VACUOUS
         for k, g in enumerate(est.generators):
             if abs(float(np.dot(g, d))) > eps:
@@ -846,7 +821,7 @@ def check_subdiff_kernel_pair(
             bad = (fy < fx - eps) if lower else (fy > fx + eps)
             if bad:
                 which = "f(y) >= f(x)" if lower else "f(y) <= f(x)"
-                return FAIL, PairCheck(
+                return FAIL, Check(
                     "subdifferential-kernel", x, y, fx, fy, FAIL,
                     residual=gap,
                     threshold=WITNESS_FACTOR * eps,
@@ -866,5 +841,5 @@ def check_subdiff_kernel_pair(
         return KernelPairCheck(fail, low, up)
     combined = PASS if (low == PASS or up == PASS) else VACUOUS
     return KernelPairCheck(
-        PairCheck("subdifferential-kernel", x, y, fx, fy, combined, margin=margin), low, up
+        Check("subdifferential-kernel", x, y, fx, fy, combined, margin=margin), low, up
     )

@@ -1,4 +1,4 @@
-"""Convex sampling regions, points, and segment geometry.
+"""Convex sampling regions, points, and segment points.
 
 A region is an axis-aligned bounding box (the sampling window) intersected
 with affine halfspace constraints ``<a, x> REL c`` where ``REL`` is ``<`` or
@@ -7,6 +7,10 @@ sampled point satisfies each constraint, and each box face, with slack at
 least ``margin``.  This keeps all evaluations inside an open neighbourhood
 where the analysed functions are locally Lipschitz, away from boundary
 singularities.
+
+A segment is no object of its own: it is given by its endpoints, and
+``segment_point(x, y, lam)`` validates both and the lambdas each time it
+builds points on it.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ __all__ = [
     "RegionTooThinError",
     "AffineConstraint",
     "Region",
-    "Segment",
     "as_point",
     "segment_point",
     "sample_region",
@@ -156,7 +159,11 @@ class Region:
         return all(c.satisfied(x, margin) for c in self.constraints)
 
     def interior_slack(self, x) -> float:
-        """Largest r such that the euclidean ball B(x, r) stays inside."""
+        """Largest r such that the euclidean ball B(x, r) stays inside.
+
+        For a point of the region's dimension and r > 0,
+        interior_slack(x) >= r already implies contains(x).
+        """
         x = np.asarray(x, dtype=float).reshape(-1)
         r = float(min(np.min(x - self.lower), np.min(self.upper - x)))
         for c in self.constraints:
@@ -223,35 +230,24 @@ def sample_region(region: Region, count: int, seed: int) -> list[np.ndarray]:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Segment:
-    """Closed segment z(t) = x + t*(y - x), t in [0, 1], with x != y."""
+def segment_point(x, y, lam: ArrayLike) -> np.ndarray:
+    """Point x + lam*(y - x) of the closed segment from x to y.
 
-    x: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_point(self.x))
-        object.__setattr__(self, "y", as_point(self.y))
-        if self.x.shape != self.y.shape:
-            raise ValueError("segment endpoints have different dimensions")
-        if np.array_equal(self.x, self.y):
-            raise ValueError("degenerate segment: x == y")
-
-    def point_at(self, lam: ArrayLike) -> np.ndarray:
-        return segment_point(self, lam)
-
-
-def segment_point(seg: Segment, lam: ArrayLike) -> np.ndarray:
-    """Point x + lam*(y - x); every lam must lie in [0, 1].
-
-    A 1-D array of k lambdas gives the read-only (k, n) array of their
-    points, each row bit-identical to the point of its lambda alone.
+    The endpoints must differ and have one dimension, and every lam must lie
+    in [0, 1].  A 1-D array of k lambdas gives the read-only (k, n) array of
+    their points, each row bit-identical to the point of its lambda alone.
+    Raises ValueError on a point with a non-finite coordinate.
     """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError("segment endpoints have different dimensions")
+    if np.array_equal(x, y):
+        raise ValueError("degenerate segment: x == y")
     lams = np.asarray(lam, dtype=float)
     if not np.all((lams >= 0.0) & (lams <= 1.0)):
         raise ValueError(f"lambda outside [0, 1]: {lam}")
-    pts = seg.x + lams[..., None] * (seg.y - seg.x)
+    pts = x + lams[..., None] * (y - x)
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"point has non-finite coordinates: {pts}")
     pts.flags.writeable = False

@@ -8,6 +8,7 @@ from gencvx import (
     Candidate,
     SamplingPlan,
     Witness,
+    check_gradient_kernel,
     check_implication_lattice,
     classify,
     corpus,
@@ -15,7 +16,7 @@ from gencvx import (
     refine_counterexample,
     replay_witness,
 )
-from gencvx.campaign import HOLDS, REFUTED, _Context, _pair_samples
+from gencvx.campaign import HOLDS, REFUTED, _candidate, _check, _Context, _pair_samples
 from gencvx.expr import EvalError
 from gencvx.functions import SMOOTH, FunctionHandle, function_from_expression
 
@@ -105,6 +106,46 @@ def test_gradient_kernel_without_gradient_replays_and_refines_as_sampled():
     moved = refine_counterexample(fn, e.region, cand, rounds=3, plan=FAST)
     assert moved.scores[0] == check.residual
     assert moved.witness.residual == moved.scores[-1] >= check.residual
+
+
+def test_soft_candidates_replay_to_their_checks():
+    # Kernel conditions fail at a projection of the sampled pair, and the
+    # pair checks also in its reversed orientation: a near-tie's refinement
+    # seed must be the pair and lambda the check failed at.
+    e = corpus_entry("paraboloid")
+    ctx = _Context(e.handle, e.region, SamplingPlan(seed=0))
+    soft = elsewhere = 0
+    for x, y in ctx.pairs:
+        for check, predicate, negated in _pair_samples(ctx, "pseudolinear", x, y):
+            if check.outcome != "fail" or check.credible:
+                continue
+            replayed = _check(ctx, _candidate(predicate, negated, check))
+            assert (replayed.outcome, replayed.residual) == (check.outcome, check.residual)
+            soft += 1
+            elsewhere += not (np.array_equal(check.x, x) and np.array_equal(check.y, y))
+    assert soft >= 3 and elsewhere >= 1
+
+
+@pytest.mark.parametrize("predicate, x, y", [
+    ("pseudoconvex-pair", [0.0], [1.0 + 1e-9]),
+    ("quasiconvex-segment", [1.0 + 1e-9], [-0.5]),
+    ("gradient-kernel", [0.0], [1.2]),
+])
+def test_refinement_never_moves_a_seed_outside_the_region(predicate, x, y):
+    # One step would bring the first two seeds inside and raise their
+    # margin; the last fails credibly where it is.  Each is only scored.
+    e = corpus_entry("cubic")
+    x, y = np.array(x), np.array(y)
+    cand = Candidate(predicate, False, x, y)
+    seed = refine_counterexample(e.handle, e.region, cand, rounds=0, plan=FAST)
+    result = refine_counterexample(e.handle, e.region, cand, rounds=3, plan=FAST)
+    assert len(result.scores) == 1 and result.scores == seed.scores
+    as_dict = [None if r.witness is None else r.witness.to_dict() for r in (result, seed)]
+    assert as_dict[0] == as_dict[1]
+    if predicate == "gradient-kernel":
+        check = check_gradient_kernel(e.handle, x, y, e.handle.grad(x))
+        assert result.witness.residual == check.residual == result.scores[0]
+        assert np.array_equal(result.witness.y, y)
 
 
 def test_classification_deterministic():

@@ -8,7 +8,6 @@ from gencvx.geometry import (
     Region,
     RegionError,
     RegionTooThinError,
-    Segment,
     as_point,
     parse_region,
     sample_region,
@@ -29,51 +28,51 @@ def test_as_point_validates():
 
 
 def test_segment_point_midpoint():
-    seg = Segment([0.0, 0.0], [2.0, 2.0])
-    assert np.array_equal(segment_point(seg, 0.5), [1.0, 1.0])
+    assert np.array_equal(segment_point([0.0, 0.0], [2.0, 2.0], 0.5), [1.0, 1.0])
 
 
 def test_segment_point_affine_interpolation():
-    seg = Segment([1.0, 0.0], [2.0, 2.0])
-    assert np.array_equal(segment_point(seg, 0.5), [1.5, 1.0])
+    assert np.array_equal(segment_point([1.0, 0.0], [2.0, 2.0], 0.5), [1.5, 1.0])
 
 
 def test_segment_point_endpoint_identity():
     x = np.array([0.3, -0.7, 1.1])
-    seg = Segment(x, x + 1.0)
-    assert np.array_equal(segment_point(seg, 0.0), x)
+    assert np.array_equal(segment_point(x, x + 1.0, 0.0), x)
 
 
 def test_segment_point_grid_rows_match_scalar_calls():
-    seg = Segment([0.3, -0.7, 1.1], [-2.9, 0.1 / 3.0, 1e-3])
+    x, y = np.array([0.3, -0.7, 1.1]), np.array([-2.9, 0.1 / 3.0, 1e-3])
     grid = np.linspace(0.0, 1.0, 33)
-    pts = segment_point(seg, grid)
+    pts = segment_point(x, y, grid)
     assert pts.shape == (33, 3)
     assert not pts.flags.writeable
     for lam, row in zip(grid, pts):
-        assert np.array_equal(row, segment_point(seg, float(lam)))
-        assert np.array_equal(row, seg.x + float(lam) * (seg.y - seg.x))
-    assert np.array_equal(pts[0], seg.x)
-    assert np.array_equal(seg.point_at(grid), pts)
-    assert segment_point(seg, []).shape == (0, 3)
+        assert np.array_equal(row, segment_point(x, y, float(lam)))
+        assert np.array_equal(row, x + float(lam) * (y - x))
+    assert np.array_equal(pts[0], x)
+    assert np.array_equal(segment_point(list(x), list(y), grid), pts)
+    assert segment_point(x, y, []).shape == (0, 3)
 
 
 def test_segment_rejects_degenerate_and_bad_lambda():
+    for lam in (0.5, [0.0, 0.5], []):
+        with pytest.raises(ValueError):
+            segment_point([1.0, 2.0], [1.0, 2.0], lam)
     with pytest.raises(ValueError):
-        Segment([1.0, 2.0], [1.0, 2.0])
-    seg = Segment([0.0], [1.0])
+        segment_point([0.0], [1.0, 2.0], 0.5)
     for lam in (-0.1, 1.1, float("nan"), [0.5, 1.1], [-0.1, 0.5]):
         with pytest.raises(ValueError):
-            segment_point(seg, lam)
+            segment_point([0.0], [1.0], lam)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_segment_rejects_non_finite_points():
-    # y - x overflows to -inf, so every interior point is non-finite.
-    seg = Segment([1e308], [-1e308])
-    for lam in (0.5, [0.0, 0.5]):
-        with pytest.raises(ValueError):
-            segment_point(seg, lam)
+    # In the first pair y - x overflows to -inf, so every interior point is
+    # non-finite; in the others an endpoint is.
+    for x, y in (([1e308], [-1e308]), ([float("inf")], [0.0]), ([0.0], [float("nan")])):
+        for lam in (0.5, [0.0, 0.5]):
+            with pytest.raises(ValueError):
+                segment_point(x, y, lam)
 
 
 def test_sample_region_deterministic_and_in_margin_box():
@@ -176,6 +175,27 @@ def test_segment_stays_in_region(lam, seed):
     x, y = sample_region(region, 2, seed=seed)
     if np.array_equal(x, y):
         return
-    z = segment_point(Segment(x, y), lam)
+    z = segment_point(x, y, lam)
     assert region.contains(z)
-    assert np.array_equal(segment_point(Segment(x, y), np.array([0.0, lam, 1.0]))[1], z)
+    assert np.array_equal(segment_point(x, y, np.array([0.0, lam, 1.0]))[1], z)
+
+
+_SLACK_REGIONS = (
+    Region([-1.0, -1.0], [1.0, 1.0]),
+    # fractional's region: the halfspace x1 >= 0.05 inside its box.
+    parse_region("- x1 <= -0.05, box(0..2, -1..1)", 2),
+    Region([0.0, -1.0], [2.0, 1.0], constraints=(AffineConstraint([-1.0, 1.0], "<", 0.0),)),
+)
+# Box faces and constraint boundaries, so that points land on them.
+_FACES = (-1.0, 0.0, 0.05, 1.0, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(_SLACK_REGIONS),
+    st.lists(st.one_of(st.floats(-2.5, 2.5), st.sampled_from(_FACES)), min_size=2, max_size=2),
+    st.one_of(st.just(1e-5), st.sampled_from((0.05, 0.95, 1.0)), st.floats(1e-300, 2.0)),
+)
+def test_interior_slack_at_a_positive_radius_implies_membership(region, coords, r):
+    slack = region.interior_slack(coords)
+    assert (slack >= r) == (region.contains(coords) and slack >= r)
