@@ -78,9 +78,15 @@ class SamplingPlan:
             raise ValueError("subdifferential radius must be positive")
 
     def resolved_subdiff_count(self, dimension: int) -> int:
-        if self.subdiff_count is not None:
-            return self.subdiff_count
-        return max(8, 2 * dimension + 1)
+        """The gradient samples per estimate: at least 2n+1, else ValueError."""
+        if self.subdiff_count is None:
+            return max(8, 2 * dimension + 1)
+        if self.subdiff_count < 2 * dimension + 1:
+            raise ValueError(
+                f"subdifferential count must be >= 2n+1 = {2 * dimension + 1}, "
+                f"got {self.subdiff_count}"
+            )
+        return self.subdiff_count
 
 
 @dataclass(frozen=True)
@@ -196,22 +202,35 @@ class _Context:
     def __init__(self, fn: FunctionHandle, region: Region, plan: SamplingPlan):
         if fn.dimension != region.dimension:
             raise ValueError("function and region dimensions differ")
+        self.subdiff_count = plan.resolved_subdiff_count(fn.dimension)
         # One table of f's values per context, keyed by the point's bytes:
-        # every predicate on f and on -f reads each point's value once.  It
-        # holds only what `evaluate` returned, so FunctionHandle.value still
-        # checks every read, and a raising point is never stored.
+        # every predicate on f and on -f reads each point's value once,
+        # whether one point or a row array at a time.  Misses are evaluated
+        # through fn's own checked reads, so a point whose value raises or
+        # is not finite is never stored, and a row read stores nothing
+        # unless every new point in it succeeds.
         values: dict[bytes, float] = {}
-        evaluate = fn.evaluate
 
         def tabled(x: np.ndarray) -> float:
             key = x.tobytes()
             try:
                 return values[key]
             except KeyError:
-                v = values[key] = evaluate(x)
+                v = values[key] = fn.value(x)
                 return v
 
-        self.fn = replace(fn, evaluate=tabled)
+        def tabled_rows(points: np.ndarray) -> np.ndarray:
+            raw = np.ascontiguousarray(points).tobytes()
+            width = points.shape[1] * points.itemsize
+            starts = range(0, len(raw), width)
+            got = [values.get(raw[i:i + width]) for i in starts]
+            if None in got:
+                missing = {raw[i:i + width]: r for r, i in enumerate(starts) if got[r] is None}
+                values.update(zip(missing, fn.values(points[list(missing.values())]).tolist()))
+                got = [values[raw[i:i + width]] if v is None else v for i, v in zip(starts, got)]
+            return np.array(got, dtype=float)
+
+        self.fn = replace(fn, evaluate=tabled, evaluate_rows=tabled_rows)
         self.neg_fn = negate_handle(self.fn)
         self.smooth = fn.smoothness != LOCALLY_LIPSCHITZ
         self.region = region
@@ -293,7 +312,7 @@ class _Context:
                 est = negate_estimate(self.subdiff(x, False))
             else:
                 seed = ((self.plan.seed & 0xFFFFFFFFFFFFFFFF) << 64) | self._point_entropy(x)
-                count = self.plan.resolved_subdiff_count(self.fn.dimension)
+                count = self.subdiff_count
                 est = subdifferential(
                     self.fn, self.region, x,
                     radius=self.plan.subdiff_radius, count=count, seed=seed,
@@ -312,8 +331,9 @@ class _Context:
             self._subdiffs[key] = est
         return est
 
-    def feasible(self, p: np.ndarray) -> bool:
-        # The radius is positive, so this already implies region.contains(p).
+    def feasible(self, p: np.ndarray):
+        """For a point, or for each row of a (k, n) array of points.  The
+        radius is positive, so this already implies region.contains(p)."""
         return self.region.interior_slack(p) >= self.plan.subdiff_radius
 
 
@@ -353,12 +373,16 @@ class _Predicate:
 
     Checks are looked up in `checks` at call time.  Those with `lam` set
     are segment conditions: lam=None runs them over the plan's lambda grid,
-    and refinement seeds and moves a single lambda for them.
+    and refinement seeds and moves a single lambda for them.  They read
+    values only, so `rows` runs them over many rows in one call.
     """
 
     name: str
     check: Callable[[_Context, bool, np.ndarray, np.ndarray, float | None], ck.Check]
     lam: bool = False
+
+    def rows(self, ctx: _Context, negated: bool, x, y, lams) -> ck.Rows:
+        return ck.check_rows(self.name, ctx.handle(negated), x, y, lams)
 
 
 _PSEUDOCONVEX = _Predicate("pseudoconvex-pair", lambda c, neg, x, y, lam: (
@@ -401,15 +425,27 @@ def _check(ctx: _Context, c: Candidate | Witness) -> ck.Check:
 
 
 _REFINE_RUNGS = tuple(0.25 / (5.0**k) for k in range(9))
+# A coordinate move tries each rung in turn, first up and then down.
+_REFINE_STEPS = np.array([sign * rung for rung in _REFINE_RUNGS for sign in (1.0, -1.0)])
+
+
+def _margins(ctx: _Context, pred: _Predicate, negated: bool, xs, ys, lams):
+    """The margins of trial rows, in order: a segment condition scores them
+    all in one call, any other check one row at a time as they are read."""
+    if pred.lam:
+        grid = ctx.lam_grid if lams is None else lams[:, None]
+        return pred.rows(ctx, negated, xs, ys, grid).margin.tolist()
+    return (pred.check(ctx, negated, a, b, None).margin for a, b in zip(xs, ys))
 
 
 def _refine(ctx: _Context, cand: Candidate, rounds: int) -> RefineResult:
     pred = _PREDICATES[cand.predicate]
     x, y, lam = cand.x, cand.y, cand.lam
-    if lam is None and pred.lam:
+    if lam is None and pred.lam and ctx.interior_lams:
         # A segment seed starts at the first grid lambda of largest margin.
-        lam = max(ctx.interior_lams, default=None,
-                  key=lambda t: pred.check(ctx, cand.negated, x, y, t).margin)
+        lams = np.array(ctx.interior_lams)[:, None]  # one per row
+        margins = pred.rows(ctx, cand.negated, x, y, lams).margin
+        lam = ctx.interior_lams[int(np.argmax(margins))]
     span = ctx.region.upper - ctx.region.lower
     # Lambda stays within the grid's interior resolution: the strict segment
     # conditions are sampled no finer than the grid, and ties manufactured at
@@ -422,6 +458,7 @@ def _refine(ctx: _Context, cand: Candidate, rounds: int) -> RefineResult:
     if not (ctx.feasible(x) and ctx.feasible(y)):
         rounds = 0
 
+    trials = len(_REFINE_STEPS)
     for _ in range(rounds):
         improved = False
         moves: list[tuple[str, int]] = [("x", i) for i in range(x.size)]
@@ -429,25 +466,26 @@ def _refine(ctx: _Context, cand: Candidate, rounds: int) -> RefineResult:
         if lam is not None:
             moves.append(("lam", 0))
         for kind, i in moves:
-            for rung in _REFINE_RUNGS:
-                accepted = False
-                for sign in (1.0, -1.0):
-                    tx, ty, tl = x, y, lam
-                    if kind == "lam":
-                        tl = float(np.clip(lam + sign * rung, lam_lo, 1.0 - lam_lo))
-                    else:
-                        moved = (x if kind == "x" else y).copy()
-                        moved[i] += sign * rung * span[i]
-                        tx, ty = (moved, y) if kind == "x" else (x, moved)
-                        if not ctx.feasible(moved) or np.array_equal(tx, ty):
-                            continue
-                    trial = pred.check(ctx, cand.negated, tx, ty, tl)
-                    if trial.margin > best.margin:
-                        x, y, lam, best = tx, ty, tl, trial
-                        accepted = improved = True
-                        break
-                if accepted:
+            # The move's trials as rows, in the order they are tried; the
+            # first that raises the margin is taken.
+            if kind == "lam":
+                xs, ys = np.broadcast_to(x, (trials, x.size)), np.broadcast_to(y, (trials, y.size))
+                lams = np.clip(lam + _REFINE_STEPS, lam_lo, 1.0 - lam_lo)
+            else:
+                moved = np.repeat((x if kind == "x" else y)[None], trials, axis=0)
+                moved[:, i] += _REFINE_STEPS * span[i]
+                xs, ys = (moved, y) if kind == "x" else (x, moved)
+                xs, ys = np.broadcast_arrays(xs, ys)
+                keep = ctx.feasible(moved) & ~(xs == ys).all(axis=1)
+                xs, ys = xs[keep], ys[keep]
+                lams = None if lam is None else np.full(len(xs), lam)
+            for j, margin in enumerate(_margins(ctx, pred, cand.negated, xs, ys, lams)):
+                if margin > best.margin:
+                    x, y = xs[j], ys[j]
+                    lam = None if lams is None else float(lams[j])
+                    best = pred.check(ctx, cand.negated, x, y, lam)
                     trace.append(best.margin)
+                    improved = True
                     break
         if not improved:
             break
@@ -591,16 +629,44 @@ def _placements(ctx: _Context, probe: _Probe, negated: bool, x, y):
                     yield a, bp, None
 
 
-def _pair_samples(ctx: _Context, prop: str, x: np.ndarray, y: np.ndarray):
-    """All (check, predicate, negated) this property derives from one
-    sampled pair."""
-    results = []
-    for probe in _PROBES[prop]:
-        pred = probe.predicate_for(ctx)
-        for negated in probe.sides:
-            for a, b, lam in _placements(ctx, probe, negated, x, y):
-                results.append((pred.check(ctx, negated, a, b, lam), pred.name, negated))
-    return results
+def _pair_samples(ctx: _Context, prop: str, pairs):
+    """Yield, for each sampled pair in turn, every (outcome, check,
+    predicate, negated) the property's probes derive from it, in probe
+    order, or None for a pair on which an estimate failed.  A value-only
+    probe runs over all pairs up front, in one call, and keeps the Check of
+    its failures only (None otherwise)."""
+    probes = [(probe, probe.predicate_for(ctx), negated)
+              for probe in _PROBES[prop] for negated in probe.sides]
+    rows = {j: _value_rows(ctx, probe, pred, negated, pairs)
+            for j, (probe, pred, negated) in enumerate(probes) if pred.lam}
+    for i, (x, y) in enumerate(pairs):
+        samples = []
+        try:
+            for j, (probe, pred, negated) in enumerate(probes):
+                found = rows.get(j)
+                for r, (a, b, lam) in enumerate(_placements(ctx, probe, negated, x, y)):
+                    if found is None:
+                        check = pred.check(ctx, negated, a, b, lam)
+                        samples.append((check.outcome, check, pred.name, negated))
+                        continue
+                    row = i * len(found.outcome) // len(pairs) + r
+                    outcome = found.outcome[row]
+                    check = found.check(row, a, b) if outcome == FAIL else None
+                    samples.append((outcome, check, pred.name, negated))
+        except EstimationError:
+            samples = None
+        yield samples
+
+
+def _value_rows(ctx: _Context, probe: _Probe, pred: _Predicate, negated: bool, pairs):
+    """A value-only probe at its placements on every pair, pair after pair,
+    in one call (None when it places nothing)."""
+    placed = [p for x, y in pairs for p in _placements(ctx, probe, negated, x, y)]
+    if not placed:
+        return None
+    xs, ys, lams = zip(*placed)
+    grid = ctx.lam_grid if lams[0] is None else np.array(lams)[:, None]
+    return pred.rows(ctx, negated, np.array(xs), np.array(ys), grid)
 
 
 def _near_misses(ctx: _Context, prop: str) -> list[Candidate]:
@@ -611,10 +677,16 @@ def _near_misses(ctx: _Context, prop: str) -> list[Candidate]:
         if not probe.near_miss:
             continue
         pred = probe.predicate_for(ctx)
+        oriented = [ab for x, y in ctx.pairs for ab in ((x, y), (y, x))]
         for negated in probe.sides:
             scored = []
-            for x, y in ctx.pairs:
-                for a, b in ((x, y), (y, x)):
+            if pred.lam:
+                xs, ys = (np.array(side) for side in zip(*oriented))
+                margins = pred.rows(ctx, negated, xs, ys, ctx.lam_grid).margin.tolist()
+                scored = [(m, Candidate(pred.name, negated, a, b))
+                          for m, (a, b) in zip(margins, oriented)]
+            else:
+                for a, b in oriented:
                     try:
                         margin = pred.check(ctx, negated, a, b, None).margin
                     except EstimationError:
@@ -637,17 +709,15 @@ def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
     raw_witnesses: list[Witness] = []
     soft_candidates: list[tuple[float, Candidate]] = []
 
-    for x, y in ctx.pairs:
-        try:
-            outcomes = _pair_samples(ctx, prop, x, y)
-        except EstimationError:
+    for samples in _pair_samples(ctx, prop, ctx.pairs):
+        if samples is None:
             tally.inconclusive += 1
             continue
-        if any(check.outcome == PASS for check, _, _ in outcomes):
+        if any(outcome == PASS for outcome, *_ in samples):
             tally.pass_pairs += 1
-        for check, predicate, negated in outcomes:
-            tally.add(check.outcome)
-            if check.outcome != FAIL:
+        for outcome, check, predicate, negated in samples:
+            tally.add(outcome)
+            if outcome != FAIL:
                 continue
             w = _witness_from_check(predicate, negated, check)
             if w is not None:

@@ -8,8 +8,11 @@ ones.  Each returns one `Check` (`check_subdiff_kernel_pair` as `overall`,
 beside its two one-sided outcomes), which reports pass/fail together with a
 numeric residual; segment predicates also name their lambda and f there,
 generator predicates the generator.  Segment points come from
-`geometry.segment_point`, which rejects x == y.  Strict inequalities are
-tested with the margin
+`geometry.segment_point`, which rejects x == y.  The value-only predicates
+(the segment conditions and the interpolation bounds) are written once, as
+row kernels: `check_rows` runs one over many rows with two array reads of
+f, and their `check_*` functions are its one-row wrappers.  Strict
+inequalities are tested with the margin
 
     eps = 1e-7 * (1 + |f(x)| + |f(y)|)
 
@@ -37,7 +40,8 @@ hull (a property the test suite asserts directly).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import wraps
+from functools import partial, wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,6 +66,8 @@ __all__ = [
     "check_semistrict_quasiconvex_segment",
     "check_interlacing",
     "check_interpolation_bounds",
+    "Rows",
+    "check_rows",
     "compute_p",
     "verify_p_identity",
     "check_symmetric_equality",
@@ -200,12 +206,248 @@ def check_weak_monotone_pair(
 
 
 # --------------------------------------------------------------------------
-# Segment conditions
+# Value-only predicates: row kernels
 # --------------------------------------------------------------------------
+#
+# The segment conditions and the interpolation bounds read nothing but f at
+# the endpoints and at points of the segment, so each is written once, as a
+# kernel over k rows.  A kernel takes fx, fy (k,), the rows' lambdas and f at
+# their segment points (k, m) (NaN where a row's segment is not read), and
+# returns per row the outcome, margin, residual, and the witness lambda and
+# f there (NaN where a row names none).  check_rows reads the values and runs
+# a kernel; the public check_* functions are its one-row wrappers.
 
 
-def _lam_weight(lam: float) -> float:
-    return min(lam, 1.0 - lam)
+class Rows(NamedTuple):
+    """A value-only predicate's results over k rows: f at the endpoints and
+    the kernel's per-row outcome, margin, residual, lam and fz."""
+
+    predicate: str
+    fx: np.ndarray
+    fy: np.ndarray
+    outcome: np.ndarray
+    margin: np.ndarray
+    residual: np.ndarray
+    lam: np.ndarray
+    fz: np.ndarray
+
+    def check(self, i: int, x, y) -> Check:
+        """Row i, whose endpoints are x and y, as a Check."""
+        fx, fy, outcome = float(self.fx[i]), float(self.fy[i]), str(self.outcome[i])
+        lam, fz = (None if np.isnan(v) else float(v) for v in (self.lam[i], self.fz[i]))
+        return Check(
+            self.predicate, x, y, fx, fy, outcome,
+            residual=float(self.residual[i]),
+            threshold=WITNESS_FACTOR * eps_strict(fx, fy) if outcome == FAIL else float("inf"),
+            lam=lam, fz=fz,
+            detail=_DETAILS[self.predicate](outcome, fx, fy, lam, fz),
+            margin=float(self.margin[i]),
+        )
+
+
+_OUTCOMES = np.array([PASS, VACUOUS, FAIL, INCONCLUSIVE], dtype=object)
+
+
+def _outcomes(vacuous, fail, inconclusive) -> np.ndarray:
+    """Each row's outcome: vacuous, else fail, else inconclusive, else pass."""
+    return _OUTCOMES[np.select([vacuous, fail, inconclusive], [1, 2, 3], 0)]
+
+
+def _first_max(score: np.ndarray) -> np.ndarray:
+    """Column of each row's first maximum (0 for rows without columns)."""
+    return score.argmax(axis=1) if score.shape[1] else np.zeros(len(score), dtype=int)
+
+
+def _at(a: np.ndarray, col: np.ndarray) -> np.ndarray:
+    """a[i, col[i]] for each row i, NaN for rows without columns."""
+    return a[np.arange(len(a)), col] if a.shape[1] else np.full(len(a), np.nan)
+
+
+def _descending(fx, fy):
+    """The antecedent f(y) < f(x) beyond the margin."""
+    return fy < fx - eps_strict(fx, fy)
+
+
+def _quasiconvex_rows(fx, fy, lams, fz):
+    """check_quasiconvex_segment's kernel; the first largest exceedance is
+    the witness, and a margin within eps is lowered by eps."""
+    eps = eps_strict(fx, fy)
+    top = np.where(fy > fx, fy, fx)
+    interior = (lams > 0.0) & (lams < 1.0)
+    bump = (fz - top[:, None]).max(axis=1, initial=-np.inf, where=interior)
+    over = fz > (top + eps)[:, None]
+    hit = over.any(axis=1)
+    col = _first_max(np.where(over, fz, -np.inf))
+    fz_hit = np.where(hit, _at(fz, col), np.nan)
+    return (
+        _outcomes(False, hit, False),
+        np.where(bump > eps, bump, bump - eps),
+        np.where(hit, fz_hit - top, 0.0),
+        np.where(hit, _at(lams, col), np.nan),
+        fz_hit,
+    )
+
+
+def _descent_rows(fx, fy, lams, fz, two_sided: bool):
+    """The kernel of check_semistrict_quasiconvex_segment, and of
+    check_interlacing when two-sided.  The witness is the first largest
+    weighted tie; an inconclusive row names its last near-tie."""
+    desc = _descending(fx, fy)
+    eps = eps_strict(fx, fy)[:, None]
+    eta = noise_floor(fx, fy)[:, None]
+    hi, lo = fx[:, None], fy[:, None]
+    weighted = (fx - fy)[:, None] * np.minimum(lams, 1.0 - lams)
+    pinned = fz >= hi - eta
+    clear = fz < hi - eps
+    score = fz - hi
+    if two_sided:
+        pinned |= fz <= lo + eta
+        clear &= lo + eps < fz
+        score = np.maximum(score, lo - fz)
+    margin = np.where(pinned, weighted, score).max(axis=1, initial=-np.inf)
+    hit = desc & pinned.any(axis=1)
+    col = _first_max(np.where(pinned, weighted, -np.inf))
+    near = ~pinned & ~clear
+    tie = desc & ~hit & near.any(axis=1)
+    last = lams.shape[1] - 1 - _first_max(near[:, ::-1])
+    return (
+        _outcomes(~desc, hit, tie),
+        np.where(desc, margin, VACUOUS_MARGIN - (fy - fx)),
+        np.where(hit, _at(weighted, col), 0.0),
+        np.where(hit, _at(lams, col), np.where(tie, _at(lams, last), np.nan)),
+        np.where(hit, _at(fz, col), np.nan),
+    )
+
+
+def _b(fx, fy, fz, lam):
+    """The interpolation coefficient b of f(z(lam)) = lam*b*f(y) + (1 - lam*b)*f(x)."""
+    return (fz - fx) / (lam * (fy - fx))
+
+
+def _b_rows(fx, fy, fz, lam):
+    """b and the flags of BRecord, elementwise over arrays or numpy scalars;
+    b = 1 on degenerate pairs."""
+    eps = eps_strict(fx, fy)
+    gap = abs(fy - fx)
+    degenerate = gap <= eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        b = np.where(degenerate, 1.0, _b(fx, fy, fz, lam))
+        # Margins on the lam*b scale: value-scale margins divided by the gap.
+        delta = eps / gap
+        floor = noise_floor(fx, fy) / gap
+    lam_b = lam * b
+    strict = degenerate | ((lam_b > delta) & (lam_b < 1.0 - delta))
+    weak = degenerate | ((lam_b > delta) & (lam_b <= 1.0 + delta))
+    strict_violated = ~degenerate & ((lam_b <= floor) | (lam_b >= 1.0 - floor))
+    weak_violated = ~degenerate & ((lam_b <= floor) | (lam_b > 1.0 + delta))
+    return b, degenerate, strict, weak, strict_violated, weak_violated
+
+
+def _bounds_rows(fx, fy, lams, fz, strict: bool):
+    """check_interpolation_bounds' kernel, at each row's one lambda."""
+    if lams.shape[1] != 1:
+        raise ValueError("the interpolation bounds take one lambda per row")
+    lam, fz = lams[:, 0], fz[:, 0]
+    if not ((lam > 0.0) & (lam < 1.0)).all():
+        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
+    _, degenerate, strict_ok, weak_ok, strict_bad, weak_bad = _b_rows(fx, fy, fz, lam)
+    ok, violated = (strict_ok, strict_bad) if strict else (weak_ok, weak_bad)
+    eta = noise_floor(fx, fy)
+    lo, hi = np.where(fy < fx, fy, fx), np.where(fy > fx, fy, fx)
+    weighted = abs(fy - fx) * np.minimum(lam, 1.0 - lam)
+    pinned = (fz <= lo + eta) | (fz >= hi - eta)
+    margin = np.where(pinned, weighted, np.maximum(fz - hi, lo - fz))
+    fail = ~degenerate & ~ok & violated
+    return (
+        _outcomes(degenerate, fail, ~ok & ~violated),
+        np.where(degenerate, VACUOUS_MARGIN, margin),
+        np.where(fail, weighted, 0.0),
+        lam,
+        fz,
+    )
+
+
+def _bounds_detail(outcome, fx, fy, lam, fz) -> str:
+    if outcome not in (FAIL, INCONCLUSIVE):
+        return ""
+    lam_b = lam * _b(fx, fy, fz, lam)
+    if outcome == FAIL:
+        return f"lambda*b = {lam_b:.9g} outside the required range"
+    return f"lambda*b = {lam_b:.9g} pinned at a bound"
+
+
+def _interlacing_detail(outcome, fx, fy, lam, fz) -> str:
+    if outcome == FAIL:
+        side = "below f(y)" if fz <= fy + noise_floor(fx, fy) else "above f(x)"
+        return f"interior value {fz:.6g} pinned {side}"
+    return "interior value inside the strictness band" if outcome == INCONCLUSIVE else ""
+
+
+def _semistrict_detail(outcome, fx, fy, lam, fz) -> str:
+    if outcome == FAIL:
+        return f"f(z) = {fz:.6g} does not descend below f(x) = {fx:.6g}"
+    return "descent inside the strictness band" if outcome == INCONCLUSIVE else ""
+
+
+# predicate -> (kernel, whether it reads only interior lambdas of descending pairs)
+_KERNELS = {
+    "quasiconvex-segment": (_quasiconvex_rows, False),
+    "semistrict-quasiconvex-segment": (partial(_descent_rows, two_sided=False), True),
+    "interlacing-segment": (partial(_descent_rows, two_sided=True), True),
+    "interpolation-strict-bounds": (partial(_bounds_rows, strict=True), False),
+    "interpolation-weak-bounds": (partial(_bounds_rows, strict=False), False),
+}
+_DETAILS = {
+    "quasiconvex-segment": lambda outcome, *_: (
+        "interior value exceeds endpoint maximum" if outcome == FAIL else ""),
+    "semistrict-quasiconvex-segment": _semistrict_detail,
+    "interlacing-segment": _interlacing_detail,
+    "interpolation-strict-bounds": _bounds_detail,
+    "interpolation-weak-bounds": _bounds_detail,
+}
+
+
+def check_rows(predicate: str, fn: FunctionHandle, x, y, lams) -> Rows:
+    """Run a value-only predicate over k rows in two reads of f.
+
+    x and y are (k, n) endpoint rows, or one row, (1, n) or (n,), shared by
+    all; lams is an (m,) grid shared by all rows or a (k, m) grid per row
+    (the bounds take one lambda per row, (k, 1)).  f is read at the
+    endpoints in one `fn.values` call, then at every segment point the
+    predicate reads in another: the semistrict and interlacing conditions
+    read only the interior lambdas of a shared grid, and only on descending
+    rows.  Each row's result is bit-identical to the predicate's one-row
+    check.
+    """
+    kernel, descent = _KERNELS[predicate]
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    lams = np.asarray(lams, dtype=float)
+    if lams.ndim == 1 and descent:
+        lams = lams[(lams > 0.0) & (lams < 1.0)]
+    lams = np.atleast_2d(lams)
+    k = max(len(x), len(y), len(lams))
+    fxy = fn.values(np.concatenate([x, y]))
+    fx, fy = _stretch(fxy[: len(x)], k), _stretch(fxy[len(x):], k)
+    x, y, lams = _stretch(x, k), _stretch(y, k), _stretch(lams, k)
+    fz = np.full(lams.shape, np.nan)
+    read = _descending(fx, fy) if descent else np.ones(k, dtype=bool)
+    points = segment_point(x[read, None], y[read, None], lams[read])
+    fz[read] = fn.values(points.reshape(-1, x.shape[1])).reshape(points.shape[:2])
+    return Rows(predicate, fx, fy, *kernel(fx, fy, lams, fz))
+
+
+def _stretch(a: np.ndarray, k: int) -> np.ndarray:
+    """One row repeated k times; k rows as they are."""
+    if len(a) not in (1, k):
+        raise ValueError(f"{len(a)} rows where 1 or {k} are needed")
+    return a if len(a) == k else np.repeat(a, k, axis=0)
+
+
+def _one_row(predicate: str, fn: FunctionHandle, x, y, lams) -> Check:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return check_rows(predicate, fn, x, y, lams).check(0, x, y)
 
 
 def check_quasiconvex_segment(fn: FunctionHandle, x, y, lam_grid) -> Check:
@@ -214,30 +456,7 @@ def check_quasiconvex_segment(fn: FunctionHandle, x, y, lam_grid) -> Check:
     A failure reports the grid lambda with the largest exceedance.  The
     margin is the largest exceedance over the interior grid lambdas.
     """
-    x, y, fx, fy = _endpoints(fn, x, y)
-    eps = eps_strict(fx, fy)
-    top = max(fx, fy)
-    worst: tuple[float, float] | None = None
-    bump = -np.inf
-    lams = [float(lam) for lam in lam_grid]
-    for lam, z in zip(lams, segment_point(x, y, lams)):
-        fz = fn.value(z)
-        if 0.0 < lam < 1.0:
-            bump = max(bump, fz - top)
-        if fz > top + eps and (worst is None or fz > worst[1]):
-            worst = (lam, fz)
-    margin = bump if bump > eps else bump - eps
-    if worst is not None:
-        lam, fz = worst
-        return Check(
-            "quasiconvex-segment", x, y, fx, fy, FAIL,
-            lam=lam, fz=fz,
-            residual=fz - top,
-            threshold=WITNESS_FACTOR * eps,
-            detail="interior value exceeds endpoint maximum",
-            margin=margin,
-        )
-    return Check("quasiconvex-segment", x, y, fx, fy, PASS, margin=margin)
+    return _one_row("quasiconvex-segment", fn, x, y, lam_grid)
 
 
 def check_semistrict_quasiconvex_segment(fn: FunctionHandle, x, y, lam_grid) -> Check:
@@ -250,44 +469,7 @@ def check_semistrict_quasiconvex_segment(fn: FunctionHandle, x, y, lam_grid) -> 
     a negligible gap, proves nothing.  A descending lambda scores
     f(z) - f(x), a tied one its would-be residual.
     """
-    x, y, fx, fy = _endpoints(fn, x, y)
-    eps = eps_strict(fx, fy)
-    eta = noise_floor(fx, fy)
-    if not (fy < fx - eps):
-        return Check("semistrict-quasiconvex-segment", x, y, fx, fy, VACUOUS,
-                     margin=VACUOUS_MARGIN - (fy - fx))
-    gap = fx - fy
-    near_tie = None
-    worst: tuple[float, float, float] | None = None
-    margin = -np.inf
-    lams = [lam for lam in map(float, lam_grid) if 0.0 < lam < 1.0]
-    for lam, z in zip(lams, segment_point(x, y, lams)):
-        fz = fn.value(z)
-        if fz >= fx - eta:
-            r = gap * _lam_weight(lam)
-            margin = max(margin, r)
-            if worst is None or r > worst[0]:
-                worst = (r, lam, fz)
-        else:
-            margin = max(margin, fz - fx)
-            if not (fz < fx - eps):
-                near_tie = lam
-    if worst is not None:
-        _, lam, fz = worst
-        return Check(
-            "semistrict-quasiconvex-segment", x, y, fx, fy, FAIL,
-            lam=lam, fz=fz,
-            residual=gap * _lam_weight(lam),
-            threshold=WITNESS_FACTOR * eps,
-            detail=f"f(z) = {fz:.6g} does not descend below f(x) = {fx:.6g}",
-            margin=margin,
-        )
-    if near_tie is not None:
-        return Check(
-            "semistrict-quasiconvex-segment", x, y, fx, fy, INCONCLUSIVE,
-            lam=near_tie, detail="descent inside the strictness band", margin=margin,
-        )
-    return Check("semistrict-quasiconvex-segment", x, y, fx, fy, PASS, margin=margin)
+    return _one_row("semistrict-quasiconvex-segment", fn, x, y, lam_grid)
 
 
 def check_interlacing(fn: FunctionHandle, x, y, lam_grid) -> Check:
@@ -297,45 +479,7 @@ def check_interlacing(fn: FunctionHandle, x, y, lam_grid) -> Check:
     matches check_semistrict_quasiconvex_segment, on both sides, and so
     does the margin.
     """
-    x, y, fx, fy = _endpoints(fn, x, y)
-    eps = eps_strict(fx, fy)
-    eta = noise_floor(fx, fy)
-    if not (fy < fx - eps):
-        return Check("interlacing-segment", x, y, fx, fy, VACUOUS,
-                     margin=VACUOUS_MARGIN - (fy - fx))
-    gap = fx - fy
-    near_tie = None
-    worst: tuple[float, float, float] | None = None
-    margin = -np.inf
-    lams = [lam for lam in map(float, lam_grid) if 0.0 < lam < 1.0]
-    for lam, z in zip(lams, segment_point(x, y, lams)):
-        fz = fn.value(z)
-        if fz <= fy + eta or fz >= fx - eta:
-            r = gap * _lam_weight(lam)
-            margin = max(margin, r)
-            if worst is None or r > worst[0]:
-                worst = (r, lam, fz)
-        else:
-            margin = max(margin, max(fz - fx, fy - fz))
-            if not (fy + eps < fz < fx - eps):
-                near_tie = lam
-    if worst is not None:
-        _, lam, fz = worst
-        side = "below f(y)" if fz <= fy + eta else "above f(x)"
-        return Check(
-            "interlacing-segment", x, y, fx, fy, FAIL,
-            lam=lam, fz=fz,
-            residual=gap * _lam_weight(lam),
-            threshold=WITNESS_FACTOR * eps,
-            detail=f"interior value {fz:.6g} pinned {side}",
-            margin=margin,
-        )
-    if near_tie is not None:
-        return Check(
-            "interlacing-segment", x, y, fx, fy, INCONCLUSIVE,
-            lam=near_tie, detail="interior value inside the strictness band", margin=margin,
-        )
-    return Check("interlacing-segment", x, y, fx, fy, PASS, margin=margin)
+    return _one_row("interlacing-segment", fn, x, y, lam_grid)
 
 
 # --------------------------------------------------------------------------
@@ -591,23 +735,11 @@ def compute_b(fn: FunctionHandle, x, y, lam: float) -> BRecord:
         raise ValueError("degenerate pair: x == y")
     fx, fy = fn.value(x), fn.value(y)
     fz = fn.value(x + lam * (y - x))
-    eps = eps_strict(fx, fy)
-    if abs(fy - fx) <= eps:
-        return BRecord(x, y, lam, 1.0, fx, fy, fz, degenerate=True,
-                       strict=True, weak=True, boundary=False,
-                       strict_violated=False, weak_violated=False)
-    gap = abs(fy - fx)
-    b = (fz - fx) / (lam * (fy - fx))
-    lam_b = lam * b
-    # Margins on the lam*b scale: value-scale margins divided by the gap.
-    delta = eps / gap
-    floor = noise_floor(fx, fy) / gap
-    strict = (lam_b > delta) and (lam_b < 1.0 - delta)
-    weak = (lam_b > delta) and (lam_b <= 1.0 + delta)
-    strict_violated = (lam_b <= floor) or (lam_b >= 1.0 - floor)
-    weak_violated = (lam_b <= floor) or (lam_b > 1.0 + delta)
+    b, degenerate, strict, weak, strict_violated, weak_violated = (
+        v.item() for v in _b_rows(*map(np.float64, (fx, fy, fz, lam)))
+    )
     boundary = (not strict and not strict_violated) or (not weak and not weak_violated)
-    return BRecord(x, y, lam, b, fx, fy, fz, degenerate=False,
+    return BRecord(x, y, lam, b, fx, fy, fz, degenerate=degenerate,
                    strict=strict, weak=weak, boundary=boundary,
                    strict_violated=strict_violated, weak_violated=weak_violated)
 
@@ -620,34 +752,8 @@ def check_interpolation_bounds(fn: FunctionHandle, x, y, lam: float, strict: boo
     scores f(z) against the open interval between f(x) and f(y) in either
     orientation, so a failure scores its residual; tied pairs are vacuous.
     """
-    rec = compute_b(fn, x, y, lam)
-    fx, fy, fz = rec.fx, rec.fy, rec.fz
-    gap = abs(fy - fx)
-    eps = eps_strict(fx, fy)
-    eta = noise_floor(fx, fy)
-    lo, hi = min(fx, fy), max(fx, fy)
-    if gap <= eps:
-        margin = VACUOUS_MARGIN
-    elif fz <= lo + eta or fz >= hi - eta:
-        margin = gap * _lam_weight(lam)
-    else:
-        margin = max(fz - hi, lo - fz)
     name = "interpolation-strict-bounds" if strict else "interpolation-weak-bounds"
-    outcome, detail = PASS, ""
-    if rec.degenerate:
-        outcome = VACUOUS
-    elif not (rec.strict if strict else rec.weak):
-        if rec.strict_violated if strict else rec.weak_violated:
-            return Check(
-                name, rec.x, rec.y, fx, fy, FAIL, lam=lam, fz=fz,
-                residual=gap * _lam_weight(lam),
-                threshold=WITNESS_FACTOR * eps,
-                detail=f"lambda*b = {rec.lam_b:.9g} outside the required range",
-                margin=margin,
-            )
-        outcome, detail = INCONCLUSIVE, f"lambda*b = {rec.lam_b:.9g} pinned at a bound"
-    return Check(name, rec.x, rec.y, fx, fy, outcome, lam=lam, fz=fz,
-                 detail=detail, margin=margin)
+    return _one_row(name, fn, x, y, [[lam]])
 
 
 @dataclass(frozen=True)

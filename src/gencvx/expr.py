@@ -13,14 +13,16 @@ sqrt, abs, atan (unary) and min, max (binary).  Exponents are integer
 literals.  Binary +,-,*,/ are left associative; unary minus binds tighter
 than * and /, and ^ binds tighter than unary minus.
 
-Evaluation offers a plain value channel and a dual channel carrying the
-forward-mode gradient.  At abs/min/max kinks the dual channel flags the
-point and applies a fixed convention: abs at 0 contributes subderivative 0,
-min/max break value ties toward their first argument.
+Evaluation offers a plain value channel, its compiled form over the rows of
+an array of points, and a dual channel carrying the forward-mode gradient.
+At abs/min/max kinks the dual channel flags the point and applies a fixed
+convention: abs at 0 contributes subderivative 0, min/max break value ties
+toward their first argument.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,7 @@ __all__ = [
     "parse",
     "pretty",
     "eval_value",
+    "compile_rows",
     "eval_dual",
     "is_smooth_expression",
 ]
@@ -408,6 +411,106 @@ def _value(e: Expr, x: np.ndarray) -> float:
             return a if a <= b else b
         if e.name == "max":
             return a if a >= b else b
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def compile_rows(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
+    """Compile e into a walk over the rows of a (k, n) array of points.
+
+    The compiled function returns the (k,) values, each bit-identical to
+    eval_value at its row: the same float64 operations run elementwise, with
+    np.float_power for `^`, which rounds as CPython's float ** int does.  It
+    raises EvalError when eval_value would at any row, and an ArithmeticError
+    where `^` overflows, as CPython does.  Overflow elsewhere gives inf
+    silently on both paths.
+    """
+    walk = _rows(e)
+
+    def evaluate(points: np.ndarray) -> np.ndarray:
+        p = np.asarray(points, dtype=float)
+        if p.ndim != 2:
+            raise ValueError(f"points must be a (k, n) array, got shape {p.shape}")
+        with np.errstate(all="ignore"):
+            return walk(p)
+
+    return evaluate
+
+
+_ROW_OPS = {Add: np.add, Sub: np.subtract, Mul: np.multiply}
+_ROW_UNARY = {"exp": np.exp, "abs": np.abs, "atan": np.arctan}
+# Functions defined on part of the line: (f, test for an argument outside, wording).
+_ROW_DOMAIN = {
+    "log": (np.log, np.less_equal, "non-positive"),
+    "sqrt": (np.sqrt, np.less, "negative"),
+}
+# min and max keep their first argument where `a <= b` (`a >= b`) holds.
+_ROW_KEEP_FIRST = {"min": np.less_equal, "max": np.greater_equal}
+
+
+def _rows(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
+    """Closure computing e at every row; mirrors _value node for node."""
+    if isinstance(e, Num):
+        v = e.value
+        return lambda p: np.full(len(p), v)
+    if isinstance(e, Var):
+        i = e.index - 1
+
+        def var(p):
+            if i >= p.shape[1]:
+                raise EvalError(f"point has dimension {p.shape[1]}", e)
+            return p[:, i]
+
+        return var
+    if isinstance(e, Neg):
+        operand = _rows(e.operand)
+        return lambda p: -operand(p)
+    if isinstance(e, (Add, Sub, Mul)):
+        op, left, right = _ROW_OPS[type(e)], _rows(e.left), _rows(e.right)
+        return lambda p: op(left(p), right(p))
+    if isinstance(e, Div):
+        left, right = _rows(e.left), _rows(e.right)
+
+        def div(p):
+            denom = right(p)
+            if np.any(denom == 0.0):
+                raise EvalError("division by zero", e)
+            return left(p) / denom
+
+        return div
+    if isinstance(e, Pow):
+        base, m = _rows(e.base), e.exponent
+
+        def power(p):
+            b = base(p)
+            if m < 0 and np.any(b == 0.0):
+                raise EvalError("zero base with negative exponent", e)
+            with np.errstate(over="raise"):
+                return np.float_power(b, m)
+
+        return power
+    if isinstance(e, Call):
+        arg = _rows(e.args[0])
+        if e.name in _ROW_UNARY:
+            f = _ROW_UNARY[e.name]
+            return lambda p: f(arg(p))
+        if e.name in _ROW_DOMAIN:
+            f, outside, what = _ROW_DOMAIN[e.name]
+
+            def domain(p):
+                a = arg(p)
+                bad = outside(a, 0.0)
+                if np.any(bad):
+                    raise EvalError(f"{e.name} of {what} value {float(a[bad][0])!r}", e)
+                return f(a)
+
+            return domain
+        second, keep_first = _rows(e.args[1]), _ROW_KEEP_FIRST[e.name]
+
+        def pick(p):
+            a, b = arg(p), second(p)
+            return np.where(keep_first(a, b), a, b)
+
+        return pick
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -57,6 +57,9 @@ class FunctionHandle:
 
     `gradient` may be None (no gradient information) or a callable returning
     either the gradient vector or None at non-differentiable points.
+    `evaluate_rows`, when given, maps a (k, n) array of points to the (k,)
+    values `evaluate` gives at its rows, bit for bit; without it, `values`
+    calls `evaluate` once per row.
     """
 
     name: str
@@ -66,6 +69,7 @@ class FunctionHandle:
     smoothness: str = SMOOTH
     source: str | None = None
     expression: object | None = None
+    evaluate_rows: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.dimension <= 0:
@@ -77,6 +81,22 @@ class FunctionHandle:
         v = float(self.evaluate(np.asarray(x, dtype=float)))
         if not math.isfinite(v):
             raise ArithmeticError(f"{self.name} returned non-finite value at {x}")
+        return v
+
+    def values(self, points) -> np.ndarray:
+        """f at each row of a (k, n) array, finiteness checked once for all."""
+        p = np.asarray(points, dtype=float)
+        if p.ndim != 2:
+            raise ValueError(f"points must be a (k, n) array, got shape {p.shape}")
+        if self.evaluate_rows is None:
+            v = np.array([float(self.evaluate(row)) for row in p], dtype=float)
+        else:
+            v = np.asarray(self.evaluate_rows(p), dtype=float)
+        if v.shape != (len(p),):
+            raise ValueError(f"{self.name} returned {v.shape} values for {len(p)} points")
+        bad = ~np.isfinite(v)
+        if bad.any():
+            raise ArithmeticError(f"{self.name} returned non-finite value at {p[bad][0]}")
         return v
 
     def grad(self, x) -> np.ndarray | None:
@@ -99,6 +119,7 @@ def function_from_expression(
 ) -> FunctionHandle:
     """Compile DSL source into a handle with a forward-mode gradient.
 
+    Rows of points are evaluated by the compiled walk of expr.compile_rows.
     The AD gradient reports None at kink-flagged points.  An exact gradient
     callable, when supplied, takes precedence over the AD one.
     """
@@ -120,6 +141,7 @@ def function_from_expression(
         smoothness=SMOOTH if smooth else LOCALLY_LIPSCHITZ,
         source=source,
         expression=tree,
+        evaluate_rows=ex.compile_rows(tree),
     )
 
 
@@ -128,6 +150,12 @@ def negate_handle(fn: FunctionHandle) -> FunctionHandle:
 
     def _evaluate(x: np.ndarray) -> float:
         return -fn.evaluate(x)
+
+    _evaluate_rows = None
+    if fn.evaluate_rows is not None:
+
+        def _evaluate_rows(points: np.ndarray) -> np.ndarray:
+            return -fn.evaluate_rows(points)
 
     _gradient = None
     if fn.gradient is not None:
@@ -144,6 +172,7 @@ def negate_handle(fn: FunctionHandle) -> FunctionHandle:
         smoothness=fn.smoothness,
         source=None,
         expression=None,
+        evaluate_rows=_evaluate_rows,
     )
 
 

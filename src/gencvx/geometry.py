@@ -86,12 +86,14 @@ class AffineConstraint:
         if float(np.max(np.abs(self.coeffs))) == 0.0:
             raise RegionError("constraint coefficients are all zero")
 
-    def slack(self, x: np.ndarray) -> float:
-        return self.bound - float(np.dot(self.coeffs, x))
+    def slack(self, x: np.ndarray):
+        """bound - <coeffs, x>, for a point or for each row of a (k, n) array;
+        a row's slack is bit-identical to the slack of that point alone."""
+        return self.bound - (x * self.coeffs).sum(axis=-1)
 
     def satisfied(self, x: np.ndarray, margin: float = 0.0) -> bool:
         s = self.slack(x)
-        return s > margin if self.relation == "<" else s >= margin
+        return bool(s > margin if self.relation == "<" else s >= margin)
 
     def text(self, names: list[str] | None = None) -> str:
         terms = []
@@ -158,17 +160,23 @@ class Region:
             return False
         return all(c.satisfied(x, margin) for c in self.constraints)
 
-    def interior_slack(self, x) -> float:
+    def interior_slack(self, x):
         """Largest r such that the euclidean ball B(x, r) stays inside.
 
-        For a point of the region's dimension and r > 0,
-        interior_slack(x) >= r already implies contains(x).
+        Takes a point (n,), giving a float, or a (k, n) array of points,
+        giving the k slacks, each bit-identical to its point's alone; any
+        other shape raises ValueError.  For r > 0, interior_slack(x) >= r
+        already implies contains(x).
         """
-        x = np.asarray(x, dtype=float).reshape(-1)
-        r = float(min(np.min(x - self.lower), np.min(self.upper - x)))
+        x = np.asarray(x, dtype=float)
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dimension:
+            raise ValueError(
+                f"points of shape {x.shape} in a region of dimension {self.dimension}"
+            )
+        r = np.minimum(np.min(x - self.lower, axis=-1), np.min(self.upper - x, axis=-1))
         for c in self.constraints:
-            r = min(r, c.slack(x) / float(np.linalg.norm(c.coeffs)))
-        return r
+            r = np.minimum(r, c.slack(x) / float(np.linalg.norm(c.coeffs)))
+        return float(r) if x.ndim == 1 else r
 
     def text(self) -> str:
         parts = [c.text() for c in self.constraints]
@@ -236,19 +244,22 @@ def segment_point(x, y, lam: ArrayLike) -> np.ndarray:
     The endpoints must differ and have one dimension, and every lam must lie
     in [0, 1].  A 1-D array of k lambdas gives the read-only (k, n) array of
     their points, each row bit-identical to the point of its lambda alone.
+    Endpoints may also be stacked, (..., n), with lambdas broadcasting
+    against their leading axes: (k, 1, n) endpoints and (k, m) lambdas give
+    the (k, m, n) points of k segments, and no segment may be degenerate.
     Raises ValueError on a point with a non-finite coordinate.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError("segment endpoints have different dimensions")
-    if np.array_equal(x, y):
+    if (x == y).all(axis=-1).any():
         raise ValueError("degenerate segment: x == y")
     lams = np.asarray(lam, dtype=float)
-    if not np.all((lams >= 0.0) & (lams <= 1.0)):
+    if not ((lams >= 0.0) & (lams <= 1.0)).all():
         raise ValueError(f"lambda outside [0, 1]: {lam}")
     pts = x + lams[..., None] * (y - x)
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError(f"point has non-finite coordinates: {pts}")
     pts.flags.writeable = False
     return pts

@@ -87,8 +87,8 @@ def test_gradient_kernel_without_gradient_replays_and_refines_as_sampled():
     )
     x, y = np.array([0.0]), np.array([-0.9])
     ctx = _Context(fn, e.region, FAST)
-    (check, _, _) = next(
-        s for s in _pair_samples(ctx, "pseudolinear", x, y) if s[1] == "gradient-kernel"
+    (_, check, _, _) = next(
+        s for s in next(_pair_samples(ctx, "pseudolinear", [(x, y)])) if s[2] == "gradient-kernel"
     )
     assert check.outcome == "fail"
     assert check.residual == pytest.approx(0.729, rel=1e-12)
@@ -115,9 +115,9 @@ def test_soft_candidates_replay_to_their_checks():
     e = corpus_entry("paraboloid")
     ctx = _Context(e.handle, e.region, SamplingPlan(seed=0))
     soft = elsewhere = 0
-    for x, y in ctx.pairs:
-        for check, predicate, negated in _pair_samples(ctx, "pseudolinear", x, y):
-            if check.outcome != "fail" or check.credible:
+    for (x, y), samples in zip(ctx.pairs, _pair_samples(ctx, "pseudolinear", ctx.pairs)):
+        for outcome, check, predicate, negated in samples:
+            if outcome != "fail" or check.credible:
                 continue
             replayed = _check(ctx, _candidate(predicate, negated, check))
             assert (replayed.outcome, replayed.residual) == (check.outcome, check.residual)
@@ -160,20 +160,27 @@ def test_classification_deterministic():
 @pytest.mark.parametrize("name", ["arctan", "paraboloid"])
 def test_classify_evaluates_each_distinct_point_once(name):
     # quasilinear probes both f and -f, and near-miss search and refinement
-    # revisit sampled points: all of them read one value table.
+    # revisit sampled points: all of them read one value table, one point or
+    # a row array at a time.
     e = corpus_entry(name)
-    keys = []
+    keys, rows = [], []
 
     def counted(x):
         keys.append(x.tobytes())
         return e.handle.evaluate(x)
 
-    fn = replace(e.handle, evaluate=counted)
+    def counted_rows(points):
+        rows.extend(p.tobytes() for p in points)
+        return e.handle.evaluate_rows(points)
+
+    fn = replace(e.handle, evaluate=counted, evaluate_rows=counted_rows)
     plan = SamplingPlan(pair_count=20, lambda_grid=9, seed=3)
     (v,) = classify(fn, e.region, ("quasilinear",), plan)
     (ref,) = classify(e.handle, e.region, ("quasilinear",), plan)
     assert v.to_dict() == ref.to_dict()
-    assert keys and len(keys) == len(set(keys))
+    assert rows, "grid reads go through evaluate_rows"
+    assert keys or rows
+    assert len(keys + rows) == len(set(keys + rows))
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -182,10 +189,33 @@ def test_classify_evaluates_each_distinct_point_once(name):
     (function_from_expression("log(x1 - 0.5)", 1), EvalError),
 ])
 def test_value_table_never_hides_a_failure(bad, error):
-    ctx = _Context(bad, corpus_entry("arctan").region, FAST)
+    reads = []
+
+    def evaluate(x):
+        reads.append(float(x[0]))
+        return bad.evaluate(x)
+
+    def evaluate_rows(points):
+        reads.extend(points[:, 0].tolist())
+        return bad.evaluate_rows(points)
+
+    counted = replace(bad, evaluate=evaluate,
+                      evaluate_rows=evaluate_rows if bad.evaluate_rows else None)
+    ctx = _Context(counted, corpus_entry("arctan").region, FAST)
     for handle in (ctx.fn, ctx.neg_fn, ctx.fn, ctx.neg_fn):
         with pytest.raises(error):
             handle.value([0.5])
+    # A row read holding the failing point raises and stores none of its
+    # points: each is evaluated again when next read, and then kept.
+    for handle in (ctx.fn, ctx.neg_fn):
+        with pytest.raises(error):
+            handle.values([[0.75], [0.5], [1.25]])
+    reads.clear()
+    values = ctx.fn.values([[1.25], [0.75]])
+    assert sorted(reads) == [0.75, 1.25]
+    reads.clear()
+    assert (-ctx.neg_fn.values([[1.25], [0.75]])).tolist() == values.tolist()
+    assert ctx.fn.value([0.75]) == values[1] and reads == []
     assert ctx.fn.value([1.0]) == -ctx.neg_fn.value([1.0])
 
 

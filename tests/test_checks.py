@@ -18,15 +18,18 @@ from gencvx.checks import (
     check_subdiff_kernel_pair,
     check_symmetric_equality,
     check_symmetric_inequality,
+    check_rows,
     check_weak_monotone_pair,
     compute_b,
     compute_p,
     cross_check_b_via_subdifferential,
     eps_strict,
     estimate_q_limit,
+    noise_floor,
     verify_p_identity,
 )
-from gencvx.geometry import sample_region
+from gencvx.functions import negate_handle
+from gencvx.geometry import sample_region, segment_point
 from gencvx.nonsmooth import SubdifferentialEstimate
 
 LAM_GRID = np.linspace(0.0, 1.0, 33)
@@ -580,3 +583,170 @@ def test_margin_is_residual_when_failing_and_nonpositive_when_passing(name):
                 assert check.margin <= 0.0, check
             checked += check.outcome in (FAIL, PASS)
     assert checked > 100
+
+
+# -- row kernels against the scalar loops they replaced ------------------------
+#
+# Each reference reads f one point at a time and walks the lambdas in grid
+# order, as the checks did before they became row kernels.  It returns
+# (outcome, margin, residual, lam, fz, threshold, detail).
+
+
+def _ref_quasiconvex(fn, x, y, lams):
+    fx, fy = fn.value(x), fn.value(y)
+    eps = eps_strict(fx, fy)
+    top = max(fx, fy)
+    worst, bump = None, -np.inf
+    for lam, z in zip(lams, segment_point(x, y, lams)):
+        fz = fn.value(z)
+        if 0.0 < lam < 1.0:
+            bump = max(bump, fz - top)
+        if fz > top + eps and (worst is None or fz > worst[1]):
+            worst = (lam, fz)
+    margin = bump if bump > eps else bump - eps
+    if worst is None:
+        return PASS, margin, 0.0, None, None, np.inf, ""
+    lam, fz = worst
+    return (FAIL, margin, fz - top, lam, fz, 100 * eps,
+            "interior value exceeds endpoint maximum")
+
+
+def _ref_descent(fn, x, y, lams, two_sided):
+    fx, fy = fn.value(x), fn.value(y)
+    eps, eta = eps_strict(fx, fy), noise_floor(fx, fy)
+    if not (fy < fx - eps):
+        return VACUOUS, -1000.0 - (fy - fx), 0.0, None, None, np.inf, ""
+    gap, near_tie, worst, margin = fx - fy, None, None, -np.inf
+    lams = [lam for lam in lams if 0.0 < lam < 1.0]
+    for lam, z in zip(lams, segment_point(x, y, lams)):
+        fz = fn.value(z)
+        pinned = fz >= fx - eta or (two_sided and fz <= fy + eta)
+        if pinned:
+            r = gap * min(lam, 1.0 - lam)
+            margin = max(margin, r)
+            if worst is None or r > worst[0]:
+                worst = (r, lam, fz)
+        else:
+            margin = max(margin, max(fz - fx, fy - fz) if two_sided else fz - fx)
+            if not ((fy + eps < fz or not two_sided) and fz < fx - eps):
+                near_tie = lam
+    if worst is not None:
+        r, lam, fz = worst
+        if two_sided:
+            side = "below f(y)" if fz <= fy + eta else "above f(x)"
+            detail = f"interior value {fz:.6g} pinned {side}"
+        else:
+            detail = f"f(z) = {fz:.6g} does not descend below f(x) = {fx:.6g}"
+        return FAIL, margin, gap * min(lam, 1.0 - lam), lam, fz, 100 * eps, detail
+    if near_tie is not None:
+        detail = ("interior value inside the strictness band" if two_sided
+                  else "descent inside the strictness band")
+        return INCONCLUSIVE, margin, 0.0, near_tie, None, np.inf, detail
+    return PASS, margin, 0.0, None, None, np.inf, ""
+
+
+def _ref_bounds(fn, x, y, lam, strict):
+    rec = compute_b(fn, x, y, lam)
+    fx, fy, fz = rec.fx, rec.fy, rec.fz
+    gap, eps, eta = abs(fy - fx), eps_strict(fx, fy), noise_floor(fx, fy)
+    lo, hi = min(fx, fy), max(fx, fy)
+    if gap <= eps:
+        margin = -1000.0
+    elif fz <= lo + eta or fz >= hi - eta:
+        margin = gap * min(lam, 1.0 - lam)
+    else:
+        margin = max(fz - hi, lo - fz)
+    if rec.degenerate:
+        return VACUOUS, margin, 0.0, lam, fz, np.inf, ""
+    if rec.strict if strict else rec.weak:
+        return PASS, margin, 0.0, lam, fz, np.inf, ""
+    if rec.strict_violated if strict else rec.weak_violated:
+        return (FAIL, margin, gap * min(lam, 1.0 - lam), lam, fz, 100 * eps,
+                f"lambda*b = {rec.lam_b:.9g} outside the required range")
+    return (INCONCLUSIVE, margin, 0.0, lam, fz, np.inf,
+            f"lambda*b = {rec.lam_b:.9g} pinned at a bound")
+
+
+# Beside the corpus members: a plateau, where segment values tie with each
+# other and with an endpoint; twin peaks, whose ties from x to y = -x weigh
+# the same at lambda 15/32 and 17/32; and a slope so small that descents fall
+# inside the eps band.  So ties and near-ties meet the kernels' tie rules.
+_KERNEL_EXTRA = {
+    "plateau": "min(1 - abs(x1), 0.5)",
+    "twin-peaks": "-abs(abs(x1) - 0.5) - 0.01*x1",
+    "tiny-slope": "1e-6*x1",
+}
+
+
+def _kernel_case(name):
+    """A handle, and sampled pairs, pairs of equal value and pairs on flat
+    pieces."""
+    if name in _KERNEL_EXTRA:
+        fn = function_from_expression(_KERNEL_EXTRA[name], 1, name=name)
+        points = [np.array([v]) for v in np.linspace(-0.95, 0.95, 24)[np.r_[0:24:2, 1:24:2]]]
+    else:
+        fn = fn_of(name)
+        points = sample_region(corpus_entry(name).region, 24, seed=5)
+    pairs = list(zip(points[:12], points[12:]))
+    pairs += [(y, x) for x, y in pairs[:4]]
+    if name == "affine":  # f is constant along (0.75, 1.25)
+        pairs += [(p, p + 0.4 * np.array([0.75, 1.25])) for p in points[:4]]
+    elif name == "fractional":  # and along rays from the origin
+        pairs += [(p, 1.3 * p) for p in points[:4]]
+    else:
+        pairs += [(np.array([a]), np.array([b])) for a, b in (
+            (-0.8, -0.2), (-0.6, 0.5), (0.5, -0.6), (-0.3, 0.0), (-0.4, 0.4), (0.9, -0.1),
+            (-0.9, 0.9), (0.0, 0.9), (0.2, -0.9), (-1.0, 1.0))]
+    return fn, pairs
+
+
+def _same(row, ref):
+    got = (row.outcome, row.margin, row.residual, row.lam, row.fz, row.threshold, row.detail)
+    assert got == ref, (got, ref)
+
+
+@pytest.mark.parametrize("name", ["affine", "ramp", "fractional", *_KERNEL_EXTRA])
+@pytest.mark.parametrize("negated", [False, True])
+def test_row_kernels_match_the_scalar_loops(name, negated):
+    fn, pairs = _kernel_case(name)
+    fn = negate_handle(fn) if negated else fn
+    xs, ys = (np.array(side) for side in zip(*pairs))
+    lams = list(LAM_GRID)
+    seen = set()
+    for predicate, wrapper, ref in (
+        ("quasiconvex-segment", check_quasiconvex_segment,
+         lambda x, y: _ref_quasiconvex(fn, x, y, lams)),
+        ("semistrict-quasiconvex-segment", check_semistrict_quasiconvex_segment,
+         lambda x, y: _ref_descent(fn, x, y, lams, False)),
+        ("interlacing-segment", check_interlacing,
+         lambda x, y: _ref_descent(fn, x, y, lams, True)),
+    ):
+        rows = check_rows(predicate, fn, xs, ys, LAM_GRID)
+        for i, (x, y) in enumerate(pairs):
+            expected = ref(x, y)
+            _same(rows.check(i, x, y), expected)
+            _same(wrapper(fn, x, y, LAM_GRID), expected)
+            seen.add((predicate, expected[0]))
+    sweep = np.array(lams[1:-1])
+    for strict in (True, False):
+        predicate = "interpolation-strict-bounds" if strict else "interpolation-weak-bounds"
+        rows = check_rows(predicate, fn, np.repeat(xs, len(sweep), axis=0),
+                          np.repeat(ys, len(sweep), axis=0), np.tile(sweep, len(pairs))[:, None])
+        for i, (x, y) in enumerate(pairs):
+            for j, lam in enumerate(sweep):
+                ref = _ref_bounds(fn, x, y, lam, strict)
+                _same(rows.check(i * len(sweep) + j, x, y), ref)
+                _same(check_interpolation_bounds(fn, x, y, lam, strict), ref)
+                seen.add((predicate, ref[0]))
+    with pytest.raises(ValueError):  # rows that neither match nor broadcast
+        check_rows("quasiconvex-segment", fn, xs[:3], ys[:2], LAM_GRID)
+    outcomes = {outcome for _, outcome in seen}
+    assert {PASS, VACUOUS} <= outcomes
+    if name == "ramp":
+        assert {("interlacing-segment", FAIL), ("interpolation-weak-bounds", FAIL)} <= seen
+    if name == "plateau":
+        assert negated or {("quasiconvex-segment", FAIL),
+                           ("semistrict-quasiconvex-segment", FAIL)} <= seen
+    if name == "tiny-slope":
+        assert {("interlacing-segment", INCONCLUSIVE),
+                ("interpolation-strict-bounds", INCONCLUSIVE)} <= seen

@@ -250,6 +250,21 @@ def test_report_round_trip():
     assert doc == report.to_dict()
 
 
+@pytest.mark.parametrize("prop", ["quasiconvex", "pseudoconvex"])
+def test_analyze_rejects_too_few_subdifferential_samples(tmp_path, capsys, prop):
+    # Rejected before any sampling, whether or not the properties estimate
+    # subdifferentials: paraboloid is 2-D, so at least 5 are needed.
+    out = tmp_path / "report.json"
+    code = main(["analyze", "--corpus", "paraboloid", "--properties", prop,
+                 "--subdiff-count", "0", "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert not out.exists()
+    assert "subdifferential count must be >= 2n+1 = 5, got 0" in capsys.readouterr().err
+    assert main(["analyze", "--corpus", "paraboloid", "--properties", prop,
+                 "--subdiff-count", "5", "--samples", "20", "--out", str(out)]) in (
+        EXIT_OK, EXIT_REFUTED)
+
+
 def test_run_config_validation():
     with pytest.raises(ValueError):
         RunConfig()  # no source

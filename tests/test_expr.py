@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from gencvx.expr import (
     Pow,
     Sub,
     Var,
+    compile_rows,
     eval_dual,
     eval_value,
     is_smooth_expression,
@@ -124,8 +127,10 @@ def test_value_channel_matches_plain_evaluator_exactly():
     total = 0
     for entry in corpus():
         tree = entry.handle.expression
-        for p in _interior_points(entry, 150, seed=11):
-            assert eval_value(tree, p) == eval_dual(tree, p).value
+        points = _interior_points(entry, 150, seed=11)
+        rows = compile_rows(tree)(np.array(points))
+        for p, row in zip(points, rows.tolist()):
+            assert eval_value(tree, p) == eval_dual(tree, p).value == row
             total += 1
     assert total >= 1000
 
@@ -150,7 +155,9 @@ def test_ad_matches_central_differences_on_smooth_corpus():
 _DIM = 3
 
 
-def _exprs(depth):
+def _exprs(depth, exponents=st.integers(0, 5)):
+    """Expression trees; the source grammar has no negative exponents, but
+    the AST, and so evaluation, does."""
     leaf = st.one_of(
         st.integers(1, _DIM).map(Var),
         st.floats(0.0, 100.0, allow_nan=False).map(lambda v: Num(float(v))),
@@ -158,7 +165,7 @@ def _exprs(depth):
     if depth == 0:
         return leaf
 
-    sub = _exprs(depth - 1)
+    sub = _exprs(depth - 1, exponents)
     return st.one_of(
         leaf,
         sub.map(Neg),
@@ -166,9 +173,8 @@ def _exprs(depth):
         st.tuples(sub, sub).map(lambda t: Sub(*t)),
         st.tuples(sub, sub).map(lambda t: Mul(*t)),
         st.tuples(sub, sub).map(lambda t: Div(*t)),
-        st.tuples(sub, st.integers(0, 5)).map(lambda t: Pow(*t)),
-        sub.map(lambda e: Call("exp", (e,))),
-        sub.map(lambda e: Call("abs", (e,))),
+        st.tuples(sub, exponents).map(lambda t: Pow(*t)),
+        *(sub.map(lambda e, f=f: Call(f, (e,))) for f in ("exp", "log", "sqrt", "abs", "atan")),
         st.tuples(sub, sub).map(lambda t: Call("min", t)),
         st.tuples(sub, sub).map(lambda t: Call("max", t)),
     )
@@ -184,3 +190,55 @@ def test_pretty_examples():
     assert pretty(parse("x2/x1", 2)) == "x2/x1"
     assert pretty(parse("1+2*3", 1)) == "1.0 + 2.0*3.0"
     assert parse(pretty(parse("-(x1+2)^3", 1)), 1) == parse("-(x1+2)^3", 1)
+
+
+# -- the row walk against the scalar value channel ----------------------------
+
+# Few distinct coordinates, signed zeros among them, so that min/max and abs
+# meet ties and kinks and log/sqrt/division meet their domain edges.
+_COORDS = st.one_of(
+    st.sampled_from((0.0, -0.0, 0.5, 1.0, -1.0, 2.0)),
+    st.floats(-50.0, 50.0, allow_nan=False),
+)
+
+
+def _bits(v: float) -> bytes:
+    return struct.pack("<d", v)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(
+    _exprs(4, st.integers(-3, 5)),
+    st.lists(st.lists(_COORDS, min_size=_DIM, max_size=_DIM), min_size=1, max_size=6),
+)
+def test_row_walk_equals_scalar_value_bit_for_bit(tree, points):
+    points = np.array(points)
+    scalar = []
+    for p in points:
+        try:
+            scalar.append(eval_value(tree, p))
+        except ArithmeticError as exc:
+            scalar.append(exc)
+    errors = [v for v in scalar if isinstance(v, ArithmeticError)]
+    walk = compile_rows(tree)
+    if errors:
+        # A domain error is EvalError on both paths; `^` overflowing raises
+        # OverflowError on one and FloatingPointError on the other.
+        domain = all(isinstance(v, EvalError) for v in errors)
+        with pytest.raises(EvalError if domain else ArithmeticError):
+            walk(points)
+        return
+    rows = walk(points)
+    assert rows.shape == (len(points),)
+    for got, want in zip(rows.tolist(), scalar):
+        assert _bits(got) == _bits(want), (got, want)
+
+
+def test_row_walk_takes_only_point_arrays():
+    walk = compile_rows(parse("x1 + x2", 2))
+    assert walk(np.empty((0, 2))).shape == (0,)
+    with pytest.raises(ValueError):
+        walk(np.array([1.0, 2.0]))
+    with pytest.raises(EvalError):
+        walk(np.array([[1.0]]))  # a point of too low a dimension

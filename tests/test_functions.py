@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gencvx import corpus, corpus_entry, function_from_expression, negate_handle
-from gencvx.functions import LOCALLY_LIPSCHITZ, PROPERTIES, SMOOTH
+from gencvx.functions import LOCALLY_LIPSCHITZ, PROPERTIES, SMOOTH, FunctionHandle
 from gencvx.geometry import sample_region
 
 
@@ -88,3 +88,27 @@ def test_function_from_expression_dimension_guard():
     assert fn.value(np.array([1.0, 2.0])) == 3.0
     with pytest.raises(Exception):
         function_from_expression("x3", 2)
+
+
+def test_values_reads_rows_as_value_reads_points():
+    # The DSL handles walk their rows in one call; a handle with only a
+    # scalar `evaluate` still reads rows, one call per row.
+    for e in corpus():
+        points = np.array(sample_region(e.region, 40, seed=4))
+        scalar = [e.handle.value(p) for p in points]
+        assert e.handle.values(points).tolist() == scalar
+        plain = FunctionHandle("plain", e.handle.dimension, e.handle.evaluate)
+        assert plain.values(points).tolist() == scalar
+        assert negate_handle(plain).values(points).tolist() == [-v for v in scalar]
+        assert e.handle.values(points[:0]).shape == (0,)
+
+
+def test_values_rejects_non_finite_values_and_non_rows():
+    inf_at_half = FunctionHandle("inf-at-half", 1, lambda x: np.inf if x[0] == 0.5 else x[0])
+    with pytest.raises(ArithmeticError):
+        inf_at_half.values([[0.25], [0.5]])
+    assert inf_at_half.values([[0.25], [0.75]]).tolist() == [0.25, 0.75]
+    with pytest.raises(ArithmeticError):
+        function_from_expression("exp(1000*x1)", 1).values([[0.0], [1.0]])
+    with pytest.raises(ValueError):
+        inf_at_half.values([0.25, 0.75])

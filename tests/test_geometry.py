@@ -52,6 +52,13 @@ def test_segment_point_grid_rows_match_scalar_calls():
     assert np.array_equal(pts[0], x)
     assert np.array_equal(segment_point(list(x), list(y), grid), pts)
     assert segment_point(x, y, []).shape == (0, 3)
+    # Stacked endpoints: k segments at once, each row as its segment alone.
+    xs, ys = np.array([x, y, 2.0 * x]), np.array([y, x, -y])
+    lams = np.array([grid[:5], grid[3:8], grid[-5:]])
+    stacked = segment_point(xs[:, None], ys[:, None], lams)
+    assert stacked.shape == (3, 5, 3)
+    for a, b, row_lams, rows in zip(xs, ys, lams, stacked):
+        assert np.array_equal(rows, segment_point(a, b, row_lams))
 
 
 def test_segment_rejects_degenerate_and_bad_lambda():
@@ -60,6 +67,8 @@ def test_segment_rejects_degenerate_and_bad_lambda():
             segment_point([1.0, 2.0], [1.0, 2.0], lam)
     with pytest.raises(ValueError):
         segment_point([0.0], [1.0, 2.0], 0.5)
+    with pytest.raises(ValueError):  # one degenerate segment among several
+        segment_point([[[0.0]], [[1.0]]], [[[1.0]], [[1.0]]], [[0.5], [0.5]])
     for lam in (-0.1, 1.1, float("nan"), [0.5, 1.1], [-0.1, 0.5]):
         with pytest.raises(ValueError):
             segment_point([0.0], [1.0], lam)
@@ -125,6 +134,16 @@ def test_contains_and_interior_slack():
     assert not region.contains([1.0, 2.0])
     assert region.interior_slack([1.0, 0.0]) == pytest.approx(0.95)
     assert region.interior_slack([0.06, 0.0]) == pytest.approx(0.01)
+    rows = region.interior_slack(np.array([[1.0, 0.0], [0.06, 0.0]]))
+    assert rows.tolist() == [region.interior_slack([1.0, 0.0]), region.interior_slack([0.06, 0.0])]
+
+
+def test_interior_slack_rejects_points_of_another_dimension():
+    region = Region([-1.0, -1.0], [1.0, 1.0])
+    for bad in ([0.5], [0.5, 0.5, 0.5], [[0.5]], [[0.5, 0.5, 0.5]], [[[0.5, 0.5]]], 0.5):
+        with pytest.raises(ValueError):
+            region.interior_slack(bad)
+    assert not region.contains([0.5])
 
 
 def test_parse_region_full_form():
@@ -199,3 +218,9 @@ _FACES = (-1.0, 0.0, 0.05, 1.0, 2.0)
 def test_interior_slack_at_a_positive_radius_implies_membership(region, coords, r):
     slack = region.interior_slack(coords)
     assert (slack >= r) == (region.contains(coords) and slack >= r)
+    # Rows of points: each row's slack is its point's, bit for bit.
+    flipped = coords[::-1]
+    rows = region.interior_slack(np.array([coords, flipped]))
+    assert rows.tolist() == [slack, region.interior_slack(flipped)]
+    inside = [region.contains(p) and s >= r for p, s in zip((coords, flipped), rows)]
+    assert ((rows >= r) == inside).all()
