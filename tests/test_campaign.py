@@ -1,3 +1,4 @@
+import hashlib
 import json
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from gencvx import (
 from gencvx.campaign import HOLDS, REFUTED, _candidate, _check, _Context, _pair_samples
 from gencvx.expr import EvalError
 from gencvx.functions import SMOOTH, FunctionHandle, function_from_expression
+from gencvx.geometry import parse_region
 
 PLAN = SamplingPlan(seed=42)
 FAST = SamplingPlan(pair_count=60, seed=42)
@@ -328,3 +330,35 @@ def test_estimator_failures_never_refute():
     # resolves; whatever happens, nothing may be refuted.
     assert v.verdict != REFUTED
     assert calls["n"] > 0
+
+
+# sha256 of json.dumps([v.to_dict() for v in verdicts], sort_keys=True) for DSL
+# handles built without an exact gradient, so that every gradient they read
+# comes from forward-mode differentiation (expr.eval_dual and its row form).
+# The corpus members of criterion 9 carry exact gradients and never reach it.
+_S5 = "x1 + x2 + x3 + x4 + x5"
+AD_REPORT_SHA256 = {
+    ("max(x1, x2)", 2, 0): "68486462ad74fe20e74fa82dc29bd89d31e12b1aac4f6c83ff852d9be0da8665",
+    ("max(x1, x2)", 2, 3): "19cc6b2ac29b16168b05018851642ac4d57e8f38905b7247a743fe49f04fb5c9",
+    ("abs(x1) + abs(x2) + abs(x3) + abs(x4) + abs(x5)", 5, 0):
+        "86bf131b384d3f267ed31c9d83b5816a823ead67cca204517147febd201945c2",
+    ("abs(x1) + abs(x2) + abs(x3) + abs(x4) + abs(x5)", 5, 3):
+        "7fe0c9ef059fa64f305902e566c8fa48e9e5d60be154ca5cc2f08c856b2e9228",
+    (f"min({_S5}, 3*({_S5}))", 5, 0):
+        "0e40df5bf20dae4e60e931c8bb9c7853b75bf51f8cad7a43afc60270e6d33008",
+    (f"min({_S5}, 3*({_S5}))", 5, 3):
+        "95a6ece08b7f231bc79ff95d76bd750bfe6d5d39adf69c7e1efb83a197aee0a5",
+    ("x1 + abs(x1)", 1, 0): "274429488e63c50d4f42278bc10e55b93624358c548153e55073d9fbc7bd7e3b",
+    ("x1 + abs(x1)", 1, 3): "5e52ed769bbec7851fc93e0eaf262c383a35dd1094a128c1879a255dcb34a89d",
+}
+
+
+def test_reports_pinned_on_forward_mode_gradients():
+    digests = {}
+    for source, n, seed in AD_REPORT_SHA256:
+        fn = function_from_expression(source, n)
+        region = parse_region("box(" + ", ".join(["-1..1"] * n) + ")", n)
+        verdicts = classify(fn, region, None, SamplingPlan(pair_count=60, seed=seed))
+        text = json.dumps([v.to_dict() for v in verdicts], sort_keys=True)
+        digests[source, n, seed] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == AD_REPORT_SHA256
