@@ -32,7 +32,7 @@ from . import checks as ck
 from .checks import FAIL, INCONCLUSIVE, PASS, VACUOUS
 from .functions import LOCALLY_LIPSCHITZ, PROPERTIES, FunctionHandle, negate_handle
 from .geometry import Region, RegionTooThinError
-from .nonsmooth import EstimationError, negate_estimate, subdifferential
+from .nonsmooth import EstimationError, negate_estimate, subdifferential, subdifferentials
 
 __all__ = [
     "SamplingPlan",
@@ -305,31 +305,61 @@ class _Context:
         return int.from_bytes(digest, "little")
 
     def subdiff(self, x: np.ndarray, negated: bool = False):
+        """The estimate at x of the subdifferential of f, or of -f; a failed
+        estimate raises its EstimationError whenever it is read."""
         key = (x.tobytes(), negated)
-        est = self._subdiffs.get(key)
-        if est is None:
+        if key not in self._subdiffs:
             if negated:
-                est = negate_estimate(self.subdiff(x, False))
+                self._subdiffs[key] = negate_estimate(self.subdiff(x, False))
             else:
-                seed = ((self.plan.seed & 0xFFFFFFFFFFFFFFFF) << 64) | self._point_entropy(x)
-                count = self.subdiff_count
-                est = subdifferential(
-                    self.fn, self.region, x,
-                    radius=self.plan.subdiff_radius, count=count, seed=seed,
-                )
-                if est.at_kink:
-                    # A spread at radius r may come from a kink merely nearby.
-                    # Shrinking the ball separates the cases: at a true kink
-                    # the spread persists, near one it collapses and the fine
-                    # coherent estimate is the honest set at x.
-                    fine = subdifferential(
-                        self.fn, self.region, x,
-                        radius=self.plan.subdiff_radius / 1000.0, count=count, seed=seed,
-                    )
-                    if not fine.at_kink:
-                        est = fine
-            self._subdiffs[key] = est
+                self.estimate([x])
+        est = self._subdiffs[key]
+        if isinstance(est, EstimationError):
+            raise est
         return est
+
+    def estimate(self, points) -> None:
+        """Estimate f's subdifferential at each point not yet estimated, in
+        one batched call when there are several, and store each estimate or
+        its failure."""
+        todo: dict[bytes, np.ndarray] = {}
+        for x in points:
+            key = x.tobytes()
+            if (key, False) not in self._subdiffs:
+                todo.setdefault(key, x)
+        if not todo:
+            return
+        xs = list(todo.values())
+        seeds = [((self.plan.seed & 0xFFFFFFFFFFFFFFFF) << 64) | self._point_entropy(x) for x in xs]
+        radius = self.plan.subdiff_radius
+        ests = self._estimates(xs, radius, seeds)
+        # A spread at radius r may come from a kink merely nearby.  Shrinking
+        # the ball separates the cases: at a true kink the spread persists,
+        # near one it collapses and the fine coherent estimate is the honest
+        # set at x.
+        kinked = [i for i, est in enumerate(ests)
+                  if not isinstance(est, EstimationError) and est.at_kink]
+        fine = self._estimates([xs[i] for i in kinked], radius / 1000.0, [seeds[i] for i in kinked])
+        for i, est in zip(kinked, fine):
+            if isinstance(est, EstimationError) or not est.at_kink:
+                ests[i] = est
+        for key, est in zip(todo, ests):
+            self._subdiffs[key, False] = est
+
+    def _estimates(self, xs, radius: float, seeds) -> list:
+        """The estimate, or its failure, at each point: one point through
+        subdifferential, several through its batched form."""
+        if len(xs) > 1:
+            return subdifferentials(self.fn, self.region, xs, radius, self.subdiff_count, seeds)
+        out = []
+        for x, seed in zip(xs, seeds):
+            try:
+                out.append(subdifferential(
+                    self.fn, self.region, x, radius=radius, count=self.subdiff_count, seed=seed,
+                ))
+            except EstimationError as exc:
+                out.append(exc)
+        return out
 
     def feasible(self, p: np.ndarray):
         """For a point, or for each row of a (k, n) array of points.  The
@@ -367,6 +397,14 @@ def _kernel(ctx: _Context, negated: bool, x, y, lam):
     ).overall
 
 
+def _descending_starts(ctx: _Context, negated: bool, xs, ys):
+    """The x of each row on which f(y) < f(x) beyond the strict margin: the
+    pairs on which the pseudoconvex check reads generators."""
+    fn = ctx.handle(negated)
+    fx, fy = fn.values(xs), fn.values(ys)
+    return xs[fy < fx - ck.eps_strict(fx, fy)]
+
+
 @dataclass(frozen=True)
 class _Predicate:
     """A named check, called as check(ctx, negated, x, y, lam).
@@ -374,26 +412,44 @@ class _Predicate:
     Checks are looked up in `checks` at call time.  Those with `lam` set
     are segment conditions: lam=None runs them over the plan's lambda grid,
     and refinement seeds and moves a single lambda for them.  They read
-    values only, so `rows` runs them over many rows in one call.
+    values only, so `rows` runs them over many rows in one call.  The others
+    read subdifferential estimates, at the points `reads` names for rows
+    (xs, ys), and `prefetch` estimates those in one call.
     """
 
     name: str
     check: Callable[[_Context, bool, np.ndarray, np.ndarray, float | None], ck.Check]
     lam: bool = False
+    reads: Callable[[_Context, bool, np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def rows(self, ctx: _Context, negated: bool, x, y, lams) -> ck.Rows:
         return ck.check_rows(self.name, ctx.handle(negated), x, y, lams)
 
+    def prefetch(self, ctx: _Context, negated: bool, xs, ys) -> None:
+        """Fill the estimate cache for the check on rows (xs, ys), for a
+        handle that reads its gradients over rows.  A value read that raises
+        skips this: the check raises where it reads that value, if it does."""
+        if self.reads is None or ctx.fn.gradient_rows is None:
+            return
+        try:
+            points = self.reads(ctx, negated, xs, ys)
+        except ArithmeticError:
+            return
+        ctx.estimate(points)
+
 
 _PSEUDOCONVEX = _Predicate("pseudoconvex-pair", lambda c, neg, x, y, lam: (
-    ck.check_pseudoconvex_pair(c.handle(neg), x, y, _LazySubdiff(c, x, neg))))
+    ck.check_pseudoconvex_pair(c.handle(neg), x, y, _LazySubdiff(c, x, neg))),
+    reads=_descending_starts)
 _P_IDENTITY = _Predicate("proportional-identity", lambda c, neg, x, y, lam: (
-    ck.verify_p_identity(c.handle(neg), x, y, _LazySubdiff(c, x, neg))))
+    ck.verify_p_identity(c.handle(neg), x, y, _LazySubdiff(c, x, neg))),
+    reads=lambda c, neg, xs, ys: xs)
 _SYMMETRIC = _Predicate("symmetric-equality", lambda c, neg, x, y, lam: (
     ck.check_symmetric_equality(
-        c.handle(neg), x, y, _LazySubdiff(c, x, neg), _LazySubdiff(c, y, neg))))
+        c.handle(neg), x, y, _LazySubdiff(c, x, neg), _LazySubdiff(c, y, neg))),
+    reads=lambda c, neg, xs, ys: np.concatenate([xs, ys]))
 _GRADIENT_KERNEL = _Predicate("gradient-kernel", _kernel)
-_SUBDIFF_KERNEL = _Predicate("subdifferential-kernel", _kernel)
+_SUBDIFF_KERNEL = _Predicate("subdifferential-kernel", _kernel, reads=lambda c, neg, xs, ys: xs)
 _QUASICONVEX = _Predicate("quasiconvex-segment", lambda c, neg, x, y, lam: (
     ck.check_quasiconvex_segment(c.handle(neg), x, y, c.grid(lam))), lam=True)
 _SEMISTRICT = _Predicate("semistrict-quasiconvex-segment", lambda c, neg, x, y, lam: (
@@ -479,6 +535,7 @@ def _refine(ctx: _Context, cand: Candidate, rounds: int) -> RefineResult:
                 keep = ctx.feasible(moved) & ~(xs == ys).all(axis=1)
                 xs, ys = xs[keep], ys[keep]
                 lams = None if lam is None else np.full(len(xs), lam)
+                pred.prefetch(ctx, cand.negated, xs, ys)
             for j, margin in enumerate(_margins(ctx, pred, cand.negated, xs, ys, lams)):
                 if margin > best.margin:
                     x, y = xs[j], ys[j]
@@ -639,6 +696,14 @@ def _pair_samples(ctx: _Context, prop: str, pairs):
               for probe in _PROBES[prop] for negated in probe.sides]
     rows = {j: _value_rows(ctx, probe, pred, negated, pairs)
             for j, (probe, pred, negated) in enumerate(probes) if pred.lam}
+    for probe, pred, negated in probes:
+        if pairs and not pred.lam:
+            # The estimates at the pairs' starts, kernel projections aside
+            # (they start where their pair does).
+            xs, ys = (np.array(side) for side in zip(*pairs))
+            if probe.placement != _PAIR:
+                xs, ys = np.concatenate([xs, ys]), np.concatenate([ys, xs])
+            pred.prefetch(ctx, negated, xs, ys)
     for i, (x, y) in enumerate(pairs):
         samples = []
         try:

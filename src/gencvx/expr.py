@@ -13,8 +13,9 @@ sqrt, abs, atan (unary) and min, max (binary).  Exponents are integer
 literals.  Binary +,-,*,/ are left associative; unary minus binds tighter
 than * and /, and ^ binds tighter than unary minus.
 
-Evaluation offers a plain value channel, its compiled form over the rows of
-an array of points, and a dual channel carrying the forward-mode gradient.
+Evaluation offers a plain value channel and a dual channel carrying the
+forward-mode gradient, each also compiled into a walk over the rows of an
+array of points.
 At abs/min/max kinks the dual channel flags the point and applies a fixed
 convention: abs at 0 contributes subderivative 0, min/max break value ties
 toward their first argument.
@@ -45,6 +46,7 @@ __all__ = [
     "eval_value",
     "compile_rows",
     "eval_dual",
+    "compile_dual_rows",
     "is_smooth_expression",
 ]
 
@@ -595,6 +597,125 @@ def _dual(e: Expr, x: np.ndarray) -> tuple[float, np.ndarray, bool]:
             if va == vb:
                 return va, ga, True
             return (va, ga, kink) if va > vb else (vb, gb, kink)
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def compile_dual_rows(
+    e: Expr,
+) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Compile e's dual channel into a walk over the rows of a (k, n) array.
+
+    The compiled function returns the (k,) values, the (k, n) gradients and
+    the (k,) kink flags, each row bit-identical to eval_dual at that row: the
+    same float64 operations run elementwise, with np.float_power for `^`.  It
+    raises EvalError when eval_dual would at any row, and an ArithmeticError
+    where `^` overflows, as CPython does.
+    """
+    walk = _dual_rows(e)
+
+    def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        p = np.asarray(points, dtype=float)
+        if p.ndim != 2:
+            raise ValueError(f"points must be a (k, n) array, got shape {p.shape}")
+        with np.errstate(all="ignore"):
+            return walk(p)
+
+    return evaluate
+
+
+def _dual_rows(e: Expr):
+    """Closure computing (values, gradients, kinks) at every row; mirrors
+    _dual node for node, each gradient row scaled as _dual scales it."""
+    if isinstance(e, Num):
+        v = e.value
+        return lambda p: (np.full(len(p), v), np.zeros(p.shape), np.zeros(len(p), dtype=bool))
+    if isinstance(e, Var):
+        i = e.index - 1
+
+        def var(p):
+            if i >= p.shape[1]:
+                raise EvalError(f"point has dimension {p.shape[1]}", e)
+            g = np.zeros(p.shape)
+            g[:, i] = 1.0
+            return p[:, i], g, np.zeros(len(p), dtype=bool)
+
+        return var
+    if isinstance(e, Neg):
+        operand = _dual_rows(e.operand)
+
+        def neg(p):
+            v, g, k = operand(p)
+            return -v, -g, k
+
+        return neg
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        left, right = _dual_rows(e.left), _dual_rows(e.right)
+        kind = type(e)
+
+        def binary(p):
+            (va, ga, ka), (vb, gb, kb) = left(p), right(p)
+            if kind is Add:
+                return va + vb, ga + gb, ka | kb
+            if kind is Sub:
+                return va - vb, ga - gb, ka | kb
+            if kind is Mul:
+                return va * vb, va[:, None] * gb + vb[:, None] * ga, ka | kb
+            if np.any(vb == 0.0):
+                raise EvalError("division by zero", e)
+            return va / vb, (ga * vb[:, None] - va[:, None] * gb) / (vb * vb)[:, None], ka | kb
+
+        return binary
+    if isinstance(e, Pow):
+        base, m = _dual_rows(e.base), e.exponent
+
+        def power(p):
+            va, ga, ka = base(p)
+            if m == 0:
+                return np.ones(len(p)), np.zeros(p.shape), ka
+            if m < 0 and np.any(va == 0.0):
+                raise EvalError("zero base with negative exponent", e)
+            with np.errstate(over="raise"):
+                v = np.float_power(va, m)
+                slope = float(m) * np.float_power(va, m - 1)
+            return v, slope[:, None] * ga, ka
+
+        return power
+    if isinstance(e, Call):
+        arg = _dual_rows(e.args[0])
+        if e.name in ("min", "max"):
+            second, wins = _dual_rows(e.args[1]), (np.less if e.name == "min" else np.greater)
+
+            def pick(p):
+                (va, ga, ka), (vb, gb, kb) = arg(p), second(p)
+                tie = va == vb  # ties break toward the first argument
+                first = tie | wins(va, vb)
+                return np.where(first, va, vb), np.where(first[:, None], ga, gb), ka | kb | tie
+
+            return pick
+
+        def unary(p):
+            va, ga, ka = arg(p)
+            if e.name == "exp":
+                ev = np.exp(va)
+                return ev, ev[:, None] * ga, ka
+            if e.name in ("log", "sqrt"):
+                bad = va <= 0.0
+                if np.any(bad):
+                    raise EvalError(f"{e.name} of non-positive value {float(va[bad][0])!r}", e)
+                if e.name == "log":
+                    return np.log(va), ga / va[:, None], ka
+                sv = np.sqrt(va)
+                return sv, ga / (2.0 * sv)[:, None], ka
+            if e.name == "atan":
+                return np.arctan(va), ga / (1.0 + va * va)[:, None], ka
+            # abs; kink convention: subderivative 0 at the origin.
+            up, down = va > 0.0, va < 0.0
+            flat = ~(up | down)
+            v = np.where(up, va, np.where(down, -va, 0.0))
+            g = np.where(up[:, None], ga, np.where(down[:, None], -ga, 0.0 * ga))
+            return v, g, ka | flat
+
+        return unary
     raise TypeError(f"not an expression node: {e!r}")
 
 

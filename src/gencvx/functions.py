@@ -59,7 +59,10 @@ class FunctionHandle:
     either the gradient vector or None at non-differentiable points.
     `evaluate_rows`, when given, maps a (k, n) array of points to the (k,)
     values `evaluate` gives at its rows, bit for bit; without it, `values`
-    calls `evaluate` once per row.
+    calls `evaluate` once per row.  `gradient_rows`, when given, maps a
+    (k, n) array to the (k, n) gradients `gradient` gives at its rows, bit
+    for bit, and (k,) flags marking the rows where `gradient` gives None;
+    gradient sampling then reads all its probes in one call.
     """
 
     name: str
@@ -70,6 +73,7 @@ class FunctionHandle:
     source: str | None = None
     expression: object | None = None
     evaluate_rows: Callable[[np.ndarray], np.ndarray] | None = None
+    gradient_rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
         if self.dimension <= 0:
@@ -121,7 +125,8 @@ def function_from_expression(
 
     Rows of points are evaluated by the compiled walk of expr.compile_rows.
     The AD gradient reports None at kink-flagged points.  An exact gradient
-    callable, when supplied, takes precedence over the AD one.
+    callable, when supplied, takes precedence over the AD one; without one,
+    the AD gradient is also read over rows, by expr.compile_dual_rows.
     """
     tree = ex.parse(source, dimension)
     smooth = ex.is_smooth_expression(tree)
@@ -133,6 +138,14 @@ def function_from_expression(
         d = ex.eval_dual(tree, x)
         return None if d.at_kink else d.gradient
 
+    _ad_gradient_rows = None
+    if exact_gradient is None:
+        dual_rows = ex.compile_dual_rows(tree)
+
+        def _ad_gradient_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            _, gradients, kinks = dual_rows(points)
+            return gradients, kinks
+
     return FunctionHandle(
         name=name or source,
         dimension=dimension,
@@ -142,6 +155,7 @@ def function_from_expression(
         source=source,
         expression=tree,
         evaluate_rows=ex.compile_rows(tree),
+        gradient_rows=_ad_gradient_rows,
     )
 
 
@@ -164,6 +178,13 @@ def negate_handle(fn: FunctionHandle) -> FunctionHandle:
             g = fn.gradient(x)
             return None if g is None else -np.asarray(g, dtype=float)
 
+    _gradient_rows = None
+    if fn.gradient_rows is not None:
+
+        def _gradient_rows(points: np.ndarray):
+            gradients, kinks = fn.gradient_rows(points)
+            return -np.asarray(gradients, dtype=float), kinks
+
     return FunctionHandle(
         name=f"-({fn.name})",
         dimension=fn.dimension,
@@ -173,6 +194,7 @@ def negate_handle(fn: FunctionHandle) -> FunctionHandle:
         source=None,
         expression=None,
         evaluate_rows=_evaluate_rows,
+        gradient_rows=_gradient_rows,
     )
 
 

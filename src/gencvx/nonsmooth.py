@@ -32,6 +32,7 @@ __all__ = [
     "InteriorRoomError",
     "clarke_directional",
     "subdifferential",
+    "subdifferentials",
     "negate_estimate",
     "directional_derivative",
 ]
@@ -164,6 +165,134 @@ def _central_difference(fn: FunctionHandle, x: np.ndarray, step: float) -> np.nd
     return g
 
 
+# Evaluation failures that count against an estimate instead of aborting it.
+_PROBE_ERRORS = (ArithmeticError, FloatingPointError, ZeroDivisionError)
+
+
+def _probe_gradients(fn: FunctionHandle, probes: np.ndarray, step: float) -> list:
+    """Per probe, its gradient, or None where evaluation failed: the handle
+    gradient where it exists, else a central difference at `step`."""
+    out = []
+    for p in probes:
+        try:
+            g = fn.grad(p)
+            if g is None:
+                g = _central_difference(fn, p, step)
+        except _PROBE_ERRORS:
+            out.append(None)
+            continue
+        out.append(np.asarray(g, dtype=float) if np.all(np.isfinite(g)) else None)
+    return out
+
+
+def _row_gradients(fn: FunctionHandle, probes: np.ndarray, step: float) -> list:
+    """_probe_gradients in one gradient_rows call, bit for bit, with the
+    central differences of all kink rows read in one values call.  Raises
+    where any probe's evaluation raises."""
+    gradients, kinks = fn.gradient_rows(probes)
+    gradients = np.array(gradients, dtype=float)
+    kinks = np.asarray(kinks, dtype=bool)
+    if gradients.shape != probes.shape or kinks.shape != (len(probes),):
+        raise ValueError(f"{fn.name} returned gradient rows of shape {gradients.shape}")
+    kinked = np.flatnonzero(kinks)
+    if kinked.size:
+        n = probes.shape[1]
+        steps = np.zeros((n, n))
+        np.fill_diagonal(steps, step)  # row i is the e of _central_difference
+        at = probes[kinked][:, None, :]
+        f = fn.values(np.concatenate([at + steps, at - steps]).reshape(-1, n))
+        plus, minus = f.reshape(2, -1)
+        gradients[kinked] = ((plus - minus) / (2.0 * step)).reshape(-1, n)
+    finite = np.isfinite(gradients).all(axis=1)
+    return [g if ok else None for g, ok in zip(gradients, finite)]
+
+
+def _gradients(fn: FunctionHandle, probe_sets: list[np.ndarray], step: float) -> list[list]:
+    """_probe_gradients for each set of probes.  A handle with gradient_rows
+    reads all sets in one call; where that raises, each set is read alone,
+    and a set whose own call raises falls back to the per-probe loop, so
+    failures are counted probe by probe as without gradient_rows."""
+    if fn.gradient_rows is not None and probe_sets:
+        try:
+            flat = _row_gradients(fn, np.concatenate(probe_sets), step)
+        except _PROBE_ERRORS:
+            if len(probe_sets) > 1:
+                return [out for s in probe_sets for out in _gradients(fn, [s], step)]
+        else:
+            ends = np.cumsum([len(s) for s in probe_sets])
+            return [flat[end - len(s):end] for s, end in zip(probe_sets, ends)]
+    return [_probe_gradients(fn, s, step) for s in probe_sets]
+
+
+def _estimate(x: np.ndarray, gradients: list, radius: float) -> SubdifferentialEstimate:
+    """The estimate from the probes' gradients (None where one failed),
+    the gradient at x first."""
+    raw = [g for g in gradients if g is not None]
+    failures = len(gradients) - len(raw)
+    if failures > len(gradients) / 2:
+        raise EstimationError(
+            f"gradient evaluation failed at {failures}/{len(gradients)} probes near {x}"
+        )
+    if not raw:
+        raise EstimationError(f"no usable gradients near {x}")
+
+    stack = np.stack(raw)
+    spread = float(np.max(stack.max(axis=0) - stack.min(axis=0))) if len(raw) > 1 else 0.0
+    if spread <= COHERENCE_SPREAD:
+        # Smooth at this scale: the ball probes merely resample the gradient
+        # with O(radius) noise, so the single generator taken at x is the
+        # whole (coherent) estimate.
+        g = (gradients[0] if gradients[0] is not None else raw[0]).copy()
+        g.flags.writeable = False
+        return SubdifferentialEstimate((g,), radius, False)
+
+    kept: list[np.ndarray] = []
+    for g in raw:
+        if not any(float(np.max(np.abs(g - h))) <= DEDUPE_TOL for h in kept):
+            g = g.copy()
+            g.flags.writeable = False
+            kept.append(g)
+    return SubdifferentialEstimate(tuple(kept), radius, True)
+
+
+def subdifferentials(
+    fn: FunctionHandle,
+    region: Region,
+    points,
+    radius: float,
+    count: int,
+    seeds,
+) -> list[SubdifferentialEstimate | EstimationError]:
+    """subdifferential at each point with its seed, bit for bit, reading the
+    gradients of all their probes in one call where the handle has
+    gradient_rows.  A failed estimate is returned as its EstimationError."""
+    points = [np.asarray(x, dtype=float).reshape(-1) for x in points]
+    for x in points:
+        n = x.size
+        if count < 2 * n + 1:
+            raise ValueError(f"count must be >= 2n+1 = {2 * n + 1}, got {count}")
+    if radius <= 0:
+        raise ValueError("radius must be positive")
+
+    out: list = [None] * len(points)
+    probe_sets: dict[int, np.ndarray] = {}
+    slack = region.interior_slack(np.array(points)) if points else ()
+    for i, (x, seed) in enumerate(zip(points, seeds)):
+        if slack[i] < radius:
+            out[i] = InteriorRoomError(f"ball of radius {radius} at {x} leaves the region")
+            continue
+        rng = np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, 0x5D1FF)))
+        probe_sets[i] = np.concatenate([x[None], _ball_points(rng, x, radius, count)])
+
+    gradients = _gradients(fn, list(probe_sets.values()), radius / 100.0)
+    for i, g in zip(probe_sets, gradients):
+        try:
+            out[i] = _estimate(points[i], g, radius)
+        except EstimationError as exc:
+            out[i] = exc
+    return out
+
+
 def subdifferential(
     fn: FunctionHandle,
     region: Region,
@@ -179,60 +308,10 @@ def subdifferential(
     central difference at step radius/100.  Near-duplicates are merged and a
     kink is flagged when the generator spread exceeds COHERENCE_SPREAD.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    n = x.size
-    if count < 2 * n + 1:
-        raise ValueError(f"count must be >= 2n+1 = {2 * n + 1}, got {count}")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if region.interior_slack(x) < radius:
-        raise InteriorRoomError(f"ball of radius {radius} at {x} leaves the region")
-
-    rng = np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, 0x5D1FF)))
-    probes = [x] + list(_ball_points(rng, x, radius, count))
-    step = radius / 100.0
-
-    raw: list[np.ndarray] = []
-    at_base: np.ndarray | None = None
-    failures = 0
-    for i, p in enumerate(probes):
-        try:
-            g = fn.grad(p)
-            if g is None:
-                g = _central_difference(fn, p, step)
-        except (ArithmeticError, FloatingPointError, ZeroDivisionError):
-            failures += 1
-            continue
-        if np.all(np.isfinite(g)):
-            raw.append(np.asarray(g, dtype=float))
-            if i == 0:
-                at_base = raw[0]
-        else:
-            failures += 1
-    if failures > len(probes) / 2:
-        raise EstimationError(
-            f"gradient evaluation failed at {failures}/{len(probes)} probes near {x}"
-        )
-    if not raw:
-        raise EstimationError(f"no usable gradients near {x}")
-
-    stack = np.stack(raw)
-    spread = float(np.max(stack.max(axis=0) - stack.min(axis=0))) if len(raw) > 1 else 0.0
-    if spread <= COHERENCE_SPREAD:
-        # Smooth at this scale: the ball probes merely resample the gradient
-        # with O(radius) noise, so the single generator taken at x is the
-        # whole (coherent) estimate.
-        g = (at_base if at_base is not None else raw[0]).copy()
-        g.flags.writeable = False
-        return SubdifferentialEstimate((g,), radius, False)
-
-    kept: list[np.ndarray] = []
-    for g in raw:
-        if not any(float(np.max(np.abs(g - h))) <= DEDUPE_TOL for h in kept):
-            g = g.copy()
-            g.flags.writeable = False
-            kept.append(g)
-    return SubdifferentialEstimate(tuple(kept), radius, True)
+    (est,) = subdifferentials(fn, region, [x], radius, count, [seed])
+    if isinstance(est, EstimationError):
+        raise est
+    return est
 
 
 def negate_estimate(est: SubdifferentialEstimate) -> SubdifferentialEstimate:

@@ -17,8 +17,11 @@ from gencvx import (
     refine_counterexample,
     replay_witness,
 )
-from gencvx.campaign import HOLDS, REFUTED, _candidate, _check, _Context, _pair_samples
+from gencvx.campaign import (
+    HOLDS, REFUTED, _PREDICATES, _candidate, _check, _Context, _pair_samples, _refine,
+)
 from gencvx.expr import EvalError
+from gencvx.nonsmooth import EstimationError
 from gencvx.functions import SMOOTH, FunctionHandle, function_from_expression
 from gencvx.geometry import parse_region
 
@@ -362,3 +365,59 @@ def test_reports_pinned_on_forward_mode_gradients():
         text = json.dumps([v.to_dict() for v in verdicts], sort_keys=True)
         digests[source, n, seed] = hashlib.sha256(text.encode()).hexdigest()
     assert digests == AD_REPORT_SHA256
+
+
+# The gradient channel raises at sqrt(0), so on x1 <= 0 every estimate fails,
+# while f itself is defined everywhere.
+_HALF_FAILING = "sqrt(max(x1, 0)) + abs(x2)"
+_BOX2 = parse_region("box(-1..1, -1..1)", 2)
+
+
+def test_prefetched_estimates_fail_only_when_read():
+    fn = function_from_expression(_HALF_FAILING, 2)
+    ctx = _Context(fn, _BOX2, FAST)
+    good, bad = np.array([0.5, 0.2]), np.array([-0.5, 0.2])
+    identity = _PREDICATES["proportional-identity"]
+    # A refinement move's trials, or the two orientations of a sampled pair:
+    # the estimate at `bad` fails, and nothing raises until a check reads it.
+    identity.prefetch(ctx, False, np.array([good, bad]), np.array([bad, good]))
+    check = identity.check(ctx, False, good, bad, None)
+    with pytest.raises(EstimationError, match="failed at 9/9 probes"):
+        identity.check(ctx, False, bad, good, None)
+    # Read one at a time, each check does the same.
+    lazy = _Context(replace(fn, gradient_rows=None), _BOX2, FAST)
+    assert identity.check(lazy, False, good, bad, None) == check
+    with pytest.raises(EstimationError, match="failed at 9/9 probes"):
+        identity.check(lazy, False, bad, good, None)
+
+
+def test_refinement_never_raises_for_a_trial_it_does_not_read():
+    # The first move of x tries x1 = 0.75 before x1 = -0.25 and takes it:
+    # the estimate at the second trial fails, in the one call that reads
+    # them all, but refinement never reads it, as one trial at a time.
+    fn = function_from_expression(_HALF_FAILING, 2)
+    cand = Candidate("proportional-identity", False, np.array([0.25, -0.2]), np.array([0.8, 0.75]))
+    ctx = _Context(fn, _BOX2, FAST)
+    result = _refine(ctx, cand, 3)
+    failed = [x for (x, _), est in ctx._subdiffs.items() if isinstance(est, EstimationError)]
+    assert [np.frombuffer(x).tolist() for x in failed] == [[-0.25, -0.2]]
+    lazy = refine_counterexample(replace(fn, gradient_rows=None), _BOX2, cand, 3, FAST)
+    assert result.scores == lazy.scores
+    assert result.witness.to_dict() == lazy.witness.to_dict()
+
+
+@pytest.mark.parametrize("source, dim, props", [
+    (_HALF_FAILING, 2, None),
+    ("max(x1, x2) - abs(x1)", 2, ("pseudoconvex", "pseudoconcave", "pseudolinear")),
+])
+def test_batched_estimates_leave_reports_unchanged(source, dim, props):
+    # Estimates read in one call per refinement move and per probe of the
+    # sampled pairs give the reports of estimates read point by point.
+    fn = function_from_expression(source, dim)
+    region = parse_region("box(" + ", ".join(["-1..1"] * dim) + ")", dim)
+    plan = SamplingPlan(pair_count=40, seed=5)
+    batched = classify(fn, region, props, plan)
+    alone = classify(replace(fn, gradient_rows=None), region, props, plan)
+    assert [v.to_dict() for v in batched] == [v.to_dict() for v in alone]
+    if props is None:
+        assert any(v.inconclusive for v in batched)  # failed estimates were read

@@ -18,6 +18,7 @@ from gencvx.expr import (
     Pow,
     Sub,
     Var,
+    compile_dual_rows,
     compile_rows,
     eval_dual,
     eval_value,
@@ -238,6 +239,90 @@ def test_row_walk_equals_scalar_value_bit_for_bit(tree, points):
 def test_row_walk_takes_only_point_arrays():
     walk = compile_rows(parse("x1 + x2", 2))
     assert walk(np.empty((0, 2))).shape == (0,)
+    with pytest.raises(ValueError):
+        walk(np.array([1.0, 2.0]))
+    with pytest.raises(EvalError):
+        walk(np.array([[1.0]]))  # a point of too low a dimension
+
+
+# -- the dual row walk against the scalar dual channel -------------------------
+
+
+def _dual_rows_against_scalar(tree, points):
+    """Compare compile_dual_rows with eval_dual at each row, bit for bit."""
+    scalar = []
+    for p in points:
+        try:
+            scalar.append(eval_dual(tree, p))
+        except ArithmeticError as exc:
+            scalar.append(exc)
+    errors = [d for d in scalar if isinstance(d, ArithmeticError)]
+    walk = compile_dual_rows(tree)
+    if errors:
+        # As for the value walk: a domain error is EvalError on both paths.
+        domain = all(isinstance(d, EvalError) for d in errors)
+        with pytest.raises(EvalError if domain else ArithmeticError):
+            walk(points)
+        return
+    values, gradients, kinks = walk(points)
+    assert values.shape == (len(points),)
+    assert gradients.shape == points.shape
+    assert kinks.shape == (len(points),) and kinks.dtype == bool
+    for r, d in enumerate(scalar):
+        assert _bits(float(values[r])) == _bits(d.value), (r, values[r], d.value)
+        assert gradients[r].tobytes() == d.gradient.tobytes(), (r, gradients[r], d.gradient)
+        assert bool(kinks[r]) == d.at_kink
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(
+    _exprs(4, st.integers(-3, 5)),
+    st.lists(st.lists(_COORDS, min_size=_DIM, max_size=_DIM), min_size=1, max_size=6),
+)
+def test_dual_row_walk_equals_eval_dual_bit_for_bit(tree, points):
+    _dual_rows_against_scalar(tree, np.array(points))
+
+
+# The grammar has no negative exponents, so that tree is built directly.
+_NEGATIVE_POWERS = Sub(Add(Pow(Var(1), -2), Pow(Var(2), -1)), Pow(Sub(Var(1), Var(2)), 3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tree, kinked", [
+    (parse("abs(x1) + max(x1, x2) - min(x2, x1)", 2), True),  # kinks, ties, signed zeros
+    (parse("max(-x1, x2)*min(x1, -x2) + abs(-x2)", 2), True),
+    (parse("sqrt(x1*x1 + x2*x2 + 1) + log(1 + abs(x1))", 2), True),
+    (parse("exp(x1)*atan(x2) / (2 + x1*x2)", 2), False),
+    (_NEGATIVE_POWERS, False),
+])
+def test_dual_row_walk_at_kinks_ties_and_signed_zeros(tree, kinked):
+    edges = (0.0, -0.0, 1.0, -1.0, 0.5)
+    nonzero = np.array([(a, b) for a in edges for b in edges if a != 0.0 and b != 0.0])
+    _dual_rows_against_scalar(tree, nonzero)
+    everywhere = np.array([(a, b) for a in edges for b in edges])
+    _dual_rows_against_scalar(tree, everywhere)  # x1^-2 raises at 0 on both paths
+    if kinked:
+        assert compile_dual_rows(tree)(everywhere)[2].any()
+
+
+def test_dual_row_walk_raises_where_the_gradient_channel_does():
+    # The value channel takes sqrt(0); the gradient channel cannot.
+    tree = parse("sqrt(x1)", 1)
+    zero = np.array([[4.0], [0.0]])
+    assert compile_rows(tree)(zero).tolist() == [2.0, 0.0]
+    with pytest.raises(EvalError):
+        compile_dual_rows(tree)(zero)
+    with pytest.raises(EvalError):
+        compile_dual_rows(parse("log(x1)", 1))(np.array([[1.0], [-0.0]]))
+    with pytest.raises(EvalError):
+        compile_dual_rows(parse("1/x1", 1))(np.array([[1.0], [0.0]]))
+
+
+def test_dual_row_walk_takes_only_point_arrays():
+    walk = compile_dual_rows(parse("x1*x2 + abs(x1)", 2))
+    values, gradients, kinks = walk(np.empty((0, 2)))
+    assert (values.shape, gradients.shape, kinks.shape) == ((0,), (0, 2), (0,))
     with pytest.raises(ValueError):
         walk(np.array([1.0, 2.0]))
     with pytest.raises(EvalError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,13 @@ from gencvx import corpus, corpus_entry, function_from_expression, negate_handle
 from gencvx.geometry import Region, parse_region, sample_region
 from gencvx.nonsmooth import (
     ClarkeScheme,
+    EstimationError,
     InteriorRoomError,
     clarke_directional,
     directional_derivative,
     negate_estimate,
     subdifferential,
+    subdifferentials,
 )
 
 BOX1 = parse_region("box(-1..1)", 1)
@@ -187,3 +191,96 @@ def test_directional_derivative_affine_exact():
 def test_directional_derivative_abs_one_sided():
     got = directional_derivative(_abs_handle(), BOX1, [0.0], [1.0])
     assert got == pytest.approx(1.0, abs=1e-5)
+
+
+# -- gradient sampling over rows against the per-probe loop --------------------
+
+
+def _row_counted(fn):
+    """fn, counting the points its gradient_rows reads."""
+    rows = []
+
+    def gradient_rows(points):
+        rows.append(len(points))
+        return fn.gradient_rows(points)
+
+    return replace(fn, gradient_rows=gradient_rows), rows
+
+
+def _outcome(fn, region, x, radius, count, seed):
+    try:
+        est = subdifferential(fn, region, x, radius=radius, count=count, seed=seed)
+    except EstimationError as exc:
+        return type(exc), str(exc)
+    return [g.tobytes() for g in est.generators], est.radius, est.at_kink
+
+
+BOX2 = parse_region("box(-1..1, -1..1)", 2)
+
+
+@pytest.mark.parametrize("source, dim, x, kink", [
+    ("x2/(x1 + 2) + atan(x1*x2)", 2, [0.3, -0.4], False),  # smooth
+    ("abs(x1) + abs(x2)", 2, [0.0, 0.3], True),  # the probe at x is at a kink
+    ("max(x1, x2)", 2, [0.2, 0.2], True),
+    ("min(x1, x1) + abs(x2)", 2, [0.1, 0.0], True),  # every probe ties
+    ("x1 + abs(x1)", 1, [0.0], True),
+])
+def test_row_estimate_equals_per_probe_estimate(source, dim, x, kink):
+    fn, rows = _row_counted(function_from_expression(source, dim))
+    region = parse_region("box(" + ", ".join(["-1..1"] * dim) + ")", dim)
+    alone = replace(fn, gradient_rows=None)
+    for radius, seed in ((1e-5, 0), (1e-3, 9), (1e-8, 4)):
+        got = _outcome(fn, region, x, radius, 2 * dim + 5, seed)
+        assert got == _outcome(alone, region, x, radius, 2 * dim + 5, seed)
+        if radius == 1e-5:
+            assert got[2] == kink
+    assert rows == [2 * dim + 6] * 3  # one call for all the probes
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_row_estimate_near_a_domain_edge_fails_as_per_probe(seed):
+    # Probes left of 0 raise: the row call raises, and the per-probe loop
+    # counts them, failing (seed 7: 10 of 17) or not (seed 0) as before.
+    fn, rows = _row_counted(function_from_expression("log(x1)", 1))
+    got = _outcome(fn, BOX1, [5e-6], 1e-5, 16, seed)
+    assert got == _outcome(replace(fn, gradient_rows=None), BOX1, [5e-6], 1e-5, 16, seed)
+    assert rows == [17]
+    assert (got[0] is EstimationError) == (seed == 7)
+    if seed == 7:
+        assert got[1] == "gradient evaluation failed at 10/17 probes near [5.e-06]"
+
+
+def test_many_point_estimates_equal_one_at_a_time():
+    # One smooth point, two kinks, a point without room for the ball and two
+    # whose gradients fail: estimated together, each is what it is alone.
+    fn, rows = _row_counted(function_from_expression("sqrt(max(x1, 0)) + abs(x2)", 2))
+    points = [[0.5, 0.2], [0.3, 0.0], [0.25, -0.0], [0.9999999, 0.5], [-0.5, 0.2], [0.4, 0.1]]
+    seeds = [3, 1, 4, 1, 5, 9]
+    together = subdifferentials(fn, BOX2, points, 1e-5, 8, seeds)
+    kinds = []
+    for x, seed, est in zip(points, seeds, together):
+        alone = _outcome(replace(fn, gradient_rows=None), BOX2, x, 1e-5, 8, seed)
+        if isinstance(est, EstimationError):
+            assert (type(est), str(est)) == alone
+            kinds.append(type(est).__name__)
+        else:
+            assert ([g.tobytes() for g in est.generators], est.radius, est.at_kink) == alone
+            kinds.append(est.at_kink)
+    assert kinds == [False, True, True, "InteriorRoomError", "EstimationError", False]
+    # The joint call raised at the failing point; each set was then read alone.
+    assert rows == [45, 9, 9, 9, 9, 9]
+    assert subdifferentials(fn, BOX2, [], 1e-5, 8, []) == []
+
+
+def test_negated_rows_read_the_negated_gradient():
+    fn = function_from_expression("max(x1, 2*x2) + x1*x2", 2)
+    neg = negate_handle(fn)
+    points = np.array([[0.2, 0.1], [0.5, -0.3], [0.4, 0.2]])
+    gradients, kinks = neg.gradient_rows(points)
+    assert kinks.tolist() == [True, False, True]
+    for p, g, k in zip(points, gradients, kinks):
+        want = neg.grad(p)
+        assert (want is None) == k
+        if want is not None:
+            assert g.tobytes() == want.tobytes()
+    assert corpus_entry("ramp").handle.gradient_rows is None  # exact gradient: per probe
