@@ -339,10 +339,12 @@ class _Context:
         # set at x.
         kinked = [i for i, est in enumerate(ests)
                   if not isinstance(est, EstimationError) and est.at_kink]
-        fine = self._estimates([xs[i] for i in kinked], radius / 1000.0, [seeds[i] for i in kinked])
-        for i, est in zip(kinked, fine):
-            if isinstance(est, EstimationError) or not est.at_kink:
-                ests[i] = est
+        if kinked:
+            fine = self._estimates(
+                [xs[i] for i in kinked], radius / 1000.0, [seeds[i] for i in kinked])
+            for i, est in zip(kinked, fine):
+                if isinstance(est, EstimationError) or not est.at_kink:
+                    ests[i] = est
         for key, est in zip(todo, ests):
             self._subdiffs[key, False] = est
 
