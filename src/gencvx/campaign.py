@@ -306,7 +306,9 @@ class _Context:
 
     def subdiff(self, x: np.ndarray, negated: bool = False):
         """The estimate at x of the subdifferential of f, or of -f; a failed
-        estimate raises its EstimationError whenever it is read."""
+        estimate raises a fresh copy of its EstimationError whenever it is
+        read, so the stored failure never holds a traceback (and through it
+        the frames, and this context, that read it)."""
         key = (x.tobytes(), negated)
         if key not in self._subdiffs:
             if negated:
@@ -315,7 +317,7 @@ class _Context:
                 self.estimate([x])
         est = self._subdiffs[key]
         if isinstance(est, EstimationError):
-            raise est
+            raise type(est)(*est.args)
         return est
 
     def estimate(self, points) -> None:
@@ -349,8 +351,12 @@ class _Context:
             self._subdiffs[key, False] = est
 
     def _estimates(self, xs, radius: float, seeds) -> list:
-        """The estimate, or its failure, at each point: one point through
-        subdifferential, several through its batched form."""
+        """The estimate, or its failure without a traceback, at each point.
+        Several points go through subdifferentials.  One point goes through
+        subdifferential, which computes the same, only so that the benchmark
+        tracer, which wraps campaign.subdifferential, still counts the
+        estimates read one at a time; merging the branches would zero its
+        subdifferential and kink re-check counts."""
         if len(xs) > 1:
             return subdifferentials(self.fn, self.region, xs, radius, self.subdiff_count, seeds)
         out = []
@@ -360,7 +366,7 @@ class _Context:
                     self.fn, self.region, x, radius=radius, count=self.subdiff_count, seed=seed,
                 ))
             except EstimationError as exc:
-                out.append(exc)
+                out.append(exc.with_traceback(None))
         return out
 
     def feasible(self, p: np.ndarray):
@@ -404,7 +410,7 @@ def _descending_starts(ctx: _Context, negated: bool, xs, ys):
     pairs on which the pseudoconvex check reads generators."""
     fn = ctx.handle(negated)
     fx, fy = fn.values(xs), fn.values(ys)
-    return xs[fy < fx - ck.eps_strict(fx, fy)]
+    return xs[ck.descends(fx, fy)]
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,7 @@ __all__ = [
     "FAIL",
     "INCONCLUSIVE",
     "eps_strict",
+    "descends",
     "Check",
     "PValue",
     "BRecord",
@@ -158,10 +159,10 @@ def check_pseudoconvex_pair(
     largest pairing: the generator closest to failing.
     """
     x, y, fx, fy = _endpoints(fn, x, y)
-    eps = eps_strict(fx, fy)
-    if not (fy < fx - eps):
+    if not descends(fx, fy):
         return Check("pseudoconvex-pair", x, y, fx, fy, VACUOUS,
                      margin=VACUOUS_MARGIN - (fy - fx))
+    eps = eps_strict(fx, fy)
     d = y - x
     worst = -np.inf
     for k, g in enumerate(sub_x.generators):
@@ -263,8 +264,9 @@ def _at(a: np.ndarray, col: np.ndarray) -> np.ndarray:
     return a[np.arange(len(a)), col] if a.shape[1] else np.full(len(a), np.nan)
 
 
-def _descending(fx, fy):
-    """The antecedent f(y) < f(x) beyond the margin."""
+def descends(fx, fy):
+    """The pseudoconvex antecedent f(y) < f(x) beyond the strict margin,
+    for floats or elementwise for arrays."""
     return fy < fx - eps_strict(fx, fy)
 
 
@@ -292,7 +294,7 @@ def _descent_rows(fx, fy, lams, fz, two_sided: bool):
     """The kernel of check_semistrict_quasiconvex_segment, and of
     check_interlacing when two-sided.  The witness is the first largest
     weighted tie; an inconclusive row names its last near-tie."""
-    desc = _descending(fx, fy)
+    desc = descends(fx, fy)
     eps = eps_strict(fx, fy)[:, None]
     eta = noise_floor(fx, fy)[:, None]
     hi, lo = fx[:, None], fy[:, None]
@@ -431,7 +433,7 @@ def check_rows(predicate: str, fn: FunctionHandle, x, y, lams) -> Rows:
     fx, fy = _stretch(fxy[: len(x)], k), _stretch(fxy[len(x):], k)
     x, y, lams = _stretch(x, k), _stretch(y, k), _stretch(lams, k)
     fz = np.full(lams.shape, np.nan)
-    read = _descending(fx, fy) if descent else np.ones(k, dtype=bool)
+    read = descends(fx, fy) if descent else np.ones(k, dtype=bool)
     points = segment_point(x[read, None], y[read, None], lams[read])
     fz[read] = fn.values(points.reshape(-1, x.shape[1])).reshape(points.shape[:2])
     return Rows(predicate, fx, fy, *kernel(fx, fy, lams, fz))

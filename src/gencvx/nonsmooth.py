@@ -209,15 +209,14 @@ def _row_gradients(fn: FunctionHandle, probes: np.ndarray, step: float) -> list:
 
 def _gradients(fn: FunctionHandle, probe_sets: list[np.ndarray], step: float) -> list[list]:
     """_probe_gradients for each set of probes.  A handle with gradient_rows
-    reads all sets in one call; where that raises, each set is read alone,
-    and a set whose own call raises falls back to the per-probe loop, so
-    failures are counted probe by probe as without gradient_rows."""
+    reads all sets in one call; where that raises, every set falls back to
+    the per-probe loop, so failures are counted probe by probe as without
+    gradient_rows."""
     if fn.gradient_rows is not None and probe_sets:
         try:
             flat = _row_gradients(fn, np.concatenate(probe_sets), step)
         except _PROBE_ERRORS:
-            if len(probe_sets) > 1:
-                return [out for s in probe_sets for out in _gradients(fn, [s], step)]
+            pass
         else:
             ends = np.cumsum([len(s) for s in probe_sets])
             return [flat[end - len(s):end] for s, end in zip(probe_sets, ends)]
@@ -265,7 +264,8 @@ def subdifferentials(
 ) -> list[SubdifferentialEstimate | EstimationError]:
     """subdifferential at each point with its seed, bit for bit, reading the
     gradients of all their probes in one call where the handle has
-    gradient_rows.  A failed estimate is returned as its EstimationError."""
+    gradient_rows.  A failed estimate is returned as its EstimationError,
+    without a traceback."""
     points = [np.asarray(x, dtype=float).reshape(-1) for x in points]
     for x in points:
         n = x.size
@@ -289,7 +289,7 @@ def subdifferentials(
         try:
             out[i] = _estimate(points[i], g, radius)
         except EstimationError as exc:
-            out[i] = exc
+            out[i] = exc.with_traceback(None)
     return out
 
 

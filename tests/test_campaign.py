@@ -391,6 +391,24 @@ def test_prefetched_estimates_fail_only_when_read():
         identity.check(lazy, False, bad, good, None)
 
 
+@pytest.mark.parametrize("rows", [True, False])
+def test_stored_failures_hold_no_traceback(rows):
+    # Each read raises a fresh copy: the stored failure gains no frames (and
+    # so keeps no context alive) however often it is read.
+    fn = function_from_expression(_HALF_FAILING, 2)
+    ctx = _Context(fn if rows else replace(fn, gradient_rows=None), _BOX2, FAST)
+    bad = np.array([-0.5, 0.2])
+    raised = []
+    for negated in (False, False, True):
+        with pytest.raises(EstimationError, match="failed at 9/9 probes") as info:
+            ctx.subdiff(bad, negated)
+        raised.append(info.value)
+    stored = ctx._subdiffs[bad.tobytes(), False]
+    assert stored.__traceback__ is None
+    assert all(exc is not stored and type(exc) is type(stored) for exc in raised)
+    assert (bad.tobytes(), True) not in ctx._subdiffs
+
+
 def test_refinement_never_raises_for_a_trial_it_does_not_read():
     # The first move of x tries x1 = 0.75 before x1 = -0.25 and takes it:
     # the estimate at the second trial fails, in the one call that reads
