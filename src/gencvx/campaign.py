@@ -23,7 +23,6 @@ so results are identical however the work is scheduled.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,7 +31,7 @@ from . import checks as ck
 from .checks import FAIL, INCONCLUSIVE, PASS, VACUOUS
 from .functions import LOCALLY_LIPSCHITZ, PROPERTIES, FunctionHandle, negate_handle
 from .geometry import Region, RegionTooThinError
-from .nonsmooth import EstimationError, negate_estimate, subdifferential, subdifferentials
+from .nonsmooth import EstimationError, subdifferential, subdifferentials
 
 __all__ = [
     "SamplingPlan",
@@ -58,6 +57,12 @@ NEAR_MISS_CANDIDATES = 6
 MAX_WITNESSES = 8
 
 _DOMAIN_PAIR = 0x9A12
+
+
+def _row_keys(points: np.ndarray) -> list[bytes]:
+    """Each row's bytes, as row.tobytes() gives them, in one call."""
+    p = np.ascontiguousarray(points, dtype=float)
+    return p.view(np.dtype((np.void, p.shape[1] * p.itemsize))).ravel().tolist()
 
 
 @dataclass(frozen=True)
@@ -220,14 +225,12 @@ class _Context:
                 return v
 
         def tabled_rows(points: np.ndarray) -> np.ndarray:
-            raw = np.ascontiguousarray(points).tobytes()
-            width = points.shape[1] * points.itemsize
-            starts = range(0, len(raw), width)
-            got = [values.get(raw[i:i + width]) for i in starts]
+            keys = _row_keys(points)
+            got = list(map(values.get, keys))
             if None in got:
-                missing = {raw[i:i + width]: r for r, i in enumerate(starts) if got[r] is None}
+                missing = {key: r for r, (key, v) in enumerate(zip(keys, got)) if v is None}
                 values.update(zip(missing, fn.values(points[list(missing.values())]).tolist()))
-                got = [values[raw[i:i + width]] if v is None else v for i, v in zip(starts, got)]
+                got = list(map(values.__getitem__, keys))
             return np.array(got, dtype=float)
 
         self.fn = replace(fn, evaluate=tabled, evaluate_rows=tabled_rows)
@@ -237,7 +240,7 @@ class _Context:
         self.plan = plan
         self.lam_grid = tuple(float(t) for t in np.linspace(0.0, 1.0, plan.lambda_grid))
         self.interior_lams = tuple(t for t in self.lam_grid if 0.0 < t < 1.0)
-        self._subdiffs: dict[tuple[bytes, bool], object] = {}
+        self._subdiffs: dict[bytes, object] = {}
         self._pairs: list[tuple[np.ndarray, np.ndarray]] | None = None
 
     def handle(self, negated: bool) -> FunctionHandle:
@@ -246,9 +249,10 @@ class _Context:
     def grid(self, lam: float | None) -> tuple[float, ...]:
         return self.lam_grid if lam is None else (lam,)
 
-    def gradient(self, x: np.ndarray, negated: bool) -> np.ndarray | None:
-        """The gradient at x of a smooth handle, when it has one there."""
-        return self.handle(negated).grad(x) if self.smooth else None
+    def gradients(self, points: np.ndarray, negated: bool):
+        """For a smooth handle, its gradient at each row of points with the
+        flags of the rows that have one; None for a nonsmooth handle."""
+        return self.handle(negated).grads(points) if self.smooth else None
 
     # -- deterministic sampling ------------------------------------------------
 
@@ -304,33 +308,24 @@ class _Context:
         digest = hashlib.blake2b(x.tobytes(), digest_size=8).digest()
         return int.from_bytes(digest, "little")
 
-    def subdiff(self, x: np.ndarray, negated: bool = False):
-        """The estimate at x of the subdifferential of f, or of -f; a failed
-        estimate raises a fresh copy of its EstimationError whenever it is
-        read, so the stored failure never holds a traceback (and through it
-        the frames, and this context, that read it)."""
-        key = (x.tobytes(), negated)
-        if key not in self._subdiffs:
-            if negated:
-                self._subdiffs[key] = negate_estimate(self.subdiff(x, False))
-            else:
-                self.estimate([x])
-        est = self._subdiffs[key]
-        if isinstance(est, EstimationError):
-            raise type(est)(*est.args)
-        return est
+    def generators(self, points: np.ndarray, negated: bool = False) -> ck.Generators:
+        """The generators of the estimates of the subdifferential of f (of
+        -f when negated) at each row of points.  The rows not yet estimated
+        are estimated in one call; an estimate that failed is stored, without
+        its traceback, and its row carries the failure, which a check raises
+        afresh when it reads that row."""
+        keys = _row_keys(points)
+        todo = {key: x for key, x in zip(keys, points) if key not in self._subdiffs}
+        if todo:
+            self._estimate(todo)
+        ests = [self._subdiffs[key] for key in keys]
+        gens = ck.Generators.of(
+            [e if isinstance(e, EstimationError) else e.generators for e in ests], points.shape[1])
+        return gens.negated() if negated else gens
 
-    def estimate(self, points) -> None:
-        """Estimate f's subdifferential at each point not yet estimated, in
-        one batched call when there are several, and store each estimate or
-        its failure."""
-        todo: dict[bytes, np.ndarray] = {}
-        for x in points:
-            key = x.tobytes()
-            if (key, False) not in self._subdiffs:
-                todo.setdefault(key, x)
-        if not todo:
-            return
+    def _estimate(self, todo: dict[bytes, np.ndarray]) -> None:
+        """Estimate f's subdifferential at each point, keyed by its bytes,
+        and store each estimate or its failure."""
         xs = list(todo.values())
         seeds = [((self.plan.seed & 0xFFFFFFFFFFFFFFFF) << 64) | self._point_entropy(x) for x in xs]
         radius = self.plan.subdiff_radius
@@ -347,8 +342,7 @@ class _Context:
             for i, est in zip(kinked, fine):
                 if isinstance(est, EstimationError) or not est.at_kink:
                     ests[i] = est
-        for key, est in zip(todo, ests):
-            self._subdiffs[key, False] = est
+        self._subdiffs.update(zip(todo, ests))
 
     def _estimates(self, xs, radius: float, seeds) -> list:
         """The estimate, or its failure without a traceback, at each point.
@@ -376,98 +370,52 @@ class _Context:
 
 
 # --------------------------------------------------------------------------
-# Predicates: one check per name, run alike by sampling, near-miss search,
-# refinement (which climbs the check's margin) and replay
+# Predicates: one row kernel per name, run alike by sampling, near-miss
+# search, refinement (which climbs the check's margin) and replay
 # --------------------------------------------------------------------------
-
-
-class _LazySubdiff:
-    """ctx.subdiff(x, negated), estimated when a check first reads its
-    generators: a check that finds its pair vacuous never pays for it."""
-
-    def __init__(self, ctx: _Context, x: np.ndarray, negated: bool):
-        self._ctx, self._x, self._negated = ctx, x, negated
-
-    @property
-    def generators(self):
-        return self._ctx.subdiff(self._x, self._negated).generators
-
-
-def _kernel(ctx: _Context, negated: bool, x, y, lam):
-    """Gradient kernel where the handle is smooth and has a gradient at x,
-    the kernels of the subdifferentials of f and -f otherwise."""
-    fn = ctx.handle(negated)
-    g = ctx.gradient(x, negated)
-    if g is not None:
-        return ck.check_gradient_kernel(fn, x, y, g)
-    return ck.check_subdiff_kernel_pair(
-        fn, x, y, ctx.subdiff(x, negated), ctx.subdiff(x, not negated)
-    ).overall
-
-
-def _descending_starts(ctx: _Context, negated: bool, xs, ys):
-    """The x of each row on which f(y) < f(x) beyond the strict margin: the
-    pairs on which the pseudoconvex check reads generators."""
-    fn = ctx.handle(negated)
-    fx, fy = fn.values(xs), fn.values(ys)
-    return xs[ck.descends(fx, fy)]
 
 
 @dataclass(frozen=True)
 class _Predicate:
-    """A named check, called as check(ctx, negated, x, y, lam).
+    """A named predicate: `rows` runs its kernel over rows of pairs in one
+    call, and `check` on one pair.
 
-    Checks are looked up in `checks` at call time.  Those with `lam` set
-    are segment conditions: lam=None runs them over the plan's lambda grid,
-    and refinement seeds and moves a single lambda for them.  They read
-    values only, so `rows` runs them over many rows in one call.  The others
-    read subdifferential estimates, at the points `reads` names for rows
-    (xs, ys), and `prefetch` estimates those in one call.
+    Those with `lam` set are segment conditions, which read values only:
+    lams=None runs them over the plan's lambda grid, and refinement seeds
+    and moves a single lambda for them.  The others read the generators of
+    subdifferential estimates, estimated in one call per point set a kernel
+    reads; the kernel conditions (`gradient` set) read a smooth handle's
+    gradient instead where it has one.
     """
 
     name: str
-    check: Callable[[_Context, bool, np.ndarray, np.ndarray, float | None], ck.Check]
     lam: bool = False
-    reads: Callable[[_Context, bool, np.ndarray, np.ndarray], np.ndarray] | None = None
+    gradient: bool = False
 
-    def rows(self, ctx: _Context, negated: bool, x, y, lams) -> ck.Rows:
-        return ck.check_rows(self.name, ctx.handle(negated), x, y, lams)
+    def rows(self, ctx: _Context, negated: bool, xs, ys, lams=None) -> ck.Rows:
+        fn = ctx.handle(negated)
+        if self.lam:
+            return ck.check_rows(self.name, fn, xs, ys, ctx.lam_grid if lams is None else lams)
+        gradients = ctx.gradients(np.atleast_2d(xs), negated) if self.gradient else None
+        return ck.check_generator_rows(
+            self.name, fn, xs, ys, lambda points, neg: ctx.generators(points, neg != negated),
+            gradients,
+        )
 
-    def prefetch(self, ctx: _Context, negated: bool, xs, ys) -> None:
-        """Fill the estimate cache for the check on rows (xs, ys), for a
-        handle that reads its gradients over rows.  A value read that raises
-        skips this: the check raises where it reads that value, if it does."""
-        if self.reads is None or ctx.fn.gradient_rows is None:
-            return
-        try:
-            points = self.reads(ctx, negated, xs, ys)
-        except ArithmeticError:
-            return
-        ctx.estimate(points)
+    def check(self, ctx: _Context, negated: bool, x, y, lam: float | None) -> ck.Check:
+        return self.rows(ctx, negated, x, y, ctx.grid(lam)).check(0, x, y)
 
 
-_PSEUDOCONVEX = _Predicate("pseudoconvex-pair", lambda c, neg, x, y, lam: (
-    ck.check_pseudoconvex_pair(c.handle(neg), x, y, _LazySubdiff(c, x, neg))),
-    reads=_descending_starts)
-_P_IDENTITY = _Predicate("proportional-identity", lambda c, neg, x, y, lam: (
-    ck.verify_p_identity(c.handle(neg), x, y, _LazySubdiff(c, x, neg))),
-    reads=lambda c, neg, xs, ys: xs)
-_SYMMETRIC = _Predicate("symmetric-equality", lambda c, neg, x, y, lam: (
-    ck.check_symmetric_equality(
-        c.handle(neg), x, y, _LazySubdiff(c, x, neg), _LazySubdiff(c, y, neg))),
-    reads=lambda c, neg, xs, ys: np.concatenate([xs, ys]))
-_GRADIENT_KERNEL = _Predicate("gradient-kernel", _kernel)
-_SUBDIFF_KERNEL = _Predicate("subdifferential-kernel", _kernel, reads=lambda c, neg, xs, ys: xs)
-_QUASICONVEX = _Predicate("quasiconvex-segment", lambda c, neg, x, y, lam: (
-    ck.check_quasiconvex_segment(c.handle(neg), x, y, c.grid(lam))), lam=True)
-_SEMISTRICT = _Predicate("semistrict-quasiconvex-segment", lambda c, neg, x, y, lam: (
-    ck.check_semistrict_quasiconvex_segment(c.handle(neg), x, y, c.grid(lam))), lam=True)
-_INTERLACING = _Predicate("interlacing-segment", lambda c, neg, x, y, lam: (
-    ck.check_interlacing(c.handle(neg), x, y, c.grid(lam))), lam=True)
-_STRICT_BOUNDS = _Predicate("interpolation-strict-bounds", lambda c, neg, x, y, lam: (
-    ck.check_interpolation_bounds(c.handle(neg), x, y, lam, strict=True)), lam=True)
-_WEAK_BOUNDS = _Predicate("interpolation-weak-bounds", lambda c, neg, x, y, lam: (
-    ck.check_interpolation_bounds(c.handle(neg), x, y, lam, strict=False)), lam=True)
+_PSEUDOCONVEX = _Predicate("pseudoconvex-pair")
+_P_IDENTITY = _Predicate("proportional-identity")
+_SYMMETRIC = _Predicate("symmetric-equality")
+_GRADIENT_KERNEL = _Predicate("gradient-kernel", gradient=True)
+_SUBDIFF_KERNEL = _Predicate("subdifferential-kernel", gradient=True)
+_QUASICONVEX = _Predicate("quasiconvex-segment", lam=True)
+_SEMISTRICT = _Predicate("semistrict-quasiconvex-segment", lam=True)
+_INTERLACING = _Predicate("interlacing-segment", lam=True)
+_STRICT_BOUNDS = _Predicate("interpolation-strict-bounds", lam=True)
+_WEAK_BOUNDS = _Predicate("interpolation-weak-bounds", lam=True)
 
 _PREDICATES: dict[str, _Predicate] = {
     p.name: p
@@ -493,29 +441,27 @@ _REFINE_RUNGS = tuple(0.25 / (5.0**k) for k in range(9))
 _REFINE_STEPS = np.array([sign * rung for rung in _REFINE_RUNGS for sign in (1.0, -1.0)])
 
 
-def _margins(ctx: _Context, pred: _Predicate, negated: bool, xs, ys, lams):
-    """The margins of trial rows, in order: a segment condition scores them
-    all in one call, any other check one row at a time as they are read."""
-    if pred.lam:
-        grid = ctx.lam_grid if lams is None else lams[:, None]
-        return pred.rows(ctx, negated, xs, ys, grid).margin.tolist()
-    return (pred.check(ctx, negated, a, b, None).margin for a, b in zip(xs, ys))
-
-
-def _refine(ctx: _Context, cand: Candidate, rounds: int) -> RefineResult:
+def _refine(ctx: _Context, cand: Candidate, rounds: int):
+    """One candidate's refinement as a sequence of steps.  Each step yields
+    the rows it scores, (xs, ys, lams) with lams (k, 1) or None for the
+    lambda grid, and is sent their Rows; the sequence returns the
+    RefineResult.  A move takes the first of its trials that raises the
+    margin, and a failed estimate of a trial raises only when no earlier
+    trial was taken."""
     pred = _PREDICATES[cand.predicate]
     x, y, lam = cand.x, cand.y, cand.lam
     if lam is None and pred.lam and ctx.interior_lams:
         # A segment seed starts at the first grid lambda of largest margin.
         lams = np.array(ctx.interior_lams)[:, None]  # one per row
-        margins = pred.rows(ctx, cand.negated, x, y, lams).margin
-        lam = ctx.interior_lams[int(np.argmax(margins))]
+        rows = yield _repeat(x, len(lams)), _repeat(y, len(lams)), lams
+        lam = ctx.interior_lams[int(np.argmax(rows.margin))]
     span = ctx.region.upper - ctx.region.lower
     # Lambda stays within the grid's interior resolution: the strict segment
     # conditions are sampled no finer than the grid, and ties manufactured at
     # vanishing lambda carry no evidence.
     lam_lo = 1.0 / (ctx.plan.lambda_grid - 1) if ctx.plan.lambda_grid >= 3 else 0.25
-    best = pred.check(ctx, cand.negated, x, y, lam)
+    rows = yield x[None], y[None], None if lam is None else np.array([[lam]])
+    best = rows.check(0, x, y)
     trace = [best.margin]
     # A seed outside the feasible region is scored but never moved; after
     # that only the point a move changes needs testing.
@@ -530,28 +476,28 @@ def _refine(ctx: _Context, cand: Candidate, rounds: int) -> RefineResult:
         if lam is not None:
             moves.append(("lam", 0))
         for kind, i in moves:
-            # The move's trials as rows, in the order they are tried; the
-            # first that raises the margin is taken.
+            # The move's trials as rows, in the order they are tried.
             if kind == "lam":
-                xs, ys = np.broadcast_to(x, (trials, x.size)), np.broadcast_to(y, (trials, y.size))
+                xs, ys = _repeat(x, trials), _repeat(y, trials)
                 lams = np.clip(lam + _REFINE_STEPS, lam_lo, 1.0 - lam_lo)
             else:
-                moved = np.repeat((x if kind == "x" else y)[None], trials, axis=0)
+                moved = _repeat(x if kind == "x" else y, trials)
                 moved[:, i] += _REFINE_STEPS * span[i]
                 xs, ys = (moved, y) if kind == "x" else (x, moved)
                 xs, ys = np.broadcast_arrays(xs, ys)
                 keep = ctx.feasible(moved) & ~(xs == ys).all(axis=1)
                 xs, ys = xs[keep], ys[keep]
                 lams = None if lam is None else np.full(len(xs), lam)
-                pred.prefetch(ctx, cand.negated, xs, ys)
-            for j, margin in enumerate(_margins(ctx, pred, cand.negated, xs, ys, lams)):
-                if margin > best.margin:
-                    x, y = xs[j], ys[j]
-                    lam = None if lams is None else float(lams[j])
-                    best = pred.check(ctx, cand.negated, x, y, lam)
-                    trace.append(best.margin)
-                    improved = True
-                    break
+            if not len(xs):
+                continue
+            rows = yield xs, ys, None if lams is None else lams[:, None]
+            j = rows.first_above(best.margin)
+            if j is not None:
+                x, y = xs[j], ys[j]
+                lam = None if lams is None else float(lams[j])
+                best = rows.check(j, x, y)
+                trace.append(best.margin)
+                improved = True
         if not improved:
             break
 
@@ -559,15 +505,58 @@ def _refine(ctx: _Context, cand: Candidate, rounds: int) -> RefineResult:
     return RefineResult(witness, tuple(trace))
 
 
-def _witness_from_check(predicate: str, negated: bool, check: ck.Check) -> Witness | None:
-    """Turn a credible failed check into a Witness (else None)."""
+def _repeat(x: np.ndarray, k: int) -> np.ndarray:
+    return np.repeat(x[None], k, axis=0)
+
+
+def _refine_together(ctx: _Context, cands: list[Candidate], rounds: int) -> list:
+    """Refine candidates in lockstep: each step scores the rows of every
+    candidate still moving in one kernel call per (predicate, side), and
+    hands each candidate its own.  Each result is the candidate's
+    RefineResult, or the EstimationError its refinement raised; it equals
+    the candidate refined alone."""
+    results: list = [None] * len(cands)
+    steps = [_refine(ctx, cand, rounds) for cand in cands]
+    wanted: dict[int, tuple] = {}
+
+    def advance(i: int, rows) -> None:
+        try:
+            wanted[i] = steps[i].send(rows)
+        except StopIteration as done:
+            results[i] = done.value
+        except EstimationError as exc:
+            results[i] = exc
+
+    for i in range(len(cands)):
+        advance(i, None)
+    while wanted:
+        asked, wanted = wanted, {}
+        groups: dict[tuple, list[int]] = {}
+        for i, (_, _, lams) in asked.items():
+            groups.setdefault((cands[i].predicate, cands[i].negated, lams is None), []).append(i)
+        for (name, negated, grid), members in groups.items():
+            parts = [asked[i] for i in members]
+            xs, ys = (np.concatenate([part[f] for part in parts]) for f in (0, 1))
+            lams = None if grid else np.concatenate([part[2] for part in parts])
+            rows = _PREDICATES[name].rows(ctx, negated, xs, ys, lams)
+            stop = 0
+            for i, part in zip(members, parts):
+                start, stop = stop, stop + len(part[0])
+                advance(i, rows.part(start, stop))
+    return results
+
+
+def _witness_from_check(
+    predicate: str, negated: bool, check: ck.Check, prop: str = ""
+) -> Witness | None:
+    """Turn a credible failed check into a Witness of prop (else None)."""
     if not check.credible:
         return None
     values = {"fx": check.fx, "fy": check.fy}
     if check.fz is not None:
         values["fz"] = check.fz
     return Witness(
-        property="",
+        property=prop,
         predicate=predicate,
         negated=negated,
         x=check.x,
@@ -596,7 +585,10 @@ def refine_counterexample(
     Candidates whose final residual stays inside the hysteresis band are
     discarded (None).
     """
-    return _refine(_Context(fn, region, plan or SamplingPlan()), candidate, rounds)
+    (result,) = _refine_together(_Context(fn, region, plan or SamplingPlan()), [candidate], rounds)
+    if isinstance(result, EstimationError):
+        raise result
+    return result
 
 
 # --------------------------------------------------------------------------
@@ -621,14 +613,6 @@ class _Tally:
             self.fails += 1
         else:
             self.inconclusive += 1
-
-
-def _project_to_kernel(x: np.ndarray, y: np.ndarray, g: np.ndarray) -> np.ndarray | None:
-    gg = float(np.dot(g, g))
-    if gg <= 1e-24:
-        return None
-    yp = y - g * (float(np.dot(g, y - x)) / gg)
-    return None if np.allclose(yp, x, atol=1e-12, rtol=0.0) else yp
 
 
 # Where a probe runs its predicate on a sampled pair (x, y).
@@ -673,98 +657,111 @@ _PROBES: dict[str, tuple[_Probe, ...]] = {
 }
 
 
-def _placements(ctx: _Context, probe: _Probe, negated: bool, x, y):
-    """The (a, b, lam) at which a probe runs on the sampled pair (x, y)."""
+def _placed(ctx: _Context, probe: _Probe, negated: bool, pairs):
+    """Where a probe runs on the sampled pairs, pair after pair: the rows
+    (xs, ys), their lambdas ((k, 1), or None for the grid), the pair each
+    row comes from, and the pairs whose placement read a failed estimate."""
+    xs, ys = (np.array(side) for side in zip(*pairs))
+    m, n = xs.shape
+    index = np.arange(m)
     if probe.placement == _PAIR:
-        yield x, y, None
-    elif probe.placement == _SWEEP:
-        for lam in ctx.interior_lams:
-            yield x, y, lam
-    else:
-        for a, b in ((x, y), (y, x)):
-            yield a, b, None
-            if probe.placement != _KERNEL:
-                continue
-            # Kernel conditions bind on measure-zero sets: also probe b
-            # projected onto the kernel of each generator at a.
-            g = ctx.gradient(a, negated)
-            for gen in [g] if g is not None else ctx.subdiff(a, negated).generators:
-                bp = _project_to_kernel(a, b, gen)
-                if bp is not None and ctx.feasible(bp):
-                    yield a, bp, None
+        return xs, ys, None, index, set()
+    if probe.placement == _SWEEP:
+        lams = np.array(ctx.interior_lams)
+        t = len(lams)
+        return (np.repeat(xs, t, axis=0), np.repeat(ys, t, axis=0), np.tile(lams, m)[:, None],
+                np.repeat(index, t), set())
+    a = np.stack([xs, ys], axis=1).reshape(-1, n)
+    b = np.stack([ys, xs], axis=1).reshape(-1, n)
+    pair = np.repeat(index, 2)
+    if probe.placement == _BOTH:
+        return a, b, None, pair, set()
+    # Kernel conditions bind on measure-zero sets: each orientation (a, b)
+    # is followed by b projected onto the kernel of each generator at a,
+    # where that moves it and stays feasible.
+    gens = _kernel_generators(ctx, a, negated)
+    g, own = gens.g, gens.owner
+    gg = ck.dots(g, g)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bp = b[own] - g * (ck.dots(g, b[own] - a[own]) / gg)[:, None]
+    keep = (gg > 1e-24) & ~(abs(bp - a[own]) <= 1e-12).all(axis=1)
+    keep[keep] = ctx.feasible(bp[keep])
+    kept = np.flatnonzero(keep)
+    slot = len(g) + 1
+    order = np.argsort(np.concatenate([np.arange(2 * m) * slot, own[kept] * slot + 1 + kept]),
+                       kind="stable")
+    return (
+        np.concatenate([a, a[own[kept]]])[order],
+        np.concatenate([b, bp[kept]])[order],
+        None,
+        np.concatenate([pair, pair[own[kept]]])[order],
+        {int(pair[i]) for i in gens.failed},
+    )
+
+
+def _kernel_generators(ctx: _Context, points: np.ndarray, negated: bool) -> ck.Generators:
+    """Per row, the gradient where the handle is smooth and has one there,
+    else the generators of the estimate."""
+    grads = ctx.gradients(points, negated)
+    if grads is None:
+        return ctx.generators(points, negated)
+    gradients, has = grads
+    sets: list = list(gradients[:, None])
+    rest = np.flatnonzero(~has)
+    est = ctx.generators(points[rest], negated)
+    for j, i in enumerate(rest):
+        sets[i] = est.failed.get(j) or est.g[est.start[j]:est.start[j] + est.count[j]]
+    return ck.Generators.of(sets, points.shape[1])
 
 
 def _pair_samples(ctx: _Context, prop: str, pairs):
     """Yield, for each sampled pair in turn, every (outcome, check,
     predicate, negated) the property's probes derive from it, in probe
-    order, or None for a pair on which an estimate failed.  A value-only
-    probe runs over all pairs up front, in one call, and keeps the Check of
-    its failures only (None otherwise)."""
-    probes = [(probe, probe.predicate_for(ctx), negated)
-              for probe in _PROBES[prop] for negated in probe.sides]
-    rows = {j: _value_rows(ctx, probe, pred, negated, pairs)
-            for j, (probe, pred, negated) in enumerate(probes) if pred.lam}
-    for probe, pred, negated in probes:
-        if pairs and not pred.lam:
-            # The estimates at the pairs' starts, kernel projections aside
-            # (they start where their pair does).
-            xs, ys = (np.array(side) for side in zip(*pairs))
-            if probe.placement != _PAIR:
-                xs, ys = np.concatenate([xs, ys]), np.concatenate([ys, xs])
-            pred.prefetch(ctx, negated, xs, ys)
-    for i, (x, y) in enumerate(pairs):
+    order, or None for a pair on which an estimate failed.  Each probe runs
+    over its placements on all pairs in one kernel call, and keeps the
+    Check of its failures only (None otherwise)."""
+    if not pairs:
+        return
+    probes = []
+    broken: set[int] = set()
+    for probe in _PROBES[prop]:
+        pred = probe.predicate_for(ctx)
+        for negated in probe.sides:
+            xs, ys, lams, pair, failed = _placed(ctx, probe, negated, pairs)
+            rows = pred.rows(ctx, negated, xs, ys, lams)
+            broken |= failed | {int(pair[r]) for r in rows.failed or ()}
+            bounds = np.searchsorted(pair, np.arange(len(pairs) + 1)).tolist()
+            probes.append((pred.name, negated, xs, ys, rows, bounds))
+    for i in range(len(pairs)):
+        if i in broken:
+            yield None
+            continue
         samples = []
-        try:
-            for j, (probe, pred, negated) in enumerate(probes):
-                found = rows.get(j)
-                for r, (a, b, lam) in enumerate(_placements(ctx, probe, negated, x, y)):
-                    if found is None:
-                        check = pred.check(ctx, negated, a, b, lam)
-                        samples.append((check.outcome, check, pred.name, negated))
-                        continue
-                    row = i * len(found.outcome) // len(pairs) + r
-                    outcome = found.outcome[row]
-                    check = found.check(row, a, b) if outcome == FAIL else None
-                    samples.append((outcome, check, pred.name, negated))
-        except EstimationError:
-            samples = None
+        for name, negated, xs, ys, rows, bounds in probes:
+            for r in range(bounds[i], bounds[i + 1]):
+                outcome = rows.outcome[r]
+                check = rows.check(r, xs[r], ys[r]) if outcome == FAIL else None
+                samples.append((outcome, check, name, negated))
         yield samples
-
-
-def _value_rows(ctx: _Context, probe: _Probe, pred: _Predicate, negated: bool, pairs):
-    """A value-only probe at its placements on every pair, pair after pair,
-    in one call (None when it places nothing)."""
-    placed = [p for x, y in pairs for p in _placements(ctx, probe, negated, x, y)]
-    if not placed:
-        return None
-    xs, ys, lams = zip(*placed)
-    grid = ctx.lam_grid if lams[0] is None else np.array(lams)[:, None]
-    return pred.rows(ctx, negated, np.array(xs), np.array(ys), grid)
 
 
 def _near_misses(ctx: _Context, prop: str) -> list[Candidate]:
     """The pairs, in both orientations, closest to violating each near-miss
-    probe of the property."""
+    probe of the property, scored in one kernel call per probe and side;
+    pairs whose estimate failed are passed over."""
+    oriented = [ab for x, y in ctx.pairs for ab in ((x, y), (y, x))]
+    xs, ys = (np.array(side) for side in zip(*oriented))
     out = []
     for probe in _PROBES[prop]:
         if not probe.near_miss:
             continue
         pred = probe.predicate_for(ctx)
-        oriented = [ab for x, y in ctx.pairs for ab in ((x, y), (y, x))]
         for negated in probe.sides:
-            scored = []
-            if pred.lam:
-                xs, ys = (np.array(side) for side in zip(*oriented))
-                margins = pred.rows(ctx, negated, xs, ys, ctx.lam_grid).margin.tolist()
-                scored = [(m, Candidate(pred.name, negated, a, b))
-                          for m, (a, b) in zip(margins, oriented)]
-            else:
-                for a, b in oriented:
-                    try:
-                        margin = pred.check(ctx, negated, a, b, None).margin
-                    except EstimationError:
-                        continue
-                    scored.append((margin, Candidate(pred.name, negated, a, b)))
+            rows = pred.rows(ctx, negated, xs, ys)
+            failed = rows.failed or {}
+            scored = [(m, Candidate(pred.name, negated, a, b))
+                      for r, (m, (a, b)) in enumerate(zip(rows.margin.tolist(), oriented))
+                      if r not in failed]
             scored.sort(key=lambda t: -t[0])
             out.extend(c for _, c in scored[:NEAR_MISS_CANDIDATES])
     return out
@@ -792,9 +789,9 @@ def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
             tally.add(outcome)
             if outcome != FAIL:
                 continue
-            w = _witness_from_check(predicate, negated, check)
+            w = _witness_from_check(predicate, negated, check, prop)
             if w is not None:
-                raw_witnesses.append(replace(w, property=prop))
+                raw_witnesses.append(w)
             else:
                 soft_candidates.append((check.residual, _candidate(predicate, negated, check)))
 
@@ -806,12 +803,13 @@ def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
         candidates = _near_misses(ctx, prop)
 
     soft_set = {id(c) for _, c in soft_candidates}
-    for cand in candidates[:MAX_REFINED_CANDIDATES]:
+    # The candidates are refined together, and their results read in order
+    # until four witnesses are found.
+    refined = candidates[:MAX_REFINED_CANDIDATES] if len(witnesses) < 4 else []
+    for cand, result in zip(refined, _refine_together(ctx, refined, ctx.plan.refinement_rounds)):
         if len(witnesses) >= 4:
             break
-        try:
-            result = _refine(ctx, cand, ctx.plan.refinement_rounds)
-        except EstimationError:
+        if isinstance(result, EstimationError):
             tally.inconclusive += 1
             continue
         if result.witness is not None:

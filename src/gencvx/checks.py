@@ -8,11 +8,14 @@ ones.  Each returns one `Check` (`check_subdiff_kernel_pair` as `overall`,
 beside its two one-sided outcomes), which reports pass/fail together with a
 numeric residual; segment predicates also name their lambda and f there,
 generator predicates the generator.  Segment points come from
-`geometry.segment_point`, which rejects x == y.  The value-only predicates
-(the segment conditions and the interpolation bounds) are written once, as
-row kernels: `check_rows` runs one over many rows with two array reads of
-f, and their `check_*` functions are its one-row wrappers.  Strict
-inequalities are tested with the margin
+`geometry.segment_point`, which rejects x == y.  Every predicate the
+campaign runs is written once, as a row kernel: `check_rows` runs a
+value-only one (the segment conditions and the interpolation bounds) over
+many rows with two array reads of f, `check_generator_rows` a generator
+one (the pseudoconvex pair, the proportional identity, the symmetric
+equality and the two kernel conditions) with one read of f and one of the
+generators per point set, and the `check_*` functions are their one-row
+wrappers.  Strict inequalities are tested with the margin
 
     eps = 1e-7 * (1 + |f(x)| + |f(y)|)
 
@@ -39,8 +42,8 @@ hull (a property the test suite asserts directly).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import partial, wraps
+from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -69,6 +72,9 @@ __all__ = [
     "check_interpolation_bounds",
     "Rows",
     "check_rows",
+    "Generators",
+    "dots",
+    "check_generator_rows",
     "compute_p",
     "verify_p_identity",
     "check_symmetric_equality",
@@ -147,39 +153,6 @@ class Check:
 # --------------------------------------------------------------------------
 
 
-def check_pseudoconvex_pair(
-    fn: FunctionHandle, x, y, sub_x: SubdifferentialEstimate
-) -> Check:
-    """f(y) < f(x) requires <g, y-x> < 0 for every generator g at x.
-
-    Vacuous when the antecedent does not hold beyond the margin.  A failing
-    pair records the antecedent gap f(x)-f(y) as its residual: the violation
-    is credible exactly when the descent in value is substantial while no
-    generator certifies a strict descent direction.  A pass scores its
-    largest pairing: the generator closest to failing.
-    """
-    x, y, fx, fy = _endpoints(fn, x, y)
-    if not descends(fx, fy):
-        return Check("pseudoconvex-pair", x, y, fx, fy, VACUOUS,
-                     margin=VACUOUS_MARGIN - (fy - fx))
-    eps = eps_strict(fx, fy)
-    d = y - x
-    worst = -np.inf
-    for k, g in enumerate(sub_x.generators):
-        v = float(np.dot(g, d))
-        if not (v < -eps):
-            return Check(
-                "pseudoconvex-pair", x, y, fx, fy, FAIL,
-                residual=fx - fy,
-                threshold=WITNESS_FACTOR * eps,
-                generator=g, generator_index=k,
-                detail=f"<g, y-x> = {v:.6g} is not strictly negative",
-                margin=fx - fy,
-            )
-        worst = max(worst, v)
-    return Check("pseudoconvex-pair", x, y, fx, fy, PASS, margin=worst + eps)
-
-
 def check_weak_monotone_pair(
     fn: FunctionHandle, x, y, sub_x: SubdifferentialEstimate
 ) -> Check:
@@ -207,21 +180,26 @@ def check_weak_monotone_pair(
 
 
 # --------------------------------------------------------------------------
-# Value-only predicates: row kernels
+# Row kernels
 # --------------------------------------------------------------------------
 #
-# The segment conditions and the interpolation bounds read nothing but f at
-# the endpoints and at points of the segment, so each is written once, as a
-# kernel over k rows.  A kernel takes fx, fy (k,), the rows' lambdas and f at
-# their segment points (k, m) (NaN where a row's segment is not read), and
-# returns per row the outcome, margin, residual, and the witness lambda and
-# f there (NaN where a row names none).  check_rows reads the values and runs
-# a kernel; the public check_* functions are its one-row wrappers.
+# Every predicate the campaign runs is written once, as a kernel over k rows
+# of pairs; its public check_* function is the kernel's one-row wrapper.
+# The value-only predicates run through check_rows, the generator predicates
+# through check_generator_rows, and both give their results as Rows.
 
 
 class Rows(NamedTuple):
-    """A value-only predicate's results over k rows: f at the endpoints and
-    the kernel's per-row outcome, margin, residual, lam and fz."""
+    """A predicate's results over k rows: f at the endpoints and the
+    kernel's per-row outcome, margin and residual.
+
+    A value-only predicate adds each row's witness lam and f there (NaN
+    where a row names none).  A generator predicate adds the generator a
+    row names (NaN where none) with its index (-1), the row's detail as an
+    index into _NOTES with the number it formats, and the rows whose
+    estimate failed, each with its EstimationError: such a row has no
+    margin (NaN), and reading it raises a fresh copy of the failure.
+    """
 
     predicate: str
     fx: np.ndarray
@@ -229,21 +207,66 @@ class Rows(NamedTuple):
     outcome: np.ndarray
     margin: np.ndarray
     residual: np.ndarray
-    lam: np.ndarray
-    fz: np.ndarray
+    lam: np.ndarray | None = None
+    fz: np.ndarray | None = None
+    generator: np.ndarray | None = None
+    index: np.ndarray | None = None
+    note: np.ndarray | None = None
+    value: np.ndarray | None = None
+    failed: dict | None = None
 
     def check(self, i: int, x, y) -> Check:
         """Row i, whose endpoints are x and y, as a Check."""
+        self._read(i)
         fx, fy, outcome = float(self.fx[i]), float(self.fy[i]), str(self.outcome[i])
-        lam, fz = (None if np.isnan(v) else float(v) for v in (self.lam[i], self.fz[i]))
-        return Check(
-            self.predicate, x, y, fx, fy, outcome,
+        scored = dict(
             residual=float(self.residual[i]),
             threshold=WITNESS_FACTOR * eps_strict(fx, fy) if outcome == FAIL else float("inf"),
-            lam=lam, fz=fz,
-            detail=_DETAILS[self.predicate](outcome, fx, fy, lam, fz),
             margin=float(self.margin[i]),
         )
+        if self.note is None:
+            lam, fz = (None if np.isnan(v) else float(v) for v in (self.lam[i], self.fz[i]))
+            return Check(self.predicate, x, y, fx, fy, outcome, lam=lam, fz=fz,
+                         detail=_DETAILS[self.predicate](outcome, fx, fy, lam, fz), **scored)
+        predicate, detail = _NOTES[self.note[i]]
+        k = int(self.index[i])
+        return Check(predicate, x, y, fx, fy, outcome,
+                     generator=None if k < 0 else self.generator[i],
+                     generator_index=None if k < 0 else k,
+                     detail=detail.format(float(self.value[i])), **scored)
+
+    def first_above(self, level: float) -> int | None:
+        """The first row whose margin exceeds level (None if none does); a
+        failed row before it raises its failure."""
+        above = np.flatnonzero(self.margin > level)
+        end = int(above[0]) if above.size else len(self.margin)
+        for i in sorted(self.failed or ()):
+            if i < end:
+                self._read(i)
+        return end if above.size else None
+
+    def part(self, start: int, stop: int) -> "Rows":
+        """Rows start to stop of these, as Rows of their own."""
+        cut = [f[start:stop] if isinstance(f, np.ndarray) else f for f in self]
+        cut[-1] = {i - start: e for i, e in (self.failed or {}).items() if start <= i < stop}
+        return Rows(*cut)
+
+    def _read(self, i: int) -> None:
+        failure = (self.failed or {}).get(i)
+        if failure is not None:
+            raise type(failure)(*failure.args)
+
+
+# --------------------------------------------------------------------------
+# Value-only predicates
+# --------------------------------------------------------------------------
+#
+# The segment conditions and the interpolation bounds read nothing but f at
+# the endpoints and at points of the segment.  A kernel takes fx, fy (k,),
+# the rows' lambdas and f at their segment points (k, m) (NaN where a row's
+# segment is not read), and returns per row the outcome, margin, residual,
+# and the witness lambda and f there.  check_rows reads the values and runs
+# a kernel.
 
 
 _OUTCOMES = np.array([PASS, VACUOUS, FAIL, INCONCLUSIVE], dtype=object)
@@ -485,6 +508,493 @@ def check_interlacing(fn: FunctionHandle, x, y, lam_grid) -> Check:
 
 
 # --------------------------------------------------------------------------
+# Generator predicates
+# --------------------------------------------------------------------------
+#
+# The first-order predicates read f at the endpoints and generators: those
+# of a subdifferential estimate at x (at y too for the symmetric equality,
+# and of -f at x for the subdifferential kernel), or a gradient at x.  A
+# kernel takes fx, fy (k,), the rows x, y (k, n), `sub`, which reads the
+# Generators of chosen rows in one call, and the gradients of the rows that
+# have one, for the kernel conditions.  It reads the generators of only the
+# rows whose one-row check reads them.  Each row's generators are taken in
+# estimate order and its first failing generator is the one it names, as
+# in a loop over them; the per-row reductions run over the flattened
+# generators with ufunc.reduceat.  A kernel returns per row the outcome,
+# margin, residual, named generator and its index, note and noted value,
+# and the failed rows.
+
+
+class Generators(NamedTuple):
+    """The generator sets of m rows, flattened in row order: row i owns
+    g[start[i]:start[i] + count[i]], and `owner` gives each generator's row.
+    A row whose estimate failed holds one zero generator, and its failure in
+    `failed`."""
+
+    g: np.ndarray
+    owner: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    failed: dict
+
+    @staticmethod
+    def of(sets, n: int) -> "Generators":
+        """From each row's generators, or the EstimationError it failed with."""
+        failed = {i: s for i, s in enumerate(sets) if isinstance(s, Exception)}
+        if failed:
+            zero = (np.zeros(n),)
+            sets = [zero if i in failed else s for i, s in enumerate(sets)]
+        count = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+        g = np.array([v for s in sets for v in s], dtype=float).reshape(-1, n)
+        return Generators(g, np.repeat(np.arange(len(sets)), count),
+                          np.cumsum(count) - count, count, failed)
+
+    def negated(self) -> "Generators":
+        """The generators of -f: each negated."""
+        return self._replace(g=-self.g)
+
+
+def dots(g: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """<g[i], d[i]> for each row, bit for bit as float(np.dot(g[i], d[i])):
+    the product in one dimension (np.dot keeps its signed zero), a stacked
+    matmul above (where (g * d).sum(axis=1) and einsum round differently)."""
+    if g.shape[1] == 1:
+        return g[:, 0] * d[:, 0]
+    return (g[:, None, :] @ d[:, :, None])[:, 0, 0]
+
+
+def _per_row(ufunc, a: np.ndarray, gens: Generators) -> np.ndarray:
+    """ufunc reduced over each row's generators."""
+    return ufunc.reduceat(a, gens.start) if len(gens.start) else a[:0]
+
+
+def _first(flags: np.ndarray, gens: Generators) -> np.ndarray:
+    """Per row, the flat index of its first flagged generator, or -1."""
+    end = len(flags)
+    at = _per_row(np.minimum, np.where(flags, np.arange(end), end), gens)
+    return np.where(at < end, at, -1)
+
+
+def _take(a: np.ndarray, idx: np.ndarray, ok: np.ndarray, fill=np.nan) -> np.ndarray:
+    """a[idx] where ok, fill elsewhere."""
+    out = np.full((len(idx),) + a.shape[1:], fill, dtype=np.result_type(a, fill))
+    out[ok] = a[idx[ok]]
+    return out
+
+
+def _spread(k: int, rows: np.ndarray, a: np.ndarray, fill) -> np.ndarray:
+    """a, given for rows, as k rows holding fill elsewhere."""
+    out = np.full((k,) + a.shape[1:], fill, dtype=np.result_type(a, fill))
+    out[rows] = a
+    return out
+
+
+def _p(num, den, eps):
+    """The proportional factor p = num/den, and the band flag |den| <= eps,
+    where p = 1 by convention; elementwise."""
+    band = abs(den) <= eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(band, 1.0, num / den), band
+
+
+def _nonpositive_residual(num, den, eps):
+    """The residual of a nonpositive p: min(|num|, |den|), or |den| when
+    the values tie within eps."""
+    return np.where(abs(num) > eps, np.minimum(abs(num), abs(den)), abs(den))
+
+
+def _proportional_margin(fx, fy, fail, residual, closest):
+    """Values tied within 3 eps make the pair vacuous; otherwise a failure
+    scores its residual and anything else minus its smallest pairing
+    |<g, y-x>| at x."""
+    gap = abs(fy - fx)
+    return np.where(gap <= 3.0 * eps_strict(fx, fy), VACUOUS_MARGIN + gap,
+                    np.where(fail, residual, -closest))
+
+
+def _kernel_margin(closest, gap, eps):
+    """Minus the smallest |<g, y-x>| while no generator lies in the kernel,
+    then |f(y) - f(x)|, less eps when within it."""
+    return np.where(closest > eps, -closest, np.where(gap > eps, gap, gap - eps))
+
+
+# The Check a generator-kernel row gives: its predicate and detail, which
+# formats the row's noted value.
+_NOTES = (
+    ("pseudoconvex-pair", ""),
+    ("pseudoconvex-pair", "<g, y-x> = {:.6g} is not strictly negative"),
+    ("proportional-identity", ""),
+    ("proportional-identity", "<g, y-x> vanishes while the values differ"),
+    ("proportional-identity", "proportional factor p = {:.6g} is not positive"),
+    ("proportional-identity", "identity residual above margin"),
+    ("symmetric-equality", ""),
+    ("symmetric-equality", "forward proportional factor p = {:.6g} is not positive"),
+    ("symmetric-equality", "reverse proportional factor p = {:.6g} is not positive"),
+    ("symmetric-equality", "symmetric sum large despite a vanishing pairing"),
+    ("symmetric-equality", "symmetric sum S = {:.6g} is nonzero"),
+    ("symmetric-equality", "pairing inside the equality band; sum not decidable"),
+    ("gradient-kernel", ""),
+    ("gradient-kernel", "kernel direction changes the value"),
+    ("subdifferential-kernel", ""),
+    ("subdifferential-kernel", "kernel generator violates f(y) >= f(x)"),
+    ("subdifferential-kernel", "kernel generator violates f(y) <= f(x)"),
+)
+(
+    _PSEUDOCONVEX, _PSEUDOCONVEX_FAIL,
+    _IDENTITY, _IDENTITY_BAND, _IDENTITY_SIGN, _IDENTITY_RESIDUAL,
+    _SYMMETRIC, _SYMMETRIC_FORWARD, _SYMMETRIC_REVERSE, _SYMMETRIC_BAND_SUM, _SYMMETRIC_SUM,
+    _SYMMETRIC_UNDECIDED,
+    _GRADIENT_KERNEL, _GRADIENT_KERNEL_FAIL,
+    _SUBDIFF_KERNEL, _SUBDIFF_KERNEL_LOWER, _SUBDIFF_KERNEL_UPPER,
+) = range(len(_NOTES))
+
+
+def _pseudoconvex_gen(fx, fy, x, y, sub, gradients):
+    """check_pseudoconvex_pair's kernel: only descending rows read their
+    generators, and a pass scores its largest pairing plus eps."""
+    k = len(x)
+    eps = eps_strict(fx, fy)
+    desc = descends(fx, fy)
+    rows = np.flatnonzero(desc)
+    gens = sub(rows)
+    own = rows[gens.owner]
+    v = dots(gens.g, (y - x)[own])
+    first = _first(~(v < -eps[own]), gens)
+    hit = first >= 0
+    fail = _spread(k, rows, hit, False)
+    worst = _spread(k, rows, _per_row(np.maximum, v, gens), np.nan)
+    return (
+        _outcomes(~desc, fail, False),
+        np.where(desc, np.where(fail, fx - fy, worst + eps), VACUOUS_MARGIN - (fy - fx)),
+        np.where(fail, fx - fy, 0.0),
+        _spread(k, rows, _take(gens.g, first, hit), np.nan),
+        _spread(k, rows, np.where(hit, first - gens.start, -1), -1),
+        np.where(fail, _PSEUDOCONVEX_FAIL, _PSEUDOCONVEX),
+        _spread(k, rows, _take(v, first, hit), np.nan),
+        {int(rows[i]): e for i, e in gens.failed.items()},
+    )
+
+
+def _identity_gen(fx, fy, x, y, sub, gradients):
+    """verify_p_identity's kernel.  A generator fails inside the band when
+    the values differ, outside it on a nonpositive p or an identity
+    residual above eps."""
+    eps = eps_strict(fx, fy)
+    gens = sub(np.arange(len(x)))
+    own = gens.owner
+    num, e = (fy - fx)[own], eps[own]
+    den = dots(gens.g, (y - x)[own])
+    p, band = _p(num, den, e)
+    r = abs(num - p * den)
+    sign = ~band & ~(p > 0.0)
+    first = _first(sign | (r > e), gens)
+    fail = first >= 0
+    residual = np.where(band, abs(num), np.where(sign, _nonpositive_residual(num, den, e), r))
+    note = np.where(band, _IDENTITY_BAND, np.where(sign, _IDENTITY_SIGN, _IDENTITY_RESIDUAL))
+    residual = _take(residual, first, fail, 0.0)
+    return (
+        _outcomes(False, fail, False),
+        _proportional_margin(fx, fy, fail, residual, _per_row(np.minimum, abs(den), gens)),
+        residual,
+        _take(gens.g, first, fail),
+        np.where(fail, first - gens.start, -1),
+        _take(note, first, fail, _IDENTITY),
+        _take(np.where(sign, p, np.nan), first, fail),
+        gens.failed,
+    )
+
+
+def _symmetric_gen(fx, fy, x, y, sub, gradients):
+    """check_symmetric_equality's kernel.
+
+    The loop it replaces walks the generators g_k at x; each is first tested
+    for a positive forward factor (event F_k), then paired with every
+    generator h_j at y, tested for a positive reverse factor (R_j) and for
+    a vanishing sum (S_kj).  Each event gets its position in that walk,
+    k * (2b + 1) for F_k and k * (2b + 1) + 1 + 2j for R_j, one more for
+    S_kj, with b generators at y, and a row fails at its least failing
+    position.  The y estimate is read only where F_0 passes.
+    """
+    k = len(x)
+    eps = eps_strict(fx, fy)
+    limit = WITNESS_FACTOR * eps
+    gx = sub(np.arange(k))
+    ox = gx.owner
+    den1 = dots(gx.g, (y - x)[ox])
+    p1, band1 = _p((fy - fx)[ox], den1, eps[ox])
+    forward = ~band1 & ~(p1 > 0.0)
+    read = ~forward[gx.start]
+    read[list(gx.failed)] = False
+    ry = np.flatnonzero(read)
+    gy = sub(ry, at_y=True)
+    oy = ry[gy.owner]
+    den2 = dots(gy.g, (x - y)[oy])
+    p2, band2 = _p((fx - fy)[oy], den2, eps_strict(fy, fx)[oy])
+    reverse = ~band2 & ~(p2 > 0.0)
+
+    # The pairs (g_k, h_j) of the rows whose y estimate holds, k-major.
+    both = np.ones(len(ry), dtype=bool)
+    both[list(gy.failed)] = False
+    rb, yb = ry[both], np.flatnonzero(both)
+    a, b = gx.count[rb], gy.count[yb]
+    pairs = Generators(None, None, np.cumsum(a * b) - a * b, a * b, {})
+    row = np.repeat(np.arange(len(rb)), a * b)
+    pos = np.arange(len(row)) - pairs.start[row]
+    kk, jj = pos // b[row], pos % b[row]
+    gi, hj = gx.start[rb][row] + kk, gy.start[yb][row] + jj
+    s = p1[gi] * den1[gi] + p2[hj] * den2[hj]
+    sum_fails = abs(s) > np.where(band1[gi] | band2[hj], limit[rb][row], eps[rb][row])
+    width = _spread(k, rb, 2 * b + 1, 1)
+    spot = kk * width[rb][row] + 1 + 2 * jj
+    never = np.iinfo(np.intp).max
+    at = _per_row(np.minimum, np.where(forward, (np.arange(len(ox)) - gx.start[ox]) * width[ox], never), gx)
+    at[rb] = np.minimum(at[rb], _per_row(np.minimum, np.minimum(
+        np.where(reverse[hj], spot, never), np.where(sum_fails, spot + 1, never)), pairs))
+
+    fail = at < never
+    q, rem = np.divmod(np.where(fail, at, 0), width)
+    on_y = fail & (rem % 2 == 1)
+    is_sum = fail & (rem > 0) & ~on_y
+    on_x = fail & ~on_y
+    gk = gx.start + q
+    hk = _spread(k, ry, gy.start, 0) + np.where(on_y, rem - 1, rem - 2) // 2
+    d1, pp1 = (_take(v, gk, on_x) for v in (den1, p1))
+    d2, pp2 = (_take(v, hk, on_y | is_sum) for v in (den2, p2))
+    s = pp1 * d1 + pp2 * d2
+    banded = _take(band1, gk, on_x, False) | _take(band2, hk, is_sum, False)
+    residual = np.select(
+        [is_sum, on_y, on_x],
+        [abs(s), _nonpositive_residual(fx - fy, d2, eps), _nonpositive_residual(fy - fx, d1, eps)],
+        0.0)
+    saw_band = _per_row(np.logical_or, band1, gx)
+    saw_band[ry] |= _per_row(np.logical_or, band2, gy)
+    note = np.select(
+        [is_sum & banded, is_sum, on_y, on_x, saw_band],
+        [_SYMMETRIC_BAND_SUM, _SYMMETRIC_SUM, _SYMMETRIC_REVERSE, _SYMMETRIC_FORWARD,
+         _SYMMETRIC_UNDECIDED],
+        _SYMMETRIC)
+    return (
+        _outcomes(False, fail, saw_band),
+        _proportional_margin(fx, fy, fail, residual, _per_row(np.minimum, abs(den1), gx)),
+        residual,
+        np.where(on_y[:, None], _take(gy.g, hk, on_y), _take(gx.g, gk, on_x)),
+        np.where(on_y, hk - _spread(k, ry, gy.start, 0), np.where(on_x, q, -1)),
+        note,
+        np.select([is_sum, on_y, on_x], [s, pp2, pp1], np.nan),
+        {**gx.failed, **{int(ry[i]): e for i, e in gy.failed.items()}},
+    )
+
+
+def _subdiff_kernel(fx, fy, x, y, low: Generators, up: Generators):
+    """check_subdiff_kernel_pair's kernel over rows with the generators
+    `low` of f and `up` of -f at x: the overall results, and the outcomes
+    of the lower and the upper condition.  A side passes where a generator
+    lies in the kernel, and fails there on the wrong ordering of values."""
+    eps = eps_strict(fx, fy)
+    gap = abs(fy - fx)
+    d = y - x
+    near_l = abs(dots(low.g, d[low.owner]))
+    near_u = abs(dots(up.g, d[up.owner]))
+    closest = np.minimum(_per_row(np.minimum, near_l, low), _per_row(np.minimum, near_u, up))
+    first_l = _first(~(near_l > eps[low.owner]), low)
+    first_u = _first(~(near_u > eps[up.owner]), up)
+    in_l, in_u = first_l >= 0, first_u >= 0
+    lower = in_l & (fy < fx - eps)
+    upper = in_u & (fy > fx + eps)
+    fail = lower | upper
+    upper_only = upper & ~lower
+    results = (
+        _outcomes(~(in_l | in_u), fail, False),
+        _kernel_margin(closest, gap, eps),
+        np.where(fail, gap, 0.0),
+        np.where(upper_only[:, None], _take(up.g, first_u, upper_only), _take(low.g, first_l, lower)),
+        np.where(lower, first_l - low.start, np.where(upper_only, first_u - up.start, -1)),
+        np.select([lower, upper_only], [_SUBDIFF_KERNEL_LOWER, _SUBDIFF_KERNEL_UPPER],
+                  _SUBDIFF_KERNEL),
+        np.full(len(x), np.nan),
+        {**low.failed, **up.failed},
+    )
+    return results, _outcomes(~in_l, lower, False), _outcomes(~in_u, upper, False)
+
+
+def _kernel_gen(fx, fy, x, y, sub, gradients):
+    """The kernel conditions: check_gradient_kernel's kernel on the rows
+    with a gradient (gradients: (k, n) gradients and the (k,) flags of the
+    rows that have one), check_subdiff_kernel_pair's on the others, which
+    alone read estimates."""
+    k, n = x.shape
+    g, has = gradients if gradients is not None else (np.zeros((k, n)), np.zeros(k, dtype=bool))
+    eps = eps_strict(fx, fy)
+    gap = abs(fy - fx)
+    near = abs(dots(g, y - x))
+    fail = has & ~(near > eps) & (gap > eps)
+    results = [
+        _outcomes(near > eps, fail, False),
+        _kernel_margin(near, gap, eps),
+        np.where(fail, gap, 0.0),
+        np.where(fail[:, None], g, np.nan),
+        np.where(fail, 0, -1),
+        np.where(fail, _GRADIENT_KERNEL_FAIL, _GRADIENT_KERNEL),
+        np.full(k, np.nan),
+        {},
+    ]
+    rest = np.flatnonzero(~has)
+    if rest.size:
+        part, _, _ = _subdiff_kernel(fx[rest], fy[rest], x[rest], y[rest],
+                                     sub(rest), sub(rest, negated=True))
+        for whole, values in zip(results, part[:-1]):
+            whole[rest] = values
+        results[-1] = {int(rest[i]): e for i, e in part[-1].items()}
+    return results
+
+
+_GENERATOR_KERNELS = {
+    "pseudoconvex-pair": _pseudoconvex_gen,
+    "proportional-identity": _identity_gen,
+    "symmetric-equality": _symmetric_gen,
+    "gradient-kernel": _kernel_gen,
+    "subdifferential-kernel": _kernel_gen,
+}
+
+
+def _generator_results(predicate: str, fx, fy, results) -> Rows:
+    outcome, margin, residual, generator, index, note, value, failed = results
+    if failed:
+        margin = margin.copy()
+        margin[list(failed)] = np.nan
+    return Rows(predicate, fx, fy, outcome, margin, residual, None, None,
+                generator, index, note, value, failed)
+
+
+def _generator_rows(predicate: str, fn: FunctionHandle, x, y, sub, gradients) -> Rows:
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    k = max(len(x), len(y))
+    x, y = _stretch(x, k), _stretch(y, k)
+    fxy = fn.values(np.concatenate([x, y]))
+    fx, fy = fxy[:k], fxy[k:]
+    kernel = _GENERATOR_KERNELS[predicate]
+    return _generator_results(predicate, fx, fy, kernel(fx, fy, x, y, lambda rows, **side: sub(x, y, rows, **side), gradients))
+
+
+def check_generator_rows(
+    predicate: str, fn: FunctionHandle, x, y, generators, gradients=None
+) -> Rows:
+    """Run a generator predicate over k rows: f read at the endpoints in one
+    `fn.values` call, generators in one `generators(points, negated)` call
+    per point set, which gives the Generators of the estimates of the
+    subdifferential of fn (of -fn when negated) at each row of points.
+
+    x and y are (k, n) rows, or one row shared by all.  The kernel
+    conditions take `gradients`, a (k, n) array of gradients at x with the
+    (k,) flags of the rows that have one, and read estimates for the other
+    rows only.  Each row's result is bit-identical to the predicate's
+    one-row check, and a row whose estimate failed raises when read.
+    """
+    def sub(x, y, rows, at_y=False, negated=False):
+        return generators((y if at_y else x)[rows], negated)
+
+    return _generator_rows(predicate, fn, x, y, sub, gradients)
+
+
+def _given(sub_x, sub_y=None, sub_neg_x=None):
+    """The generator reads of a one-row wrapper: the given estimates at x,
+    at y and of -f at x."""
+    def sub(x, y, rows, at_y=False, negated=False):
+        est = sub_neg_x if negated else sub_y if at_y else sub_x
+        return Generators.of([est.generators] * len(rows), x.shape[1])
+
+    return sub
+
+
+def _one_generator_row(predicate: str, fn: FunctionHandle, x, y, sub, gradients=None) -> Check:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    return _generator_rows(predicate, fn, x, y, sub, gradients).check(0, x, y)
+
+
+def check_pseudoconvex_pair(
+    fn: FunctionHandle, x, y, sub_x: SubdifferentialEstimate
+) -> Check:
+    """f(y) < f(x) requires <g, y-x> < 0 for every generator g at x.
+
+    Vacuous when the antecedent does not hold beyond the margin.  A failing
+    pair records the antecedent gap f(x)-f(y) as its residual: the violation
+    is credible exactly when the descent in value is substantial while no
+    generator certifies a strict descent direction.  A pass scores its
+    largest pairing: the generator closest to failing.
+    """
+    return _one_generator_row("pseudoconvex-pair", fn, x, y, _given(sub_x))
+
+
+def verify_p_identity(
+    fn: FunctionHandle, x, y, sub_x: SubdifferentialEstimate
+) -> Check:
+    """f(y) - f(x) = p * <g, y-x> with positive p, for every generator.
+
+    With p constructed by compute_p the residual vanishes identically except
+    in the band case, where <g, y-x> ~ 0 while the values differ -- which is
+    exactly the refutation. A nonpositive p refutes as well.  Values tied
+    within 3 eps make the pair vacuous in its margin; otherwise a failure
+    scores its residual and anything else minus its smallest pairing
+    |<g, y-x>| at x.
+    """
+    return _one_generator_row("proportional-identity", fn, x, y, _given(sub_x))
+
+
+def check_symmetric_equality(
+    fn: FunctionHandle,
+    x,
+    y,
+    sub_x: SubdifferentialEstimate,
+    sub_y: SubdifferentialEstimate,
+) -> Check:
+    """p(x,y,g) <g, y-x> + p(y,x,h) <h, x-y> = 0 over all generator pairs.
+
+    Band cases (a vanishing pairing on either side) are decidable only when
+    the opposite term is large; small mixed sums are inconclusive rather
+    than refuting.  The margin is verify_p_identity's.
+    """
+    return _one_generator_row("symmetric-equality", fn, x, y, _given(sub_x, sub_y))
+
+
+def check_gradient_kernel(fn: FunctionHandle, x, y, grad_x) -> Check:
+    """grad f(x)(y - x) = 0 requires f(y) = f(x)  (smooth handles)."""
+    g = np.asarray(grad_x, dtype=float).reshape(1, -1)
+    return _one_generator_row("gradient-kernel", fn, x, y, None, (g, np.ones(1, dtype=bool)))
+
+
+@dataclass(frozen=True)
+class KernelPairCheck:
+    """Joint outcome of the two one-sided subdifferential kernel conditions."""
+
+    overall: Check
+    lower: str  # generators of f:   <xi, y-x> = 0  =>  f(y) >= f(x)
+    upper: str  # generators of -f:  <eta, y-x> = 0  =>  f(y) <= f(x)
+
+
+def check_subdiff_kernel_pair(
+    fn: FunctionHandle,
+    x,
+    y,
+    sub_x: SubdifferentialEstimate,
+    sub_neg_x: SubdifferentialEstimate,
+) -> KernelPairCheck:
+    """Kernel conditions for both f and -f at x, combined verdict included.
+
+    The margin is minus the smallest |<g, y-x>| while no generator lies in
+    the kernel, then |f(y) - f(x)| less eps, or the residual once failing.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    fx, fy = fn.values(np.stack([x, y]))[:, None]
+    low, up = (Generators.of([est.generators], x.size) for est in (sub_x, sub_neg_x))
+    results, lower, upper = _subdiff_kernel(fx, fy, x[None], y[None], low, up)
+    overall = _generator_results("subdifferential-kernel", fx, fy, results).check(0, x, y)
+    return KernelPairCheck(overall, str(lower[0]), str(upper[0]))
+
+
+# --------------------------------------------------------------------------
 # Proportional-function machinery
 # --------------------------------------------------------------------------
 
@@ -507,152 +1017,10 @@ class PValue:
 
 def compute_p(fn: FunctionHandle, x, y, generator) -> PValue:
     x, y, fx, fy = _endpoints(fn, x, y)
-    g = np.asarray(generator, dtype=float)
-    eps = eps_strict(fx, fy)
     num = fy - fx
-    den = float(np.dot(g, y - x))
-    if abs(den) <= eps:
-        return PValue(1.0, True, True, num, den)
-    p = num / den
-    return PValue(p, False, p > 0.0, num, den)
-
-
-def _proportional_margin(check_fn):
-    """Adds the margin of the proportional-function checks.  Values tied
-    within 3 eps make the pair vacuous; otherwise a failure scores its
-    residual and anything else minus its smallest pairing |<g, y-x>| at x."""
-
-    @wraps(check_fn)
-    def checked(fn, x, y, sub_x, *sub_y) -> Check:
-        check = check_fn(fn, x, y, sub_x, *sub_y)
-        gap = abs(check.fy - check.fx)
-        if gap <= 3.0 * eps_strict(check.fx, check.fy):
-            margin = VACUOUS_MARGIN + gap
-        elif check.outcome == FAIL:
-            margin = check.residual
-        else:
-            d = check.y - check.x
-            margin = -min(abs(float(np.dot(g, d))) for g in sub_x.generators)
-        return replace(check, margin=margin)
-
-    return checked
-
-
-@_proportional_margin
-def verify_p_identity(
-    fn: FunctionHandle, x, y, sub_x: SubdifferentialEstimate
-) -> Check:
-    """f(y) - f(x) = p * <g, y-x> with positive p, for every generator.
-
-    With p constructed by compute_p the residual vanishes identically except
-    in the band case, where <g, y-x> ~ 0 while the values differ -- which is
-    exactly the refutation. A nonpositive p refutes as well.
-    """
-    x, y, fx, fy = _endpoints(fn, x, y)
-    eps = eps_strict(fx, fy)
-    for k, g in enumerate(sub_x.generators):
-        pv = compute_p(fn, x, y, g)
-        r = abs(pv.numerator - pv.p * pv.denominator)
-        if pv.band:
-            if r > eps:
-                return Check(
-                    "proportional-identity", x, y, fx, fy, FAIL,
-                    residual=abs(pv.numerator),
-                    threshold=WITNESS_FACTOR * eps,
-                    generator=g, generator_index=k,
-                    detail="<g, y-x> vanishes while the values differ",
-                )
-            continue
-        if not pv.positive:
-            return Check(
-                "proportional-identity", x, y, fx, fy, FAIL,
-                residual=min(abs(pv.numerator), abs(pv.denominator))
-                if abs(pv.numerator) > eps
-                else abs(pv.denominator),
-                threshold=WITNESS_FACTOR * eps,
-                generator=g, generator_index=k,
-                detail=f"proportional factor p = {pv.p:.6g} is not positive",
-            )
-        if r > eps:
-            return Check(
-                "proportional-identity", x, y, fx, fy, FAIL,
-                residual=r,
-                threshold=WITNESS_FACTOR * eps,
-                generator=g, generator_index=k,
-                detail="identity residual above margin",
-            )
-    return Check("proportional-identity", x, y, fx, fy, PASS)
-
-
-@_proportional_margin
-def check_symmetric_equality(
-    fn: FunctionHandle,
-    x,
-    y,
-    sub_x: SubdifferentialEstimate,
-    sub_y: SubdifferentialEstimate,
-) -> Check:
-    """p(x,y,g) <g, y-x> + p(y,x,h) <h, x-y> = 0 over all generator pairs.
-
-    Band cases (a vanishing pairing on either side) are decidable only when
-    the opposite term is large; small mixed sums are inconclusive rather
-    than refuting.
-    """
-    x, y, fx, fy = _endpoints(fn, x, y)
-    eps = eps_strict(fx, fy)
-    band_limit = WITNESS_FACTOR * eps
-    saw_band = False
-    for k, g in enumerate(sub_x.generators):
-        pv1 = compute_p(fn, x, y, g)
-        if not pv1.band and not pv1.positive:
-            return Check(
-                "symmetric-equality", x, y, fx, fy, FAIL,
-                residual=min(abs(pv1.numerator), abs(pv1.denominator))
-                if abs(pv1.numerator) > eps
-                else abs(pv1.denominator),
-                threshold=band_limit,
-                generator=g, generator_index=k,
-                detail=f"forward proportional factor p = {pv1.p:.6g} is not positive",
-            )
-        for j, h in enumerate(sub_y.generators):
-            pv2 = compute_p(fn, y, x, h)
-            if not pv2.band and not pv2.positive:
-                return Check(
-                    "symmetric-equality", x, y, fx, fy, FAIL,
-                    residual=min(abs(pv2.numerator), abs(pv2.denominator))
-                    if abs(pv2.numerator) > eps
-                    else abs(pv2.denominator),
-                    threshold=band_limit,
-                    generator=h, generator_index=j,
-                    detail=f"reverse proportional factor p = {pv2.p:.6g} is not positive",
-                )
-            s = pv1.p * pv1.denominator + pv2.p * pv2.denominator
-            if pv1.band or pv2.band:
-                saw_band = True
-                if abs(s) > band_limit:
-                    return Check(
-                        "symmetric-equality", x, y, fx, fy, FAIL,
-                        residual=abs(s),
-                        threshold=band_limit,
-                        generator=g, generator_index=k,
-                        detail="symmetric sum large despite a vanishing pairing",
-                    )
-                continue
-            if abs(s) > eps:
-                return Check(
-                    "symmetric-equality", x, y, fx, fy, FAIL,
-                    residual=abs(s),
-                    threshold=band_limit,
-                    generator=g, generator_index=k,
-                    detail=f"symmetric sum S = {s:.6g} is nonzero",
-                )
-    if saw_band:
-        return Check(
-            "symmetric-equality", x, y, fx, fy, INCONCLUSIVE,
-            detail="pairing inside the equality band; sum not decidable",
-        )
-    return Check("symmetric-equality", x, y, fx, fy, PASS)
-
+    den = float(np.dot(np.asarray(generator, dtype=float), y - x))
+    p, band = (v.item() for v in _p(np.float64(num), np.float64(den), eps_strict(fx, fy)))
+    return PValue(p, band, band or p > 0.0, num, den)
 
 
 def check_symmetric_inequality(
@@ -862,92 +1230,3 @@ def estimate_q_limit(
     if g is not None:
         closed = float(np.dot(g, y - x)) / (fy - fx)
     return QLimit(float(limit), converged, tuple(bs), closed)
-
-
-# --------------------------------------------------------------------------
-# Kernel conditions
-# --------------------------------------------------------------------------
-
-
-def check_gradient_kernel(fn: FunctionHandle, x, y, grad_x) -> Check:
-    """grad f(x)(y - x) = 0 requires f(y) = f(x)  (smooth handles)."""
-    x, y, fx, fy = _endpoints(fn, x, y)
-    g = np.asarray(grad_x, dtype=float)
-    eps = eps_strict(fx, fy)
-    d = float(np.dot(g, y - x))
-    if abs(d) > eps:
-        return Check("gradient-kernel", x, y, fx, fy, VACUOUS, margin=-abs(d))
-    gap = abs(fy - fx)
-    if gap > eps:
-        return Check(
-            "gradient-kernel", x, y, fx, fy, FAIL,
-            residual=gap,
-            threshold=WITNESS_FACTOR * eps,
-            generator=g, generator_index=0,
-            detail="kernel direction changes the value",
-            margin=gap,
-        )
-    return Check("gradient-kernel", x, y, fx, fy, PASS, margin=gap - eps)
-
-
-@dataclass(frozen=True)
-class KernelPairCheck:
-    """Joint outcome of the two one-sided subdifferential kernel conditions."""
-
-    overall: Check
-    lower: str  # generators of f:   <xi, y-x> = 0  =>  f(y) >= f(x)
-    upper: str  # generators of -f:  <eta, y-x> = 0  =>  f(y) <= f(x)
-
-
-def check_subdiff_kernel_pair(
-    fn: FunctionHandle,
-    x,
-    y,
-    sub_x: SubdifferentialEstimate,
-    sub_neg_x: SubdifferentialEstimate,
-) -> KernelPairCheck:
-    """Kernel conditions for both f and -f at x, combined verdict included.
-
-    The margin is minus the smallest |<g, y-x>| while no generator lies in
-    the kernel, then |f(y) - f(x)| less eps, or the residual once failing.
-    """
-    x, y, fx, fy = _endpoints(fn, x, y)
-    eps = eps_strict(fx, fy)
-    d = y - x
-    gap = abs(fy - fx)
-    closest = min(abs(float(np.dot(g, d))) for g in (*sub_x.generators, *sub_neg_x.generators))
-    if closest > eps:
-        margin = -closest
-    else:
-        margin = gap if gap > eps else gap - eps
-
-    def _side(est: SubdifferentialEstimate, lower: bool) -> tuple[str, Check | None]:
-        outcome = VACUOUS
-        for k, g in enumerate(est.generators):
-            if abs(float(np.dot(g, d))) > eps:
-                continue
-            bad = (fy < fx - eps) if lower else (fy > fx + eps)
-            if bad:
-                which = "f(y) >= f(x)" if lower else "f(y) <= f(x)"
-                return FAIL, Check(
-                    "subdifferential-kernel", x, y, fx, fy, FAIL,
-                    residual=gap,
-                    threshold=WITNESS_FACTOR * eps,
-                    generator=g, generator_index=k,
-                    detail=f"kernel generator violates {which}",
-                    margin=margin,
-                )
-            outcome = PASS
-        return outcome, None
-
-    low, fail = _side(sub_x, lower=True)
-    if fail is not None:
-        up, _ = _side(sub_neg_x, lower=False)
-        return KernelPairCheck(fail, low, up)
-    up, fail = _side(sub_neg_x, lower=False)
-    if fail is not None:
-        return KernelPairCheck(fail, low, up)
-    combined = PASS if (low == PASS or up == PASS) else VACUOUS
-    return KernelPairCheck(
-        Check("subdifferential-kernel", x, y, fx, fy, combined, margin=margin), low, up
-    )

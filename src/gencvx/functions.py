@@ -62,7 +62,8 @@ class FunctionHandle:
     calls `evaluate` once per row.  `gradient_rows`, when given, maps a
     (k, n) array to the (k, n) gradients `gradient` gives at its rows, bit
     for bit, and (k,) flags marking the rows where `gradient` gives None;
-    gradient sampling then reads all its probes in one call.
+    gradient sampling then reads all its probes in one call, and `grads`
+    reads the rows in one call.
     """
 
     name: str
@@ -89,9 +90,7 @@ class FunctionHandle:
 
     def values(self, points) -> np.ndarray:
         """f at each row of a (k, n) array, finiteness checked once for all."""
-        p = np.asarray(points, dtype=float)
-        if p.ndim != 2:
-            raise ValueError(f"points must be a (k, n) array, got shape {p.shape}")
+        p = _rows(points)
         if self.evaluate_rows is None:
             v = np.array([float(self.evaluate(row)) for row in p], dtype=float)
         else:
@@ -114,19 +113,51 @@ class FunctionHandle:
             raise ArithmeticError(f"{self.name} returned bad gradient at {x}: {g}")
         return g
 
+    def grads(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """grad at each row of a (k, n) array: the (k, n) gradients and the
+        (k,) flags of the rows that have one (NaN rows elsewhere), in one
+        `gradient_rows` call where the handle has it.  Raises as grad does
+        at the first row with a bad gradient."""
+        p = _rows(points)
+        if self.gradient_rows is None:
+            got = [self.grad(row) for row in p]
+            has = np.array([g is not None for g in got], dtype=bool)
+            nan = np.full(self.dimension, np.nan)
+            return np.array([nan if g is None else g for g in got]).reshape(p.shape), has
+        g, kinks = self.gradient_rows(p)
+        g = np.asarray(g, dtype=float)
+        has = ~np.asarray(kinks, dtype=bool)
+        if g.shape != p.shape or has.shape != (len(p),):
+            raise ValueError(f"{self.name} returned gradient rows of shape {g.shape}")
+        bad = has & ~np.isfinite(g).all(axis=1)
+        if bad.any():
+            raise ArithmeticError(f"{self.name} returned bad gradient at {p[bad][0]}: {g[bad][0]}")
+        return g, has
+
+
+def _rows(points) -> np.ndarray:
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2:
+        raise ValueError(f"points must be a (k, n) array, got shape {p.shape}")
+    return p
+
 
 def function_from_expression(
     source: str,
     dimension: int,
     name: str | None = None,
-    exact_gradient: Callable[[np.ndarray], np.ndarray | None] | None = None,
+    exact_gradient: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
 ) -> FunctionHandle:
-    """Compile DSL source into a handle with a forward-mode gradient.
+    """Compile DSL source into a handle with a gradient.
 
     Rows of points are evaluated by the compiled walk of expr.compile_rows.
-    The AD gradient reports None at kink-flagged points.  An exact gradient
-    callable, when supplied, takes precedence over the AD one; without one,
-    the AD gradient is also read over rows, by expr.compile_dual_rows.
+    `exact_gradient`, when supplied, is a row callable: it maps a (k, n)
+    array to the (k, n) gradients and the (k,) flags of the rows where f is
+    not differentiable.  It becomes the handle's `gradient_rows`, and the
+    single-point gradient is its one-row case (None on a flagged row), so
+    the two agree bit for bit.  Without it, the gradient is forward-mode
+    differentiation: expr.eval_dual at one point, expr.compile_dual_rows
+    over rows, None and flagged at kink-flagged points.
     """
     tree = ex.parse(source, dimension)
     smooth = ex.is_smooth_expression(tree)
@@ -134,28 +165,33 @@ def function_from_expression(
     def _evaluate(x: np.ndarray) -> float:
         return ex.eval_value(tree, x)
 
-    def _ad_gradient(x: np.ndarray) -> np.ndarray | None:
-        d = ex.eval_dual(tree, x)
-        return None if d.at_kink else d.gradient
-
-    _ad_gradient_rows = None
     if exact_gradient is None:
         dual_rows = ex.compile_dual_rows(tree)
 
-        def _ad_gradient_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        def _gradient(x: np.ndarray) -> np.ndarray | None:
+            d = ex.eval_dual(tree, x)
+            return None if d.at_kink else d.gradient
+
+        def _gradient_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _, gradients, kinks = dual_rows(points)
             return gradients, kinks
+    else:
+        _gradient_rows = exact_gradient
+
+        def _gradient(x: np.ndarray) -> np.ndarray | None:
+            gradients, kinks = exact_gradient(x.reshape(1, -1))
+            return None if kinks[0] else gradients[0]
 
     return FunctionHandle(
         name=name or source,
         dimension=dimension,
         evaluate=_evaluate,
-        gradient=exact_gradient or _ad_gradient,
+        gradient=_gradient,
         smoothness=SMOOTH if smooth else LOCALLY_LIPSCHITZ,
         source=source,
         expression=tree,
         evaluate_rows=ex.compile_rows(tree),
-        gradient_rows=_ad_gradient_rows,
+        gradient_rows=_gradient_rows,
     )
 
 
@@ -227,21 +263,34 @@ _MONOTONE_NOT_PSEUDO = (
 _CONVEX_SIDE_ONLY = ("pseudoconvex", "quasiconvex", "semistrictly-quasiconvex")
 
 
+def _smooth(gradient: Callable[[np.ndarray], np.ndarray]):
+    """A row gradient that flags no row: gradient maps (k, n) points to
+    their (k, n) gradients."""
+    return lambda p: (gradient(p), np.zeros(len(p), dtype=bool))
+
+
+def _kinked_at_origin(left: float, right: float):
+    """The row gradient of a 1-D piecewise-linear f with slope `left` on
+    x < 0 and `right` on x > 0, flagged at x = 0."""
+    return lambda p: (np.where(p < 0.0, left, right), p[:, 0] == 0.0)
+
+
 def _entry_affine() -> CorpusEntry:
     c = np.array([1.25, -0.75])
     handle = function_from_expression(
         "1.25*x1 - 0.75*x2 + 0.5", 2, name="affine",
-        exact_gradient=lambda x: c.copy(),
+        exact_gradient=_smooth(lambda p: np.tile(c, (len(p), 1))),
     )
     text = "box(-1..1, -1..1)"
     return CorpusEntry(handle, parse_region(text, 2), text, _labels(_ALL))
 
 
 def _entry_fractional() -> CorpusEntry:
-    def grad(x):
-        return np.array([-x[1] / (x[0] * x[0]), 1.0 / x[0]])
-
-    handle = function_from_expression("x2/x1", 2, name="fractional", exact_gradient=grad)
+    handle = function_from_expression(
+        "x2/x1", 2, name="fractional",
+        exact_gradient=_smooth(lambda p: np.stack(
+            [-p[:, 1] / (p[:, 0] * p[:, 0]), 1.0 / p[:, 0]], axis=1)),
+    )
     text = "x1 >= 0.05, box(0..2, -1..1)"
     return CorpusEntry(handle, parse_region(text, 2), text, _labels(_ALL))
 
@@ -249,7 +298,7 @@ def _entry_fractional() -> CorpusEntry:
 def _entry_arctan() -> CorpusEntry:
     handle = function_from_expression(
         "atan(x1)", 1, name="arctan",
-        exact_gradient=lambda x: np.array([1.0 / (1.0 + x[0] * x[0])]),
+        exact_gradient=_smooth(lambda p: 1.0 / (1.0 + p * p)),
     )
     text = "box(-3..3)"
     return CorpusEntry(handle, parse_region(text, 1), text, _labels(_ALL))
@@ -258,7 +307,7 @@ def _entry_arctan() -> CorpusEntry:
 def _entry_cubic() -> CorpusEntry:
     handle = function_from_expression(
         "x1^3", 1, name="cubic",
-        exact_gradient=lambda x: np.array([3.0 * x[0] * x[0]]),
+        exact_gradient=_smooth(lambda p: 3.0 * p * p),
     )
     text = "box(-1..1)"
     return CorpusEntry(handle, parse_region(text, 1), text, _labels(_MONOTONE_NOT_PSEUDO))
@@ -266,12 +315,9 @@ def _entry_cubic() -> CorpusEntry:
 
 def _entry_ramp() -> CorpusEntry:
     # x + |x|: flat on x <= 0, slope 2 on x > 0; kink at the origin.
-    def grad(x):
-        if x[0] == 0.0:
-            return None
-        return np.array([0.0 if x[0] < 0.0 else 2.0])
-
-    handle = function_from_expression("x1 + abs(x1)", 1, name="ramp", exact_gradient=grad)
+    handle = function_from_expression(
+        "x1 + abs(x1)", 1, name="ramp", exact_gradient=_kinked_at_origin(0.0, 2.0)
+    )
     text = "box(-1..1)"
     labels = _labels(
         ("pseudoconvex", "quasiconvex", "quasiconcave", "quasilinear",
@@ -282,13 +328,8 @@ def _entry_ramp() -> CorpusEntry:
 
 def _entry_twoslope() -> CorpusEntry:
     # x for x <= 0, 2x for x > 0: strictly increasing, kink at the origin.
-    def grad(x):
-        if x[0] == 0.0:
-            return None
-        return np.array([1.0 if x[0] < 0.0 else 2.0])
-
     handle = function_from_expression(
-        "x1 + max(x1, 0)", 1, name="twoslope", exact_gradient=grad
+        "x1 + max(x1, 0)", 1, name="twoslope", exact_gradient=_kinked_at_origin(1.0, 2.0)
     )
     text = "box(-1..1)"
     return CorpusEntry(handle, parse_region(text, 1), text, _labels(_ALL))
@@ -297,7 +338,7 @@ def _entry_twoslope() -> CorpusEntry:
 def _entry_paraboloid() -> CorpusEntry:
     handle = function_from_expression(
         "x1^2 + x2^2", 2, name="paraboloid",
-        exact_gradient=lambda x: 2.0 * np.asarray(x, dtype=float),
+        exact_gradient=_smooth(lambda p: 2.0 * p),
     )
     text = "box(-1..1, -1..1)"
     return CorpusEntry(handle, parse_region(text, 2), text, _labels(_CONVEX_SIDE_ONLY))

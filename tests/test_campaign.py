@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,11 +19,12 @@ from gencvx import (
     replay_witness,
 )
 from gencvx.campaign import (
-    HOLDS, REFUTED, _PREDICATES, _candidate, _check, _Context, _pair_samples, _refine,
+    HOLDS, MAX_REFINED_CANDIDATES, REFUTED, _PREDICATES, _candidate, _check, _Context,
+    _near_misses, _pair_samples, _Predicate, _refine_together,
 )
 from gencvx.expr import EvalError
 from gencvx.nonsmooth import EstimationError
-from gencvx.functions import SMOOTH, FunctionHandle, function_from_expression
+from gencvx.functions import PROPERTIES, SMOOTH, FunctionHandle, function_from_expression
 from gencvx.geometry import parse_region
 
 PLAN = SamplingPlan(seed=42)
@@ -379,11 +381,15 @@ def test_prefetched_estimates_fail_only_when_read():
     good, bad = np.array([0.5, 0.2]), np.array([-0.5, 0.2])
     identity = _PREDICATES["proportional-identity"]
     # A refinement move's trials, or the two orientations of a sampled pair:
-    # the estimate at `bad` fails, and nothing raises until a check reads it.
-    identity.prefetch(ctx, False, np.array([good, bad]), np.array([bad, good]))
-    check = identity.check(ctx, False, good, bad, None)
+    # the kernel estimates at both starts in one call, the estimate at `bad`
+    # fails, and only reading that row raises.
+    rows = identity.rows(ctx, False, np.array([good, bad]), np.array([bad, good]))
+    assert list(rows.failed) == [1] and np.isnan(rows.margin[1])
+    check = rows.check(0, good, bad)
     with pytest.raises(EstimationError, match="failed at 9/9 probes"):
-        identity.check(ctx, False, bad, good, None)
+        rows.check(1, bad, good)
+    with pytest.raises(EstimationError, match="failed at 9/9 probes"):
+        rows.first_above(check.margin)
     # Read one at a time, each check does the same.
     lazy = _Context(replace(fn, gradient_rows=None), _BOX2, FAST)
     assert identity.check(lazy, False, good, bad, None) == check
@@ -397,16 +403,16 @@ def test_stored_failures_hold_no_traceback(rows):
     # so keeps no context alive) however often it is read.
     fn = function_from_expression(_HALF_FAILING, 2)
     ctx = _Context(fn if rows else replace(fn, gradient_rows=None), _BOX2, FAST)
-    bad = np.array([-0.5, 0.2])
+    bad, good = np.array([-0.5, 0.2]), np.array([0.5, 0.2])
     raised = []
     for negated in (False, False, True):
         with pytest.raises(EstimationError, match="failed at 9/9 probes") as info:
-            ctx.subdiff(bad, negated)
+            _check(ctx, Candidate("proportional-identity", negated, bad, good))
         raised.append(info.value)
-    stored = ctx._subdiffs[bad.tobytes(), False]
+    stored = ctx._subdiffs[bad.tobytes()]
     assert stored.__traceback__ is None
     assert all(exc is not stored and type(exc) is type(stored) for exc in raised)
-    assert (bad.tobytes(), True) not in ctx._subdiffs
+    assert list(ctx._subdiffs) == [bad.tobytes()]  # -f reads f's estimate negated
 
 
 def test_refinement_never_raises_for_a_trial_it_does_not_read():
@@ -416,8 +422,8 @@ def test_refinement_never_raises_for_a_trial_it_does_not_read():
     fn = function_from_expression(_HALF_FAILING, 2)
     cand = Candidate("proportional-identity", False, np.array([0.25, -0.2]), np.array([0.8, 0.75]))
     ctx = _Context(fn, _BOX2, FAST)
-    result = _refine(ctx, cand, 3)
-    failed = [x for (x, _), est in ctx._subdiffs.items() if isinstance(est, EstimationError)]
+    (result,) = _refine_together(ctx, [cand], 3)
+    failed = [x for x, est in ctx._subdiffs.items() if isinstance(est, EstimationError)]
     assert [np.frombuffer(x).tolist() for x in failed] == [[-0.25, -0.2]]
     lazy = refine_counterexample(replace(fn, gradient_rows=None), _BOX2, cand, 3, FAST)
     assert result.scores == lazy.scores
@@ -439,3 +445,71 @@ def test_batched_estimates_leave_reports_unchanged(source, dim, props):
     assert [v.to_dict() for v in batched] == [v.to_dict() for v in alone]
     if props is None:
         assert any(v.inconclusive for v in batched)  # failed estimates were read
+
+
+def _property_candidates(ctx, prop):
+    """The refinement seeds classify may take for a property: its sampled
+    near-ties, strongest first, then its near-misses."""
+    soft = []
+    for samples in _pair_samples(ctx, prop, ctx.pairs):
+        for outcome, check, predicate, negated in samples or ():
+            if outcome == "fail" and not check.credible:
+                soft.append((check.residual, _candidate(predicate, negated, check)))
+    soft = [c for _, c in sorted(soft, key=lambda t: -t[0])]
+    return (soft + _near_misses(ctx, prop))[:MAX_REFINED_CANDIDATES]
+
+
+def _refined_alone(fn, region, cand, plan):
+    try:
+        result = refine_counterexample(fn, region, cand, plan.refinement_rounds, plan)
+    except EstimationError as exc:
+        return type(exc), str(exc)
+    return result.scores, None if result.witness is None else result.witness.to_dict()
+
+
+def _as_alone(result):
+    if isinstance(result, EstimationError):
+        return type(result), str(result)
+    return result.scores, None if result.witness is None else result.witness.to_dict()
+
+
+_LOCKSTEP_CASES = [(e.handle.name, e.handle, e.region) for e in corpus()] + [
+    ("half-failing", function_from_expression(_HALF_FAILING, 2), _BOX2)]
+
+
+@pytest.mark.parametrize("name, fn, region", _LOCKSTEP_CASES, ids=[c[0] for c in _LOCKSTEP_CASES])
+def test_lockstep_refinement_equals_refining_each_candidate_alone(name, fn, region, monkeypatch):
+    # Every property's candidates, refined together in one context, give
+    # what each gives refined alone in a fresh one: scores, witnesses, and
+    # the estimator failures that classify counts as inconclusive.
+    calls = []
+    rows = _Predicate.rows
+
+    def counted(self, ctx, negated, *args, **kwargs):
+        calls.append((self.name, negated))
+        return rows(self, ctx, negated, *args, **kwargs)
+
+    monkeypatch.setattr(_Predicate, "rows", counted)
+    failures = batched = 0
+    for seed in (0, 7):
+        plan = SamplingPlan(pair_count=24, seed=seed)
+        for prop in PROPERTIES:
+            ctx = _Context(fn, region, plan)
+            cands = _property_candidates(ctx, prop)
+            calls.clear()
+            together = _refine_together(ctx, cands, plan.refinement_rounds)
+            lockstep = Counter(calls)
+            steps = Counter()
+            for cand, result in zip(cands, together):
+                calls.clear()
+                alone = _refined_alone(fn, region, cand, plan)
+                assert _as_alone(result) == alone, (prop, cand)
+                failures += isinstance(result, EstimationError)
+                side = (cand.predicate, cand.negated)
+                steps[side] = max(steps[side], len(calls))
+                batched += len(calls)
+            # One kernel call per (predicate, side) per lockstep step.
+            assert all(lockstep[side] <= steps[side] for side in lockstep), (prop, lockstep, steps)
+            batched -= sum(lockstep.values())
+    assert batched > 0  # candidates did share kernel calls
+    assert (failures > 0) == (name == "half-failing")

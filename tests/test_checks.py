@@ -1,14 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencvx import corpus_entry, function_from_expression
+from gencvx import corpus, corpus_entry, function_from_expression
 from gencvx.checks import (
     FAIL,
     INCONCLUSIVE,
     PASS,
     VACUOUS,
+    Check,
+    Generators,
+    check_generator_rows,
+    dots,
     check_gradient_kernel,
     check_interlacing,
     check_interpolation_bounds,
@@ -30,7 +36,7 @@ from gencvx.checks import (
 )
 from gencvx.functions import negate_handle
 from gencvx.geometry import sample_region, segment_point
-from gencvx.nonsmooth import SubdifferentialEstimate
+from gencvx.nonsmooth import EstimationError, SubdifferentialEstimate
 
 LAM_GRID = np.linspace(0.0, 1.0, 33)
 
@@ -750,3 +756,351 @@ def test_row_kernels_match_the_scalar_loops(name, negated):
     if name == "tiny-slope":
         assert {("interlacing-segment", INCONCLUSIVE),
                 ("interpolation-strict-bounds", INCONCLUSIVE)} <= seen
+
+
+# -- generator kernels against the scalar loops they replaced -------------------
+#
+# Each reference reads f one point at a time and walks the generators in
+# estimate order, as the checks did before they became row kernels, and
+# reads an estimate's generators only where the loop reaches them.
+
+
+def _ref_pseudoconvex(fn, x, y, sub_x):
+    fx, fy = fn.value(x), fn.value(y)
+    if not (fy < fx - eps_strict(fx, fy)):
+        return Check("pseudoconvex-pair", x, y, fx, fy, VACUOUS, margin=-1000.0 - (fy - fx))
+    eps = eps_strict(fx, fy)
+    worst = -np.inf
+    for k, g in enumerate(sub_x.generators):
+        v = float(np.dot(g, y - x))
+        if not (v < -eps):
+            return Check("pseudoconvex-pair", x, y, fx, fy, FAIL, residual=fx - fy,
+                         threshold=100 * eps, generator=g, generator_index=k,
+                         detail=f"<g, y-x> = {v:.6g} is not strictly negative", margin=fx - fy)
+        worst = max(worst, v)
+    return Check("pseudoconvex-pair", x, y, fx, fy, PASS, margin=worst + eps)
+
+
+def _ref_p(fn, x, y, g):
+    fx, fy = fn.value(x), fn.value(y)
+    num, den = fy - fx, float(np.dot(g, y - x))
+    if abs(den) <= eps_strict(fx, fy):
+        return 1.0, True, num, den
+    return num / den, False, num, den
+
+
+def _ref_nonpositive(num, den, eps):
+    return min(abs(num), abs(den)) if abs(num) > eps else abs(den)
+
+
+def _ref_proportional_margin(check, sub_x):
+    gap = abs(check.fy - check.fx)
+    if gap <= 3.0 * eps_strict(check.fx, check.fy):
+        margin = -1000.0 + gap
+    elif check.outcome == FAIL:
+        margin = check.residual
+    else:
+        margin = -min(abs(float(np.dot(g, check.y - check.x))) for g in sub_x.generators)
+    return replace(check, margin=margin)
+
+
+def _ref_identity(fn, x, y, sub_x):
+    fx, fy = fn.value(x), fn.value(y)
+    eps = eps_strict(fx, fy)
+    out = Check("proportional-identity", x, y, fx, fy, PASS)
+    for k, g in enumerate(sub_x.generators):
+        p, band, num, den = _ref_p(fn, x, y, g)
+        r = abs(num - p * den)
+        fail = dict(threshold=100 * eps, generator=g, generator_index=k)
+        if band:
+            if r > eps:
+                out = Check("proportional-identity", x, y, fx, fy, FAIL, residual=abs(num),
+                            detail="<g, y-x> vanishes while the values differ", **fail)
+                break
+            continue
+        if not p > 0.0:
+            out = Check("proportional-identity", x, y, fx, fy, FAIL,
+                        residual=_ref_nonpositive(num, den, eps),
+                        detail=f"proportional factor p = {p:.6g} is not positive", **fail)
+            break
+        if r > eps:
+            out = Check("proportional-identity", x, y, fx, fy, FAIL, residual=r,
+                        detail="identity residual above margin", **fail)
+            break
+    return _ref_proportional_margin(out, sub_x)
+
+
+def _ref_symmetric(fn, x, y, sub_x, sub_y):
+    fx, fy = fn.value(x), fn.value(y)
+    eps = eps_strict(fx, fy)
+    limit = 100 * eps
+
+    def failed(residual, g, k, detail):
+        return Check("symmetric-equality", x, y, fx, fy, FAIL, residual=residual,
+                     threshold=limit, generator=g, generator_index=k, detail=detail)
+
+    out, saw_band = None, False
+    for k, g in enumerate(sub_x.generators):
+        p1, band1, num1, den1 = _ref_p(fn, x, y, g)
+        if not band1 and not p1 > 0.0:
+            out = failed(_ref_nonpositive(num1, den1, eps), g, k,
+                         f"forward proportional factor p = {p1:.6g} is not positive")
+            break
+        for j, h in enumerate(sub_y.generators):
+            p2, band2, num2, den2 = _ref_p(fn, y, x, h)
+            if not band2 and not p2 > 0.0:
+                out = failed(_ref_nonpositive(num2, den2, eps), h, j,
+                             f"reverse proportional factor p = {p2:.6g} is not positive")
+                break
+            s = p1 * den1 + p2 * den2
+            if band1 or band2:
+                saw_band = True
+                if abs(s) > limit:
+                    out = failed(abs(s), g, k, "symmetric sum large despite a vanishing pairing")
+                    break
+                continue
+            if abs(s) > eps:
+                out = failed(abs(s), g, k, f"symmetric sum S = {s:.6g} is nonzero")
+                break
+        if out is not None:
+            break
+    if out is None:
+        out = (Check("symmetric-equality", x, y, fx, fy, INCONCLUSIVE,
+                     detail="pairing inside the equality band; sum not decidable")
+               if saw_band else Check("symmetric-equality", x, y, fx, fy, PASS))
+    return _ref_proportional_margin(out, sub_x)
+
+
+def _ref_gradient_kernel(fn, x, y, g):
+    fx, fy = fn.value(x), fn.value(y)
+    eps = eps_strict(fx, fy)
+    d = float(np.dot(g, y - x))
+    if abs(d) > eps:
+        return Check("gradient-kernel", x, y, fx, fy, VACUOUS, margin=-abs(d))
+    gap = abs(fy - fx)
+    if gap > eps:
+        return Check("gradient-kernel", x, y, fx, fy, FAIL, residual=gap, threshold=100 * eps,
+                     generator=g, generator_index=0,
+                     detail="kernel direction changes the value", margin=gap)
+    return Check("gradient-kernel", x, y, fx, fy, PASS, margin=gap - eps)
+
+
+def _ref_subdiff_kernel(fn, x, y, sub_x, sub_neg_x):
+    fx, fy = fn.value(x), fn.value(y)
+    eps, gap, d = eps_strict(fx, fy), abs(fy - fx), y - x
+    closest = min(abs(float(np.dot(g, d))) for g in (*sub_x.generators, *sub_neg_x.generators))
+    margin = -closest if closest > eps else (gap if gap > eps else gap - eps)
+
+    def side(gens, lower):
+        for k, g in enumerate(gens):
+            if abs(float(np.dot(g, d))) > eps:
+                continue
+            if (fy < fx - eps) if lower else (fy > fx + eps):
+                which = "f(y) >= f(x)" if lower else "f(y) <= f(x)"
+                return FAIL, Check("subdifferential-kernel", x, y, fx, fy, FAIL, residual=gap,
+                                   threshold=100 * eps, generator=g, generator_index=k,
+                                   detail=f"kernel generator violates {which}", margin=margin)
+            return PASS, None
+        return VACUOUS, None
+
+    low, fail = side(sub_x.generators, True)
+    up, fail_up = side(sub_neg_x.generators, False)
+    fail = fail or fail_up
+    combined = PASS if PASS in (low, up) else VACUOUS
+    return (fail or Check("subdifferential-kernel", x, y, fx, fy, combined, margin=margin)), low, up
+
+
+class _Estimates:
+    """Generator sets by point, read lazily: a point mapped to an error
+    raises it whenever its generators are read."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def at(self, point, negated=False):
+        sets = self
+
+        class Lazy:
+            @property
+            def generators(self):
+                got = sets.table[np.asarray(point, dtype=float).tobytes()]
+                if isinstance(got, Exception):
+                    raise type(got)(*got.args)
+                return tuple(-g for g in got) if negated else got
+
+        return Lazy()
+
+    def rows(self, points, negated):
+        out = []
+        for p in points:
+            got = self.table[p.tobytes()]
+            out.append(got if isinstance(got, Exception) else tuple(-g for g in got) if negated else got)
+        return Generators.of(out, points.shape[1])
+
+
+def _same_check(got, want):
+    """Every field of two Checks, arrays and floats by their bytes."""
+    def fields(c):
+        g = None if c.generator is None else np.asarray(c.generator, dtype=float).tobytes()
+        return (c.predicate, c.x.tobytes(), c.y.tobytes(), c.fx, c.fy, c.outcome, c.residual,
+                c.threshold, g, c.generator_index, c.lam, c.fz, c.detail,
+                np.float64(c.margin).tobytes())
+    assert fields(got) == fields(want), (fields(got), fields(want))
+
+
+def _outcome_of(call):
+    try:
+        return call(), None
+    except EstimationError as exc:
+        return None, str(exc)
+
+
+_GEN_SOURCES = [(e.handle, e.region) for e in corpus()] + [
+    (function_from_expression("max(x1, x2) - abs(x1)", 2), None)]
+# Coordinates where values tie (abs, max, flat pieces) and pairings vanish.
+_GEN_COORDS = st.sampled_from([-1.0, -0.5, -0.25, 0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
+
+
+@st.composite
+def _generator_case(draw):
+    """A handle (f or -f), k rows of pairs, generator sets at their points
+    (some several generators, some orthogonal to a row's y - x, some failed)
+    and gradients at x for some rows."""
+    fn, region = draw(st.sampled_from(_GEN_SOURCES))
+    if draw(st.booleans()):
+        fn = negate_handle(fn)
+    n, k = fn.dimension, draw(st.integers(1, 6))
+
+    def inside(p):
+        if region is not None and not region.contains(p):
+            p = np.array([draw(st.floats(0.1, 2.0)), *p[1:]])  # fractional's half-plane
+        return p
+
+    def point():
+        return inside(np.array([draw(st.one_of(_GEN_COORDS, st.floats(-1, 1))) for _ in range(n)]))
+
+    xs = np.array([point() for _ in range(k)])
+    # Half the partners mirror x, which ties the values of even functions.
+    ys = np.array([point() if draw(st.booleans()) else inside(-x[::-1]) for x in xs])
+    table = {}
+    for i, p in enumerate([*xs, *ys]):
+        key = p.tobytes()
+        if key in table:
+            continue
+        if draw(st.integers(0, 9)) == 0:
+            table[key] = EstimationError(f"failed near {p}")
+            continue
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            kind = draw(st.sampled_from(["grad", "coords", "normal", "band"]))
+            g = fn.grad(p) if kind == "grad" else None
+            if g is None or kind == "coords":
+                g = np.array([draw(_GEN_COORDS) for _ in range(n)])
+            if kind == "normal":
+                g = np.array([draw(st.floats(-3, 3)) for _ in range(n)])
+            if kind == "band":
+                d = ys[i % k] - xs[i % k]
+                if d @ d > 0:
+                    g = g - d * (g @ d) / (d @ d)
+            gens.append(np.asarray(g, dtype=float))
+        table[key] = tuple(gens)
+    has = np.array([draw(st.booleans()) for _ in range(k)])
+    grads = np.array([np.array([draw(_GEN_COORDS) for _ in range(n)]) for _ in range(k)])
+    return fn, xs, ys, _Estimates(table), (grads, has)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_generator_case())
+def test_generator_kernels_match_the_scalar_loops(case):
+    fn, xs, ys, ests, (grads, has) = case
+    rows = {
+        name: check_generator_rows(name, fn, xs, ys, ests.rows, (grads, has))
+        for name in ("pseudoconvex-pair", "proportional-identity", "symmetric-equality",
+                     "gradient-kernel")
+    }
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        refs = {
+            "pseudoconvex-pair": lambda: _ref_pseudoconvex(fn, x, y, ests.at(x)),
+            "proportional-identity": lambda: _ref_identity(fn, x, y, ests.at(x)),
+            "symmetric-equality": lambda: _ref_symmetric(fn, x, y, ests.at(x), ests.at(y)),
+            "gradient-kernel": lambda: (
+                _ref_gradient_kernel(fn, x, y, grads[i]) if has[i]
+                else _ref_subdiff_kernel(fn, x, y, ests.at(x), ests.at(x, negated=True))[0]),
+        }
+        for name, ref in refs.items():
+            want, error = _outcome_of(ref)
+            got, got_error = _outcome_of(lambda: rows[name].check(i, x, y))
+            assert got_error == error, name
+            if error is None:
+                _same_check(got, want)
+                assert rows[name].margin[i] == want.margin
+            else:
+                assert i in rows[name].failed and np.isnan(rows[name].margin[i])
+    # The one-row wrappers run the same kernels on given estimates.
+    for i, (x, y) in enumerate(zip(xs, ys)):
+        sub_x, sub_y = ests.at(x), ests.at(y)
+        if any(isinstance(ests.table[p.tobytes()], Exception) for p in (x, y)):
+            continue
+        neg_x = est(*(-g for g in sub_x.generators))
+        sub_x, sub_y = est(*sub_x.generators), est(*sub_y.generators)
+        _same_check(check_pseudoconvex_pair(fn, x, y, sub_x), _ref_pseudoconvex(fn, x, y, sub_x))
+        _same_check(verify_p_identity(fn, x, y, sub_x), _ref_identity(fn, x, y, sub_x))
+        _same_check(check_symmetric_equality(fn, x, y, sub_x, sub_y),
+                    _ref_symmetric(fn, x, y, sub_x, sub_y))
+        _same_check(check_gradient_kernel(fn, x, y, grads[i]),
+                    _ref_gradient_kernel(fn, x, y, grads[i]))
+        got = check_subdiff_kernel_pair(fn, x, y, sub_x, neg_x)
+        want, low, up = _ref_subdiff_kernel(fn, x, y, sub_x, neg_x)
+        _same_check(got.overall, want)
+        assert (got.lower, got.upper) == (low, up)
+
+
+def test_generator_kernels_cover_every_outcome():
+    # Fixed rows where each kernel meets each of its outcomes, band and
+    # several-generator rows included, against the reference loops.
+    cubic, ramp = fn_of("cubic"), fn_of("ramp")
+    kink = est([0.0], [2.0])
+    cases = [
+        (cubic, [0.0], [-0.5], est([0.0])),    # descends with a zero gradient
+        (cubic, [0.5], [-0.5], est([0.75])),   # descends, strictly negative pairing
+        (cubic, [-0.5], [0.5], est([0.75])),   # ascends: vacuous
+        (ramp, [0.0], [-0.5], kink),           # flat side, kink set
+        (ramp, [0.0], [0.5], kink),            # ramp side, kink set
+        (ramp, [-0.5], [-0.25], est([0.0])),   # tied values, flat piece
+        (fn_of("arctan"), [0.5], [-0.5], est([0.8], [-0.8])),  # one positive, one negative p
+    ]
+    seen = set()
+    for fn, x, y, sub in cases:
+        x, y = np.array(x), np.array(y)
+        checks = [
+            (check_pseudoconvex_pair(fn, x, y, sub), _ref_pseudoconvex(fn, x, y, sub)),
+            (verify_p_identity(fn, x, y, sub), _ref_identity(fn, x, y, sub)),
+            (check_symmetric_equality(fn, x, y, sub, sub), _ref_symmetric(fn, x, y, sub, sub)),
+            (check_gradient_kernel(fn, x, y, sub.generators[0]),
+             _ref_gradient_kernel(fn, x, y, sub.generators[0])),
+        ]
+        neg = est(*(-g for g in sub.generators))
+        checks.append((check_subdiff_kernel_pair(fn, x, y, sub, neg).overall,
+                       _ref_subdiff_kernel(fn, x, y, sub, neg)[0]))
+        for got, want in checks:
+            _same_check(got, want)
+            seen.add((want.predicate, want.outcome))
+    for pred in ("pseudoconvex-pair", "gradient-kernel", "subdifferential-kernel"):
+        assert {(pred, o) for o in (PASS, VACUOUS, FAIL)} <= seen
+    assert {("proportional-identity", PASS), ("proportional-identity", FAIL),
+            ("symmetric-equality", PASS), ("symmetric-equality", FAIL),
+            ("symmetric-equality", INCONCLUSIVE)} <= seen
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_dots_match_np_dot_bit_for_bit(n, k, seed):
+    # Signed zeros included: np.dot keeps the product's sign in one
+    # dimension, and a detail formats it ("-0").
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((k, n)) * rng.choice([1e-9, 1.0, 1e9], (k, n))
+    d = rng.standard_normal((k, n))
+    g[rng.random((k, n)) < 0.3] = 0.0
+    d[rng.random((k, n)) < 0.3] = -0.0
+    want = np.array([float(np.dot(a, b)) for a, b in zip(g, d)])
+    assert dots(g, d).tobytes() == want.tobytes()

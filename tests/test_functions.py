@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,40 @@ def test_kink_handles_report_no_gradient_at_zero():
         assert e.handle.grad(np.array([0.0])) is None
         assert e.handle.grad(np.array([0.5])) is not None
         assert e.handle.grad(np.array([-0.5])) is not None
+
+
+@pytest.mark.parametrize("name", [e.handle.name for e in corpus()])
+@pytest.mark.parametrize("negated", [False, True])
+def test_corpus_row_gradients_are_the_point_gradients(name, negated):
+    # Each exact gradient is written once, as rows: grad is its one-row case,
+    # bit for bit, and the rows flagged are exactly those where grad is None.
+    e = corpus_entry(name)
+    fn = negate_handle(e.handle) if negated else e.handle
+    points = sample_region(e.region, 48, seed=21)
+    # The origin and its signed zeros in each coordinate, where in the region.
+    for base in (points[0], np.zeros(fn.dimension)):
+        for i in range(fn.dimension):
+            for zero in (0.0, -0.0):
+                p = base.copy()
+                p[i] = zero
+                points.append(p)
+    points = np.array([p for p in points if e.region.contains(p)])
+    gradients, kinks = fn.gradient_rows(points)
+    assert gradients.shape == points.shape and kinks.dtype == bool
+    for p, g, kink in zip(points, gradients, kinks):
+        want = fn.grad(p)
+        assert (want is None) == kink
+        if want is not None:
+            assert g.tobytes() == want.tobytes()
+    at_origin = (points == 0.0).all(axis=1)
+    assert at_origin.any() or name == "fractional"
+    assert kinks.tolist() == (at_origin.tolist() if name in ("ramp", "twoslope") else [False] * len(points))
+    # grads reads the same rows, in one call or one point at a time.
+    for handle in (fn, replace(fn, gradient_rows=None)):
+        got, has = handle.grads(points)
+        assert has.tolist() == (~kinks).tolist()
+        assert got[has].tobytes() == gradients[has].tobytes()
+        assert np.isnan(got[~has]).all() or handle.gradient_rows is not None
 
 
 def test_twoslope_values():
