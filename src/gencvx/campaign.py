@@ -658,27 +658,25 @@ _PROBES: dict[str, tuple[_Probe, ...]] = {
 
 
 def _placed(ctx: _Context, probe: _Probe, negated: bool, pairs):
-    """Where a probe runs on the sampled pairs, pair after pair: the rows
-    (xs, ys), their lambdas ((k, 1), or None for the grid), the pair each
-    row comes from, and the pairs whose placement read a failed estimate."""
-    xs, ys = (np.array(side) for side in zip(*pairs))
-    m, n = xs.shape
-    index = np.arange(m)
+    """Where a probe runs on the sampled pairs, pair after pair: each row's
+    endpoints (the sampled points themselves, or a kernel projection), the
+    pair it comes from, the rows' lambdas ((k, 1), or None for the grid),
+    and the pairs whose placement read a failed estimate."""
+    index = range(len(pairs))
     if probe.placement == _PAIR:
-        return xs, ys, None, index, set()
+        return list(pairs), list(index), None, set()
     if probe.placement == _SWEEP:
-        lams = np.array(ctx.interior_lams)
-        t = len(lams)
-        return (np.repeat(xs, t, axis=0), np.repeat(ys, t, axis=0), np.tile(lams, m)[:, None],
-                np.repeat(index, t), set())
-    a = np.stack([xs, ys], axis=1).reshape(-1, n)
-    b = np.stack([ys, xs], axis=1).reshape(-1, n)
-    pair = np.repeat(index, 2)
+        lams = ctx.interior_lams
+        return ([ab for ab in pairs for _ in lams], [i for i in index for _ in lams],
+                np.tile(lams, len(pairs))[:, None], set())
+    ends = [ab for x, y in pairs for ab in ((x, y), (y, x))]
+    pair = [i for i in index for _ in (0, 1)]
     if probe.placement == _BOTH:
-        return a, b, None, pair, set()
+        return ends, pair, None, set()
     # Kernel conditions bind on measure-zero sets: each orientation (a, b)
     # is followed by b projected onto the kernel of each generator at a,
     # where that moves it and stays feasible.
+    a, b = (np.array(side) for side in zip(*ends))
     gens = _kernel_generators(ctx, a, negated)
     g, own = gens.g, gens.owner
     gg = ck.dots(g, g)
@@ -686,17 +684,15 @@ def _placed(ctx: _Context, probe: _Probe, negated: bool, pairs):
         bp = b[own] - g * (ck.dots(g, b[own] - a[own]) / gg)[:, None]
     keep = (gg > 1e-24) & ~(abs(bp - a[own]) <= 1e-12).all(axis=1)
     keep[keep] = ctx.feasible(bp[keep])
-    kept = np.flatnonzero(keep)
-    slot = len(g) + 1
-    order = np.argsort(np.concatenate([np.arange(2 * m) * slot, own[kept] * slot + 1 + kept]),
-                       kind="stable")
-    return (
-        np.concatenate([a, a[own[kept]]])[order],
-        np.concatenate([b, bp[kept]])[order],
-        None,
-        np.concatenate([pair, pair[own[kept]]])[order],
-        {int(pair[i]) for i in gens.failed},
-    )
+    projected: dict[int, list] = {}
+    for f in np.flatnonzero(keep):
+        projected.setdefault(int(own[f]), []).append((ends[own[f]][0], bp[f]))
+    rows, rows_pair = [], []
+    for o, ab in enumerate(ends):
+        for row in (ab, *projected.get(o, ())):
+            rows.append(row)
+            rows_pair.append(pair[o])
+    return rows, rows_pair, None, {pair[i] for i in gens.failed}
 
 
 def _kernel_generators(ctx: _Context, points: np.ndarray, negated: bool) -> ck.Generators:
@@ -727,20 +723,21 @@ def _pair_samples(ctx: _Context, prop: str, pairs):
     for probe in _PROBES[prop]:
         pred = probe.predicate_for(ctx)
         for negated in probe.sides:
-            xs, ys, lams, pair, failed = _placed(ctx, probe, negated, pairs)
+            ends, pair, lams, failed = _placed(ctx, probe, negated, pairs)
+            xs, ys = (np.array(side) for side in zip(*ends))
             rows = pred.rows(ctx, negated, xs, ys, lams)
-            broken |= failed | {int(pair[r]) for r in rows.failed or ()}
+            broken |= failed | {pair[r] for r in rows.failed or ()}
             bounds = np.searchsorted(pair, np.arange(len(pairs) + 1)).tolist()
-            probes.append((pred.name, negated, xs, ys, rows, bounds))
+            probes.append((pred.name, negated, ends, rows, bounds))
     for i in range(len(pairs)):
         if i in broken:
             yield None
             continue
         samples = []
-        for name, negated, xs, ys, rows, bounds in probes:
+        for name, negated, ends, rows, bounds in probes:
             for r in range(bounds[i], bounds[i + 1]):
                 outcome = rows.outcome[r]
-                check = rows.check(r, xs[r], ys[r]) if outcome == FAIL else None
+                check = rows.check(r, *ends[r]) if outcome == FAIL else None
                 samples.append((outcome, check, name, negated))
         yield samples
 

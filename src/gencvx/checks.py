@@ -563,15 +563,16 @@ def dots(g: np.ndarray, d: np.ndarray) -> np.ndarray:
     return (g[:, None, :] @ d[:, :, None])[:, 0, 0]
 
 
-def _per_row(ufunc, a: np.ndarray, gens: Generators) -> np.ndarray:
-    """ufunc reduced over each row's generators."""
-    return ufunc.reduceat(a, gens.start) if len(gens.start) else a[:0]
+def _per_row(ufunc, a: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """ufunc reduced over each row's entries of a, the row's starting at
+    start (every row has one at least)."""
+    return ufunc.reduceat(a, start) if len(start) else a[:0]
 
 
-def _first(flags: np.ndarray, gens: Generators) -> np.ndarray:
-    """Per row, the flat index of its first flagged generator, or -1."""
+def _first(flags: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Per row, the flat index of its first flagged entry, or -1."""
     end = len(flags)
-    at = _per_row(np.minimum, np.where(flags, np.arange(end), end), gens)
+    at = _per_row(np.minimum, np.where(flags, np.arange(end), end), start)
     return np.where(at < end, at, -1)
 
 
@@ -659,10 +660,10 @@ def _pseudoconvex_gen(fx, fy, x, y, sub, gradients):
     gens = sub(rows)
     own = rows[gens.owner]
     v = dots(gens.g, (y - x)[own])
-    first = _first(~(v < -eps[own]), gens)
+    first = _first(~(v < -eps[own]), gens.start)
     hit = first >= 0
     fail = _spread(k, rows, hit, False)
-    worst = _spread(k, rows, _per_row(np.maximum, v, gens), np.nan)
+    worst = _spread(k, rows, _per_row(np.maximum, v, gens.start), np.nan)
     return (
         _outcomes(~desc, fail, False),
         np.where(desc, np.where(fail, fx - fy, worst + eps), VACUOUS_MARGIN - (fy - fx)),
@@ -687,14 +688,14 @@ def _identity_gen(fx, fy, x, y, sub, gradients):
     p, band = _p(num, den, e)
     r = abs(num - p * den)
     sign = ~band & ~(p > 0.0)
-    first = _first(sign | (r > e), gens)
+    first = _first(sign | (r > e), gens.start)
     fail = first >= 0
     residual = np.where(band, abs(num), np.where(sign, _nonpositive_residual(num, den, e), r))
     note = np.where(band, _IDENTITY_BAND, np.where(sign, _IDENTITY_SIGN, _IDENTITY_RESIDUAL))
     residual = _take(residual, first, fail, 0.0)
     return (
         _outcomes(False, fail, False),
-        _proportional_margin(fx, fy, fail, residual, _per_row(np.minimum, abs(den), gens)),
+        _proportional_margin(fx, fy, fail, residual, _per_row(np.minimum, abs(den), gens.start)),
         residual,
         _take(gens.g, first, fail),
         np.where(fail, first - gens.start, -1),
@@ -737,9 +738,9 @@ def _symmetric_gen(fx, fy, x, y, sub, gradients):
     both[list(gy.failed)] = False
     rb, yb = ry[both], np.flatnonzero(both)
     a, b = gx.count[rb], gy.count[yb]
-    pairs = Generators(None, None, np.cumsum(a * b) - a * b, a * b, {})
+    pairs = np.cumsum(a * b) - a * b  # where each row's pairs start
     row = np.repeat(np.arange(len(rb)), a * b)
-    pos = np.arange(len(row)) - pairs.start[row]
+    pos = np.arange(len(row)) - pairs[row]
     kk, jj = pos // b[row], pos % b[row]
     gi, hj = gx.start[rb][row] + kk, gy.start[yb][row] + jj
     s = p1[gi] * den1[gi] + p2[hj] * den2[hj]
@@ -747,9 +748,10 @@ def _symmetric_gen(fx, fy, x, y, sub, gradients):
     width = _spread(k, rb, 2 * b + 1, 1)
     spot = kk * width[rb][row] + 1 + 2 * jj
     never = np.iinfo(np.intp).max
-    at = _per_row(np.minimum, np.where(forward, (np.arange(len(ox)) - gx.start[ox]) * width[ox], never), gx)
-    at[rb] = np.minimum(at[rb], _per_row(np.minimum, np.minimum(
-        np.where(reverse[hj], spot, never), np.where(sum_fails, spot + 1, never)), pairs))
+    f_spot = (np.arange(len(ox)) - gx.start[ox]) * width[ox]
+    at = _per_row(np.minimum, np.where(forward, f_spot, never), gx.start)
+    pair_at = np.minimum(np.where(reverse[hj], spot, never), np.where(sum_fails, spot + 1, never))
+    at[rb] = np.minimum(at[rb], _per_row(np.minimum, pair_at, pairs))
 
     fail = at < never
     q, rem = np.divmod(np.where(fail, at, 0), width)
@@ -766,8 +768,8 @@ def _symmetric_gen(fx, fy, x, y, sub, gradients):
         [is_sum, on_y, on_x],
         [abs(s), _nonpositive_residual(fx - fy, d2, eps), _nonpositive_residual(fy - fx, d1, eps)],
         0.0)
-    saw_band = _per_row(np.logical_or, band1, gx)
-    saw_band[ry] |= _per_row(np.logical_or, band2, gy)
+    saw_band = _per_row(np.logical_or, band1, gx.start)
+    saw_band[ry] |= _per_row(np.logical_or, band2, gy.start)
     note = np.select(
         [is_sum & banded, is_sum, on_y, on_x, saw_band],
         [_SYMMETRIC_BAND_SUM, _SYMMETRIC_SUM, _SYMMETRIC_REVERSE, _SYMMETRIC_FORWARD,
@@ -775,7 +777,7 @@ def _symmetric_gen(fx, fy, x, y, sub, gradients):
         _SYMMETRIC)
     return (
         _outcomes(False, fail, saw_band),
-        _proportional_margin(fx, fy, fail, residual, _per_row(np.minimum, abs(den1), gx)),
+        _proportional_margin(fx, fy, fail, residual, _per_row(np.minimum, abs(den1), gx.start)),
         residual,
         np.where(on_y[:, None], _take(gy.g, hk, on_y), _take(gx.g, gk, on_x)),
         np.where(on_y, hk - _spread(k, ry, gy.start, 0), np.where(on_x, q, -1)),
@@ -795,9 +797,10 @@ def _subdiff_kernel(fx, fy, x, y, low: Generators, up: Generators):
     d = y - x
     near_l = abs(dots(low.g, d[low.owner]))
     near_u = abs(dots(up.g, d[up.owner]))
-    closest = np.minimum(_per_row(np.minimum, near_l, low), _per_row(np.minimum, near_u, up))
-    first_l = _first(~(near_l > eps[low.owner]), low)
-    first_u = _first(~(near_u > eps[up.owner]), up)
+    closest = np.minimum(_per_row(np.minimum, near_l, low.start),
+                         _per_row(np.minimum, near_u, up.start))
+    first_l = _first(~(near_l > eps[low.owner]), low.start)
+    first_u = _first(~(near_u > eps[up.owner]), up.start)
     in_l, in_u = first_l >= 0, first_u >= 0
     lower = in_l & (fy < fx - eps)
     upper = in_u & (fy > fx + eps)
@@ -807,7 +810,8 @@ def _subdiff_kernel(fx, fy, x, y, low: Generators, up: Generators):
         _outcomes(~(in_l | in_u), fail, False),
         _kernel_margin(closest, gap, eps),
         np.where(fail, gap, 0.0),
-        np.where(upper_only[:, None], _take(up.g, first_u, upper_only), _take(low.g, first_l, lower)),
+        np.where(upper_only[:, None], _take(up.g, first_u, upper_only),
+                 _take(low.g, first_l, lower)),
         np.where(lower, first_l - low.start, np.where(upper_only, first_u - up.start, -1)),
         np.select([lower, upper_only], [_SUBDIFF_KERNEL_LOWER, _SUBDIFF_KERNEL_UPPER],
                   _SUBDIFF_KERNEL),
@@ -867,14 +871,12 @@ def _generator_results(predicate: str, fx, fy, results) -> Rows:
 
 
 def _generator_rows(predicate: str, fn: FunctionHandle, x, y, sub, gradients) -> Rows:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    k = max(len(x), len(y))
-    x, y = _stretch(x, k), _stretch(y, k)
+    if x.shape != y.shape:
+        raise ValueError(f"endpoint rows of shapes {x.shape} and {y.shape}")
     fxy = fn.values(np.concatenate([x, y]))
-    fx, fy = fxy[:k], fxy[k:]
-    kernel = _GENERATOR_KERNELS[predicate]
-    return _generator_results(predicate, fx, fy, kernel(fx, fy, x, y, lambda rows, **side: sub(x, y, rows, **side), gradients))
+    fx, fy = fxy[:len(x)], fxy[len(x):]
+    results = _GENERATOR_KERNELS[predicate](fx, fy, x, y, sub, gradients)
+    return _generator_results(predicate, fx, fy, results)
 
 
 def check_generator_rows(
@@ -885,32 +887,32 @@ def check_generator_rows(
     per point set, which gives the Generators of the estimates of the
     subdifferential of fn (of -fn when negated) at each row of points.
 
-    x and y are (k, n) rows, or one row shared by all.  The kernel
-    conditions take `gradients`, a (k, n) array of gradients at x with the
-    (k,) flags of the rows that have one, and read estimates for the other
-    rows only.  Each row's result is bit-identical to the predicate's
-    one-row check, and a row whose estimate failed raises when read.
+    x and y are (k, n) rows.  The kernel conditions take `gradients`, a
+    (k, n) array of gradients at x with the (k,) flags of the rows that have
+    one, and read estimates for the other rows only.  Each row's result is
+    bit-identical to the predicate's one-row check, and a row whose estimate
+    failed raises when read.
     """
-    def sub(x, y, rows, at_y=False, negated=False):
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+
+    def sub(rows, at_y=False, negated=False):
         return generators((y if at_y else x)[rows], negated)
 
     return _generator_rows(predicate, fn, x, y, sub, gradients)
 
 
-def _given(sub_x, sub_y=None, sub_neg_x=None):
-    """The generator reads of a one-row wrapper: the given estimates at x,
-    at y and of -f at x."""
-    def sub(x, y, rows, at_y=False, negated=False):
-        est = sub_neg_x if negated else sub_y if at_y else sub_x
-        return Generators.of([est.generators] * len(rows), x.shape[1])
-
-    return sub
-
-
-def _one_generator_row(predicate: str, fn: FunctionHandle, x, y, sub, gradients=None) -> Check:
+def _one_generator_row(
+    predicate: str, fn: FunctionHandle, x, y, sub_x=None, sub_y=None, gradients=None
+) -> Check:
+    """The one-row check on the given estimates at x and at y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return _generator_rows(predicate, fn, x, y, sub, gradients).check(0, x, y)
+
+    def sub(rows, at_y=False, negated=False):
+        return Generators.of([(sub_y if at_y else sub_x).generators] * len(rows), x.size)
+
+    return _generator_rows(predicate, fn, x[None], y[None], sub, gradients).check(0, x, y)
 
 
 def check_pseudoconvex_pair(
@@ -924,7 +926,7 @@ def check_pseudoconvex_pair(
     generator certifies a strict descent direction.  A pass scores its
     largest pairing: the generator closest to failing.
     """
-    return _one_generator_row("pseudoconvex-pair", fn, x, y, _given(sub_x))
+    return _one_generator_row("pseudoconvex-pair", fn, x, y, sub_x)
 
 
 def verify_p_identity(
@@ -939,7 +941,7 @@ def verify_p_identity(
     scores its residual and anything else minus its smallest pairing
     |<g, y-x>| at x.
     """
-    return _one_generator_row("proportional-identity", fn, x, y, _given(sub_x))
+    return _one_generator_row("proportional-identity", fn, x, y, sub_x)
 
 
 def check_symmetric_equality(
@@ -955,13 +957,13 @@ def check_symmetric_equality(
     the opposite term is large; small mixed sums are inconclusive rather
     than refuting.  The margin is verify_p_identity's.
     """
-    return _one_generator_row("symmetric-equality", fn, x, y, _given(sub_x, sub_y))
+    return _one_generator_row("symmetric-equality", fn, x, y, sub_x, sub_y)
 
 
 def check_gradient_kernel(fn: FunctionHandle, x, y, grad_x) -> Check:
     """grad f(x)(y - x) = 0 requires f(y) = f(x)  (smooth handles)."""
     g = np.asarray(grad_x, dtype=float).reshape(1, -1)
-    return _one_generator_row("gradient-kernel", fn, x, y, None, (g, np.ones(1, dtype=bool)))
+    return _one_generator_row("gradient-kernel", fn, x, y, gradients=(g, np.ones(1, dtype=bool)))
 
 
 @dataclass(frozen=True)

@@ -934,7 +934,9 @@ class _Estimates:
         out = []
         for p in points:
             got = self.table[p.tobytes()]
-            out.append(got if isinstance(got, Exception) else tuple(-g for g in got) if negated else got)
+            if negated and not isinstance(got, Exception):
+                got = tuple(-g for g in got)
+            out.append(got)
         return Generators.of(out, points.shape[1])
 
 

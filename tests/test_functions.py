@@ -93,7 +93,8 @@ def test_corpus_row_gradients_are_the_point_gradients(name, negated):
             assert g.tobytes() == want.tobytes()
     at_origin = (points == 0.0).all(axis=1)
     assert at_origin.any() or name == "fractional"
-    assert kinks.tolist() == (at_origin.tolist() if name in ("ramp", "twoslope") else [False] * len(points))
+    kinked = name in ("ramp", "twoslope")
+    assert kinks.tolist() == (at_origin.tolist() if kinked else [False] * len(points))
     # grads reads the same rows, in one call or one point at a time.
     for handle in (fn, replace(fn, gradient_rows=None)):
         got, has = handle.grads(points)
