@@ -392,11 +392,14 @@ class _Predicate:
     lam: bool = False
     gradient: bool = False
 
-    def rows(self, ctx: _Context, negated: bool, xs, ys, lams=None) -> ck.Rows:
+    def rows(self, ctx: _Context, negated: bool, xs, ys, lams=None, gradients=None) -> ck.Rows:
+        """gradients, for a kernel condition, are those at xs when read
+        already."""
         fn = ctx.handle(negated)
         if self.lam:
             return ck.check_rows(self.name, fn, xs, ys, ctx.lam_grid if lams is None else lams)
-        gradients = ctx.gradients(np.atleast_2d(xs), negated) if self.gradient else None
+        if self.gradient and gradients is None:
+            gradients = ctx.gradients(np.atleast_2d(xs), negated)
         return ck.check_generator_rows(
             self.name, fn, xs, ys, lambda points, neg: ctx.generators(points, neg != negated),
             gradients,
@@ -661,23 +664,25 @@ def _placed(ctx: _Context, probe: _Probe, negated: bool, pairs):
     """Where a probe runs on the sampled pairs, pair after pair: each row's
     endpoints (the sampled points themselves, or a kernel projection), the
     pair it comes from, the rows' lambdas ((k, 1), or None for the grid),
-    and the pairs whose placement read a failed estimate."""
+    the pairs whose placement read a failed estimate, and the gradients at
+    the rows' first endpoints where the placement read them (else None)."""
     index = range(len(pairs))
     if probe.placement == _PAIR:
-        return list(pairs), list(index), None, set()
+        return list(pairs), list(index), None, set(), None
     if probe.placement == _SWEEP:
         lams = ctx.interior_lams
         return ([ab for ab in pairs for _ in lams], [i for i in index for _ in lams],
-                np.tile(lams, len(pairs))[:, None], set())
+                np.tile(lams, len(pairs))[:, None], set(), None)
     ends = [ab for x, y in pairs for ab in ((x, y), (y, x))]
     pair = [i for i in index for _ in (0, 1)]
     if probe.placement == _BOTH:
-        return ends, pair, None, set()
+        return ends, pair, None, set(), None
     # Kernel conditions bind on measure-zero sets: each orientation (a, b)
     # is followed by b projected onto the kernel of each generator at a,
     # where that moves it and stays feasible.
     a, b = (np.array(side) for side in zip(*ends))
-    gens = _kernel_generators(ctx, a, negated)
+    grads = ctx.gradients(a, negated)
+    gens = ck.kernel_generators(len(a), grads, lambda rows: ctx.generators(a[rows], negated))
     g, own = gens.g, gens.owner
     gg = ck.dots(g, g)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -687,27 +692,14 @@ def _placed(ctx: _Context, probe: _Probe, negated: bool, pairs):
     projected: dict[int, list] = {}
     for f in np.flatnonzero(keep):
         projected.setdefault(int(own[f]), []).append((ends[own[f]][0], bp[f]))
-    rows, rows_pair = [], []
+    rows, rows_pair, origin = [], [], []
     for o, ab in enumerate(ends):
         for row in (ab, *projected.get(o, ())):
             rows.append(row)
             rows_pair.append(pair[o])
-    return rows, rows_pair, None, {pair[i] for i in gens.failed}
-
-
-def _kernel_generators(ctx: _Context, points: np.ndarray, negated: bool) -> ck.Generators:
-    """Per row, the gradient where the handle is smooth and has one there,
-    else the generators of the estimate."""
-    grads = ctx.gradients(points, negated)
-    if grads is None:
-        return ctx.generators(points, negated)
-    gradients, has = grads
-    sets: list = list(gradients[:, None])
-    rest = np.flatnonzero(~has)
-    est = ctx.generators(points[rest], negated)
-    for j, i in enumerate(rest):
-        sets[i] = est.failed.get(j) or est.g[est.start[j]:est.start[j] + est.count[j]]
-    return ck.Generators.of(sets, points.shape[1])
+            origin.append(o)
+    gradients = None if grads is None else tuple(v[origin] for v in grads)
+    return rows, rows_pair, None, {pair[i] for i in gens.failed}, gradients
 
 
 def _pair_samples(ctx: _Context, prop: str, pairs):
@@ -716,16 +708,16 @@ def _pair_samples(ctx: _Context, prop: str, pairs):
     order, or None for a pair on which an estimate failed.  Each probe runs
     over its placements on all pairs in one kernel call, and keeps the
     Check of its failures only (None otherwise)."""
-    if not pairs:
-        return
     probes = []
     broken: set[int] = set()
     for probe in _PROBES[prop]:
         pred = probe.predicate_for(ctx)
         for negated in probe.sides:
-            ends, pair, lams, failed = _placed(ctx, probe, negated, pairs)
+            ends, pair, lams, failed, gradients = _placed(ctx, probe, negated, pairs)
+            if not ends:  # a sweep over a grid without interior lambdas
+                continue
             xs, ys = (np.array(side) for side in zip(*ends))
-            rows = pred.rows(ctx, negated, xs, ys, lams)
+            rows = pred.rows(ctx, negated, xs, ys, lams, gradients)
             broken |= failed | {pair[r] for r in rows.failed or ()}
             bounds = np.searchsorted(pair, np.arange(len(pairs) + 1)).tolist()
             probes.append((pred.name, negated, ends, rows, bounds))

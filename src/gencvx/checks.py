@@ -74,6 +74,7 @@ __all__ = [
     "check_rows",
     "Generators",
     "dots",
+    "kernel_generators",
     "check_generator_rows",
     "compute_p",
     "verify_p_identity",
@@ -195,10 +196,10 @@ class Rows(NamedTuple):
 
     A value-only predicate adds each row's witness lam and f there (NaN
     where a row names none).  A generator predicate adds the generator a
-    row names (NaN where none) with its index (-1), the row's detail as an
-    index into _NOTES with the number it formats, and the rows whose
-    estimate failed, each with its EstimationError: such a row has no
-    margin (NaN), and reading it raises a fresh copy of the failure.
+    row names (NaN where none) with its index (-1), the row's _Note with
+    the number its detail formats, and the rows whose estimate failed, each
+    with its EstimationError: such a row has no margin (NaN), and reading
+    it raises a fresh copy of the failure.
     """
 
     predicate: str
@@ -228,12 +229,11 @@ class Rows(NamedTuple):
             lam, fz = (None if np.isnan(v) else float(v) for v in (self.lam[i], self.fz[i]))
             return Check(self.predicate, x, y, fx, fy, outcome, lam=lam, fz=fz,
                          detail=_DETAILS[self.predicate](outcome, fx, fy, lam, fz), **scored)
-        predicate, detail = _NOTES[self.note[i]]
-        k = int(self.index[i])
-        return Check(predicate, x, y, fx, fy, outcome,
+        note, k = self.note[i], int(self.index[i])
+        return Check(note.predicate, x, y, fx, fy, outcome,
                      generator=None if k < 0 else self.generator[i],
                      generator_index=None if k < 0 else k,
-                     detail=detail.format(float(self.value[i])), **scored)
+                     detail=note.detail.format(float(self.value[i])), **scored)
 
     def first_above(self, level: float) -> int | None:
         """The first row whose margin exceeds level (None if none does); a
@@ -619,35 +619,37 @@ def _kernel_margin(closest, gap, eps):
     return np.where(closest > eps, -closest, np.where(gap > eps, gap, gap - eps))
 
 
-# The Check a generator-kernel row gives: its predicate and detail, which
-# formats the row's noted value.
-_NOTES = (
-    ("pseudoconvex-pair", ""),
-    ("pseudoconvex-pair", "<g, y-x> = {:.6g} is not strictly negative"),
-    ("proportional-identity", ""),
-    ("proportional-identity", "<g, y-x> vanishes while the values differ"),
-    ("proportional-identity", "proportional factor p = {:.6g} is not positive"),
-    ("proportional-identity", "identity residual above margin"),
-    ("symmetric-equality", ""),
-    ("symmetric-equality", "forward proportional factor p = {:.6g} is not positive"),
-    ("symmetric-equality", "reverse proportional factor p = {:.6g} is not positive"),
-    ("symmetric-equality", "symmetric sum large despite a vanishing pairing"),
-    ("symmetric-equality", "symmetric sum S = {:.6g} is nonzero"),
-    ("symmetric-equality", "pairing inside the equality band; sum not decidable"),
-    ("gradient-kernel", ""),
-    ("gradient-kernel", "kernel direction changes the value"),
-    ("subdifferential-kernel", ""),
-    ("subdifferential-kernel", "kernel generator violates f(y) >= f(x)"),
-    ("subdifferential-kernel", "kernel generator violates f(y) <= f(x)"),
-)
-(
-    _PSEUDOCONVEX, _PSEUDOCONVEX_FAIL,
-    _IDENTITY, _IDENTITY_BAND, _IDENTITY_SIGN, _IDENTITY_RESIDUAL,
-    _SYMMETRIC, _SYMMETRIC_FORWARD, _SYMMETRIC_REVERSE, _SYMMETRIC_BAND_SUM, _SYMMETRIC_SUM,
-    _SYMMETRIC_UNDECIDED,
-    _GRADIENT_KERNEL, _GRADIENT_KERNEL_FAIL,
-    _SUBDIFF_KERNEL, _SUBDIFF_KERNEL_LOWER, _SUBDIFF_KERNEL_UPPER,
-) = range(len(_NOTES))
+@dataclass(frozen=True)
+class _Note:
+    """The predicate and detail of the Check a generator-kernel row gives;
+    the detail formats the row's noted value.  Kernels fill object arrays
+    with these, as _outcomes does with the outcomes."""
+
+    predicate: str
+    detail: str = ""
+
+
+_PSEUDOCONVEX = _Note("pseudoconvex-pair")
+_PSEUDOCONVEX_FAIL = _Note("pseudoconvex-pair", "<g, y-x> = {:.6g} is not strictly negative")
+_IDENTITY = _Note("proportional-identity")
+_IDENTITY_BAND = _Note("proportional-identity", "<g, y-x> vanishes while the values differ")
+_IDENTITY_SIGN = _Note("proportional-identity", "proportional factor p = {:.6g} is not positive")
+_IDENTITY_RESIDUAL = _Note("proportional-identity", "identity residual above margin")
+_SYMMETRIC = _Note("symmetric-equality")
+_SYMMETRIC_FORWARD = _Note(
+    "symmetric-equality", "forward proportional factor p = {:.6g} is not positive")
+_SYMMETRIC_REVERSE = _Note(
+    "symmetric-equality", "reverse proportional factor p = {:.6g} is not positive")
+_SYMMETRIC_BAND_SUM = _Note(
+    "symmetric-equality", "symmetric sum large despite a vanishing pairing")
+_SYMMETRIC_SUM = _Note("symmetric-equality", "symmetric sum S = {:.6g} is nonzero")
+_SYMMETRIC_UNDECIDED = _Note(
+    "symmetric-equality", "pairing inside the equality band; sum not decidable")
+_GRADIENT_KERNEL = _Note("gradient-kernel")
+_GRADIENT_KERNEL_FAIL = _Note("gradient-kernel", "kernel direction changes the value")
+_SUBDIFF_KERNEL = _Note("subdifferential-kernel")
+_SUBDIFF_KERNEL_LOWER = _Note("subdifferential-kernel", "kernel generator violates f(y) >= f(x)")
+_SUBDIFF_KERNEL_UPPER = _Note("subdifferential-kernel", "kernel generator violates f(y) <= f(x)")
 
 
 def _pseudoconvex_gen(fx, fy, x, y, sub, gradients):
@@ -699,30 +701,23 @@ def _identity_gen(fx, fy, x, y, sub, gradients):
         residual,
         _take(gens.g, first, fail),
         np.where(fail, first - gens.start, -1),
-        _take(note, first, fail, _IDENTITY),
+        np.where(fail, note[first], _IDENTITY),
         _take(np.where(sign, p, np.nan), first, fail),
         gens.failed,
     )
 
 
 def _symmetric_gen(fx, fy, x, y, sub, gradients):
-    """check_symmetric_equality's kernel.
-
-    The loop it replaces walks the generators g_k at x; each is first tested
-    for a positive forward factor (event F_k), then paired with every
-    generator h_j at y, tested for a positive reverse factor (R_j) and for
-    a vanishing sum (S_kj).  Each event gets its position in that walk,
-    k * (2b + 1) for F_k and k * (2b + 1) + 1 + 2j for R_j, one more for
-    S_kj, with b generators at y, and a row fails at its least failing
-    position.  The y estimate is read only where F_0 passes.
-    """
+    """check_symmetric_equality's kernel: every generator's pairing and
+    proportional factor over all rows at once, then per row the loop over
+    them.  Each generator g at x needs a positive forward factor and, with
+    each generator h at y, a positive reverse factor and a vanishing sum.
+    The y estimate is read only where the first generator at x passes."""
     k = len(x)
     eps = eps_strict(fx, fy)
-    limit = WITNESS_FACTOR * eps
     gx = sub(np.arange(k))
-    ox = gx.owner
-    den1 = dots(gx.g, (y - x)[ox])
-    p1, band1 = _p((fy - fx)[ox], den1, eps[ox])
+    den1 = dots(gx.g, (y - x)[gx.owner])
+    p1, band1 = _p((fy - fx)[gx.owner], den1, eps[gx.owner])
     forward = ~band1 & ~(p1 > 0.0)
     read = ~forward[gx.start]
     read[list(gx.failed)] = False
@@ -732,58 +727,60 @@ def _symmetric_gen(fx, fy, x, y, sub, gradients):
     den2 = dots(gy.g, (x - y)[oy])
     p2, band2 = _p((fx - fy)[oy], den2, eps_strict(fy, fx)[oy])
     reverse = ~band2 & ~(p2 > 0.0)
+    failed = {**gx.failed, **{int(ry[i]): e for i, e in gy.failed.items()}}
 
-    # The pairs (g_k, h_j) of the rows whose y estimate holds, k-major.
-    both = np.ones(len(ry), dtype=bool)
-    both[list(gy.failed)] = False
-    rb, yb = ry[both], np.flatnonzero(both)
-    a, b = gx.count[rb], gy.count[yb]
-    pairs = np.cumsum(a * b) - a * b  # where each row's pairs start
-    row = np.repeat(np.arange(len(rb)), a * b)
-    pos = np.arange(len(row)) - pairs[row]
-    kk, jj = pos // b[row], pos % b[row]
-    gi, hj = gx.start[rb][row] + kk, gy.start[yb][row] + jj
-    s = p1[gi] * den1[gi] + p2[hj] * den2[hj]
-    sum_fails = abs(s) > np.where(band1[gi] | band2[hj], limit[rb][row], eps[rb][row])
-    width = _spread(k, rb, 2 * b + 1, 1)
-    spot = kk * width[rb][row] + 1 + 2 * jj
-    never = np.iinfo(np.intp).max
-    f_spot = (np.arange(len(ox)) - gx.start[ox]) * width[ox]
-    at = _per_row(np.minimum, np.where(forward, f_spot, never), gx.start)
-    pair_at = np.minimum(np.where(reverse[hj], spot, never), np.where(sum_fails, spot + 1, never))
-    at[rb] = np.minimum(at[rb], _per_row(np.minimum, pair_at, pairs))
+    x_at, x_end = gx.start.tolist(), (gx.start + gx.count).tolist()
+    y_at = _spread(k, ry, gy.start, 0).tolist()
+    y_end = _spread(k, ry, gy.start + gy.count, 0).tolist()
+    d1, q1, b1, f1 = (a.tolist() for a in (den1, p1, band1, forward))
+    d2, q2, b2, r2 = (a.tolist() for a in (den2, p2, band2, reverse))
+    up, down = (fy - fx).tolist(), (fx - fy).tolist()
+    strict, limit = eps.tolist(), (WITNESS_FACTOR * eps).tolist()
 
-    fail = at < never
-    q, rem = np.divmod(np.where(fail, at, 0), width)
-    on_y = fail & (rem % 2 == 1)
-    is_sum = fail & (rem > 0) & ~on_y
-    on_x = fail & ~on_y
-    gk = gx.start + q
-    hk = _spread(k, ry, gy.start, 0) + np.where(on_y, rem - 1, rem - 2) // 2
-    d1, pp1 = (_take(v, gk, on_x) for v in (den1, p1))
-    d2, pp2 = (_take(v, hk, on_y | is_sum) for v in (den2, p2))
-    s = pp1 * d1 + pp2 * d2
-    banded = _take(band1, gk, on_x, False) | _take(band2, hk, is_sum, False)
-    residual = np.select(
-        [is_sum, on_y, on_x],
-        [abs(s), _nonpositive_residual(fx - fy, d2, eps), _nonpositive_residual(fy - fx, d1, eps)],
-        0.0)
-    saw_band = _per_row(np.logical_or, band1, gx.start)
-    saw_band[ry] |= _per_row(np.logical_or, band2, gy.start)
-    note = np.select(
-        [is_sum & banded, is_sum, on_y, on_x, saw_band],
-        [_SYMMETRIC_BAND_SUM, _SYMMETRIC_SUM, _SYMMETRIC_REVERSE, _SYMMETRIC_FORWARD,
-         _SYMMETRIC_UNDECIDED],
-        _SYMMETRIC)
+    def walk(i):
+        """Row i's first failure as (note, generators, flat index, residual,
+        noted value), else its note."""
+        saw_band = False
+        for a in range(x_at[i], x_end[i]):
+            if f1[a]:
+                return (_SYMMETRIC_FORWARD, gx, a,
+                        float(_nonpositive_residual(up[i], d1[a], strict[i])), q1[a])
+            for b in range(y_at[i], y_end[i]):
+                if r2[b]:
+                    return (_SYMMETRIC_REVERSE, gy, b,
+                            float(_nonpositive_residual(down[i], d2[b], strict[i])), q2[b])
+                s = q1[a] * d1[a] + q2[b] * d2[b]
+                if b1[a] or b2[b]:
+                    saw_band = True
+                    if abs(s) > limit[i]:
+                        return _SYMMETRIC_BAND_SUM, gx, a, abs(s), s
+                elif abs(s) > strict[i]:
+                    return _SYMMETRIC_SUM, gx, a, abs(s), s
+        return _SYMMETRIC_UNDECIDED if saw_band else _SYMMETRIC
+
+    note = np.full(k, _SYMMETRIC, dtype=object)
+    residual, value = np.zeros(k), np.full(k, np.nan)
+    generator, index = np.full(x.shape, np.nan), np.full(k, -1)
+    for i in range(k):
+        if i in failed:
+            continue
+        hit = walk(i)
+        if isinstance(hit, _Note):
+            note[i] = hit
+            continue
+        note[i], gens, a, residual[i], value[i] = hit
+        generator[i] = gens.g[a]
+        index[i] = a - gens.start[gens.owner[a]]
+    fail = index >= 0
     return (
-        _outcomes(False, fail, saw_band),
+        _outcomes(False, fail, note == _SYMMETRIC_UNDECIDED),
         _proportional_margin(fx, fy, fail, residual, _per_row(np.minimum, abs(den1), gx.start)),
         residual,
-        np.where(on_y[:, None], _take(gy.g, hk, on_y), _take(gx.g, gk, on_x)),
-        np.where(on_y, hk - _spread(k, ry, gy.start, 0), np.where(on_x, q, -1)),
+        generator,
+        index,
         note,
-        np.select([is_sum, on_y, on_x], [s, pp2, pp1], np.nan),
-        {**gx.failed, **{int(ry[i]): e for i, e in gy.failed.items()}},
+        value,
+        failed,
     )
 
 
@@ -821,35 +818,48 @@ def _subdiff_kernel(fx, fy, x, y, low: Generators, up: Generators):
     return results, _outcomes(~in_l, lower, False), _outcomes(~in_u, upper, False)
 
 
-def _kernel_gen(fx, fy, x, y, sub, gradients):
-    """The kernel conditions: check_gradient_kernel's kernel on the rows
-    with a gradient (gradients: (k, n) gradients and the (k,) flags of the
-    rows that have one), check_subdiff_kernel_pair's on the others, which
-    alone read estimates."""
-    k, n = x.shape
-    g, has = gradients if gradients is not None else (np.zeros((k, n)), np.zeros(k, dtype=bool))
-    eps = eps_strict(fx, fy)
-    gap = abs(fy - fx)
-    near = abs(dots(g, y - x))
-    fail = has & ~(near > eps) & (gap > eps)
-    results = [
-        _outcomes(near > eps, fail, False),
-        _kernel_margin(near, gap, eps),
-        np.where(fail, gap, 0.0),
-        np.where(fail[:, None], g, np.nan),
-        np.where(fail, 0, -1),
-        np.where(fail, _GRADIENT_KERNEL_FAIL, _GRADIENT_KERNEL),
-        np.full(k, np.nan),
-        {},
-    ]
+def kernel_generators(k: int, gradients, estimate) -> Generators:
+    """The generators the kernel conditions read at each of k rows: the
+    gradient where `gradients` ((k, n) gradients and the (k,) flags of the
+    rows that have one, or None) gives one, else the generators of the
+    estimate that `estimate(rows)` gives for the other rows."""
+    if gradients is None:
+        return estimate(np.arange(k))
+    g, has = gradients
     rest = np.flatnonzero(~has)
-    if rest.size:
-        part, _, _ = _subdiff_kernel(fx[rest], fy[rest], x[rest], y[rest],
-                                     sub(rest), sub(rest, negated=True))
-        for whole, values in zip(results, part[:-1]):
-            whole[rest] = values
-        results[-1] = {int(rest[i]): e for i, e in part[-1].items()}
-    return results
+    if not rest.size:
+        every = np.arange(k)
+        return Generators(g, every, every, np.ones(k, dtype=np.intp), {})
+    est = estimate(rest)
+    sets: list = list(g[:, None])
+    for j, i in enumerate(rest):
+        sets[i] = est.failed.get(j) or est.g[est.start[j]:est.start[j] + est.count[j]]
+    return Generators.of(sets, g.shape[1])
+
+
+def _kernel_gen(fx, fy, x, y, sub, gradients):
+    """The kernel conditions: check_subdiff_kernel_pair's kernel on the
+    kernel_generators of f and of -f.  A row with a gradient g reads g and
+    -g, and so passes and fails as check_gradient_kernel; it names g, with
+    that check's notes."""
+    k = len(x)
+    negated = None if gradients is None else (-gradients[0], gradients[1])
+    results, _, _ = _subdiff_kernel(
+        fx, fy, x, y, kernel_generators(k, gradients, sub),
+        kernel_generators(k, negated, partial(sub, negated=True)))
+    if gradients is None:
+        return results
+    outcome, margin, residual, generator, index, note, value, failed = results
+    g, has = gradients
+    fail = has & (outcome == FAIL)
+    return (
+        outcome, margin, residual,
+        np.where(fail[:, None], g, generator),
+        index,
+        np.where(has, np.where(fail, _GRADIENT_KERNEL_FAIL, _GRADIENT_KERNEL), note),
+        value,
+        failed,
+    )
 
 
 _GENERATOR_KERNELS = {

@@ -513,3 +513,24 @@ def test_lockstep_refinement_equals_refining_each_candidate_alone(name, fn, regi
             batched -= sum(lockstep.values())
     assert batched > 0  # candidates did share kernel calls
     assert (failures > 0) == (name == "half-failing")
+
+
+@pytest.mark.parametrize("lambda_grid", [1, 2])
+def test_lambda_grids_without_interior_points_skip_the_sweeps(lambda_grid):
+    # With no interior lambda the bound sweeps place no rows; the other
+    # probes still run and refine as on any grid.
+    plan = SamplingPlan(pair_count=20, lambda_grid=lambda_grid)
+    tallies = {}
+    for name in ("cubic", "ramp", "paraboloid"):
+        e = corpus_entry(name)
+        for v in classify(e.handle, e.region, ("pseudolinear", "semistrictly-quasilinear"), plan):
+            tallies[name, v.property] = (
+                v.verdict, v.passes, v.vacuous, v.fails, v.inconclusive, len(v.witnesses))
+    assert tallies == {
+        ("cubic", "pseudolinear"): (REFUTED, 60, 40, 0, 0, 3),
+        ("cubic", "semistrictly-quasilinear"): (HOLDS, 20, 20, 0, 0, 0),
+        ("ramp", "pseudolinear"): (REFUTED, 42, 16, 36, 6, 8),
+        ("ramp", "semistrictly-quasilinear"): (HOLDS, 14, 26, 0, 0, 0),
+        ("paraboloid", "pseudolinear"): (REFUTED, 26, 40, 64, 0, 8),
+        ("paraboloid", "semistrictly-quasilinear"): (HOLDS, 20, 20, 0, 0, 0),
+    }
