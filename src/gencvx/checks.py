@@ -592,9 +592,10 @@ def _spread(k: int, rows: np.ndarray, a: np.ndarray, fill) -> np.ndarray:
 
 def _p(num, den, eps):
     """The proportional factor p = num/den, and the band flag |den| <= eps,
-    where p = 1 by convention; elementwise."""
+    where p = 1 by convention; elementwise.  A quotient past the float
+    range is inf, as a scalar division gives it."""
     band = abs(den) <= eps
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.where(band, 1.0, num / den), band
 
 
@@ -738,8 +739,8 @@ def _symmetric_gen(fx, fy, x, y, sub, gradients):
     strict, limit = eps.tolist(), (WITNESS_FACTOR * eps).tolist()
 
     def walk(i):
-        """Row i's first failure as (note, generators, flat index, residual,
-        noted value), else its note."""
+        """Row i's note, generators and flat index of the generator it
+        names (None, -1 if none), residual and noted value."""
         saw_band = False
         for a in range(x_at[i], x_end[i]):
             if f1[a]:
@@ -756,7 +757,7 @@ def _symmetric_gen(fx, fy, x, y, sub, gradients):
                         return _SYMMETRIC_BAND_SUM, gx, a, abs(s), s
                 elif abs(s) > strict[i]:
                     return _SYMMETRIC_SUM, gx, a, abs(s), s
-        return _SYMMETRIC_UNDECIDED if saw_band else _SYMMETRIC
+        return _SYMMETRIC_UNDECIDED if saw_band else _SYMMETRIC, None, -1, 0.0, np.nan
 
     note = np.full(k, _SYMMETRIC, dtype=object)
     residual, value = np.zeros(k), np.full(k, np.nan)
@@ -764,13 +765,10 @@ def _symmetric_gen(fx, fy, x, y, sub, gradients):
     for i in range(k):
         if i in failed:
             continue
-        hit = walk(i)
-        if isinstance(hit, _Note):
-            note[i] = hit
-            continue
-        note[i], gens, a, residual[i], value[i] = hit
-        generator[i] = gens.g[a]
-        index[i] = a - gens.start[gens.owner[a]]
+        note[i], gens, a, residual[i], value[i] = walk(i)
+        if gens is not None:
+            generator[i] = gens.g[a]
+            index[i] = a - gens.start[gens.owner[a]]
     fail = index >= 0
     return (
         _outcomes(False, fail, note == _SYMMETRIC_UNDECIDED),
