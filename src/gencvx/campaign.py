@@ -23,7 +23,9 @@ so results are identical however the work is scheduled.
 from __future__ import annotations
 
 import hashlib
+from collections import Counter
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -241,7 +243,7 @@ class _Context:
         self.lam_grid = tuple(float(t) for t in np.linspace(0.0, 1.0, plan.lambda_grid))
         self.interior_lams = tuple(t for t in self.lam_grid if 0.0 < t < 1.0)
         self._subdiffs: dict[bytes, object] = {}
-        self._pairs: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._pairs: tuple[np.ndarray, np.ndarray] | None = None
 
     def handle(self, negated: bool) -> FunctionHandle:
         return self.neg_fn if negated else self.fn
@@ -266,7 +268,6 @@ class _Context:
         for _ in range(200_000):
             p = rng.uniform(region.lower, region.upper)
             if region.contains(p, margin=region.margin):
-                p.flags.writeable = False
                 return p
         raise RegionTooThinError("pair sampling starved; region too thin")
 
@@ -279,14 +280,14 @@ class _Context:
             noise[axis] = 0.0
             y = y + noise
             if self.region.contains(y, margin=self.region.margin) and not np.array_equal(y, x):
-                y.flags.writeable = False
                 return y
         return self._draw_point(rng)
 
     @property
-    def pairs(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sampled pairs as two read-only (k, n) arrays, x and y."""
         if self._pairs is None:
-            out = []
+            xs, ys = [], []
             for i in range(self.plan.pair_count):
                 rng = self._stream(_DOMAIN_PAIR, i)
                 x = self._draw_point(rng)
@@ -298,8 +299,11 @@ class _Context:
                     y = self._draw_point(rng)
                     while np.array_equal(x, y):
                         y = self._draw_point(rng)
-                out.append((x, y))
-            self._pairs = out
+                xs.append(x)
+                ys.append(y)
+            self._pairs = np.array(xs), np.array(ys)
+            for side in self._pairs:
+                side.flags.writeable = False
         return self._pairs
 
     # -- subdifferential cache ---------------------------------------------------
@@ -599,25 +603,6 @@ def refine_counterexample(
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _Tally:
-    passes: int = 0
-    vacuous: int = 0
-    fails: int = 0
-    inconclusive: int = 0
-    pass_pairs: int = 0  # distinct sampled pairs contributing a non-vacuous pass
-
-    def add(self, outcome: str):
-        if outcome == PASS:
-            self.passes += 1
-        elif outcome == VACUOUS:
-            self.vacuous += 1
-        elif outcome == FAIL:
-            self.fails += 1
-        else:
-            self.inconclusive += 1
-
-
 # Where a probe runs its predicate on a sampled pair (x, y).
 _PAIR = "pair"      # (x, y) once
 _BOTH = "both"      # (x, y), then (y, x)
@@ -660,27 +645,32 @@ _PROBES: dict[str, tuple[_Probe, ...]] = {
 }
 
 
-def _placed(ctx: _Context, probe: _Probe, negated: bool, pairs):
-    """Where a probe runs on the sampled pairs, pair after pair: each row's
-    endpoints (the sampled points themselves, or a kernel projection), the
-    pair it comes from, the rows' lambdas ((k, 1), or None for the grid),
-    the pairs whose placement read a failed estimate, and the gradients at
-    the rows' first endpoints where the placement read them (else None)."""
-    index = range(len(pairs))
+def _both(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each pair in both orientations, (x, y) then (y, x), pair after pair."""
+    n = xs.shape[1]
+    return np.stack([xs, ys], axis=1).reshape(-1, n), np.stack([ys, xs], axis=1).reshape(-1, n)
+
+
+def _placed(ctx: _Context, probe: _Probe, negated: bool, xs: np.ndarray, ys: np.ndarray):
+    """Where a probe runs on the sampled pairs, pair after pair: the rows'
+    endpoints (sampled points, or kernel projections) as two (k, n) arrays,
+    each row's pair, the lambdas ((k, 1), or None for the grid), the pairs
+    whose placement read a failed estimate, and the gradients at the rows'
+    first endpoints where the placement read them (else None)."""
+    index = np.arange(len(xs))
     if probe.placement == _PAIR:
-        return list(pairs), list(index), None, set(), None
+        return xs, ys, index, None, index[:0], None
     if probe.placement == _SWEEP:
-        lams = ctx.interior_lams
-        return ([ab for ab in pairs for _ in lams], [i for i in index for _ in lams],
-                np.tile(lams, len(pairs))[:, None], set(), None)
-    ends = [ab for x, y in pairs for ab in ((x, y), (y, x))]
-    pair = [i for i in index for _ in (0, 1)]
+        m = len(ctx.interior_lams)
+        return (np.repeat(xs, m, axis=0), np.repeat(ys, m, axis=0), np.repeat(index, m),
+                np.tile(ctx.interior_lams, len(xs))[:, None], index[:0], None)
+    a, b = _both(xs, ys)
+    pair = np.repeat(index, 2)
     if probe.placement == _BOTH:
-        return ends, pair, None, set(), None
+        return a, b, pair, None, index[:0], None
     # Kernel conditions bind on measure-zero sets: each orientation (a, b)
     # is followed by b projected onto the kernel of each generator at a,
     # where that moves it and stays feasible.
-    a, b = (np.array(side) for side in zip(*ends))
     grads = ctx.gradients(a, negated)
     gens = ck.kernel_generators(len(a), grads, lambda rows: ctx.generators(a[rows], negated))
     g, own = gens.g, gens.owner
@@ -689,57 +679,60 @@ def _placed(ctx: _Context, probe: _Probe, negated: bool, pairs):
         bp = b[own] - g * (ck.dots(g, b[own] - a[own]) / gg)[:, None]
     keep = (gg > 1e-24) & ~(abs(bp - a[own]) <= 1e-12).all(axis=1)
     keep[keep] = ctx.feasible(bp[keep])
-    projected: dict[int, list] = {}
-    for f in np.flatnonzero(keep):
-        projected.setdefault(int(own[f]), []).append((ends[own[f]][0], bp[f]))
-    rows, rows_pair, origin = [], [], []
-    for o, ab in enumerate(ends):
-        for row in (ab, *projected.get(o, ())):
-            rows.append(row)
-            rows_pair.append(pair[o])
-            origin.append(o)
+    # A stable sort by orientation puts its projections, in generator
+    # order, right after it.
+    origin = np.concatenate([np.arange(len(a)), own[keep]])
+    order = np.argsort(origin, kind="stable")
+    origin = origin[order]
     gradients = None if grads is None else tuple(v[origin] for v in grads)
-    return rows, rows_pair, None, {pair[i] for i in gens.failed}, gradients
+    return (a[origin], np.concatenate([b, bp[keep]])[order], pair[origin], None,
+            pair[list(gens.failed)], gradients)
 
 
-def _pair_samples(ctx: _Context, prop: str, pairs):
-    """Yield, for each sampled pair in turn, every (outcome, check,
-    predicate, negated) the property's probes derive from it, in probe
-    order, or None for a pair on which an estimate failed.  Each probe runs
-    over its placements on all pairs in one kernel call, and keeps the
-    Check of its failures only (None otherwise)."""
-    probes = []
-    broken: set[int] = set()
+class _Run(NamedTuple):
+    """A probe side's kernel run: its rows' endpoints, each row's pair, the Rows."""
+
+    predicate: str
+    negated: bool
+    xs: np.ndarray
+    ys: np.ndarray
+    pair: np.ndarray
+    rows: ck.Rows
+
+    def check(self, r: int) -> ck.Check:
+        """Row r as a Check on copies of its endpoints: no placement kept alive."""
+        return self.rows.check(r, self.xs[r].copy(), self.ys[r].copy())
+
+    def candidate(self, r: int) -> Candidate:
+        """Failing row r as a refinement seed: the pair it ran on (maybe a kernel
+        projection or the reversed orientation) and a segment check's lambda."""
+        check = self.check(r)
+        return Candidate(self.predicate, self.negated, check.x, check.y, check.lam)
+
+
+def _runs(ctx: _Context, prop: str, xs: np.ndarray, ys: np.ndarray):
+    """Each probe side's run over its placements on the pairs (xs[i], ys[i]),
+    in probe order, and the mask of the pairs on which an estimate failed."""
+    runs = []
+    broken = np.zeros(len(xs), dtype=bool)
     for probe in _PROBES[prop]:
         pred = probe.predicate_for(ctx)
         for negated in probe.sides:
-            ends, pair, lams, failed, gradients = _placed(ctx, probe, negated, pairs)
-            if not ends:  # a sweep over a grid without interior lambdas
+            a, b, pair, lams, failed, gradients = _placed(ctx, probe, negated, xs, ys)
+            if not len(a):  # a sweep over a grid without interior lambdas
                 continue
-            xs, ys = (np.array(side) for side in zip(*ends))
-            rows = pred.rows(ctx, negated, xs, ys, lams, gradients)
-            broken |= failed | {pair[r] for r in rows.failed or ()}
-            bounds = np.searchsorted(pair, np.arange(len(pairs) + 1)).tolist()
-            probes.append((pred.name, negated, ends, rows, bounds))
-    for i in range(len(pairs)):
-        if i in broken:
-            yield None
-            continue
-        samples = []
-        for name, negated, ends, rows, bounds in probes:
-            for r in range(bounds[i], bounds[i + 1]):
-                outcome = rows.outcome[r]
-                check = rows.check(r, *ends[r]) if outcome == FAIL else None
-                samples.append((outcome, check, name, negated))
-        yield samples
+            rows = pred.rows(ctx, negated, a, b, lams, gradients)
+            broken[failed] = True
+            broken[pair[list(rows.failed or ())]] = True
+            runs.append(_Run(pred.name, negated, a, b, pair, rows))
+    return runs, broken
 
 
 def _near_misses(ctx: _Context, prop: str) -> list[Candidate]:
     """The pairs, in both orientations, closest to violating each near-miss
     probe of the property, scored in one kernel call per probe and side;
     pairs whose estimate failed are passed over."""
-    oriented = [ab for x, y in ctx.pairs for ab in ((x, y), (y, x))]
-    xs, ys = (np.array(side) for side in zip(*oriented))
+    xs, ys = _both(*ctx.pairs)
     out = []
     for probe in _PROBES[prop]:
         if not probe.near_miss:
@@ -747,87 +740,85 @@ def _near_misses(ctx: _Context, prop: str) -> list[Candidate]:
         pred = probe.predicate_for(ctx)
         for negated in probe.sides:
             rows = pred.rows(ctx, negated, xs, ys)
-            failed = rows.failed or {}
-            scored = [(m, Candidate(pred.name, negated, a, b))
-                      for r, (m, (a, b)) in enumerate(zip(rows.margin.tolist(), oriented))
-                      if r not in failed]
-            scored.sort(key=lambda t: -t[0])
-            out.extend(c for _, c in scored[:NEAR_MISS_CANDIDATES])
+            r = np.delete(np.arange(len(xs)), list(rows.failed or ()))
+            best = r[np.argsort(-rows.margin[r], kind="stable")[:NEAR_MISS_CANDIDATES]]
+            out.extend(Candidate(pred.name, negated, xs[i].copy(), ys[i].copy()) for i in best)
     return out
 
 
-def _candidate(predicate: str, negated: bool, check: ck.Check) -> Candidate:
-    """Refinement seed of a failed check: the pair it ran on, which may be a
-    kernel projection or the reversed orientation of the sampled pair, and
-    its failing lambda for a segment check."""
-    return Candidate(predicate, negated, check.x, check.y, check.lam)
+def _sampled(ctx: _Context, prop: str):
+    """From the probes' kernel rows: the tallies, the number of pairs with a
+    pass, the witnesses kept and the strongest near-ties as candidates."""
+    runs, broken = _runs(ctx, prop, *ctx.pairs)
+    # The rows of a pair on which an estimate failed are not counted; the
+    # pair counts once, as inconclusive.
+    counts = Counter({PASS: 0, VACUOUS: 0, FAIL: 0, INCONCLUSIVE: int(broken.sum())})
+    passed = np.zeros(len(broken), dtype=bool)
+    witnesses: list[Witness] = []
+    ties = []  # each run's near-ties as (-residual, pair, run, row)
+    for n, (predicate, negated, xs, ys, pair, rows) in enumerate(runs):
+        kept = ~broken[pair]
+        counts.update(rows.outcome[kept].tolist())
+        passed[pair[kept & (rows.outcome == PASS)]] = True
+        fail = kept & (rows.outcome == FAIL)
+        credible = fail & rows.credible()
+        # Only the run's first credible failures in Witness.sort_key order
+        # can be kept (a run's witnesses share predicate and side).
+        c = np.flatnonzero(credible)
+        lam = np.full(len(c), -1.0) if rows.lam is None else np.nan_to_num(rows.lam[c], nan=-1.0)
+        keys = np.column_stack([-rows.residual[c], xs[c], ys[c], lam])
+        for r in c[np.lexsort(keys.T[::-1])[:MAX_WITNESSES]]:
+            witnesses.append(_witness_from_check(predicate, negated, runs[n].check(r), prop))
+        t = np.flatnonzero(fail & ~credible)
+        ties.append((-rows.residual[t], pair[t], np.full(len(t), n), t))
+    witnesses = sorted(witnesses, key=Witness.sort_key)[:MAX_WITNESSES]
+    # The strongest near-ties, ties broken in pair, probe and row order.
+    residual, pair, run_of, row = (np.concatenate(v) for v in zip(*ties))
+    near = np.lexsort((row, run_of, pair, residual))[:MAX_REFINED_CANDIDATES]
+    candidates = [runs[n].candidate(r) for n, r in zip(run_of[near], row[near])]
+    return counts, int(passed.sum()), witnesses, candidates
 
 
 def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
-    tally = _Tally()
-    raw_witnesses: list[Witness] = []
-    soft_candidates: list[tuple[float, Candidate]] = []
-
-    for samples in _pair_samples(ctx, prop, ctx.pairs):
-        if samples is None:
-            tally.inconclusive += 1
-            continue
-        if any(outcome == PASS for outcome, *_ in samples):
-            tally.pass_pairs += 1
-        for outcome, check, predicate, negated in samples:
-            tally.add(outcome)
-            if outcome != FAIL:
-                continue
-            w = _witness_from_check(predicate, negated, check, prop)
-            if w is not None:
-                raw_witnesses.append(w)
-            else:
-                soft_candidates.append((check.residual, _candidate(predicate, negated, check)))
-
-    witnesses = sorted(raw_witnesses, key=Witness.sort_key)[:MAX_WITNESSES]
-
+    counts, pass_pairs, witnesses, candidates = _sampled(ctx, prop)
     # Refine near-ties, and search near-misses when nothing failed outright.
-    candidates = [c for _, c in sorted(soft_candidates, key=lambda t: -t[0])]
-    if not witnesses and not candidates:
+    near_ties = bool(candidates)
+    if not witnesses and not near_ties:
         candidates = _near_misses(ctx, prop)
 
-    soft_set = {id(c) for _, c in soft_candidates}
     # The candidates are refined together, and their results read in order
     # until four witnesses are found.
     refined = candidates[:MAX_REFINED_CANDIDATES] if len(witnesses) < 4 else []
-    for cand, result in zip(refined, _refine_together(ctx, refined, ctx.plan.refinement_rounds)):
+    for result in _refine_together(ctx, refined, ctx.plan.refinement_rounds):
         if len(witnesses) >= 4:
             break
         if isinstance(result, EstimationError):
-            tally.inconclusive += 1
+            counts[INCONCLUSIVE] += 1
             continue
         if result.witness is not None:
             witnesses.append(replace(result.witness, property=prop))
-        elif id(cand) in soft_set:
+        elif near_ties:
             # A raw failure that would not harden is a near-tie: the sample
             # is reclassified as inconclusive instead of counting against
             # the property.
-            tally.fails -= 1
-            tally.inconclusive += 1
+            counts[FAIL] -= 1
+            counts[INCONCLUSIVE] += 1
 
     witnesses = sorted(witnesses, key=Witness.sort_key)[:MAX_WITNESSES]
 
     if witnesses:
         verdict = REFUTED
-    elif tally.fails > 0:
+    elif counts[FAIL] > 0:
         # Raw failures that were neither hardened nor discarded (refinement
         # budget exhausted): not decidable either way.
         verdict = INCONCLUSIVE
-    elif tally.pass_pairs < MIN_NONVACUOUS:
+    elif pass_pairs < MIN_NONVACUOUS:
         # Evidence diversity is measured in distinct pairs, not in samples:
         # one pair alone contributes a whole lambda grid of passes.
         verdict = INCONCLUSIVE
     else:
         verdict = HOLDS
-    return PropertyVerdict(
-        prop, verdict, tally.passes, tally.vacuous, tally.fails,
-        tally.inconclusive, tuple(witnesses),
-    )
+    return PropertyVerdict(prop, verdict, *counts.values(), tuple(witnesses))
 
 
 def classify(

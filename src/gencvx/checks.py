@@ -235,6 +235,11 @@ class Rows(NamedTuple):
                      generator_index=None if k < 0 else k,
                      detail=note.detail.format(float(self.value[i])), **scored)
 
+    def credible(self) -> np.ndarray:
+        """Each row's Check.credible, computed with the same float ops."""
+        threshold = WITNESS_FACTOR * eps_strict(self.fx, self.fy)
+        return (self.outcome == FAIL) & (self.residual > threshold)
+
     def first_above(self, level: float) -> int | None:
         """The first row whose margin exceeds level (None if none does); a
         failed row before it raises its failure."""

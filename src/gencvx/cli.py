@@ -121,6 +121,8 @@ def _parse_point(text: str, dimension: int) -> np.ndarray:
 
 
 def cmd_bcurve(args) -> int:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be at least 1, got {args.grid}")
     config = _resolve_config(args)
     fn, region = _load_target(config)
     x = _parse_point(args.x, fn.dimension)
@@ -128,10 +130,9 @@ def cmd_bcurve(args) -> int:
     for name, p in (("x", x), ("y", y)):
         if not region.contains(p):
             raise ValueError(f"point {name}={p.tolist()} is outside the region")
-    grid = args.grid
     lines = ["lambda,b,lambda_b,strict,weak,degenerate"]
-    for k in range(1, grid + 1):
-        lam = k / (grid + 1)
+    for k in range(1, args.grid + 1):
+        lam = k / (args.grid + 1)
         rec = compute_b(fn, x, y, lam)
         lines.append(
             ",".join(

@@ -91,9 +91,11 @@ class AffineConstraint:
         a row's slack is bit-identical to the slack of that point alone."""
         return self.bound - (x * self.coeffs).sum(axis=-1)
 
-    def satisfied(self, x: np.ndarray, margin: float = 0.0) -> bool:
+    def satisfied(self, x: np.ndarray, margin: float = 0.0):
+        """Slack clears margin (strictly for '<'): a bool for a point, a mask by row."""
         s = self.slack(x)
-        return bool(s > margin if self.relation == "<" else s >= margin)
+        ok = s > margin if self.relation == "<" else s >= margin
+        return ok if np.ndim(ok) else bool(ok)
 
     def text(self, names: list[str] | None = None) -> str:
         terms = []
@@ -187,11 +189,11 @@ class Region:
 
 
 def _accept_mask(region: Region, pts: np.ndarray) -> np.ndarray:
-    """Acceptance mask for a (k, n) batch: margin-deep inside box and constraints."""
+    """Acceptance mask for a (k, n) batch: region.contains(p, region.margin) by row."""
     m = region.margin
     ok = np.all(pts >= region.lower + m, axis=1) & np.all(pts <= region.upper - m, axis=1)
     for c in region.constraints:
-        ok &= (c.bound - pts @ c.coeffs) >= m
+        ok &= c.satisfied(pts, m)
     return ok
 
 
@@ -213,7 +215,7 @@ def sample_region(region: Region, count: int, seed: int) -> list[np.ndarray]:
     """Draw `count` interior points by rejection over the bounding box.
 
     Deterministic for a fixed (region, count, seed).  Every returned point
-    satisfies the box and all constraints with slack >= region.margin.
+    is in region.contains(p, region.margin).
     Raises RegionTooThinError when the acceptance rate stays below
     1e-3 over a million attempts.
     """

@@ -18,10 +18,13 @@ from gencvx import (
     refine_counterexample,
     replay_witness,
 )
+from gencvx import campaign
 from gencvx.campaign import (
-    HOLDS, MAX_REFINED_CANDIDATES, REFUTED, _PREDICATES, _candidate, _check, _Context,
-    _near_misses, _pair_samples, _Predicate, _refine_together,
+    HOLDS, MAX_REFINED_CANDIDATES, MAX_WITNESSES, REFUTED, _PREDICATES, _check,
+    _classify_property, _Context, _near_misses, _Predicate, _refine_together, _runs,
+    _witness_from_check,
 )
+from gencvx.checks import INCONCLUSIVE
 from gencvx.expr import EvalError
 from gencvx.nonsmooth import EstimationError
 from gencvx.functions import PROPERTIES, SMOOTH, FunctionHandle, function_from_expression
@@ -33,6 +36,25 @@ FAST = SamplingPlan(pair_count=60, seed=42)
 
 def _verdict_map(verdicts):
     return {v.property: v.verdict for v in verdicts}
+
+
+def _row_samples(ctx, prop):
+    """The property's sampled evidence walked row by row: for each sampled
+    pair in turn, every (outcome, check, predicate, negated) its probes
+    place on it, in probe order, with a Check for each failing row (else
+    None); None for a pair on which an estimate failed."""
+    runs, broken = _runs(ctx, prop, *ctx.pairs)
+    for i in range(len(broken)):
+        if broken[i]:
+            yield None
+            continue
+        samples = []
+        for run in runs:
+            for r in np.flatnonzero(run.pair == i):
+                outcome = run.rows.outcome[r]
+                check = run.rows.check(r, run.xs[r], run.ys[r]) if outcome == "fail" else None
+                samples.append((outcome, check, run.predicate, run.negated))
+        yield samples
 
 
 def test_fractional_all_properties_hold():
@@ -94,9 +116,11 @@ def test_gradient_kernel_without_gradient_replays_and_refines_as_sampled():
     )
     x, y = np.array([0.0]), np.array([-0.9])
     ctx = _Context(fn, e.region, FAST)
-    (_, check, _, _) = next(
-        s for s in next(_pair_samples(ctx, "pseudolinear", [(x, y)])) if s[2] == "gradient-kernel"
-    )
+    runs, broken = _runs(ctx, "pseudolinear", x[None], y[None])
+    (run,) = [run for run in runs if run.predicate == "gradient-kernel"]
+    check = run.check(0)
+    assert not broken.any()
+    assert np.array_equal(check.x, x) and np.array_equal(check.y, y)
     assert check.outcome == "fail"
     assert check.residual == pytest.approx(0.729, rel=1e-12)
     witness = Witness(
@@ -121,15 +145,22 @@ def test_soft_candidates_replay_to_their_checks():
     # seed must be the pair and lambda the check failed at.
     e = corpus_entry("paraboloid")
     ctx = _Context(e.handle, e.region, SamplingPlan(seed=0))
+    xs, ys = ctx.pairs
+    runs, broken = _runs(ctx, "pseudolinear", xs, ys)
     soft = elsewhere = 0
-    for (x, y), samples in zip(ctx.pairs, _pair_samples(ctx, "pseudolinear", ctx.pairs)):
-        for outcome, check, predicate, negated in samples:
-            if outcome != "fail" or check.credible:
+    for run in runs:
+        for r in np.flatnonzero(~broken[run.pair] & (run.rows.outcome == "fail")):
+            check, cand = run.check(r), run.candidate(r)
+            if check.credible:
                 continue
-            replayed = _check(ctx, _candidate(predicate, negated, check))
+            assert (cand.predicate, cand.negated) == (run.predicate, run.negated)
+            assert (cand.x.tolist(), cand.y.tolist(), cand.lam) == (
+                check.x.tolist(), check.y.tolist(), check.lam)
+            replayed = _check(ctx, cand)
             assert (replayed.outcome, replayed.residual) == (check.outcome, check.residual)
             soft += 1
-            elsewhere += not (np.array_equal(check.x, x) and np.array_equal(check.y, y))
+            i = run.pair[r]
+            elsewhere += not (np.array_equal(check.x, xs[i]) and np.array_equal(check.y, ys[i]))
     assert soft >= 3 and elsewhere >= 1
 
 
@@ -268,10 +299,11 @@ def test_kernel_refinement_for_gradient_kernel():
 def test_pair_sampling_includes_axis_stress():
     e = corpus_entry("fractional")
     ctx = _Context(e.handle, e.region, FAST)
-    pairs = ctx.pairs
-    assert len(pairs) == FAST.pair_count
+    xs, ys = ctx.pairs
+    assert xs.shape == ys.shape == (FAST.pair_count, e.handle.dimension)
+    assert not (xs.flags.writeable or ys.flags.writeable)
     stressed = 0
-    for i, (x, y) in enumerate(pairs):
+    for i, (x, y) in enumerate(zip(xs, ys)):
         if i % 10 == 9:
             # Nearly axis-collinear: the off-axis displacement is tiny.
             d = np.abs(y - x)
@@ -447,14 +479,19 @@ def test_batched_estimates_leave_reports_unchanged(source, dim, props):
         assert any(v.inconclusive for v in batched)  # failed estimates were read
 
 
+def _seed(predicate, negated, check):
+    """A failed check's refinement seed: the pair and lambda it failed at."""
+    return Candidate(predicate, negated, check.x, check.y, check.lam)
+
+
 def _property_candidates(ctx, prop):
     """The refinement seeds classify may take for a property: its sampled
     near-ties, strongest first, then its near-misses."""
     soft = []
-    for samples in _pair_samples(ctx, prop, ctx.pairs):
+    for samples in _row_samples(ctx, prop):
         for outcome, check, predicate, negated in samples or ():
             if outcome == "fail" and not check.credible:
-                soft.append((check.residual, _candidate(predicate, negated, check)))
+                soft.append((check.residual, _seed(predicate, negated, check)))
     soft = [c for _, c in sorted(soft, key=lambda t: -t[0])]
     return (soft + _near_misses(ctx, prop))[:MAX_REFINED_CANDIDATES]
 
@@ -513,6 +550,109 @@ def test_lockstep_refinement_equals_refining_each_candidate_alone(name, fn, regi
             batched -= sum(lockstep.values())
     assert batched > 0  # candidates did share kernel calls
     assert (failures > 0) == (name == "half-failing")
+
+
+def _selected_row_by_row(ctx, prop):
+    """A property's verdict reached from a Check for every failing row of a
+    pair whose estimates all succeeded: all credible failures become
+    witnesses, cut in Witness.sort_key order, and the near-ties are stably
+    sorted by -residual before refinement.  Returns the verdict, the
+    sampled witnesses kept, the candidates refined and the number of
+    witnesses built from sampling."""
+    counts = Counter()
+    pass_pairs = 0
+    raw, soft = [], []
+    for samples in _row_samples(ctx, prop):
+        if samples is None:
+            counts["inconclusive"] += 1
+            continue
+        pass_pairs += any(outcome == "pass" for outcome, *_ in samples)
+        for outcome, check, predicate, negated in samples:
+            counts[outcome] += 1
+            if outcome != "fail":
+                continue
+            w = _witness_from_check(predicate, negated, check, prop)
+            if w is not None:
+                raw.append(w)
+            else:
+                soft.append((check.residual, _seed(predicate, negated, check)))
+    witnesses = sorted(raw, key=Witness.sort_key)[:MAX_WITNESSES]
+    sampled = list(witnesses)
+    candidates = [c for _, c in sorted(soft, key=lambda t: -t[0])]
+    if not witnesses and not candidates:
+        candidates = _near_misses(ctx, prop)
+    soft_set = {id(c) for _, c in soft}
+    refined = candidates[:MAX_REFINED_CANDIDATES] if len(witnesses) < 4 else []
+    for cand, result in zip(refined, _refine_together(ctx, refined, ctx.plan.refinement_rounds)):
+        if len(witnesses) >= 4:
+            break
+        if isinstance(result, EstimationError):
+            counts["inconclusive"] += 1
+        elif result.witness is not None:
+            witnesses.append(replace(result.witness, property=prop))
+        elif id(cand) in soft_set:
+            counts["fail"] -= 1
+            counts["inconclusive"] += 1
+    witnesses = sorted(witnesses, key=Witness.sort_key)[:MAX_WITNESSES]
+    if witnesses:
+        verdict = REFUTED
+    elif counts["fail"] > 0 or pass_pairs < campaign.MIN_NONVACUOUS:
+        verdict = INCONCLUSIVE
+    else:
+        verdict = HOLDS
+    v = campaign.PropertyVerdict(prop, verdict, counts["pass"], counts["vacuous"],
+                                 counts["fail"], counts["inconclusive"], tuple(witnesses))
+    return v, sampled, refined, len(raw)
+
+
+def _as_tuple(c):
+    return c.predicate, c.negated, c.x.tolist(), c.y.tolist(), c.lam
+
+
+_SELECTION_CASES = _LOCKSTEP_CASES + [
+    ("max-minus-abs", function_from_expression("max(x1, x2) - abs(x1)", 2), _BOX2)]
+
+
+@pytest.mark.parametrize("name, fn, region", _SELECTION_CASES,
+                         ids=[c[0] for c in _SELECTION_CASES])
+def test_classify_keeps_what_a_check_per_failing_row_would(name, fn, region, monkeypatch):
+    # _classify_property builds witnesses and candidates only for the rows
+    # it can keep: the witnesses, refinement candidates and tallies equal
+    # those reached from a Check for every failing row.  Sampling builds at
+    # most MAX_WITNESSES witnesses per probe side, and refinement at most
+    # one per candidate it refines.
+    built, refined = [], []
+
+    def counted(predicate, negated, check, prop=""):
+        w = _witness_from_check(predicate, negated, check, prop)
+        built.append((bool(refined), predicate, negated, w))
+        return w
+
+    def refine(ctx, cands, rounds):
+        refined.append(list(cands))
+        return _refine_together(ctx, cands, rounds)
+
+    monkeypatch.setattr(campaign, "_witness_from_check", counted)
+    monkeypatch.setattr(campaign, "_refine_together", refine)
+    spared = 0
+    for seed in (0, 7):
+        plan = SamplingPlan(pair_count=24, seed=seed)
+        for prop in PROPERTIES:
+            want, sampled, cands, every = _selected_row_by_row(_Context(fn, region, plan), prop)
+            built.clear()
+            refined.clear()
+            got = _classify_property(_Context(fn, region, plan), prop)
+            assert got.to_dict() == want.to_dict(), (prop, seed)
+            assert [_as_tuple(c) for c in refined[0]] == [_as_tuple(c) for c in cands]
+            from_sampling = [w for late, *_, w in built if not late]
+            kept = sorted(from_sampling, key=Witness.sort_key)[:MAX_WITNESSES]
+            assert [w.to_dict() for w in kept] == [w.to_dict() for w in sampled]
+            per_side = Counter((p, n) for late, p, n, _ in built if not late)
+            assert all(count <= MAX_WITNESSES for count in per_side.values()), per_side
+            assert sum(late for late, *_ in built) <= len(cands)
+            spared += every - len(from_sampling)
+    if name in ("ramp", "paraboloid", "max-minus-abs"):
+        assert spared > 0  # credible failures outnumbered what can be kept
 
 
 @pytest.mark.parametrize("lambda_grid", [1, 2])

@@ -120,6 +120,17 @@ def test_bcurve_rejects_point_outside_region(tmp_path):
     assert code == EXIT_ERROR
 
 
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_bcurve_rejects_a_grid_without_points(grid, capsys):
+    code = main([
+        "bcurve", "--corpus", "fractional", "--x", "1,0", "--y", "1.5,0.5", "--grid", grid,
+    ])
+    assert code == EXIT_ERROR
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert f"--grid must be at least 1, got {grid}" in out.err
+
+
 def test_bcurve_writes_file(tmp_path):
     out = tmp_path / "curve.csv"
     code = main([

@@ -8,6 +8,7 @@ from gencvx.geometry import (
     Region,
     RegionError,
     RegionTooThinError,
+    _accept_mask,
     as_point,
     parse_region,
     sample_region,
@@ -224,3 +225,39 @@ def test_interior_slack_at_a_positive_radius_implies_membership(region, coords, 
     assert rows.tolist() == [slack, region.interior_slack(flipped)]
     inside = [region.contains(p) and s >= r for p, s in zip((coords, flipped), rows)]
     assert ((rows >= r) == inside).all()
+
+
+@pytest.mark.parametrize("text, dim", [
+    ("x1 < 0.5, box(-1..1, -1..1), margin(0.25)", 2),
+    ("x1 <= 0.5, box(-1..1, -1..1), margin(0.25)", 2),
+    ("x1 + 0.5*x2 - 2*x3 < 0.75, 0.3*x1 - 0.7*x2 <= 0.2, box(-1..1, -1..1, -1..1), "
+     "margin(0.125)", 3),
+])
+def test_accept_mask_is_contains_row_for_row(text, dim):
+    # Sampling and the feasibility probe accept a row exactly when
+    # contains(p, margin) does, strict constraints strictly, also where a
+    # slack equals the margin and where a sum's rounding decides it.
+    region = parse_region(text, dim)
+    m = region.margin
+    rng = np.random.default_rng(17)
+    pts = [rng.uniform(region.lower, region.upper, size=(4000, dim))]
+    for c in region.constraints:
+        # Onto each constraint's margin surface, exactly (dyadic points on
+        # dyadic coefficients) and to the last bit (the rest).
+        on = rng.uniform(-0.5, 0.5, size=(2000, dim))
+        on[:1000] = np.round(on[:1000] * 64) / 64
+        i = int(np.argmax(np.abs(c.coeffs)))
+        rest = np.delete(on, i, axis=1) @ np.delete(c.coeffs, i)
+        on[:, i] = (c.bound - m - rest) / c.coeffs[i]
+        pts.append(on)
+    edge = rng.uniform(region.lower + m, region.upper - m, size=(200, dim))
+    edge[:100, 0] = region.lower[0] + m
+    edge[100:, 0] = region.upper[0] - m
+    pts = np.concatenate(pts + [edge])
+    exact = pts[4000:5000]
+    assert (region.constraints[0].slack(exact) == m).sum() >= 500
+    mask = _accept_mask(region, pts)
+    assert mask.tolist() == [region.contains(p, m) for p in pts]
+    assert 0 < mask.sum() < len(pts)
+    if text.startswith("x1 < 0.5"):
+        assert not _accept_mask(region, np.array([[0.25, 0.0]]))[0]
