@@ -32,7 +32,7 @@ import numpy as np
 from . import checks as ck
 from .checks import FAIL, INCONCLUSIVE, PASS, VACUOUS
 from .functions import LOCALLY_LIPSCHITZ, PROPERTIES, FunctionHandle, negate_handle
-from .geometry import Region, RegionTooThinError
+from .geometry import Region, RegionTooThinError, _accept_mask
 from .nonsmooth import EstimationError, subdifferential, subdifferentials
 
 __all__ = [
@@ -59,12 +59,24 @@ NEAR_MISS_CANDIDATES = 6
 MAX_WITNESSES = 8
 
 _DOMAIN_PAIR = 0x9A12
+# Rows drawn per uniform call of a pair stream, and the rejected draws in a
+# row after which pair sampling gives up.
+_PAIR_BLOCK = 8
+_MAX_REJECTIONS = 200_000
 
 
 def _row_keys(points: np.ndarray) -> list[bytes]:
     """Each row's bytes, as row.tobytes() gives them, in one call."""
     p = np.ascontiguousarray(points, dtype=float)
     return p.view(np.dtype((np.void, p.shape[1] * p.itemsize))).ravel().tolist()
+
+
+def _point_entropy(x: np.ndarray) -> int:
+    """The seed of the estimates at x: 64 bits of a hash of its bytes, so an
+    estimate depends on its point alone, not on the plan seed or on the
+    order in which points are estimated."""
+    digest = hashlib.blake2b(x.tobytes(), digest_size=8).digest()
+    return int.from_bytes(digest, "little")
 
 
 @dataclass(frozen=True)
@@ -263,13 +275,25 @@ class _Context:
             np.random.SeedSequence((self.plan.seed & 0xFFFFFFFFFFFFFFFF, domain, index))
         )
 
-    def _draw_point(self, rng: np.random.Generator) -> np.ndarray:
+    def _accepted(self, rng: np.random.Generator):
+        """The draws of a stream that lie in the region at its margin, each
+        with its index among the draws, in the order that one-row draws
+        would find them: a block of _PAIR_BLOCK rows is one uniform call,
+        which gives the rows of that many one-row calls bit for bit.  Raises
+        RegionTooThinError once _MAX_REJECTIONS draws in a row are rejected."""
         region = self.region
-        for _ in range(200_000):
-            p = rng.uniform(region.lower, region.upper)
-            if region.contains(p, margin=region.margin):
-                return p
-        raise RegionTooThinError("pair sampling starved; region too thin")
+        shape = (_PAIR_BLOCK, region.dimension)
+        start, last = 0, -1
+        while True:
+            block = rng.uniform(region.lower, region.upper, size=shape)
+            for r in np.flatnonzero(_accept_mask(region, block)).tolist():
+                if start + r - last > _MAX_REJECTIONS:
+                    break
+                last = start + r
+                yield last, block[r]
+            start += _PAIR_BLOCK
+            if start - last > _MAX_REJECTIONS:
+                raise RegionTooThinError("pair sampling starved; region too thin")
 
     def _axis_partner(self, rng: np.random.Generator, x: np.ndarray, axis: int) -> np.ndarray:
         span = self.region.upper - self.region.lower
@@ -281,24 +305,30 @@ class _Context:
             y = y + noise
             if self.region.contains(y, margin=self.region.margin) and not np.array_equal(y, x):
                 return y
-        return self._draw_point(rng)
+        return next(self._accepted(rng))[1]
 
     @property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sampled pairs as two read-only (k, n) arrays, x and y."""
+        """The sampled pairs as two read-only (k, n) arrays, x and y.  Pair
+        i reads its own stream: x is its first draw in the region, y the
+        next one that differs from x, or for every tenth pair x's axis
+        partner."""
         if self._pairs is None:
+            n = self.fn.dimension
             xs, ys = [], []
             for i in range(self.plan.pair_count):
-                rng = self._stream(_DOMAIN_PAIR, i)
-                x = self._draw_point(rng)
+                accepted = self._accepted(self._stream(_DOMAIN_PAIR, i))
+                at, x = next(accepted)
                 if i % 10 == 9:
                     # Kernel conditions live on measure-zero sets: stress them
-                    # with nearly axis-collinear pairs.
-                    y = self._axis_partner(rng, x, (i // 10) % self.fn.dimension)
+                    # with nearly axis-collinear pairs.  The partner reads the
+                    # stream from just after x; each uniform draw of a row is
+                    # n steps of the stream.
+                    rng = self._stream(_DOMAIN_PAIR, i)
+                    rng.bit_generator.advance((at + 1) * n)
+                    y = self._axis_partner(rng, x, (i // 10) % n)
                 else:
-                    y = self._draw_point(rng)
-                    while np.array_equal(x, y):
-                        y = self._draw_point(rng)
+                    y = next(row for _, row in accepted if not np.array_equal(row, x))
                 xs.append(x)
                 ys.append(y)
             self._pairs = np.array(xs), np.array(ys)
@@ -307,10 +337,6 @@ class _Context:
         return self._pairs
 
     # -- subdifferential cache ---------------------------------------------------
-
-    def _point_entropy(self, x: np.ndarray) -> int:
-        digest = hashlib.blake2b(x.tobytes(), digest_size=8).digest()
-        return int.from_bytes(digest, "little")
 
     def generators(self, points: np.ndarray, negated: bool = False) -> ck.Generators:
         """The generators of the estimates of the subdifferential of f (of
@@ -331,7 +357,7 @@ class _Context:
         """Estimate f's subdifferential at each point, keyed by its bytes,
         and store each estimate or its failure."""
         xs = list(todo.values())
-        seeds = [((self.plan.seed & 0xFFFFFFFFFFFFFFFF) << 64) | self._point_entropy(x) for x in xs]
+        seeds = [_point_entropy(x) for x in xs]
         radius = self.plan.subdiff_radius
         ests = self._estimates(xs, radius, seeds)
         # A spread at radius r may come from a kink merely nearby.  Shrinking

@@ -96,14 +96,19 @@ class SubdifferentialEstimate:
         return float(np.max(stack.max(axis=0) - stack.min(axis=0)))
 
 
+def _ball_offsets(raw: np.ndarray, uniform: np.ndarray, radius: float) -> np.ndarray:
+    """Offsets uniform in the euclidean ball B(0, radius), from standard
+    normal rows (..., n) and one uniform draw in [0, 1) per row (..., 1)."""
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    radii = radius * uniform ** (1.0 / raw.shape[-1])
+    return raw / norms * radii
+
+
 def _ball_points(rng: np.random.Generator, center: np.ndarray, radius: float, count: int) -> np.ndarray:
     """Uniform draws from the euclidean ball B(center, radius)."""
-    n = center.size
-    raw = rng.standard_normal(size=(count, n))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    radii = radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / n)
-    return center + raw / norms * radii
+    raw = rng.standard_normal(size=(count, center.size))
+    return center + _ball_offsets(raw, rng.uniform(0.0, 1.0, size=(count, 1)), radius)
 
 
 def clarke_directional(
@@ -169,26 +174,23 @@ def _central_difference(fn: FunctionHandle, x: np.ndarray, step: float) -> np.nd
 _PROBE_ERRORS = (ArithmeticError, FloatingPointError, ZeroDivisionError)
 
 
-def _probe_gradients(fn: FunctionHandle, probes: np.ndarray, step: float) -> list:
-    """Per probe, its gradient, or None where evaluation failed: the handle
+def _probe_gradient(fn: FunctionHandle, p: np.ndarray, step: float) -> np.ndarray | None:
+    """The gradient at a probe, or None where evaluation failed: the handle
     gradient where it exists, else a central difference at `step`."""
-    out = []
-    for p in probes:
-        try:
-            g = fn.grad(p)
-            if g is None:
-                g = _central_difference(fn, p, step)
-        except _PROBE_ERRORS:
-            out.append(None)
-            continue
-        out.append(np.asarray(g, dtype=float) if np.all(np.isfinite(g)) else None)
-    return out
+    try:
+        g = fn.grad(p)
+        if g is None:
+            g = _central_difference(fn, p, step)
+    except _PROBE_ERRORS:
+        return None
+    return np.asarray(g, dtype=float) if np.all(np.isfinite(g)) else None
 
 
-def _row_gradients(fn: FunctionHandle, probes: np.ndarray, step: float) -> list:
-    """_probe_gradients in one gradient_rows call, bit for bit, with the
-    central differences of all kink rows read in one values call.  Raises
-    where any probe's evaluation raises."""
+def _row_gradients(fn: FunctionHandle, probes: np.ndarray, step: float):
+    """_probe_gradient at each row of a (k, n) array, bit for bit, in one
+    gradient_rows call, with the central differences of all kink rows read
+    in one values call: the (k, n) gradients and the (k,) mask of the rows
+    that succeeded.  Raises where any probe's evaluation raises."""
     gradients, kinks = fn.gradient_rows(probes)
     gradients = np.array(gradients, dtype=float)
     kinks = np.asarray(kinks, dtype=bool)
@@ -203,55 +205,36 @@ def _row_gradients(fn: FunctionHandle, probes: np.ndarray, step: float) -> list:
         f = fn.values(np.concatenate([at + steps, at - steps]).reshape(-1, n))
         plus, minus = f.reshape(2, -1)
         gradients[kinked] = ((plus - minus) / (2.0 * step)).reshape(-1, n)
-    finite = np.isfinite(gradients).all(axis=1)
-    return [g if ok else None for g, ok in zip(gradients, finite)]
+    return gradients, np.isfinite(gradients).all(axis=1)
 
 
-def _gradients(fn: FunctionHandle, probe_sets: list[np.ndarray], step: float) -> list[list]:
-    """_probe_gradients for each set of probes.  A handle with gradient_rows
-    reads all sets in one call; where that raises, every set falls back to
-    the per-probe loop, so failures are counted probe by probe as without
-    gradient_rows."""
-    if fn.gradient_rows is not None and probe_sets:
+def _gradients(fn: FunctionHandle, probes: np.ndarray, step: float):
+    """_probe_gradient at each probe of an (m, c, n) array: the gradients
+    and the (m, c) mask of the probes that succeeded.  A handle with
+    gradient_rows reads all probes in one call; where that raises, every
+    probe falls back to _probe_gradient, so failures are counted probe by
+    probe as without gradient_rows."""
+    m, c, n = probes.shape
+    if fn.gradient_rows is not None and m:
         try:
-            flat = _row_gradients(fn, np.concatenate(probe_sets), step)
+            gradients, ok = _row_gradients(fn, probes.reshape(-1, n), step)
         except _PROBE_ERRORS:
             pass
         else:
-            ends = np.cumsum([len(s) for s in probe_sets])
-            return [flat[end - len(s):end] for s, end in zip(probe_sets, ends)]
-    return [_probe_gradients(fn, s, step) for s in probe_sets]
+            return gradients.reshape(m, c, n), ok.reshape(m, c)
+    gradients = np.zeros(probes.shape)
+    ok = np.zeros((m, c), dtype=bool)
+    for at in np.ndindex(m, c):
+        g = _probe_gradient(fn, probes[at], step)
+        if g is not None:
+            gradients[at], ok[at] = g, True
+    return gradients, ok
 
 
-def _estimate(x: np.ndarray, gradients: list, radius: float) -> SubdifferentialEstimate:
-    """The estimate from the probes' gradients (None where one failed),
-    the gradient at x first."""
-    raw = [g for g in gradients if g is not None]
-    failures = len(gradients) - len(raw)
-    if failures > len(gradients) / 2:
-        raise EstimationError(
-            f"gradient evaluation failed at {failures}/{len(gradients)} probes near {x}"
-        )
-    if not raw:
-        raise EstimationError(f"no usable gradients near {x}")
-
-    stack = np.stack(raw)
-    spread = float(np.max(stack.max(axis=0) - stack.min(axis=0))) if len(raw) > 1 else 0.0
-    if spread <= COHERENCE_SPREAD:
-        # Smooth at this scale: the ball probes merely resample the gradient
-        # with O(radius) noise, so the single generator taken at x is the
-        # whole (coherent) estimate.
-        g = (gradients[0] if gradients[0] is not None else raw[0]).copy()
-        g.flags.writeable = False
-        return SubdifferentialEstimate((g,), radius, False)
-
-    kept: list[np.ndarray] = []
-    for g in raw:
-        if not any(float(np.max(np.abs(g - h))) <= DEDUPE_TOL for h in kept):
-            g = g.copy()
-            g.flags.writeable = False
-            kept.append(g)
-    return SubdifferentialEstimate(tuple(kept), radius, True)
+def _generator(g: np.ndarray) -> np.ndarray:
+    g = g.copy()
+    g.flags.writeable = False
+    return g
 
 
 def subdifferentials(
@@ -262,34 +245,66 @@ def subdifferentials(
     count: int,
     seeds,
 ) -> list[SubdifferentialEstimate | EstimationError]:
-    """subdifferential at each point with its seed, bit for bit, reading the
-    gradients of all their probes in one call where the handle has
-    gradient_rows.  A failed estimate is returned as its EstimationError,
-    without a traceback."""
+    """subdifferential at each point with its seed.  Each point's ball
+    comes from its own seeded stream, but the draws of all balls are mapped
+    into them at once, the gradients of all probes are read in one call
+    where the handle has gradient_rows, and coherence is tested for all
+    points in one reduction; only kink points keep a per-point dedupe.  A
+    failed estimate is returned as its EstimationError, without a
+    traceback."""
     points = [np.asarray(x, dtype=float).reshape(-1) for x in points]
-    for x in points:
-        n = x.size
-        if count < 2 * n + 1:
-            raise ValueError(f"count must be >= 2n+1 = {2 * n + 1}, got {count}")
+    seeds = list(seeds)
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if not points:
+        return []
+    shapes = sorted({x.shape for x in points})
+    if len(shapes) > 1:
+        raise ValueError(f"points of different shapes {shapes}")
+    n = points[0].size
+    if count < 2 * n + 1:
+        raise ValueError(f"count must be >= 2n+1 = {2 * n + 1}, got {count}")
 
     out: list = [None] * len(points)
-    probe_sets: dict[int, np.ndarray] = {}
-    slack = region.interior_slack(np.array(points)) if points else ()
-    for i, (x, seed) in enumerate(zip(points, seeds)):
-        if slack[i] < radius:
-            out[i] = InteriorRoomError(f"ball of radius {radius} at {x} leaves the region")
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence((seed & 0xFFFFFFFFFFFFFFFF, 0x5D1FF)))
-        probe_sets[i] = np.concatenate([x[None], _ball_points(rng, x, radius, count)])
+    xs = np.array(points)
+    short = region.interior_slack(xs) < radius
+    for i in np.flatnonzero(short):
+        out[i] = InteriorRoomError(f"ball of radius {radius} at {points[i]} leaves the region")
+    room = np.flatnonzero(~short)
+    raw = np.empty((len(room), count, n))
+    uniform = np.empty((len(room), count, 1))
+    for j, i in enumerate(room):
+        rng = np.random.default_rng(np.random.SeedSequence((seeds[i] & 0xFFFFFFFFFFFFFFFF, 0x5D1FF)))
+        raw[j] = rng.standard_normal(size=(count, n))
+        uniform[j] = rng.uniform(0.0, 1.0, size=(count, 1))
+    centers = xs[room][:, None, :]
+    probes = np.concatenate([centers, centers + _ball_offsets(raw, uniform, radius)], axis=1)
 
-    gradients = _gradients(fn, list(probe_sets.values()), radius / 100.0)
-    for i, g in zip(probe_sets, gradients):
-        try:
-            out[i] = _estimate(points[i], g, radius)
-        except EstimationError as exc:
-            out[i] = exc.with_traceback(None)
+    gradients, ok = _gradients(fn, probes, radius / 100.0)
+    # Each point's generator spread over the probes that succeeded, in one
+    # reduction for all points.
+    have = ok[:, :, None]
+    spread = np.max(np.where(have, gradients, -np.inf).max(axis=1)
+                    - np.where(have, gradients, np.inf).min(axis=1), axis=1)
+    failures = count + 1 - ok.sum(axis=1)
+    first = ok.argmax(axis=1)
+    for j, i in enumerate(room):
+        if failures[j] > (count + 1) / 2:
+            out[i] = EstimationError(
+                f"gradient evaluation failed at {failures[j]}/{count + 1} probes near {points[i]}"
+            )
+        elif spread[j] <= COHERENCE_SPREAD:
+            # Smooth at this scale: the ball probes merely resample the
+            # gradient with O(radius) noise, so the single generator taken
+            # at x (or, where that failed, at the first probe that
+            # succeeded) is the whole (coherent) estimate.
+            out[i] = SubdifferentialEstimate((_generator(gradients[j, first[j]]),), radius, False)
+        else:
+            kept: list[np.ndarray] = []
+            for g in gradients[j, ok[j]]:
+                if not any(float(np.max(np.abs(g - h))) <= DEDUPE_TOL for h in kept):
+                    kept.append(_generator(g))
+            out[i] = SubdifferentialEstimate(tuple(kept), radius, True)
     return out
 
 

@@ -28,7 +28,7 @@ from gencvx.checks import INCONCLUSIVE
 from gencvx.expr import EvalError
 from gencvx.nonsmooth import EstimationError
 from gencvx.functions import PROPERTIES, SMOOTH, FunctionHandle, function_from_expression
-from gencvx.geometry import parse_region
+from gencvx.geometry import RegionTooThinError, parse_region
 
 PLAN = SamplingPlan(seed=42)
 FAST = SamplingPlan(pair_count=60, seed=42)
@@ -310,6 +310,160 @@ def test_pair_sampling_includes_axis_stress():
             if np.min(d) < 0.2 * np.max(d):
                 stressed += 1
     assert stressed >= FAST.pair_count // 10 - 2
+
+
+# -- pair sampling in blocks against the one-row reference --------------------
+
+
+def _reference_pairs(ctx, max_rejections=200_000):
+    """The pairs as the one-row sampler drew them: one uniform row and one
+    Region.contains per draw, a fresh budget of max_rejections draws per
+    point, the axis partner of every tenth pair from the draws after x.
+    Also counts the axis partners that fell back to a fresh draw and the
+    most draws one point took."""
+    region, n = ctx.region, ctx.fn.dimension
+    stats = Counter()
+
+    def draw_point(rng):
+        for t in range(max_rejections):
+            p = rng.uniform(region.lower, region.upper)
+            if region.contains(p, margin=region.margin):
+                stats["most_draws"] = max(stats["most_draws"], t + 1)
+                return p
+        raise RegionTooThinError("pair sampling starved; region too thin")
+
+    def axis_partner(rng, x, axis):
+        span = region.upper - region.lower
+        for _ in range(200):
+            y = x.copy()
+            y[axis] += rng.uniform(-span[axis], span[axis])
+            noise = rng.standard_normal(x.size) * 1e-3 * span
+            noise[axis] = 0.0
+            y = y + noise
+            if region.contains(y, margin=region.margin) and not np.array_equal(y, x):
+                return y
+        stats["fallbacks"] += 1
+        return draw_point(rng)
+
+    xs, ys = [], []
+    for i in range(ctx.plan.pair_count):
+        rng = np.random.default_rng(
+            np.random.SeedSequence((ctx.plan.seed & 0xFFFFFFFFFFFFFFFF, 0x9A12, i)))
+        x = draw_point(rng)
+        if i % 10 == 9:
+            y = axis_partner(rng, x, (i // 10) % n)
+        else:
+            y = draw_point(rng)
+            while np.array_equal(x, y):
+                y = draw_point(rng)
+        xs.append(x)
+        ys.append(y)
+    return np.array(xs), np.array(ys), stats
+
+
+def _assert_reference_pairs(fn, region, seed):
+    ctx = _Context(fn, region, SamplingPlan(seed=seed))
+    want_x, want_y, stats = _reference_pairs(ctx)
+    got_x, got_y = ctx.pairs
+    assert got_x.tobytes() == want_x.tobytes() and got_y.tobytes() == want_y.tobytes()
+    assert got_x.shape == got_y.shape == (200, fn.dimension)
+    return stats
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+@pytest.mark.parametrize("name", [e.handle.name for e in corpus()])
+def test_block_pairs_equal_one_row_draws_on_the_corpus(name, seed):
+    e = corpus_entry(name)
+    _assert_reference_pairs(e.handle, e.region, seed)
+
+
+_KINK_SOURCES = [
+    ("max(x1, x2)", 2),
+    ("x1 + 2*x2 - x3 + max(x1 + 2*x2 - x3, 0)", 3),
+    ("min(max(x1, x2), 0.5)", 2),
+    ("abs(x1) + abs(x2) + abs(x3) + abs(x4) + abs(x5)", 5),
+    ("x1 - x2 + 0.5*x3 + x4 + abs(x1 - x2 + 0.5*x3 + x4)", 4),
+    ("min(x1 + x2 + x3 + x4 + x5, 3*(x1 + x2 + x3 + x4 + x5))", 5),
+]
+
+
+@pytest.mark.parametrize("source, dim", _KINK_SOURCES)
+def test_block_pairs_equal_one_row_draws_on_kink_functions(source, dim):
+    region = parse_region("box(" + ", ".join(["-1..1"] * dim) + ")", dim)
+    for seed in (13, 29):
+        _assert_reference_pairs(function_from_expression(source, dim), region, seed)
+
+
+@pytest.mark.parametrize("text, most_draws, fallbacks", [
+    # About 9% of the box is accepted: points take up to several blocks.
+    ("x1 + x2 > 1.1, box(-1..1, -1..1), margin(0.01)", 50, 0),
+    # A thin diagonal strip (1.5% accepted): axis partners leave it, and
+    # some fall back to a fresh draw.
+    ("x1 - x2 < 0.02, x2 - x1 < 0.02, box(-1..1, -1..1), margin(0.005)", 400, 4),
+])
+def test_block_pairs_equal_one_row_draws_in_thin_regions(text, most_draws, fallbacks):
+    fn = function_from_expression("x1*x2 + x1", 2)
+    for seed in (0, 7, 42):
+        stats = _assert_reference_pairs(fn, parse_region(text, 2), seed)
+        assert stats["most_draws"] > most_draws and stats["fallbacks"] >= fallbacks
+
+
+@pytest.mark.parametrize("limit, starves", [
+    (1, True), (9, True), (64, True), (661, True), (662, False), (700, False),
+])
+def test_block_pairs_starve_where_one_row_draws_did(limit, starves, monkeypatch):
+    # With the rejection budget cut, sampling the strip raises exactly where
+    # the one-row sampler ran out (at seed 7 one point takes 662 draws),
+    # and otherwise draws its pairs.
+    monkeypatch.setattr(campaign, "_MAX_REJECTIONS", limit)
+    fn = function_from_expression("x1*x2 + x1", 2)
+    region = parse_region("x1 - x2 < 0.02, x2 - x1 < 0.02, box(-1..1, -1..1), margin(0.005)", 2)
+    ctx = _Context(fn, region, SamplingPlan(seed=7))
+    if starves:
+        with pytest.raises(RegionTooThinError):
+            _reference_pairs(ctx, limit)
+        with pytest.raises(RegionTooThinError, match="pair sampling starved"):
+            ctx.pairs
+    else:
+        want = _reference_pairs(ctx, limit)[:2]
+        assert [a.tobytes() for a in ctx.pairs] == [a.tobytes() for a in want]
+
+
+def test_numpy_streams_draw_rows_as_the_block_sampler_assumes():
+    # Pair sampling draws B rows in one uniform call, and starts an axis
+    # partner's draws by advancing a rebuilt stream past x: both must give
+    # what one-row draws give.
+    def stream():
+        return np.random.default_rng(np.random.SeedSequence((42, 0x9A12, 9)))
+
+    lower, upper = np.array([-1.0, 0.5, -3.0]), np.array([1.0, 2.0, -2.5])
+    one_row = stream()
+    rows = np.array([one_row.uniform(lower, upper) for _ in range(11)])
+    then = one_row.standard_normal(5), one_row.uniform(-1.0, 1.0)
+    block = stream()
+    assert block.uniform(lower, upper, size=(8, 3)).tobytes() == rows[:8].tobytes()
+    assert block.uniform(lower, upper, size=(8, 3))[:3].tobytes() == rows[8:].tobytes()
+    advanced = stream()
+    advanced.bit_generator.advance(11 * 3)
+    assert advanced.standard_normal(5).tobytes() == then[0].tobytes()
+    assert advanced.uniform(-1.0, 1.0) == then[1]
+
+
+def test_an_estimate_depends_on_its_point_alone():
+    # Estimate streams are seeded from the point's bytes only: under two
+    # plan seeds a point gets bit-equal estimates, at kinks (re-checked at
+    # radius/1000) and off them.
+    fn = function_from_expression("abs(x1) + max(x2, x3)", 3)
+    region = parse_region("box(-1..1, -1..1, -1..1)", 3)
+    points = np.array([[0.0, 0.2, 0.3], [0.1, 0.4, 0.4], [0.3, -0.2, 0.5], [0.0, 0.1, 0.1]])
+    got = []
+    for seed in (0, 12345):
+        ctx = _Context(fn, region, SamplingPlan(seed=seed))
+        ctx.generators(points)
+        got.append([(tuple(g.tobytes() for g in e.generators), e.radius, e.at_kink)
+                    for e in ctx._subdiffs.values()])
+    assert got[0] == got[1]
+    assert [e[2] for e in got[0]] == [True, True, False, True]
 
 
 def test_lattice_empty_on_healthy_verdicts():

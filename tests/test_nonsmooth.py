@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -271,6 +272,94 @@ def test_many_point_estimates_equal_one_at_a_time():
     # to the per-probe loop, which reads no rows.
     assert rows == [45]
     assert subdifferentials(fn, BOX2, [], 1e-5, 8, []) == []
+
+
+def _reference_outcome(fn, region, x, radius, count, seed):
+    """The estimate at one point as the per-point loop made it: the point's
+    own ball, each probe's gradient (a central difference where the handle
+    gives none), then the coherence test and the dedupe."""
+    n = x.size
+    if region.interior_slack(x) < radius:
+        return InteriorRoomError, f"ball of radius {radius} at {x} leaves the region"
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0x5D1FF)))
+    raw = rng.standard_normal(size=(count, n))
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    radii = radius * rng.uniform(0.0, 1.0, size=(count, 1)) ** (1.0 / n)
+    step = radius / 100.0
+    gradients = []
+    for p in np.concatenate([x[None], x + raw / norms * radii]):
+        try:
+            g = fn.grad(p)
+            if g is None:
+                g = np.array([(fn.value(p + e) - fn.value(p - e)) / (2.0 * step)
+                              for e in np.eye(n) * step])
+        except ArithmeticError:
+            continue
+        gradients.append(g)
+    failures = count + 1 - len(gradients)
+    if failures > (count + 1) / 2:
+        return EstimationError, f"gradient evaluation failed at {failures}/{count + 1} probes near {x}"
+    stack = np.stack(gradients)
+    if np.max(stack.max(axis=0) - stack.min(axis=0)) <= 1e-3:
+        return [gradients[0].tobytes()], radius, False
+    kept = []
+    for g in gradients:
+        if not any(np.max(np.abs(g - h)) <= 1e-12 for h in kept):
+            kept.append(g)
+    return [g.tobytes() for g in kept], radius, True
+
+
+def _scale_points(dim, seed, radius):
+    """200 points of box(-1..1)^dim: random ones, ones on the kinks of
+    abs(x1) and max(x2, x3), and five too near the boundary for a ball of
+    the radius."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-0.9, 0.9, size=(200, dim))
+    points[:20, 0] = 0.0
+    points[20:40, 2 % dim] = points[20:40, 1 % dim]
+    points[40:45, 0] = 1.0 - radius / 2
+    return points
+
+
+@pytest.mark.parametrize("radius", [1e-5, 1e-8])
+@pytest.mark.parametrize("source, dim, kinks", [
+    ("abs(x1) + max(x2, x3)", 3, True),
+    ("x1*x2 + exp(x3)*atan(x4) + x5^2/(2 + x1)", 5, False),
+    # Probes below x2 = -0.5 raise: the joint row call raises and every
+    # point falls back to the per-probe loop.
+    ("log(x2 + 0.5) + abs(x1)", 2, True),
+])
+def test_many_point_estimates_at_scale_equal_one_at_a_time(source, dim, kinks, radius):
+    fn, rows = _row_counted(function_from_expression(source, dim))
+    region = parse_region("box(" + ", ".join(["-1..1"] * dim) + ")", dim)
+    points = _scale_points(dim, dim, radius)
+    if source.startswith("log"):
+        points[45:60, 1] = -0.5 + radius * np.linspace(-0.5, 1.5, 15)
+    seeds = list(range(1000, 1000 + len(points)))
+    alone = replace(fn, gradient_rows=None)
+    seen = Counter()
+    for est, x, seed in zip(subdifferentials(fn, region, points, radius, 2 * dim + 5, seeds),
+                            points, seeds):
+        want = _outcome(alone, region, x, radius, 2 * dim + 5, seed)
+        assert want == _reference_outcome(alone, region, x, radius, 2 * dim + 5, seed)
+        if isinstance(est, EstimationError):
+            assert (type(est), str(est)) == want
+            seen[type(est).__name__] += 1
+            continue
+        assert ([g.tobytes() for g in est.generators], est.radius, est.at_kink) == want
+        assert not any(g.flags.writeable for g in est.generators)
+        seen[est.at_kink] += 1
+    assert seen["InteriorRoomError"] == 5 and seen[False] > 100
+    assert (seen[True] >= 20) == kinks
+    assert (seen["EstimationError"] > 0) == source.startswith("log")
+    assert rows == [195 * (2 * dim + 6)]  # one call for the probes of every ball
+
+
+def test_points_of_different_dimensions_are_named():
+    fn = function_from_expression("x1 + x2", 2)
+    with pytest.raises(ValueError, match=r"points of different shapes \[\(2,\), \(3,\)\]"):
+        subdifferentials(fn, BOX2, [[0.1, 0.2], [0.1, 0.2, 0.3]], 1e-5, 8, [0, 1])
 
 
 def test_negated_rows_read_the_negated_gradient():
