@@ -32,6 +32,7 @@ import numpy as np
 from . import checks as ck
 from .checks import FAIL, INCONCLUSIVE, PASS, VACUOUS
 from .functions import LOCALLY_LIPSCHITZ, PROPERTIES, FunctionHandle, negate_handle
+from ._pcg import generator, pcg64_states, position, to_ints, uniform_block
 from .geometry import Region, RegionTooThinError, _accept_mask
 from .nonsmooth import EstimationError, subdifferential, subdifferentials
 
@@ -63,6 +64,8 @@ _DOMAIN_PAIR = 0x9A12
 # row after which pair sampling gives up.
 _PAIR_BLOCK = 8
 _MAX_REJECTIONS = 200_000
+# Draws of every pair stream made at once, before any is tested.
+_PAIR_HEAD = 4 * _PAIR_BLOCK
 
 
 def _row_keys(points: np.ndarray) -> list[bytes]:
@@ -270,28 +273,27 @@ class _Context:
 
     # -- deterministic sampling ------------------------------------------------
 
-    def _stream(self, domain: int, index: int) -> np.random.Generator:
-        return np.random.default_rng(
-            np.random.SeedSequence((self.plan.seed & 0xFFFFFFFFFFFFFFFF, domain, index))
-        )
-
-    def _accepted(self, rng: np.random.Generator):
+    def _accepted(self, rng: np.random.Generator, block: np.ndarray | None = None):
         """The draws of a stream that lie in the region at its margin, each
         with its index among the draws, in the order that one-row draws
-        would find them: a block of _PAIR_BLOCK rows is one uniform call,
-        which gives the rows of that many one-row calls bit for bit.  Raises
-        RegionTooThinError once _MAX_REJECTIONS draws in a row are rejected."""
+        would find them.  block, where given, holds the stream's first
+        draws and rng is positioned just after them; every further block of
+        _PAIR_BLOCK rows is one uniform call, which gives the rows of that
+        many one-row calls bit for bit.  Raises RegionTooThinError once
+        _MAX_REJECTIONS draws in a row are rejected."""
         region = self.region
         shape = (_PAIR_BLOCK, region.dimension)
         start, last = 0, -1
         while True:
-            block = rng.uniform(region.lower, region.upper, size=shape)
+            if block is None:
+                block = rng.uniform(region.lower, region.upper, size=shape)
             for r in np.flatnonzero(_accept_mask(region, block)).tolist():
                 if start + r - last > _MAX_REJECTIONS:
                     break
                 last = start + r
                 yield last, block[r]
-            start += _PAIR_BLOCK
+            start += len(block)
+            block = None
             if start - last > _MAX_REJECTIONS:
                 raise RegionTooThinError("pair sampling starved; region too thin")
 
@@ -312,26 +314,50 @@ class _Context:
         """The sampled pairs as two read-only (k, n) arrays, x and y.  Pair
         i reads its own stream: x is its first draw in the region, y the
         next one that differs from x, or for every tenth pair x's axis
-        partner."""
+        partner.
+
+        The first _PAIR_HEAD draws of every stream are made in one
+        uniform_block call, and a pair found there is picked by array
+        operations.  The other pairs, and the axis partners, read their
+        streams through one positioned generator, a stream that runs out
+        continuing from where its head ended."""
         if self._pairs is None:
-            n = self.fn.dimension
-            xs, ys = [], []
-            for i in range(self.plan.pair_count):
-                accepted = self._accepted(self._stream(_DOMAIN_PAIR, i))
-                at, x = next(accepted)
-                if i % 10 == 9:
+            region, n, count = self.region, self.fn.dimension, self.plan.pair_count
+            seeded = pcg64_states(
+                [(self.plan.seed & 0xFFFFFFFFFFFFFFFF, _DOMAIN_PAIR, i) for i in range(count)])
+            head, ends = uniform_block(seeded, region.lower, region.upper, _PAIR_HEAD)
+            accepted = _accept_mask(region, head.reshape(-1, n)).reshape(count, _PAIR_HEAD)
+            # Each stream's first and second draws in the region.
+            rows = np.arange(count)
+            found = accepted.sum(axis=1)
+            first = np.argmax(accepted, axis=1)
+            accepted[rows, first] = False
+            xs, ys = head[rows, first], head[rows, np.argmax(accepted, axis=1)]
+            axis = rows % 10 == 9
+            # A head holds x where it has an accepted draw, and y where its
+            # second accepted draw differs from x.  No gap between draws in
+            # it exceeds _PAIR_HEAD, so a larger limit cannot starve it.
+            quick = np.where(axis, found >= 1, (found >= 2) & (xs != ys).any(axis=1))
+            quick &= _MAX_REJECTIONS >= _PAIR_HEAD
+            todo = np.flatnonzero(axis | ~quick)
+            rng = generator()
+            starts, incs, resumes = (to_ints(a[todo]) for a in (*seeded, ends))
+            for i, start, inc, resume in zip(todo.tolist(), starts, incs, resumes):
+                if quick[i]:
+                    at = int(first[i])
+                else:
+                    draws = self._accepted(position(rng, resume, inc), head[i])
+                    at, xs[i] = next(draws)
+                if axis[i]:
                     # Kernel conditions live on measure-zero sets: stress them
                     # with nearly axis-collinear pairs.  The partner reads the
                     # stream from just after x; each uniform draw of a row is
                     # n steps of the stream.
-                    rng = self._stream(_DOMAIN_PAIR, i)
-                    rng.bit_generator.advance((at + 1) * n)
-                    y = self._axis_partner(rng, x, (i // 10) % n)
+                    position(rng, start, inc).bit_generator.advance((at + 1) * n)
+                    ys[i] = self._axis_partner(rng, xs[i], (i // 10) % n)
                 else:
-                    y = next(row for _, row in accepted if not np.array_equal(row, x))
-                xs.append(x)
-                ys.append(y)
-            self._pairs = np.array(xs), np.array(ys)
+                    ys[i] = next(row for _, row in draws if not np.array_equal(row, xs[i]))
+            self._pairs = xs, ys
             for side in self._pairs:
                 side.flags.writeable = False
         return self._pairs

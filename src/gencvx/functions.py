@@ -344,25 +344,28 @@ def _entry_paraboloid() -> CorpusEntry:
     return CorpusEntry(handle, parse_region(text, 2), text, _labels(_CONVEX_SIDE_ONLY))
 
 
-_BUILDERS = (
-    _entry_affine,
-    _entry_fractional,
-    _entry_arctan,
-    _entry_cubic,
-    _entry_ramp,
-    _entry_twoslope,
-    _entry_paraboloid,
-)
+# Each member's builder under its handle's name, in the corpus order.
+_BUILDERS = {
+    "affine": _entry_affine,
+    "fractional": _entry_fractional,
+    "arctan": _entry_arctan,
+    "cubic": _entry_cubic,
+    "ramp": _entry_ramp,
+    "twoslope": _entry_twoslope,
+    "paraboloid": _entry_paraboloid,
+}
 
 
 def corpus() -> list[CorpusEntry]:
     """The seven labeled reference functions, in fixed order."""
-    return [build() for build in _BUILDERS]
+    return [build() for build in _BUILDERS.values()]
 
 
 def corpus_entry(name: str) -> CorpusEntry:
-    for entry in corpus():
-        if entry.handle.name == name:
-            return entry
-    known = ", ".join(e.handle.name for e in corpus())
-    raise KeyError(f"unknown corpus function {name!r} (known: {known})")
+    """The named member, built alone."""
+    try:
+        build = _BUILDERS[name]
+    except KeyError:
+        known = ", ".join(_BUILDERS)
+        raise KeyError(f"unknown corpus function {name!r} (known: {known})") from None
+    return build()

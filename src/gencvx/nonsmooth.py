@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._pcg import generator, pcg64_states, position, to_ints
 from .functions import FunctionHandle
 from .geometry import Region
 
@@ -130,10 +131,13 @@ def clarke_directional(
     if float(np.max(np.abs(v))) == 0.0:
         raise ValueError("direction must be nonzero")
 
+    seeded = pcg64_states(
+        [(scheme.seed & 0xFFFFFFFFFFFFFFFF, 0xC1A, k) for k in range(len(scheme.steps))])
+    rng = generator()
     per_scale: list[float] = []
-    for k, t in enumerate(scheme.steps):
+    for t, state, inc in zip(scheme.steps, *map(to_ints, seeded)):
         delta = scheme.neighborhood_factor * t
-        rng = np.random.default_rng(np.random.SeedSequence((scheme.seed & 0xFFFFFFFF, 0xC1A, k)))
+        position(rng, state, inc)
         best = -np.inf
         ok = True
         for _ in range(scheme.probes_per_scale):
@@ -246,8 +250,9 @@ def subdifferentials(
     seeds,
 ) -> list[SubdifferentialEstimate | EstimationError]:
     """subdifferential at each point with its seed.  Each point's ball
-    comes from its own seeded stream, but the draws of all balls are mapped
-    into them at once, the gradients of all probes are read in one call
+    comes from its own seeded stream, the streams of all points seeded in
+    one pass and read through one positioned generator; the draws of all
+    balls are mapped into them at once, the gradients of all probes are read in one call
     where the handle has gradient_rows, and coherence is tested for all
     points in one reduction; only kink points keep a per-point dedupe.  A
     failed estimate is returned as its EstimationError, without a
@@ -273,10 +278,13 @@ def subdifferentials(
     room = np.flatnonzero(~short)
     raw = np.empty((len(room), count, n))
     uniform = np.empty((len(room), count, 1))
-    for j, i in enumerate(room):
-        rng = np.random.default_rng(np.random.SeedSequence((seeds[i] & 0xFFFFFFFFFFFFFFFF, 0x5D1FF)))
-        raw[j] = rng.standard_normal(size=(count, n))
-        uniform[j] = rng.uniform(0.0, 1.0, size=(count, 1))
+    if room.size:
+        seeded = pcg64_states([(seeds[i] & 0xFFFFFFFFFFFFFFFF, 0x5D1FF) for i in room.tolist()])
+        rng = generator()
+        for j, (state, inc) in enumerate(zip(*map(to_ints, seeded))):
+            position(rng, state, inc)
+            raw[j] = rng.standard_normal(size=(count, n))
+            uniform[j] = rng.uniform(0.0, 1.0, size=(count, 1))
     centers = xs[room][:, None, :]
     probes = np.concatenate([centers, centers + _ball_offsets(raw, uniform, radius)], axis=1)
 

@@ -429,6 +429,28 @@ def test_block_pairs_starve_where_one_row_draws_did(limit, starves, monkeypatch)
         assert [a.tobytes() for a in ctx.pairs] == [a.tobytes() for a in want]
 
 
+@pytest.mark.parametrize("limit, starves", [
+    (1, True), (13, True), (14, False), (31, False), (32, False), (33, False),
+])
+def test_pair_heads_starve_where_one_row_draws_did(limit, starves, monkeypatch):
+    # Half of this region is accepted, so nearly every pair is found in the
+    # first 32 draws of its stream, which are made at once.  A limit below
+    # that count must still starve where the one-row sampler starved: at
+    # seed 0 one point takes 14 draws.
+    monkeypatch.setattr(campaign, "_MAX_REJECTIONS", limit)
+    fn = function_from_expression("x1*x2 + x1", 2)
+    region = parse_region("x1 + x2 > 0, box(-1..1, -1..1)", 2)
+    ctx = _Context(fn, region, SamplingPlan(seed=0))
+    if starves:
+        with pytest.raises(RegionTooThinError):
+            _reference_pairs(ctx, limit)
+        with pytest.raises(RegionTooThinError, match="pair sampling starved"):
+            ctx.pairs
+    else:
+        want = _reference_pairs(ctx, limit)[:2]
+        assert [a.tobytes() for a in ctx.pairs] == [a.tobytes() for a in want]
+
+
 def test_numpy_streams_draw_rows_as_the_block_sampler_assumes():
     # Pair sampling draws B rows in one uniform call, and starts an axis
     # partner's draws by advancing a rebuilt stream past x: both must give

@@ -149,3 +149,20 @@ def test_values_rejects_non_finite_values_and_non_rows():
         function_from_expression("exp(1000*x1)", 1).values([[0.0], [1.0]])
     with pytest.raises(ValueError):
         inf_at_half.values([0.25, 0.75])
+
+
+def test_corpus_entry_builds_only_the_named_member(monkeypatch):
+    from gencvx import functions
+
+    assert list(functions._BUILDERS) == [e.handle.name for e in corpus()]
+    built = []
+    for name, build in functions._BUILDERS.items():
+        monkeypatch.setitem(functions._BUILDERS, name,
+                            lambda name=name, build=build: built.append(name) or build())
+    assert corpus_entry("ramp").handle.name == "ramp"
+    assert built == ["ramp"]
+    with pytest.raises(KeyError) as error:
+        corpus_entry("nope")
+    assert built == ["ramp"]
+    assert ("known: affine, fractional, arctan, cubic, ramp, twoslope, paraboloid"
+            in str(error.value))

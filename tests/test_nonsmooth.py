@@ -99,6 +99,19 @@ def test_clarke_insufficient_room():
         clarke_directional(fn, thin, [5e-9], [1.0], ClarkeScheme(seed=0))
 
 
+def test_clarke_seeds_differ_above_32_bits():
+    # Scale streams are seeded from all 64 bits of the seed, as pair and
+    # estimate streams are; seeds below 2**32 draw as they always did.
+    fn = function_from_expression("x1^2 + abs(x1)", 1)
+    region = parse_region("box(-1..1)", 1)
+
+    def at(seed):
+        return clarke_directional(fn, region, [0.3], [1.0], ClarkeScheme(seed=seed))
+
+    assert at(5) == 1.6002036624995777
+    assert at(5 + 2**32) != at(5)
+
+
 def test_subdifferential_smooth_single_generator():
     e = corpus_entry("fractional")
     est = subdifferential(e.handle, e.region, [1.0, 0.0], radius=1e-4, count=8, seed=0)
