@@ -10,11 +10,18 @@ into per-property verdicts:
     inconclusive     otherwise (vacuous-only evidence, estimator failures,
                      or near-tie failures that refinement could not harden).
 
+The value-only predicates read f on the sampled pairs' segments from one
+grid per context (_Segments), which evaluates a cell only when a
+predicate's read rule first names it.
+
 Violations of several characterizations concentrate on measure-zero sets
 (gradient kernels, flat pieces), so raw sampling is complemented by two
 devices: one pair in ten is drawn nearly collinear with a coordinate axis,
 and the samples closest to a violation are pushed through local coordinate
-descent (refine_counterexample) before the property may be declared to hold.
+ascent on the check's margin before the property may be declared to hold.
+A property's candidates climb together as array state (_Ascent), one
+kernel call per predicate, side and grid per step; refine_counterexample
+is the one-candidate case.
 
 Everything derives from the plan seed through per-sample-index substreams,
 so results are identical however the work is scheduled.
@@ -33,7 +40,7 @@ from . import checks as ck
 from .checks import FAIL, INCONCLUSIVE, PASS, VACUOUS
 from .functions import LOCALLY_LIPSCHITZ, PROPERTIES, FunctionHandle, negate_handle
 from ._pcg import generator, pcg64_states, position, to_ints, uniform_block
-from .geometry import Region, RegionTooThinError, _accept_mask
+from .geometry import Region, RegionTooThinError, _accept_mask, segment_point
 from .nonsmooth import EstimationError, subdifferential, subdifferentials
 
 __all__ = [
@@ -259,6 +266,7 @@ class _Context:
         self.interior_lams = tuple(t for t in self.lam_grid if 0.0 < t < 1.0)
         self._subdiffs: dict[bytes, object] = {}
         self._pairs: tuple[np.ndarray, np.ndarray] | None = None
+        self._segments: _Segments | None = None
 
     def handle(self, negated: bool) -> FunctionHandle:
         return self.neg_fn if negated else self.fn
@@ -362,6 +370,14 @@ class _Context:
                 side.flags.writeable = False
         return self._pairs
 
+    def segments(self, xs: np.ndarray, ys: np.ndarray) -> "_Segments":
+        """The segment grid of the pairs (xs[i], ys[i]), kept for as long as
+        they are the pairs asked for (the sampled pairs, in a classify)."""
+        held = self._segments
+        if held is None or held.xs is not xs or held.ys is not ys:
+            self._segments = held = _Segments(self, xs, ys)
+        return held
+
     # -- subdifferential cache ---------------------------------------------------
 
     def generators(self, points: np.ndarray, negated: bool = False) -> ck.Generators:
@@ -423,6 +439,54 @@ class _Context:
         """For a point, or for each row of a (k, n) array of points.  The
         radius is positive, so this already implies region.contains(p)."""
         return self.region.interior_slack(p) >= self.plan.subdiff_radius
+
+
+class _Segments:
+    """f on the segments of the pairs (xs[i], ys[i]) in both orientations,
+    row 2i from xs[i] to ys[i] and row 2i+1 back, at each lambda of the
+    plan's grid, with f at each orientation's start.  A cell is read through
+    the context's value table when a predicate's read rule first names it,
+    so every value-only probe and near-miss scan of the pairs, on f and on
+    -f, reads each cell once and only the cells its rule names."""
+
+    def __init__(self, ctx: _Context, xs: np.ndarray, ys: np.ndarray):
+        self.fn = ctx.fn
+        self.xs, self.ys = xs, ys
+        self.a, self.b = _both(xs, ys)
+        self.lams = np.array(ctx.lam_grid)
+        self.starts: np.ndarray | None = None
+        self.values = np.empty(len(self.a) * len(self.lams))
+        self.known = np.zeros(len(self.values), dtype=bool)
+
+    def rows(self, predicate: str, negated: bool, orient: np.ndarray, col=None) -> ck.Rows:
+        """ck.check_rows of a value-only predicate, on f (on -f when
+        negated), at the grid rows orient in placement order: over the
+        lambda grid, or with col, at grid column col[r] for row r."""
+        if self.starts is None:
+            # The first read takes the endpoints in the order check_rows
+            # would, so that a failing point raises as it would there.
+            # (np.unique would import numpy.ma, about 0.7 MB, on first use.)
+            o = np.flatnonzero(np.bincount(orient, minlength=len(self.a)))
+            f = self.fn.values(np.concatenate([self.a[o], self.b[o]]))
+            self.starts = np.empty(len(self.a))
+            self.starts[o ^ 1] = f[len(o):]
+            self.starts[o] = f[: len(o)]
+        fx, fy = self.starts[orient], self.starts[orient ^ 1]
+        if negated:
+            fx, fy = -fx, -fy
+        lams = self.lams if col is None else self.lams[col][:, None]
+        cols, read = ck.read_rule(predicate, lams, fx, fy)
+        grid_cols = cols[None, :] if col is None else col[:, None]
+        cells = (orient[:, None] * len(self.lams) + grid_cols)[read]
+        new = cells[~self.known[cells]]
+        if new.size:
+            o, c = np.divmod(new, len(self.lams))
+            self.values[new] = self.fn.values(segment_point(self.a[o], self.b[o], self.lams[c]))
+            self.known[new] = True
+        fz = np.full((len(orient), len(cols)), np.nan)
+        fz[read] = -self.values[cells] if negated else self.values[cells]
+        lams = np.broadcast_to(lams[..., cols], fz.shape)
+        return ck.kernel_rows(predicate, fx, fy, lams, fz)
 
 
 # --------------------------------------------------------------------------
@@ -500,109 +564,186 @@ _REFINE_RUNGS = tuple(0.25 / (5.0**k) for k in range(9))
 _REFINE_STEPS = np.array([sign * rung for rung in _REFINE_RUNGS for sign in (1.0, -1.0)])
 
 
-def _refine(ctx: _Context, cand: Candidate, rounds: int):
-    """One candidate's refinement as a sequence of steps.  Each step yields
-    the rows it scores, (xs, ys, lams) with lams (k, 1) or None for the
-    lambda grid, and is sent their Rows; the sequence returns the
-    RefineResult.  A move takes the first of its trials that raises the
-    margin, and a failed estimate of a trial raises only when no earlier
-    trial was taken."""
-    pred = _PREDICATES[cand.predicate]
-    x, y, lam = cand.x, cand.y, cand.lam
-    if lam is None and pred.lam and ctx.interior_lams:
-        # A segment seed starts at the first grid lambda of largest margin.
-        lams = np.array(ctx.interior_lams)[:, None]  # one per row
-        rows = yield _repeat(x, len(lams)), _repeat(y, len(lams)), lams
-        lam = ctx.interior_lams[int(np.argmax(rows.margin))]
-    span = ctx.region.upper - ctx.region.lower
-    # Lambda stays within the grid's interior resolution: the strict segment
-    # conditions are sampled no finer than the grid, and ties manufactured at
-    # vanishing lambda carry no evidence.
-    lam_lo = 1.0 / (ctx.plan.lambda_grid - 1) if ctx.plan.lambda_grid >= 3 else 0.25
-    rows = yield x[None], y[None], None if lam is None else np.array([[lam]])
-    best = rows.check(0, x, y)
-    trace = [best.margin]
-    # A seed outside the feasible region is scored but never moved; after
-    # that only the point a move changes needs testing.
-    if not (ctx.feasible(x) and ctx.feasible(y)):
-        rounds = 0
+# A candidate's phase: scoring its seed, climbing by moves, done.
+_SEED, _MOVES, _DONE = range(3)
 
-    trials = len(_REFINE_STEPS)
-    for _ in range(rounds):
-        improved = False
-        moves: list[tuple[str, int]] = [("x", i) for i in range(x.size)]
-        moves += [("y", i) for i in range(y.size)]
-        if lam is not None:
-            moves.append(("lam", 0))
-        for kind, i in moves:
-            # The move's trials as rows, in the order they are tried.
-            if kind == "lam":
-                xs, ys = _repeat(x, trials), _repeat(y, trials)
-                lams = np.clip(lam + _REFINE_STEPS, lam_lo, 1.0 - lam_lo)
-            else:
-                moved = _repeat(x if kind == "x" else y, trials)
-                moved[:, i] += _REFINE_STEPS * span[i]
-                xs, ys = (moved, y) if kind == "x" else (x, moved)
-                xs, ys = np.broadcast_arrays(xs, ys)
-                keep = ctx.feasible(moved) & ~(xs == ys).all(axis=1)
-                xs, ys = xs[keep], ys[keep]
-                lams = None if lam is None else np.full(len(xs), lam)
-            if not len(xs):
+
+class _Ascent:
+    """Candidates' coordinate ascent on a check's margin, with their state
+    as arrays: each candidate's points, lambda (NaN for the grid), phase,
+    move, rounds ended and best margin are rows, and its best (Rows, row) and
+    score trace are kept beside them.
+
+    A segment seed without a lambda is scored at each interior grid lambda
+    and starts at the first of largest margin.  A move is one coordinate of
+    x, then of y, then lambda, tried at each of _REFINE_STEPS in turn; it
+    takes the first trial that raises the margin, and an estimate that
+    failed raises only where it comes before that trial.  Coordinate trials
+    outside the feasible region, or with x == y, are dropped, and a move
+    left without trials is skipped.  A seed outside the feasible region is
+    scored but never moved, and a round without a move taken ends the
+    ascent."""
+
+    def __init__(self, ctx: _Context, cands: list[Candidate], rounds: int):
+        self.ctx, self.cands, self.rounds = ctx, cands, rounds
+        region, k = ctx.region, len(cands)
+        self.span, self.n = region.upper - region.lower, region.dimension
+        self.interior = np.array(ctx.interior_lams)
+        # Lambda is not moved closer to an endpoint than the grid resolves:
+        # the strict segment conditions are sampled no finer, and ties
+        # manufactured at vanishing lambda carry no evidence.
+        grid = ctx.plan.lambda_grid
+        self.lam_lo = 1.0 / (grid - 1) if grid >= 3 else 0.25
+        self.seeded = np.array([c.lam is None and _PREDICATES[c.predicate].lam for c in cands])
+        self.seeded &= len(self.interior) > 0
+        self.x = np.array([c.x for c in cands], dtype=float)
+        self.y = np.array([c.y for c in cands], dtype=float)
+        self.lam = np.array([np.nan if c.lam is None else c.lam for c in cands])
+        has_lam = self.seeded | ~np.isnan(self.lam)
+        self.phase = np.full(k, _SEED)
+        self.moves = 2 * self.n + has_lam
+        self.move = np.zeros(k, dtype=int)
+        self.ended = np.zeros(k, dtype=int)
+        self.improved = np.zeros(k, dtype=bool)
+        self.best = np.zeros(k)
+        self.kept: list = [None] * k
+        self.traces: list[list[float]] = [[] for _ in cands]
+        self.failures: list = [None] * k
+        # Each candidate's rows go to the kernel call of its (predicate,
+        # side, grid); the calls run in order of first appearance.
+        keys = [(c.predicate, c.negated, bool(h)) for c, h in zip(cands, has_lam)]
+        self.groups = {key: np.array([c == key for c in keys]) for key in dict.fromkeys(keys)}
+
+    def moving(self) -> bool:
+        return bool((self.phase != _DONE).any())
+
+    def requests(self):
+        """One request of every candidate still moving, as trial rows in
+        candidate order: each row's candidate, x, y and lambda."""
+        x, y, lam, phase, move, n = self.x, self.y, self.lam, self.phase, self.move, self.n
+        trials = len(_REFINE_STEPS)
+        parts = []
+        i = np.flatnonzero(phase == _SEED)
+        if i.size:
+            reps = np.where(self.seeded[i], len(self.interior), 1)
+            lams = [self.interior if s else lam[j, None] for j, s in zip(i, self.seeded[i])]
+            parts.append((np.repeat(i, reps), np.repeat(x[i], reps, 0), np.repeat(y[i], reps, 0),
+                          np.concatenate(lams)))
+        todo = np.flatnonzero(phase == _MOVES)
+        while todo.size:
+            on_lam = move[todo] == 2 * n
+            if on_lam.any():
+                i = todo[on_lam]
+                lams = np.clip(lam[i, None] + _REFINE_STEPS, self.lam_lo, 1.0 - self.lam_lo)
+                parts.append((np.repeat(i, trials), np.repeat(x[i], trials, 0),
+                              np.repeat(y[i], trials, 0), lams.ravel()))
+                todo = todo[~on_lam]
+            if not todo.size:
+                break
+            on_x = move[todo] < n
+            axis = np.where(on_x, move[todo], move[todo] - n)
+            moved = np.repeat(np.where(on_x[:, None], x[todo], y[todo])[:, None], trials, 1)
+            moved[np.arange(len(todo)), :, axis] += _REFINE_STEPS * self.span[axis][:, None]
+            xs = np.where(on_x[:, None, None], moved, x[todo, None])
+            ys = np.where(on_x[:, None, None], y[todo, None], moved)
+            keep = self.ctx.feasible(moved.reshape(-1, n)).reshape(len(todo), trials)
+            keep &= ~(xs == ys).all(axis=2)
+            flat = keep.ravel()
+            parts.append((np.repeat(todo, trials)[flat], xs[keep], ys[keep],
+                          np.repeat(lam[todo], trials)[flat]))
+            # A move left without trials is skipped.
+            empty = todo[~keep.any(axis=1)]
+            self._next_move(empty)
+            todo = empty[phase[empty] == _MOVES]
+        if len(parts) == 1:
+            return parts[0]
+        owner, xs, ys, lams = (np.concatenate(v) for v in zip(*parts))
+        order = np.argsort(owner, kind="stable")
+        return owner[order], xs[order], ys[order], lams[order]
+
+    def take(self, rows: ck.Rows, own, xs, ys, lams) -> None:
+        """Read the Rows of one kernel call, whose row r is the trial (xs[r],
+        ys[r], lams[r]) of candidate own[r], and advance its candidates."""
+        start = np.flatnonzero(np.concatenate(([True], own[1:] != own[:-1])))
+        stop = np.append(start[1:], len(own))
+        who = own[start]
+        seeds = self.phase[who] == _SEED
+        # Each candidate's first row above its best margin (len(own) if none).
+        above = np.where(rows.margin > self.best[own], np.arange(len(own)), len(own))
+        hit = np.minimum.reduceat(above, start)
+        climbing = ~seeds & (hit < len(own))
+        if rows.failed:
+            # A candidate reads its rows up to the trial it takes, or all.
+            end = np.where(climbing, hit, stop)
+            failed = np.zeros(len(who), dtype=bool)
+            for r in sorted(rows.failed):
+                g = np.searchsorted(who, own[r])
+                if r < end[g] and not failed[g]:
+                    failed[g] = True
+                    error = rows.failed[r]
+                    self.failures[who[g]] = type(error)(*error.args)
+            self.phase[who[failed]] = _DONE
+            who, seeds, start, stop, hit, climbing = (
+                v[~failed] for v in (who, seeds, start, stop, hit, climbing))
+        hit[seeds] = start[seeds]
+        for g in np.flatnonzero(seeds & self.seeded[who]):
+            hit[g] += int(np.argmax(rows.margin[start[g]:stop[g]]))
+        taken = seeds | climbing
+        i, r = who[taken], hit[taken]
+        self.x[i], self.y[i], self.lam[i], self.best[i] = xs[r], ys[r], lams[r], rows.margin[r]
+        for i, r in zip(i.tolist(), r.tolist()):
+            self.kept[i] = rows, r
+            self.traces[i].append(float(rows.margin[r]))
+        self.improved[who[climbing]] = True
+        self._next_move(who[~seeds])
+        if seeds.any():
+            # A seed outside the feasible region is scored but never moved.
+            i = who[seeds]
+            feasible = self.ctx.feasible(self.x[i]) & self.ctx.feasible(self.y[i])
+            self.phase[i] = np.where(feasible & (self.rounds > 0), _MOVES, _DONE)
+
+    def _next_move(self, i: np.ndarray) -> None:
+        """Candidates i are done with their current move."""
+        if not i.size:
+            return
+        self.move[i] += 1
+        i = i[self.move[i] == self.moves[i]]
+        self.ended[i] += 1
+        self.move[i] = 0
+        self.phase[i[~self.improved[i] | (self.ended[i] >= self.rounds)]] = _DONE
+        self.improved[i] = False
+
+    def results(self) -> list:
+        out = []
+        for i, cand in enumerate(self.cands):
+            if self.failures[i] is not None:
+                out.append(self.failures[i])
                 continue
-            rows = yield xs, ys, None if lams is None else lams[:, None]
-            j = rows.first_above(best.margin)
-            if j is not None:
-                x, y = xs[j], ys[j]
-                lam = None if lams is None else float(lams[j])
-                best = rows.check(j, x, y)
-                trace.append(best.margin)
-                improved = True
-        if not improved:
-            break
-
-    witness = _witness_from_check(cand.predicate, cand.negated, best)
-    return RefineResult(witness, tuple(trace))
-
-
-def _repeat(x: np.ndarray, k: int) -> np.ndarray:
-    return np.repeat(x[None], k, axis=0)
+            rows, r = self.kept[i]
+            check = rows.check(r, self.x[i].copy(), self.y[i].copy())
+            out.append(RefineResult(
+                _witness_from_check(cand.predicate, cand.negated, check), tuple(self.traces[i])))
+        return out
 
 
 def _refine_together(ctx: _Context, cands: list[Candidate], rounds: int) -> list:
-    """Refine candidates in lockstep: each step scores the rows of every
-    candidate still moving in one kernel call per (predicate, side), and
-    hands each candidate its own.  Each result is the candidate's
-    RefineResult, or the EstimationError its refinement raised; it equals
-    the candidate refined alone."""
-    results: list = [None] * len(cands)
-    steps = [_refine(ctx, cand, rounds) for cand in cands]
-    wanted: dict[int, tuple] = {}
-
-    def advance(i: int, rows) -> None:
-        try:
-            wanted[i] = steps[i].send(rows)
-        except StopIteration as done:
-            results[i] = done.value
-        except EstimationError as exc:
-            results[i] = exc
-
-    for i in range(len(cands)):
-        advance(i, None)
-    while wanted:
-        asked, wanted = wanted, {}
-        groups: dict[tuple, list[int]] = {}
-        for i, (_, _, lams) in asked.items():
-            groups.setdefault((cands[i].predicate, cands[i].negated, lams is None), []).append(i)
-        for (name, negated, grid), members in groups.items():
-            parts = [asked[i] for i in members]
-            xs, ys = (np.concatenate([part[f] for part in parts]) for f in (0, 1))
-            lams = None if grid else np.concatenate([part[2] for part in parts])
-            rows = _PREDICATES[name].rows(ctx, negated, xs, ys, lams)
-            stop = 0
-            for i, part in zip(members, parts):
-                start, stop = stop, stop + len(part[0])
-                advance(i, rows.part(start, stop))
-    return results
+    """Refine candidates in lockstep: every step scores one request of each
+    candidate still moving (its seed, or its current move's trials) in one
+    kernel call per (predicate, side, grid).  Each result is the
+    candidate's RefineResult, or the EstimationError its refinement raised:
+    what a one-trial-at-a-time ascent gives it."""
+    if not cands:
+        return []
+    ascent = _Ascent(ctx, cands, rounds)
+    while ascent.moving():
+        owner, xs, ys, lams = ascent.requests()
+        for (name, negated, with_lam), members in ascent.groups.items():
+            sel = members[owner]
+            if sel.any():
+                rows = _PREDICATES[name].rows(
+                    ctx, negated, xs[sel], ys[sel], lams[sel, None] if with_lam else None)
+                ascent.take(rows, owner[sel], xs[sel], ys[sel], lams[sel])
+    return ascent.results()
 
 
 def _witness_from_check(
@@ -703,26 +844,25 @@ def _both(xs: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([xs, ys], axis=1).reshape(-1, n), np.stack([ys, xs], axis=1).reshape(-1, n)
 
 
-def _placed(ctx: _Context, probe: _Probe, negated: bool, xs: np.ndarray, ys: np.ndarray):
-    """Where a probe runs on the sampled pairs, pair after pair: the rows'
-    endpoints (sampled points, or kernel projections) as two (k, n) arrays,
-    each row's pair, the lambdas ((k, 1), or None for the grid), the pairs
-    whose placement read a failed estimate, and the gradients at the rows'
-    first endpoints where the placement read them (else None)."""
-    index = np.arange(len(xs))
-    if probe.placement == _PAIR:
-        return xs, ys, index, None, index[:0], None
-    if probe.placement == _SWEEP:
-        m = len(ctx.interior_lams)
-        return (np.repeat(xs, m, axis=0), np.repeat(ys, m, axis=0), np.repeat(index, m),
-                np.tile(ctx.interior_lams, len(xs))[:, None], index[:0], None)
-    a, b = _both(xs, ys)
-    pair = np.repeat(index, 2)
-    if probe.placement == _BOTH:
-        return a, b, pair, None, index[:0], None
-    # Kernel conditions bind on measure-zero sets: each orientation (a, b)
-    # is followed by b projected onto the kernel of each generator at a,
-    # where that moves it and stays feasible.
+def _orientations(ctx: _Context, placement: str, k: int):
+    """The rows of the segment grid of k pairs that a placement runs on, pair
+    after pair, and for a sweep each row's grid column (else None)."""
+    pairs = 2 * np.arange(k)
+    if placement == _PAIR:
+        return pairs, None
+    if placement == _SWEEP:
+        lams = np.array(ctx.lam_grid)
+        cols = np.flatnonzero((lams > 0.0) & (lams < 1.0))
+        return np.repeat(pairs, len(cols)), np.tile(cols, k)
+    return np.arange(2 * k), None
+
+
+def _kernel_placed(ctx: _Context, negated: bool, a: np.ndarray, b: np.ndarray, pair: np.ndarray):
+    """Kernel conditions bind on measure-zero sets: each orientation (a, b)
+    is followed by b projected onto the kernel of each generator at a, where
+    that moves it and stays feasible.  Returns the rows' endpoints and
+    pairs, the pairs whose placement read a failed estimate, and the
+    gradients at the rows' first endpoints (None for a nonsmooth handle)."""
     grads = ctx.gradients(a, negated)
     gens = ck.kernel_generators(len(a), grads, lambda rows: ctx.generators(a[rows], negated))
     g, own = gens.g, gens.owner
@@ -737,7 +877,7 @@ def _placed(ctx: _Context, probe: _Probe, negated: bool, xs: np.ndarray, ys: np.
     order = np.argsort(origin, kind="stable")
     origin = origin[order]
     gradients = None if grads is None else tuple(v[origin] for v in grads)
-    return (a[origin], np.concatenate([b, bp[keep]])[order], pair[origin], None,
+    return (a[origin], np.concatenate([b, bp[keep]])[order], pair[origin],
             pair[list(gens.failed)], gradients)
 
 
@@ -764,16 +904,26 @@ class _Run(NamedTuple):
 
 def _runs(ctx: _Context, prop: str, xs: np.ndarray, ys: np.ndarray):
     """Each probe side's run over its placements on the pairs (xs[i], ys[i]),
-    in probe order, and the mask of the pairs on which an estimate failed."""
+    in probe order, and the mask of the pairs on which an estimate failed.
+    The value-only predicates read the pairs' segment grid."""
+    segments = ctx.segments(xs, ys)
     runs = []
     broken = np.zeros(len(xs), dtype=bool)
     for probe in _PROBES[prop]:
         pred = probe.predicate_for(ctx)
+        orient, col = _orientations(ctx, probe.placement, len(xs))
+        if not len(orient):  # a sweep over a grid without interior lambdas
+            continue
         for negated in probe.sides:
-            a, b, pair, lams, failed, gradients = _placed(ctx, probe, negated, xs, ys)
-            if not len(a):  # a sweep over a grid without interior lambdas
+            a, b, pair = segments.a[orient], segments.b[orient], orient // 2
+            if pred.lam:
+                rows = segments.rows(pred.name, negated, orient, col)
+                runs.append(_Run(pred.name, negated, a, b, pair, rows))
                 continue
-            rows = pred.rows(ctx, negated, a, b, lams, gradients)
+            failed, gradients = pair[:0], None
+            if probe.placement == _KERNEL:
+                a, b, pair, failed, gradients = _kernel_placed(ctx, negated, a, b, pair)
+            rows = pred.rows(ctx, negated, a, b, None, gradients)
             broken[failed] = True
             broken[pair[list(rows.failed or ())]] = True
             runs.append(_Run(pred.name, negated, a, b, pair, rows))
@@ -784,14 +934,18 @@ def _near_misses(ctx: _Context, prop: str) -> list[Candidate]:
     """The pairs, in both orientations, closest to violating each near-miss
     probe of the property, scored in one kernel call per probe and side;
     pairs whose estimate failed are passed over."""
-    xs, ys = _both(*ctx.pairs)
+    segments = ctx.segments(*ctx.pairs)
+    xs, ys = segments.a, segments.b
     out = []
     for probe in _PROBES[prop]:
         if not probe.near_miss:
             continue
         pred = probe.predicate_for(ctx)
         for negated in probe.sides:
-            rows = pred.rows(ctx, negated, xs, ys)
+            if pred.lam:
+                rows = segments.rows(pred.name, negated, np.arange(len(xs)))
+            else:
+                rows = pred.rows(ctx, negated, xs, ys)
             r = np.delete(np.arange(len(xs)), list(rows.failed or ()))
             best = r[np.argsort(-rows.margin[r], kind="stable")[:NEAR_MISS_CANDIDATES]]
             out.extend(Candidate(pred.name, negated, xs[i].copy(), ys[i].copy()) for i in best)

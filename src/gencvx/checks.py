@@ -72,6 +72,8 @@ __all__ = [
     "check_interpolation_bounds",
     "Rows",
     "check_rows",
+    "read_rule",
+    "kernel_rows",
     "Generators",
     "dots",
     "kernel_generators",
@@ -250,12 +252,6 @@ class Rows(NamedTuple):
                 self._read(i)
         return end if above.size else None
 
-    def part(self, start: int, stop: int) -> "Rows":
-        """Rows start to stop of these, as Rows of their own."""
-        cut = [f[start:stop] if isinstance(f, np.ndarray) else f for f in self]
-        cut[-1] = {i - start: e for i, e in (self.failed or {}).items() if start <= i < stop}
-        return Rows(*cut)
-
     def _read(self, i: int) -> None:
         failure = (self.failed or {}).get(i)
         if failure is not None:
@@ -270,8 +266,9 @@ class Rows(NamedTuple):
 # the endpoints and at points of the segment.  A kernel takes fx, fy (k,),
 # the rows' lambdas and f at their segment points (k, m) (NaN where a row's
 # segment is not read), and returns per row the outcome, margin, residual,
-# and the witness lambda and f there.  check_rows reads the values and runs
-# a kernel.
+# and the witness lambda and f there.  read_rule names the segment points a
+# predicate reads, kernel_rows runs its kernel on values read, and check_rows
+# reads the values and runs the kernel.
 
 
 _OUTCOMES = np.array([PASS, VACUOUS, FAIL, INCONCLUSIVE], dtype=object)
@@ -437,34 +434,51 @@ _DETAILS = {
 }
 
 
+def read_rule(predicate: str, lams: np.ndarray, fx, fy) -> tuple[np.ndarray, np.ndarray]:
+    """Where a value-only predicate reads f on its rows' segments: the
+    columns of lams, an (m,) grid shared by all rows or a (k, m) grid per
+    row, and the mask of the rows, from f at their endpoints.  The
+    semistrict and interlacing conditions read only the interior lambdas of
+    a shared grid, and only on descending rows; the others read every
+    lambda of every row."""
+    descent = _KERNELS[predicate][1]
+    cols = np.arange(lams.shape[-1])
+    if lams.ndim == 1 and descent:
+        cols = cols[(lams > 0.0) & (lams < 1.0)]
+    return cols, descends(fx, fy) if descent else np.ones(len(fx), dtype=bool)
+
+
+def kernel_rows(predicate: str, fx, fy, lams, fz) -> Rows:
+    """A value-only predicate's kernel on values already read: f at the
+    endpoints (k,), the rows' lambdas (k, m) and f at their segment points
+    (k, m), NaN where read_rule reads none."""
+    return Rows(predicate, fx, fy, *_KERNELS[predicate][0](fx, fy, lams, fz))
+
+
 def check_rows(predicate: str, fn: FunctionHandle, x, y, lams) -> Rows:
     """Run a value-only predicate over k rows in two reads of f.
 
     x and y are (k, n) endpoint rows, or one row, (1, n) or (n,), shared by
     all; lams is an (m,) grid shared by all rows or a (k, m) grid per row
     (the bounds take one lambda per row, (k, 1)).  f is read at the
-    endpoints in one `fn.values` call, then at every segment point the
-    predicate reads in another: the semistrict and interlacing conditions
-    read only the interior lambdas of a shared grid, and only on descending
-    rows.  Each row's result is bit-identical to the predicate's one-row
-    check.
+    endpoints in one `fn.values` call, then at every segment point that
+    read_rule names in another.  Each row's result is bit-identical to the
+    predicate's one-row check.
     """
-    kernel, descent = _KERNELS[predicate]
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     lams = np.asarray(lams, dtype=float)
-    if lams.ndim == 1 and descent:
-        lams = lams[(lams > 0.0) & (lams < 1.0)]
-    lams = np.atleast_2d(lams)
-    k = max(len(x), len(y), len(lams))
+    if lams.ndim == 0:
+        lams = lams.reshape(1, 1)
+    k = max(len(x), len(y), len(np.atleast_2d(lams)))
     fxy = fn.values(np.concatenate([x, y]))
     fx, fy = _stretch(fxy[: len(x)], k), _stretch(fxy[len(x):], k)
-    x, y, lams = _stretch(x, k), _stretch(y, k), _stretch(lams, k)
+    cols, read = read_rule(predicate, lams, fx, fy)
+    x, y, lams = _stretch(x, k), _stretch(y, k), _stretch(np.atleast_2d(lams[..., cols]), k)
     fz = np.full(lams.shape, np.nan)
-    read = descends(fx, fy) if descent else np.ones(k, dtype=bool)
     points = segment_point(x[read, None], y[read, None], lams[read])
     fz[read] = fn.values(points.reshape(-1, x.shape[1])).reshape(points.shape[:2])
-    return Rows(predicate, fx, fy, *kernel(fx, fy, lams, fz))
+    return kernel_rows(predicate, fx, fy, lams, fz)
 
 
 def _stretch(a: np.ndarray, k: int) -> np.ndarray:

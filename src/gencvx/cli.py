@@ -19,6 +19,7 @@ given anywhere.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -259,8 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main reads arguments with, built once per process: a build
+    costs many times a parse, and in-process callers run main per request."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_help()

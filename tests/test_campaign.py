@@ -20,15 +20,15 @@ from gencvx import (
 )
 from gencvx import campaign
 from gencvx.campaign import (
-    HOLDS, MAX_REFINED_CANDIDATES, MAX_WITNESSES, REFUTED, _PREDICATES, _check,
-    _classify_property, _Context, _near_misses, _Predicate, _refine_together, _runs,
-    _witness_from_check,
+    _BOTH, _PAIR, _SWEEP, HOLDS, MAX_REFINED_CANDIDATES, MAX_WITNESSES, NEAR_MISS_CANDIDATES,
+    REFUTED, _PREDICATES, _REFINE_STEPS, _check, _classify_property, _Context, _near_misses,
+    _orientations, _Predicate, _refine_together, _runs, _witness_from_check,
 )
-from gencvx.checks import INCONCLUSIVE
+from gencvx.checks import INCONCLUSIVE, check_rows, descends
 from gencvx.expr import EvalError
 from gencvx.nonsmooth import EstimationError
 from gencvx.functions import PROPERTIES, SMOOTH, FunctionHandle, function_from_expression
-from gencvx.geometry import RegionTooThinError, parse_region
+from gencvx.geometry import RegionTooThinError, parse_region, segment_point
 
 PLAN = SamplingPlan(seed=42)
 FAST = SamplingPlan(pair_count=60, seed=42)
@@ -197,28 +197,30 @@ def test_classification_deterministic():
 
 @pytest.mark.parametrize("name", ["arctan", "paraboloid"])
 def test_classify_evaluates_each_distinct_point_once(name):
-    # quasilinear probes both f and -f, and near-miss search and refinement
-    # revisit sampled points: all of them read one value table, one point or
-    # a row array at a time.
+    # quasilinear probes both f and -f, the other two sweep b(lambda) over
+    # the segment grid and run generator predicates, and near-miss search
+    # and refinement revisit sampled points: all of them read one value
+    # table, one point or a row array at a time.
     e = corpus_entry(name)
-    keys, rows = [], []
+    for prop in ("quasilinear", "semistrictly-quasilinear", "pseudolinear"):
+        keys, rows = [], []
 
-    def counted(x):
-        keys.append(x.tobytes())
-        return e.handle.evaluate(x)
+        def counted(x):
+            keys.append(x.tobytes())
+            return e.handle.evaluate(x)
 
-    def counted_rows(points):
-        rows.extend(p.tobytes() for p in points)
-        return e.handle.evaluate_rows(points)
+        def counted_rows(points):
+            rows.extend(p.tobytes() for p in points)
+            return e.handle.evaluate_rows(points)
 
-    fn = replace(e.handle, evaluate=counted, evaluate_rows=counted_rows)
-    plan = SamplingPlan(pair_count=20, lambda_grid=9, seed=3)
-    (v,) = classify(fn, e.region, ("quasilinear",), plan)
-    (ref,) = classify(e.handle, e.region, ("quasilinear",), plan)
-    assert v.to_dict() == ref.to_dict()
-    assert rows, "grid reads go through evaluate_rows"
-    assert keys or rows
-    assert len(keys + rows) == len(set(keys + rows))
+        fn = replace(e.handle, evaluate=counted, evaluate_rows=counted_rows)
+        plan = SamplingPlan(pair_count=20, lambda_grid=9, seed=3)
+        (v,) = classify(fn, e.region, (prop,), plan)
+        (ref,) = classify(e.handle, e.region, (prop,), plan)
+        assert v.to_dict() == ref.to_dict()
+        assert rows, "grid reads go through evaluate_rows"
+        assert keys or rows
+        assert len(keys + rows) == len(set(keys + rows)), prop
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -255,6 +257,104 @@ def test_value_table_never_hides_a_failure(bad, error):
     assert (-ctx.neg_fn.values([[1.25], [0.75]])).tolist() == values.tolist()
     assert ctx.fn.value([0.75]) == values[1] and reads == []
     assert ctx.fn.value([1.0]) == -ctx.neg_fn.value([1.0])
+
+
+_SEGMENT_PLACEMENTS = {
+    "quasiconvex-segment": (_PAIR, _BOTH, _SWEEP),
+    "semistrict-quasiconvex-segment": (_PAIR, _BOTH, _SWEEP),
+    "interlacing-segment": (_PAIR, _BOTH, _SWEEP),
+    "interpolation-strict-bounds": (_SWEEP,),
+    "interpolation-weak-bounds": (_SWEEP,),
+}
+
+
+def _assert_same_rows(got, want):
+    assert got._fields == want._fields
+    for field, a, b in zip(got._fields, got, want):
+        if isinstance(b, np.ndarray):
+            assert a.shape == b.shape, field
+            if b.dtype == object:
+                assert a.tolist() == b.tolist(), field
+            else:
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+        else:
+            assert a == b, field
+
+
+@pytest.mark.parametrize("name", ["ramp", "twoslope", "paraboloid", "fractional"])
+def test_segment_grid_rows_equal_check_rows_on_the_placed_points(name):
+    # Each value-only probe placement, and the near-miss scan (every pair in
+    # both orientations over the grid, as _BOTH), on f and on -f, read from
+    # one grid as the probes of a classify do: each field of its Rows equals
+    # check_rows on the placed points bit for bit, whichever cells earlier
+    # placements filled.
+    e = corpus_entry(name)
+    ctx = _Context(e.handle, e.region, SamplingPlan(pair_count=30, lambda_grid=9, seed=5))
+    segments = ctx.segments(*ctx.pairs)
+    fresh = _Context(e.handle, e.region, ctx.plan)
+    for predicate, placements in _SEGMENT_PLACEMENTS.items():
+        for placement in placements:
+            orient, col = _orientations(ctx, placement, len(ctx.pairs[0]))
+            lams = ctx.lam_grid if col is None else np.array(ctx.lam_grid)[col][:, None]
+            a, b = segments.a[orient], segments.b[orient]
+            for negated in (False, True):
+                got = segments.rows(predicate, negated, orient, col)
+                want = check_rows(predicate, fresh.handle(negated), a, b, lams)
+                _assert_same_rows(got, want)
+    assert segments.known.all()  # the quasiconvex condition on _BOTH reads every cell
+
+
+@pytest.mark.parametrize("prop", [
+    "quasiconvex", "quasiconcave", "quasilinear", "semistrictly-quasiconvex",
+    "semistrictly-quasiconcave", "semistrictly-quasilinear",
+])
+def test_near_misses_from_the_grid_equal_those_from_check_rows(prop):
+    e = corpus_entry("paraboloid")
+    ctx = _Context(e.handle, e.region, SamplingPlan(pair_count=30, seed=5))
+    xs, ys = campaign._both(*ctx.pairs)
+    want = []
+    for probe in campaign._PROBES[prop]:
+        if probe.near_miss:
+            for negated in probe.sides:
+                name = probe.predicate.name
+                margin = check_rows(name, ctx.handle(negated), xs, ys, ctx.lam_grid).margin
+                for i in np.argsort(-margin, kind="stable")[:NEAR_MISS_CANDIDATES]:
+                    want.append((name, negated, xs[i].tolist(), ys[i].tolist(), None))
+    assert [_as_tuple(c) for c in _near_misses(ctx, prop)] == want
+
+
+def test_semistrict_classify_reads_no_interior_point_of_a_rising_orientation():
+    # The semistrict condition reads f inside a segment only where it
+    # descends: at no interior grid point of an orientation of a sampled
+    # pair that does not, on f or on -f.
+    e = corpus_entry("paraboloid")
+    read = set()
+
+    def evaluate_rows(points):
+        read.update(p.tobytes() for p in points)
+        return e.handle.evaluate_rows(points)
+
+    def evaluate(x):
+        read.add(x.tobytes())
+        return e.handle.evaluate(x)
+
+    plan = SamplingPlan(pair_count=40, lambda_grid=9, seed=11)
+    fn = replace(e.handle, evaluate=evaluate, evaluate_rows=evaluate_rows)
+    for prop, sign in (("semistrictly-quasiconvex", 1.0), ("semistrictly-quasiconcave", -1.0)):
+        read.clear()
+        classify(fn, e.region, (prop,), plan)
+        ctx = _Context(e.handle, e.region, plan)
+        a, b = campaign._both(*ctx.pairs)
+        fa, fb = sign * e.handle.values(a), sign * e.handle.values(b)
+        interior = np.array(ctx.interior_lams)
+        inside = segment_point(a[:, None], b[:, None], interior[None, :])
+        down = descends(fa, fb)
+        wanted = {p.tobytes() for p in inside[down].reshape(-1, a.shape[1])}
+        # A point can lie on both orientations of a pair (often at lambda
+        # 1/2); it is read for the one that descends.
+        unread = {p.tobytes() for p in inside[~down].reshape(-1, a.shape[1])} - wanted
+        assert unread and not unread & read, prop
+        assert wanted <= read, prop
 
 
 def test_witness_serialization_round_trip():
@@ -725,6 +825,81 @@ def test_lockstep_refinement_equals_refining_each_candidate_alone(name, fn, regi
             assert all(lockstep[side] <= steps[side] for side in lockstep), (prop, lockstep, steps)
             batched -= sum(lockstep.values())
     assert batched > 0  # candidates did share kernel calls
+    assert (failures > 0) == (name == "half-failing")
+
+
+def _ascent_one_trial_at_a_time(ctx, cand, rounds):
+    """Coordinate ascent on a check's margin written plainly, one _check per
+    trial: the reference refinement.  A segment seed without a lambda
+    starts at its first interior grid lambda of largest margin.  Each move
+    shifts one coordinate of x, then of y, then lambda, by each step in
+    turn, skipping trials outside the feasible region or with x == y, and
+    takes the first trial whose margin is above the best; lambda is kept a
+    grid step from the endpoints.  A seed outside the feasible region is
+    only scored, and a round without a move taken ends the ascent.  Returns
+    the scores and the witness (as a dict) or the EstimationError raised,
+    as _as_alone gives them."""
+    def check(x, y, lam):
+        return _check(ctx, Candidate(cand.predicate, cand.negated, x, y, lam))
+
+    x, y, lam = cand.x, cand.y, cand.lam
+    interior = ctx.interior_lams
+    try:
+        if lam is None and _PREDICATES[cand.predicate].lam and interior:
+            margins = [check(x, y, t).margin for t in interior]
+            lam = interior[margins.index(max(margins))]
+        best = check(x, y, lam)
+        scores = [best.margin]
+        span = ctx.region.upper - ctx.region.lower
+        lam_lo = 1.0 / (ctx.plan.lambda_grid - 1) if ctx.plan.lambda_grid >= 3 else 0.25
+        n = x.size
+        for _ in range(rounds if ctx.feasible(x) and ctx.feasible(y) else 0):
+            improved = False
+            for move in range(2 * n + (lam is not None)):
+                for step in _REFINE_STEPS:
+                    tx, ty, tl = x, y, lam
+                    if move == 2 * n:
+                        tl = float(np.clip(lam + step, lam_lo, 1.0 - lam_lo))
+                    else:
+                        moved = (x if move < n else y).copy()
+                        moved[move % n] += step * span[move % n]
+                        tx, ty = (moved, y) if move < n else (x, moved)
+                        if not ctx.feasible(moved) or np.array_equal(tx, ty):
+                            continue
+                    trial = check(tx, ty, tl)
+                    if trial.margin > best.margin:
+                        x, y, lam, best = tx, ty, tl, trial
+                        scores.append(trial.margin)
+                        improved = True
+                        break
+            if not improved:
+                break
+    except EstimationError as exc:
+        return type(exc), str(exc)
+    witness = _witness_from_check(cand.predicate, cand.negated, best)
+    return tuple(scores), None if witness is None else witness.to_dict()
+
+
+@pytest.mark.parametrize("name, fn, region", _LOCKSTEP_CASES, ids=[c[0] for c in _LOCKSTEP_CASES])
+def test_lockstep_refinement_equals_a_one_trial_at_a_time_ascent(name, fn, region):
+    # The array-state refinement of every property's candidates, together
+    # in one context, against the plain ascent of each alone in another:
+    # scores, witnesses, and the estimator failures classify counts as
+    # inconclusive.
+    failures = moved = 0
+    for seed in (0, 7):
+        plan = SamplingPlan(pair_count=24, seed=seed)
+        for prop in PROPERTIES:
+            ctx = _Context(fn, region, plan)
+            cands = _property_candidates(ctx, prop)
+            together = _refine_together(ctx, cands, plan.refinement_rounds)
+            reference = _Context(fn, region, plan)
+            for cand, result in zip(cands, together):
+                want = _ascent_one_trial_at_a_time(reference, cand, plan.refinement_rounds)
+                assert _as_alone(result) == want, (prop, seed, cand)
+                failures += isinstance(result, EstimationError)
+                moved += not isinstance(result, EstimationError) and len(result.scores) > 1
+    assert moved > 0
     assert (failures > 0) == (name == "half-failing")
 
 
