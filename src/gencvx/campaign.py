@@ -223,7 +223,7 @@ class RefineResult:
 
 
 # --------------------------------------------------------------------------
-# Campaign context: seeded sampling streams, the value table and estimate caches
+# Campaign context: seeded sampling streams, the segment grid and estimate cache
 # --------------------------------------------------------------------------
 
 
@@ -232,33 +232,8 @@ class _Context:
         if fn.dimension != region.dimension:
             raise ValueError("function and region dimensions differ")
         self.subdiff_count = plan.resolved_subdiff_count(fn.dimension)
-        # One table of f's values per context, keyed by the point's bytes:
-        # every predicate on f and on -f reads each point's value once,
-        # whether one point or a row array at a time.  Misses are evaluated
-        # through fn's own checked reads, so a point whose value raises or
-        # is not finite is never stored, and a row read stores nothing
-        # unless every new point in it succeeds.
-        values: dict[bytes, float] = {}
-
-        def tabled(x: np.ndarray) -> float:
-            key = x.tobytes()
-            try:
-                return values[key]
-            except KeyError:
-                v = values[key] = fn.value(x)
-                return v
-
-        def tabled_rows(points: np.ndarray) -> np.ndarray:
-            keys = _row_keys(points)
-            got = list(map(values.get, keys))
-            if None in got:
-                missing = {key: r for r, (key, v) in enumerate(zip(keys, got)) if v is None}
-                values.update(zip(missing, fn.values(points[list(missing.values())]).tolist()))
-                got = list(map(values.__getitem__, keys))
-            return np.array(got, dtype=float)
-
-        self.fn = replace(fn, evaluate=tabled, evaluate_rows=tabled_rows)
-        self.neg_fn = negate_handle(self.fn)
+        self.fn = fn
+        self.neg_fn = negate_handle(fn)
         self.smooth = fn.smoothness != LOCALLY_LIPSCHITZ
         self.region = region
         self.plan = plan
@@ -444,10 +419,11 @@ class _Context:
 class _Segments:
     """f on the segments of the pairs (xs[i], ys[i]) in both orientations,
     row 2i from xs[i] to ys[i] and row 2i+1 back, at each lambda of the
-    plan's grid, with f at each orientation's start.  A cell is read through
-    the context's value table when a predicate's read rule first names it,
-    so every value-only probe and near-miss scan of the pairs, on f and on
-    -f, reads each cell once and only the cells its rule names."""
+    plan's grid, with f at each orientation's start.  A cell is read from f
+    when a predicate's read rule first names it, so every value-only probe
+    and near-miss scan of the pairs, on f and on -f, reads each cell once
+    and only the cells its rule names.  It is a classify call's only cache
+    of f: other reads go to f itself."""
 
     def __init__(self, ctx: _Context, xs: np.ndarray, ys: np.ndarray):
         self.fn = ctx.fn

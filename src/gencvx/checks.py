@@ -242,16 +242,6 @@ class Rows(NamedTuple):
         threshold = WITNESS_FACTOR * eps_strict(self.fx, self.fy)
         return (self.outcome == FAIL) & (self.residual > threshold)
 
-    def first_above(self, level: float) -> int | None:
-        """The first row whose margin exceeds level (None if none does); a
-        failed row before it raises its failure."""
-        above = np.flatnonzero(self.margin > level)
-        end = int(above[0]) if above.size else len(self.margin)
-        for i in sorted(self.failed or ()):
-            if i < end:
-                self._read(i)
-        return end if above.size else None
-
     def _read(self, i: int) -> None:
         failure = (self.failed or {}).get(i)
         if failure is not None:

@@ -196,31 +196,46 @@ def test_classification_deterministic():
 
 
 @pytest.mark.parametrize("name", ["arctan", "paraboloid"])
-def test_classify_evaluates_each_distinct_point_once(name):
-    # quasilinear probes both f and -f, the other two sweep b(lambda) over
-    # the segment grid and run generator predicates, and near-miss search
-    # and refinement revisit sampled points: all of them read one value
-    # table, one point or a row array at a time.
+def test_each_segment_grid_cell_is_evaluated_at_most_once(name):
+    # quasilinear probes the grid on both f and -f, semistrictly-quasilinear
+    # runs the interlacing condition and the b(lambda) sweep on it, and the
+    # near-miss scans revisit every pair in both orientations: all of them
+    # read one segment grid, which evaluates each cell at most once.  Two
+    # cells can name one point (lambda 0 or 1 names an endpoint, and the two
+    # orientations of a pair can meet bit for bit), so the reads are matched
+    # against the cells read, not against the distinct points.
     e = corpus_entry(name)
-    for prop in ("quasilinear", "semistrictly-quasilinear", "pseudolinear"):
-        keys, rows = [], []
+    rows = []
 
-        def counted(x):
-            keys.append(x.tobytes())
-            return e.handle.evaluate(x)
+    def counted_rows(points):
+        rows.extend(p.tobytes() for p in points)
+        return e.handle.evaluate_rows(points)
 
-        def counted_rows(points):
-            rows.extend(p.tobytes() for p in points)
-            return e.handle.evaluate_rows(points)
+    fn = replace(e.handle, evaluate_rows=counted_rows)
+    plan = SamplingPlan(pair_count=20, lambda_grid=9, seed=3)
+    ctx = _Context(fn, e.region, plan)
+    props = ("quasilinear", "semistrictly-quasilinear")
+    for prop in props:
+        _runs(ctx, prop, *ctx.pairs)
+        _near_misses(ctx, prop)
+    segments = ctx.segments(*ctx.pairs)
+    o, c = np.divmod(np.flatnonzero(segments.known), len(segments.lams))
+    cells = segment_point(segments.a[o], segments.b[o], segments.lams[c])
+    starts = np.concatenate(ctx.pairs)
+    assert Counter(rows) == Counter(p.tobytes() for p in np.concatenate([starts, cells]))
+    got = classify(fn, e.region, props, plan)
+    assert [v.to_dict() for v in got] == [
+        v.to_dict() for v in classify(e.handle, e.region, props, plan)]
 
-        fn = replace(e.handle, evaluate=counted, evaluate_rows=counted_rows)
-        plan = SamplingPlan(pair_count=20, lambda_grid=9, seed=3)
-        (v,) = classify(fn, e.region, (prop,), plan)
-        (ref,) = classify(e.handle, e.region, (prop,), plan)
-        assert v.to_dict() == ref.to_dict()
-        assert rows, "grid reads go through evaluate_rows"
-        assert keys or rows
-        assert len(keys + rows) == len(set(keys + rows)), prop
+
+@pytest.mark.parametrize("name", ["arctan", "ramp"])
+def test_scalar_only_handle_gives_the_row_handles_report(name):
+    # Without evaluate_rows every read of f is one evaluate call per row,
+    # the grid's cells included; the report is the same bit for bit.
+    e = corpus_entry(name)
+    scalar = replace(e.handle, evaluate_rows=None)
+    want = [v.to_dict() for v in classify(e.handle, e.region, None, PLAN)]
+    assert [v.to_dict() for v in classify(scalar, e.region, None, PLAN)] == want
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -228,34 +243,18 @@ def test_classify_evaluates_each_distinct_point_once(name):
      ArithmeticError),
     (function_from_expression("log(x1 - 0.5)", 1), EvalError),
 ])
-def test_value_table_never_hides_a_failure(bad, error):
-    reads = []
-
-    def evaluate(x):
-        reads.append(float(x[0]))
-        return bad.evaluate(x)
-
-    def evaluate_rows(points):
-        reads.extend(points[:, 0].tolist())
-        return bad.evaluate_rows(points)
-
-    counted = replace(bad, evaluate=evaluate,
-                      evaluate_rows=evaluate_rows if bad.evaluate_rows else None)
-    ctx = _Context(counted, corpus_entry("arctan").region, FAST)
+def test_context_reads_never_hide_a_failure(bad, error):
+    ctx = _Context(bad, corpus_entry("arctan").region, FAST)
     for handle in (ctx.fn, ctx.neg_fn, ctx.fn, ctx.neg_fn):
         with pytest.raises(error):
             handle.value([0.5])
-    # A row read holding the failing point raises and stores none of its
-    # points: each is evaluated again when next read, and then kept.
-    for handle in (ctx.fn, ctx.neg_fn):
+    # A row read holding the failing point raises, on every read.
+    for handle in (ctx.fn, ctx.neg_fn, ctx.fn, ctx.neg_fn):
         with pytest.raises(error):
             handle.values([[0.75], [0.5], [1.25]])
-    reads.clear()
     values = ctx.fn.values([[1.25], [0.75]])
-    assert sorted(reads) == [0.75, 1.25]
-    reads.clear()
     assert (-ctx.neg_fn.values([[1.25], [0.75]])).tolist() == values.tolist()
-    assert ctx.fn.value([0.75]) == values[1] and reads == []
+    assert ctx.fn.value([0.75]) == values[1]
     assert ctx.fn.value([1.0]) == -ctx.neg_fn.value([1.0])
 
 
@@ -696,8 +695,6 @@ def test_prefetched_estimates_fail_only_when_read():
     check = rows.check(0, good, bad)
     with pytest.raises(EstimationError, match="failed at 9/9 probes"):
         rows.check(1, bad, good)
-    with pytest.raises(EstimationError, match="failed at 9/9 probes"):
-        rows.first_above(check.margin)
     # Read one at a time, each check does the same.
     lazy = _Context(replace(fn, gradient_rows=None), _BOX2, FAST)
     assert identity.check(lazy, False, good, bad, None) == check
