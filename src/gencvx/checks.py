@@ -1177,7 +1177,6 @@ def cross_check_b_via_subdifferential(
     if abs(fy - fx) <= eps or abs(fz - fx) <= eps or abs(fz - fy) <= eps:
         return CrossCheck(INCONCLUSIVE, rec.b, (), 0.0,
                           "values inside the equality band")
-    z = x + lam * (y - x)
     bs = []
     for xi in sub_z.generators:
         q_zx = lam * float(np.dot(xi, x - y)) / (fx - fz)

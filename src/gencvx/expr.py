@@ -13,9 +13,10 @@ sqrt, abs, atan (unary) and min, max (binary).  Exponents are integer
 literals.  Binary +,-,*,/ are left associative; unary minus binds tighter
 than * and /, and ^ binds tighter than unary minus.
 
-Evaluation offers a plain value channel and a dual channel carrying the
-forward-mode gradient, each also compiled into a walk over the rows of an
-array of points.
+Evaluation offers a plain value channel, walked at one point or compiled
+into a walk over the rows of an array of points, and a dual channel carrying
+the forward-mode gradient, compiled over rows only; eval_dual is its one-row
+case.
 At abs/min/max kinks the dual channel flags the point and applies a fixed
 convention: abs at 0 contributes subderivative 0, min/max break value ties
 toward their first argument.
@@ -362,7 +363,8 @@ class DualValue:
 
 
 def eval_value(e: Expr, point: np.ndarray) -> float:
-    """Derivative-free evaluation; arithmetic order matches eval_dual."""
+    """Derivative-free evaluation at one point; compile_rows and
+    compile_dual_rows give this value at each row, bit for bit."""
     x = np.asarray(point, dtype=float).reshape(-1)
     return _value(e, x)
 
@@ -517,87 +519,13 @@ def _rows(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def eval_dual(e: Expr, point: np.ndarray) -> DualValue:
-    """Forward-mode evaluation returning value, gradient and kink flag."""
-    x = np.asarray(point, dtype=float).reshape(-1)
-    v, g, k = _dual(e, x)
-    g = np.asarray(g, dtype=float)
+    """Forward-mode evaluation returning value, gradient and kink flag: the
+    one-row case of compile_dual_rows."""
+    row = np.asarray(point, dtype=float).reshape(1, -1)
+    values, gradients, kinks = compile_dual_rows(e)(row)
+    g = gradients[0]
     g.flags.writeable = False
-    return DualValue(v, g, k)
-
-
-def _dual(e: Expr, x: np.ndarray) -> tuple[float, np.ndarray, bool]:
-    n = x.size
-    if isinstance(e, Num):
-        return e.value, np.zeros(n), False
-    if isinstance(e, Var):
-        if e.index > n:
-            raise EvalError(f"point has dimension {n}", e)
-        g = np.zeros(n)
-        g[e.index - 1] = 1.0
-        return float(x[e.index - 1]), g, False
-    if isinstance(e, Neg):
-        v, g, k = _dual(e.operand, x)
-        return -v, -g, k
-    if isinstance(e, Add):
-        va, ga, ka = _dual(e.left, x)
-        vb, gb, kb = _dual(e.right, x)
-        return va + vb, ga + gb, ka or kb
-    if isinstance(e, Sub):
-        va, ga, ka = _dual(e.left, x)
-        vb, gb, kb = _dual(e.right, x)
-        return va - vb, ga - gb, ka or kb
-    if isinstance(e, Mul):
-        va, ga, ka = _dual(e.left, x)
-        vb, gb, kb = _dual(e.right, x)
-        return va * vb, va * gb + vb * ga, ka or kb
-    if isinstance(e, Div):
-        va, ga, ka = _dual(e.left, x)
-        vb, gb, kb = _dual(e.right, x)
-        if vb == 0.0:
-            raise EvalError("division by zero", e)
-        return va / vb, (ga * vb - va * gb) / (vb * vb), ka or kb
-    if isinstance(e, Pow):
-        va, ga, ka = _dual(e.base, x)
-        m = e.exponent
-        if m == 0:
-            return float(va**0), np.zeros(n), ka
-        if va == 0.0 and m < 0:
-            raise EvalError("zero base with negative exponent", e)
-        return float(va**m), float(m) * va ** (m - 1) * ga, ka
-    if isinstance(e, Call):
-        va, ga, ka = _dual(e.args[0], x)
-        if e.name == "exp":
-            ev = float(np.exp(va))
-            return ev, ev * ga, ka
-        if e.name == "log":
-            if va <= 0.0:
-                raise EvalError(f"log of non-positive value {va!r}", e)
-            return float(np.log(va)), ga / va, ka
-        if e.name == "sqrt":
-            if va <= 0.0:
-                raise EvalError(f"sqrt of non-positive value {va!r}", e)
-            sv = float(np.sqrt(va))
-            return sv, ga / (2.0 * sv), ka
-        if e.name == "atan":
-            return float(np.arctan(va)), ga / (1.0 + va * va), ka
-        if e.name == "abs":
-            if va > 0.0:
-                return va, ga, ka
-            if va < 0.0:
-                return -va, -ga, ka
-            # Kink convention: subderivative 0 at the origin of abs.
-            return 0.0, 0.0 * ga, True
-        vb, gb, kb = _dual(e.args[1], x)
-        kink = ka or kb
-        if e.name == "min":
-            if va == vb:
-                return va, ga, True  # ties break toward the first argument
-            return (va, ga, kink) if va < vb else (vb, gb, kink)
-        if e.name == "max":
-            if va == vb:
-                return va, ga, True
-            return (va, ga, kink) if va > vb else (vb, gb, kink)
-    raise TypeError(f"not an expression node: {e!r}")
+    return DualValue(float(values[0]), g, bool(kinks[0]))
 
 
 def compile_dual_rows(
@@ -606,10 +534,12 @@ def compile_dual_rows(
     """Compile e's dual channel into a walk over the rows of a (k, n) array.
 
     The compiled function returns the (k,) values, the (k, n) gradients and
-    the (k,) kink flags, each row bit-identical to eval_dual at that row: the
-    same float64 operations run elementwise, with np.float_power for `^`.  It
-    raises EvalError when eval_dual would at any row, and an ArithmeticError
-    where `^` overflows, as CPython does.
+    the (k,) kink flags.  Each row is computed on its own: the same float64
+    operations run elementwise, with np.float_power for `^`, so a row's
+    result does not depend on the other rows, and its value is eval_value's
+    bit for bit.  It raises EvalError where any row leaves the domain of the
+    gradient (which excludes sqrt at 0, where the value is defined), and an
+    ArithmeticError where `^` overflows, as CPython does.
     """
     walk = _dual_rows(e)
 
@@ -624,8 +554,8 @@ def compile_dual_rows(
 
 
 def _dual_rows(e: Expr):
-    """Closure computing (values, gradients, kinks) at every row; mirrors
-    _dual node for node, each gradient row scaled as _dual scales it."""
+    """Closure computing (values, gradients, kinks) at every row; its values
+    mirror _rows node for node."""
     if isinstance(e, Num):
         v = e.value
         return lambda p: (np.full(len(p), v), np.zeros(p.shape), np.zeros(len(p), dtype=bool))

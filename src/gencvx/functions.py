@@ -1,9 +1,10 @@
 """Function handles and the built-in labeled corpus.
 
-A FunctionHandle bundles a scalar function on R^n with an optional gradient
-callable.  The gradient returns None at points where the function is not
-differentiable (kinks); set-valued estimation takes over there.  Handles are
-immutable and evaluation is pure, so they can be shared across workers.
+A FunctionHandle bundles a scalar function on R^n with an optional row
+gradient callable, which flags the rows where the function is not
+differentiable (kinks); set-valued estimation takes over there, and wherever
+a handle has no gradient.  Handles are immutable and evaluation is pure, so
+they can be shared across workers.
 
 The corpus pairs each handle with a convex region and a ground-truth label
 for every tracked generalized-convexity property.  Labels of the non-obvious
@@ -53,23 +54,21 @@ PROPERTIES = (
 
 @dataclass(frozen=True, eq=False)
 class FunctionHandle:
-    """Evaluatable scalar function with optional single-point gradient.
+    """Evaluatable scalar function with an optional row gradient.
 
-    `gradient` may be None (no gradient information) or a callable returning
-    either the gradient vector or None at non-differentiable points.
     `evaluate_rows`, when given, maps a (k, n) array of points to the (k,)
     values `evaluate` gives at its rows, bit for bit; without it, `values`
     calls `evaluate` once per row.  `gradient_rows`, when given, maps a
-    (k, n) array to the (k, n) gradients `gradient` gives at its rows, bit
-    for bit, and (k,) flags marking the rows where `gradient` gives None;
-    gradient sampling then reads all its probes in one call, and `grads`
-    reads the rows in one call.
+    (k, n) array to the (k, n) gradients at its rows and (k,) flags marking
+    the rows where f is not differentiable; each row's gradient must not
+    depend on the other rows.  It is the handle's one gradient: `grads`
+    reads it and `grad` is its one-row case.  A handle without it has no
+    gradients, and every row is flagged.
     """
 
     name: str
     dimension: int
     evaluate: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray | None] | None = None
     smoothness: str = SMOOTH
     source: str | None = None
     expression: object | None = None
@@ -103,27 +102,22 @@ class FunctionHandle:
         return v
 
     def grad(self, x) -> np.ndarray | None:
-        if self.gradient is None:
-            return None
-        g = self.gradient(np.asarray(x, dtype=float))
-        if g is None:
-            return None
-        g = np.asarray(g, dtype=float).reshape(-1)
-        if g.size != self.dimension or not np.all(np.isfinite(g)):
-            raise ArithmeticError(f"{self.name} returned bad gradient at {x}: {g}")
-        return g
+        """The gradient at x, or None where x is flagged: grads at one row."""
+        g, has = self.grads(np.asarray(x, dtype=float).reshape(1, -1))
+        return g[0] if has[0] else None
 
     def grads(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """grad at each row of a (k, n) array: the (k, n) gradients and the
-        (k,) flags of the rows that have one (NaN rows elsewhere), in one
-        `gradient_rows` call where the handle has it.  Raises as grad does
-        at the first row with a bad gradient."""
+        """The gradients at the rows of a (k, n) array, in one
+        `gradient_rows` call: the (k, n) gradients and the (k,) flags of the
+        rows that have one.  Flagged rows hold NaN where the handle has no
+        `gradient_rows`.  Raises ArithmeticError at the first unflagged row
+        whose gradient is not finite, and ValueError at points not of the
+        handle's dimension."""
         p = _rows(points)
+        if p.shape[1] != self.dimension:
+            raise ValueError(f"points of shape {p.shape} for {self.name} of dimension {self.dimension}")
         if self.gradient_rows is None:
-            got = [self.grad(row) for row in p]
-            has = np.array([g is not None for g in got], dtype=bool)
-            nan = np.full(self.dimension, np.nan)
-            return np.array([nan if g is None else g for g in got]).reshape(p.shape), has
+            return np.full(p.shape, np.nan), np.zeros(len(p), dtype=bool)
         g, kinks = self.gradient_rows(p)
         g = np.asarray(g, dtype=float)
         has = ~np.asarray(kinks, dtype=bool)
@@ -153,11 +147,9 @@ def function_from_expression(
     Rows of points are evaluated by the compiled walk of expr.compile_rows.
     `exact_gradient`, when supplied, is a row callable: it maps a (k, n)
     array to the (k, n) gradients and the (k,) flags of the rows where f is
-    not differentiable.  It becomes the handle's `gradient_rows`, and the
-    single-point gradient is its one-row case (None on a flagged row), so
-    the two agree bit for bit.  Without it, the gradient is forward-mode
-    differentiation: expr.eval_dual at one point, expr.compile_dual_rows
-    over rows, None and flagged at kink-flagged points.
+    not differentiable, and becomes the handle's `gradient_rows`.  Without
+    it, the gradient is forward-mode differentiation over rows,
+    expr.compile_dual_rows, flagged at kink-flagged points.
     """
     tree = ex.parse(source, dimension)
     smooth = ex.is_smooth_expression(tree)
@@ -165,28 +157,18 @@ def function_from_expression(
     def _evaluate(x: np.ndarray) -> float:
         return ex.eval_value(tree, x)
 
+    _gradient_rows = exact_gradient
     if exact_gradient is None:
         dual_rows = ex.compile_dual_rows(tree)
-
-        def _gradient(x: np.ndarray) -> np.ndarray | None:
-            d = ex.eval_dual(tree, x)
-            return None if d.at_kink else d.gradient
 
         def _gradient_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _, gradients, kinks = dual_rows(points)
             return gradients, kinks
-    else:
-        _gradient_rows = exact_gradient
-
-        def _gradient(x: np.ndarray) -> np.ndarray | None:
-            gradients, kinks = exact_gradient(x.reshape(1, -1))
-            return None if kinks[0] else gradients[0]
 
     return FunctionHandle(
         name=name or source,
         dimension=dimension,
         evaluate=_evaluate,
-        gradient=_gradient,
         smoothness=SMOOTH if smooth else LOCALLY_LIPSCHITZ,
         source=source,
         expression=tree,
@@ -207,13 +189,6 @@ def negate_handle(fn: FunctionHandle) -> FunctionHandle:
         def _evaluate_rows(points: np.ndarray) -> np.ndarray:
             return -fn.evaluate_rows(points)
 
-    _gradient = None
-    if fn.gradient is not None:
-
-        def _gradient(x: np.ndarray):
-            g = fn.gradient(x)
-            return None if g is None else -np.asarray(g, dtype=float)
-
     _gradient_rows = None
     if fn.gradient_rows is not None:
 
@@ -225,7 +200,6 @@ def negate_handle(fn: FunctionHandle) -> FunctionHandle:
         name=f"-({fn.name})",
         dimension=fn.dimension,
         evaluate=_evaluate,
-        gradient=_gradient,
         smoothness=fn.smoothness,
         source=None,
         expression=None,

@@ -91,11 +91,6 @@ class SubdifferentialEstimate:
         if not self.generators:
             raise ValueError("generator set must be nonempty")
 
-    @property
-    def spread(self) -> float:
-        stack = np.stack(self.generators)
-        return float(np.max(stack.max(axis=0) - stack.min(axis=0)))
-
 
 def _ball_offsets(raw: np.ndarray, uniform: np.ndarray, radius: float) -> np.ndarray:
     """Offsets uniform in the euclidean ball B(0, radius), from standard
@@ -112,6 +107,16 @@ def _ball_points(rng: np.random.Generator, center: np.ndarray, radius: float, co
     return center + _ball_offsets(raw, rng.uniform(0.0, 1.0, size=(count, 1)), radius)
 
 
+def _point_and_direction(region: Region, x, v) -> tuple[np.ndarray, np.ndarray]:
+    """x and v as vectors, each of the region's dimension."""
+    x = np.asarray(x, dtype=float).reshape(-1)
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if x.shape != (region.dimension,) or v.shape != (region.dimension,):
+        raise ValueError(f"x of shape {x.shape} and v of shape {v.shape} do not fit "
+                         f"a region of dimension {region.dimension}")
+    return x, v
+
+
 def clarke_directional(
     fn: FunctionHandle,
     region: Region,
@@ -126,8 +131,7 @@ def clarke_directional(
     skipped the point has insufficient interior room.
     """
     scheme = scheme or ClarkeScheme()
-    x = np.asarray(x, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
+    x, v = _point_and_direction(region, x, v)
     if float(np.max(np.abs(v))) == 0.0:
         raise ValueError("direction must be nonzero")
 
@@ -165,74 +169,49 @@ def clarke_directional(
     return float(max(finest))
 
 
-def _central_difference(fn: FunctionHandle, x: np.ndarray, step: float) -> np.ndarray:
-    g = np.empty(x.size)
-    for i in range(x.size):
-        e = np.zeros(x.size)
-        e[i] = step
-        g[i] = (fn.value(x + e) - fn.value(x - e)) / (2.0 * step)
-    return g
-
-
 # Evaluation failures that count against an estimate instead of aborting it.
 _PROBE_ERRORS = (ArithmeticError, FloatingPointError, ZeroDivisionError)
 
 
-def _probe_gradient(fn: FunctionHandle, p: np.ndarray, step: float) -> np.ndarray | None:
-    """The gradient at a probe, or None where evaluation failed: the handle
-    gradient where it exists, else a central difference at `step`."""
-    try:
-        g = fn.grad(p)
-        if g is None:
-            g = _central_difference(fn, p, step)
-    except _PROBE_ERRORS:
-        return None
-    return np.asarray(g, dtype=float) if np.all(np.isfinite(g)) else None
-
-
 def _row_gradients(fn: FunctionHandle, probes: np.ndarray, step: float):
-    """_probe_gradient at each row of a (k, n) array, bit for bit, in one
-    gradient_rows call, with the central differences of all kink rows read
-    in one values call: the (k, n) gradients and the (k,) mask of the rows
-    that succeeded.  Raises where any probe's evaluation raises."""
-    gradients, kinks = fn.gradient_rows(probes)
-    gradients = np.array(gradients, dtype=float)
-    kinks = np.asarray(kinks, dtype=bool)
-    if gradients.shape != probes.shape or kinks.shape != (len(probes),):
-        raise ValueError(f"{fn.name} returned gradient rows of shape {gradients.shape}")
-    kinked = np.flatnonzero(kinks)
+    """The gradient at each row of a (k, n) array: the handle's where it
+    has one, read in one grads call, and a central difference at `step`
+    elsewhere, the differences of all flagged rows (every row, for a handle
+    without gradient_rows) read in one values call.  Returns the (k, n)
+    gradients and the (k,) mask of the rows that came out finite; raises
+    where any row's evaluation raises."""
+    gradients, has = fn.grads(probes)
+    kinked = np.flatnonzero(~has)
     if kinked.size:
         n = probes.shape[1]
-        steps = np.zeros((n, n))
-        np.fill_diagonal(steps, step)  # row i is the e of _central_difference
+        steps = np.eye(n) * step  # row i steps along coordinate i
         at = probes[kinked][:, None, :]
         f = fn.values(np.concatenate([at + steps, at - steps]).reshape(-1, n))
         plus, minus = f.reshape(2, -1)
+        gradients = gradients.copy()
         gradients[kinked] = ((plus - minus) / (2.0 * step)).reshape(-1, n)
     return gradients, np.isfinite(gradients).all(axis=1)
 
 
 def _gradients(fn: FunctionHandle, probes: np.ndarray, step: float):
-    """_probe_gradient at each probe of an (m, c, n) array: the gradients
-    and the (m, c) mask of the probes that succeeded.  A handle with
-    gradient_rows reads all probes in one call; where that raises, every
-    probe falls back to _probe_gradient, so failures are counted probe by
-    probe as without gradient_rows."""
+    """_row_gradients at each probe of an (m, c, n) array: the gradients
+    and the (m, c) mask of the probes that succeeded.  All probes are read
+    in one call; where that raises, each probe is read alone, so failures
+    are counted probe by probe."""
     m, c, n = probes.shape
-    if fn.gradient_rows is not None and m:
-        try:
-            gradients, ok = _row_gradients(fn, probes.reshape(-1, n), step)
-        except _PROBE_ERRORS:
-            pass
-        else:
-            return gradients.reshape(m, c, n), ok.reshape(m, c)
-    gradients = np.zeros(probes.shape)
-    ok = np.zeros((m, c), dtype=bool)
-    for at in np.ndindex(m, c):
-        g = _probe_gradient(fn, probes[at], step)
-        if g is not None:
-            gradients[at], ok[at] = g, True
-    return gradients, ok
+    flat = probes.reshape(-1, n)
+    gradients, ok = np.zeros(flat.shape), np.zeros(len(flat), dtype=bool)
+    try:
+        if m:
+            gradients, ok = _row_gradients(fn, flat, step)
+    except _PROBE_ERRORS:
+        for i, p in enumerate(flat):
+            try:
+                g, good = _row_gradients(fn, p[None], step)
+            except _PROBE_ERRORS:
+                continue
+            gradients[i], ok[i] = g[0], good[0]
+    return gradients.reshape(m, c, n), ok.reshape(m, c)
 
 
 def _generator(g: np.ndarray) -> np.ndarray:
@@ -252,9 +231,9 @@ def subdifferentials(
     """subdifferential at each point with its seed.  Each point's ball
     comes from its own seeded stream, the streams of all points seeded in
     one pass and read through one positioned generator; the draws of all
-    balls are mapped into them at once, the gradients of all probes are read in one call
-    where the handle has gradient_rows, and coherence is tested for all
-    points in one reduction; only kink points keep a per-point dedupe.  A
+    balls are mapped into them at once, the gradients of all probes are
+    read in one call, and coherence is tested for all points in one
+    reduction; only kink points keep a per-point dedupe.  A
     failed estimate is returned as its EstimationError, without a
     traceback."""
     points = [np.asarray(x, dtype=float).reshape(-1) for x in points]
@@ -355,8 +334,7 @@ def directional_derivative(
     steps: tuple[float, ...] = (1e-3, 1e-4, 1e-5),
 ) -> float:
     """One-sided derivative along v, extrapolated by a linear fit in the step."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    v = np.asarray(v, dtype=float).reshape(-1)
+    x, v = _point_and_direction(region, x, v)
     fx = fn.value(x)
     hs, qs = [], []
     for h in steps:

@@ -111,8 +111,7 @@ def test_gradient_kernel_without_gradient_replays_and_refines_as_sampled():
     # by the subdifferential, and so must replay and refinement.
     e = corpus_entry("cubic")
     fn = FunctionHandle(
-        name="cubic-no-gradient", dimension=1, evaluate=e.handle.evaluate,
-        gradient=lambda x: None, smoothness=SMOOTH,
+        name="cubic-no-gradient", dimension=1, evaluate=e.handle.evaluate, smoothness=SMOOTH,
     )
     x, y = np.array([0.0]), np.array([-0.9])
     ctx = _Context(fn, e.region, FAST)
@@ -627,26 +626,26 @@ def test_estimator_failures_never_refute():
     calls = {"n": 0}
     from gencvx.functions import FunctionHandle
 
-    def flaky_grad(x):
+    def flaky_rows(points):
         calls["n"] += 1
         raise ArithmeticError("no gradient here")
 
     flaky = FunctionHandle(
         name="flaky", dimension=1,
-        evaluate=e.handle.evaluate, gradient=flaky_grad,
+        evaluate=e.handle.evaluate, gradient_rows=flaky_rows,
         smoothness="locally-lipschitz",
     )
     plan = SamplingPlan(pair_count=10, seed=1)
     (v,) = classify(flaky, e.region, ("pseudoconvex",), plan)
-    # Central differences take over inside the estimator, so this still
-    # resolves; whatever happens, nothing may be refuted.
+    # Every probe's gradient raises, so every estimate fails, and nothing
+    # may be refuted.
     assert v.verdict != REFUTED
     assert calls["n"] > 0
 
 
 # sha256 of json.dumps([v.to_dict() for v in verdicts], sort_keys=True) for DSL
 # handles built without an exact gradient, so that every gradient they read
-# comes from forward-mode differentiation (expr.eval_dual and its row form).
+# comes from forward-mode differentiation over rows (expr.compile_dual_rows).
 # The corpus members of criterion 9 carry exact gradients and never reach it.
 _S5 = "x1 + x2 + x3 + x4 + x5"
 AD_REPORT_SHA256 = {
@@ -682,6 +681,17 @@ _HALF_FAILING = "sqrt(max(x1, 0)) + abs(x2)"
 _BOX2 = parse_region("box(-1..1, -1..1)", 2)
 
 
+def _one_row_per_call(fn):
+    """fn, its gradient rows read one row per call."""
+
+    def gradient_rows(points):
+        read = [fn.gradient_rows(p[None]) for p in points]
+        gradients = np.array([g[0] for g, _ in read]).reshape(points.shape)
+        return gradients, np.array([k[0] for _, k in read], dtype=bool)
+
+    return replace(fn, gradient_rows=gradient_rows)
+
+
 def test_prefetched_estimates_fail_only_when_read():
     fn = function_from_expression(_HALF_FAILING, 2)
     ctx = _Context(fn, _BOX2, FAST)
@@ -696,7 +706,7 @@ def test_prefetched_estimates_fail_only_when_read():
     with pytest.raises(EstimationError, match="failed at 9/9 probes"):
         rows.check(1, bad, good)
     # Read one at a time, each check does the same.
-    lazy = _Context(replace(fn, gradient_rows=None), _BOX2, FAST)
+    lazy = _Context(_one_row_per_call(fn), _BOX2, FAST)
     assert identity.check(lazy, False, good, bad, None) == check
     with pytest.raises(EstimationError, match="failed at 9/9 probes"):
         identity.check(lazy, False, bad, good, None)
@@ -707,7 +717,7 @@ def test_stored_failures_hold_no_traceback(rows):
     # Each read raises a fresh copy: the stored failure gains no frames (and
     # so keeps no context alive) however often it is read.
     fn = function_from_expression(_HALF_FAILING, 2)
-    ctx = _Context(fn if rows else replace(fn, gradient_rows=None), _BOX2, FAST)
+    ctx = _Context(fn if rows else _one_row_per_call(fn), _BOX2, FAST)
     bad, good = np.array([-0.5, 0.2]), np.array([0.5, 0.2])
     raised = []
     for negated in (False, False, True):
@@ -730,7 +740,7 @@ def test_refinement_never_raises_for_a_trial_it_does_not_read():
     (result,) = _refine_together(ctx, [cand], 3)
     failed = [x for x, est in ctx._subdiffs.items() if isinstance(est, EstimationError)]
     assert [np.frombuffer(x).tolist() for x in failed] == [[-0.25, -0.2]]
-    lazy = refine_counterexample(replace(fn, gradient_rows=None), _BOX2, cand, 3, FAST)
+    lazy = refine_counterexample(_one_row_per_call(fn), _BOX2, cand, 3, FAST)
     assert result.scores == lazy.scores
     assert result.witness.to_dict() == lazy.witness.to_dict()
 
@@ -741,12 +751,12 @@ def test_refinement_never_raises_for_a_trial_it_does_not_read():
 ])
 def test_batched_estimates_leave_reports_unchanged(source, dim, props):
     # Estimates read in one call per refinement move and per probe of the
-    # sampled pairs give the reports of estimates read point by point.
+    # sampled pairs give the reports of gradients read one row per call.
     fn = function_from_expression(source, dim)
     region = parse_region("box(" + ", ".join(["-1..1"] * dim) + ")", dim)
     plan = SamplingPlan(pair_count=40, seed=5)
     batched = classify(fn, region, props, plan)
-    alone = classify(replace(fn, gradient_rows=None), region, props, plan)
+    alone = classify(_one_row_per_call(fn), region, props, plan)
     assert [v.to_dict() for v in batched] == [v.to_dict() for v in alone]
     if props is None:
         assert any(v.inconclusive for v in batched)  # failed estimates were read

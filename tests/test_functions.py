@@ -95,12 +95,22 @@ def test_corpus_row_gradients_are_the_point_gradients(name, negated):
     assert at_origin.any() or name == "fractional"
     kinked = name in ("ramp", "twoslope")
     assert kinks.tolist() == (at_origin.tolist() if kinked else [False] * len(points))
-    # grads reads the same rows, in one call or one point at a time.
-    for handle in (fn, replace(fn, gradient_rows=None)):
-        got, has = handle.grads(points)
-        assert has.tolist() == (~kinks).tolist()
-        assert got[has].tobytes() == gradients[has].tobytes()
-        assert np.isnan(got[~has]).all() or handle.gradient_rows is not None
+    # grads reads the same rows in one call; without gradient_rows no row
+    # has a gradient.
+    got, has = fn.grads(points)
+    assert has.tolist() == (~kinks).tolist()
+    assert got[has].tobytes() == gradients[has].tobytes()
+    got, has = replace(fn, gradient_rows=None).grads(points)
+    assert got.shape == points.shape and not has.any() and np.isnan(got).all()
+
+
+def test_gradients_take_only_points_of_the_handle_dimension():
+    # A one-dimensional row gradient would read only x1 of a longer point.
+    for fn in (corpus_entry("ramp").handle, FunctionHandle("plain", 1, lambda x: x[0])):
+        with pytest.raises(ValueError, match=r"points of shape \(1, 2\) for .* of dimension 1"):
+            fn.grad([0.5, 7.0])
+        with pytest.raises(ValueError, match=r"points of shape \(3, 2\)"):
+            fn.grads(np.zeros((3, 2)))
 
 
 def test_twoslope_values():

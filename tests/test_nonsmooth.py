@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gencvx import corpus, corpus_entry, function_from_expression, negate_handle
+from gencvx.functions import FunctionHandle
 from gencvx.geometry import Region, parse_region, sample_region
 from gencvx.nonsmooth import (
     ClarkeScheme,
@@ -18,6 +19,7 @@ from gencvx.nonsmooth import (
 )
 
 BOX1 = parse_region("box(-1..1)", 1)
+BOX2 = parse_region("box(-1..1, -1..1)", 2)
 
 
 def _abs_handle():
@@ -207,7 +209,20 @@ def test_directional_derivative_abs_one_sided():
     assert got == pytest.approx(1.0, abs=1e-5)
 
 
-# -- gradient sampling over rows against the per-probe loop --------------------
+@pytest.mark.parametrize("estimate", [
+    lambda fn, region, x, v: directional_derivative(fn, region, x, v),
+    lambda fn, region, x, v: clarke_directional(fn, region, x, v, ClarkeScheme(seed=0)),
+], ids=["directional", "clarke"])
+def test_directional_estimates_take_only_vectors_of_the_region_dimension(estimate):
+    fn = function_from_expression("x1 + 3*x2", 2)
+    assert estimate(fn, BOX2, [0.1, 0.2], [1.0, 0.0]) == pytest.approx(1.0, abs=1e-6)
+    with pytest.raises(ValueError, match=r"v of shape \(1,\) do not fit a region of dimension 2"):
+        estimate(fn, BOX2, [0.1, 0.2], [1.0])  # not broadcast along (1, 1)
+    with pytest.raises(ValueError, match=r"x of shape \(1,\) and v of shape \(2,\)"):
+        estimate(fn, BOX2, [0.1], [1.0, 0.0])
+
+
+# -- gradient sampling over rows against a per-probe reference ----------------
 
 
 def _row_counted(fn):
@@ -229,8 +244,6 @@ def _outcome(fn, region, x, radius, count, seed):
     return [g.tobytes() for g in est.generators], est.radius, est.at_kink
 
 
-BOX2 = parse_region("box(-1..1, -1..1)", 2)
-
 
 @pytest.mark.parametrize("source, dim, x, kink", [
     ("x2/(x1 + 2) + atan(x1*x2)", 2, [0.3, -0.4], False),  # smooth
@@ -240,12 +253,12 @@ BOX2 = parse_region("box(-1..1, -1..1)", 2)
     ("x1 + abs(x1)", 1, [0.0], True),
 ])
 def test_row_estimate_equals_per_probe_estimate(source, dim, x, kink):
-    fn, rows = _row_counted(function_from_expression(source, dim))
+    plain = function_from_expression(source, dim)
+    fn, rows = _row_counted(plain)
     region = parse_region("box(" + ", ".join(["-1..1"] * dim) + ")", dim)
-    alone = replace(fn, gradient_rows=None)
     for radius, seed in ((1e-5, 0), (1e-3, 9), (1e-8, 4)):
         got = _outcome(fn, region, x, radius, 2 * dim + 5, seed)
-        assert got == _outcome(alone, region, x, radius, 2 * dim + 5, seed)
+        assert got == _reference_outcome(plain, region, np.array(x), radius, 2 * dim + 5, seed)
         if radius == 1e-5:
             assert got[2] == kink
     assert rows == [2 * dim + 6] * 3  # one call for all the probes
@@ -253,12 +266,13 @@ def test_row_estimate_equals_per_probe_estimate(source, dim, x, kink):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_row_estimate_near_a_domain_edge_fails_as_per_probe(seed):
-    # Probes left of 0 raise: the row call raises, and the per-probe loop
-    # counts them, failing (seed 7: 10 of 17) or not (seed 0) as before.
-    fn, rows = _row_counted(function_from_expression("log(x1)", 1))
+    # Probes left of 0 raise: the row call raises, and the probes read again
+    # one at a time count them, failing (seed 7: 10 of 17) or not (seed 0).
+    plain = function_from_expression("log(x1)", 1)
+    fn, rows = _row_counted(plain)
     got = _outcome(fn, BOX1, [5e-6], 1e-5, 16, seed)
-    assert got == _outcome(replace(fn, gradient_rows=None), BOX1, [5e-6], 1e-5, 16, seed)
-    assert rows == [17]
+    assert got == _reference_outcome(plain, BOX1, np.array([5e-6]), 1e-5, 16, seed)
+    assert rows == [17] + [1] * 17
     assert (got[0] is EstimationError) == (seed == 7)
     if seed == 7:
         assert got[1] == "gradient evaluation failed at 10/17 probes near [5.e-06]"
@@ -267,13 +281,14 @@ def test_row_estimate_near_a_domain_edge_fails_as_per_probe(seed):
 def test_many_point_estimates_equal_one_at_a_time():
     # One smooth point, two kinks, a point without room for the ball and two
     # whose gradients fail: estimated together, each is what it is alone.
-    fn, rows = _row_counted(function_from_expression("sqrt(max(x1, 0)) + abs(x2)", 2))
+    plain = function_from_expression("sqrt(max(x1, 0)) + abs(x2)", 2)
+    fn, rows = _row_counted(plain)
     points = [[0.5, 0.2], [0.3, 0.0], [0.25, -0.0], [0.9999999, 0.5], [-0.5, 0.2], [0.4, 0.1]]
     seeds = [3, 1, 4, 1, 5, 9]
     together = subdifferentials(fn, BOX2, points, 1e-5, 8, seeds)
     kinds = []
     for x, seed, est in zip(points, seeds, together):
-        alone = _outcome(replace(fn, gradient_rows=None), BOX2, x, 1e-5, 8, seed)
+        alone = _reference_outcome(plain, BOX2, np.array(x), 1e-5, 8, seed)
         if isinstance(est, EstimationError):
             assert (type(est), str(est)) == alone
             kinds.append(type(est).__name__)
@@ -281,9 +296,9 @@ def test_many_point_estimates_equal_one_at_a_time():
             assert ([g.tobytes() for g in est.generators], est.radius, est.at_kink) == alone
             kinds.append(est.at_kink)
     assert kinds == [False, True, True, "InteriorRoomError", "EstimationError", False]
-    # The joint call raised at the failing points; every set then fell back
-    # to the per-probe loop, which reads no rows.
-    assert rows == [45]
+    # The joint call raised at the failing points; every probe of the five
+    # balls was then read again alone, one row per call.
+    assert rows == [45] + [1] * 45
     assert subdifferentials(fn, BOX2, [], 1e-5, 8, []) == []
 
 
@@ -340,22 +355,21 @@ def _scale_points(dim, seed, radius):
     ("abs(x1) + max(x2, x3)", 3, True),
     ("x1*x2 + exp(x3)*atan(x4) + x5^2/(2 + x1)", 5, False),
     # Probes below x2 = -0.5 raise: the joint row call raises and every
-    # point falls back to the per-probe loop.
+    # probe is read again alone.
     ("log(x2 + 0.5) + abs(x1)", 2, True),
 ])
 def test_many_point_estimates_at_scale_equal_one_at_a_time(source, dim, kinks, radius):
-    fn, rows = _row_counted(function_from_expression(source, dim))
+    plain = function_from_expression(source, dim)
+    fn, rows = _row_counted(plain)
     region = parse_region("box(" + ", ".join(["-1..1"] * dim) + ")", dim)
     points = _scale_points(dim, dim, radius)
     if source.startswith("log"):
         points[45:60, 1] = -0.5 + radius * np.linspace(-0.5, 1.5, 15)
     seeds = list(range(1000, 1000 + len(points)))
-    alone = replace(fn, gradient_rows=None)
     seen = Counter()
     for est, x, seed in zip(subdifferentials(fn, region, points, radius, 2 * dim + 5, seeds),
                             points, seeds):
-        want = _outcome(alone, region, x, radius, 2 * dim + 5, seed)
-        assert want == _reference_outcome(alone, region, x, radius, 2 * dim + 5, seed)
+        want = _reference_outcome(plain, region, x, radius, 2 * dim + 5, seed)
         if isinstance(est, EstimationError):
             assert (type(est), str(est)) == want
             seen[type(est).__name__] += 1
@@ -366,7 +380,39 @@ def test_many_point_estimates_at_scale_equal_one_at_a_time(source, dim, kinks, r
     assert seen["InteriorRoomError"] == 5 and seen[False] > 100
     assert (seen[True] >= 20) == kinks
     assert (seen["EstimationError"] > 0) == source.startswith("log")
-    assert rows == [195 * (2 * dim + 6)]  # one call for the probes of every ball
+    probes = 195 * (2 * dim + 6)
+    assert rows[0] == probes  # one call for the probes of every ball
+    assert rows[1:] == ([1] * probes if source.startswith("log") else [])
+
+
+@pytest.mark.parametrize("name, x", [
+    ("fractional", [1.0, 0.0]),
+    ("ramp", [0.0]),  # every probe's difference straddles or meets the kink
+    ("paraboloid", [0.2, -0.1]),
+])
+def test_handle_without_gradient_central_differences_every_probe(name, x):
+    # A handle given only f has no gradients: grad is None, grads flags
+    # every row, and gradient sampling central-differences every probe, in
+    # one values call.
+    e = corpus_entry(name)
+    reads = []
+
+    def evaluate_rows(points):
+        reads.append(len(points))
+        return e.handle.evaluate_rows(points)
+
+    n = e.handle.dimension
+    plain = FunctionHandle("plain", n, e.handle.evaluate, evaluate_rows=evaluate_rows)
+    x = np.array(x)
+    assert plain.grad(x) is None
+    gradients, has = plain.grads(np.array(sample_region(e.region, 5, seed=1)))
+    assert gradients.shape == (5, n) and not has.any()
+    for seed in (0, 5):
+        est = subdifferential(plain, e.region, x, radius=1e-5, count=2 * n + 5, seed=seed)
+        want = _reference_outcome(plain, e.region, x, 1e-5, 2 * n + 5, seed)
+        assert ([g.tobytes() for g in est.generators], est.radius, est.at_kink) == want
+        assert est.at_kink == (name == "ramp")
+    assert reads == [2 * n * (2 * n + 6)] * 2
 
 
 def test_points_of_different_dimensions_are_named():
