@@ -83,6 +83,7 @@ __all__ = [
     "check_symmetric_equality",
     "check_symmetric_inequality",
     "compute_b",
+    "compute_b_rows",
     "cross_check_b_via_subdifferential",
     "estimate_q_limit",
     "check_gradient_kernel",
@@ -117,10 +118,11 @@ def noise_floor(fx: float, fy: float) -> float:
 
 
 def _endpoints(fn: FunctionHandle, x, y) -> tuple[np.ndarray, np.ndarray, float, float]:
-    """The pair as float arrays, and f's values there."""
+    """The pair as float arrays, and f's values there, read in one call."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return x, y, fn.value(x), fn.value(y)
+    fx, fy = fn.values(np.vstack([x, y])).tolist()
+    return x, y, fx, fy
 
 
 @dataclass(frozen=True)
@@ -1116,21 +1118,32 @@ class BRecord:
 
 
 def compute_b(fn: FunctionHandle, x, y, lam: float) -> BRecord:
+    """b at one lambda: compute_b_rows' one-lambda case."""
+    return compute_b_rows(fn, x, y, [lam])[0]
+
+
+def compute_b_rows(fn: FunctionHandle, x, y, lams) -> list[BRecord]:
+    """b at each lambda of a sequence, f at x, y and every z(lam) read in
+    one values call."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if not (0.0 < lam < 1.0):
-        raise ValueError(f"lambda must lie in (0, 1), got {lam}")
+    lams = np.asarray(lams, dtype=float).reshape(-1)
+    outside = ~((lams > 0.0) & (lams < 1.0))
+    if outside.any():
+        raise ValueError(f"lambda must lie in (0, 1), got {lams[outside][0].item()}")
     if np.array_equal(x, y):
         raise ValueError("degenerate pair: x == y")
-    fx, fy = fn.value(x), fn.value(y)
-    fz = fn.value(x + lam * (y - x))
-    b, degenerate, strict, weak, strict_violated, weak_violated = (
-        v.item() for v in _b_rows(*map(np.float64, (fx, fy, fz, lam)))
-    )
-    boundary = (not strict and not strict_violated) or (not weak and not weak_violated)
-    return BRecord(x, y, lam, b, fx, fy, fz, degenerate=degenerate,
-                   strict=strict, weak=weak, boundary=boundary,
-                   strict_violated=strict_violated, weak_violated=weak_violated)
+    f = fn.values(np.vstack([x, y, x + lams[:, None] * (y - x)]))
+    fx, fy, fz = f[0], f[1], f[2:]
+    columns = [np.broadcast_to(v, lams.shape).tolist() for v in _b_rows(fx, fy, fz, lams)]
+    out = []
+    for lam, z, b, degenerate, strict, weak, strict_violated, weak_violated in zip(
+            lams.tolist(), fz.tolist(), *columns):
+        boundary = (not strict and not strict_violated) or (not weak and not weak_violated)
+        out.append(BRecord(x, y, lam, b, fx.item(), fy.item(), z, degenerate=degenerate,
+                           strict=strict, weak=weak, boundary=boundary,
+                           strict_violated=strict_violated, weak_violated=weak_violated))
+    return out
 
 
 def check_interpolation_bounds(fn: FunctionHandle, x, y, lam: float, strict: bool) -> Check:
@@ -1225,7 +1238,7 @@ def estimate_q_limit(
     if any(abs(r - ratio) > 1e-9 * ratio for r in ratios) or ratio <= 1.0:
         raise ValueError("schedule must decrease geometrically")
 
-    bs = [compute_b(fn, x, y, lam).b for lam in schedule]
+    bs = [rec.b for rec in compute_b_rows(fn, x, y, schedule)]
     # Neville table eliminating powers lam, lam^2, ... for geometric nodes.
     table = [list(bs)]
     diffs = []

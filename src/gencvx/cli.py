@@ -27,7 +27,7 @@ import sys
 import numpy as np
 
 from .campaign import HOLDS, REFUTED, check_implication_lattice, classify
-from .checks import compute_b
+from .checks import compute_b_rows
 from .functions import corpus, corpus_entry, function_from_expression
 from .geometry import parse_region
 from .report import Report, RunConfig
@@ -132,13 +132,12 @@ def cmd_bcurve(args) -> int:
         if not region.contains(p):
             raise ValueError(f"point {name}={p.tolist()} is outside the region")
     lines = ["lambda,b,lambda_b,strict,weak,degenerate"]
-    for k in range(1, args.grid + 1):
-        lam = k / (args.grid + 1)
-        rec = compute_b(fn, x, y, lam)
+    lams = [k / (args.grid + 1) for k in range(1, args.grid + 1)]
+    for rec in compute_b_rows(fn, x, y, lams):
         lines.append(
             ",".join(
                 (
-                    _fmt(lam),
+                    _fmt(rec.lam),
                     _fmt(rec.b),
                     _fmt(rec.lam_b),
                     str(rec.strict).lower(),

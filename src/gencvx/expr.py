@@ -13,10 +13,9 @@ sqrt, abs, atan (unary) and min, max (binary).  Exponents are integer
 literals.  Binary +,-,*,/ are left associative; unary minus binds tighter
 than * and /, and ^ binds tighter than unary minus.
 
-Evaluation offers a plain value channel, walked at one point or compiled
-into a walk over the rows of an array of points, and a dual channel carrying
-the forward-mode gradient, compiled over rows only; eval_dual is its one-row
-case.
+Evaluation offers a plain value channel and a dual channel carrying the
+forward-mode gradient, each compiled into a walk over the rows of an array of
+points; eval_value and eval_dual are their one-row cases.
 At abs/min/max kinks the dual channel flags the point and applies a fixed
 convention: abs at 0 contributes subderivative 0, min/max break value ties
 toward their first argument.
@@ -363,70 +362,23 @@ class DualValue:
 
 
 def eval_value(e: Expr, point: np.ndarray) -> float:
-    """Derivative-free evaluation at one point; compile_rows and
-    compile_dual_rows give this value at each row, bit for bit."""
-    x = np.asarray(point, dtype=float).reshape(-1)
-    return _value(e, x)
-
-
-def _value(e: Expr, x: np.ndarray) -> float:
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        if e.index > x.size:
-            raise EvalError(f"point has dimension {x.size}", e)
-        return float(x[e.index - 1])
-    if isinstance(e, Neg):
-        return -_value(e.operand, x)
-    if isinstance(e, Add):
-        return _value(e.left, x) + _value(e.right, x)
-    if isinstance(e, Sub):
-        return _value(e.left, x) - _value(e.right, x)
-    if isinstance(e, Mul):
-        return _value(e.left, x) * _value(e.right, x)
-    if isinstance(e, Div):
-        denom = _value(e.right, x)
-        if denom == 0.0:
-            raise EvalError("division by zero", e)
-        return _value(e.left, x) / denom
-    if isinstance(e, Pow):
-        base = _value(e.base, x)
-        if base == 0.0 and e.exponent < 0:
-            raise EvalError("zero base with negative exponent", e)
-        return float(base**e.exponent)
-    if isinstance(e, Call):
-        a = _value(e.args[0], x)
-        if e.name == "exp":
-            return float(np.exp(a))
-        if e.name == "log":
-            if a <= 0.0:
-                raise EvalError(f"log of non-positive value {a!r}", e)
-            return float(np.log(a))
-        if e.name == "sqrt":
-            if a < 0.0:
-                raise EvalError(f"sqrt of negative value {a!r}", e)
-            return float(np.sqrt(a))
-        if e.name == "abs":
-            return abs(a)
-        if e.name == "atan":
-            return float(np.arctan(a))
-        b = _value(e.args[1], x)
-        if e.name == "min":
-            return a if a <= b else b
-        if e.name == "max":
-            return a if a >= b else b
-    raise TypeError(f"not an expression node: {e!r}")
+    """Derivative-free evaluation at one point: the one-row case of
+    compile_rows."""
+    row = np.asarray(point, dtype=float).reshape(1, -1)
+    return float(compile_rows(e)(row)[0])
 
 
 def compile_rows(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
     """Compile e into a walk over the rows of a (k, n) array of points.
 
-    The compiled function returns the (k,) values, each bit-identical to
-    eval_value at its row: the same float64 operations run elementwise, with
-    np.float_power for `^`, which rounds as CPython's float ** int does.  It
-    raises EvalError when eval_value would at any row, and an ArithmeticError
-    where `^` overflows, as CPython does.  Overflow elsewhere gives inf
-    silently on both paths.
+    The compiled function returns the (k,) values.  Each row is computed on
+    its own: the same float64 operations run elementwise, with np.float_power
+    for `^`, which rounds as CPython's float ** int does, so a row's value
+    does not depend on the other rows and equals a scalar walk's in plain
+    floats bit for bit.  It raises EvalError where any row leaves the domain
+    (division by zero, log of a non-positive or sqrt of a negative value),
+    and an ArithmeticError where `^` overflows, as CPython does.  Overflow
+    elsewhere gives inf silently.
     """
     walk = _rows(e)
 
@@ -452,7 +404,7 @@ _ROW_KEEP_FIRST = {"min": np.less_equal, "max": np.greater_equal}
 
 
 def _rows(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
-    """Closure computing e at every row; mirrors _value node for node."""
+    """Closure computing e at every row, node for node."""
     if isinstance(e, Num):
         v = e.value
         return lambda p: np.full(len(p), v)
@@ -536,7 +488,7 @@ def compile_dual_rows(
     The compiled function returns the (k,) values, the (k, n) gradients and
     the (k,) kink flags.  Each row is computed on its own: the same float64
     operations run elementwise, with np.float_power for `^`, so a row's
-    result does not depend on the other rows, and its value is eval_value's
+    result does not depend on the other rows, and its value is compile_rows'
     bit for bit.  It raises EvalError where any row leaves the domain of the
     gradient (which excludes sqrt at 0, where the value is defined), and an
     ArithmeticError where `^` overflows, as CPython does.

@@ -1,10 +1,10 @@
 """Function handles and the built-in labeled corpus.
 
-A FunctionHandle bundles a scalar function on R^n with an optional row
-gradient callable, which flags the rows where the function is not
-differentiable (kinks); set-valued estimation takes over there, and wherever
-a handle has no gradient.  Handles are immutable and evaluation is pure, so
-they can be shared across workers.
+A FunctionHandle bundles a scalar function on R^n, read over rows of
+points, with an optional row gradient callable, which flags the rows where
+the function is not differentiable (kinks); set-valued estimation takes
+over there, and wherever a handle has no gradient.  Handles are immutable
+and evaluation is pure, so they can be shared across workers.
 
 The corpus pairs each handle with a convex region and a ground-truth label
 for every tracked generalized-convexity property.  Labels of the non-obvious
@@ -14,7 +14,6 @@ the test suite before being hard-coded here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,23 +55,22 @@ PROPERTIES = (
 class FunctionHandle:
     """Evaluatable scalar function with an optional row gradient.
 
-    `evaluate_rows`, when given, maps a (k, n) array of points to the (k,)
-    values `evaluate` gives at its rows, bit for bit; without it, `values`
-    calls `evaluate` once per row.  `gradient_rows`, when given, maps a
-    (k, n) array to the (k, n) gradients at its rows and (k,) flags marking
-    the rows where f is not differentiable; each row's gradient must not
-    depend on the other rows.  It is the handle's one gradient: `grads`
-    reads it and `grad` is its one-row case.  A handle without it has no
-    gradients, and every row is flagged.
+    `evaluate_rows` maps a (k, n) array of points to their (k,) values; each
+    row's value must not depend on the other rows.  It is the handle's one
+    value callable: `values` reads it and `value` is its one-row case.
+    `gradient_rows`, when given, maps a (k, n) array to the (k, n) gradients
+    at its rows and (k,) flags marking the rows where f is not
+    differentiable, under the same rule.  It is the handle's one gradient:
+    `grads` reads it and `grad` is its one-row case.  A handle without it
+    has no gradients, and every row is flagged.
     """
 
     name: str
     dimension: int
-    evaluate: Callable[[np.ndarray], float]
+    evaluate_rows: Callable[[np.ndarray], np.ndarray]
     smoothness: str = SMOOTH
     source: str | None = None
     expression: object | None = None
-    evaluate_rows: Callable[[np.ndarray], np.ndarray] | None = None
     gradient_rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
@@ -82,18 +80,15 @@ class FunctionHandle:
             raise ValueError(f"unknown smoothness {self.smoothness!r}")
 
     def value(self, x) -> float:
-        v = float(self.evaluate(np.asarray(x, dtype=float)))
-        if not math.isfinite(v):
-            raise ArithmeticError(f"{self.name} returned non-finite value at {x}")
-        return v
+        """f at x: values at one row."""
+        return float(self.values(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def values(self, points) -> np.ndarray:
-        """f at each row of a (k, n) array, finiteness checked once for all."""
-        p = _rows(points)
-        if self.evaluate_rows is None:
-            v = np.array([float(self.evaluate(row)) for row in p], dtype=float)
-        else:
-            v = np.asarray(self.evaluate_rows(p), dtype=float)
+        """f at each row of a (k, n) array, in one `evaluate_rows` call.
+        Raises ArithmeticError at the first row whose value is not finite,
+        and ValueError at points not of the handle's dimension."""
+        p = self._rows(points)
+        v = np.asarray(self.evaluate_rows(p), dtype=float)
         if v.shape != (len(p),):
             raise ValueError(f"{self.name} returned {v.shape} values for {len(p)} points")
         bad = ~np.isfinite(v)
@@ -113,9 +108,7 @@ class FunctionHandle:
         `gradient_rows`.  Raises ArithmeticError at the first unflagged row
         whose gradient is not finite, and ValueError at points not of the
         handle's dimension."""
-        p = _rows(points)
-        if p.shape[1] != self.dimension:
-            raise ValueError(f"points of shape {p.shape} for {self.name} of dimension {self.dimension}")
+        p = self._rows(points)
         if self.gradient_rows is None:
             return np.full(p.shape, np.nan), np.zeros(len(p), dtype=bool)
         g, kinks = self.gradient_rows(p)
@@ -128,12 +121,14 @@ class FunctionHandle:
             raise ArithmeticError(f"{self.name} returned bad gradient at {p[bad][0]}: {g[bad][0]}")
         return g, has
 
-
-def _rows(points) -> np.ndarray:
-    p = np.asarray(points, dtype=float)
-    if p.ndim != 2:
-        raise ValueError(f"points must be a (k, n) array, got shape {p.shape}")
-    return p
+    def _rows(self, points) -> np.ndarray:
+        """points as a (k, n) float array of the handle's dimension."""
+        p = np.asarray(points, dtype=float)
+        if p.ndim != 2:
+            raise ValueError(f"points must be a (k, n) array, got shape {p.shape}")
+        if p.shape[1] != self.dimension:
+            raise ValueError(f"points of shape {p.shape} for {self.name} of dimension {self.dimension}")
+        return p
 
 
 def function_from_expression(
@@ -153,10 +148,6 @@ def function_from_expression(
     """
     tree = ex.parse(source, dimension)
     smooth = ex.is_smooth_expression(tree)
-
-    def _evaluate(x: np.ndarray) -> float:
-        return ex.eval_value(tree, x)
-
     _gradient_rows = exact_gradient
     if exact_gradient is None:
         dual_rows = ex.compile_dual_rows(tree)
@@ -168,11 +159,10 @@ def function_from_expression(
     return FunctionHandle(
         name=name or source,
         dimension=dimension,
-        evaluate=_evaluate,
+        evaluate_rows=ex.compile_rows(tree),
         smoothness=SMOOTH if smooth else LOCALLY_LIPSCHITZ,
         source=source,
         expression=tree,
-        evaluate_rows=ex.compile_rows(tree),
         gradient_rows=_gradient_rows,
     )
 
@@ -180,14 +170,8 @@ def function_from_expression(
 def negate_handle(fn: FunctionHandle) -> FunctionHandle:
     """Handle for -f; gradients negate pointwise, kinks are preserved."""
 
-    def _evaluate(x: np.ndarray) -> float:
-        return -fn.evaluate(x)
-
-    _evaluate_rows = None
-    if fn.evaluate_rows is not None:
-
-        def _evaluate_rows(points: np.ndarray) -> np.ndarray:
-            return -fn.evaluate_rows(points)
+    def _evaluate_rows(points: np.ndarray) -> np.ndarray:
+        return -fn.evaluate_rows(points)
 
     _gradient_rows = None
     if fn.gradient_rows is not None:
@@ -199,11 +183,10 @@ def negate_handle(fn: FunctionHandle) -> FunctionHandle:
     return FunctionHandle(
         name=f"-({fn.name})",
         dimension=fn.dimension,
-        evaluate=_evaluate,
+        evaluate_rows=_evaluate_rows,
         smoothness=fn.smoothness,
         source=None,
         expression=None,
-        evaluate_rows=_evaluate_rows,
         gradient_rows=_gradient_rows,
     )
 

@@ -154,13 +154,10 @@ class Region:
         return self.lower.size
 
     def contains(self, x, margin: float = 0.0) -> bool:
-        """Membership test: inside the box and every constraint, with slack."""
-        x = np.asarray(x, dtype=float).reshape(-1)
-        if x.size != self.dimension:
-            return False
-        if np.any(x < self.lower + margin) or np.any(x > self.upper - margin):
-            return False
-        return all(c.satisfied(x, margin) for c in self.constraints)
+        """Membership test: inside the box and every constraint, with slack;
+        _accept_mask at one row, False for a point of another size."""
+        x = np.asarray(x, dtype=float).reshape(1, -1)
+        return x.shape[1] == self.dimension and bool(_accept_mask(self, x, margin)[0])
 
     def interior_slack(self, x):
         """Largest r such that the euclidean ball B(x, r) stays inside.
@@ -188,9 +185,11 @@ class Region:
         return ", ".join(parts)
 
 
-def _accept_mask(region: Region, pts: np.ndarray) -> np.ndarray:
-    """Acceptance mask for a (k, n) batch: region.contains(p, region.margin) by row."""
-    m = region.margin
+def _accept_mask(region: Region, pts: np.ndarray, margin: float | None = None) -> np.ndarray:
+    """Membership mask for a (k, n) batch: by row, inside the box and every
+    constraint with `margin` of slack (strictly for '<'), region.margin by
+    default.  Region.contains is its one-row case."""
+    m = region.margin if margin is None else margin
     ok = np.all(pts >= region.lower + m, axis=1) & np.all(pts <= region.upper - m, axis=1)
     for c in region.constraints:
         ok &= c.satisfied(pts, m)

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._pcg import generator, pcg64_states, position, to_ints
 from .functions import FunctionHandle
-from .geometry import Region
+from .geometry import Region, _accept_mask
 
 __all__ = [
     "ClarkeScheme",
@@ -128,7 +128,8 @@ def clarke_directional(
 
     Probes whose evaluation points leave the region are redrawn up to 100
     times each, after which the whole scale is skipped; if every scale is
-    skipped the point has insufficient interior room.
+    skipped the point has insufficient interior room.  A probe's two points
+    are tested in one membership mask and read in one values call.
     """
     scheme = scheme or ClarkeScheme()
     x, v = _point_and_direction(region, x, v)
@@ -147,10 +148,11 @@ def clarke_directional(
         for _ in range(scheme.probes_per_scale):
             quotient = None
             for _ in range(_REDRAWS_PER_PROBE):
-                y = _ball_points(rng, x, delta, 1)[0]
-                y_step = y + t * v
-                if region.contains(y) and region.contains(y_step):
-                    quotient = (fn.value(y_step) - fn.value(y)) / t
+                y = _ball_points(rng, x, delta, 1)
+                pair = np.concatenate([y, y + t * v])
+                if _accept_mask(region, pair, 0.0).all():
+                    f = fn.values(pair)
+                    quotient = (f[1] - f[0]) / t
                     break
             if quotient is None:
                 ok = False
@@ -333,21 +335,21 @@ def directional_derivative(
     v,
     steps: tuple[float, ...] = (1e-3, 1e-4, 1e-5),
 ) -> float:
-    """One-sided derivative along v, extrapolated by a linear fit in the step."""
+    """One-sided derivative along v, extrapolated by a linear fit in the step.
+
+    f at x and at every step that stays in the region is read in one values
+    call."""
     x, v = _point_and_direction(region, x, v)
-    fx = fn.value(x)
-    hs, qs = [], []
-    for h in steps:
-        p = x + h * v
-        if region.contains(p):
-            hs.append(h)
-            qs.append((fn.value(p) - fx) / h)
-    if len(hs) < 2:
+    hs = np.asarray(steps, dtype=float)
+    points = x + hs[:, None] * v
+    inside = _accept_mask(region, points, 0.0)
+    f = fn.values(np.concatenate([x[None], points[inside]]))
+    h_arr = hs[inside]
+    if len(h_arr) < 2:
         raise InteriorRoomError(f"insufficient interior room at {x} along {v}")
-    h_arr = np.array(hs)
-    q_arr = np.array(qs)
+    q_arr = (f[1:] - f[0]) / h_arr
     # Least-squares intercept of q = a + b*h.
-    k = len(hs)
+    k = len(h_arr)
     sh, sq = h_arr.sum(), q_arr.sum()
     shh, shq = (h_arr * h_arr).sum(), (h_arr * q_arr).sum()
     return float((shh * sq - sh * shq) / (k * shh - sh * sh))

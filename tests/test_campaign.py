@@ -111,7 +111,8 @@ def test_gradient_kernel_without_gradient_replays_and_refines_as_sampled():
     # by the subdifferential, and so must replay and refinement.
     e = corpus_entry("cubic")
     fn = FunctionHandle(
-        name="cubic-no-gradient", dimension=1, evaluate=e.handle.evaluate, smoothness=SMOOTH,
+        name="cubic-no-gradient", dimension=1, evaluate_rows=e.handle.evaluate_rows,
+        smoothness=SMOOTH,
     )
     x, y = np.array([0.0]), np.array([-0.9])
     ctx = _Context(fn, e.region, FAST)
@@ -227,18 +228,8 @@ def test_each_segment_grid_cell_is_evaluated_at_most_once(name):
         v.to_dict() for v in classify(e.handle, e.region, props, plan)]
 
 
-@pytest.mark.parametrize("name", ["arctan", "ramp"])
-def test_scalar_only_handle_gives_the_row_handles_report(name):
-    # Without evaluate_rows every read of f is one evaluate call per row,
-    # the grid's cells included; the report is the same bit for bit.
-    e = corpus_entry(name)
-    scalar = replace(e.handle, evaluate_rows=None)
-    want = [v.to_dict() for v in classify(e.handle, e.region, None, PLAN)]
-    assert [v.to_dict() for v in classify(scalar, e.region, None, PLAN)] == want
-
-
 @pytest.mark.parametrize("bad, error", [
-    (FunctionHandle("inf-at-half", 1, lambda x: float("inf") if x[0] == 0.5 else float(x[0])),
+    (FunctionHandle("inf-at-half", 1, lambda p: np.where(p[:, 0] == 0.5, np.inf, p[:, 0])),
      ArithmeticError),
     (function_from_expression("log(x1 - 0.5)", 1), EvalError),
 ])
@@ -332,12 +323,8 @@ def test_semistrict_classify_reads_no_interior_point_of_a_rising_orientation():
         read.update(p.tobytes() for p in points)
         return e.handle.evaluate_rows(points)
 
-    def evaluate(x):
-        read.add(x.tobytes())
-        return e.handle.evaluate(x)
-
     plan = SamplingPlan(pair_count=40, lambda_grid=9, seed=11)
-    fn = replace(e.handle, evaluate=evaluate, evaluate_rows=evaluate_rows)
+    fn = replace(e.handle, evaluate_rows=evaluate_rows)
     for prop, sign in (("semistrictly-quasiconvex", 1.0), ("semistrictly-quasiconcave", -1.0)):
         read.clear()
         classify(fn, e.region, (prop,), plan)
@@ -632,7 +619,7 @@ def test_estimator_failures_never_refute():
 
     flaky = FunctionHandle(
         name="flaky", dimension=1,
-        evaluate=e.handle.evaluate, gradient_rows=flaky_rows,
+        evaluate_rows=e.handle.evaluate_rows, gradient_rows=flaky_rows,
         smoothness="locally-lipschitz",
     )
     plan = SamplingPlan(pair_count=10, seed=1)

@@ -131,7 +131,7 @@ def test_value_channel_matches_plain_evaluator_exactly():
         points = _interior_points(entry, 150, seed=11)
         rows = compile_rows(tree)(np.array(points))
         for p, row in zip(points, rows.tolist()):
-            assert eval_value(tree, p) == eval_dual(tree, p).value == row
+            assert _ref_value(tree, p) == eval_value(tree, p) == eval_dual(tree, p).value == row
             total += 1
     assert total >= 1000
 
@@ -193,7 +193,7 @@ def test_pretty_examples():
     assert parse(pretty(parse("-(x1+2)^3", 1)), 1) == parse("-(x1+2)^3", 1)
 
 
-# -- the row walk against the scalar value channel ----------------------------
+# -- the row walk against the scalar reference value walk ---------------------
 
 # Few distinct coordinates, signed zeros among them, so that min/max and abs
 # meet ties and kinks and log/sqrt/division meet their domain edges.
@@ -218,7 +218,7 @@ def test_row_walk_equals_scalar_value_bit_for_bit(tree, points):
     scalar = []
     for p in points:
         try:
-            scalar.append(eval_value(tree, p))
+            scalar.append(_ref_value(tree, p))
         except ArithmeticError as exc:
             scalar.append(exc)
     errors = [v for v in scalar if isinstance(v, ArithmeticError)]
@@ -229,11 +229,18 @@ def test_row_walk_equals_scalar_value_bit_for_bit(tree, points):
         domain = all(isinstance(v, EvalError) for v in errors)
         with pytest.raises(EvalError if domain else ArithmeticError):
             walk(points)
+        for p, want in zip(points, scalar):  # each row alone, as eval_value reads it
+            if isinstance(want, ArithmeticError):
+                with pytest.raises(EvalError if isinstance(want, EvalError) else ArithmeticError):
+                    eval_value(tree, p)
+            else:
+                assert _bits(eval_value(tree, p)) == _bits(want)
         return
     rows = walk(points)
     assert rows.shape == (len(points),)
-    for got, want in zip(rows.tolist(), scalar):
+    for p, got, want in zip(points, rows.tolist(), scalar):
         assert _bits(got) == _bits(want), (got, want)
+        assert _bits(eval_value(tree, p)) == _bits(want)
 
 
 def test_row_walk_takes_only_point_arrays():
@@ -245,7 +252,57 @@ def test_row_walk_takes_only_point_arrays():
         walk(np.array([[1.0]]))  # a point of too low a dimension
 
 
-# -- the dual row walk against a scalar reference walk -------------------------
+# -- scalar reference walks ---------------------------------------------------
+
+
+def _ref_value(e, x):
+    """The scalar value walk at one point, in plain floats."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        if e.index > x.size:
+            raise EvalError(f"point has dimension {x.size}", e)
+        return float(x[e.index - 1])
+    if isinstance(e, Neg):
+        return -_ref_value(e.operand, x)
+    if isinstance(e, Add):
+        return _ref_value(e.left, x) + _ref_value(e.right, x)
+    if isinstance(e, Sub):
+        return _ref_value(e.left, x) - _ref_value(e.right, x)
+    if isinstance(e, Mul):
+        return _ref_value(e.left, x) * _ref_value(e.right, x)
+    if isinstance(e, Div):
+        denom = _ref_value(e.right, x)
+        if denom == 0.0:
+            raise EvalError("division by zero", e)
+        return _ref_value(e.left, x) / denom
+    if isinstance(e, Pow):
+        base = _ref_value(e.base, x)
+        if base == 0.0 and e.exponent < 0:
+            raise EvalError("zero base with negative exponent", e)
+        return float(base**e.exponent)
+    if isinstance(e, Call):
+        a = _ref_value(e.args[0], x)
+        if e.name == "exp":
+            return float(np.exp(a))
+        if e.name == "log":
+            if a <= 0.0:
+                raise EvalError(f"log of non-positive value {a!r}", e)
+            return float(np.log(a))
+        if e.name == "sqrt":
+            if a < 0.0:
+                raise EvalError(f"sqrt of negative value {a!r}", e)
+            return float(np.sqrt(a))
+        if e.name == "abs":
+            return abs(a)
+        if e.name == "atan":
+            return float(np.arctan(a))
+        b = _ref_value(e.args[1], x)
+        if e.name == "min":
+            return a if a <= b else b
+        if e.name == "max":
+            return a if a >= b else b
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _ref_dual(e, x):

@@ -106,7 +106,7 @@ def test_corpus_row_gradients_are_the_point_gradients(name, negated):
 
 def test_gradients_take_only_points_of_the_handle_dimension():
     # A one-dimensional row gradient would read only x1 of a longer point.
-    for fn in (corpus_entry("ramp").handle, FunctionHandle("plain", 1, lambda x: x[0])):
+    for fn in (corpus_entry("ramp").handle, FunctionHandle("plain", 1, lambda p: p[:, 0])):
         with pytest.raises(ValueError, match=r"points of shape \(1, 2\) for .* of dimension 1"):
             fn.grad([0.5, 7.0])
         with pytest.raises(ValueError, match=r"points of shape \(3, 2\)"):
@@ -138,20 +138,37 @@ def test_function_from_expression_dimension_guard():
 
 
 def test_values_reads_rows_as_value_reads_points():
-    # The DSL handles walk their rows in one call; a handle with only a
-    # scalar `evaluate` still reads rows, one call per row.
+    # `value` is the one-row case of `values`: a row reads alone what it
+    # reads among the others, and a handle given any row callable reads
+    # through it, negated by negate_handle.
     for e in corpus():
         points = np.array(sample_region(e.region, 40, seed=4))
         scalar = [e.handle.value(p) for p in points]
         assert e.handle.values(points).tolist() == scalar
-        plain = FunctionHandle("plain", e.handle.dimension, e.handle.evaluate)
+        plain = FunctionHandle("plain", e.handle.dimension, e.handle.evaluate_rows)
         assert plain.values(points).tolist() == scalar
         assert negate_handle(plain).values(points).tolist() == [-v for v in scalar]
         assert e.handle.values(points[:0]).shape == (0,)
 
 
+def test_values_take_only_points_of_the_handle_dimension():
+    # A one-dimensional walk would read only x1 of a longer point: the ramp
+    # handle gave 1.0 at [0.5, 7.0].
+    ramp = corpus_entry("ramp").handle
+    for fn in (ramp, negate_handle(ramp), FunctionHandle("plain", 1, lambda p: p[:, 0])):
+        with pytest.raises(ValueError, match=r"points of shape \(1, 2\) for .* of dimension 1"):
+            fn.value([0.5, 7.0])
+        with pytest.raises(ValueError, match=r"points of shape \(3, 2\)"):
+            fn.values(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match=r"points of shape \(0, 2\)"):
+            fn.values(np.zeros((0, 2)))
+    with pytest.raises(ValueError, match=r"points of shape \(1, 1\)"):
+        corpus_entry("fractional").handle.value([0.5])
+    assert ramp.values([[0.5]]).tolist() == [1.0]
+
+
 def test_values_rejects_non_finite_values_and_non_rows():
-    inf_at_half = FunctionHandle("inf-at-half", 1, lambda x: np.inf if x[0] == 0.5 else x[0])
+    inf_at_half = FunctionHandle("inf-at-half", 1, lambda p: np.where(p[:, 0] == 0.5, np.inf, p[:, 0]))
     with pytest.raises(ArithmeticError):
         inf_at_half.values([[0.25], [0.5]])
     assert inf_at_half.values([[0.25], [0.75]]).tolist() == [0.25, 0.75]

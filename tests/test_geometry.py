@@ -261,3 +261,57 @@ def test_accept_mask_is_contains_row_for_row(text, dim):
     assert 0 < mask.sum() < len(pts)
     if text.startswith("x1 < 0.5"):
         assert not _accept_mask(region, np.array([[0.25, 0.0]]))[0]
+
+
+def _plain_contains(region, p, margin):
+    """Membership one point at a time, in plain floats."""
+    if len(p) != region.dimension:
+        return False
+    for v, lo, hi in zip(p.tolist(), region.lower.tolist(), region.upper.tolist()):
+        if not (lo + margin <= v <= hi - margin):
+            return False
+    for c in region.constraints:
+        slack = c.bound - sum(a * b for a, b in zip(p.tolist(), c.coeffs.tolist()))
+        if not (slack > margin if c.relation == "<" else slack >= margin):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("text, dim", [
+    ("x1 < 0.5, box(-1..1, -1..1), margin(0.25)", 2),
+    ("x1 <= 0.5, box(-1..1, -1..1), margin(0.25)", 2),
+    ("x1 + 0.5*x2 - 2*x3 < 0.75, 0.3*x1 - 0.7*x2 <= 0.2, box(-1..1, -1..1, -1..1), "
+     "margin(0.125)", 3),
+])
+def test_contains_is_the_accept_mask_at_one_row(text, dim):
+    # contains(p, margin) is _accept_mask at one row, at margin 0 and at the
+    # region's margin alike, and both agree with a point-by-point test; a
+    # point of another size is outside.
+    region = parse_region(text, dim)
+    rng = np.random.default_rng(23)
+    for m in (0.0, region.margin):
+        pts = [rng.uniform(region.lower - 0.1, region.upper + 0.1, size=(600, dim))]
+        for c in region.constraints:
+            on = rng.uniform(-0.5, 0.5, size=(300, dim))  # onto the constraint at margin m
+            on[:150] = np.round(on[:150] * 64) / 64
+            i = int(np.argmax(np.abs(c.coeffs)))
+            on[:, i] = (c.bound - m - np.delete(on, i, axis=1) @ np.delete(c.coeffs, i)) / c.coeffs[i]
+            pts.append(on)
+        assert (region.constraints[0].slack(pts[1]) == m).sum() >= 150  # exactly on it
+        edge = rng.uniform(region.lower + m, region.upper - m, size=(4 * dim, dim))
+        for k in range(dim):  # onto each face of the box at margin m
+            edge[4 * k:4 * k + 2, k] = region.lower[k] + m
+            edge[4 * k + 2:4 * k + 4, k] = region.upper[k] - m
+        pts = np.concatenate(pts + [edge])
+        want = [_plain_contains(region, p, m) for p in pts]
+        assert _accept_mask(region, pts, m).tolist() == want
+        assert [region.contains(p, m) for p in pts] == want
+        assert 0 < sum(want) < len(pts)
+        if m == region.margin:
+            assert _accept_mask(region, pts).tolist() == want
+        for wrong in (np.zeros(dim - 1), np.zeros(dim + 1), np.zeros((2, dim))):
+            assert region.contains(wrong, m) is False
+    if text.startswith("x1 < 0.5"):  # on the strict constraint itself
+        assert not region.contains([0.5, 0.0]) and region.contains([0.4375, 0.0])
+    if text.startswith("x1 <= 0.5"):
+        assert region.contains([0.5, 0.0])
