@@ -19,9 +19,9 @@ Violations of several characterizations concentrate on measure-zero sets
 devices: one pair in ten is drawn nearly collinear with a coordinate axis,
 and the samples closest to a violation are pushed through local coordinate
 ascent on the check's margin before the property may be declared to hold.
-A property's candidates climb together as array state (_Ascent), one
-kernel call per predicate, side and grid per step; refine_counterexample
-is the one-candidate case.
+The candidates of every property of a classify call climb together as
+array state in one ascent (_Ascent), one kernel call per predicate, side
+and grid per step; refine_counterexample is the one-candidate case.
 
 Everything derives from the plan seed through per-sample-index substreams,
 so results are identical however the work is scheduled.
@@ -41,7 +41,9 @@ from .checks import FAIL, INCONCLUSIVE, PASS, VACUOUS
 from .functions import LOCALLY_LIPSCHITZ, PROPERTIES, FunctionHandle, negate_handle
 from ._pcg import generator, pcg64_states, position, to_ints, uniform_block
 from .geometry import Region, RegionTooThinError, _accept_mask, segment_point
-from .nonsmooth import EstimationError, subdifferential, subdifferentials
+# subdifferential is not called here; perfbench's tracer and its tests look
+# it up as campaign.subdifferential.
+from .nonsmooth import EstimationError, subdifferential, subdifferential_rows  # noqa: F401
 
 __all__ = [
     "SamplingPlan",
@@ -239,7 +241,13 @@ class _Context:
         self.plan = plan
         self.lam_grid = tuple(float(t) for t in np.linspace(0.0, 1.0, plan.lambda_grid))
         self.interior_lams = tuple(t for t in self.lam_grid if 0.0 < t < 1.0)
-        self._subdiffs: dict[bytes, object] = {}
+        # The estimate cache: each point's bytes name a row of _cache, the
+        # generators of its estimate (or its failure), with the row's kink
+        # flag and radius beside it.
+        self._at: dict[bytes, int] = {}
+        self._cache = ck.Generators.of([], fn.dimension)
+        self._kink = np.zeros(0, dtype=bool)
+        self._radius = np.zeros(0)
         self._pairs: tuple[np.ndarray, np.ndarray] | None = None
         self._segments: _Segments | None = None
 
@@ -357,58 +365,51 @@ class _Context:
 
     def generators(self, points: np.ndarray, negated: bool = False) -> ck.Generators:
         """The generators of the estimates of the subdifferential of f (of
-        -f when negated) at each row of points.  The rows not yet estimated
-        are estimated in one call; an estimate that failed is stored, without
+        -f when negated) at each row of points, gathered from the cache's
+        rows in one index operation.  The points not yet estimated are
+        estimated in one call; an estimate that failed is stored, without
         its traceback, and its row carries the failure, which a check raises
         afresh when it reads that row."""
         keys = _row_keys(points)
-        todo = {key: x for key, x in zip(keys, points) if key not in self._subdiffs}
+        todo = {key: x for key, x in zip(keys, points) if key not in self._at}
         if todo:
             self._estimate(todo)
-        ests = [self._subdiffs[key] for key in keys]
-        gens = ck.Generators.of(
-            [e if isinstance(e, EstimationError) else e.generators for e in ests], points.shape[1])
+        gens = self._cache.take(np.array([self._at[key] for key in keys], dtype=np.intp))
         return gens.negated() if negated else gens
 
     def _estimate(self, todo: dict[bytes, np.ndarray]) -> None:
         """Estimate f's subdifferential at each point, keyed by its bytes,
-        and store each estimate or its failure."""
+        and store each estimate or its failure as a row of the cache."""
         xs = list(todo.values())
-        seeds = [_point_entropy(x) for x in xs]
+        seeds = np.array([_point_entropy(x) for x in xs], dtype=np.uint64)
         radius = self.plan.subdiff_radius
-        ests = self._estimates(xs, radius, seeds)
+        rows = self._store(xs, radius, seeds)
         # A spread at radius r may come from a kink merely nearby.  Shrinking
         # the ball separates the cases: at a true kink the spread persists,
-        # near one it collapses and the fine coherent estimate is the honest
-        # set at x.
-        kinked = [i for i, est in enumerate(ests)
-                  if not isinstance(est, EstimationError) and est.at_kink]
-        if kinked:
-            fine = self._estimates(
-                [xs[i] for i in kinked], radius / 1000.0, [seeds[i] for i in kinked])
-            for i, est in zip(kinked, fine):
-                if isinstance(est, EstimationError) or not est.at_kink:
-                    ests[i] = est
-        self._subdiffs.update(zip(todo, ests))
+        # near one it collapses and the fine coherent estimate (or its
+        # failure) is the honest set at x.
+        kinked = np.flatnonzero(self._kink[rows])
+        if kinked.size:
+            fine = self._store([xs[i] for i in kinked], radius / 1000.0, seeds[kinked])
+            rows[kinked] = np.where(self._kink[fine], rows[kinked], fine)
+        self._at.update(zip(todo, rows.tolist()))
 
-    def _estimates(self, xs, radius: float, seeds) -> list:
-        """The estimate, or its failure without a traceback, at each point.
-        Several points go through subdifferentials.  One point goes through
-        subdifferential, which computes the same, only so that the benchmark
-        tracer, which wraps campaign.subdifferential, still counts the
-        estimates read one at a time; merging the branches would zero its
-        subdifferential and kink re-check counts."""
-        if len(xs) > 1:
-            return subdifferentials(self.fn, self.region, xs, radius, self.subdiff_count, seeds)
-        out = []
-        for x, seed in zip(xs, seeds):
-            try:
-                out.append(subdifferential(
-                    self.fn, self.region, x, radius=radius, count=self.subdiff_count, seed=seed,
-                ))
-            except EstimationError as exc:
-                out.append(exc.with_traceback(None))
-        return out
+    def _store(self, xs, radius: float, seeds: np.ndarray) -> np.ndarray:
+        """Append the estimates at xs at the radius to the cache; their rows."""
+        gens, kink = subdifferential_rows(
+            self.fn, self.region, xs, radius, self.subdiff_count, seeds.tolist())
+        first = len(self._kink)
+        self._cache = self._cache.joined(gens)
+        self._kink = np.concatenate([self._kink, kink])
+        self._radius = np.concatenate([self._radius, np.full(len(kink), radius)])
+        return np.arange(first, len(self._kink))
+
+    def estimates(self) -> dict:
+        """Each point estimated so far, by its bytes, in estimation order:
+        its SubdifferentialEstimate of f, or the EstimationError stored for
+        it."""
+        return {key: self._cache.estimate(r, float(self._radius[r]), bool(self._kink[r]))
+                for key, r in self._at.items()}
 
     def feasible(self, p: np.ndarray):
         """For a point, or for each row of a (k, n) array of points.  The
@@ -928,9 +929,23 @@ def _near_misses(ctx: _Context, prop: str) -> list[Candidate]:
     return out
 
 
-def _sampled(ctx: _Context, prop: str):
-    """From the probes' kernel rows: the tallies, the number of pairs with a
-    pass, the witnesses kept and the strongest near-ties as candidates."""
+class _Sampling(NamedTuple):
+    """What _sampling gives; `near_ties` tells whether the candidates to
+    refine are near-ties (else near-misses)."""
+
+    prop: str
+    counts: Counter
+    pass_pairs: int
+    witnesses: list
+    refined: list
+    near_ties: bool
+
+
+def _sampling(ctx: _Context, prop: str) -> _Sampling:
+    """A property's sampling phase, from its probes' kernel rows: the
+    tallies, the number of pairs with a pass, the witnesses kept, and as
+    candidates the strongest near-ties, or where nothing failed outright the
+    near-misses."""
     runs, broken = _runs(ctx, prop, *ctx.pairs)
     # The rows of a pair on which an estimate failed are not counted; the
     # pair counts once, as inconclusive.
@@ -958,20 +973,19 @@ def _sampled(ctx: _Context, prop: str):
     residual, pair, run_of, row = (np.concatenate(v) for v in zip(*ties))
     near = np.lexsort((row, run_of, pair, residual))[:MAX_REFINED_CANDIDATES]
     candidates = [runs[n].candidate(r) for n, r in zip(run_of[near], row[near])]
-    return counts, int(passed.sum()), witnesses, candidates
-
-
-def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
-    counts, pass_pairs, witnesses, candidates = _sampled(ctx, prop)
     # Refine near-ties, and search near-misses when nothing failed outright.
     near_ties = bool(candidates)
     if not witnesses and not near_ties:
         candidates = _near_misses(ctx, prop)
-
-    # The candidates are refined together, and their results read in order
-    # until four witnesses are found.
     refined = candidates[:MAX_REFINED_CANDIDATES] if len(witnesses) < 4 else []
-    for result in _refine_together(ctx, refined, ctx.plan.refinement_rounds):
+    return _Sampling(prop, counts, int(passed.sum()), witnesses, refined, near_ties)
+
+
+def _verdict(sampling: _Sampling, results) -> PropertyVerdict:
+    """The verdict from a property's sampling phase and the results of
+    refining its candidates, read in order until four witnesses are found."""
+    prop, counts, pass_pairs, witnesses, _, near_ties = sampling
+    for result in results:
         if len(witnesses) >= 4:
             break
         if isinstance(result, EstimationError):
@@ -1003,20 +1017,35 @@ def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
     return PropertyVerdict(prop, verdict, *counts.values(), tuple(witnesses))
 
 
+def _classify_together(ctx: _Context, props) -> list[PropertyVerdict]:
+    """Each property's sampling phase, then one refinement of every
+    property's candidates together, then each property's verdict from its
+    own candidates' results."""
+    samplings = [_sampling(ctx, p) for p in props]
+    results = iter(_refine_together(
+        ctx, [c for s in samplings for c in s.refined], ctx.plan.refinement_rounds))
+    return [_verdict(s, [next(results) for _ in s.refined]) for s in samplings]
+
+
+def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
+    (verdict,) = _classify_together(ctx, (prop,))
+    return verdict
+
+
 def classify(
     fn: FunctionHandle,
     region: Region,
     properties: tuple[str, ...] | list[str] | None,
     plan: SamplingPlan | None = None,
 ) -> list[PropertyVerdict]:
-    """Run the mapped predicate campaign for every requested property."""
+    """Run the mapped predicate campaign for every requested property, their
+    candidates refined in one ascent."""
     plan = plan or SamplingPlan()
     props = tuple(properties) if properties else PROPERTIES
     for p in props:
         if p not in PROPERTIES:
             raise ValueError(f"unknown property {p!r} (known: {', '.join(PROPERTIES)})")
-    ctx = _Context(fn, region, plan)
-    return [_classify_property(ctx, p) for p in props]
+    return _classify_together(_Context(fn, region, plan), props)
 
 
 def replay_witness(

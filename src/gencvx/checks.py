@@ -50,7 +50,7 @@ import numpy as np
 
 from .functions import FunctionHandle
 from .geometry import segment_point
-from .nonsmooth import SubdifferentialEstimate
+from .nonsmooth import Generators, SubdifferentialEstimate
 
 __all__ = [
     "PASS",
@@ -534,35 +534,6 @@ def check_interlacing(fn: FunctionHandle, x, y, lam_grid) -> Check:
 # generators with ufunc.reduceat.  A kernel returns per row the outcome,
 # margin, residual, named generator and its index, note and noted value,
 # and the failed rows.
-
-
-class Generators(NamedTuple):
-    """The generator sets of m rows, flattened in row order: row i owns
-    g[start[i]:start[i] + count[i]], and `owner` gives each generator's row.
-    A row whose estimate failed holds one zero generator, and its failure in
-    `failed`."""
-
-    g: np.ndarray
-    owner: np.ndarray
-    start: np.ndarray
-    count: np.ndarray
-    failed: dict
-
-    @staticmethod
-    def of(sets, n: int) -> "Generators":
-        """From each row's generators, or the EstimationError it failed with."""
-        failed = {i: s for i, s in enumerate(sets) if isinstance(s, Exception)}
-        if failed:
-            zero = (np.zeros(n),)
-            sets = [zero if i in failed else s for i, s in enumerate(sets)]
-        count = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-        g = np.array([v for s in sets for v in s], dtype=float).reshape(-1, n)
-        return Generators(g, np.repeat(np.arange(len(sets)), count),
-                          np.cumsum(count) - count, count, failed)
-
-    def negated(self) -> "Generators":
-        """The generators of -f: each negated."""
-        return self._replace(g=-self.g)
 
 
 def dots(g: np.ndarray, d: np.ndarray) -> np.ndarray:

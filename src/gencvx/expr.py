@@ -24,7 +24,7 @@ toward their first argument.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,53 +71,62 @@ class EvalError(ArithmeticError):
         self.subterm = subterm
 
 
+class _Node:
+    """Base of the expression nodes.  A tree keeps the walks compiled from
+    it in its own __dict__ (see _compiled), so they go with it; copies and
+    pickles leave them out."""
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "_walks"}
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     index: int  # 1-based
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Expr"
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Node):
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Sub:
+class Sub(_Node):
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Div:
+class Div(_Node):
     left: "Expr"
     right: "Expr"
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Node):
     base: "Expr"
     exponent: int
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     name: str
     args: tuple["Expr", ...]
 
@@ -368,6 +377,21 @@ def eval_value(e: Expr, point: np.ndarray) -> float:
     return float(compile_rows(e)(row)[0])
 
 
+def _compiled(e: Expr, build):
+    """build(e), made once per tree object and kept in the tree.  The key is
+    the object, not its value: equal trees may differ in the sign of a zero
+    (Num(0.0) == Num(-0.0)), and a tree holding a NaN is unequal to itself.
+    The walk is built on a copy of the root node, which it may name in its
+    errors, so that it does not refer back to the tree holding it: a tree
+    dropped is freed at once, leaving no cycle to the garbage collector."""
+    if not isinstance(e, _Node):
+        return build(e)
+    walks = e.__dict__.setdefault("_walks", {})
+    if build not in walks:
+        walks[build] = build(replace(e))
+    return walks[build]
+
+
 def compile_rows(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
     """Compile e into a walk over the rows of a (k, n) array of points.
 
@@ -378,9 +402,9 @@ def compile_rows(e: Expr) -> Callable[[np.ndarray], np.ndarray]:
     floats bit for bit.  It raises EvalError where any row leaves the domain
     (division by zero, log of a non-positive or sqrt of a negative value),
     and an ArithmeticError where `^` overflows, as CPython does.  Overflow
-    elsewhere gives inf silently.
+    elsewhere gives inf silently.  The walk is built once per tree object.
     """
-    walk = _rows(e)
+    walk = _compiled(e, _rows)
 
     def evaluate(points: np.ndarray) -> np.ndarray:
         p = np.asarray(points, dtype=float)
@@ -491,9 +515,10 @@ def compile_dual_rows(
     result does not depend on the other rows, and its value is compile_rows'
     bit for bit.  It raises EvalError where any row leaves the domain of the
     gradient (which excludes sqrt at 0, where the value is defined), and an
-    ArithmeticError where `^` overflows, as CPython does.
+    ArithmeticError where `^` overflows, as CPython does.  The walk is built
+    once per tree object.
     """
-    walk = _dual_rows(e)
+    walk = _compiled(e, _dual_rows)
 
     def evaluate(points: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p = np.asarray(points, dtype=float)

@@ -19,6 +19,7 @@ All estimators are deterministic given their seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,6 +35,8 @@ __all__ = [
     "clarke_directional",
     "subdifferential",
     "subdifferentials",
+    "subdifferential_rows",
+    "Generators",
     "negate_estimate",
     "directional_derivative",
 ]
@@ -216,56 +219,112 @@ def _gradients(fn: FunctionHandle, probes: np.ndarray, step: float):
     return gradients.reshape(m, c, n), ok.reshape(m, c)
 
 
-def _generator(g: np.ndarray) -> np.ndarray:
-    g = g.copy()
-    g.flags.writeable = False
-    return g
+class Generators(NamedTuple):
+    """The generator sets of m rows, flattened in row order: row i owns
+    g[start[i]:start[i] + count[i]], and `owner` gives each generator's row.
+    A row whose estimate failed holds one zero generator, and its failure in
+    `failed`."""
+
+    g: np.ndarray
+    owner: np.ndarray
+    start: np.ndarray
+    count: np.ndarray
+    failed: dict
+
+    @staticmethod
+    def of(sets, n: int) -> "Generators":
+        """From each row's generators, or the EstimationError it failed with."""
+        failed = {i: s for i, s in enumerate(sets) if isinstance(s, Exception)}
+        if failed:
+            zero = (np.zeros(n),)
+            sets = [zero if i in failed else s for i, s in enumerate(sets)]
+        count = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+        g = np.array([v for s in sets for v in s], dtype=float).reshape(-1, n)
+        return Generators(g, np.repeat(np.arange(len(sets)), count),
+                          np.cumsum(count) - count, count, failed)
+
+    def negated(self) -> "Generators":
+        """The generators of -f: each negated."""
+        return self._replace(g=-self.g)
+
+    def take(self, rows: np.ndarray) -> "Generators":
+        """The sets of the given rows, in that order, gathered in one index
+        operation."""
+        count = self.count[rows]
+        start = np.cumsum(count) - count
+        g = self.g[np.repeat(self.start[rows] - start, count) + np.arange(count.sum())]
+        failed = {i: self.failed[r] for i, r in enumerate(rows.tolist())
+                  if r in self.failed} if self.failed else {}
+        return Generators(g, np.repeat(np.arange(len(rows)), count), start, count, failed)
+
+    def joined(self, more: "Generators") -> "Generators":
+        """These rows, then those of more."""
+        k = len(self.count)
+        return Generators(
+            np.concatenate([self.g, more.g]), np.concatenate([self.owner, more.owner + k]),
+            np.concatenate([self.start, more.start + len(self.g)]),
+            np.concatenate([self.count, more.count]),
+            {**self.failed, **{k + i: e for i, e in more.failed.items()}})
+
+    def estimate(self, i: int, radius: float, at_kink: bool):
+        """Row i as a SubdifferentialEstimate, or the failure it holds."""
+        if i in self.failed:
+            return self.failed[i]
+        gens = self.g[self.start[i]:self.start[i] + self.count[i]].copy()
+        gens.flags.writeable = False
+        return SubdifferentialEstimate(tuple(gens), radius, at_kink)
 
 
-def subdifferentials(
+def subdifferential_rows(
     fn: FunctionHandle,
     region: Region,
     points,
     radius: float,
     count: int,
     seeds,
-) -> list[SubdifferentialEstimate | EstimationError]:
-    """subdifferential at each point with its seed.  Each point's ball
-    comes from its own seeded stream, the streams of all points seeded in
-    one pass and read through one positioned generator; the draws of all
-    balls are mapped into them at once, the gradients of all probes are
-    read in one call, and coherence is tested for all points in one
-    reduction; only kink points keep a per-point dedupe.  A
-    failed estimate is returned as its EstimationError, without a
-    traceback."""
+) -> tuple[Generators, np.ndarray]:
+    """subdifferential at each point with its seed: the Generators of the
+    estimates, a failed one held as its EstimationError without a
+    traceback, and each point's kink flag.
+
+    Each point's ball comes from its own seeded stream, the streams of all
+    points seeded in one pass and drawn through one generator moved from
+    stream to stream; the draws of all balls are mapped into them at once,
+    the gradients of all probes are read in one call, coherence is tested
+    for all points in one reduction, and the coherent points' generators are
+    placed in one array operation; only kink points keep a per-point
+    dedupe."""
     points = [np.asarray(x, dtype=float).reshape(-1) for x in points]
     seeds = list(seeds)
     if radius <= 0:
         raise ValueError("radius must be positive")
     if not points:
-        return []
+        none = np.zeros(0, dtype=np.intp)
+        return Generators(np.zeros((0, 0)), none, none, none, {}), np.zeros(0, dtype=bool)
     shapes = sorted({x.shape for x in points})
     if len(shapes) > 1:
         raise ValueError(f"points of different shapes {shapes}")
-    n = points[0].size
+    xs = np.array(points)
+    k, n = xs.shape
     if count < 2 * n + 1:
         raise ValueError(f"count must be >= 2n+1 = {2 * n + 1}, got {count}")
 
-    out: list = [None] * len(points)
-    xs = np.array(points)
+    failed: dict = {}
     short = region.interior_slack(xs) < radius
-    for i in np.flatnonzero(short):
-        out[i] = InteriorRoomError(f"ball of radius {radius} at {points[i]} leaves the region")
+    for i in np.flatnonzero(short).tolist():
+        failed[i] = InteriorRoomError(f"ball of radius {radius} at {xs[i]} leaves the region")
     room = np.flatnonzero(~short)
     raw = np.empty((len(room), count, n))
     uniform = np.empty((len(room), count, 1))
     if room.size:
         seeded = pcg64_states([(seeds[i] & 0xFFFFFFFFFFFFFFFF, 0x5D1FF) for i in room.tolist()])
         rng = generator()
-        for j, (state, inc) in enumerate(zip(*map(to_ints, seeded))):
-            position(rng, state, inc)
-            raw[j] = rng.standard_normal(size=(count, n))
-            uniform[j] = rng.uniform(0.0, 1.0, size=(count, 1))
+        state = rng.bit_generator.state  # one dict, moved to each stream in turn
+        for j, at in enumerate(zip(*map(to_ints, seeded))):
+            state["state"]["state"], state["state"]["inc"] = at
+            rng.bit_generator.state = state
+            rng.standard_normal(out=raw[j])
+            rng.random(out=uniform[j])
     centers = xs[room][:, None, :]
     probes = np.concatenate([centers, centers + _ball_offsets(raw, uniform, radius)], axis=1)
 
@@ -276,25 +335,52 @@ def subdifferentials(
     spread = np.max(np.where(have, gradients, -np.inf).max(axis=1)
                     - np.where(have, gradients, np.inf).min(axis=1), axis=1)
     failures = count + 1 - ok.sum(axis=1)
-    first = ok.argmax(axis=1)
-    for j, i in enumerate(room):
-        if failures[j] > (count + 1) / 2:
-            out[i] = EstimationError(
-                f"gradient evaluation failed at {failures[j]}/{count + 1} probes near {points[i]}"
-            )
-        elif spread[j] <= COHERENCE_SPREAD:
-            # Smooth at this scale: the ball probes merely resample the
-            # gradient with O(radius) noise, so the single generator taken
-            # at x (or, where that failed, at the first probe that
-            # succeeded) is the whole (coherent) estimate.
-            out[i] = SubdifferentialEstimate((_generator(gradients[j, first[j]]),), radius, False)
-        else:
-            kept: list[np.ndarray] = []
-            for g in gradients[j, ok[j]]:
-                if not any(float(np.max(np.abs(g - h))) <= DEDUPE_TOL for h in kept):
-                    kept.append(_generator(g))
-            out[i] = SubdifferentialEstimate(tuple(kept), radius, True)
-    return out
+    broken = failures > (count + 1) / 2
+    for j in np.flatnonzero(broken).tolist():
+        failed[int(room[j])] = EstimationError(
+            f"gradient evaluation failed at {failures[j]}/{count + 1} probes near {xs[room[j]]}"
+        )
+    # Smooth at this scale: the ball probes merely resample the gradient
+    # with O(radius) noise, so the single generator taken at x (or, where
+    # that failed, at the first probe that succeeded) is the whole
+    # (coherent) estimate.  A kink keeps the probes' generators, each
+    # unless a kept one lies within DEDUPE_TOL of it.
+    kinked = ~broken & (spread > COHERENCE_SPREAD)
+    sets = {}
+    for j in np.flatnonzero(kinked).tolist():
+        g = gradients[j, ok[j]]
+        close = np.abs(g[:, None] - g[None]).max(axis=2) <= DEDUPE_TOL
+        kept: list[int] = []
+        for r in range(len(g)):
+            if not close[r, kept].any():
+                kept.append(r)
+        sets[int(room[j])] = g[kept]
+    sizes = np.ones(k, dtype=np.intp)
+    sizes[list(sets)] = [len(s) for s in sets.values()]
+    start = np.cumsum(sizes) - sizes
+    flat = np.zeros((int(sizes.sum()), n))
+    coherent = np.flatnonzero(~broken & ~kinked)
+    flat[start[room[coherent]]] = gradients[coherent, ok.argmax(axis=1)[coherent]]
+    for i, s in sets.items():
+        flat[start[i]:start[i] + len(s)] = s
+    at_kink = np.zeros(k, dtype=bool)
+    at_kink[list(sets)] = True
+    return Generators(flat, np.repeat(np.arange(k), sizes), start, sizes, failed), at_kink
+
+
+def subdifferentials(
+    fn: FunctionHandle,
+    region: Region,
+    points,
+    radius: float,
+    count: int,
+    seeds,
+) -> list[SubdifferentialEstimate | EstimationError]:
+    """subdifferential at each point with its seed, from one
+    subdifferential_rows call.  A failed estimate is returned as its
+    EstimationError, without a traceback."""
+    gens, at_kink = subdifferential_rows(fn, region, points, radius, count, seeds)
+    return [gens.estimate(i, radius, kink) for i, kink in enumerate(at_kink.tolist())]
 
 
 def subdifferential(

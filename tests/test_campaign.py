@@ -26,7 +26,7 @@ from gencvx.campaign import (
 )
 from gencvx.checks import INCONCLUSIVE, check_rows, descends
 from gencvx.expr import EvalError
-from gencvx.nonsmooth import EstimationError
+from gencvx.nonsmooth import EstimationError, InteriorRoomError, subdifferential
 from gencvx.functions import PROPERTIES, SMOOTH, FunctionHandle, function_from_expression
 from gencvx.geometry import RegionTooThinError, parse_region, segment_point
 
@@ -568,7 +568,7 @@ def test_an_estimate_depends_on_its_point_alone():
         ctx = _Context(fn, region, SamplingPlan(seed=seed))
         ctx.generators(points)
         got.append([(tuple(g.tobytes() for g in e.generators), e.radius, e.at_kink)
-                    for e in ctx._subdiffs.values()])
+                    for e in ctx.estimates().values()])
     assert got[0] == got[1]
     assert [e[2] for e in got[0]] == [True, True, False, True]
 
@@ -711,10 +711,10 @@ def test_stored_failures_hold_no_traceback(rows):
         with pytest.raises(EstimationError, match="failed at 9/9 probes") as info:
             _check(ctx, Candidate("proportional-identity", negated, bad, good))
         raised.append(info.value)
-    stored = ctx._subdiffs[bad.tobytes()]
+    stored = ctx.estimates()[bad.tobytes()]
     assert stored.__traceback__ is None
     assert all(exc is not stored and type(exc) is type(stored) for exc in raised)
-    assert list(ctx._subdiffs) == [bad.tobytes()]  # -f reads f's estimate negated
+    assert list(ctx.estimates()) == [bad.tobytes()]  # -f reads f's estimate negated
 
 
 def test_refinement_never_raises_for_a_trial_it_does_not_read():
@@ -725,11 +725,99 @@ def test_refinement_never_raises_for_a_trial_it_does_not_read():
     cand = Candidate("proportional-identity", False, np.array([0.25, -0.2]), np.array([0.8, 0.75]))
     ctx = _Context(fn, _BOX2, FAST)
     (result,) = _refine_together(ctx, [cand], 3)
-    failed = [x for x, est in ctx._subdiffs.items() if isinstance(est, EstimationError)]
+    failed = [x for x, est in ctx.estimates().items() if isinstance(est, EstimationError)]
     assert [np.frombuffer(x).tolist() for x in failed] == [[-0.25, -0.2]]
     lazy = refine_counterexample(_one_row_per_call(fn), _BOX2, cand, 3, FAST)
     assert result.scores == lazy.scores
     assert result.witness.to_dict() == lazy.witness.to_dict()
+
+
+def _outcome(est):
+    """An estimate as comparable data: its generators' bytes, radius and
+    kink flag, or its failure's type and message."""
+    if isinstance(est, EstimationError):
+        return type(est), str(est)
+    return [g.tobytes() for g in est.generators], est.radius, est.at_kink
+
+
+def _cached_reference(fn, region, x, plan):
+    """What the estimate cache holds at x, from subdifferential alone: the
+    estimate at the plan's radius, seeded from x; where it flags a kink, the
+    one at radius/1000 takes its place if that fails or is coherent."""
+    count = plan.resolved_subdiff_count(fn.dimension)
+
+    def at(radius):
+        try:
+            return subdifferential(fn, region, x, radius, count, campaign._point_entropy(x))
+        except EstimationError as exc:
+            return exc
+
+    coarse = at(plan.subdiff_radius)
+    if isinstance(coarse, EstimationError) or not coarse.at_kink:
+        return coarse
+    fine = at(plan.subdiff_radius / 1000.0)
+    return coarse if not isinstance(fine, EstimationError) and fine.at_kink else fine
+
+
+def test_the_estimate_cache_holds_what_subdifferential_gives():
+    # Point by point against subdifferential: a coherent point, a kink kept
+    # by its re-check at radius/1000, a near-kink that collapses there, a
+    # point without room for the ball and one whose gradients fail, read
+    # on f and on -f, each row gathered from the cache in its read order.
+    fn = function_from_expression(_HALF_FAILING, 2)
+    points = np.array([[0.5, 0.2], [0.5, 0.0], [0.5, 3e-6], [0.9999999, 0.5], [-0.5, 0.2]])
+    want = [_cached_reference(fn, _BOX2, x, FAST) for x in points]
+    assert [(w.radius, w.at_kink) for w in want[:3]] == [(1e-5, False), (1e-5, True), (1e-8, False)]
+    assert [type(w) for w in want[3:]] == [InteriorRoomError, EstimationError]
+    ctx = _Context(fn, _BOX2, FAST)
+    order = [4, 1, 1, 0, 3, 2, 0]  # repeats and cache hits after the first call
+    for negated, rows in ((False, order[:3]), (True, order), (False, order[::-1])):
+        gens = ctx.generators(points[rows], negated)
+        sign = -1.0 if negated else 1.0
+        for i, r in enumerate(rows):
+            if isinstance(want[r], EstimationError):
+                assert _outcome(gens.failed[i]) == _outcome(want[r])
+                assert gens.count[i] == 1 and not gens.g[gens.start[i]].any()
+                continue
+            assert i not in gens.failed
+            got = gens.g[gens.start[i]:gens.start[i] + gens.count[i]]
+            assert got.tobytes() == (sign * np.array(want[r].generators)).tobytes()
+            assert (gens.owner[gens.start[i]:gens.start[i] + gens.count[i]] == i).all()
+    stored = ctx.estimates()
+    assert list(stored) == [points[r].tobytes() for r in (4, 1, 0, 3, 2)]
+    assert all(_outcome(stored[x.tobytes()]) == _outcome(w) for x, w in zip(points, want))
+
+
+_ONE_ASCENT_CASES = [(name, corpus_entry(name).handle, corpus_entry(name).region)
+                     for name in ("ramp", "cubic", "paraboloid")] + [
+    ("max", function_from_expression("max(x1, x2)", 2), _BOX2)]
+
+
+@pytest.mark.parametrize("name, fn, region", _ONE_ASCENT_CASES,
+                         ids=[c[0] for c in _ONE_ASCENT_CASES])
+def test_one_ascent_per_classify_equals_a_classify_per_property(name, fn, region, monkeypatch):
+    # classify refines every property's candidates in one ascent; each
+    # verdict, and each candidate's scores and witness, is what a classify
+    # of that property alone gives.
+    calls = []  # each _refine_together call's candidates and results
+
+    def refine(ctx, cands, rounds):
+        results = _refine_together(ctx, cands, rounds)
+        calls.append((list(cands), [_as_alone(r) for r in results]))
+        return results
+
+    monkeypatch.setattr(campaign, "_refine_together", refine)
+    for seed in (0, 7):
+        plan = SamplingPlan(pair_count=24, seed=seed)
+        calls.clear()
+        together = classify(fn, region, None, plan)
+        assert len(calls) == 1
+        alone = [classify(fn, region, (p,), plan)[0] for p in PROPERTIES]
+        assert [v.to_dict() for v in together] == [v.to_dict() for v in alone], seed
+        (cands, results), *each = calls
+        assert [_as_tuple(c) for c in cands] == [_as_tuple(c) for cs, _ in each for c in cs]
+        assert results == [r for _, rs in each for r in rs]
+        assert len({c.predicate for c in cands}) > 1  # the properties shared the ascent
 
 
 @pytest.mark.parametrize("source, dim, props", [

@@ -464,3 +464,74 @@ def test_dual_row_walk_takes_only_point_arrays():
         walk(np.array([1.0, 2.0]))
     with pytest.raises(EvalError):
         walk(np.array([[1.0]]))  # a point of too low a dimension
+
+
+def test_a_tree_compiles_each_walk_once(monkeypatch):
+    # eval_value and eval_dual are one-row cases of the compiled walks; a
+    # second call on the same tree object reuses the walk built by the first.
+    import gencvx.expr as ex
+
+    built = []  # (walk, node) of every node walk built
+    for name in ("_rows", "_dual_rows"):
+        build = getattr(ex, name)
+
+        def counted(e, _build=build, _name=name):
+            built.append((_name, e))
+            return _build(e)
+
+        monkeypatch.setattr(ex, name, counted)
+
+    tree = parse("x2/x1 + atan(x1)*max(x1, x2)", 2)
+
+    def roots():  # the walks built for the whole tree (no subtree equals it)
+        return [name for name, e in built if e == tree]
+
+    point = np.array([0.5, -0.25])
+    first = eval_value(tree, point), eval_dual(tree, point)
+    assert roots() == ["_rows", "_dual_rows"]
+    walks = len(built)
+    again = eval_value(tree, point), eval_dual(tree, point)
+    compile_rows(tree)(point[None])
+    compile_dual_rows(tree)(point[None])
+    assert len(built) == walks
+    assert _bits(first[0]) == _bits(again[0])
+    assert first[1].gradient.tobytes() == again[1].gradient.tobytes()
+    # An equal tree built apart compiles its own walk.
+    twin = parse("x2/x1 + atan(x1)*max(x1, x2)", 2)
+    assert twin == tree
+    eval_value(twin, point)
+    assert roots() == ["_rows", "_dual_rows", "_rows"]
+
+
+def test_equal_trees_keep_their_own_signed_zeros():
+    # Num(0.0) == Num(-0.0), so the trees compare equal, yet x1 * 0.0 and
+    # x1 * -0.0 differ in the sign of the zero at x1 = 1, in either order.
+    plus, minus = Mul(Var(1), Num(0.0)), Mul(Var(1), Num(-0.0))
+    assert plus == minus
+    one = np.array([1.0])
+    for trees in ((plus, minus), (minus, plus)):
+        for tree in trees:
+            want = _ref_value(tree, one)
+            assert _bits(eval_value(tree, one)) == _bits(want)
+            assert _bits(eval_dual(tree, one).value) == _bits(want)
+    assert _bits(eval_value(plus, one)) != _bits(eval_value(minus, one))
+
+
+@pytest.mark.parametrize("source", ["exp(x1) + abs(x1 - x2)", "x1/x2", "log(x1)", "x1"])
+def test_compiled_walks_go_with_their_tree(source):
+    # A tree holds its walks, not the other way round: a tree dropped is
+    # freed at once, with no reference cycle left for the garbage collector
+    # (these roots are named by their walks' errors), and copies and
+    # pickles leave the walks out.
+    import copy
+    import pickle
+    import weakref
+
+    tree = parse(source, 2)
+    eval_value(tree, np.array([0.1, 0.2]))
+    eval_dual(tree, np.array([0.1, 0.2]))
+    assert pickle.loads(pickle.dumps(tree)) == tree
+    assert "_walks" not in vars(copy.copy(tree))
+    gone = weakref.ref(tree)
+    del tree
+    assert gone() is None
