@@ -221,7 +221,8 @@ class Rows(NamedTuple):
     failed: dict | None = None
 
     def check(self, i: int, x, y) -> Check:
-        """Row i, whose endpoints are x and y, as a Check."""
+        """Row i, whose endpoints are x and y, as a Check.  Its generator is
+        a copy of the row, so a Check kept does not hold the whole array."""
         self._read(i)
         fx, fy, outcome = float(self.fx[i]), float(self.fy[i]), str(self.outcome[i])
         scored = dict(
@@ -235,7 +236,7 @@ class Rows(NamedTuple):
                          detail=_DETAILS[self.predicate](outcome, fx, fy, lam, fz), **scored)
         note, k = self.note[i], int(self.index[i])
         return Check(note.predicate, x, y, fx, fy, outcome,
-                     generator=None if k < 0 else self.generator[i],
+                     generator=None if k < 0 else self.generator[i].copy(),
                      generator_index=None if k < 0 else k,
                      detail=note.detail.format(float(self.value[i])), **scored)
 

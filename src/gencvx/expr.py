@@ -47,6 +47,7 @@ __all__ = [
     "compile_rows",
     "eval_dual",
     "compile_dual_rows",
+    "compile_interval_dual_rows",
     "is_smooth_expression",
 ]
 
@@ -621,6 +622,244 @@ def _dual_rows(e: Expr):
             v = np.where(up, va, np.where(down, -va, 0.0))
             g = np.where(up[:, None], ga, np.where(down[:, None], -ga, 0.0 * ga))
             return v, g, ka | flat
+
+        return unary
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def compile_interval_dual_rows(
+    e: Expr,
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Compile e's dual channel into an interval walk over the rows of two
+    (k, n) arrays, the lower and upper corners of k boxes.
+
+    The compiled function returns (k, n) lower and upper gradient bounds and
+    (k,) `certain` flags.  The bounds enclose every gradient that
+    compile_dual_rows can give at a float point of the box: the walk mirrors
+    _dual_rows node for node, each operation's bounds taken over its
+    arguments' bounds and padded outward, by one ulp after a correctly
+    rounded operation and by _PAD of their size after numpy's exp, log,
+    atan and float_power.  A box is `certain` when no point in it can make
+    the dual walk raise, flag a kink or a min/max tie, or compute a
+    non-finite value or gradient; where it is not, the bounds may be
+    infinite.  The walk is built once per tree object.
+    """
+    walk = _compiled(e, _interval_dual_rows)
+
+    def evaluate(lo: np.ndarray, hi: np.ndarray):
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if lo.ndim != 2 or lo.shape != hi.shape:
+            raise ValueError(f"box corners must be two (k, n) arrays, got {lo.shape} and {hi.shape}")
+        with np.errstate(all="ignore"):
+            low, high, certain = _checked(*walk(lo, hi))
+            # A NaN bound (from inf - inf or 0 * inf) stands for any value.
+            return (np.where(np.isnan(low[:, 1:]), -np.inf, low[:, 1:]),
+                    np.where(np.isnan(high[:, 1:]), np.inf, high[:, 1:]), certain)
+
+    return evaluate
+
+
+# Outward padding after numpy's exp, log, atan and float_power, relative to
+# the bound, far above their error of a few ulps; absolute (the smallest
+# normal float) too, so that zeros and subnormals widen.
+_PAD = 2.0**-40
+_TINY = np.finfo(float).tiny
+
+
+def _out(lo, hi):
+    """[lo, hi] widened by one ulp each way: the exact result of a correctly
+    rounded operation lies within one ulp of the float it gives."""
+    return np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+
+
+def _lib(lo, hi):
+    """[lo, hi] widened by _PAD, for results of numpy's library functions."""
+    return lo - (np.abs(lo) * _PAD + _TINY), hi + (np.abs(hi) * _PAD + _TINY)
+
+
+def _imul(alo, ahi, blo, bhi):
+    """The product of two intervals, broadcast."""
+    p, q, r, s = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    return _out(np.minimum(np.minimum(p, q), np.minimum(r, s)),
+                np.maximum(np.maximum(p, q), np.maximum(r, s)))
+
+
+def _idiv(alo, ahi, blo, bhi):
+    """The quotient of two intervals, broadcast; unbounded where the
+    divisor's interval holds 0."""
+    p, q, r, s = alo / blo, alo / bhi, ahi / blo, ahi / bhi
+    zero = (blo <= 0.0) & (bhi >= 0.0)
+    lo, hi = _out(np.minimum(np.minimum(p, q), np.minimum(r, s)),
+                  np.maximum(np.maximum(p, q), np.maximum(r, s)))
+    return np.where(zero, -np.inf, lo), np.where(zero, np.inf, hi)
+
+
+def _isqr(lo, hi):
+    """{v * v : v in [lo, hi]}."""
+    a, b = lo * lo, hi * hi
+    straddle = (lo < 0.0) & (hi > 0.0)
+    return _out(np.where(straddle, 0.0, np.minimum(a, b)), np.maximum(a, b))
+
+
+def _ipow(lo, hi, m):
+    """{v ** m : v in [lo, hi]} under np.float_power, and whether no point of
+    the interval leaves its domain.  v ** m is monotone on each side of 0,
+    and on both for odd integer m."""
+    if m == 0:
+        return np.ones_like(lo), np.ones_like(hi), np.ones(lo.shape, dtype=bool)
+    a, b = np.float_power(lo, m), np.float_power(hi, m)
+    small, large = np.minimum(a, b), np.maximum(a, b)
+    if float(m).is_integer():
+        inside = (lo > 0.0) | (hi < 0.0) if m < 0 else np.ones(lo.shape, dtype=bool)
+        if m > 0 and m % 2 == 0:
+            small = np.where((lo < 0.0) & (hi > 0.0), 0.0, small)
+    else:
+        inside = lo > 0.0
+    small, large = _lib(small, large)
+    return np.where(inside, small, -np.inf), np.where(inside, large, np.inf), inside
+
+
+def _joined(vlo, vhi, glo, ghi):
+    """Value bounds (k, 1) and gradient bounds (k, n) as one (lo, hi) pair."""
+    return np.concatenate([vlo, glo], axis=1), np.concatenate([vhi, ghi], axis=1)
+
+
+def _checked(lo, hi, ok):
+    """The node's bounds, with ok cleared where any of them is not finite
+    (a NaN or an overflow anywhere makes the sum non-finite).  Negation,
+    sums, products and abs carry a non-finite bound of an argument into
+    their own, so only the root and the nodes that can drop one (division,
+    powers, functions, min and max) check."""
+    return lo, hi, ok & np.isfinite((lo + hi).sum(axis=1))
+
+
+def _interval_dual_rows(e: Expr):
+    """Closure computing (lo, hi, certain) over every box, where lo and hi
+    are (k, 1 + n): the value's bounds in column 0, the gradient's after.
+    It mirrors _dual_rows node for node."""
+    if isinstance(e, Num):
+        v = e.value
+
+        def num(lo, hi):
+            bound = np.zeros((len(lo), 1 + lo.shape[1]))
+            bound[:, 0] = v
+            return bound, bound, np.ones(len(lo), dtype=bool)
+
+        return num
+    if isinstance(e, Var):
+        i = e.index - 1
+
+        def var(lo, hi):
+            if i >= lo.shape[1]:
+                raise EvalError(f"point has dimension {lo.shape[1]}", e)
+            low, high = np.zeros((len(lo), 1 + lo.shape[1])), np.zeros((len(lo), 1 + lo.shape[1]))
+            low[:, 0], high[:, 0] = lo[:, i], hi[:, i]
+            low[:, 1 + i] = high[:, 1 + i] = 1.0
+            return low, high, np.ones(len(lo), dtype=bool)
+
+        return var
+    if isinstance(e, Neg):
+        operand = _interval_dual_rows(e.operand)
+
+        def neg(lo, hi):
+            low, high, ok = operand(lo, hi)
+            return -high, -low, ok
+
+        return neg
+    if isinstance(e, Mul) and (isinstance(e.left, Num) or isinstance(e.right, Num)):
+        # A constant factor c: the dual walk's c * g + v * 0 is c * g, as
+        # its one rounding, wherever v is finite (and non-finite where not).
+        c, operand = (e.left.value, e.right) if isinstance(e.left, Num) else (e.right.value, e.left)
+        operand = _interval_dual_rows(operand)
+
+        def scale(lo, hi):
+            low, high, ok = operand(lo, hi)
+            low, high = (c * high, c * low) if c < 0.0 else (c * low, c * high)
+            return (*_out(low, high), ok)
+
+        return scale
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        left, right = _interval_dual_rows(e.left), _interval_dual_rows(e.right)
+        kind = type(e)
+
+        def binary(lo, hi):
+            (alo, ahi, ka), (blo, bhi, kb) = left(lo, hi), right(lo, hi)
+            if kind is Add:
+                return (*_out(alo + blo, ahi + bhi), ka & kb)
+            if kind is Sub:
+                return (*_out(alo - bhi, ahi - blo), ka & kb)
+            if kind is Mul:
+                # a's value times b's value and gradient, and b's value
+                # times a's: the value product, then va * gb + vb * ga.
+                plo, phi = _imul(alo[:, :1], ahi[:, :1], blo, bhi)
+                qlo, qhi = _imul(blo[:, :1], bhi[:, :1], alo[:, 1:], ahi[:, 1:])
+                return (*_joined(plo[:, :1], phi[:, :1],
+                                 *_out(plo[:, 1:] + qlo, phi[:, 1:] + qhi)), ka & kb)
+            va, vb = (alo[:, :1], ahi[:, :1]), (blo[:, :1], bhi[:, :1])
+            plo, phi = _imul(alo[:, 1:], ahi[:, 1:], *vb)
+            qlo, qhi = _imul(*va, blo[:, 1:], bhi[:, 1:])
+            g = _idiv(*_out(plo - qhi, phi - qlo), *_isqr(*vb))
+            ok = ka & kb & ((blo[:, 0] > 0.0) | (bhi[:, 0] < 0.0))
+            return _checked(*_joined(*_idiv(*va, *vb), *g), ok)
+
+        return binary
+    if isinstance(e, Pow):
+        base, m = _interval_dual_rows(e.base), e.exponent
+
+        def power(lo, hi):
+            alo, ahi, ok = base(lo, hi)
+            if m == 0:
+                one = np.zeros(alo.shape)
+                one[:, 0] = 1.0
+                return one, one, _checked(alo, ahi, ok)[2]
+            vlo, vhi, inside = _ipow(alo[:, :1], ahi[:, :1], m)
+            slo, shi, _ = _ipow(alo[:, :1], ahi[:, :1], m - 1)
+            a, b = float(m) * slo, float(m) * shi
+            g = _imul(*_out(np.minimum(a, b), np.maximum(a, b)), alo[:, 1:], ahi[:, 1:])
+            return _checked(*_joined(vlo, vhi, *g), ok & inside[:, 0])
+
+        return power
+    if isinstance(e, Call):
+        arg = _interval_dual_rows(e.args[0])
+        if e.name in ("min", "max"):
+            second = _interval_dual_rows(e.args[1])
+
+            def pick(lo, hi):
+                (alo, ahi, ka), (blo, bhi, kb) = arg(lo, hi), second(lo, hi)
+                below, above = ahi[:, 0] < blo[:, 0], alo[:, 0] > bhi[:, 0]  # no tie anywhere
+                first, other = (below, above) if e.name == "min" else (above, below)
+                f, s = first[:, None], other[:, None]
+                return _checked(np.where(f, alo, np.where(s, blo, np.minimum(alo, blo))),
+                                np.where(f, ahi, np.where(s, bhi, np.maximum(ahi, bhi))),
+                                ka & kb & (first | other))
+
+            return pick
+
+        def unary(lo, hi):
+            alo, ahi, ok = arg(lo, hi)
+            va, ga = (alo[:, :1], ahi[:, :1]), (alo[:, 1:], ahi[:, 1:])
+            if e.name == "exp":
+                ev = _lib(np.exp(va[0]), np.exp(va[1]))
+                return _checked(*_joined(*ev, *_imul(*ev, *ga)), ok)
+            if e.name == "log":
+                v = _lib(np.log(va[0]), np.log(va[1]))
+                return _checked(*_joined(*v, *_idiv(*ga, *va)), ok & (alo[:, 0] > 0.0))
+            if e.name == "sqrt":
+                slo, shi = _out(np.sqrt(va[0]), np.sqrt(va[1]))
+                g = _idiv(*ga, 2.0 * slo, 2.0 * shi)
+                return _checked(*_joined(slo, shi, *g), ok & (alo[:, 0] > 0.0))
+            if e.name == "atan":
+                slo, shi = _isqr(*va)
+                g = _idiv(*ga, *_out(1.0 + slo, 1.0 + shi))
+                return _checked(*_joined(*_lib(np.arctan(va[0]), np.arctan(va[1])), *g), ok)
+            # abs: the kink (and its convention, subderivative 0) is reached
+            # only where the argument's interval holds 0; there the value and
+            # each gradient coordinate lie in the hull of a, -a and 0.
+            up, down = alo[:, 0] > 0.0, ahi[:, 0] < 0.0
+            u, d = up[:, None], down[:, None]
+            return (np.where(u, alo, np.where(d, -ahi, np.minimum(np.minimum(alo, -ahi), 0.0))),
+                    np.where(u, ahi, np.where(d, -alo, np.maximum(np.maximum(ahi, -alo), 0.0))),
+                    ok & (up | down))
 
         return unary
     raise TypeError(f"not an expression node: {e!r}")

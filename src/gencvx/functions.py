@@ -63,6 +63,16 @@ class FunctionHandle:
     differentiable, under the same rule.  It is the handle's one gradient:
     `grads` reads it and `grad` is its one-row case.  A handle without it
     has no gradients, and every row is flagged.
+
+    `expression`, when given, is the expr tree f was compiled from, and
+    `gradient_rows` is then its gradient: it flags exactly the rows that
+    expr.compile_dual_rows flags, and at the others its gradients agree with
+    that walk's to within nonsmooth.CERTIFY_MARGIN * (1 + |g|) in each
+    coordinate.  Subdifferential estimation relies on this to certify a
+    ball coherent from the expression's interval gradient walk, reading the
+    handle's gradient at the centre only (see nonsmooth.subdifferential_rows);
+    a handle without an expression, negate_handle's among them, has every
+    ball sampled.
     """
 
     name: str
@@ -142,8 +152,9 @@ def function_from_expression(
     Rows of points are evaluated by the compiled walk of expr.compile_rows.
     `exact_gradient`, when supplied, is a row callable: it maps a (k, n)
     array to the (k, n) gradients and the (k,) flags of the rows where f is
-    not differentiable, and becomes the handle's `gradient_rows`.  Without
-    it, the gradient is forward-mode differentiation over rows,
+    not differentiable, and becomes the handle's `gradient_rows`; it must be
+    the expression's gradient as FunctionHandle states.  Without it, the
+    gradient is forward-mode differentiation over rows,
     expr.compile_dual_rows, flagged at kink-flagged points.
     """
     tree = ex.parse(source, dimension)

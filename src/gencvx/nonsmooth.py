@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._pcg import generator, pcg64_states, position, to_ints
+from .expr import compile_interval_dual_rows
 from .functions import FunctionHandle
 from .geometry import Region, _accept_mask
 
@@ -45,6 +46,10 @@ __all__ = [
 COHERENCE_SPREAD = 1e-3
 # Duplicate generators within this tolerance are merged.
 DEDUPE_TOL = 1e-12
+# A handle's gradient_rows may differ from its expression's dual walk by this
+# much, relative to 1 + |g|, in each coordinate (see FunctionHandle); a ball
+# is certified coherent only with twice this margin to spare.
+CERTIFY_MARGIN = 1e-9
 
 _REDRAWS_PER_PROBE = 100
 
@@ -219,6 +224,38 @@ def _gradients(fn: FunctionHandle, probes: np.ndarray, step: float):
     return gradients.reshape(m, c, n), ok.reshape(m, c)
 
 
+def _certified(fn: FunctionHandle, xs: np.ndarray, radius: float):
+    """The rows of xs whose gradient-sampling ball is proven coherent, and
+    the handle's gradient at each (zero elsewhere).
+
+    For a handle with an expression, the interval dual walk over the box
+    around B(x, radius), padded past any rounding of a probe, encloses the
+    expression's gradient at every probe, and the handle's lies within
+    CERTIFY_MARGIN of it (see FunctionHandle).  Where the walk is certain
+    (no probe can raise, be flagged or be non-finite) and each coordinate's
+    enclosure, widened by the margin both ways, spans at most
+    COHERENCE_SPREAD, sampling would find every probe's gradient and a
+    coherent spread, and take the gradient at x: the centres' one grads
+    call reads it, bit for bit, since a row's gradient does not depend on
+    the other rows.  A centre whose gradient comes out flagged is left to
+    sampling; where that call raises, every ball is."""
+    sure, centre = np.zeros(len(xs), dtype=bool), np.zeros(xs.shape)
+    if fn.expression is None or fn.gradient_rows is None or xs.shape[1] != fn.dimension:
+        return sure, centre
+    pad = radius * (1.0 + 2.0**-40) + np.abs(xs) * 2.0**-48
+    try:
+        glo, ghi, certain = compile_interval_dual_rows(fn.expression)(xs - pad, xs + pad)
+        rows = np.flatnonzero(certain)
+        glo, ghi = glo[rows], ghi[rows]
+        margin = CERTIFY_MARGIN * (1.0 + np.maximum(np.abs(glo), np.abs(ghi)))
+        rows = rows[np.all(ghi - glo + 2.0 * margin <= COHERENCE_SPREAD, axis=1)]
+        if rows.size:
+            centre[rows], sure[rows] = fn.grads(xs[rows])
+    except _PROBE_ERRORS:
+        sure[:] = False
+    return sure, centre
+
+
 class Generators(NamedTuple):
     """The generator sets of m rows, flattened in row order: row i owns
     g[start[i]:start[i] + count[i]], and `owner` gives each generator's row.
@@ -287,13 +324,17 @@ def subdifferential_rows(
     estimates, a failed one held as its EstimationError without a
     traceback, and each point's kink flag.
 
-    Each point's ball comes from its own seeded stream, the streams of all
-    points seeded in one pass and drawn through one generator moved from
-    stream to stream; the draws of all balls are mapped into them at once,
-    the gradients of all probes are read in one call, coherence is tested
-    for all points in one reduction, and the coherent points' generators are
-    placed in one array operation; only kink points keep a per-point
-    dedupe."""
+    First, for a handle with an expression, the balls with room are tried
+    for a certificate (_certified): a ball proven coherent is not drawn, and
+    its estimate is the handle's gradient at its point, read for all such
+    points in one grads call.  That is the coherent estimate sampling gives,
+    bit for bit.  Every other point's ball comes from its own seeded
+    stream, the streams of all those points seeded in one pass and drawn
+    through one generator moved from stream to stream; the draws of all
+    balls are mapped into them at once, the gradients of all probes are
+    read in one call, coherence is tested for all points in one reduction,
+    and the coherent points' generators are placed in one array operation;
+    only kink points keep a per-point dedupe."""
     points = [np.asarray(x, dtype=float).reshape(-1) for x in points]
     seeds = list(seeds)
     if radius <= 0:
@@ -314,6 +355,8 @@ def subdifferential_rows(
     for i in np.flatnonzero(short).tolist():
         failed[i] = InteriorRoomError(f"ball of radius {radius} at {xs[i]} leaves the region")
     room = np.flatnonzero(~short)
+    sure, centre = _certified(fn, xs[room], radius)
+    proven, room = room[sure], room[~sure]  # only the unproven balls are drawn
     raw = np.empty((len(room), count, n))
     uniform = np.empty((len(room), count, 1))
     if room.size:
@@ -361,6 +404,7 @@ def subdifferential_rows(
     flat = np.zeros((int(sizes.sum()), n))
     coherent = np.flatnonzero(~broken & ~kinked)
     flat[start[room[coherent]]] = gradients[coherent, ok.argmax(axis=1)[coherent]]
+    flat[start[proven]] = centre[sure]
     for i, s in sets.items():
         flat[start[i]:start[i] + len(s)] = s
     at_kink = np.zeros(k, dtype=bool)

@@ -353,6 +353,15 @@ def test_witness_serialization_round_trip():
     assert back.predicate == w.predicate
 
 
+def test_witness_generators_own_their_data():
+    # A witness's generator is copied out of its kernel call's (k, n)
+    # generator array, so a kept report does not hold that whole array.
+    e = corpus_entry("paraboloid")
+    (v,) = classify(e.handle, e.region, ("pseudoconcave",), SamplingPlan(seed=0))
+    gens = [w.generator for w in v.witnesses if w.generator is not None]
+    assert gens and all(g.base is None and g.flags.owndata for g in gens)
+
+
 def test_refinement_monotone_and_reaches_origin():
     e = corpus_entry("cubic")
     cand = Candidate("pseudoconvex-pair", False, np.array([0.1]), np.array([-0.9]))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import iv, mp
 
 from gencvx import corpus
 from gencvx.expr import (
@@ -19,6 +20,7 @@ from gencvx.expr import (
     Sub,
     Var,
     compile_dual_rows,
+    compile_interval_dual_rows,
     compile_rows,
     eval_dual,
     eval_value,
@@ -27,6 +29,7 @@ from gencvx.expr import (
     pretty,
 )
 from gencvx.geometry import sample_region
+from gencvx.nonsmooth import CERTIFY_MARGIN
 
 
 def test_parse_fractional():
@@ -530,8 +533,230 @@ def test_compiled_walks_go_with_their_tree(source):
     tree = parse(source, 2)
     eval_value(tree, np.array([0.1, 0.2]))
     eval_dual(tree, np.array([0.1, 0.2]))
+    compile_interval_dual_rows(tree)(np.array([[0.1, 0.2]]), np.array([[0.2, 0.3]]))
+    assert len(vars(tree)["_walks"]) == 3
     assert pickle.loads(pickle.dumps(tree)) == tree
     assert "_walks" not in vars(copy.copy(tree))
     gone = weakref.ref(tree)
     del tree
     assert gone() is None
+
+
+# -- the interval dual walk against mpmath.iv and the float walk ---------------
+
+
+def _iv_atan(v):
+    """atan over an mpmath interval: monotone, its ends computed at 200 bits
+    and rounded outward to the interval precision."""
+    with mp.workprec(200):
+        lo, hi = mp.atan(mp.mpf(v.a)), mp.atan(mp.mpf(v.b))
+        return iv.mpf([lo - abs(lo) * mp.mpf(2) ** -190, hi + abs(hi) * mp.mpf(2) ** -190])
+
+
+def _iv_hull(*parts):
+    return iv.mpf([min(mp.mpf(p.a) for p in parts), max(mp.mpf(p.b) for p in parts)])
+
+
+def _iv_dual(e, box):
+    """The dual walk over a box of mpmath intervals, node for node: (value,
+    gradient).  A square v * v is taken as v**2, which is never negative, as
+    at every point.  Where an abs argument's interval holds 0, or the
+    arguments of min/max overlap, both branches are joined, as every float
+    point of the box may take either."""
+    n = len(box)
+    zero = iv.mpf(0)
+    if isinstance(e, Num):
+        return iv.mpf(e.value), [zero] * n
+    if isinstance(e, Var):
+        g = [zero] * n
+        g[e.index - 1] = iv.mpf(1)
+        return box[e.index - 1], g
+    if isinstance(e, Neg):
+        v, g = _iv_dual(e.operand, box)
+        return -v, [-c for c in g]
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        (va, ga), (vb, gb) = _iv_dual(e.left, box), _iv_dual(e.right, box)
+        if isinstance(e, Add):
+            return va + vb, [a + b for a, b in zip(ga, gb)]
+        if isinstance(e, Sub):
+            return va - vb, [a - b for a, b in zip(ga, gb)]
+        if isinstance(e, Mul):
+            return va * vb, [va * b + vb * a for a, b in zip(ga, gb)]
+        return va / vb, [(a * vb - va * b) / vb**2 for a, b in zip(ga, gb)]
+    if isinstance(e, Pow):
+        va, ga = _iv_dual(e.base, box)
+        m = e.exponent
+        if m == 0:
+            return iv.mpf(1), [zero] * n
+        power = (lambda k: va ** int(k)) if float(m).is_integer() else (lambda k: va ** iv.mpf(k))
+        slope = iv.mpf(float(m)) * power(m - 1)
+        return power(m), [slope * a for a in ga]
+    va, ga = _iv_dual(e.args[0], box)
+    if e.name == "exp":
+        ev = iv.exp(va)
+        return ev, [ev * a for a in ga]
+    if e.name == "log":
+        return iv.log(va), [a / va for a in ga]
+    if e.name == "sqrt":
+        sv = iv.sqrt(va)
+        return sv, [a / (2 * sv) for a in ga]
+    if e.name == "atan":
+        return _iv_atan(va), [a / (1 + va**2) for a in ga]
+    if e.name == "abs":
+        if va.a > 0:
+            return va, ga
+        if va.b < 0:
+            return -va, [-a for a in ga]
+        return _iv_hull(va, -va), [_iv_hull(a, -a, zero) for a in ga]
+    vb, gb = _iv_dual(e.args[1], box)
+    first, second = (va.b < vb.a, va.a > vb.b) if e.name == "min" else (va.a > vb.b, va.b < vb.a)
+    if first:
+        return va, ga
+    if second:
+        return vb, gb
+    return _iv_hull(va, vb), [_iv_hull(a, b) for a, b in zip(ga, gb)]
+
+
+# One tree per node kind (each under arithmetic that gives it a gradient),
+# and the boxes to draw for it: centres uniform in [lo, hi], half-widths
+# 10**U(-9, log10(widest)).
+_X1, _X2 = Var(1), Var(2)
+_NODE_KINDS = {
+    "num": (Add(Num(2.5), Mul(Num(-0.75), _X1)), (-2.0, 2.0), 1.0),
+    "var": (_X2, (-2.0, 2.0), 1.0),
+    "neg": (Neg(Mul(_X1, _X2)), (-2.0, 2.0), 1.0),
+    "add": (Add(Mul(_X1, _X1), _X2), (-2.0, 2.0), 1.0),
+    "sub": (Sub(_X1, Mul(_X2, _X2)), (-2.0, 2.0), 1.0),
+    "mul": (Mul(Mul(_X1, _X2), _X1), (-2.0, 2.0), 1.0),
+    "div": (Div(_X1, _X2), (0.5, 3.0), 0.4),
+    "pow-integer": (Pow(Sub(_X1, _X2), 3), (-2.0, 2.0), 1.0),
+    "pow-even": (Pow(_X1, 4), (-2.0, 2.0), 1.0),
+    "pow-negative": (Pow(Add(_X1, _X2), -3), (0.5, 3.0), 0.4),
+    "pow-fractional": (Pow(Mul(_X1, _X2), 0.5), (0.5, 3.0), 0.4),
+    "pow-negative-fractional": (Pow(_X1, -1.5), (0.5, 3.0), 0.4),
+    "exp": (Call("exp", (Mul(_X1, _X2),)), (-3.0, 3.0), 1.0),
+    "log": (Call("log", (Add(_X1, Mul(_X2, _X2)),)), (0.5, 3.0), 0.4),
+    "sqrt": (Call("sqrt", (Mul(_X1, _X2),)), (0.5, 3.0), 0.4),
+    "atan": (Call("atan", (Mul(_X1, _X2),)), (-3.0, 3.0), 1.0),
+    "abs": (Call("abs", (Sub(_X1, _X2),)), (-1e-3, 1e-3), 1e-2),
+    "min": (Call("min", (_X1, Mul(Num(2.0), _X2))), (-1e-3, 1e-3), 1e-2),
+    "max": (Call("max", (Mul(_X1, _X2), _X2)), (-1e-3, 1e-3), 1e-2),
+}
+
+
+def _boxes(rng, count, lo, hi, widest, n=2):
+    centre = rng.uniform(lo, hi, size=(count, n))
+    half = 10.0 ** rng.uniform(-9.0, np.log10(widest), size=(count, 1))
+    return centre - half, centre + half
+
+
+def _box_points(rng, lo, hi, count):
+    """Each box's corners and `count` points drawn in it."""
+    corners = np.array([[a if bit == "0" else b for a, b, bit in zip(lo, hi, f"{c:0{lo.size}b}")]
+                        for c in range(2 ** lo.size)])
+    return np.concatenate([corners, rng.uniform(lo, hi, size=(count, lo.size))])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("kind", list(_NODE_KINDS))
+def test_interval_dual_walk_encloses_mpmath_and_the_float_walk(kind):
+    tree, (lo, hi), widest = _NODE_KINDS[kind]
+    rng = np.random.default_rng(len(kind))
+    blo, bhi = _boxes(rng, 40, lo, hi, widest)
+    glo, ghi, certain = compile_interval_dual_rows(tree)(blo, bhi)
+    dual = compile_dual_rows(tree)
+    for r in range(len(blo)):
+        _, want = _iv_dual(tree, [iv.mpf([a, b]) for a, b in zip(blo[r], bhi[r])])
+        for j, w in enumerate(want):
+            assert glo[r, j] <= mp.mpf(w.a) and mp.mpf(w.b) <= ghi[r, j], (kind, r, j, w)
+        _, g, kinks = dual(_box_points(rng, blo[r], bhi[r], 30))
+        assert (glo[r] <= g).all() and (g <= ghi[r]).all(), (kind, r)
+        if certain[r]:
+            assert not kinks.any()
+    if kind in ("abs", "min", "max"):
+        assert 0 < certain.sum() < len(certain)  # boxes on both sides of the kink
+    else:
+        assert certain.all()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(_exprs(3, st.integers(-3, 5)), st.integers(0, 2**32 - 1))
+def test_certain_boxes_enclose_every_float_gradient(tree, seed):
+    # On random trees and boxes, where the walk is certain the float walk
+    # neither raises nor flags a kink at any point drawn in the box, and its
+    # gradient lies in the enclosure.
+    rng = np.random.default_rng(seed)
+    blo, bhi = _boxes(rng, 8, -3.0, 3.0, 1.0, n=_DIM)
+    glo, ghi, certain = compile_interval_dual_rows(tree)(blo, bhi)
+    dual = compile_dual_rows(tree)
+    for r in np.flatnonzero(certain):
+        _, g, kinks = dual(_box_points(rng, blo[r], bhi[r], 20))
+        assert not kinks.any()
+        assert (glo[r] <= g).all() and (g <= ghi[r]).all()
+
+
+def test_corpus_gradients_lie_in_the_enclosure_with_its_margin():
+    # A corpus member's closed-form gradient is its expression's gradient to
+    # well within CERTIFY_MARGIN, which is what certification relies on.
+    rng = np.random.default_rng(3)
+    for entry in corpus():
+        centres = np.array(sample_region(entry.region, 30, seed=4))
+        for radius in (1e-5, 1e-2):
+            glo, ghi, certain = compile_interval_dual_rows(entry.handle.expression)(
+                centres - radius, centres + radius)
+            margin = CERTIFY_MARGIN * (1.0 + np.maximum(np.abs(glo), np.abs(ghi)))
+            for r in np.flatnonzero(certain):
+                g, has = entry.handle.grads(_box_points(rng, centres[r] - radius,
+                                                        centres[r] + radius, 20))
+                assert has.all()
+                assert (glo[r] - margin[r] <= g).all() and (g <= ghi[r] + margin[r]).all()
+            assert certain.sum() >= 20, entry.handle.name
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("source, trouble, calm", [
+    ("abs(x1)", (-1e-3, 1e-3), (0.5, 0.6)),  # holds the kink
+    ("abs(x1)", (0.0, 1e-3), (1e-3, 2e-3)),  # touches it
+    ("abs(x1 - 0.25) + x1", (0.25, 0.5), (0.3, 0.5)),
+    ("min(x1, 0.5)", (0.4, 0.6), (0.6, 0.7)),  # a tie inside
+    ("max(x1, 0.5)", (0.5, 0.6), (0.4, 0.49)),  # a tie at an end
+    ("max(2*x1, x1 + 1)", (0.5, 1.0), (0.2, 0.4)),
+    ("1/x1", (-1.0, 1.0), (0.5, 1.0)),  # a zero denominator
+    ("x2/(x1 - 1)", (1.0, 2.0), (1.5, 2.0)),
+    ("log(x1)", (0.0, 1.0), (0.5, 1.0)),  # a non-positive log argument
+    ("log(x1 - 2)", (-1.0, 1.0), (2.5, 3.0)),
+    ("sqrt(x1)", (0.0, 1.0), (1e-300, 1.0)),  # the value is defined at 0, the gradient not
+    ("sqrt(x1)", (-1.0, -0.5), (0.5, 1.0)),
+    ("exp(x1)", (700.0, 710.0), (690.0, 700.0)),  # the value overflows
+    ("x1^200", (10.0, 100.0), (10.0, 30.0)),  # `^` overflows, which raises
+    ("atan(exp(x1))", (709.0, 712.0), (100.0, 150.0)),  # an overflow inside, absorbed
+])
+def test_interval_dual_walk_is_uncertain_where_a_point_is(source, trouble, calm):
+    # The box over x1 in `trouble` (x2 in [0.5, 0.75]) has a point where the
+    # dual walk raises, flags a kink or a tie, or overflows; the one over
+    # `calm` has none.
+    walk = compile_interval_dual_rows(parse(source, 2))
+    lo = np.array([[trouble[0], 0.5], [calm[0], 0.5]])
+    hi = np.array([[trouble[1], 0.75], [calm[1], 0.75]])
+    assert walk(lo, hi)[2].tolist() == [False, True]
+
+
+@pytest.mark.parametrize("tree", [Pow(_X1, -2), Pow(_X1, -1), Pow(_X1, 0.5), Pow(_X1, -1.5)])
+def test_interval_dual_walk_is_uncertain_at_a_zero_base(tree):
+    # A zero base under a negative exponent raises; a fractional power's
+    # gradient is not finite at 0 and not real below it.
+    walk = compile_interval_dual_rows(tree)
+    lo, hi = np.array([[0.0], [-1.0], [-0.5], [0.25]]), np.array([[1.0], [1.0], [-0.25], [1.0]])
+    integer = float(tree.exponent).is_integer()
+    assert walk(lo, hi)[2].tolist() == [False, False, integer, True]
+
+
+def test_interval_dual_walk_takes_only_box_arrays():
+    walk = compile_interval_dual_rows(parse("x1*x2", 2))
+    glo, ghi, certain = walk(np.empty((0, 2)), np.empty((0, 2)))
+    assert (glo.shape, ghi.shape, certain.shape) == ((0, 2), (0, 2), (0,))
+    with pytest.raises(ValueError):
+        walk(np.array([1.0, 2.0]), np.array([1.0, 2.0]))
+    with pytest.raises(ValueError):
+        walk(np.zeros((1, 2)), np.zeros((2, 2)))

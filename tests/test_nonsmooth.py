@@ -15,6 +15,7 @@ from gencvx.nonsmooth import (
     directional_derivative,
     negate_estimate,
     subdifferential,
+    subdifferential_rows,
     subdifferentials,
 )
 
@@ -226,7 +227,8 @@ def test_directional_estimates_take_only_vectors_of_the_region_dimension(estimat
 
 
 def _row_counted(fn):
-    """fn, counting the points its gradient_rows reads."""
+    """fn, counting the points its gradient_rows reads.  The count of each
+    call is kept, so the calls of one estimate read as a list."""
     rows = []
 
     def gradient_rows(points):
@@ -245,23 +247,43 @@ def _outcome(fn, region, x, radius, count, seed):
 
 
 
-@pytest.mark.parametrize("source, dim, x, kink", [
+_ROW_ESTIMATES = [
     ("x2/(x1 + 2) + atan(x1*x2)", 2, [0.3, -0.4], False),  # smooth
     ("abs(x1) + abs(x2)", 2, [0.0, 0.3], True),  # the probe at x is at a kink
     ("max(x1, x2)", 2, [0.2, 0.2], True),
     ("min(x1, x1) + abs(x2)", 2, [0.1, 0.0], True),  # every probe ties
     ("x1 + abs(x1)", 1, [0.0], True),
-])
-def test_row_estimate_equals_per_probe_estimate(source, dim, x, kink):
-    plain = function_from_expression(source, dim)
-    fn, rows = _row_counted(plain)
+]
+
+
+def _row_estimates(fn, plain, source, dim, x, kink):
     region = parse_region("box(" + ", ".join(["-1..1"] * dim) + ")", dim)
     for radius, seed in ((1e-5, 0), (1e-3, 9), (1e-8, 4)):
         got = _outcome(fn, region, x, radius, 2 * dim + 5, seed)
         assert got == _reference_outcome(plain, region, np.array(x), radius, 2 * dim + 5, seed)
         if radius == 1e-5:
             assert got[2] == kink
+
+
+@pytest.mark.parametrize("source, dim, x, kink", _ROW_ESTIMATES)
+def test_row_estimate_equals_per_probe_estimate(source, dim, x, kink):
+    # A handle without an expression samples every ball.
+    plain = function_from_expression(source, dim)
+    fn, rows = _row_counted(replace(plain, expression=None))
+    _row_estimates(fn, plain, source, dim, x, kink)
     assert rows == [2 * dim + 6] * 3  # one call for all the probes
+
+
+@pytest.mark.parametrize("source, dim, x, kink", _ROW_ESTIMATES)
+def test_certified_row_estimate_equals_per_probe_estimate(source, dim, x, kink):
+    # With its expression, the smooth handle's balls of radius 1e-5 and
+    # 1e-8 are proven coherent: the one row read is the gradient at x.  At
+    # radius 1e-3 the gradient's enclosure is too wide, and the ball is
+    # sampled.  No ball of a kink is certified.
+    plain = function_from_expression(source, dim)
+    fn, rows = _row_counted(plain)
+    _row_estimates(fn, plain, source, dim, x, kink)
+    assert rows == ([2 * dim + 6] * 3 if kink else [1, 2 * dim + 6, 1])
 
 
 @pytest.mark.parametrize("seed", [0, 7])
@@ -278,11 +300,8 @@ def test_row_estimate_near_a_domain_edge_fails_as_per_probe(seed):
         assert got[1] == "gradient evaluation failed at 10/17 probes near [5.e-06]"
 
 
-def test_many_point_estimates_equal_one_at_a_time():
-    # One smooth point, two kinks, a point without room for the ball and two
-    # whose gradients fail: estimated together, each is what it is alone.
-    plain = function_from_expression("sqrt(max(x1, 0)) + abs(x2)", 2)
-    fn, rows = _row_counted(plain)
+def _many_points(fn, plain):
+    """The estimates at six points, made together, against each alone."""
     points = [[0.5, 0.2], [0.3, 0.0], [0.25, -0.0], [0.9999999, 0.5], [-0.5, 0.2], [0.4, 0.1]]
     seeds = [3, 1, 4, 1, 5, 9]
     together = subdifferentials(fn, BOX2, points, 1e-5, 8, seeds)
@@ -296,10 +315,27 @@ def test_many_point_estimates_equal_one_at_a_time():
             assert ([g.tobytes() for g in est.generators], est.radius, est.at_kink) == alone
             kinds.append(est.at_kink)
     assert kinds == [False, True, True, "InteriorRoomError", "EstimationError", False]
+    assert subdifferentials(fn, BOX2, [], 1e-5, 8, []) == []
+
+
+def test_many_point_estimates_equal_one_at_a_time():
+    # One smooth point, two kinks, a point without room for the ball and two
+    # whose gradients fail: estimated together, each is what it is alone.
+    plain = function_from_expression("sqrt(max(x1, 0)) + abs(x2)", 2)
+    fn, rows = _row_counted(replace(plain, expression=None))
+    _many_points(fn, plain)
     # The joint call raised at the failing points; every probe of the five
     # balls was then read again alone, one row per call.
     assert rows == [45] + [1] * 45
-    assert subdifferentials(fn, BOX2, [], 1e-5, 8, []) == []
+
+
+def test_many_point_certified_estimates_equal_one_at_a_time():
+    # The two smooth points' balls are proven coherent and read as one call
+    # at their centres; only the three other balls with room are drawn.
+    plain = function_from_expression("sqrt(max(x1, 0)) + abs(x2)", 2)
+    fn, rows = _row_counted(plain)
+    _many_points(fn, plain)
+    assert rows == [2, 27] + [1] * 27
 
 
 def _reference_outcome(fn, region, x, radius, count, seed):
@@ -350,17 +386,17 @@ def _scale_points(dim, seed, radius):
     return points
 
 
-@pytest.mark.parametrize("radius", [1e-5, 1e-8])
-@pytest.mark.parametrize("source, dim, kinks", [
+_AT_SCALE = [
     ("abs(x1) + max(x2, x3)", 3, True),
     ("x1*x2 + exp(x3)*atan(x4) + x5^2/(2 + x1)", 5, False),
     # Probes below x2 = -0.5 raise: the joint row call raises and every
     # probe is read again alone.
     ("log(x2 + 0.5) + abs(x1)", 2, True),
-])
-def test_many_point_estimates_at_scale_equal_one_at_a_time(source, dim, kinks, radius):
-    plain = function_from_expression(source, dim)
-    fn, rows = _row_counted(plain)
+]
+
+
+def _at_scale(fn, plain, source, dim, kinks, radius):
+    """The estimates at 200 points, made together, against each alone."""
     region = parse_region("box(" + ", ".join(["-1..1"] * dim) + ")", dim)
     points = _scale_points(dim, dim, radius)
     if source.startswith("log"):
@@ -380,9 +416,37 @@ def test_many_point_estimates_at_scale_equal_one_at_a_time(source, dim, kinks, r
     assert seen["InteriorRoomError"] == 5 and seen[False] > 100
     assert (seen[True] >= 20) == kinks
     assert (seen["EstimationError"] > 0) == source.startswith("log")
+
+
+@pytest.mark.parametrize("radius", [1e-5, 1e-8])
+@pytest.mark.parametrize("source, dim, kinks", _AT_SCALE)
+def test_many_point_estimates_at_scale_equal_one_at_a_time(source, dim, kinks, radius):
+    plain = function_from_expression(source, dim)
+    fn, rows = _row_counted(replace(plain, expression=None))
+    _at_scale(fn, plain, source, dim, kinks, radius)
     probes = 195 * (2 * dim + 6)
     assert rows[0] == probes  # one call for the probes of every ball
     assert rows[1:] == ([1] * probes if source.startswith("log") else [])
+
+
+@pytest.mark.parametrize("radius, proven", [  # balls proven, by dimension
+    (1e-5, {3: 155, 5: 195, 2: 108}),
+    (1e-8, {3: 155, 5: 195, 2: 126}),
+])
+@pytest.mark.parametrize("source, dim, kinks", _AT_SCALE)
+def test_many_point_certified_estimates_at_scale_equal_one_at_a_time(
+        source, dim, kinks, radius, proven):
+    # One call reads the centres of the proven balls, then one call the
+    # probes of the others (none for the smooth function), which is read
+    # again probe by probe where it raises.  The 40 balls on kinks, and
+    # those that reach below x2 = -0.5, are never proven.
+    plain = function_from_expression(source, dim)
+    fn, rows = _row_counted(plain)
+    _at_scale(fn, plain, source, dim, kinks, radius)
+    centres = proven[dim]
+    probes = (195 - centres) * (2 * dim + 6)
+    assert rows == [centres] + ([probes] if probes else []) + (
+        [1] * probes if source.startswith("log") else [])
 
 
 @pytest.mark.parametrize("name, x", [
@@ -436,3 +500,92 @@ def test_negated_rows_read_the_negated_gradient():
     # An exact gradient is read over rows too, its kink flagged.
     gradients, kinks = corpus_entry("ramp").handle.gradient_rows(np.array([[-0.5], [0.0], [0.5]]))
     assert gradients[[0, 2], 0].tolist() == [0.0, 2.0] and kinks.tolist() == [False, True, False]
+
+
+# -- certified balls against sampled ones ---------------------------------------
+
+_S5 = "x1 + x2 + x3 + x4 + x5"
+_T3 = "x1 + 2*x2 - x3"
+_T4 = "x1 - x2 + 0.5*x3 + x4"
+# Each function with the linear forms (a, c) on whose zero sets a.x + c = 0
+# its kinks lie: the corpus, then the sources of the benchmark's
+# kinks-analyze workload, each on box(-1..1)^n.
+_CORPUS_KINKS = {"ramp": [([1.0], 0.0)], "twoslope": [([1.0], 0.0)]}
+_CERTIFIED_CASES = [
+    (e.handle.name, e.handle, e.region, _CORPUS_KINKS.get(e.handle.name, [])) for e in corpus()] + [
+    (source, function_from_expression(source, n),
+     parse_region("box(" + ", ".join(["-1..1"] * n) + ")", n), forms)
+    for source, n, forms in [
+        ("max(x1, x2)", 2, [([1.0, -1.0], 0.0)]),
+        (f"{_T3} + max({_T3}, 0)", 3, [([1.0, 2.0, -1.0], 0.0)]),
+        ("min(max(x1, x2), 0.5)", 2, [([1.0, -1.0], 0.0), ([1.0, 0.0], -0.5), ([0.0, 1.0], -0.5)]),
+        (" + ".join(f"abs(x{i})" for i in range(1, 6)), 5,
+         [(list(np.eye(5)[i]), 0.0) for i in range(5)]),
+        (f"{_T4} + abs({_T4})", 4, [([1.0, -1.0, 0.5, 1.0], 0.0)]),
+        (f"min({_S5}, 3*({_S5}))", 5, [([1.0] * 5, 0.0)]),
+    ]]
+
+
+def _certified_points(region, forms, radius, seed):
+    """Interior points of the region: random ones, ones within 1e-6 of each
+    kink form's zero set (on it too), and ones at a few radii from the face
+    x1 = lower bound (for fractional, x1 = 0.05), some without room."""
+    rng = np.random.default_rng(seed)
+    base = np.array(sample_region(region, 40, seed=seed))
+    points = [base]
+    offsets = np.array([0.0, 1e-9, -1e-8, 1e-7, -3e-7, 5e-7, -1e-6, 1e-6])
+    for a, c in forms:
+        a = np.asarray(a)
+        picked = base[rng.choice(len(base), len(offsets), replace=False)]
+        shift = (offsets - (picked @ a + c)) / (a @ a)
+        points.append(picked + shift[:, None] * a)
+    face = 0.05 if region.constraints else region.lower[0]
+    near = base[:6].copy()
+    near[:, 0] = face + radius * np.array([0.5, 1.0, 1.5, 3.0, 10.0, 1e3])
+    points.append(near)
+    points = np.concatenate(points)
+    return points[region.interior_slack(points) >= 0.0]
+
+
+def _reads(fn):
+    """fn, keeping the rows of every gradient_rows call."""
+    calls = []
+
+    def gradient_rows(points):
+        calls.append(np.array(points))
+        return fn.gradient_rows(points)
+
+    return replace(fn, gradient_rows=gradient_rows), calls
+
+
+@pytest.mark.parametrize("radius", [1e-5, 1e-8])
+@pytest.mark.parametrize("name, fn, region, forms", _CERTIFIED_CASES,
+                         ids=[c[0] for c in _CERTIFIED_CASES])
+def test_certified_balls_are_the_sampled_estimate_bit_for_bit(name, fn, region, forms, radius):
+    # With the handle's expression, a ball proven coherent is the gradient
+    # at x; without it every ball is sampled.  The Generators, kink flags
+    # and failures must agree bit for bit, and the proven balls read no
+    # probe: after one call at their centres, the rows read are the sampled
+    # path's rows less every row of a proven ball.
+    points = _certified_points(region, forms, radius, seed=len(name))
+    seeds = [7 * i + 1 for i in range(len(points))]
+    count = 2 * fn.dimension + 5
+    proven, proven_calls = _reads(fn)
+    sampled, sampled_calls = _reads(replace(fn, expression=None))
+    got, got_kink = subdifferential_rows(proven, region, points, radius, count, seeds)
+    want, want_kink = subdifferential_rows(sampled, region, points, radius, count, seeds)
+    assert got.g.tobytes() == want.g.tobytes()
+    for field in ("owner", "start", "count"):
+        assert np.array_equal(getattr(got, field), getattr(want, field))
+    assert got_kink.tolist() == want_kink.tolist()
+    assert ({i: (type(e), str(e)) for i, e in got.failed.items()}
+            == {i: (type(e), str(e)) for i, e in want.failed.items()})
+
+    assert len(points) // 2 <= len(proven_calls[0]) <= len(points)  # the certificate fires
+    centres = {c.tobytes() for c in proven_calls[0]}
+    assert not any(k for x, k in zip(points, got_kink.tolist()) if x.tobytes() in centres)
+    balls = sampled_calls[0].reshape(-1, count + 1, fn.dimension)
+    mine = np.array([b[0].tobytes() in centres for b in balls], dtype=bool)
+    assert mine.sum() == len(centres)
+    drawn = np.concatenate(proven_calls[1:] or [np.zeros((0, fn.dimension))])
+    assert np.array_equal(drawn, balls[~mine].reshape(-1, fn.dimension))
