@@ -254,9 +254,6 @@ class _Context:
     def handle(self, negated: bool) -> FunctionHandle:
         return self.neg_fn if negated else self.fn
 
-    def grid(self, lam: float | None) -> tuple[float, ...]:
-        return self.lam_grid if lam is None else (lam,)
-
     def gradients(self, points: np.ndarray, negated: bool):
         """For a smooth handle, its gradient at each row of points with the
         flags of the rows that have one; None for a nonsmooth handle."""
@@ -371,16 +368,16 @@ class _Context:
         its traceback, and its row carries the failure, which a check raises
         afresh when it reads that row."""
         keys = _row_keys(points)
-        todo = {key: x for key, x in zip(keys, points) if key not in self._at}
+        todo = {key: i for i, key in enumerate(keys) if key not in self._at}
         if todo:
-            self._estimate(todo)
+            self._estimate(list(todo), points[list(todo.values())])
         gens = self._cache.take(np.array([self._at[key] for key in keys], dtype=np.intp))
         return gens.negated() if negated else gens
 
-    def _estimate(self, todo: dict[bytes, np.ndarray]) -> None:
-        """Estimate f's subdifferential at each point, keyed by its bytes,
-        and store each estimate or its failure as a row of the cache."""
-        xs = list(todo.values())
+    def _estimate(self, keys: list[bytes], xs: np.ndarray) -> None:
+        """Estimate f's subdifferential at each row of xs, whose bytes are
+        the key beside it, and store each estimate or its failure as a row
+        of the cache."""
         seeds = np.array([_point_entropy(x) for x in xs], dtype=np.uint64)
         radius = self.plan.subdiff_radius
         rows = self._store(xs, radius, seeds)
@@ -390,11 +387,11 @@ class _Context:
         # failure) is the honest set at x.
         kinked = np.flatnonzero(self._kink[rows])
         if kinked.size:
-            fine = self._store([xs[i] for i in kinked], radius / 1000.0, seeds[kinked])
+            fine = self._store(xs[kinked], radius / 1000.0, seeds[kinked])
             rows[kinked] = np.where(self._kink[fine], rows[kinked], fine)
-        self._at.update(zip(todo, rows.tolist()))
+        self._at.update(zip(keys, rows.tolist()))
 
-    def _store(self, xs, radius: float, seeds: np.ndarray) -> np.ndarray:
+    def _store(self, xs: np.ndarray, radius: float, seeds: np.ndarray) -> np.ndarray:
         """Append the estimates at xs at the radius to the cache; their rows."""
         gens, kink = subdifferential_rows(
             self.fn, self.region, xs, radius, self.subdiff_count, seeds.tolist())
@@ -472,63 +469,27 @@ class _Segments:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Predicate:
-    """A named predicate: `rows` runs its kernel over rows of pairs in one
-    call, and `check` on one pair.
-
-    Those with `lam` set are segment conditions, which read values only:
-    lams=None runs them over the plan's lambda grid, and refinement seeds
-    and moves a single lambda for them.  The others read the generators of
-    subdifferential estimates, estimated in one call per point set a kernel
-    reads; the kernel conditions (`gradient` set) read a smooth handle's
-    gradient instead where it has one.
-    """
-
-    name: str
-    lam: bool = False
-    gradient: bool = False
-
-    def rows(self, ctx: _Context, negated: bool, xs, ys, lams=None, gradients=None) -> ck.Rows:
-        """gradients, for a kernel condition, are those at xs when read
-        already."""
-        fn = ctx.handle(negated)
-        if self.lam:
-            return ck.check_rows(self.name, fn, xs, ys, ctx.lam_grid if lams is None else lams)
-        if self.gradient and gradients is None:
-            gradients = ctx.gradients(np.atleast_2d(xs), negated)
-        return ck.check_generator_rows(
-            self.name, fn, xs, ys, lambda points, neg: ctx.generators(points, neg != negated),
-            gradients,
-        )
-
-    def check(self, ctx: _Context, negated: bool, x, y, lam: float | None) -> ck.Check:
-        return self.rows(ctx, negated, x, y, ctx.grid(lam)).check(0, x, y)
-
-
-_PSEUDOCONVEX = _Predicate("pseudoconvex-pair")
-_P_IDENTITY = _Predicate("proportional-identity")
-_SYMMETRIC = _Predicate("symmetric-equality")
-_GRADIENT_KERNEL = _Predicate("gradient-kernel", gradient=True)
-_SUBDIFF_KERNEL = _Predicate("subdifferential-kernel", gradient=True)
-_QUASICONVEX = _Predicate("quasiconvex-segment", lam=True)
-_SEMISTRICT = _Predicate("semistrict-quasiconvex-segment", lam=True)
-_INTERLACING = _Predicate("interlacing-segment", lam=True)
-_STRICT_BOUNDS = _Predicate("interpolation-strict-bounds", lam=True)
-_WEAK_BOUNDS = _Predicate("interpolation-weak-bounds", lam=True)
-
-_PREDICATES: dict[str, _Predicate] = {
-    p.name: p
-    for p in (
-        _PSEUDOCONVEX, _P_IDENTITY, _SYMMETRIC, _GRADIENT_KERNEL, _SUBDIFF_KERNEL,
-        _QUASICONVEX, _SEMISTRICT, _INTERLACING, _STRICT_BOUNDS, _WEAK_BOUNDS,
-    )
-}
+def _rows(ctx: _Context, name: str, negated: bool, xs, ys, lams=None, gradients=None) -> ck.Rows:
+    """The predicate name's kernel over rows of pairs, on f (on -f when
+    negated), in one call.  A segment predicate reads values only, at lams
+    or, for lams=None, over the plan's lambda grid.  The others read the
+    generators of estimates made in one call per point set a kernel reads;
+    a kernel condition reads a smooth handle's gradient at xs instead where
+    it has one, the given gradients when read already."""
+    fn = ctx.handle(negated)
+    pred = ck.PREDICATES[name]
+    if pred.segment:
+        return ck.check_rows(name, fn, xs, ys, ctx.lam_grid if lams is None else lams)
+    if pred.gradient and gradients is None:
+        gradients = ctx.gradients(np.atleast_2d(xs), negated)
+    return ck.check_generator_rows(
+        name, fn, xs, ys, lambda points, neg: ctx.generators(points, neg != negated), gradients)
 
 
 def _check(ctx: _Context, c: Candidate | Witness) -> ck.Check:
     """Run the predicate a candidate or witness names, at its points."""
-    return _PREDICATES[c.predicate].check(ctx, c.negated, c.x, c.y, c.lam)
+    lams = None if c.lam is None else (c.lam,)
+    return _rows(ctx, c.predicate, c.negated, c.x, c.y, lams).check(0, c.x, c.y)
 
 
 # --------------------------------------------------------------------------
@@ -571,7 +532,8 @@ class _Ascent:
         # manufactured at vanishing lambda carry no evidence.
         grid = ctx.plan.lambda_grid
         self.lam_lo = 1.0 / (grid - 1) if grid >= 3 else 0.25
-        self.seeded = np.array([c.lam is None and _PREDICATES[c.predicate].lam for c in cands])
+        self.seeded = np.array(
+            [c.lam is None and ck.PREDICATES[c.predicate].segment for c in cands])
         self.seeded &= len(self.interior) > 0
         self.x = np.array([c.x for c in cands], dtype=float)
         self.y = np.array([c.y for c in cands], dtype=float)
@@ -717,8 +679,8 @@ def _refine_together(ctx: _Context, cands: list[Candidate], rounds: int) -> list
         for (name, negated, with_lam), members in ascent.groups.items():
             sel = members[owner]
             if sel.any():
-                rows = _PREDICATES[name].rows(
-                    ctx, negated, xs[sel], ys[sel], lams[sel, None] if with_lam else None)
+                rows = _rows(ctx, name, negated, xs[sel], ys[sel],
+                             lams[sel, None] if with_lam else None)
                 ascent.take(rows, owner[sel], xs[sel], ys[sel], lams[sel])
     return ascent.results()
 
@@ -782,35 +744,36 @@ _KERNEL = "kernel"  # both orientations, each followed by its kernel projections
 
 @dataclass(frozen=True)
 class _Probe:
-    predicate: _Predicate
+    predicate: str
     sides: tuple[bool, ...] = (False,)  # run on f (False), on -f (True), or both
     placement: str = _BOTH
     near_miss: bool = False  # searched over all pairs when nothing failed
-    nonsmooth: _Predicate | None = None  # runs instead on locally Lipschitz handles
+    nonsmooth: str | None = None  # runs instead on locally Lipschitz handles
 
-    def predicate_for(self, ctx: _Context) -> _Predicate:
+    def predicate_for(self, ctx: _Context) -> str:
         return self.predicate if ctx.smooth or self.nonsmooth is None else self.nonsmooth
 
 
 # Each property's probes, in sampling order.
 _PROBES: dict[str, tuple[_Probe, ...]] = {
-    "pseudoconvex": (_Probe(_PSEUDOCONVEX, near_miss=True),),
-    "pseudoconcave": (_Probe(_PSEUDOCONVEX, (True,), near_miss=True),),
-    "quasiconvex": (_Probe(_QUASICONVEX, placement=_PAIR, near_miss=True),),
-    "quasiconcave": (_Probe(_QUASICONVEX, (True,), _PAIR, near_miss=True),),
-    "quasilinear": (_Probe(_QUASICONVEX, (False, True), _PAIR, near_miss=True),),
-    "semistrictly-quasiconvex": (_Probe(_SEMISTRICT, near_miss=True),),
-    "semistrictly-quasiconcave": (_Probe(_SEMISTRICT, (True,), near_miss=True),),
+    "pseudoconvex": (_Probe("pseudoconvex-pair", near_miss=True),),
+    "pseudoconcave": (_Probe("pseudoconvex-pair", (True,), near_miss=True),),
+    "quasiconvex": (_Probe("quasiconvex-segment", placement=_PAIR, near_miss=True),),
+    "quasiconcave": (_Probe("quasiconvex-segment", (True,), _PAIR, near_miss=True),),
+    "quasilinear": (_Probe("quasiconvex-segment", (False, True), _PAIR, near_miss=True),),
+    "semistrictly-quasiconvex": (_Probe("semistrict-quasiconvex-segment", near_miss=True),),
+    "semistrictly-quasiconcave": (
+        _Probe("semistrict-quasiconvex-segment", (True,), near_miss=True),),
     "semistrictly-quasilinear": (
-        _Probe(_INTERLACING, near_miss=True),
-        _Probe(_STRICT_BOUNDS, placement=_SWEEP),
+        _Probe("interlacing-segment", near_miss=True),
+        _Probe("interpolation-strict-bounds", placement=_SWEEP),
     ),
     "pseudolinear": (
-        _Probe(_P_IDENTITY, near_miss=True),
-        _Probe(_SYMMETRIC, placement=_PAIR),
-        _Probe(_WEAK_BOUNDS, placement=_SWEEP),
-        _Probe(_GRADIENT_KERNEL, placement=_KERNEL, near_miss=True,
-               nonsmooth=_SUBDIFF_KERNEL),
+        _Probe("proportional-identity", near_miss=True),
+        _Probe("symmetric-equality", placement=_PAIR),
+        _Probe("interpolation-weak-bounds", placement=_SWEEP),
+        _Probe("gradient-kernel", placement=_KERNEL, near_miss=True,
+               nonsmooth="subdifferential-kernel"),
     ),
 }
 
@@ -887,23 +850,22 @@ def _runs(ctx: _Context, prop: str, xs: np.ndarray, ys: np.ndarray):
     runs = []
     broken = np.zeros(len(xs), dtype=bool)
     for probe in _PROBES[prop]:
-        pred = probe.predicate_for(ctx)
+        name = probe.predicate_for(ctx)
         orient, col = _orientations(ctx, probe.placement, len(xs))
         if not len(orient):  # a sweep over a grid without interior lambdas
             continue
         for negated in probe.sides:
             a, b, pair = segments.a[orient], segments.b[orient], orient // 2
-            if pred.lam:
-                rows = segments.rows(pred.name, negated, orient, col)
-                runs.append(_Run(pred.name, negated, a, b, pair, rows))
-                continue
-            failed, gradients = pair[:0], None
             if probe.placement == _KERNEL:
                 a, b, pair, failed, gradients = _kernel_placed(ctx, negated, a, b, pair)
-            rows = pred.rows(ctx, negated, a, b, None, gradients)
-            broken[failed] = True
+                broken[failed] = True
+                rows = _rows(ctx, name, negated, a, b, None, gradients)
+            elif ck.PREDICATES[name].segment:
+                rows = segments.rows(name, negated, orient, col)
+            else:
+                rows = _rows(ctx, name, negated, a, b)
             broken[pair[list(rows.failed or ())]] = True
-            runs.append(_Run(pred.name, negated, a, b, pair, rows))
+            runs.append(_Run(name, negated, a, b, pair, rows))
     return runs, broken
 
 
@@ -917,15 +879,15 @@ def _near_misses(ctx: _Context, prop: str) -> list[Candidate]:
     for probe in _PROBES[prop]:
         if not probe.near_miss:
             continue
-        pred = probe.predicate_for(ctx)
+        name = probe.predicate_for(ctx)
         for negated in probe.sides:
-            if pred.lam:
-                rows = segments.rows(pred.name, negated, np.arange(len(xs)))
+            if ck.PREDICATES[name].segment:
+                rows = segments.rows(name, negated, np.arange(len(xs)))
             else:
-                rows = pred.rows(ctx, negated, xs, ys)
+                rows = _rows(ctx, name, negated, xs, ys)
             r = np.delete(np.arange(len(xs)), list(rows.failed or ()))
             best = r[np.argsort(-rows.margin[r], kind="stable")[:NEAR_MISS_CANDIDATES]]
-            out.extend(Candidate(pred.name, negated, xs[i].copy(), ys[i].copy()) for i in best)
+            out.extend(Candidate(name, negated, xs[i].copy(), ys[i].copy()) for i in best)
     return out
 
 

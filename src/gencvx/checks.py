@@ -9,13 +9,15 @@ beside its two one-sided outcomes), which reports pass/fail together with a
 numeric residual; segment predicates also name their lambda and f there,
 generator predicates the generator.  Segment points come from
 `geometry.segment_point`, which rejects x == y.  Every predicate the
-campaign runs is written once, as a row kernel: `check_rows` runs a
-value-only one (the segment conditions and the interpolation bounds) over
-many rows with two array reads of f, `check_generator_rows` a generator
-one (the pseudoconvex pair, the proportional identity, the symmetric
-equality and the two kernel conditions) with one read of f and one of the
-generators per point set, and the `check_*` functions are their one-row
-wrappers.  Strict inequalities are tested with the margin
+campaign runs is written once, as a row kernel, and is one record of
+`PREDICATES`: its kernel, whether it reads f on the segment or generators,
+its read rule and its failure detail.  `check_rows` runs a value-only one
+(the segment conditions and the interpolation bounds) over many rows with
+two array reads of f, `check_generator_rows` a generator one (the
+pseudoconvex pair, the proportional identity, the symmetric equality and
+the two kernel conditions) with one read of f and one of the generators per
+point set, and the `check_*` functions are their one-row wrappers.
+Strict inequalities are tested with the margin
 
     eps = 1e-7 * (1 + |f(x)| + |f(y)|)
 
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -60,6 +62,8 @@ __all__ = [
     "eps_strict",
     "descends",
     "Check",
+    "Predicate",
+    "PREDICATES",
     "PValue",
     "BRecord",
     "CrossCheck",
@@ -189,9 +193,20 @@ def check_weak_monotone_pair(
 # --------------------------------------------------------------------------
 #
 # Every predicate the campaign runs is written once, as a kernel over k rows
-# of pairs; its public check_* function is the kernel's one-row wrapper.
-# The value-only predicates run through check_rows, the generator predicates
-# through check_generator_rows, and both give their results as Rows.
+# of pairs, and is one record of PREDICATES (after the kernels); its public
+# check_* function is the kernel's one-row wrapper.  The value-only
+# predicates run through check_rows, the generator predicates through
+# check_generator_rows, and both give their results as Rows.
+
+
+class Predicate(NamedTuple):
+    """A predicate's record in PREDICATES: its row kernel and how it reads."""
+
+    kernel: Callable  # a value-only or a generator kernel, as the sections below take them
+    segment: bool  # reads f on the segment (check_rows), else generators (check_generator_rows)
+    descent: bool = False  # the read rule: only interior lambdas of descending rows
+    gradient: bool = False  # a kernel condition: reads a smooth handle's gradient if it has one
+    detail: Callable | None = None  # a segment Check's detail from (outcome, fx, fy, lam, fz)
 
 
 class Rows(NamedTuple):
@@ -223,7 +238,9 @@ class Rows(NamedTuple):
     def check(self, i: int, x, y) -> Check:
         """Row i, whose endpoints are x and y, as a Check.  Its generator is
         a copy of the row, so a Check kept does not hold the whole array."""
-        self._read(i)
+        failure = (self.failed or {}).get(i)
+        if failure is not None:
+            raise type(failure)(*failure.args)
         fx, fy, outcome = float(self.fx[i]), float(self.fy[i]), str(self.outcome[i])
         scored = dict(
             residual=float(self.residual[i]),
@@ -232,8 +249,9 @@ class Rows(NamedTuple):
         )
         if self.note is None:
             lam, fz = (None if np.isnan(v) else float(v) for v in (self.lam[i], self.fz[i]))
-            return Check(self.predicate, x, y, fx, fy, outcome, lam=lam, fz=fz,
-                         detail=_DETAILS[self.predicate](outcome, fx, fy, lam, fz), **scored)
+            detail = PREDICATES[self.predicate].detail(outcome, fx, fy, lam, fz)
+            return Check(self.predicate, x, y, fx, fy, outcome, lam=lam, fz=fz, detail=detail,
+                         **scored)
         note, k = self.note[i], int(self.index[i])
         return Check(note.predicate, x, y, fx, fy, outcome,
                      generator=None if k < 0 else self.generator[i].copy(),
@@ -244,11 +262,6 @@ class Rows(NamedTuple):
         """Each row's Check.credible, computed with the same float ops."""
         threshold = WITNESS_FACTOR * eps_strict(self.fx, self.fy)
         return (self.outcome == FAIL) & (self.residual > threshold)
-
-    def _read(self, i: int) -> None:
-        failure = (self.failed or {}).get(i)
-        if failure is not None:
-            raise type(failure)(*failure.args)
 
 
 # --------------------------------------------------------------------------
@@ -409,24 +422,6 @@ def _semistrict_detail(outcome, fx, fy, lam, fz) -> str:
     return "descent inside the strictness band" if outcome == INCONCLUSIVE else ""
 
 
-# predicate -> (kernel, whether it reads only interior lambdas of descending pairs)
-_KERNELS = {
-    "quasiconvex-segment": (_quasiconvex_rows, False),
-    "semistrict-quasiconvex-segment": (partial(_descent_rows, two_sided=False), True),
-    "interlacing-segment": (partial(_descent_rows, two_sided=True), True),
-    "interpolation-strict-bounds": (partial(_bounds_rows, strict=True), False),
-    "interpolation-weak-bounds": (partial(_bounds_rows, strict=False), False),
-}
-_DETAILS = {
-    "quasiconvex-segment": lambda outcome, *_: (
-        "interior value exceeds endpoint maximum" if outcome == FAIL else ""),
-    "semistrict-quasiconvex-segment": _semistrict_detail,
-    "interlacing-segment": _interlacing_detail,
-    "interpolation-strict-bounds": _bounds_detail,
-    "interpolation-weak-bounds": _bounds_detail,
-}
-
-
 def read_rule(predicate: str, lams: np.ndarray, fx, fy) -> tuple[np.ndarray, np.ndarray]:
     """Where a value-only predicate reads f on its rows' segments: the
     columns of lams, an (m,) grid shared by all rows or a (k, m) grid per
@@ -434,7 +429,7 @@ def read_rule(predicate: str, lams: np.ndarray, fx, fy) -> tuple[np.ndarray, np.
     semistrict and interlacing conditions read only the interior lambdas of
     a shared grid, and only on descending rows; the others read every
     lambda of every row."""
-    descent = _KERNELS[predicate][1]
+    descent = _predicate(predicate, segment=True).descent
     cols = np.arange(lams.shape[-1])
     if lams.ndim == 1 and descent:
         cols = cols[(lams > 0.0) & (lams < 1.0)]
@@ -445,7 +440,7 @@ def kernel_rows(predicate: str, fx, fy, lams, fz) -> Rows:
     """A value-only predicate's kernel on values already read: f at the
     endpoints (k,), the rows' lambdas (k, m) and f at their segment points
     (k, m), NaN where read_rule reads none."""
-    return Rows(predicate, fx, fy, *_KERNELS[predicate][0](fx, fy, lams, fz))
+    return Rows(predicate, fx, fy, *_predicate(predicate, segment=True).kernel(fx, fy, lams, fz))
 
 
 def check_rows(predicate: str, fn: FunctionHandle, x, y, lams) -> Rows:
@@ -458,6 +453,7 @@ def check_rows(predicate: str, fn: FunctionHandle, x, y, lams) -> Rows:
     read_rule names in another.  Each row's result is bit-identical to the
     predicate's one-row check.
     """
+    _predicate(predicate, segment=True)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     lams = np.asarray(lams, dtype=float)
@@ -481,10 +477,18 @@ def _stretch(a: np.ndarray, k: int) -> np.ndarray:
     return a if len(a) == k else np.repeat(a, k, axis=0)
 
 
-def _one_row(predicate: str, fn: FunctionHandle, x, y, lams) -> Check:
+def _one_row(predicate, fn, x, y, lams=None, sub_x=None, sub_y=None, gradients=None) -> Check:
+    """A predicate's one-row check: at lams for a segment predicate, else on
+    the given estimates at x and at y."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    return check_rows(predicate, fn, x, y, lams).check(0, x, y)
+    if PREDICATES[predicate].segment:
+        return check_rows(predicate, fn, x, y, lams).check(0, x, y)
+
+    def sub(rows, at_y=False, negated=False):
+        return Generators.of([(sub_y if at_y else sub_x).generators] * len(rows), x.size)
+
+    return _generator_rows(predicate, fn, x[None], y[None], sub, gradients).check(0, x, y)
 
 
 def check_quasiconvex_segment(fn: FunctionHandle, x, y, lam_grid) -> Check:
@@ -843,13 +847,34 @@ def _kernel_gen(fx, fy, x, y, sub, gradients):
     )
 
 
-_GENERATOR_KERNELS = {
-    "pseudoconvex-pair": _pseudoconvex_gen,
-    "proportional-identity": _identity_gen,
-    "symmetric-equality": _symmetric_gen,
-    "gradient-kernel": _kernel_gen,
-    "subdifferential-kernel": _kernel_gen,
+# Every predicate the campaign runs, by name.
+PREDICATES: dict[str, Predicate] = {
+    "quasiconvex-segment": Predicate(_quasiconvex_rows, True, detail=lambda outcome, *_: (
+        "interior value exceeds endpoint maximum" if outcome == FAIL else "")),
+    "semistrict-quasiconvex-segment": Predicate(
+        partial(_descent_rows, two_sided=False), True, descent=True, detail=_semistrict_detail),
+    "interlacing-segment": Predicate(
+        partial(_descent_rows, two_sided=True), True, descent=True, detail=_interlacing_detail),
+    "interpolation-strict-bounds": Predicate(
+        partial(_bounds_rows, strict=True), True, detail=_bounds_detail),
+    "interpolation-weak-bounds": Predicate(
+        partial(_bounds_rows, strict=False), True, detail=_bounds_detail),
+    "pseudoconvex-pair": Predicate(_pseudoconvex_gen, False),
+    "proportional-identity": Predicate(_identity_gen, False),
+    "symmetric-equality": Predicate(_symmetric_gen, False),
+    "gradient-kernel": Predicate(_kernel_gen, False, gradient=True),
+    "subdifferential-kernel": Predicate(_kernel_gen, False, gradient=True),
 }
+
+
+def _predicate(name: str, segment: bool) -> Predicate:
+    """The record of name, a segment predicate when segment is set and a
+    generator predicate otherwise; ValueError naming it if it is not."""
+    if name not in PREDICATES:
+        raise ValueError(f"unknown predicate {name!r} (known: {', '.join(PREDICATES)})")
+    if PREDICATES[name].segment != segment:
+        raise ValueError(f"{name!r} is a {'generator' if segment else 'segment'} predicate")
+    return PREDICATES[name]
 
 
 def _generator_results(predicate: str, fx, fy, results) -> Rows:
@@ -862,11 +887,12 @@ def _generator_results(predicate: str, fx, fy, results) -> Rows:
 
 
 def _generator_rows(predicate: str, fn: FunctionHandle, x, y, sub, gradients) -> Rows:
+    kernel = _predicate(predicate, segment=False).kernel
     if x.shape != y.shape:
         raise ValueError(f"endpoint rows of shapes {x.shape} and {y.shape}")
     fxy = fn.values(np.concatenate([x, y]))
     fx, fy = fxy[:len(x)], fxy[len(x):]
-    results = _GENERATOR_KERNELS[predicate](fx, fy, x, y, sub, gradients)
+    results = kernel(fx, fy, x, y, sub, gradients)
     return _generator_results(predicate, fx, fy, results)
 
 
@@ -893,19 +919,6 @@ def check_generator_rows(
     return _generator_rows(predicate, fn, x, y, sub, gradients)
 
 
-def _one_generator_row(
-    predicate: str, fn: FunctionHandle, x, y, sub_x=None, sub_y=None, gradients=None
-) -> Check:
-    """The one-row check on the given estimates at x and at y."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    def sub(rows, at_y=False, negated=False):
-        return Generators.of([(sub_y if at_y else sub_x).generators] * len(rows), x.size)
-
-    return _generator_rows(predicate, fn, x[None], y[None], sub, gradients).check(0, x, y)
-
-
 def check_pseudoconvex_pair(
     fn: FunctionHandle, x, y, sub_x: SubdifferentialEstimate
 ) -> Check:
@@ -917,7 +930,7 @@ def check_pseudoconvex_pair(
     generator certifies a strict descent direction.  A pass scores its
     largest pairing: the generator closest to failing.
     """
-    return _one_generator_row("pseudoconvex-pair", fn, x, y, sub_x)
+    return _one_row("pseudoconvex-pair", fn, x, y, sub_x=sub_x)
 
 
 def verify_p_identity(
@@ -932,7 +945,7 @@ def verify_p_identity(
     scores its residual and anything else minus its smallest pairing
     |<g, y-x>| at x.
     """
-    return _one_generator_row("proportional-identity", fn, x, y, sub_x)
+    return _one_row("proportional-identity", fn, x, y, sub_x=sub_x)
 
 
 def check_symmetric_equality(
@@ -948,13 +961,13 @@ def check_symmetric_equality(
     the opposite term is large; small mixed sums are inconclusive rather
     than refuting.  The margin is verify_p_identity's.
     """
-    return _one_generator_row("symmetric-equality", fn, x, y, sub_x, sub_y)
+    return _one_row("symmetric-equality", fn, x, y, sub_x=sub_x, sub_y=sub_y)
 
 
 def check_gradient_kernel(fn: FunctionHandle, x, y, grad_x) -> Check:
     """grad f(x)(y - x) = 0 requires f(y) = f(x)  (smooth handles)."""
     g = np.asarray(grad_x, dtype=float).reshape(1, -1)
-    return _one_generator_row("gradient-kernel", fn, x, y, gradients=(g, np.ones(1, dtype=bool)))
+    return _one_row("gradient-kernel", fn, x, y, gradients=(g, np.ones(1, dtype=bool)))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ __all__ = [
     "InteriorRoomError",
     "clarke_directional",
     "subdifferential",
-    "subdifferentials",
     "subdifferential_rows",
     "Generators",
     "negate_estimate",
@@ -320,9 +319,9 @@ def subdifferential_rows(
     count: int,
     seeds,
 ) -> tuple[Generators, np.ndarray]:
-    """subdifferential at each point with its seed: the Generators of the
-    estimates, a failed one held as its EstimationError without a
-    traceback, and each point's kink flag.
+    """subdifferential at each row of points, a (k, n) array-like, with its
+    seed: the Generators of the estimates, a failed one held as its
+    EstimationError without a traceback, and each point's kink flag.
 
     First, for a handle with an expression, the balls with room are tried
     for a certificate (_certified): a ball proven coherent is not drawn, and
@@ -335,17 +334,15 @@ def subdifferential_rows(
     read in one call, coherence is tested for all points in one reduction,
     and the coherent points' generators are placed in one array operation;
     only kink points keep a per-point dedupe."""
-    points = [np.asarray(x, dtype=float).reshape(-1) for x in points]
+    xs = np.asarray(points, dtype=float)
     seeds = list(seeds)
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if not points:
+    if xs.ndim != 2 and xs.shape != (0,):
+        raise ValueError(f"points must be one (k, n) array, got shape {xs.shape}")
+    if not len(xs):
         none = np.zeros(0, dtype=np.intp)
         return Generators(np.zeros((0, 0)), none, none, none, {}), np.zeros(0, dtype=bool)
-    shapes = sorted({x.shape for x in points})
-    if len(shapes) > 1:
-        raise ValueError(f"points of different shapes {shapes}")
-    xs = np.array(points)
     k, n = xs.shape
     if count < 2 * n + 1:
         raise ValueError(f"count must be >= 2n+1 = {2 * n + 1}, got {count}")
@@ -412,21 +409,6 @@ def subdifferential_rows(
     return Generators(flat, np.repeat(np.arange(k), sizes), start, sizes, failed), at_kink
 
 
-def subdifferentials(
-    fn: FunctionHandle,
-    region: Region,
-    points,
-    radius: float,
-    count: int,
-    seeds,
-) -> list[SubdifferentialEstimate | EstimationError]:
-    """subdifferential at each point with its seed, from one
-    subdifferential_rows call.  A failed estimate is returned as its
-    EstimationError, without a traceback."""
-    gens, at_kink = subdifferential_rows(fn, region, points, radius, count, seeds)
-    return [gens.estimate(i, radius, kink) for i, kink in enumerate(at_kink.tolist())]
-
-
 def subdifferential(
     fn: FunctionHandle,
     region: Region,
@@ -442,7 +424,9 @@ def subdifferential(
     central difference at step radius/100.  Near-duplicates are merged and a
     kink is flagged when the generator spread exceeds COHERENCE_SPREAD.
     """
-    (est,) = subdifferentials(fn, region, [x], radius, count, [seed])
+    gens, at_kink = subdifferential_rows(
+        fn, region, np.asarray(x, dtype=float).reshape(1, -1), radius, count, [seed])
+    est = gens.estimate(0, radius, bool(at_kink[0]))
     if isinstance(est, EstimationError):
         raise est
     return est

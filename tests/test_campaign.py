@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 from collections import Counter
 from dataclasses import replace
 
@@ -21,10 +23,10 @@ from gencvx import (
 from gencvx import campaign
 from gencvx.campaign import (
     _BOTH, _PAIR, _SWEEP, HOLDS, MAX_REFINED_CANDIDATES, MAX_WITNESSES, NEAR_MISS_CANDIDATES,
-    REFUTED, _PREDICATES, _REFINE_STEPS, _check, _classify_property, _Context, _near_misses,
-    _orientations, _Predicate, _refine_together, _runs, _witness_from_check,
+    REFUTED, _REFINE_STEPS, _check, _classify_property, _Context, _near_misses,
+    _orientations, _refine_together, _rows, _runs, _witness_from_check,
 )
-from gencvx.checks import INCONCLUSIVE, check_rows, descends
+from gencvx.checks import INCONCLUSIVE, PREDICATES, check_rows, descends
 from gencvx.expr import EvalError
 from gencvx.nonsmooth import EstimationError, InteriorRoomError, subdifferential
 from gencvx.functions import PROPERTIES, SMOOTH, FunctionHandle, function_from_expression
@@ -305,7 +307,7 @@ def test_near_misses_from_the_grid_equal_those_from_check_rows(prop):
     for probe in campaign._PROBES[prop]:
         if probe.near_miss:
             for negated in probe.sides:
-                name = probe.predicate.name
+                name = probe.predicate
                 margin = check_rows(name, ctx.handle(negated), xs, ys, ctx.lam_grid).margin
                 for i in np.argsort(-margin, kind="stable")[:NEAR_MISS_CANDIDATES]:
                     want.append((name, negated, xs[i].tolist(), ys[i].tolist(), None))
@@ -688,24 +690,41 @@ def _one_row_per_call(fn):
     return replace(fn, gradient_rows=gradient_rows)
 
 
+@pytest.mark.parametrize("name", ["paraboloid", "ramp"])
+def test_a_classify_context_is_freed_without_the_cycle_collector(name):
+    # A reference cycle through a context would keep its estimate cache and
+    # segment grid alive until a full collection, which the benchmark reads
+    # as peak memory; reference counting alone must free it.
+    e = corpus_entry(name)
+    gc.disable()
+    try:
+        ctx = _Context(e.handle, e.region, FAST)
+        campaign._classify_together(ctx, PROPERTIES)
+        freed = weakref.ref(ctx)
+        del ctx
+        assert freed() is None
+    finally:
+        gc.enable()
+
+
 def test_prefetched_estimates_fail_only_when_read():
     fn = function_from_expression(_HALF_FAILING, 2)
     ctx = _Context(fn, _BOX2, FAST)
     good, bad = np.array([0.5, 0.2]), np.array([-0.5, 0.2])
-    identity = _PREDICATES["proportional-identity"]
+    identity = "proportional-identity"
     # A refinement move's trials, or the two orientations of a sampled pair:
     # the kernel estimates at both starts in one call, the estimate at `bad`
     # fails, and only reading that row raises.
-    rows = identity.rows(ctx, False, np.array([good, bad]), np.array([bad, good]))
+    rows = _rows(ctx, identity, False, np.array([good, bad]), np.array([bad, good]))
     assert list(rows.failed) == [1] and np.isnan(rows.margin[1])
     check = rows.check(0, good, bad)
     with pytest.raises(EstimationError, match="failed at 9/9 probes"):
         rows.check(1, bad, good)
     # Read one at a time, each check does the same.
     lazy = _Context(_one_row_per_call(fn), _BOX2, FAST)
-    assert identity.check(lazy, False, good, bad, None) == check
+    assert _check(lazy, Candidate(identity, False, good, bad)) == check
     with pytest.raises(EstimationError, match="failed at 9/9 probes"):
-        identity.check(lazy, False, bad, good, None)
+        _check(lazy, Candidate(identity, False, bad, good))
 
 
 @pytest.mark.parametrize("rows", [True, False])
@@ -887,13 +906,12 @@ def test_lockstep_refinement_equals_refining_each_candidate_alone(name, fn, regi
     # what each gives refined alone in a fresh one: scores, witnesses, and
     # the estimator failures that classify counts as inconclusive.
     calls = []
-    rows = _Predicate.rows
 
-    def counted(self, ctx, negated, *args, **kwargs):
-        calls.append((self.name, negated))
-        return rows(self, ctx, negated, *args, **kwargs)
+    def counted(ctx, name, negated, *args, **kwargs):
+        calls.append((name, negated))
+        return _rows(ctx, name, negated, *args, **kwargs)
 
-    monkeypatch.setattr(_Predicate, "rows", counted)
+    monkeypatch.setattr(campaign, "_rows", counted)
     failures = batched = 0
     for seed in (0, 7):
         plan = SamplingPlan(pair_count=24, seed=seed)
@@ -936,7 +954,7 @@ def _ascent_one_trial_at_a_time(ctx, cand, rounds):
     x, y, lam = cand.x, cand.y, cand.lam
     interior = ctx.interior_lams
     try:
-        if lam is None and _PREDICATES[cand.predicate].lam and interior:
+        if lam is None and PREDICATES[cand.predicate].segment and interior:
             margins = [check(x, y, t).margin for t in interior]
             lam = interior[margins.index(max(margins))]
         best = check(x, y, lam)

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -5,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gencvx import corpus, corpus_entry, function_from_expression
+from gencvx import campaign, checks, corpus, corpus_entry, function_from_expression
 from gencvx.checks import (
     FAIL,
     INCONCLUSIVE,
     PASS,
+    PREDICATES,
     VACUOUS,
     Check,
     Generators,
@@ -31,7 +33,9 @@ from gencvx.checks import (
     cross_check_b_via_subdifferential,
     eps_strict,
     estimate_q_limit,
+    kernel_rows,
     noise_floor,
+    read_rule,
     verify_p_identity,
 )
 from gencvx.functions import negate_handle
@@ -1092,6 +1096,41 @@ def test_generator_kernels_cover_every_outcome():
     assert {("proportional-identity", PASS), ("proportional-identity", FAIL),
             ("symmetric-equality", PASS), ("symmetric-equality", FAIL),
             ("symmetric-equality", INCONCLUSIVE)} <= seen
+
+
+def test_predicate_table_rejects_wrong_calls_and_names_every_predicate():
+    # A predicate run by the wrong entry point, or a name not in the table,
+    # raises ValueError naming it before anything is read; every predicate
+    # a campaign probe runs or a generator kernel notes is in the table.
+    fn = fn_of("paraboloid")
+    x, y = np.array([[0.1, 0.2]]), np.array([[0.5, -0.3]])
+
+    def generators(points, negated):
+        raise AssertionError("a rejected call read generators")
+
+    def segment(name):
+        return check_rows(name, fn, x, y, LAM_GRID)
+
+    def generator(name):
+        return check_generator_rows(name, fn, x, y, generators)
+
+    with pytest.raises(ValueError, match="'pseudoconvex-pair' is a generator predicate"):
+        segment("pseudoconvex-pair")
+    with pytest.raises(ValueError, match="'quasiconvex-segment' is a segment predicate"):
+        generator("quasiconvex-segment")
+    fx, lams = np.zeros(1), LAM_GRID[None]
+    with pytest.raises(ValueError, match="'gradient-kernel' is a generator predicate"):
+        read_rule("gradient-kernel", LAM_GRID, fx, fx)
+    with pytest.raises(ValueError, match="'symmetric-equality' is a generator predicate"):
+        kernel_rows("symmetric-equality", fx, fx, lams, np.zeros_like(lams))
+    unknown = re.escape(f"unknown predicate 'convex-pair' (known: {', '.join(PREDICATES)})")
+    for run in (segment, generator):
+        with pytest.raises(ValueError, match=unknown):
+            run("convex-pair")
+    probes = [p for probes in campaign._PROBES.values() for p in probes]
+    named = {p.predicate for p in probes} | {p.nonsmooth for p in probes if p.nonsmooth}
+    noted = {v.predicate for v in vars(checks).values() if isinstance(v, checks._Note)}
+    assert len(noted) == 5 and named | noted <= set(PREDICATES)
 
 
 @settings(max_examples=200, deadline=None)

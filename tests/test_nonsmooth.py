@@ -16,7 +16,6 @@ from gencvx.nonsmooth import (
     negate_estimate,
     subdifferential,
     subdifferential_rows,
-    subdifferentials,
 )
 
 BOX1 = parse_region("box(-1..1)", 1)
@@ -300,11 +299,18 @@ def test_row_estimate_near_a_domain_edge_fails_as_per_probe(seed):
         assert got[1] == "gradient evaluation failed at 10/17 probes near [5.e-06]"
 
 
+def _estimates(fn, region, points, radius, count, seeds):
+    """Each point's estimate from one subdifferential_rows call, or the
+    EstimationError it failed with."""
+    gens, at_kink = subdifferential_rows(fn, region, points, radius, count, seeds)
+    return [gens.estimate(i, radius, kink) for i, kink in enumerate(at_kink.tolist())]
+
+
 def _many_points(fn, plain):
     """The estimates at six points, made together, against each alone."""
     points = [[0.5, 0.2], [0.3, 0.0], [0.25, -0.0], [0.9999999, 0.5], [-0.5, 0.2], [0.4, 0.1]]
     seeds = [3, 1, 4, 1, 5, 9]
-    together = subdifferentials(fn, BOX2, points, 1e-5, 8, seeds)
+    together = _estimates(fn, BOX2, points, 1e-5, 8, seeds)
     kinds = []
     for x, seed, est in zip(points, seeds, together):
         alone = _reference_outcome(plain, BOX2, np.array(x), 1e-5, 8, seed)
@@ -315,7 +321,7 @@ def _many_points(fn, plain):
             assert ([g.tobytes() for g in est.generators], est.radius, est.at_kink) == alone
             kinds.append(est.at_kink)
     assert kinds == [False, True, True, "InteriorRoomError", "EstimationError", False]
-    assert subdifferentials(fn, BOX2, [], 1e-5, 8, []) == []
+    assert _estimates(fn, BOX2, [], 1e-5, 8, []) == []
 
 
 def test_many_point_estimates_equal_one_at_a_time():
@@ -403,7 +409,7 @@ def _at_scale(fn, plain, source, dim, kinks, radius):
         points[45:60, 1] = -0.5 + radius * np.linspace(-0.5, 1.5, 15)
     seeds = list(range(1000, 1000 + len(points)))
     seen = Counter()
-    for est, x, seed in zip(subdifferentials(fn, region, points, radius, 2 * dim + 5, seeds),
+    for est, x, seed in zip(_estimates(fn, region, points, radius, 2 * dim + 5, seeds),
                             points, seeds):
         want = _reference_outcome(plain, region, x, radius, 2 * dim + 5, seed)
         if isinstance(est, EstimationError):
@@ -482,8 +488,10 @@ def test_handle_without_gradient_central_differences_every_probe(name, x):
 
 def test_points_of_different_dimensions_are_named():
     fn = function_from_expression("x1 + x2", 2)
-    with pytest.raises(ValueError, match=r"points of different shapes \[\(2,\), \(3,\)\]"):
-        subdifferentials(fn, BOX2, [[0.1, 0.2], [0.1, 0.2, 0.3]], 1e-5, 8, [0, 1])
+    with pytest.raises(ValueError, match=r"inhomogeneous shape"):
+        subdifferential_rows(fn, BOX2, [[0.1, 0.2], [0.1, 0.2, 0.3]], 1e-5, 8, [0, 1])
+    with pytest.raises(ValueError, match=r"one \(k, n\) array, got shape \(2,\)"):
+        subdifferential_rows(fn, BOX2, [0.1, 0.2], 1e-5, 8, [0])
 
 
 def test_negated_rows_read_the_negated_gradient():
