@@ -254,11 +254,6 @@ class _Context:
     def handle(self, negated: bool) -> FunctionHandle:
         return self.neg_fn if negated else self.fn
 
-    def gradients(self, points: np.ndarray, negated: bool):
-        """For a smooth handle, its gradient at each row of points with the
-        flags of the rows that have one; None for a nonsmooth handle."""
-        return self.handle(negated).grads(points) if self.smooth else None
-
     # -- deterministic sampling ------------------------------------------------
 
     def _accepted(self, rng: np.random.Generator, block: np.ndarray | None = None):
@@ -384,17 +379,28 @@ class _Context:
         # A spread at radius r may come from a kink merely nearby.  Shrinking
         # the ball separates the cases: at a true kink the spread persists,
         # near one it collapses and the fine coherent estimate (or its
-        # failure) is the honest set at x.
+        # failure) is the honest set at x.  A smooth handle has no kinks:
+        # its Clarke subdifferential at x is {grad f(x)}, so where its spread
+        # persists f is merely steep, and the handle's gradient at x, where
+        # it has one, is the estimate.
         kinked = np.flatnonzero(self._kink[rows])
         if kinked.size:
             fine = self._store(xs[kinked], radius / 1000.0, seeds[kinked])
             rows[kinked] = np.where(self._kink[fine], rows[kinked], fine)
+            steep = kinked[self._kink[fine]]
+            if self.smooth and steep.size:
+                g, has = self.fn.grads(xs[steep])
+                gens = ck.Generators.of([(v,) for v in g[has]], self.fn.dimension)
+                rows[steep[has]] = self._append(gens, np.zeros(int(has.sum()), dtype=bool), 0.0)
         self._at.update(zip(keys, rows.tolist()))
 
     def _store(self, xs: np.ndarray, radius: float, seeds: np.ndarray) -> np.ndarray:
         """Append the estimates at xs at the radius to the cache; their rows."""
-        gens, kink = subdifferential_rows(
-            self.fn, self.region, xs, radius, self.subdiff_count, seeds.tolist())
+        return self._append(*subdifferential_rows(
+            self.fn, self.region, xs, radius, self.subdiff_count, seeds.tolist()), radius)
+
+    def _append(self, gens: ck.Generators, kink: np.ndarray, radius: float) -> np.ndarray:
+        """Append rows of generators, kink flags and radius to the cache; their rows."""
         first = len(self._kink)
         self._cache = self._cache.joined(gens)
         self._kink = np.concatenate([self._kink, kink])
@@ -469,21 +475,16 @@ class _Segments:
 # --------------------------------------------------------------------------
 
 
-def _rows(ctx: _Context, name: str, negated: bool, xs, ys, lams=None, gradients=None) -> ck.Rows:
+def _rows(ctx: _Context, name: str, negated: bool, xs, ys, lams=None) -> ck.Rows:
     """The predicate name's kernel over rows of pairs, on f (on -f when
     negated), in one call.  A segment predicate reads values only, at lams
     or, for lams=None, over the plan's lambda grid.  The others read the
-    generators of estimates made in one call per point set a kernel reads;
-    a kernel condition reads a smooth handle's gradient at xs instead where
-    it has one, the given gradients when read already."""
+    generators of estimates made in one call per point set a kernel reads."""
     fn = ctx.handle(negated)
-    pred = ck.PREDICATES[name]
-    if pred.segment:
+    if ck.PREDICATES[name].segment:
         return ck.check_rows(name, fn, xs, ys, ctx.lam_grid if lams is None else lams)
-    if pred.gradient and gradients is None:
-        gradients = ctx.gradients(np.atleast_2d(xs), negated)
     return ck.check_generator_rows(
-        name, fn, xs, ys, lambda points, neg: ctx.generators(points, neg != negated), gradients)
+        name, fn, xs, ys, lambda points, neg: ctx.generators(points, neg != negated))
 
 
 def _check(ctx: _Context, c: Candidate | Witness) -> ck.Check:
@@ -713,7 +714,7 @@ def refine_counterexample(
     fn: FunctionHandle,
     region: Region,
     candidate: Candidate,
-    rounds: int = 3,
+    rounds: int | None = None,
     plan: SamplingPlan | None = None,
 ) -> RefineResult:
     """Locally maximize the violation of candidate.predicate around the seed.
@@ -721,10 +722,13 @@ def refine_counterexample(
     Coordinate descent over (x, y, lambda) on the check's margin: while the
     predicate passes, it climbs toward the violation boundary; once it
     fails, it is the violation residual, so the trace is nondecreasing.
+    It climbs `rounds` rounds, by default the plan's refinement_rounds.
     Candidates whose final residual stays inside the hysteresis band are
     discarded (None).
     """
-    (result,) = _refine_together(_Context(fn, region, plan or SamplingPlan()), [candidate], rounds)
+    ctx = _Context(fn, region, plan or SamplingPlan())
+    rounds = ctx.plan.refinement_rounds if rounds is None else rounds
+    (result,) = _refine_together(ctx, [candidate], rounds)
     if isinstance(result, EstimationError):
         raise result
     return result
@@ -801,10 +805,9 @@ def _kernel_placed(ctx: _Context, negated: bool, a: np.ndarray, b: np.ndarray, p
     """Kernel conditions bind on measure-zero sets: each orientation (a, b)
     is followed by b projected onto the kernel of each generator at a, where
     that moves it and stays feasible.  Returns the rows' endpoints and
-    pairs, the pairs whose placement read a failed estimate, and the
-    gradients at the rows' first endpoints (None for a nonsmooth handle)."""
-    grads = ctx.gradients(a, negated)
-    gens = ck.kernel_generators(len(a), grads, lambda rows: ctx.generators(a[rows], negated))
+    pairs.  A failed estimate has one zero generator, so it adds no
+    projection, and the kernel run over the rows reads its failure."""
+    gens = ctx.generators(a, negated)
     g, own = gens.g, gens.owner
     gg = ck.dots(g, g)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -816,9 +819,7 @@ def _kernel_placed(ctx: _Context, negated: bool, a: np.ndarray, b: np.ndarray, p
     origin = np.concatenate([np.arange(len(a)), own[keep]])
     order = np.argsort(origin, kind="stable")
     origin = origin[order]
-    gradients = None if grads is None else tuple(v[origin] for v in grads)
-    return (a[origin], np.concatenate([b, bp[keep]])[order], pair[origin],
-            pair[list(gens.failed)], gradients)
+    return a[origin], np.concatenate([b, bp[keep]])[order], pair[origin]
 
 
 class _Run(NamedTuple):
@@ -857,10 +858,8 @@ def _runs(ctx: _Context, prop: str, xs: np.ndarray, ys: np.ndarray):
         for negated in probe.sides:
             a, b, pair = segments.a[orient], segments.b[orient], orient // 2
             if probe.placement == _KERNEL:
-                a, b, pair, failed, gradients = _kernel_placed(ctx, negated, a, b, pair)
-                broken[failed] = True
-                rows = _rows(ctx, name, negated, a, b, None, gradients)
-            elif ck.PREDICATES[name].segment:
+                a, b, pair = _kernel_placed(ctx, negated, a, b, pair)
+            if ck.PREDICATES[name].segment:
                 rows = segments.rows(name, negated, orient, col)
             else:
                 rows = _rows(ctx, name, negated, a, b)
@@ -987,11 +986,6 @@ def _classify_together(ctx: _Context, props) -> list[PropertyVerdict]:
     results = iter(_refine_together(
         ctx, [c for s in samplings for c in s.refined], ctx.plan.refinement_rounds))
     return [_verdict(s, [next(results) for _ in s.refined]) for s in samplings]
-
-
-def _classify_property(ctx: _Context, prop: str) -> PropertyVerdict:
-    (verdict,) = _classify_together(ctx, (prop,))
-    return verdict
 
 
 def classify(

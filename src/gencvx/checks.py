@@ -16,7 +16,10 @@ its read rule and its failure detail.  `check_rows` runs a value-only one
 two array reads of f, `check_generator_rows` a generator one (the
 pseudoconvex pair, the proportional identity, the symmetric equality and
 the two kernel conditions) with one read of f and one of the generators per
-point set, and the `check_*` functions are their one-row wrappers.
+point set, and the `check_*` functions are their one-row wrappers.  The
+gradient kernel condition is the subdifferential one with its own notes,
+read on estimates that hold {grad f(x)}, the Clarke subdifferential of a C1
+function, as the campaign's estimates of a smooth handle do.
 Strict inequalities are tested with the margin
 
     eps = 1e-7 * (1 + |f(x)| + |f(y)|)
@@ -80,7 +83,6 @@ __all__ = [
     "kernel_rows",
     "Generators",
     "dots",
-    "kernel_generators",
     "check_generator_rows",
     "compute_p",
     "verify_p_identity",
@@ -205,7 +207,6 @@ class Predicate(NamedTuple):
     kernel: Callable  # a value-only or a generator kernel, as the sections below take them
     segment: bool  # reads f on the segment (check_rows), else generators (check_generator_rows)
     descent: bool = False  # the read rule: only interior lambdas of descending rows
-    gradient: bool = False  # a kernel condition: reads a smooth handle's gradient if it has one
     detail: Callable | None = None  # a segment Check's detail from (outcome, fx, fy, lam, fz)
 
 
@@ -477,18 +478,19 @@ def _stretch(a: np.ndarray, k: int) -> np.ndarray:
     return a if len(a) == k else np.repeat(a, k, axis=0)
 
 
-def _one_row(predicate, fn, x, y, lams=None, sub_x=None, sub_y=None, gradients=None) -> Check:
+def _one_row(predicate, fn, x, y, lams=None, sub_x=None, sub_y=None) -> Check:
     """A predicate's one-row check: at lams for a segment predicate, else on
-    the given estimates at x and at y."""
+    the given estimates at x and at y (negated for -f)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if PREDICATES[predicate].segment:
         return check_rows(predicate, fn, x, y, lams).check(0, x, y)
 
     def sub(rows, at_y=False, negated=False):
-        return Generators.of([(sub_y if at_y else sub_x).generators] * len(rows), x.size)
+        gens = Generators.of([(sub_y if at_y else sub_x).generators] * len(rows), x.size)
+        return gens.negated() if negated else gens
 
-    return _generator_rows(predicate, fn, x[None], y[None], sub, gradients).check(0, x, y)
+    return _generator_rows(predicate, fn, x[None], y[None], sub).check(0, x, y)
 
 
 def check_quasiconvex_segment(fn: FunctionHandle, x, y, lam_grid) -> Check:
@@ -529,11 +531,13 @@ def check_interlacing(fn: FunctionHandle, x, y, lam_grid) -> Check:
 #
 # The first-order predicates read f at the endpoints and generators: those
 # of a subdifferential estimate at x (at y too for the symmetric equality,
-# and of -f at x for the subdifferential kernel), or a gradient at x.  A
-# kernel takes fx, fy (k,), the rows x, y (k, n), `sub`, which reads the
-# Generators of chosen rows in one call, and the gradients of the rows that
-# have one, for the kernel conditions.  It reads the generators of only the
-# rows whose one-row check reads them.  Each row's generators are taken in
+# and of -f at x for the kernel conditions).  For a C1 function the Clarke
+# subdifferential is {grad f(x)}, so the gradient kernel condition is the
+# subdifferential one read on estimates that hold the gradient at x, as a
+# smooth handle's do in the campaign.  A kernel takes fx, fy
+# (k,), the rows x, y (k, n) and `sub`, which reads the Generators of
+# chosen rows in one call.  It reads the generators of only the rows whose
+# one-row check reads them.  Each row's generators are taken in
 # estimate order and its first failing generator is the one it names, as
 # in a loop over them; the per-row reductions run over the flattened
 # generators with ufunc.reduceat.  A kernel returns per row the outcome,
@@ -640,7 +644,7 @@ _SUBDIFF_KERNEL_LOWER = _Note("subdifferential-kernel", "kernel generator violat
 _SUBDIFF_KERNEL_UPPER = _Note("subdifferential-kernel", "kernel generator violates f(y) <= f(x)")
 
 
-def _pseudoconvex_gen(fx, fy, x, y, sub, gradients):
+def _pseudoconvex_gen(fx, fy, x, y, sub):
     """check_pseudoconvex_pair's kernel: only descending rows read their
     generators, and a pass scores its largest pairing plus eps."""
     k = len(x)
@@ -666,7 +670,7 @@ def _pseudoconvex_gen(fx, fy, x, y, sub, gradients):
     )
 
 
-def _identity_gen(fx, fy, x, y, sub, gradients):
+def _identity_gen(fx, fy, x, y, sub):
     """verify_p_identity's kernel.  A generator fails inside the band when
     the values differ, outside it on a nonpositive p or an identity
     residual above eps."""
@@ -695,7 +699,7 @@ def _identity_gen(fx, fy, x, y, sub, gradients):
     )
 
 
-def _symmetric_gen(fx, fy, x, y, sub, gradients):
+def _symmetric_gen(fx, fy, x, y, sub):
     """check_symmetric_equality's kernel: every generator's pairing and
     proportional factor over all rows at once, then per row the loop over
     them.  Each generator g at x needs a positive forward factor and, with
@@ -803,48 +807,19 @@ def _subdiff_kernel(fx, fy, x, y, low: Generators, up: Generators):
     return results, _outcomes(~in_l, lower, False), _outcomes(~in_u, upper, False)
 
 
-def kernel_generators(k: int, gradients, estimate) -> Generators:
-    """The generators the kernel conditions read at each of k rows: the
-    gradient where `gradients` ((k, n) gradients and the (k,) flags of the
-    rows that have one, or None) gives one, else the generators of the
-    estimate that `estimate(rows)` gives for the other rows."""
-    if gradients is None:
-        return estimate(np.arange(k))
-    g, has = gradients
-    rest = np.flatnonzero(~has)
-    if not rest.size:
-        every = np.arange(k)
-        return Generators(g, every, every, np.ones(k, dtype=np.intp), {})
-    est = estimate(rest)
-    sets: list = list(g[:, None])
-    for j, i in enumerate(rest):
-        sets[i] = est.failed.get(j) or est.g[est.start[j]:est.start[j] + est.count[j]]
-    return Generators.of(sets, g.shape[1])
-
-
-def _kernel_gen(fx, fy, x, y, sub, gradients):
+def _kernel_gen(fx, fy, x, y, sub, gradient=False):
     """The kernel conditions: check_subdiff_kernel_pair's kernel on the
-    kernel_generators of f and of -f.  A row with a gradient g reads g and
-    -g, and so passes and fails as check_gradient_kernel; it names g, with
-    that check's notes."""
-    k = len(x)
-    negated = None if gradients is None else (-gradients[0], gradients[1])
-    results, _, _ = _subdiff_kernel(
-        fx, fy, x, y, kernel_generators(k, gradients, sub),
-        kernel_generators(k, negated, partial(sub, negated=True)))
-    if gradients is None:
+    generators of f and of -f.  The gradient kernel condition gives its
+    rows check_gradient_kernel's notes and names the generator of f (the
+    upper side fails on one of -f)."""
+    every = np.arange(len(x))
+    results, _, _ = _subdiff_kernel(fx, fy, x, y, sub(every), sub(every, negated=True))
+    if not gradient:
         return results
     outcome, margin, residual, generator, index, note, value, failed = results
-    g, has = gradients
-    fail = has & (outcome == FAIL)
-    return (
-        outcome, margin, residual,
-        np.where(fail[:, None], g, generator),
-        index,
-        np.where(has, np.where(fail, _GRADIENT_KERNEL_FAIL, _GRADIENT_KERNEL), note),
-        value,
-        failed,
-    )
+    upper = note == _SUBDIFF_KERNEL_UPPER
+    return (outcome, margin, residual, np.where(upper[:, None], -generator, generator), index,
+            np.where(outcome == FAIL, _GRADIENT_KERNEL_FAIL, _GRADIENT_KERNEL), value, failed)
 
 
 # Every predicate the campaign runs, by name.
@@ -862,8 +837,8 @@ PREDICATES: dict[str, Predicate] = {
     "pseudoconvex-pair": Predicate(_pseudoconvex_gen, False),
     "proportional-identity": Predicate(_identity_gen, False),
     "symmetric-equality": Predicate(_symmetric_gen, False),
-    "gradient-kernel": Predicate(_kernel_gen, False, gradient=True),
-    "subdifferential-kernel": Predicate(_kernel_gen, False, gradient=True),
+    "gradient-kernel": Predicate(partial(_kernel_gen, gradient=True), False),
+    "subdifferential-kernel": Predicate(_kernel_gen, False),
 }
 
 
@@ -886,29 +861,24 @@ def _generator_results(predicate: str, fx, fy, results) -> Rows:
                 generator, index, note, value, failed)
 
 
-def _generator_rows(predicate: str, fn: FunctionHandle, x, y, sub, gradients) -> Rows:
+def _generator_rows(predicate: str, fn: FunctionHandle, x, y, sub) -> Rows:
     kernel = _predicate(predicate, segment=False).kernel
     if x.shape != y.shape:
         raise ValueError(f"endpoint rows of shapes {x.shape} and {y.shape}")
     fxy = fn.values(np.concatenate([x, y]))
     fx, fy = fxy[:len(x)], fxy[len(x):]
-    results = kernel(fx, fy, x, y, sub, gradients)
-    return _generator_results(predicate, fx, fy, results)
+    return _generator_results(predicate, fx, fy, kernel(fx, fy, x, y, sub))
 
 
-def check_generator_rows(
-    predicate: str, fn: FunctionHandle, x, y, generators, gradients=None
-) -> Rows:
+def check_generator_rows(predicate: str, fn: FunctionHandle, x, y, generators) -> Rows:
     """Run a generator predicate over k rows: f read at the endpoints in one
     `fn.values` call, generators in one `generators(points, negated)` call
     per point set, which gives the Generators of the estimates of the
     subdifferential of fn (of -fn when negated) at each row of points.
 
-    x and y are (k, n) rows.  The kernel conditions take `gradients`, a
-    (k, n) array of gradients at x with the (k,) flags of the rows that have
-    one, and read estimates for the other rows only.  Each row's result is
-    bit-identical to the predicate's one-row check, and a row whose estimate
-    failed raises when read.
+    x and y are (k, n) rows.  Each row's result is bit-identical to the
+    predicate's one-row check, and a row whose estimate failed raises when
+    read.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -916,7 +886,7 @@ def check_generator_rows(
     def sub(rows, at_y=False, negated=False):
         return generators((y if at_y else x)[rows], negated)
 
-    return _generator_rows(predicate, fn, x, y, sub, gradients)
+    return _generator_rows(predicate, fn, x, y, sub)
 
 
 def check_pseudoconvex_pair(
@@ -965,9 +935,10 @@ def check_symmetric_equality(
 
 
 def check_gradient_kernel(fn: FunctionHandle, x, y, grad_x) -> Check:
-    """grad f(x)(y - x) = 0 requires f(y) = f(x)  (smooth handles)."""
-    g = np.asarray(grad_x, dtype=float).reshape(1, -1)
-    return _one_row("gradient-kernel", fn, x, y, gradients=(g, np.ones(1, dtype=bool)))
+    """grad f(x)(y - x) = 0 requires f(y) = f(x)  (smooth handles): the
+    kernel conditions on the one-generator estimate {grad f(x)}."""
+    g = SubdifferentialEstimate((np.asarray(grad_x, dtype=float).reshape(-1),), 0.0, False)
+    return _one_row("gradient-kernel", fn, x, y, sub_x=g)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from gencvx import (
 from gencvx import campaign
 from gencvx.campaign import (
     _BOTH, _PAIR, _SWEEP, HOLDS, MAX_REFINED_CANDIDATES, MAX_WITNESSES, NEAR_MISS_CANDIDATES,
-    REFUTED, _REFINE_STEPS, _check, _classify_property, _Context, _near_misses,
+    REFUTED, _REFINE_STEPS, _check, _Context, _near_misses,
     _orientations, _refine_together, _rows, _runs, _witness_from_check,
 )
 from gencvx.checks import INCONCLUSIVE, PREDICATES, check_rows, descends
@@ -381,6 +381,41 @@ def test_refinement_discards_on_affine():
     )
     result = refine_counterexample(e.handle, e.region, cand, rounds=3, plan=FAST)
     assert result.witness is None
+
+
+def test_refinement_rounds_default_to_the_plan():
+    # Without rounds, refinement climbs the plan's refinement_rounds.
+    e = corpus_entry("cubic")
+    cand = Candidate("pseudoconvex-pair", False, np.array([0.1]), np.array([-0.9]))
+    traces = {}
+    for rounds in (1, 3):
+        by_plan = refine_counterexample(
+            e.handle, e.region, cand, plan=replace(FAST, refinement_rounds=rounds))
+        given = refine_counterexample(e.handle, e.region, cand, rounds=rounds, plan=FAST)
+        assert by_plan.scores == given.scores
+        assert by_plan.witness.to_dict() == given.witness.to_dict()
+        traces[rounds] = by_plan.scores
+    assert traces[1] != traces[3]
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+@pytest.mark.parametrize("name", ["affine", "fractional", "arctan", "cubic", "paraboloid"])
+def test_kernel_rows_on_smooth_handles_are_the_gradient_check(name, seed):
+    # On a smooth handle the kernel condition reads the estimate cache, and
+    # every row, kernel projections included, is the one-row gradient check.
+    e = corpus_entry(name)
+    ctx = _Context(e.handle, e.region, SamplingPlan(seed=seed))
+    runs, _ = _runs(ctx, "pseudolinear", *ctx.pairs)
+    (run,) = [run for run in runs if run.predicate == "gradient-kernel"]
+
+    def fields(c):
+        g = None if c.generator is None else c.generator.tobytes()
+        return c.predicate, c.outcome, c.residual, c.margin, c.detail, g
+
+    for r in range(len(run.xs)):
+        x, y = run.xs[r], run.ys[r]
+        want = check_gradient_kernel(e.handle, x, y, e.handle.grad(x))
+        assert fields(run.check(r)) == fields(want)
 
 
 def test_kernel_refinement_for_gradient_kernel():
@@ -816,6 +851,38 @@ def test_the_estimate_cache_holds_what_subdifferential_gives():
     assert all(_outcome(stored[x.tobytes()]) == _outcome(w) for x, w in zip(points, want))
 
 
+# x2/x1 is pseudolinear on x1 > 0, and steep near x1 = 0.01: there its
+# gradient turns by about 0.03 across a ball of radius 1e-8.
+_STEEP = function_from_expression("x2/x1", 2)
+_NEAR_THE_POLE = parse_region("x1 >= 0.01, box(0..1, -1..1), margin(0.0001)", 2)
+
+
+def test_a_steep_smooth_point_is_estimated_by_its_gradient():
+    # Gradient sampling flags a kink at both radii, yet f is smooth, and the
+    # cache holds its gradient at x, on f and (negated) on -f.
+    x = np.array([0.0101, 0.9])
+    count = FAST.resolved_subdiff_count(2)
+    for radius in (FAST.subdiff_radius, FAST.subdiff_radius / 1000.0):
+        est = subdifferential(_STEEP, _NEAR_THE_POLE, x, radius, count,
+                              campaign._point_entropy(x))
+        assert est.at_kink and len(est.generators) > 1
+    ctx = _Context(_STEEP, _NEAR_THE_POLE, FAST)
+    for negated in (False, True):
+        gens = ctx.generators(x[None], negated)
+        want = -_STEEP.grad(x) if negated else _STEEP.grad(x)
+        assert gens.count.tolist() == [1] and gens.g.tobytes() == want.tobytes()
+    est = ctx.estimates()[x.tobytes()]
+    assert (est.radius, est.at_kink) == (0.0, False)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_steep_pseudolinear_function_is_not_refuted(seed):
+    # The kernel of a generator sampled near x1 = 0.01 is not a level set
+    # of f; a pair placed on it would refute pseudolinearity falsely.
+    (v,) = classify(_STEEP, _NEAR_THE_POLE, ["pseudolinear"], SamplingPlan(seed=seed))
+    assert (v.verdict, v.fails, v.inconclusive) == (HOLDS, 0, 0)
+
+
 _ONE_ASCENT_CASES = [(name, corpus_entry(name).handle, corpus_entry(name).region)
                      for name in ("ramp", "cubic", "paraboloid")] + [
     ("max", function_from_expression("max(x1, x2)", 2), _BOX2)]
@@ -1076,8 +1143,8 @@ _SELECTION_CASES = _LOCKSTEP_CASES + [
 @pytest.mark.parametrize("name, fn, region", _SELECTION_CASES,
                          ids=[c[0] for c in _SELECTION_CASES])
 def test_classify_keeps_what_a_check_per_failing_row_would(name, fn, region, monkeypatch):
-    # _classify_property builds witnesses and candidates only for the rows
-    # it can keep: the witnesses, refinement candidates and tallies equal
+    # classify builds witnesses and candidates only for the rows it can
+    # keep: the witnesses, refinement candidates and tallies equal
     # those reached from a Check for every failing row.  Sampling builds at
     # most MAX_WITNESSES witnesses per probe side, and refinement at most
     # one per candidate it refines.
@@ -1101,7 +1168,7 @@ def test_classify_keeps_what_a_check_per_failing_row_would(name, fn, region, mon
             want, sampled, cands, every = _selected_row_by_row(_Context(fn, region, plan), prop)
             built.clear()
             refined.clear()
-            got = _classify_property(_Context(fn, region, plan), prop)
+            (got,) = classify(fn, region, [prop], plan)
             assert got.to_dict() == want.to_dict(), (prop, seed)
             assert [_as_tuple(c) for c in refined[0]] == [_as_tuple(c) for c in cands]
             from_sampling = [w for late, *_, w in built if not late]

@@ -889,6 +889,20 @@ def _ref_gradient_kernel(fn, x, y, g):
     return Check("gradient-kernel", x, y, fx, fy, PASS, margin=gap - eps)
 
 
+def _ref_kernel_at(fn, x, y, ests):
+    """The gradient kernel condition's reference on the estimate at x: the
+    gradient loop on a one-generator estimate, else the subdifferential
+    loops with the gradient notes, naming the generator of f."""
+    gens = ests.at(x).generators
+    if len(gens) == 1:
+        return _ref_gradient_kernel(fn, x, y, gens[0])
+    want = _ref_subdiff_kernel(fn, x, y, ests.at(x), ests.at(x, negated=True))[0]
+    upper = want.detail.endswith("f(y) <= f(x)")
+    return replace(want, predicate="gradient-kernel",
+                   detail="kernel direction changes the value" if want.outcome == FAIL else "",
+                   generator=-want.generator if upper else want.generator)
+
+
 def _ref_subdiff_kernel(fn, x, y, sub_x, sub_neg_x):
     fx, fy = fn.value(x), fn.value(y)
     eps, gap, d = eps_strict(fx, fy), abs(fy - fx), y - x
@@ -971,7 +985,9 @@ _GEN_COORDS = st.sampled_from([-1.0, -0.5, -0.25, 0.0, -0.0, 0.25, 0.5, 0.75, 1.
 def _generator_case(draw):
     """A handle (f or -f), k rows of pairs, generator sets at their points
     (some several generators, some orthogonal to a row's y - x, some failed)
-    and gradients at x for some rows."""
+    and a gradient at x for every row.  Some rows' gradients are also the
+    one-generator estimate at a fresh point, the x of an added row that
+    keeps the y and the gradient of its row."""
     fn, region = draw(st.sampled_from(_GEN_SOURCES))
     if draw(st.booleans()):
         fn = negate_handle(fn)
@@ -1010,17 +1026,25 @@ def _generator_case(draw):
                     g = g - d * (g @ d) / (d @ d)
             gens.append(np.asarray(g, dtype=float))
         table[key] = tuple(gens)
-    has = np.array([draw(st.booleans()) for _ in range(k)])
     grads = np.array([np.array([draw(_GEN_COORDS) for _ in range(n)]) for _ in range(k)])
-    return fn, xs, ys, _Estimates(table), (grads, has)
+    added = []
+    for y, g in zip(ys, grads):
+        x = point()
+        if draw(st.booleans()) and x.tobytes() not in table and not np.array_equal(x, y):
+            table[x.tobytes()] = (g,)
+            added.append((x, y, g))
+    if added:
+        more = [np.array(column) for column in zip(*added)]
+        xs, ys, grads = (np.concatenate([a, b]) for a, b in zip((xs, ys, grads), more))
+    return fn, xs, ys, _Estimates(table), grads
 
 
 @settings(max_examples=300, deadline=None)
 @given(_generator_case())
 def test_generator_kernels_match_the_scalar_loops(case):
-    fn, xs, ys, ests, (grads, has) = case
+    fn, xs, ys, ests, grads = case
     rows = {
-        name: check_generator_rows(name, fn, xs, ys, ests.rows, (grads, has))
+        name: check_generator_rows(name, fn, xs, ys, ests.rows)
         for name in ("pseudoconvex-pair", "proportional-identity", "symmetric-equality",
                      "gradient-kernel")
     }
@@ -1029,9 +1053,7 @@ def test_generator_kernels_match_the_scalar_loops(case):
             "pseudoconvex-pair": lambda: _ref_pseudoconvex(fn, x, y, ests.at(x)),
             "proportional-identity": lambda: _ref_identity(fn, x, y, ests.at(x)),
             "symmetric-equality": lambda: _ref_symmetric(fn, x, y, ests.at(x), ests.at(y)),
-            "gradient-kernel": lambda: (
-                _ref_gradient_kernel(fn, x, y, grads[i]) if has[i]
-                else _ref_subdiff_kernel(fn, x, y, ests.at(x), ests.at(x, negated=True))[0]),
+            "gradient-kernel": lambda: _ref_kernel_at(fn, x, y, ests),
         }
         for name, ref in refs.items():
             want, error = _outcome_of(ref)
@@ -1074,6 +1096,7 @@ def test_generator_kernels_cover_every_outcome():
         (ramp, [0.0], [0.5], kink),            # ramp side, kink set
         (ramp, [-0.5], [-0.25], est([0.0])),   # tied values, flat piece
         (fn_of("arctan"), [0.5], [-0.5], est([0.8], [-0.8])),  # one positive, one negative p
+        (fn_of("paraboloid"), [1.0, 0.0], [1.0, 1.0], est([2.0, 0.0])),  # rises along the kernel
     ]
     seen = set()
     for fn, x, y, sub in cases:
@@ -1096,6 +1119,15 @@ def test_generator_kernels_cover_every_outcome():
     assert {("proportional-identity", PASS), ("proportional-identity", FAIL),
             ("symmetric-equality", PASS), ("symmetric-equality", FAIL),
             ("symmetric-equality", INCONCLUSIVE)} <= seen
+    # The paraboloid row fails on the upper side, on the generator of -f:
+    # the gradient kernel condition names the gradient of f, the
+    # subdifferential one the generator of -f, signed zero included.
+    x, y, sub = np.array([1.0, 0.0]), np.array([1.0, 1.0]), est([2.0, 0.0])
+    grad = check_gradient_kernel(fn_of("paraboloid"), x, y, sub.generators[0])
+    pair = check_subdiff_kernel_pair(fn_of("paraboloid"), x, y, sub, est([-2.0, -0.0]))
+    assert (grad.outcome, grad.residual, pair.upper) == (FAIL, 1.0, FAIL)
+    assert grad.generator.tobytes() == np.array([2.0, 0.0]).tobytes()
+    assert pair.overall.generator.tobytes() == np.array([-2.0, -0.0]).tobytes()
 
 
 def test_predicate_table_rejects_wrong_calls_and_names_every_predicate():
