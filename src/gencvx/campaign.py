@@ -20,8 +20,9 @@ devices: one pair in ten is drawn nearly collinear with a coordinate axis,
 and the samples closest to a violation are pushed through local coordinate
 ascent on the check's margin before the property may be declared to hold.
 The candidates of every property of a classify call climb together as
-array state in one ascent (_Ascent), one kernel call per predicate, side
-and grid per step; refine_counterexample is the one-candidate case.
+array state in one ascent (_Ascent), one kernel call per predicate and
+grid per step, rows on f and on -f alike; refine_counterexample is the
+one-candidate case.
 
 Everything derives from the plan seed through per-sample-index substreams,
 so results are identical however the work is scheduled.
@@ -38,7 +39,7 @@ import numpy as np
 
 from . import checks as ck
 from .checks import FAIL, INCONCLUSIVE, PASS, VACUOUS
-from .functions import LOCALLY_LIPSCHITZ, PROPERTIES, FunctionHandle, negate_handle
+from .functions import LOCALLY_LIPSCHITZ, PROPERTIES, FunctionHandle
 from ._pcg import generator, pcg64_states, position, to_ints, uniform_block
 from .geometry import Region, RegionTooThinError, _accept_mask, segment_point
 # subdifferential is not called here; perfbench's tracer and its tests look
@@ -235,7 +236,6 @@ class _Context:
             raise ValueError("function and region dimensions differ")
         self.subdiff_count = plan.resolved_subdiff_count(fn.dimension)
         self.fn = fn
-        self.neg_fn = negate_handle(fn)
         self.smooth = fn.smoothness != LOCALLY_LIPSCHITZ
         self.region = region
         self.plan = plan
@@ -250,9 +250,6 @@ class _Context:
         self._radius = np.zeros(0)
         self._pairs: tuple[np.ndarray, np.ndarray] | None = None
         self._segments: _Segments | None = None
-
-    def handle(self, negated: bool) -> FunctionHandle:
-        return self.neg_fn if negated else self.fn
 
     # -- deterministic sampling ------------------------------------------------
 
@@ -355,27 +352,25 @@ class _Context:
 
     # -- subdifferential cache ---------------------------------------------------
 
-    def generators(self, points: np.ndarray, negated: bool = False) -> ck.Generators:
-        """The generators of the estimates of the subdifferential of f (of
-        -f when negated) at each row of points, gathered from the cache's
-        rows in one index operation.  The points not yet estimated are
-        estimated in one call; an estimate that failed is stored, without
-        its traceback, and its row carries the failure, which a check raises
-        afresh when it reads that row."""
+    def generators(self, points: np.ndarray) -> ck.Generators:
+        """The generators of the estimates of the subdifferential of f at
+        each row of points, gathered from the cache's rows in one index
+        operation (a check negates those of the rows it runs on -f).  The
+        points not yet estimated are estimated in one call; an estimate that
+        failed is stored, without its traceback, and its row carries the
+        failure, which a check raises afresh when it reads that row."""
         keys = _row_keys(points)
         todo = {key: i for i, key in enumerate(keys) if key not in self._at}
         if todo:
             self._estimate(list(todo), points[list(todo.values())])
-        gens = self._cache.take(np.array([self._at[key] for key in keys], dtype=np.intp))
-        return gens.negated() if negated else gens
+        return self._cache.take(np.array([self._at[key] for key in keys], dtype=np.intp))
 
     def _estimate(self, keys: list[bytes], xs: np.ndarray) -> None:
         """Estimate f's subdifferential at each row of xs, whose bytes are
         the key beside it, and store each estimate or its failure as a row
         of the cache."""
-        seeds = np.array([_point_entropy(x) for x in xs], dtype=np.uint64)
         radius = self.plan.subdiff_radius
-        rows = self._store(xs, radius, seeds)
+        rows = self._store(xs, radius)
         # A spread at radius r may come from a kink merely nearby.  Shrinking
         # the ball separates the cases: at a true kink the spread persists,
         # near one it collapses and the fine coherent estimate (or its
@@ -385,7 +380,7 @@ class _Context:
         # it has one, is the estimate.
         kinked = np.flatnonzero(self._kink[rows])
         if kinked.size:
-            fine = self._store(xs[kinked], radius / 1000.0, seeds[kinked])
+            fine = self._store(xs[kinked], radius / 1000.0)
             rows[kinked] = np.where(self._kink[fine], rows[kinked], fine)
             steep = kinked[self._kink[fine]]
             if self.smooth and steep.size:
@@ -394,10 +389,11 @@ class _Context:
                 rows[steep[has]] = self._append(gens, np.zeros(int(has.sum()), dtype=bool), 0.0)
         self._at.update(zip(keys, rows.tolist()))
 
-    def _store(self, xs: np.ndarray, radius: float, seeds: np.ndarray) -> np.ndarray:
-        """Append the estimates at xs at the radius to the cache; their rows."""
+    def _store(self, xs: np.ndarray, radius: float) -> np.ndarray:
+        """Append the estimates at xs at the radius to the cache; their rows.
+        A point's seed is hashed only where its ball is drawn."""
         return self._append(*subdifferential_rows(
-            self.fn, self.region, xs, radius, self.subdiff_count, seeds.tolist()), radius)
+            self.fn, self.region, xs, radius, self.subdiff_count, _point_entropy), radius)
 
     def _append(self, gens: ck.Generators, kink: np.ndarray, radius: float) -> np.ndarray:
         """Append rows of generators, kink flags and radius to the cache; their rows."""
@@ -475,16 +471,15 @@ class _Segments:
 # --------------------------------------------------------------------------
 
 
-def _rows(ctx: _Context, name: str, negated: bool, xs, ys, lams=None) -> ck.Rows:
-    """The predicate name's kernel over rows of pairs, on f (on -f when
-    negated), in one call.  A segment predicate reads values only, at lams
-    or, for lams=None, over the plan's lambda grid.  The others read the
-    generators of estimates made in one call per point set a kernel reads."""
-    fn = ctx.handle(negated)
+def _rows(ctx: _Context, name: str, negated, xs, ys, lams=None) -> ck.Rows:
+    """The predicate name's kernel over rows of pairs, in one call, each
+    row on f or, where negated (a bool or a mask) flags it, on -f.  A
+    segment predicate reads values only, at lams or, for lams=None, over
+    the plan's lambda grid.  The others read the generators of estimates
+    made in one call per point set a kernel reads."""
     if ck.PREDICATES[name].segment:
-        return ck.check_rows(name, fn, xs, ys, ctx.lam_grid if lams is None else lams)
-    return ck.check_generator_rows(
-        name, fn, xs, ys, lambda points, neg: ctx.generators(points, neg != negated))
+        return ck.check_rows(name, ctx.fn, xs, ys, ctx.lam_grid if lams is None else lams, negated)
+    return ck.check_generator_rows(name, ctx.fn, xs, ys, ctx.generators, negated)
 
 
 def _check(ctx: _Context, c: Candidate | Witness) -> ck.Check:
@@ -509,9 +504,9 @@ _SEED, _MOVES, _DONE = range(3)
 
 class _Ascent:
     """Candidates' coordinate ascent on a check's margin, with their state
-    as arrays: each candidate's points, lambda (NaN for the grid), phase,
-    move, rounds ended and best margin are rows, and its best (Rows, row) and
-    score trace are kept beside them.
+    as arrays: each candidate's side, points, lambda (NaN for the grid),
+    phase, move, rounds ended and best margin are rows, and its best (Rows,
+    row) and score trace are kept beside them.
 
     A segment seed without a lambda is scored at each interior grid lambda
     and starts at the first of largest margin.  A move is one coordinate of
@@ -536,6 +531,7 @@ class _Ascent:
         self.seeded = np.array(
             [c.lam is None and ck.PREDICATES[c.predicate].segment for c in cands])
         self.seeded &= len(self.interior) > 0
+        self.negated = np.array([c.negated for c in cands], dtype=bool)
         self.x = np.array([c.x for c in cands], dtype=float)
         self.y = np.array([c.y for c in cands], dtype=float)
         self.lam = np.array([np.nan if c.lam is None else c.lam for c in cands])
@@ -550,8 +546,9 @@ class _Ascent:
         self.traces: list[list[float]] = [[] for _ in cands]
         self.failures: list = [None] * k
         # Each candidate's rows go to the kernel call of its (predicate,
-        # side, grid); the calls run in order of first appearance.
-        keys = [(c.predicate, c.negated, bool(h)) for c, h in zip(cands, has_lam)]
+        # grid), on f and on -f alike; the calls run in order of first
+        # appearance.
+        keys = [(c.predicate, bool(h)) for c, h in zip(cands, has_lam)]
         self.groups = {key: np.array([c == key for c in keys]) for key in dict.fromkeys(keys)}
 
     def moving(self) -> bool:
@@ -669,18 +666,19 @@ class _Ascent:
 def _refine_together(ctx: _Context, cands: list[Candidate], rounds: int) -> list:
     """Refine candidates in lockstep: every step scores one request of each
     candidate still moving (its seed, or its current move's trials) in one
-    kernel call per (predicate, side, grid).  Each result is the
-    candidate's RefineResult, or the EstimationError its refinement raised:
-    what a one-trial-at-a-time ascent gives it."""
+    kernel call per (predicate, grid), whose rows each run on their
+    candidate's side, f or -f.  Each result is the candidate's
+    RefineResult, or the EstimationError its refinement raised: what a
+    one-trial-at-a-time ascent gives it."""
     if not cands:
         return []
     ascent = _Ascent(ctx, cands, rounds)
     while ascent.moving():
         owner, xs, ys, lams = ascent.requests()
-        for (name, negated, with_lam), members in ascent.groups.items():
+        for (name, with_lam), members in ascent.groups.items():
             sel = members[owner]
             if sel.any():
-                rows = _rows(ctx, name, negated, xs[sel], ys[sel],
+                rows = _rows(ctx, name, ascent.negated[owner[sel]], xs[sel], ys[sel],
                              lams[sel, None] if with_lam else None)
                 ascent.take(rows, owner[sel], xs[sel], ys[sel], lams[sel])
     return ascent.results()
@@ -801,13 +799,14 @@ def _orientations(ctx: _Context, placement: str, k: int):
     return np.arange(2 * k), None
 
 
-def _kernel_placed(ctx: _Context, negated: bool, a: np.ndarray, b: np.ndarray, pair: np.ndarray):
+def _kernel_placed(ctx: _Context, a: np.ndarray, b: np.ndarray, pair: np.ndarray):
     """Kernel conditions bind on measure-zero sets: each orientation (a, b)
     is followed by b projected onto the kernel of each generator at a, where
-    that moves it and stays feasible.  Returns the rows' endpoints and
-    pairs.  A failed estimate has one zero generator, so it adds no
-    projection, and the kernel run over the rows reads its failure."""
-    gens = ctx.generators(a, negated)
+    that moves it and stays feasible (the same kernels on f and on -f).
+    Returns the rows' endpoints and pairs.  A failed estimate has one zero
+    generator, so it adds no projection, and the kernel run over the rows
+    reads its failure."""
+    gens = ctx.generators(a)
     g, own = gens.g, gens.owner
     gg = ck.dots(g, g)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -823,10 +822,12 @@ def _kernel_placed(ctx: _Context, negated: bool, a: np.ndarray, b: np.ndarray, p
 
 
 class _Run(NamedTuple):
-    """A probe side's kernel run: its rows' endpoints, each row's pair, the Rows."""
+    """A probe side's kernel run: its placement, its rows' endpoints, each
+    row's pair, the Rows."""
 
     predicate: str
     negated: bool
+    placement: str
     xs: np.ndarray
     ys: np.ndarray
     pair: np.ndarray
@@ -858,31 +859,34 @@ def _runs(ctx: _Context, prop: str, xs: np.ndarray, ys: np.ndarray):
         for negated in probe.sides:
             a, b, pair = segments.a[orient], segments.b[orient], orient // 2
             if probe.placement == _KERNEL:
-                a, b, pair = _kernel_placed(ctx, negated, a, b, pair)
+                a, b, pair = _kernel_placed(ctx, a, b, pair)
             if ck.PREDICATES[name].segment:
                 rows = segments.rows(name, negated, orient, col)
             else:
                 rows = _rows(ctx, name, negated, a, b)
             broken[pair[list(rows.failed or ())]] = True
-            runs.append(_Run(name, negated, a, b, pair, rows))
+            runs.append(_Run(name, negated, probe.placement, a, b, pair, rows))
     return runs, broken
 
 
-def _near_misses(ctx: _Context, prop: str) -> list[Candidate]:
+def _near_misses(ctx: _Context, prop: str, runs=()) -> list[Candidate]:
     """The pairs, in both orientations, closest to violating each near-miss
-    probe of the property, scored in one kernel call per probe and side;
-    pairs whose estimate failed are passed over."""
+    probe of the property, scored in one kernel call per probe and side, or
+    read from the side's run among the property's runs where that ran on
+    both orientations (_BOTH); pairs whose estimate failed are passed over."""
     segments = ctx.segments(*ctx.pairs)
     xs, ys = segments.a, segments.b
+    ran = {(run.predicate, run.negated): run.rows for run in runs if run.placement == _BOTH}
     out = []
     for probe in _PROBES[prop]:
         if not probe.near_miss:
             continue
         name = probe.predicate_for(ctx)
         for negated in probe.sides:
-            if ck.PREDICATES[name].segment:
+            rows = ran.get((name, negated))
+            if rows is None and ck.PREDICATES[name].segment:
                 rows = segments.rows(name, negated, np.arange(len(xs)))
-            else:
+            elif rows is None:
                 rows = _rows(ctx, name, negated, xs, ys)
             r = np.delete(np.arange(len(xs)), list(rows.failed or ()))
             best = r[np.argsort(-rows.margin[r], kind="stable")[:NEAR_MISS_CANDIDATES]]
@@ -914,7 +918,7 @@ def _sampling(ctx: _Context, prop: str) -> _Sampling:
     passed = np.zeros(len(broken), dtype=bool)
     witnesses: list[Witness] = []
     ties = []  # each run's near-ties as (-residual, pair, run, row)
-    for n, (predicate, negated, xs, ys, pair, rows) in enumerate(runs):
+    for n, (predicate, negated, _, xs, ys, pair, rows) in enumerate(runs):
         kept = ~broken[pair]
         counts.update(rows.outcome[kept].tolist())
         passed[pair[kept & (rows.outcome == PASS)]] = True
@@ -937,7 +941,7 @@ def _sampling(ctx: _Context, prop: str) -> _Sampling:
     # Refine near-ties, and search near-misses when nothing failed outright.
     near_ties = bool(candidates)
     if not witnesses and not near_ties:
-        candidates = _near_misses(ctx, prop)
+        candidates = _near_misses(ctx, prop, runs)
     refined = candidates[:MAX_REFINED_CANDIDATES] if len(witnesses) < 4 else []
     return _Sampling(prop, counts, int(passed.sum()), witnesses, refined, near_ties)
 

@@ -444,15 +444,22 @@ def kernel_rows(predicate: str, fx, fy, lams, fz) -> Rows:
     return Rows(predicate, fx, fy, *_predicate(predicate, segment=True).kernel(fx, fy, lams, fz))
 
 
-def check_rows(predicate: str, fn: FunctionHandle, x, y, lams) -> Rows:
+def _signs(negated, k: int) -> np.ndarray:
+    """Each of k rows' sign, -1.0 where negated (a bool or a (k,) mask) sets
+    it, else 1.0: f times it is -f bit for bit where negated."""
+    return np.where(np.broadcast_to(negated, (k,)), -1.0, 1.0)
+
+
+def check_rows(predicate: str, fn: FunctionHandle, x, y, lams, negated=False) -> Rows:
     """Run a value-only predicate over k rows in two reads of f.
 
     x and y are (k, n) endpoint rows, or one row, (1, n) or (n,), shared by
     all; lams is an (m,) grid shared by all rows or a (k, m) grid per row
-    (the bounds take one lambda per row, (k, 1)).  f is read at the
-    endpoints in one `fn.values` call, then at every segment point that
-    read_rule names in another.  Each row's result is bit-identical to the
-    predicate's one-row check.
+    (the bounds take one lambda per row, (k, 1)).  negated, a bool or a
+    (k,) mask, names the rows run on -f.  f is read at the endpoints in one
+    `fn.values` call, then at every segment point that read_rule names in
+    another, and negated on the rows on -f.  Each row's result is
+    bit-identical to the predicate's one-row check on f or on -f.
     """
     _predicate(predicate, segment=True)
     x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -461,13 +468,15 @@ def check_rows(predicate: str, fn: FunctionHandle, x, y, lams) -> Rows:
     if lams.ndim == 0:
         lams = lams.reshape(1, 1)
     k = max(len(x), len(y), len(np.atleast_2d(lams)))
+    sign = _signs(negated, k)
     fxy = fn.values(np.concatenate([x, y]))
-    fx, fy = _stretch(fxy[: len(x)], k), _stretch(fxy[len(x):], k)
+    fx, fy = sign * _stretch(fxy[: len(x)], k), sign * _stretch(fxy[len(x):], k)
     cols, read = read_rule(predicate, lams, fx, fy)
     x, y, lams = _stretch(x, k), _stretch(y, k), _stretch(np.atleast_2d(lams[..., cols]), k)
     fz = np.full(lams.shape, np.nan)
     points = segment_point(x[read, None], y[read, None], lams[read])
-    fz[read] = fn.values(points.reshape(-1, x.shape[1])).reshape(points.shape[:2])
+    f = fn.values(points.reshape(-1, x.shape[1])).reshape(points.shape[:2])
+    fz[read] = sign[read, None] * f
     return kernel_rows(predicate, fx, fy, lams, fz)
 
 
@@ -486,11 +495,10 @@ def _one_row(predicate, fn, x, y, lams=None, sub_x=None, sub_y=None) -> Check:
     if PREDICATES[predicate].segment:
         return check_rows(predicate, fn, x, y, lams).check(0, x, y)
 
-    def sub(rows, at_y=False, negated=False):
-        gens = Generators.of([(sub_y if at_y else sub_x).generators] * len(rows), x.size)
-        return gens.negated() if negated else gens
+    def read(rows, at_y):
+        return Generators.of([(sub_y if at_y else sub_x).generators] * len(rows), x.size)
 
-    return _generator_rows(predicate, fn, x[None], y[None], sub).check(0, x, y)
+    return _generator_rows(predicate, fn, x[None], y[None], read).check(0, x, y)
 
 
 def check_quasiconvex_segment(fn: FunctionHandle, x, y, lam_grid) -> Check:
@@ -861,32 +869,39 @@ def _generator_results(predicate: str, fx, fy, results) -> Rows:
                 generator, index, note, value, failed)
 
 
-def _generator_rows(predicate: str, fn: FunctionHandle, x, y, sub) -> Rows:
+def _generator_rows(predicate: str, fn: FunctionHandle, x, y, read, negated=False) -> Rows:
+    """A generator predicate's kernel over rows, with fn's values and the
+    Generators read(rows, at_y) gives negated on the rows on -fn."""
     kernel = _predicate(predicate, segment=False).kernel
     if x.shape != y.shape:
         raise ValueError(f"endpoint rows of shapes {x.shape} and {y.shape}")
+    sign = _signs(negated, len(x))
     fxy = fn.values(np.concatenate([x, y]))
-    fx, fy = fxy[:len(x)], fxy[len(x):]
+    fx, fy = sign * fxy[:len(x)], sign * fxy[len(x):]
+
+    def sub(rows, at_y=False, negated=False):
+        flip = (sign[rows] < 0.0) != negated
+        return read(rows, at_y).negated(flip) if flip.any() else read(rows, at_y)
+
     return _generator_results(predicate, fx, fy, kernel(fx, fy, x, y, sub))
 
 
-def check_generator_rows(predicate: str, fn: FunctionHandle, x, y, generators) -> Rows:
+def check_generator_rows(predicate: str, fn: FunctionHandle, x, y, generators,
+                         negated=False) -> Rows:
     """Run a generator predicate over k rows: f read at the endpoints in one
-    `fn.values` call, generators in one `generators(points, negated)` call
-    per point set, which gives the Generators of the estimates of the
-    subdifferential of fn (of -fn when negated) at each row of points.
+    `fn.values` call, generators in one `generators(points)` call per point
+    set, which gives the Generators of the estimates of the subdifferential
+    of fn at each row of points.
 
-    x and y are (k, n) rows.  Each row's result is bit-identical to the
-    predicate's one-row check, and a row whose estimate failed raises when
-    read.
+    x and y are (k, n) rows, and negated, a bool or a (k,) mask, names the
+    rows run on -fn, whose values and generators are negated.  Each row's
+    result is bit-identical to the predicate's one-row check on fn or on
+    -fn, and a row whose estimate failed raises when read.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-
-    def sub(rows, at_y=False, negated=False):
-        return generators((y if at_y else x)[rows], negated)
-
-    return _generator_rows(predicate, fn, x, y, sub)
+    return _generator_rows(predicate, fn, x, y,
+                           lambda rows, at_y: generators((y if at_y else x)[rows]), negated)
 
 
 def check_pseudoconvex_pair(

@@ -279,9 +279,10 @@ class Generators(NamedTuple):
         return Generators(g, np.repeat(np.arange(len(sets)), count),
                           np.cumsum(count) - count, count, failed)
 
-    def negated(self) -> "Generators":
-        """The generators of -f: each negated."""
-        return self._replace(g=-self.g)
+    def negated(self, rows: np.ndarray) -> "Generators":
+        """The generators of -f on the rows that the (m,) mask flags: each
+        of theirs negated."""
+        return self._replace(g=np.where(rows[self.owner][:, None], -self.g, self.g))
 
     def take(self, rows: np.ndarray) -> "Generators":
         """The sets of the given rows, in that order, gathered in one index
@@ -321,7 +322,9 @@ def subdifferential_rows(
 ) -> tuple[Generators, np.ndarray]:
     """subdifferential at each row of points, a (k, n) array-like, with its
     seed: the Generators of the estimates, a failed one held as its
-    EstimationError without a traceback, and each point's kink flag.
+    EstimationError without a traceback, and each point's kink flag.  seeds
+    holds one seed per point, or is a function giving a point's seed, read
+    only for the points whose balls are drawn.
 
     First, for a handle with an expression, the balls with room are tried
     for a certificate (_certified): a ball proven coherent is not drawn, and
@@ -335,7 +338,7 @@ def subdifferential_rows(
     and the coherent points' generators are placed in one array operation;
     only kink points keep a per-point dedupe."""
     xs = np.asarray(points, dtype=float)
-    seeds = list(seeds)
+    seeds = seeds if callable(seeds) else list(seeds)
     if radius <= 0:
         raise ValueError("radius must be positive")
     if xs.ndim != 2 and xs.shape != (0,):
@@ -354,17 +357,23 @@ def subdifferential_rows(
     room = np.flatnonzero(~short)
     sure, centre = _certified(fn, xs[room], radius)
     proven, room = room[sure], room[~sure]  # only the unproven balls are drawn
+    if not room.size:
+        # Every ball with room is proven: one generator per point, none drawn.
+        flat = np.zeros((k, n))
+        flat[proven] = centre[sure]
+        return (Generators(flat, np.arange(k), np.arange(k), np.ones(k, dtype=np.intp), failed),
+                np.zeros(k, dtype=bool))
+    drawn = map(seeds, xs[room]) if callable(seeds) else (seeds[i] for i in room.tolist())
+    seeded = pcg64_states([(seed & 0xFFFFFFFFFFFFFFFF, 0x5D1FF) for seed in drawn])
     raw = np.empty((len(room), count, n))
     uniform = np.empty((len(room), count, 1))
-    if room.size:
-        seeded = pcg64_states([(seeds[i] & 0xFFFFFFFFFFFFFFFF, 0x5D1FF) for i in room.tolist()])
-        rng = generator()
-        state = rng.bit_generator.state  # one dict, moved to each stream in turn
-        for j, at in enumerate(zip(*map(to_ints, seeded))):
-            state["state"]["state"], state["state"]["inc"] = at
-            rng.bit_generator.state = state
-            rng.standard_normal(out=raw[j])
-            rng.random(out=uniform[j])
+    rng = generator()
+    state = rng.bit_generator.state  # one dict, moved to each stream in turn
+    for j, at in enumerate(zip(*map(to_ints, seeded))):
+        state["state"]["state"], state["state"]["inc"] = at
+        rng.bit_generator.state = state
+        rng.standard_normal(out=raw[j])
+        rng.random(out=uniform[j])
     centers = xs[room][:, None, :]
     probes = np.concatenate([centers, centers + _ball_offsets(raw, uniform, radius)], axis=1)
 

@@ -20,7 +20,7 @@ from gencvx import (
     refine_counterexample,
     replay_witness,
 )
-from gencvx import campaign
+from gencvx import campaign, checks
 from gencvx.campaign import (
     _BOTH, _PAIR, _SWEEP, HOLDS, MAX_REFINED_CANDIDATES, MAX_WITNESSES, NEAR_MISS_CANDIDATES,
     REFUTED, _REFINE_STEPS, _check, _Context, _near_misses,
@@ -29,7 +29,8 @@ from gencvx.campaign import (
 from gencvx.checks import INCONCLUSIVE, PREDICATES, check_rows, descends
 from gencvx.expr import EvalError
 from gencvx.nonsmooth import EstimationError, InteriorRoomError, subdifferential
-from gencvx.functions import PROPERTIES, SMOOTH, FunctionHandle, function_from_expression
+from gencvx.functions import (
+    PROPERTIES, SMOOTH, FunctionHandle, function_from_expression, negate_handle)
 from gencvx.geometry import RegionTooThinError, parse_region, segment_point
 
 PLAN = SamplingPlan(seed=42)
@@ -237,17 +238,19 @@ def test_each_segment_grid_cell_is_evaluated_at_most_once(name):
 ])
 def test_context_reads_never_hide_a_failure(bad, error):
     ctx = _Context(bad, corpus_entry("arctan").region, FAST)
-    for handle in (ctx.fn, ctx.neg_fn, ctx.fn, ctx.neg_fn):
+    for _ in range(2):
         with pytest.raises(error):
-            handle.value([0.5])
-    # A row read holding the failing point raises, on every read.
-    for handle in (ctx.fn, ctx.neg_fn, ctx.fn, ctx.neg_fn):
+            ctx.fn.value([0.5])
+    # A row read holding the failing point raises, on every read, whether
+    # its rows run on f, on -f or on both.
+    for negated in (False, True, [True, False], False):
         with pytest.raises(error):
-            handle.values([[0.75], [0.5], [1.25]])
+            _rows(ctx, "quasiconvex-segment", negated, [[0.75], [0.5]], [[1.25], [0.75]])
     values = ctx.fn.values([[1.25], [0.75]])
-    assert (-ctx.neg_fn.values([[1.25], [0.75]])).tolist() == values.tolist()
+    rows = _rows(ctx, "quasiconvex-segment", [False, True], [[1.25]] * 2, [[0.75]] * 2)
+    assert rows.fx.tolist() == [values[0], -values[0]]
+    assert rows.fy.tolist() == [values[1], -values[1]]
     assert ctx.fn.value([0.75]) == values[1]
-    assert ctx.fn.value([1.0]) == -ctx.neg_fn.value([1.0])
 
 
 _SEGMENT_PLACEMENTS = {
@@ -282,7 +285,6 @@ def test_segment_grid_rows_equal_check_rows_on_the_placed_points(name):
     e = corpus_entry(name)
     ctx = _Context(e.handle, e.region, SamplingPlan(pair_count=30, lambda_grid=9, seed=5))
     segments = ctx.segments(*ctx.pairs)
-    fresh = _Context(e.handle, e.region, ctx.plan)
     for predicate, placements in _SEGMENT_PLACEMENTS.items():
         for placement in placements:
             orient, col = _orientations(ctx, placement, len(ctx.pairs[0]))
@@ -290,7 +292,8 @@ def test_segment_grid_rows_equal_check_rows_on_the_placed_points(name):
             a, b = segments.a[orient], segments.b[orient]
             for negated in (False, True):
                 got = segments.rows(predicate, negated, orient, col)
-                want = check_rows(predicate, fresh.handle(negated), a, b, lams)
+                fn = negate_handle(e.handle) if negated else e.handle
+                want = check_rows(predicate, fn, a, b, lams)
                 _assert_same_rows(got, want)
     assert segments.known.all()  # the quasiconvex condition on _BOTH reads every cell
 
@@ -308,7 +311,8 @@ def test_near_misses_from_the_grid_equal_those_from_check_rows(prop):
         if probe.near_miss:
             for negated in probe.sides:
                 name = probe.predicate
-                margin = check_rows(name, ctx.handle(negated), xs, ys, ctx.lam_grid).margin
+                fn = negate_handle(e.handle) if negated else e.handle
+                margin = check_rows(name, fn, xs, ys, ctx.lam_grid).margin
                 for i in np.argsort(-margin, kind="stable")[:NEAR_MISS_CANDIDATES]:
                     want.append((name, negated, xs[i].tolist(), ys[i].tolist(), None))
     assert [_as_tuple(c) for c in _near_misses(ctx, prop)] == want
@@ -825,8 +829,8 @@ def _cached_reference(fn, region, x, plan):
 def test_the_estimate_cache_holds_what_subdifferential_gives():
     # Point by point against subdifferential: a coherent point, a kink kept
     # by its re-check at radius/1000, a near-kink that collapses there, a
-    # point without room for the ball and one whose gradients fail, read
-    # on f and on -f, each row gathered from the cache in its read order.
+    # point without room for the ball and one whose gradients fail, each
+    # row gathered from the cache in its read order.
     fn = function_from_expression(_HALF_FAILING, 2)
     points = np.array([[0.5, 0.2], [0.5, 0.0], [0.5, 3e-6], [0.9999999, 0.5], [-0.5, 0.2]])
     want = [_cached_reference(fn, _BOX2, x, FAST) for x in points]
@@ -834,9 +838,8 @@ def test_the_estimate_cache_holds_what_subdifferential_gives():
     assert [type(w) for w in want[3:]] == [InteriorRoomError, EstimationError]
     ctx = _Context(fn, _BOX2, FAST)
     order = [4, 1, 1, 0, 3, 2, 0]  # repeats and cache hits after the first call
-    for negated, rows in ((False, order[:3]), (True, order), (False, order[::-1])):
-        gens = ctx.generators(points[rows], negated)
-        sign = -1.0 if negated else 1.0
+    for rows in (order[:3], order, order[::-1]):
+        gens = ctx.generators(points[rows])
         for i, r in enumerate(rows):
             if isinstance(want[r], EstimationError):
                 assert _outcome(gens.failed[i]) == _outcome(want[r])
@@ -844,7 +847,7 @@ def test_the_estimate_cache_holds_what_subdifferential_gives():
                 continue
             assert i not in gens.failed
             got = gens.g[gens.start[i]:gens.start[i] + gens.count[i]]
-            assert got.tobytes() == (sign * np.array(want[r].generators)).tobytes()
+            assert got.tobytes() == np.array(want[r].generators).tobytes()
             assert (gens.owner[gens.start[i]:gens.start[i] + gens.count[i]] == i).all()
     stored = ctx.estimates()
     assert list(stored) == [points[r].tobytes() for r in (4, 1, 0, 3, 2)]
@@ -859,7 +862,7 @@ _NEAR_THE_POLE = parse_region("x1 >= 0.01, box(0..1, -1..1), margin(0.0001)", 2)
 
 def test_a_steep_smooth_point_is_estimated_by_its_gradient():
     # Gradient sampling flags a kink at both radii, yet f is smooth, and the
-    # cache holds its gradient at x, on f and (negated) on -f.
+    # cache holds its gradient at x.
     x = np.array([0.0101, 0.9])
     count = FAST.resolved_subdiff_count(2)
     for radius in (FAST.subdiff_radius, FAST.subdiff_radius / 1000.0):
@@ -867,10 +870,8 @@ def test_a_steep_smooth_point_is_estimated_by_its_gradient():
                               campaign._point_entropy(x))
         assert est.at_kink and len(est.generators) > 1
     ctx = _Context(_STEEP, _NEAR_THE_POLE, FAST)
-    for negated in (False, True):
-        gens = ctx.generators(x[None], negated)
-        want = -_STEEP.grad(x) if negated else _STEEP.grad(x)
-        assert gens.count.tolist() == [1] and gens.g.tobytes() == want.tobytes()
+    gens = ctx.generators(x[None])
+    assert gens.count.tolist() == [1] and gens.g.tobytes() == _STEEP.grad(x).tobytes()
     est = ctx.estimates()[x.tobytes()]
     assert (est.radius, est.at_kink) == (0.0, False)
 
@@ -974,9 +975,9 @@ def test_lockstep_refinement_equals_refining_each_candidate_alone(name, fn, regi
     # the estimator failures that classify counts as inconclusive.
     calls = []
 
-    def counted(ctx, name, negated, *args, **kwargs):
-        calls.append((name, negated))
-        return _rows(ctx, name, negated, *args, **kwargs)
+    def counted(ctx, name, *args, **kwargs):
+        calls.append(name)
+        return _rows(ctx, name, *args, **kwargs)
 
     monkeypatch.setattr(campaign, "_rows", counted)
     failures = batched = 0
@@ -994,14 +995,95 @@ def test_lockstep_refinement_equals_refining_each_candidate_alone(name, fn, regi
                 alone = _refined_alone(fn, region, cand, plan)
                 assert _as_alone(result) == alone, (prop, cand)
                 failures += isinstance(result, EstimationError)
-                side = (cand.predicate, cand.negated)
-                steps[side] = max(steps[side], len(calls))
+                steps[cand.predicate] = max(steps[cand.predicate], len(calls))
                 batched += len(calls)
-            # One kernel call per (predicate, side) per lockstep step.
-            assert all(lockstep[side] <= steps[side] for side in lockstep), (prop, lockstep, steps)
+            # One kernel call per predicate per lockstep step, on f and -f.
+            assert all(lockstep[name] <= steps[name] for name in lockstep), (prop, lockstep, steps)
             batched -= sum(lockstep.values())
     assert batched > 0  # candidates did share kernel calls
     assert (failures > 0) == (name == "half-failing")
+
+
+def _result_bytes(result):
+    """A refinement result by its bytes: the score trace and the witness as
+    JSON (signed zeros kept), or the EstimationError's type and message."""
+    if isinstance(result, EstimationError):
+        return type(result), str(result)
+    witness = None if result.witness is None else json.dumps(result.witness.to_dict())
+    return np.array(result.scores).tobytes(), witness
+
+
+def test_mixed_side_refinement_equals_refining_each_candidate_alone(monkeypatch):
+    # Candidates on f and on -f of one predicate climb in one kernel call
+    # per step; each still gets what it gets refined alone, the candidate
+    # whose estimate fails (on -f, at x1 < 0) included.
+    fn = function_from_expression(_HALF_FAILING, 2)
+    pairs = [([0.5, 0.2], [0.1, -0.3]), ([0.3, -0.4], [0.8, 0.6]), ([0.6, 0.0], [0.2, 0.5])]
+    cands = [Candidate(name, negated, np.array(x), np.array(y))
+             for name in ("pseudoconvex-pair", "quasiconvex-segment",
+                          "semistrict-quasiconvex-segment")
+             for x, y in pairs for negated in (False, True)]
+    cands.insert(3, Candidate("pseudoconvex-pair", True, np.array([-0.5, 0.2]),
+                              np.array([0.5, -0.9])))
+    sides = []
+
+    def counted(ctx, name, negated, *args, **kwargs):
+        sides.append((name, frozenset(np.broadcast_to(negated, len(args[0])).tolist())))
+        return _rows(ctx, name, negated, *args, **kwargs)
+
+    monkeypatch.setattr(campaign, "_rows", counted)
+    together = _refine_together(_Context(fn, _BOX2, FAST), cands, FAST.refinement_rounds)
+    assert {name for name, both in sides if both == {False, True}} == {
+        c.predicate for c in cands}
+    for cand, result in zip(cands, together):
+        alone = _Context(fn, _BOX2, FAST)
+        (want,) = _refine_together(alone, [cand], FAST.refinement_rounds)
+        assert _result_bytes(result) == _result_bytes(want), cand
+    assert isinstance(together[3], EstimationError)
+    assert any(len(r.scores) > 1 for r in together if not isinstance(r, EstimationError))
+
+
+@pytest.mark.parametrize("seed", [0, 42])
+def test_near_misses_read_from_the_runs_equal_a_fresh_scoring(seed, monkeypatch):
+    # _sampling hands _near_misses the property's runs: a probe side that
+    # ran on both orientations is read from its run, with no kernel call,
+    # and gives the candidates a fresh scoring gives.
+    calls = []
+    for name in ("kernel_rows", "_generator_rows"):
+        kernel = getattr(checks, name)
+        monkeypatch.setattr(checks, name, lambda *a, _k=kernel, **kw: calls.append(1) or _k(*a, **kw))
+    plan = SamplingPlan(seed=seed)
+    reused = 0
+    for e in corpus():
+        for prop in PROPERTIES:
+            ctx = _Context(e.handle, e.region, plan)
+            runs, _ = _runs(ctx, prop, *ctx.pairs)
+            calls.clear()
+            got = _near_misses(ctx, prop, runs)
+            probes = [p for p in campaign._PROBES[prop] if p.near_miss]
+            if all(p.placement == _BOTH for p in probes):
+                assert not calls, (e.handle.name, prop)
+                reused += 1
+            want = _near_misses(_Context(e.handle, e.region, plan), prop)
+            assert [_as_tuple(c) for c in got] == [_as_tuple(c) for c in want]
+            assert [c.x.tobytes() + c.y.tobytes() for c in got] == [
+                c.x.tobytes() + c.y.tobytes() for c in want]
+    assert reused > 0
+
+
+def test_a_corpus_classify_makes_few_kernel_calls(monkeypatch):
+    # Rows on f and on -f share their kernel calls, and near-miss scans
+    # read the sampling runs: a classify of every corpus member at seed 42
+    # makes at most 520 kernel calls (726 when each side and each scan
+    # had its own).
+    calls = Counter()
+    for name in ("kernel_rows", "_generator_rows"):
+        kernel = getattr(checks, name)
+        monkeypatch.setattr(checks, name,
+                            lambda *a, _n=name, _k=kernel, **kw: calls.update([_n]) or _k(*a, **kw))
+    for e in corpus():
+        classify(e.handle, e.region, PROPERTIES, PLAN)
+    assert sum(calls.values()) <= 520, calls
 
 
 def _ascent_one_trial_at_a_time(ctx, cand, rounds):

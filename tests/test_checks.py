@@ -948,14 +948,8 @@ class _Estimates:
 
         return Lazy()
 
-    def rows(self, points, negated):
-        out = []
-        for p in points:
-            got = self.table[p.tobytes()]
-            if negated and not isinstance(got, Exception):
-                got = tuple(-g for g in got)
-            out.append(got)
-        return Generators.of(out, points.shape[1])
+    def rows(self, points):
+        return Generators.of([self.table[p.tobytes()] for p in points], points.shape[1])
 
 
 def _same_check(got, want):
@@ -1083,6 +1077,53 @@ def test_generator_kernels_match_the_scalar_loops(case):
         assert (got.lower, got.upper) == (low, up)
 
 
+@pytest.mark.parametrize("name", ["affine", "ramp", "fractional", *_KERNEL_EXTRA])
+def test_rows_on_f_and_on_minus_f_in_one_call_equal_the_negated_handle(name):
+    # A per-row mask puts rows on f and on -f in one call: f is read in the
+    # call's usual number of values calls, and each row equals its one-row
+    # run on negate_handle(f) with the generators negated, bit for bit, a
+    # failed estimate included.
+    fn, pairs = _kernel_case(name)
+    xs, ys = (np.array(side) for side in zip(*pairs))
+    negated = np.arange(len(xs)) % 3 == 1
+    table = {p.tobytes(): (p if fn.grad(p) is None else fn.grad(p), 0.5 * p - 0.25)
+             for p in np.concatenate([xs, ys])}
+    table[xs[4].tobytes()] = EstimationError(f"failed near {xs[4]}")
+
+    def generators(sign):
+        return lambda points: Generators.of(
+            [got if isinstance(got, Exception) else tuple(sign * g for g in got)
+             for got in (table[p.tobytes()] for p in points)], points.shape[1])
+
+    reads = []
+
+    def counted(points):
+        reads.append(len(points))
+        return fn.evaluate_rows(points)
+
+    once = replace(fn, evaluate_rows=counted)
+    for predicate, record in PREDICATES.items():
+        lams = np.full((len(xs), 1), 0.25) if "bounds" in predicate else LAM_GRID
+        reads.clear()
+        if record.segment:
+            rows = check_rows(predicate, once, xs, ys, lams, negated)
+        else:
+            rows = check_generator_rows(predicate, once, xs, ys, generators(1.0), negated)
+        assert len(reads) == (2 if record.segment else 1)
+        for i, (x, y, neg) in enumerate(zip(xs, ys, negated)):
+            handle = negate_handle(fn) if neg else fn
+            if record.segment:
+                one = check_rows(predicate, handle, x, y, lams[i:i + 1] if lams.ndim > 1 else lams)
+            else:
+                one = check_generator_rows(predicate, handle, x, y, generators(-1.0 if neg else 1.0))
+            got, error = _outcome_of(lambda: rows.check(i, x, y))
+            want, want_error = _outcome_of(lambda: one.check(0, x, y))
+            assert error == want_error, (predicate, i)
+            if want is not None:
+                _same_check(got, want)
+    assert negated.any() and not negated.all()
+
+
 def test_generator_kernels_cover_every_outcome():
     # Fixed rows where each kernel meets each of its outcomes, band and
     # several-generator rows included, against the reference loops.
@@ -1137,7 +1178,7 @@ def test_predicate_table_rejects_wrong_calls_and_names_every_predicate():
     fn = fn_of("paraboloid")
     x, y = np.array([[0.1, 0.2]]), np.array([[0.5, -0.3]])
 
-    def generators(points, negated):
+    def generators(points):
         raise AssertionError("a rejected call read generators")
 
     def segment(name):
