@@ -20,9 +20,11 @@ devices: one pair in ten is drawn nearly collinear with a coordinate axis,
 and the samples closest to a violation are pushed through local coordinate
 ascent on the check's margin before the property may be declared to hold.
 The candidates of every property of a classify call climb together as
-array state in one ascent (_Ascent), one kernel call per predicate and
-grid per step, rows on f and on -f alike; refine_counterexample is the
-one-candidate case.
+array state in one ascent (_Ascent).  Each step reads f once for all its
+trial rows, whatever their predicate (one call at the endpoints, one at
+the segment points), runs one kernel per predicate and grid, rows on f and
+on -f alike, and advances every candidate in one take;
+refine_counterexample is the one-candidate case.
 
 Everything derives from the plan seed through per-sample-index substreams,
 so results are identical however the work is scheduled.
@@ -545,18 +547,21 @@ class _Ascent:
         self.kept: list = [None] * k
         self.traces: list[list[float]] = [[] for _ in cands]
         self.failures: list = [None] * k
-        # Each candidate's rows go to the kernel call of its (predicate,
-        # grid), on f and on -f alike; the calls run in order of first
-        # appearance.
+        # Each candidate's group, the (predicate, grid) whose kernel call
+        # its rows go to, on f and on -f alike; the calls of a step run in
+        # order of first appearance.
         keys = [(c.predicate, bool(h)) for c, h in zip(cands, has_lam)]
-        self.groups = {key: np.array([c == key for c in keys]) for key in dict.fromkeys(keys)}
+        self.keys = list(dict.fromkeys(keys))
+        self.group = np.array([self.keys.index(key) for key in keys])
 
     def moving(self) -> bool:
         return bool((self.phase != _DONE).any())
 
     def requests(self):
-        """One request of every candidate still moving, as trial rows in
-        candidate order: each row's candidate, x, y and lambda."""
+        """One request of every candidate still moving, as trial rows: each
+        row's candidate, x, y and lambda, the rows of each (predicate, grid)
+        together, in order of first appearance, and in candidate order
+        within it."""
         x, y, lam, phase, move, n = self.x, self.y, self.lam, self.phase, self.move, self.n
         trials = len(_REFINE_STEPS)
         parts = []
@@ -592,45 +597,51 @@ class _Ascent:
             empty = todo[~keep.any(axis=1)]
             self._next_move(empty)
             todo = empty[phase[empty] == _MOVES]
-        if len(parts) == 1:
+        if len(parts) == 1 and len(self.keys) == 1:
             return parts[0]
         owner, xs, ys, lams = (np.concatenate(v) for v in zip(*parts))
-        order = np.argsort(owner, kind="stable")
+        order = np.argsort(self.group[owner] * len(self.cands) + owner, kind="stable")
         return owner[order], xs[order], ys[order], lams[order]
 
-    def take(self, rows: ck.Rows, own, xs, ys, lams) -> None:
-        """Read the Rows of one kernel call, whose row r is the trial (xs[r],
-        ys[r], lams[r]) of candidate own[r], and advance its candidates."""
+    def take(self, parts: list, own, xs, ys, lams) -> None:
+        """Read the Rows of one step, parts, whose rows in turn are the
+        trials (xs[r], ys[r], lams[r]) of candidates own[r], each
+        candidate's consecutive, and advance every candidate."""
+        offset = np.cumsum([0] + [len(p.margin) for p in parts])
+        margin = np.concatenate([p.margin for p in parts])
+        failed = {o + r: e for o, p in zip(offset.tolist(), parts)
+                  for r, e in (p.failed or {}).items()}
         start = np.flatnonzero(np.concatenate(([True], own[1:] != own[:-1])))
         stop = np.append(start[1:], len(own))
         who = own[start]
         seeds = self.phase[who] == _SEED
         # Each candidate's first row above its best margin (len(own) if none).
-        above = np.where(rows.margin > self.best[own], np.arange(len(own)), len(own))
+        above = np.where(margin > self.best[own], np.arange(len(own)), len(own))
         hit = np.minimum.reduceat(above, start)
         climbing = ~seeds & (hit < len(own))
-        if rows.failed:
+        if failed:
             # A candidate reads its rows up to the trial it takes, or all.
             end = np.where(climbing, hit, stop)
-            failed = np.zeros(len(who), dtype=bool)
-            for r in sorted(rows.failed):
-                g = np.searchsorted(who, own[r])
-                if r < end[g] and not failed[g]:
-                    failed[g] = True
-                    error = rows.failed[r]
+            broke = np.zeros(len(who), dtype=bool)
+            for r in sorted(failed):
+                g = np.searchsorted(start, r, side="right") - 1
+                if r < end[g] and not broke[g]:
+                    broke[g] = True
+                    error = failed[r]
                     self.failures[who[g]] = type(error)(*error.args)
-            self.phase[who[failed]] = _DONE
+            self.phase[who[broke]] = _DONE
             who, seeds, start, stop, hit, climbing = (
-                v[~failed] for v in (who, seeds, start, stop, hit, climbing))
+                v[~broke] for v in (who, seeds, start, stop, hit, climbing))
         hit[seeds] = start[seeds]
         for g in np.flatnonzero(seeds & self.seeded[who]):
-            hit[g] += int(np.argmax(rows.margin[start[g]:stop[g]]))
+            hit[g] += int(np.argmax(margin[start[g]:stop[g]]))
         taken = seeds | climbing
         i, r = who[taken], hit[taken]
-        self.x[i], self.y[i], self.lam[i], self.best[i] = xs[r], ys[r], lams[r], rows.margin[r]
-        for i, r in zip(i.tolist(), r.tolist()):
-            self.kept[i] = rows, r
-            self.traces[i].append(float(rows.margin[r]))
+        self.x[i], self.y[i], self.lam[i], self.best[i] = xs[r], ys[r], lams[r], margin[r]
+        part = np.searchsorted(offset, r, side="right") - 1
+        for i, r, p in zip(i.tolist(), r.tolist(), part.tolist()):
+            self.kept[i] = parts[p], r - int(offset[p])
+            self.traces[i].append(float(margin[r]))
         self.improved[who[climbing]] = True
         self._next_move(who[~seeds])
         if seeds.any():
@@ -665,9 +676,10 @@ class _Ascent:
 
 def _refine_together(ctx: _Context, cands: list[Candidate], rounds: int) -> list:
     """Refine candidates in lockstep: every step scores one request of each
-    candidate still moving (its seed, or its current move's trials) in one
-    kernel call per (predicate, grid), whose rows each run on their
-    candidate's side, f or -f.  Each result is the candidate's
+    candidate still moving (its seed, or its current move's trials), with f
+    read once for all its trial rows and one kernel call per (predicate,
+    grid), whose rows each run on their candidate's side, f or -f; one take
+    then advances every candidate.  Each result is the candidate's
     RefineResult, or the EstimationError its refinement raised: what a
     one-trial-at-a-time ascent gives it."""
     if not cands:
@@ -675,12 +687,17 @@ def _refine_together(ctx: _Context, cands: list[Candidate], rounds: int) -> list
     ascent = _Ascent(ctx, cands, rounds)
     while ascent.moving():
         owner, xs, ys, lams = ascent.requests()
-        for (name, with_lam), members in ascent.groups.items():
-            sel = members[owner]
-            if sel.any():
-                rows = _rows(ctx, name, ascent.negated[owner[sel]], xs[sel], ys[sel],
-                             lams[sel, None] if with_lam else None)
-                ascent.take(rows, owner[sel], xs[sel], ys[sel], lams[sel])
+        ends = np.cumsum(np.bincount(ascent.group[owner], minlength=len(ascent.keys))).tolist()
+        requests = []
+        for (name, with_lam), lo, hi in zip(ascent.keys, [0] + ends, ends):
+            if lo == hi:
+                continue
+            grid = None
+            if ck.PREDICATES[name].segment:
+                grid = lams[lo:hi, None] if with_lam else ctx.lam_grid
+            requests.append(
+                ck.Request(name, xs[lo:hi], ys[lo:hi], grid, ascent.negated[owner[lo:hi]]))
+        ascent.take(ck.check_requests(ctx.fn, requests, ctx.generators), owner, xs, ys, lams)
     return ascent.results()
 
 
@@ -803,9 +820,10 @@ def _kernel_placed(ctx: _Context, a: np.ndarray, b: np.ndarray, pair: np.ndarray
     """Kernel conditions bind on measure-zero sets: each orientation (a, b)
     is followed by b projected onto the kernel of each generator at a, where
     that moves it and stays feasible (the same kernels on f and on -f).
-    Returns the rows' endpoints and pairs.  A failed estimate has one zero
-    generator, so it adds no projection, and the kernel run over the rows
-    reads its failure."""
+    Returns the rows' endpoints and pairs, and the rows that hold the
+    orientations, in order.  A failed estimate has one zero generator, so
+    it adds no projection, and the kernel run over the rows reads its
+    failure."""
     gens = ctx.generators(a)
     g, own = gens.g, gens.owner
     gg = ck.dots(g, g)
@@ -818,12 +836,14 @@ def _kernel_placed(ctx: _Context, a: np.ndarray, b: np.ndarray, pair: np.ndarray
     origin = np.concatenate([np.arange(len(a)), own[keep]])
     order = np.argsort(origin, kind="stable")
     origin = origin[order]
-    return a[origin], np.concatenate([b, bp[keep]])[order], pair[origin]
+    return (a[origin], np.concatenate([b, bp[keep]])[order], pair[origin],
+            np.flatnonzero(order < len(a)))
 
 
 class _Run(NamedTuple):
     """A probe side's kernel run: its placement, its rows' endpoints, each
-    row's pair, the Rows."""
+    row's pair, the Rows, and where it ran on every orientation of the
+    pairs (_BOTH, _KERNEL) the rows that hold them, in order (else None)."""
 
     predicate: str
     negated: bool
@@ -832,6 +852,7 @@ class _Run(NamedTuple):
     ys: np.ndarray
     pair: np.ndarray
     rows: ck.Rows
+    orientations: np.ndarray | None = None
 
     def check(self, r: int) -> ck.Check:
         """Row r as a Check on copies of its endpoints: no placement kept alive."""
@@ -858,14 +879,15 @@ def _runs(ctx: _Context, prop: str, xs: np.ndarray, ys: np.ndarray):
             continue
         for negated in probe.sides:
             a, b, pair = segments.a[orient], segments.b[orient], orient // 2
+            every = orient if probe.placement == _BOTH else None
             if probe.placement == _KERNEL:
-                a, b, pair = _kernel_placed(ctx, a, b, pair)
+                a, b, pair, every = _kernel_placed(ctx, a, b, pair)
             if ck.PREDICATES[name].segment:
                 rows = segments.rows(name, negated, orient, col)
             else:
                 rows = _rows(ctx, name, negated, a, b)
             broken[pair[list(rows.failed or ())]] = True
-            runs.append(_Run(name, negated, probe.placement, a, b, pair, rows))
+            runs.append(_Run(name, negated, probe.placement, a, b, pair, rows, every))
     return runs, broken
 
 
@@ -873,23 +895,27 @@ def _near_misses(ctx: _Context, prop: str, runs=()) -> list[Candidate]:
     """The pairs, in both orientations, closest to violating each near-miss
     probe of the property, scored in one kernel call per probe and side, or
     read from the side's run among the property's runs where that ran on
-    both orientations (_BOTH); pairs whose estimate failed are passed over."""
+    every orientation (_BOTH, _KERNEL); pairs whose estimate failed are
+    passed over."""
     segments = ctx.segments(*ctx.pairs)
     xs, ys = segments.a, segments.b
-    ran = {(run.predicate, run.negated): run.rows for run in runs if run.placement == _BOTH}
+    ran = {(run.predicate, run.negated): (run.rows, run.orientations)
+           for run in runs if run.orientations is not None}
     out = []
     for probe in _PROBES[prop]:
         if not probe.near_miss:
             continue
         name = probe.predicate_for(ctx)
         for negated in probe.sides:
-            rows = ran.get((name, negated))
+            rows, at = ran.get((name, negated), (None, np.arange(len(xs))))
             if rows is None and ck.PREDICATES[name].segment:
-                rows = segments.rows(name, negated, np.arange(len(xs)))
+                rows = segments.rows(name, negated, at)
             elif rows is None:
                 rows = _rows(ctx, name, negated, xs, ys)
-            r = np.delete(np.arange(len(xs)), list(rows.failed or ()))
-            best = r[np.argsort(-rows.margin[r], kind="stable")[:NEAR_MISS_CANDIDATES]]
+            ok = np.ones(len(rows.margin), dtype=bool)
+            ok[list(rows.failed or ())] = False
+            r = np.flatnonzero(ok[at])
+            best = r[np.argsort(-rows.margin[at][r], kind="stable")[:NEAR_MISS_CANDIDATES]]
             out.extend(Candidate(name, negated, xs[i].copy(), ys[i].copy()) for i in best)
     return out
 
@@ -918,7 +944,7 @@ def _sampling(ctx: _Context, prop: str) -> _Sampling:
     passed = np.zeros(len(broken), dtype=bool)
     witnesses: list[Witness] = []
     ties = []  # each run's near-ties as (-residual, pair, run, row)
-    for n, (predicate, negated, _, xs, ys, pair, rows) in enumerate(runs):
+    for n, (predicate, negated, _, xs, ys, pair, rows, _) in enumerate(runs):
         kept = ~broken[pair]
         counts.update(rows.outcome[kept].tolist())
         passed[pair[kept & (rows.outcome == PASS)]] = True

@@ -16,7 +16,8 @@ its read rule and its failure detail.  `check_rows` runs a value-only one
 two array reads of f, `check_generator_rows` a generator one (the
 pseudoconvex pair, the proportional identity, the symmetric equality and
 the two kernel conditions) with one read of f and one of the generators per
-point set, and the `check_*` functions are their one-row wrappers.  The
+point set, `check_requests` several predicates' rows with those reads of f
+shared, and the `check_*` functions are their one-row wrappers.  The
 gradient kernel condition is the subdifferential one with its own notes,
 read on estimates that hold {grad f(x)}, the Clarke subdifferential of a C1
 function, as the campaign's estimates of a smooth handle do.
@@ -79,6 +80,8 @@ __all__ = [
     "check_interpolation_bounds",
     "Rows",
     "check_rows",
+    "Request",
+    "check_requests",
     "read_rule",
     "kernel_rows",
     "Generators",
@@ -282,8 +285,9 @@ _OUTCOMES = np.array([PASS, VACUOUS, FAIL, INCONCLUSIVE], dtype=object)
 
 
 def _outcomes(vacuous, fail, inconclusive) -> np.ndarray:
-    """Each row's outcome: vacuous, else fail, else inconclusive, else pass."""
-    return _OUTCOMES[np.select([vacuous, fail, inconclusive], [1, 2, 3], 0)]
+    """Each row's outcome: vacuous, else fail, else inconclusive, else pass.
+    (Nested np.where: np.select costs several times as much per call.)"""
+    return _OUTCOMES[np.where(vacuous, 1, np.where(fail, 2, np.where(inconclusive, 3, 0)))]
 
 
 def _first_max(score: np.ndarray) -> np.ndarray:
@@ -364,7 +368,9 @@ def _b_rows(fx, fy, fz, lam):
     eps = eps_strict(fx, fy)
     gap = abs(fy - fx)
     degenerate = gap <= eps
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # delta and floor are read only on non-degenerate rows, whose gap
+    # exceeds eps; on a subnormal gap they may overflow unread.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         b = np.where(degenerate, 1.0, _b(fx, fy, fz, lam))
         # Margins on the lam*b scale: value-scale margins divided by the gap.
         delta = eps / gap
@@ -459,25 +465,76 @@ def check_rows(predicate: str, fn: FunctionHandle, x, y, lams, negated=False) ->
     (k,) mask, names the rows run on -f.  f is read at the endpoints in one
     `fn.values` call, then at every segment point that read_rule names in
     another, and negated on the rows on -f.  Each row's result is
-    bit-identical to the predicate's one-row check on f or on -f.
+    bit-identical to the predicate's one-row check on f or on -f.  It is
+    check_requests' one-request case.
     """
-    _predicate(predicate, segment=True)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    lams = np.asarray(lams, dtype=float)
-    if lams.ndim == 0:
-        lams = lams.reshape(1, 1)
-    k = max(len(x), len(y), len(np.atleast_2d(lams)))
-    sign = _signs(negated, k)
-    fxy = fn.values(np.concatenate([x, y]))
-    fx, fy = sign * _stretch(fxy[: len(x)], k), sign * _stretch(fxy[len(x):], k)
-    cols, read = read_rule(predicate, lams, fx, fy)
-    x, y, lams = _stretch(x, k), _stretch(y, k), _stretch(np.atleast_2d(lams[..., cols]), k)
-    fz = np.full(lams.shape, np.nan)
-    points = segment_point(x[read, None], y[read, None], lams[read])
-    f = fn.values(points.reshape(-1, x.shape[1])).reshape(points.shape[:2])
-    fz[read] = sign[read, None] * f
-    return kernel_rows(predicate, fx, fy, lams, fz)
+    (rows,) = check_requests(fn, [Request(predicate, x, y, lams, negated)])
+    return rows
+
+
+class Request(NamedTuple):
+    """One predicate's rows in check_requests: endpoint rows x and y, and a
+    segment predicate's lambdas, as check_rows takes them, or lams=None for
+    a generator predicate, whose x and y are (k, n) rows, as
+    check_generator_rows takes them.  negated, a bool or a (k,) mask, names
+    the rows run on -f."""
+
+    predicate: str
+    x: object
+    y: object
+    lams: object = None
+    negated: object = False
+
+
+def check_requests(fn: FunctionHandle, requests, generators=None) -> list[Rows]:
+    """Run several predicates' rows with f read once for all of them: at
+    every request's endpoints in one `fn.values` call, then, where a
+    segment predicate is among them, at every segment point their read
+    rules name in one more.  Each predicate's kernel then runs on the
+    values read, in request order, the generator predicates reading
+    generators(points) as check_generator_rows does.  Each request's Rows
+    are what check_rows or check_generator_rows gives it alone."""
+    placed = []
+    for predicate, x, y, lams, negated in requests:
+        _predicate(predicate, segment=lams is not None)
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        if lams is None:
+            if x.shape != y.shape:
+                raise ValueError(f"endpoint rows of shapes {x.shape} and {y.shape}")
+            k = len(x)
+        else:
+            lams = np.asarray(lams, dtype=float)
+            lams = lams.reshape(1, 1) if lams.ndim == 0 else lams
+            k = max(len(x), len(y), len(np.atleast_2d(lams)))
+        placed.append((predicate, x, y, lams, _signs(negated, k)))
+    f = fn.values(np.concatenate([p for _, x, y, *_ in placed for p in (x, y)]))
+    read, inside, at = [], [], 0
+    for predicate, x, y, lams, sign in placed:
+        fx, at = f[at:at + len(x)], at + len(x)
+        fy, at = f[at:at + len(y)], at + len(y)
+        k = len(sign)
+        fx, fy = sign * _stretch(fx, k), sign * _stretch(fy, k)
+        rule = None
+        if lams is not None:
+            cols, rule = read_rule(predicate, lams, fx, fy)
+            x, y, lams = _stretch(x, k), _stretch(y, k), _stretch(np.atleast_2d(lams[..., cols]), k)
+            inside.append(segment_point(x[rule, None], y[rule, None], lams[rule]))
+        read.append((predicate, fx, fy, x, y, lams, sign, rule))
+    if inside:
+        f = fn.values(np.concatenate([p.reshape(-1, p.shape[-1]) for p in inside]))
+    out, at = [], 0
+    for predicate, fx, fy, x, y, lams, sign, rule in read:
+        if lams is None:
+            out.append(_generator_rows(predicate, fx, fy, x, y, lambda rows, at_y, x=x, y=y:
+                                       generators((y if at_y else x)[rows]), sign))
+            continue
+        fz = np.full(lams.shape, np.nan)
+        shape = (int(rule.sum()), lams.shape[1])
+        fz[rule] = sign[rule, None] * f[at:at + shape[0] * shape[1]].reshape(shape)
+        at += shape[0] * shape[1]
+        out.append(kernel_rows(predicate, fx, fy, lams, fz))
+    return out
 
 
 def _stretch(a: np.ndarray, k: int) -> np.ndarray:
@@ -498,7 +555,8 @@ def _one_row(predicate, fn, x, y, lams=None, sub_x=None, sub_y=None) -> Check:
     def read(rows, at_y):
         return Generators.of([(sub_y if at_y else sub_x).generators] * len(rows), x.size)
 
-    return _generator_rows(predicate, fn, x[None], y[None], read).check(0, x, y)
+    fx, fy = fn.values(np.stack([x, y]))[:, None]
+    return _generator_rows(predicate, fx, fy, x[None], y[None], read, np.ones(1)).check(0, x, y)
 
 
 def check_quasiconvex_segment(fn: FunctionHandle, x, y, lam_grid) -> Check:
@@ -807,8 +865,8 @@ def _subdiff_kernel(fx, fy, x, y, low: Generators, up: Generators):
         np.where(upper_only[:, None], _take(up.g, first_u, upper_only),
                  _take(low.g, first_l, lower)),
         np.where(lower, first_l - low.start, np.where(upper_only, first_u - up.start, -1)),
-        np.select([lower, upper_only], [_SUBDIFF_KERNEL_LOWER, _SUBDIFF_KERNEL_UPPER],
-                  _SUBDIFF_KERNEL),
+        np.where(lower, _SUBDIFF_KERNEL_LOWER,
+                 np.where(upper_only, _SUBDIFF_KERNEL_UPPER, _SUBDIFF_KERNEL)),
         np.full(len(x), np.nan),
         {**low.failed, **up.failed},
     )
@@ -869,15 +927,11 @@ def _generator_results(predicate: str, fx, fy, results) -> Rows:
                 generator, index, note, value, failed)
 
 
-def _generator_rows(predicate: str, fn: FunctionHandle, x, y, read, negated=False) -> Rows:
-    """A generator predicate's kernel over rows, with fn's values and the
-    Generators read(rows, at_y) gives negated on the rows on -fn."""
+def _generator_rows(predicate: str, fx, fy, x, y, read, sign) -> Rows:
+    """A generator predicate's kernel over rows, on values already read:
+    f at the endpoints times each row's sign, and the Generators
+    read(rows, at_y) gives, negated on the rows whose sign is -1."""
     kernel = _predicate(predicate, segment=False).kernel
-    if x.shape != y.shape:
-        raise ValueError(f"endpoint rows of shapes {x.shape} and {y.shape}")
-    sign = _signs(negated, len(x))
-    fxy = fn.values(np.concatenate([x, y]))
-    fx, fy = sign * fxy[:len(x)], sign * fxy[len(x):]
 
     def sub(rows, at_y=False, negated=False):
         flip = (sign[rows] < 0.0) != negated
@@ -896,12 +950,11 @@ def check_generator_rows(predicate: str, fn: FunctionHandle, x, y, generators,
     x and y are (k, n) rows, and negated, a bool or a (k,) mask, names the
     rows run on -fn, whose values and generators are negated.  Each row's
     result is bit-identical to the predicate's one-row check on fn or on
-    -fn, and a row whose estimate failed raises when read.
+    -fn, and a row whose estimate failed raises when read.  It is
+    check_requests' one-request case.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    return _generator_rows(predicate, fn, x, y,
-                           lambda rows, at_y: generators((y if at_y else x)[rows]), negated)
+    (rows,) = check_requests(fn, [Request(predicate, x, y, None, negated)], generators)
+    return rows
 
 
 def check_pseudoconvex_pair(
