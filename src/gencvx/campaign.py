@@ -46,7 +46,7 @@ from ._pcg import generator, pcg64_states, position, to_ints, uniform_block
 from .geometry import Region, RegionTooThinError, _accept_mask, segment_point
 # subdifferential is not called here; perfbench's tracer and its tests look
 # it up as campaign.subdifferential.
-from .nonsmooth import EstimationError, subdifferential, subdifferential_rows  # noqa: F401
+from .nonsmooth import EstimationError, _by_row, subdifferential, subdifferential_rows  # noqa: F401
 
 __all__ = [
     "SamplingPlan",
@@ -233,6 +233,10 @@ class RefineResult:
 
 
 class _Context:
+    """What a classify call shares: its pairs, their segment grid, and the
+    subdifferential at points: on a smooth handle its gradient where it has
+    one (see generators), else an estimate, made once into the cache."""
+
     def __init__(self, fn: FunctionHandle, region: Region, plan: SamplingPlan):
         if fn.dimension != region.dimension:
             raise ValueError("function and region dimensions differ")
@@ -356,11 +360,30 @@ class _Context:
 
     def generators(self, points: np.ndarray) -> ck.Generators:
         """The generators of the estimates of the subdifferential of f at
-        each row of points, gathered from the cache's rows in one index
-        operation (a check negates those of the rows it runs on -f).  The
-        points not yet estimated are estimated in one call; an estimate that
-        failed is stored, without its traceback, and its row carries the
-        failure, which a check raises afresh when it reads that row."""
+        each row of points (a check negates those of the rows it runs on
+        -f).  On a smooth handle the Clarke subdifferential at x is
+        {grad f(x)}: a row where the handle has a gradient (all rows read in
+        one grads call, or one by one where that raises) and room for the
+        estimate's ball holds that gradient alone, with no estimate made or
+        stored.  Every other row
+        is gathered from the estimate cache in one index operation, the
+        points not yet estimated being estimated in one call; an estimate
+        that failed is stored, without its traceback, and its row carries
+        the failure, which a check raises afresh when it reads that row."""
+        if not self.smooth:
+            return self._cached(points)
+        g, has = _by_row(self.fn.grads, points)
+        has &= self.feasible(points)
+        direct, rest = np.flatnonzero(has), np.flatnonzero(~has)
+        rows, ones = np.arange(len(direct)), np.ones(len(direct), dtype=np.intp)
+        gens = ck.Generators(g[direct], rows, rows, ones, {})
+        if not rest.size:
+            return gens
+        gens = gens.joined(self._cached(points[rest]))
+        return gens.take(np.argsort(np.concatenate([direct, rest])))
+
+    def _cached(self, points: np.ndarray) -> ck.Generators:
+        """The estimates at the rows of points, from the cache."""
         keys = _row_keys(points)
         todo = {key: i for i, key in enumerate(keys) if key not in self._at}
         if todo:
@@ -376,29 +399,18 @@ class _Context:
         # A spread at radius r may come from a kink merely nearby.  Shrinking
         # the ball separates the cases: at a true kink the spread persists,
         # near one it collapses and the fine coherent estimate (or its
-        # failure) is the honest set at x.  A smooth handle has no kinks:
-        # its Clarke subdifferential at x is {grad f(x)}, so where its spread
-        # persists f is merely steep, and the handle's gradient at x, where
-        # it has one, is the estimate.
+        # failure) is the honest set at x.
         kinked = np.flatnonzero(self._kink[rows])
         if kinked.size:
             fine = self._store(xs[kinked], radius / 1000.0)
             rows[kinked] = np.where(self._kink[fine], rows[kinked], fine)
-            steep = kinked[self._kink[fine]]
-            if self.smooth and steep.size:
-                g, has = self.fn.grads(xs[steep])
-                gens = ck.Generators.of([(v,) for v in g[has]], self.fn.dimension)
-                rows[steep[has]] = self._append(gens, np.zeros(int(has.sum()), dtype=bool), 0.0)
         self._at.update(zip(keys, rows.tolist()))
 
     def _store(self, xs: np.ndarray, radius: float) -> np.ndarray:
         """Append the estimates at xs at the radius to the cache; their rows.
         A point's seed is hashed only where its ball is drawn."""
-        return self._append(*subdifferential_rows(
-            self.fn, self.region, xs, radius, self.subdiff_count, _point_entropy), radius)
-
-    def _append(self, gens: ck.Generators, kink: np.ndarray, radius: float) -> np.ndarray:
-        """Append rows of generators, kink flags and radius to the cache; their rows."""
+        gens, kink = subdifferential_rows(
+            self.fn, self.region, xs, radius, self.subdiff_count, _point_entropy)
         first = len(self._kink)
         self._cache = self._cache.joined(gens)
         self._kink = np.concatenate([self._kink, kink])
@@ -425,7 +437,8 @@ class _Segments:
     when a predicate's read rule first names it, so every value-only probe
     and near-miss scan of the pairs, on f and on -f, reads each cell once
     and only the cells its rule names.  It is a classify call's only cache
-    of f: other reads go to f itself."""
+    of f: other reads go to f itself.  Beside it are kept the probe runs on
+    the pairs (_run)."""
 
     def __init__(self, ctx: _Context, xs: np.ndarray, ys: np.ndarray):
         self.fn = ctx.fn
@@ -435,6 +448,7 @@ class _Segments:
         self.starts: np.ndarray | None = None
         self.values = np.empty(len(self.a) * len(self.lams))
         self.known = np.zeros(len(self.values), dtype=bool)
+        self.runs: dict = {}  # each probe run on these pairs, by _run
 
     def rows(self, predicate: str, negated: bool, orient: np.ndarray, col=None) -> ck.Rows:
         """ck.check_rows of a value-only predicate, on f (on -f when
@@ -681,10 +695,14 @@ def _refine_together(ctx: _Context, cands: list[Candidate], rounds: int) -> list
     grid), whose rows each run on their candidate's side, f or -f; one take
     then advances every candidate.  Each result is the candidate's
     RefineResult, or the EstimationError its refinement raised: what a
-    one-trial-at-a-time ascent gives it."""
+    one-trial-at-a-time ascent gives it.  Identical candidates climb once
+    and share their result."""
     if not cands:
         return []
-    ascent = _Ascent(ctx, cands, rounds)
+    keys = [(c.predicate, c.negated, c.x.tobytes(), c.y.tobytes(),
+             None if c.lam is None else np.float64(c.lam).tobytes()) for c in cands]
+    unique = dict(zip(keys, cands))
+    ascent = _Ascent(ctx, list(unique.values()), rounds)
     while ascent.moving():
         owner, xs, ys, lams = ascent.requests()
         ends = np.cumsum(np.bincount(ascent.group[owner], minlength=len(ascent.keys))).tolist()
@@ -698,7 +716,8 @@ def _refine_together(ctx: _Context, cands: list[Candidate], rounds: int) -> list
             requests.append(
                 ck.Request(name, xs[lo:hi], ys[lo:hi], grid, ascent.negated[owner[lo:hi]]))
         ascent.take(ck.check_requests(ctx.fn, requests, ctx.generators), owner, xs, ys, lams)
-    return ascent.results()
+    results = dict(zip(unique, ascent.results()))
+    return [results[key] for key in keys]
 
 
 def _witness_from_check(
@@ -865,6 +884,29 @@ class _Run(NamedTuple):
         return Candidate(self.predicate, self.negated, check.x, check.y, check.lam)
 
 
+def _run(ctx: _Context, segments: _Segments, name: str, negated: bool, placement: str) -> _Run:
+    """The run of predicate name on one side over a placement on the
+    segments' pairs.  Other than a sweep (the largest run, and one no other
+    probe or scan places alike), it is made once and kept beside the segment
+    grid, so properties that probe alike, and near-miss scans, read one run."""
+    key = (name, negated, placement)
+    run = segments.runs.get(key)
+    if run is None:
+        orient, col = _orientations(ctx, placement, len(segments.xs))
+        a, b, pair = segments.a[orient], segments.b[orient], orient // 2
+        every = orient if placement == _BOTH else None
+        if placement == _KERNEL:
+            a, b, pair, every = _kernel_placed(ctx, a, b, pair)
+        if ck.PREDICATES[name].segment:
+            rows = segments.rows(name, negated, orient, col)
+        else:
+            rows = _rows(ctx, name, negated, a, b)
+        run = _Run(name, negated, placement, a, b, pair, rows, every)
+        if placement != _SWEEP:
+            segments.runs[key] = run
+    return run
+
+
 def _runs(ctx: _Context, prop: str, xs: np.ndarray, ys: np.ndarray):
     """Each probe side's run over its placements on the pairs (xs[i], ys[i]),
     in probe order, and the mask of the pairs on which an estimate failed.
@@ -873,45 +915,31 @@ def _runs(ctx: _Context, prop: str, xs: np.ndarray, ys: np.ndarray):
     runs = []
     broken = np.zeros(len(xs), dtype=bool)
     for probe in _PROBES[prop]:
-        name = probe.predicate_for(ctx)
-        orient, col = _orientations(ctx, probe.placement, len(xs))
-        if not len(orient):  # a sweep over a grid without interior lambdas
+        if probe.placement == _SWEEP and not ctx.interior_lams:
             continue
         for negated in probe.sides:
-            a, b, pair = segments.a[orient], segments.b[orient], orient // 2
-            every = orient if probe.placement == _BOTH else None
-            if probe.placement == _KERNEL:
-                a, b, pair, every = _kernel_placed(ctx, a, b, pair)
-            if ck.PREDICATES[name].segment:
-                rows = segments.rows(name, negated, orient, col)
-            else:
-                rows = _rows(ctx, name, negated, a, b)
-            broken[pair[list(rows.failed or ())]] = True
-            runs.append(_Run(name, negated, probe.placement, a, b, pair, rows, every))
+            run = _run(ctx, segments, probe.predicate_for(ctx), negated, probe.placement)
+            broken[run.pair[list(run.rows.failed or ())]] = True
+            runs.append(run)
     return runs, broken
 
 
-def _near_misses(ctx: _Context, prop: str, runs=()) -> list[Candidate]:
+def _near_misses(ctx: _Context, prop: str) -> list[Candidate]:
     """The pairs, in both orientations, closest to violating each near-miss
-    probe of the property, scored in one kernel call per probe and side, or
-    read from the side's run among the property's runs where that ran on
-    every orientation (_BOTH, _KERNEL); pairs whose estimate failed are
-    passed over."""
+    probe of the property, read from a run of its predicate and side on
+    every orientation (_KERNEL, else _BOTH), the property's own where it
+    has one; pairs whose estimate failed are passed over."""
     segments = ctx.segments(*ctx.pairs)
     xs, ys = segments.a, segments.b
-    ran = {(run.predicate, run.negated): (run.rows, run.orientations)
-           for run in runs if run.orientations is not None}
     out = []
     for probe in _PROBES[prop]:
         if not probe.near_miss:
             continue
         name = probe.predicate_for(ctx)
+        placement = _KERNEL if probe.placement == _KERNEL else _BOTH
         for negated in probe.sides:
-            rows, at = ran.get((name, negated), (None, np.arange(len(xs))))
-            if rows is None and ck.PREDICATES[name].segment:
-                rows = segments.rows(name, negated, at)
-            elif rows is None:
-                rows = _rows(ctx, name, negated, xs, ys)
+            run = _run(ctx, segments, name, negated, placement)
+            rows, at = run.rows, run.orientations
             ok = np.ones(len(rows.margin), dtype=bool)
             ok[list(rows.failed or ())] = False
             r = np.flatnonzero(ok[at])
@@ -967,7 +995,7 @@ def _sampling(ctx: _Context, prop: str) -> _Sampling:
     # Refine near-ties, and search near-misses when nothing failed outright.
     near_ties = bool(candidates)
     if not witnesses and not near_ties:
-        candidates = _near_misses(ctx, prop, runs)
+        candidates = _near_misses(ctx, prop)
     refined = candidates[:MAX_REFINED_CANDIDATES] if len(witnesses) < 4 else []
     return _Sampling(prop, counts, int(passed.sum()), witnesses, refined, near_ties)
 

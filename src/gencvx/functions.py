@@ -72,7 +72,9 @@ class FunctionHandle:
     ball coherent from the expression's interval gradient walk, reading the
     handle's gradient at the centre only (see nonsmooth.subdifferential_rows);
     a handle without an expression, negate_handle's among them, has every
-    ball sampled.
+    ball sampled.  classify reaches neither where a smooth handle has a
+    gradient and room for the ball: that gradient is the subdifferential
+    there (see campaign._Context.generators).
     """
 
     name: str

@@ -202,25 +202,21 @@ def _row_gradients(fn: FunctionHandle, probes: np.ndarray, step: float):
     return gradients, np.isfinite(gradients).all(axis=1)
 
 
-def _gradients(fn: FunctionHandle, probes: np.ndarray, step: float):
-    """_row_gradients at each probe of an (m, c, n) array: the gradients
-    and the (m, c) mask of the probes that succeeded.  All probes are read
-    in one call; where that raises, each probe is read alone, so failures
-    are counted probe by probe."""
-    m, c, n = probes.shape
-    flat = probes.reshape(-1, n)
-    gradients, ok = np.zeros(flat.shape), np.zeros(len(flat), dtype=bool)
+def _by_row(read, rows: np.ndarray):
+    """read(rows), a row reader giving (k, n) values and the (k,) mask of
+    the rows that succeeded, in one call; where that raises, each row is
+    read alone, and a row whose read raises has failed."""
     try:
-        if m:
-            gradients, ok = _row_gradients(fn, flat, step)
+        return read(rows)
     except _PROBE_ERRORS:
-        for i, p in enumerate(flat):
+        out, ok = np.zeros(rows.shape), np.zeros(len(rows), dtype=bool)
+        for i, p in enumerate(rows):
             try:
-                g, good = _row_gradients(fn, p[None], step)
+                v, good = read(p[None])
             except _PROBE_ERRORS:
                 continue
-            gradients[i], ok[i] = g[0], good[0]
-    return gradients.reshape(m, c, n), ok.reshape(m, c)
+            out[i], ok[i] = v[0], good[0]
+        return out, ok
 
 
 def _certified(fn: FunctionHandle, xs: np.ndarray, radius: float):
@@ -377,7 +373,10 @@ def subdifferential_rows(
     centers = xs[room][:, None, :]
     probes = np.concatenate([centers, centers + _ball_offsets(raw, uniform, radius)], axis=1)
 
-    gradients, ok = _gradients(fn, probes, radius / 100.0)
+    # The gradients of all probes in one call; where that raises, each
+    # probe is read alone, so failures are counted probe by probe.
+    gradients, ok = _by_row(lambda p: _row_gradients(fn, p, radius / 100.0), probes.reshape(-1, n))
+    gradients, ok = gradients.reshape(probes.shape), ok.reshape(probes.shape[:2])
     # Each point's generator spread over the probes that succeeded, in one
     # reduction for all points.
     have = ok[:, :, None]

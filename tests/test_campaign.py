@@ -29,9 +29,12 @@ from gencvx.campaign import (
 )
 from gencvx.checks import INCONCLUSIVE, PREDICATES, check_rows, descends
 from gencvx.expr import EvalError
-from gencvx.nonsmooth import EstimationError, InteriorRoomError, subdifferential
+from gencvx.nonsmooth import (
+    EstimationError, InteriorRoomError, SubdifferentialEstimate, subdifferential,
+    subdifferential_rows)
 from gencvx.functions import (
-    PROPERTIES, SMOOTH, FunctionHandle, function_from_expression, negate_handle)
+    LOCALLY_LIPSCHITZ, PROPERTIES, SMOOTH, FunctionHandle, function_from_expression,
+    negate_handle)
 from gencvx.geometry import RegionTooThinError, parse_region, segment_point
 
 PLAN = SamplingPlan(seed=42)
@@ -878,8 +881,8 @@ _NEAR_THE_POLE = parse_region("x1 >= 0.01, box(0..1, -1..1), margin(0.0001)", 2)
 
 
 def test_a_steep_smooth_point_is_estimated_by_its_gradient():
-    # Gradient sampling flags a kink at both radii, yet f is smooth, and the
-    # cache holds its gradient at x.
+    # Gradient sampling flags a kink at both radii, yet f is smooth: classify
+    # reads its gradient at x, and makes no estimate there.
     x = np.array([0.0101, 0.9])
     count = FAST.resolved_subdiff_count(2)
     for radius in (FAST.subdiff_radius, FAST.subdiff_radius / 1000.0):
@@ -889,8 +892,7 @@ def test_a_steep_smooth_point_is_estimated_by_its_gradient():
     ctx = _Context(_STEEP, _NEAR_THE_POLE, FAST)
     gens = ctx.generators(x[None])
     assert gens.count.tolist() == [1] and gens.g.tobytes() == _STEEP.grad(x).tobytes()
-    est = ctx.estimates()[x.tobytes()]
-    assert (est.radius, est.at_kink) == (0.0, False)
+    assert ctx.estimates() == {}
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -899,6 +901,177 @@ def test_a_steep_pseudolinear_function_is_not_refuted(seed):
     # of f; a pair placed on it would refute pseudolinearity falsely.
     (v,) = classify(_STEEP, _NEAR_THE_POLE, ["pseudolinear"], SamplingPlan(seed=seed))
     assert (v.verdict, v.fails, v.inconclusive) == (HOLDS, 0, 0)
+
+
+def _ref_estimate(fn, region, plan, xs):
+    """What the estimate cache held at each row of xs before a smooth handle
+    read its gradient without estimating, the reference: the estimate at the
+    plan's radius; where it flags a kink, the one at radius/1000 where that
+    fails or is coherent, and on a smooth handle, where the spread persists
+    there too, the handle's gradient at x where it has one."""
+    count = plan.resolved_subdiff_count(fn.dimension)
+
+    def store(points, radius):
+        gens, kink = subdifferential_rows(
+            fn, region, points, radius, count, campaign._point_entropy)
+        return [gens.estimate(i, radius, bool(k)) for i, k in enumerate(kink)]
+
+    radius = plan.subdiff_radius
+    out = store(xs, radius)
+    kinked = [i for i, e in enumerate(out) if not isinstance(e, EstimationError) and e.at_kink]
+    if kinked:
+        for i, e in zip(kinked, store(xs[kinked], radius / 1000.0)):
+            if isinstance(e, EstimationError) or not e.at_kink:
+                out[i] = e
+            elif fn.smoothness == SMOOTH and fn.grad(xs[i]) is not None:
+                out[i] = SubdifferentialEstimate((fn.grad(xs[i]),), 0.0, False)
+    return out
+
+
+def _generator_bytes(gens, i):
+    """Row i of Generators as its generators' bytes, or its failure's type
+    and message."""
+    if i in gens.failed:
+        return type(gens.failed[i]), str(gens.failed[i])
+    return [g.tobytes() for g in gens.g[gens.start[i]:gens.start[i] + gens.count[i]]]
+
+
+def _estimate_bytes(est):
+    """An estimate as _generator_bytes gives its row."""
+    if isinstance(est, EstimationError):
+        return type(est), str(est)
+    return [g.tobytes() for g in est.generators]
+
+
+_SMOOTH_CASES = [(e.handle.name, e.handle, e.region) for e in corpus()
+                 if e.handle.smoothness == SMOOTH] + [
+    ("x2/x1", _STEEP, _NEAR_THE_POLE),
+    ("x2/x1^3", function_from_expression("x2/(x1*x1*x1)", 2), _NEAR_THE_POLE),
+    ("exp(8x1)", function_from_expression("exp(8*x1) + x2", 2), _BOX2),
+    ("pole", function_from_expression("1/(x1*x1 - 0.25)", 1), parse_region("box(-1..1)", 1)),
+    ("log", function_from_expression("log(x1)", 1), parse_region("box(0.001..2)", 1))]
+
+
+@pytest.mark.parametrize("name, fn, region", _SMOOTH_CASES, ids=[c[0] for c in _SMOOTH_CASES])
+def test_a_smooth_handle_reads_what_the_estimate_cache_held(name, fn, region, monkeypatch):
+    # Every row a classify reads on a smooth handle, at the pair points, at
+    # the kernel projections and at the refinement trials, holds what the
+    # estimate cache held there when each point was estimated.
+    read = []
+    generators = campaign._Context.generators
+
+    def recording(ctx, points):
+        gens = generators(ctx, points)
+        read.extend((p, _generator_bytes(gens, i)) for i, p in enumerate(points))
+        return gens
+
+    monkeypatch.setattr(campaign._Context, "generators", recording)
+    for seed in (0, 42):
+        plan = SamplingPlan(seed=seed)
+        read.clear()
+        classify(fn, region, None, plan)
+        got = {p.tobytes(): (p, g) for p, g in read}
+        assert len(got) > plan.pair_count, seed  # pairs, projections and trials
+        points = np.array([p for p, _ in got.values()])
+        want = _ref_estimate(fn, region, plan, points)
+        assert [g for _, g in got.values()] == list(map(_estimate_bytes, want)), seed
+
+
+def test_a_smooth_handle_estimates_only_rows_without_gradient_or_room():
+    # A row without room for the ball, a row the handle flags and a row
+    # whose gradient read raises (the call's rows are then read one at a
+    # time) reach the estimate cache, and no other: each row holds what the
+    # cache held before, and the others the handle's gradient.
+    fn = function_from_expression("x1*x1 + exp(x2)", 2)
+    flagged, raising = np.array([0.5, 0.25]), np.array([0.25, -0.5])
+
+    def gradient_rows(points):
+        if (points == raising).all(axis=1).any():
+            raise ArithmeticError("gradient overflow")
+        g, kinks = fn.gradient_rows(points)
+        return g, kinks | (points == flagged).all(axis=1)
+
+    odd = replace(fn, gradient_rows=gradient_rows)
+    plain, edge = np.array([0.1, 0.2]), np.array([1.0 - 1e-7, 0.3])
+    points = np.array([plain, flagged, edge, raising, -plain])
+    ctx = _Context(odd, _BOX2, FAST)
+    gens = ctx.generators(points)
+    want = _ref_estimate(odd, _BOX2, FAST, points)
+    assert [_generator_bytes(gens, i) for i in range(len(points))] == list(
+        map(_estimate_bytes, want))
+    assert list(ctx.estimates()) == [p.tobytes() for p in (flagged, edge, raising)]
+    assert type(gens.failed[2]) is InteriorRoomError and list(gens.failed) == [2]
+    assert gens.g[gens.start[0]].tobytes() == fn.grad(plain).tobytes()
+
+
+def test_a_corpus_classify_estimates_on_the_locally_lipschitz_members_only(monkeypatch):
+    # Every point a classify of a smooth corpus member reads has a gradient
+    # and room for the ball: a classify of the corpus at seed 42 makes 14
+    # subdifferential_rows calls, all on ramp and twoslope (71 when the
+    # smooth members' points were estimated too).  Its 340 refinement
+    # candidates climb as 292: identical ones climb once.
+    calls, climbing = Counter(), []
+    rows, ascent = campaign.subdifferential_rows, campaign._Ascent
+
+    def counted(fn, *args):
+        calls[fn.smoothness] += 1
+        return rows(fn, *args)
+
+    def climb(ctx, cands, rounds):
+        climbing.append(len(cands))
+        return ascent(ctx, cands, rounds)
+
+    monkeypatch.setattr(campaign, "subdifferential_rows", counted)
+    monkeypatch.setattr(campaign, "_Ascent", climb)
+    refine = campaign._refine_together
+    refined = []
+    monkeypatch.setattr(campaign, "_refine_together",
+                        lambda ctx, cands, rounds: refined.append(len(cands)) or refine(
+                            ctx, cands, rounds))
+    for e in corpus():
+        classify(e.handle, e.region, PROPERTIES, PLAN)
+    assert calls == Counter({LOCALLY_LIPSCHITZ: 14})
+    assert (sum(refined), sum(climbing)) == (340, 292)
+
+
+def test_identical_candidates_climb_once():
+    # Candidates equal in predicate, side and the bytes of x, y and lambda
+    # climb once and share one result: what each gets refined alone.
+    fn = function_from_expression(_HALF_FAILING, 2)
+    x, y, bad = np.array([0.5, 0.2]), np.array([0.1, -0.3]), np.array([-0.5, 0.2])
+    cands = [Candidate("pseudoconvex-pair", False, x, y),
+             Candidate("pseudoconvex-pair", True, x, y),
+             Candidate("pseudoconvex-pair", False, x.copy(), y.copy()),
+             Candidate("quasiconvex-segment", False, x, y, 0.5),
+             Candidate("quasiconvex-segment", False, x, y),
+             Candidate("quasiconvex-segment", False, x, y, 0.5),
+             Candidate("pseudoconvex-pair", True, bad, y),
+             Candidate("pseudoconvex-pair", True, bad.copy(), y)]
+    together = _refine_together(_Context(fn, _BOX2, FAST), cands, FAST.refinement_rounds)
+    assert together[0] is together[2] and together[3] is together[5]
+    assert together[6] is together[7] and isinstance(together[6], EstimationError)
+    for cand, result in zip(cands, together):
+        (want,) = _refine_together(_Context(fn, _BOX2, FAST), [cand], FAST.refinement_rounds)
+        assert _result_bytes(result) == _result_bytes(want), cand
+
+
+def test_quasilinear_reads_the_runs_and_scans_of_quasiconvex_and_quasiconcave(monkeypatch):
+    # quasilinear probes quasiconvex-segment on f and on -f, placed as
+    # quasiconvex and quasiconcave place it: it reads their runs and
+    # near-miss scans, with no kernel call of its own.
+    calls = []
+    kernel = checks.kernel_rows
+    monkeypatch.setattr(checks, "kernel_rows", lambda *a, **kw: calls.append(1) or kernel(*a, **kw))
+    e = corpus_entry("arctan")
+    ctx = _Context(e.handle, e.region, FAST)
+    runs = {prop: _runs(ctx, prop, *ctx.pairs)[0] for prop in ("quasiconvex", "quasiconcave")}
+    scans = [c for prop in runs for c in _near_misses(ctx, prop)]
+    calls.clear()
+    (on_f, on_minus_f), _ = _runs(ctx, "quasilinear", *ctx.pairs)
+    got = _near_misses(ctx, "quasilinear")
+    assert not calls
+    assert on_f is runs["quasiconvex"][0] and on_minus_f is runs["quasiconcave"][0]
+    assert [_as_tuple(c) for c in got] == [_as_tuple(c) for c in scans]
 
 
 _ONE_ASCENT_CASES = [(name, corpus_entry(name).handle, corpus_entry(name).region)
@@ -1104,12 +1277,29 @@ def test_mixed_side_refinement_equals_refining_each_candidate_alone(monkeypatch)
     assert any(len(r.scores) > 1 for r in together if not isinstance(r, EstimationError))
 
 
+def _scored_near_misses(ctx, probes):
+    """The near-misses of the probes from a fresh scoring of every
+    orientation of the pairs, in one _rows call per probe side."""
+    xs, ys = campaign._both(*ctx.pairs)
+    out = []
+    for probe in probes:
+        name = probe.predicate_for(ctx)
+        for negated in probe.sides:
+            rows = _rows(ctx, name, negated, xs, ys)
+            ok = np.ones(len(xs), dtype=bool)
+            ok[list(rows.failed or ())] = False
+            r = np.flatnonzero(ok)
+            best = r[np.argsort(-rows.margin[r], kind="stable")[:NEAR_MISS_CANDIDATES]]
+            out.extend(Candidate(name, negated, xs[i], ys[i]) for i in best)
+    return out
+
+
 @pytest.mark.parametrize("seed", [0, 42])
 def test_near_misses_read_from_the_runs_equal_a_fresh_scoring(seed, monkeypatch):
-    # _sampling hands _near_misses the property's runs: a probe side that
-    # ran on every orientation, on both (_BOTH) or each followed by its
-    # kernel projections (_KERNEL), is read from its run, with no kernel
-    # call, and gives the candidates a fresh scoring gives.
+    # _near_misses reads the property's runs, kept beside the segment grid:
+    # a probe side that ran on every orientation, on both (_BOTH) or each
+    # followed by its kernel projections (_KERNEL), is read from its run,
+    # with no kernel call, and gives the candidates a fresh scoring gives.
     calls = []
     for name in ("kernel_rows", "_generator_rows"):
         kernel = getattr(checks, name)
@@ -1119,15 +1309,15 @@ def test_near_misses_read_from_the_runs_equal_a_fresh_scoring(seed, monkeypatch)
     for e in corpus():
         for prop in PROPERTIES:
             ctx = _Context(e.handle, e.region, plan)
-            runs, _ = _runs(ctx, prop, *ctx.pairs)
+            _runs(ctx, prop, *ctx.pairs)
             calls.clear()
-            got = _near_misses(ctx, prop, runs)
+            got = _near_misses(ctx, prop)
             probes = [p for p in campaign._PROBES[prop] if p.near_miss]
             if all(p.placement in (_BOTH, _KERNEL) for p in probes):
                 assert not calls, (e.handle.name, prop)
                 reused += 1
                 kernel += any(p.placement == _KERNEL for p in probes)
-            want = _near_misses(_Context(e.handle, e.region, plan), prop)
+            want = _scored_near_misses(_Context(e.handle, e.region, plan), probes)
             assert [_as_tuple(c) for c in got] == [_as_tuple(c) for c in want]
             assert [c.x.tobytes() + c.y.tobytes() for c in got] == [
                 c.x.tobytes() + c.y.tobytes() for c in want]
@@ -1135,10 +1325,12 @@ def test_near_misses_read_from_the_runs_equal_a_fresh_scoring(seed, monkeypatch)
 
 
 def test_a_corpus_classify_makes_few_kernel_calls(monkeypatch):
-    # Rows on f and on -f share their kernel calls, and near-miss scans
-    # read the sampling runs: a classify of every corpus member at seed 42
-    # makes at most 512 kernel calls (726 when each side and each scan
-    # had its own, 517 when the kernel conditions' scans did).
+    # Rows on f and on -f share their kernel calls, near-miss scans read
+    # the sampling runs, and quasilinear reads the runs and scans of
+    # quasiconvex and quasiconcave: a classify of every corpus member at
+    # seed 42 makes at most 486 kernel calls (726 when each side and each
+    # scan had its own, 517 when the kernel conditions' scans did, 512 when
+    # quasilinear made its own).
     calls = Counter()
     for name in ("kernel_rows", "_generator_rows"):
         kernel = getattr(checks, name)
@@ -1146,7 +1338,7 @@ def test_a_corpus_classify_makes_few_kernel_calls(monkeypatch):
                             lambda *a, _n=name, _k=kernel, **kw: calls.update([_n]) or _k(*a, **kw))
     for e in corpus():
         classify(e.handle, e.region, PROPERTIES, PLAN)
-    assert sum(calls.values()) <= 512, calls
+    assert sum(calls.values()) <= 486, calls
 
 
 def test_a_corpus_classify_ascent_reads_f_twice_and_takes_once_per_step(monkeypatch):
