@@ -451,18 +451,16 @@ class _Segments:
         self.runs: dict = {}  # each probe run on these pairs, by _run
 
     def rows(self, predicate: str, negated: bool, orient: np.ndarray, col=None) -> ck.Rows:
-        """ck.check_rows of a value-only predicate, on f (on -f when
-        negated), at the grid rows orient in placement order: over the
-        lambda grid, or with col, at grid column col[r] for row r."""
+        """The Rows ck.check_requests gives a value-only predicate's request
+        on f (on -f when negated) at the grid rows orient, in placement
+        order: over the lambda grid, or with col, at grid column col[r] for
+        row r.  The grid is read in place of f, through read_rule and
+        kernel_rows, so that no cell is read twice."""
         if self.starts is None:
-            # The first read takes the endpoints in the order check_rows
-            # would, so that a failing point raises as it would there.
-            # (np.unique would import numpy.ma, about 0.7 MB, on first use.)
-            o = np.flatnonzero(np.bincount(orient, minlength=len(self.a)))
-            f = self.fn.values(np.concatenate([self.a[o], self.b[o]]))
-            self.starts = np.empty(len(self.a))
-            self.starts[o ^ 1] = f[len(o):]
-            self.starts[o] = f[: len(o)]
+            # The first read takes f at every pair's endpoints once, xs then
+            # ys, in one call.
+            f = self.fn.values(np.concatenate([self.xs, self.ys]))
+            self.starts = f.reshape(2, -1).T.ravel()
         fx, fy = self.starts[orient], self.starts[orient ^ 1]
         if negated:
             fx, fy = -fx, -fy
@@ -487,21 +485,15 @@ class _Segments:
 # --------------------------------------------------------------------------
 
 
-def _rows(ctx: _Context, name: str, negated, xs, ys, lams=None) -> ck.Rows:
-    """The predicate name's kernel over rows of pairs, in one call, each
-    row on f or, where negated (a bool or a mask) flags it, on -f.  A
-    segment predicate reads values only, at lams or, for lams=None, over
-    the plan's lambda grid.  The others read the generators of estimates
-    made in one call per point set a kernel reads."""
-    if ck.PREDICATES[name].segment:
-        return ck.check_rows(name, ctx.fn, xs, ys, ctx.lam_grid if lams is None else lams, negated)
-    return ck.check_generator_rows(name, ctx.fn, xs, ys, ctx.generators, negated)
-
-
 def _check(ctx: _Context, c: Candidate | Witness) -> ck.Check:
-    """Run the predicate a candidate or witness names, at its points."""
-    lams = None if c.lam is None else (c.lam,)
-    return _rows(ctx, c.predicate, c.negated, c.x, c.y, lams).check(0, c.x, c.y)
+    """Run the predicate a candidate or witness names, at its points: a
+    segment predicate at its lambda, or without one over the plan's grid."""
+    lams = None
+    if ck._predicate(c.predicate).segment:
+        lams = ctx.lam_grid if c.lam is None else (c.lam,)
+    request = ck.Request(c.predicate, c.x, c.y, lams, c.negated)
+    (rows,) = ck.check_requests(ctx.fn, [request], ctx.generators)
+    return rows.check(0, c.x, c.y)
 
 
 # --------------------------------------------------------------------------
@@ -545,7 +537,7 @@ class _Ascent:
         grid = ctx.plan.lambda_grid
         self.lam_lo = 1.0 / (grid - 1) if grid >= 3 else 0.25
         self.seeded = np.array(
-            [c.lam is None and ck.PREDICATES[c.predicate].segment for c in cands])
+            [c.lam is None and ck._predicate(c.predicate).segment for c in cands])
         self.seeded &= len(self.interior) > 0
         self.negated = np.array([c.negated for c in cands], dtype=bool)
         self.x = np.array([c.x for c in cands], dtype=float)
@@ -900,7 +892,8 @@ def _run(ctx: _Context, segments: _Segments, name: str, negated: bool, placement
         if ck.PREDICATES[name].segment:
             rows = segments.rows(name, negated, orient, col)
         else:
-            rows = _rows(ctx, name, negated, a, b)
+            request = ck.Request(name, a, b, None, negated)
+            (rows,) = ck.check_requests(ctx.fn, [request], ctx.generators)
         run = _Run(name, negated, placement, a, b, pair, rows, every)
         if placement != _SWEEP:
             segments.runs[key] = run
@@ -1052,10 +1045,13 @@ def classify(
     properties: tuple[str, ...] | list[str] | None,
     plan: SamplingPlan | None = None,
 ) -> list[PropertyVerdict]:
-    """Run the mapped predicate campaign for every requested property, their
+    """Run the mapped predicate campaign for every requested property (all
+    of them for None; none, an empty list, raises ValueError), their
     candidates refined in one ascent."""
     plan = plan or SamplingPlan()
-    props = tuple(properties) if properties else PROPERTIES
+    props = PROPERTIES if properties is None else tuple(properties)
+    if not props:
+        raise ValueError("no properties requested")
     for p in props:
         if p not in PROPERTIES:
             raise ValueError(f"unknown property {p!r} (known: {', '.join(PROPERTIES)})")

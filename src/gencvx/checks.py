@@ -11,13 +11,12 @@ generator predicates the generator.  Segment points come from
 `geometry.segment_point`, which rejects x == y.  Every predicate the
 campaign runs is written once, as a row kernel, and is one record of
 `PREDICATES`: its kernel, whether it reads f on the segment or generators,
-its read rule and its failure detail.  `check_rows` runs a value-only one
-(the segment conditions and the interpolation bounds) over many rows with
-two array reads of f, `check_generator_rows` a generator one (the
-pseudoconvex pair, the proportional identity, the symmetric equality and
-the two kernel conditions) with one read of f and one of the generators per
-point set, `check_requests` several predicates' rows with those reads of f
-shared, and the `check_*` functions are their one-row wrappers.  The
+its read rule and its failure detail.  `check_requests` is the one row
+runner: it runs `Request`s, each one predicate's rows, with f read once for
+all of them, value-only predicates (the segment conditions and the
+interpolation bounds) and generator ones (the pseudoconvex pair, the
+proportional identity, the symmetric equality and the two kernel
+conditions) alike, and the `check_*` functions are its one-row cases.  The
 gradient kernel condition is the subdifferential one with its own notes,
 read on estimates that hold {grad f(x)}, the Clarke subdifferential of a C1
 function, as the campaign's estimates of a smooth handle do.
@@ -79,14 +78,12 @@ __all__ = [
     "check_interlacing",
     "check_interpolation_bounds",
     "Rows",
-    "check_rows",
     "Request",
     "check_requests",
     "read_rule",
     "kernel_rows",
     "Generators",
     "dots",
-    "check_generator_rows",
     "compute_p",
     "verify_p_identity",
     "check_symmetric_equality",
@@ -199,16 +196,15 @@ def check_weak_monotone_pair(
 #
 # Every predicate the campaign runs is written once, as a kernel over k rows
 # of pairs, and is one record of PREDICATES (after the kernels); its public
-# check_* function is the kernel's one-row wrapper.  The value-only
-# predicates run through check_rows, the generator predicates through
-# check_generator_rows, and both give their results as Rows.
+# check_* function is the kernel's one-row case.  check_requests runs the
+# rows of both kinds and gives each predicate's results as Rows.
 
 
 class Predicate(NamedTuple):
     """A predicate's record in PREDICATES: its row kernel and how it reads."""
 
     kernel: Callable  # a value-only or a generator kernel, as the sections below take them
-    segment: bool  # reads f on the segment (check_rows), else generators (check_generator_rows)
+    segment: bool  # reads f on the segment (a Request with lams), else generators
     descent: bool = False  # the read rule: only interior lambdas of descending rows
     detail: Callable | None = None  # a segment Check's detail from (outcome, fx, fy, lam, fz)
 
@@ -277,8 +273,8 @@ class Rows(NamedTuple):
 # the rows' lambdas and f at their segment points (k, m) (NaN where a row's
 # segment is not read), and returns per row the outcome, margin, residual,
 # and the witness lambda and f there.  read_rule names the segment points a
-# predicate reads, kernel_rows runs its kernel on values read, and check_rows
-# reads the values and runs the kernel.
+# predicate reads, kernel_rows runs its kernel on values read, and
+# check_requests reads the values and runs the kernel.
 
 
 _OUTCOMES = np.array([PASS, VACUOUS, FAIL, INCONCLUSIVE], dtype=object)
@@ -456,28 +452,14 @@ def _signs(negated, k: int) -> np.ndarray:
     return np.where(np.broadcast_to(negated, (k,)), -1.0, 1.0)
 
 
-def check_rows(predicate: str, fn: FunctionHandle, x, y, lams, negated=False) -> Rows:
-    """Run a value-only predicate over k rows in two reads of f.
-
-    x and y are (k, n) endpoint rows, or one row, (1, n) or (n,), shared by
-    all; lams is an (m,) grid shared by all rows or a (k, m) grid per row
-    (the bounds take one lambda per row, (k, 1)).  negated, a bool or a
-    (k,) mask, names the rows run on -f.  f is read at the endpoints in one
-    `fn.values` call, then at every segment point that read_rule names in
-    another, and negated on the rows on -f.  Each row's result is
-    bit-identical to the predicate's one-row check on f or on -f.  It is
-    check_requests' one-request case.
-    """
-    (rows,) = check_requests(fn, [Request(predicate, x, y, lams, negated)])
-    return rows
-
-
 class Request(NamedTuple):
-    """One predicate's rows in check_requests: endpoint rows x and y, and a
-    segment predicate's lambdas, as check_rows takes them, or lams=None for
-    a generator predicate, whose x and y are (k, n) rows, as
-    check_generator_rows takes them.  negated, a bool or a (k,) mask, names
-    the rows run on -f."""
+    """One predicate's k rows in check_requests.  A segment predicate's x
+    and y are (k, n) endpoint rows, or one row, (1, n) or (n,), shared by
+    all, and lams an (m,) grid shared by all rows or a (k, m) grid per row
+    (the bounds take one lambda per row, (k, 1)).  A generator predicate
+    has lams=None, and x and y are (k, n) rows.  negated, a bool or a (k,)
+    mask, names the rows run on -f, whose values and generators are
+    negated."""
 
     predicate: str
     x: object
@@ -487,13 +469,16 @@ class Request(NamedTuple):
 
 
 def check_requests(fn: FunctionHandle, requests, generators=None) -> list[Rows]:
-    """Run several predicates' rows with f read once for all of them: at
-    every request's endpoints in one `fn.values` call, then, where a
-    segment predicate is among them, at every segment point their read
-    rules name in one more.  Each predicate's kernel then runs on the
-    values read, in request order, the generator predicates reading
-    generators(points) as check_generator_rows does.  Each request's Rows
-    are what check_rows or check_generator_rows gives it alone."""
+    """Run several predicates' rows, one Rows per request, with f read once
+    for all of them: at every request's endpoints in one `fn.values` call,
+    then, where a segment predicate is among them, at every segment point
+    their read rules name in one more.  Each predicate's kernel then runs
+    on the values read, in request order; a generator predicate reads
+    generators(points), the Generators of the estimates of the
+    subdifferential of f at each row of points, in one call per point set
+    it reads.  Each row's result is bit-identical to the predicate's
+    one-row check on f or on -f, and a row whose estimate failed raises
+    when read."""
     placed = []
     for predicate, x, y, lams, negated in requests:
         _predicate(predicate, segment=lams is not None)
@@ -508,6 +493,8 @@ def check_requests(fn: FunctionHandle, requests, generators=None) -> list[Rows]:
             lams = lams.reshape(1, 1) if lams.ndim == 0 else lams
             k = max(len(x), len(y), len(np.atleast_2d(lams)))
         placed.append((predicate, x, y, lams, _signs(negated, k)))
+    if not placed:
+        return []
     f = fn.values(np.concatenate([p for _, x, y, *_ in placed for p in (x, y)]))
     read, inside, at = [], [], 0
     for predicate, x, y, lams, sign in placed:
@@ -526,8 +513,13 @@ def check_requests(fn: FunctionHandle, requests, generators=None) -> list[Rows]:
     out, at = [], 0
     for predicate, fx, fy, x, y, lams, sign, rule in read:
         if lams is None:
-            out.append(_generator_rows(predicate, fx, fy, x, y, lambda rows, at_y, x=x, y=y:
-                                       generators((y if at_y else x)[rows]), sign))
+            def sub(rows, at_y=False, negated=False, x=x, y=y, sign=sign):
+                gens = generators((y if at_y else x)[rows])
+                flip = (sign[rows] < 0.0) != negated
+                return gens.negated(flip) if flip.any() else gens
+
+            results = PREDICATES[predicate].kernel(fx, fy, x, y, sub)
+            out.append(_generator_results(predicate, fx, fy, results))
             continue
         fz = np.full(lams.shape, np.nan)
         shape = (int(rule.sum()), lams.shape[1])
@@ -546,17 +538,18 @@ def _stretch(a: np.ndarray, k: int) -> np.ndarray:
 
 def _one_row(predicate, fn, x, y, lams=None, sub_x=None, sub_y=None) -> Check:
     """A predicate's one-row check: at lams for a segment predicate, else on
-    the given estimates at x and at y (negated for -f)."""
+    the given estimates at x and at y, looked up by each point's bytes.  At
+    x == y the estimate at x is read for both, on which no outcome depends:
+    every pairing <g, y-x> is 0 there."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if PREDICATES[predicate].segment:
-        return check_rows(predicate, fn, x, y, lams).check(0, x, y)
+    given = {y.tobytes(): sub_y, x.tobytes(): sub_x}
 
-    def read(rows, at_y):
-        return Generators.of([(sub_y if at_y else sub_x).generators] * len(rows), x.size)
+    def generators(points):
+        return Generators.of([given[p.tobytes()].generators for p in points], x.size)
 
-    fx, fy = fn.values(np.stack([x, y]))[:, None]
-    return _generator_rows(predicate, fx, fy, x[None], y[None], read, np.ones(1)).check(0, x, y)
+    (rows,) = check_requests(fn, [Request(predicate, x, y, lams)], generators)
+    return rows.check(0, x, y)
 
 
 def check_quasiconvex_segment(fn: FunctionHandle, x, y, lam_grid) -> Check:
@@ -908,12 +901,13 @@ PREDICATES: dict[str, Predicate] = {
 }
 
 
-def _predicate(name: str, segment: bool) -> Predicate:
-    """The record of name, a segment predicate when segment is set and a
-    generator predicate otherwise; ValueError naming it if it is not."""
+def _predicate(name: str, segment: bool | None = None) -> Predicate:
+    """The record of name, and where segment is given, a segment predicate
+    when it is set and a generator predicate otherwise; ValueError naming
+    it if it is not."""
     if name not in PREDICATES:
         raise ValueError(f"unknown predicate {name!r} (known: {', '.join(PREDICATES)})")
-    if PREDICATES[name].segment != segment:
+    if segment is not None and PREDICATES[name].segment != segment:
         raise ValueError(f"{name!r} is a {'generator' if segment else 'segment'} predicate")
     return PREDICATES[name]
 
@@ -925,36 +919,6 @@ def _generator_results(predicate: str, fx, fy, results) -> Rows:
         margin[list(failed)] = np.nan
     return Rows(predicate, fx, fy, outcome, margin, residual, None, None,
                 generator, index, note, value, failed)
-
-
-def _generator_rows(predicate: str, fx, fy, x, y, read, sign) -> Rows:
-    """A generator predicate's kernel over rows, on values already read:
-    f at the endpoints times each row's sign, and the Generators
-    read(rows, at_y) gives, negated on the rows whose sign is -1."""
-    kernel = _predicate(predicate, segment=False).kernel
-
-    def sub(rows, at_y=False, negated=False):
-        flip = (sign[rows] < 0.0) != negated
-        return read(rows, at_y).negated(flip) if flip.any() else read(rows, at_y)
-
-    return _generator_results(predicate, fx, fy, kernel(fx, fy, x, y, sub))
-
-
-def check_generator_rows(predicate: str, fn: FunctionHandle, x, y, generators,
-                         negated=False) -> Rows:
-    """Run a generator predicate over k rows: f read at the endpoints in one
-    `fn.values` call, generators in one `generators(points)` call per point
-    set, which gives the Generators of the estimates of the subdifferential
-    of fn at each row of points.
-
-    x and y are (k, n) rows, and negated, a bool or a (k,) mask, names the
-    rows run on -fn, whose values and generators are negated.  Each row's
-    result is bit-identical to the predicate's one-row check on fn or on
-    -fn, and a row whose estimate failed raises when read.  It is
-    check_requests' one-request case.
-    """
-    (rows,) = check_requests(fn, [Request(predicate, x, y, None, negated)], generators)
-    return rows
 
 
 def check_pseudoconvex_pair(

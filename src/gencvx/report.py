@@ -54,6 +54,8 @@ class RunConfig:
         if self.function_source is not None:
             if self.dimension is None or self.region_text is None:
                 raise ValueError("a DSL function needs --dim and --region")
+        if not self.properties:
+            raise ValueError("no properties requested")
         bad = [p for p in self.properties if p not in PROPERTIES]
         if bad:
             raise ValueError(f"unknown properties: {', '.join(bad)}")

@@ -25,9 +25,9 @@ from gencvx import campaign, checks
 from gencvx.campaign import (
     _BOTH, _KERNEL, _PAIR, _SWEEP, HOLDS, MAX_REFINED_CANDIDATES, MAX_WITNESSES,
     NEAR_MISS_CANDIDATES, REFUTED, _REFINE_STEPS, _check, _Context, _near_misses,
-    _orientations, _refine_together, _rows, _runs, _witness_from_check,
+    _orientations, _refine_together, _runs, _witness_from_check,
 )
-from gencvx.checks import INCONCLUSIVE, PREDICATES, check_rows, descends
+from gencvx.checks import INCONCLUSIVE, PREDICATES, Request, check_requests, descends
 from gencvx.expr import EvalError
 from gencvx.nonsmooth import (
     EstimationError, InteriorRoomError, SubdifferentialEstimate, subdifferential,
@@ -69,6 +69,35 @@ def test_fractional_all_properties_hold():
     verdicts = classify(e.handle, e.region, None, PLAN)
     assert all(v.verdict == HOLDS for v in verdicts)
     assert all(v.passes >= 3 for v in verdicts)
+
+
+@pytest.mark.parametrize("props", [[], ()])
+def test_an_empty_property_list_is_rejected(props):
+    # Only None asks for every property.
+    e = corpus_entry("ramp")
+    with pytest.raises(ValueError, match="no properties requested"):
+        classify(e.handle, e.region, props, FAST)
+
+
+_UNKNOWN = re.escape("unknown predicate 'nope' (known: quasiconvex-segment, ")
+
+
+def test_refining_an_unknown_predicate_raises_value_error():
+    e = corpus_entry("ramp")
+    cand = Candidate("nope", False, np.array([-0.5]), np.array([0.5]))
+    with pytest.raises(ValueError, match=_UNKNOWN):
+        refine_counterexample(e.handle, e.region, cand, plan=FAST)
+
+
+def test_replaying_an_unknown_predicate_raises_value_error():
+    e = corpus_entry("ramp")
+    witness = Witness(
+        property="quasiconvex", predicate="nope", negated=False, x=np.array([-0.5]),
+        y=np.array([0.5]), lam=None, generator=None, values={}, relation="nope",
+        residual=1.0, threshold=0.0,
+    )
+    with pytest.raises(ValueError, match=_UNKNOWN):
+        replay_witness(e.handle, e.region, witness, FAST)
 
 
 def test_cubic_pseudoconvex_refuted_near_origin():
@@ -207,10 +236,12 @@ def test_each_segment_grid_cell_is_evaluated_at_most_once(name):
     # quasilinear probes the grid on both f and -f, semistrictly-quasilinear
     # runs the interlacing condition and the b(lambda) sweep on it, and the
     # near-miss scans revisit every pair in both orientations: all of them
-    # read one segment grid, which evaluates each cell at most once.  Two
-    # cells can name one point (lambda 0 or 1 names an endpoint, and the two
-    # orientations of a pair can meet bit for bit), so the reads are matched
-    # against the cells read, not against the distinct points.
+    # read one segment grid, which evaluates each cell at most once, and
+    # each pair's endpoints once, whether the first probe runs on one
+    # orientation (_PAIR) or on both (_BOTH).  Two cells can name one point
+    # (lambda 0 or 1 names an endpoint, and the two orientations of a pair
+    # can meet bit for bit), so the reads are matched against the cells
+    # read, not against the distinct points.
     e = corpus_entry(name)
     rows = []
 
@@ -220,19 +251,21 @@ def test_each_segment_grid_cell_is_evaluated_at_most_once(name):
 
     fn = replace(e.handle, evaluate_rows=counted_rows)
     plan = SamplingPlan(pair_count=20, lambda_grid=9, seed=3)
-    ctx = _Context(fn, e.region, plan)
-    props = ("quasilinear", "semistrictly-quasilinear")
-    for prop in props:
-        _runs(ctx, prop, *ctx.pairs)
-        _near_misses(ctx, prop)
-    segments = ctx.segments(*ctx.pairs)
-    o, c = np.divmod(np.flatnonzero(segments.known), len(segments.lams))
-    cells = segment_point(segments.a[o], segments.b[o], segments.lams[c])
-    starts = np.concatenate(ctx.pairs)
-    assert Counter(rows) == Counter(p.tobytes() for p in np.concatenate([starts, cells]))
-    got = classify(fn, e.region, props, plan)
-    assert [v.to_dict() for v in got] == [
-        v.to_dict() for v in classify(e.handle, e.region, props, plan)]
+    for props in (("quasilinear", "semistrictly-quasilinear"),
+                  ("semistrictly-quasilinear", "quasilinear")):
+        rows.clear()
+        ctx = _Context(fn, e.region, plan)
+        for prop in props:
+            _runs(ctx, prop, *ctx.pairs)
+            _near_misses(ctx, prop)
+        segments = ctx.segments(*ctx.pairs)
+        o, c = np.divmod(np.flatnonzero(segments.known), len(segments.lams))
+        cells = segment_point(segments.a[o], segments.b[o], segments.lams[c])
+        starts = np.concatenate(ctx.pairs)
+        assert Counter(rows) == Counter(p.tobytes() for p in np.concatenate([starts, cells]))
+        got = classify(fn, e.region, props, plan)
+        assert [v.to_dict() for v in got] == [
+            v.to_dict() for v in classify(e.handle, e.region, props, plan)]
 
 
 @pytest.mark.parametrize("bad, error", [
@@ -249,9 +282,11 @@ def test_context_reads_never_hide_a_failure(bad, error):
     # its rows run on f, on -f or on both.
     for negated in (False, True, [True, False], False):
         with pytest.raises(error):
-            _rows(ctx, "quasiconvex-segment", negated, [[0.75], [0.5]], [[1.25], [0.75]])
+            check_requests(ctx.fn, [Request(
+                "quasiconvex-segment", [[0.75], [0.5]], [[1.25], [0.75]], ctx.lam_grid, negated)])
     values = ctx.fn.values([[1.25], [0.75]])
-    rows = _rows(ctx, "quasiconvex-segment", [False, True], [[1.25]] * 2, [[0.75]] * 2)
+    (rows,) = check_requests(ctx.fn, [Request(
+        "quasiconvex-segment", [[1.25]] * 2, [[0.75]] * 2, ctx.lam_grid, [False, True])])
     assert rows.fx.tolist() == [values[0], -values[0]]
     assert rows.fy.tolist() == [values[1], -values[1]]
     assert ctx.fn.value([0.75]) == values[1]
@@ -296,12 +331,12 @@ def _assert_same_rows(got, want):
 
 
 @pytest.mark.parametrize("name", ["ramp", "twoslope", "paraboloid", "fractional"])
-def test_segment_grid_rows_equal_check_rows_on_the_placed_points(name):
+def test_segment_grid_rows_equal_check_requests_on_the_placed_points(name):
     # Each value-only probe placement, and the near-miss scan (every pair in
     # both orientations over the grid, as _BOTH), on f and on -f, read from
     # one grid as the probes of a classify do: each field of its Rows equals
-    # check_rows on the placed points bit for bit, whichever cells earlier
-    # placements filled.
+    # check_requests on the placed points bit for bit, whichever cells
+    # earlier placements filled.
     e = corpus_entry(name)
     ctx = _Context(e.handle, e.region, SamplingPlan(pair_count=30, lambda_grid=9, seed=5))
     segments = ctx.segments(*ctx.pairs)
@@ -313,7 +348,7 @@ def test_segment_grid_rows_equal_check_rows_on_the_placed_points(name):
             for negated in (False, True):
                 got = segments.rows(predicate, negated, orient, col)
                 fn = negate_handle(e.handle) if negated else e.handle
-                want = check_rows(predicate, fn, a, b, lams)
+                (want,) = check_requests(fn, [Request(predicate, a, b, lams)])
                 _assert_same_rows(got, want)
     assert segments.known.all()  # the quasiconvex condition on _BOTH reads every cell
 
@@ -322,7 +357,7 @@ def test_segment_grid_rows_equal_check_rows_on_the_placed_points(name):
     "quasiconvex", "quasiconcave", "quasilinear", "semistrictly-quasiconvex",
     "semistrictly-quasiconcave", "semistrictly-quasilinear",
 ])
-def test_near_misses_from_the_grid_equal_those_from_check_rows(prop):
+def test_near_misses_from_the_grid_equal_those_from_check_requests(prop):
     e = corpus_entry("paraboloid")
     ctx = _Context(e.handle, e.region, SamplingPlan(pair_count=30, seed=5))
     xs, ys = campaign._both(*ctx.pairs)
@@ -332,7 +367,7 @@ def test_near_misses_from_the_grid_equal_those_from_check_rows(prop):
             for negated in probe.sides:
                 name = probe.predicate
                 fn = negate_handle(e.handle) if negated else e.handle
-                margin = check_rows(name, fn, xs, ys, ctx.lam_grid).margin
+                margin = check_requests(fn, [Request(name, xs, ys, ctx.lam_grid)])[0].margin
                 for i in np.argsort(-margin, kind="stable")[:NEAR_MISS_CANDIDATES]:
                     want.append((name, negated, xs[i].tolist(), ys[i].tolist(), None))
     assert [_as_tuple(c) for c in _near_misses(ctx, prop)] == want
@@ -774,7 +809,8 @@ def test_prefetched_estimates_fail_only_when_read():
     # A refinement move's trials, or the two orientations of a sampled pair:
     # the kernel estimates at both starts in one call, the estimate at `bad`
     # fails, and only reading that row raises.
-    rows = _rows(ctx, identity, False, np.array([good, bad]), np.array([bad, good]))
+    request = Request(identity, np.array([good, bad]), np.array([bad, good]))
+    (rows,) = check_requests(ctx.fn, [request], ctx.generators)
     assert list(rows.failed) == [1] and np.isnan(rows.margin[1])
     check = rows.check(0, good, bad)
     with pytest.raises(EstimationError, match="failed at 9/9 probes"):
@@ -1168,7 +1204,7 @@ class _StepCounts:
         self.kernels = Counter()
         self.steps = self.takes = self.reads = 0
         self._estimating = False
-        for name in ("kernel_rows", "_generator_rows"):
+        for name in ("kernel_rows", "_generator_results"):
             monkeypatch.setattr(checks, name, self._kernel(getattr(checks, name)))
         for cls, name, counter in ((campaign._Ascent, "requests", "steps"),
                                    (campaign._Ascent, "take", "takes"),
@@ -1279,13 +1315,15 @@ def test_mixed_side_refinement_equals_refining_each_candidate_alone(monkeypatch)
 
 def _scored_near_misses(ctx, probes):
     """The near-misses of the probes from a fresh scoring of every
-    orientation of the pairs, in one _rows call per probe side."""
+    orientation of the pairs, in one check_requests call per probe side."""
     xs, ys = campaign._both(*ctx.pairs)
     out = []
     for probe in probes:
         name = probe.predicate_for(ctx)
         for negated in probe.sides:
-            rows = _rows(ctx, name, negated, xs, ys)
+            lams = ctx.lam_grid if PREDICATES[name].segment else None
+            (rows,) = check_requests(ctx.fn, [Request(name, xs, ys, lams, negated)],
+                                     ctx.generators)
             ok = np.ones(len(xs), dtype=bool)
             ok[list(rows.failed or ())] = False
             r = np.flatnonzero(ok)
@@ -1301,7 +1339,7 @@ def test_near_misses_read_from_the_runs_equal_a_fresh_scoring(seed, monkeypatch)
     # followed by its kernel projections (_KERNEL), is read from its run,
     # with no kernel call, and gives the candidates a fresh scoring gives.
     calls = []
-    for name in ("kernel_rows", "_generator_rows"):
+    for name in ("kernel_rows", "_generator_results"):
         kernel = getattr(checks, name)
         monkeypatch.setattr(checks, name, lambda *a, _k=kernel, **kw: calls.append(1) or _k(*a, **kw))
     plan = SamplingPlan(seed=seed)
@@ -1332,7 +1370,7 @@ def test_a_corpus_classify_makes_few_kernel_calls(monkeypatch):
     # scan had its own, 517 when the kernel conditions' scans did, 512 when
     # quasilinear made its own).
     calls = Counter()
-    for name in ("kernel_rows", "_generator_rows"):
+    for name in ("kernel_rows", "_generator_results"):
         kernel = getattr(checks, name)
         monkeypatch.setattr(checks, name,
                             lambda *a, _n=name, _k=kernel, **kw: calls.update([_n]) or _k(*a, **kw))

@@ -15,7 +15,7 @@ from gencvx.checks import (
     VACUOUS,
     Check,
     Generators,
-    check_generator_rows,
+    Request,
     dots,
     check_gradient_kernel,
     check_interlacing,
@@ -26,7 +26,7 @@ from gencvx.checks import (
     check_subdiff_kernel_pair,
     check_symmetric_equality,
     check_symmetric_inequality,
-    check_rows,
+    check_requests,
     check_weak_monotone_pair,
     compute_b,
     compute_p,
@@ -733,7 +733,7 @@ def test_row_kernels_match_the_scalar_loops(name, negated):
         ("interlacing-segment", check_interlacing,
          lambda x, y: _ref_descent(fn, x, y, lams, True)),
     ):
-        rows = check_rows(predicate, fn, xs, ys, LAM_GRID)
+        (rows,) = check_requests(fn, [Request(predicate, xs, ys, LAM_GRID)])
         for i, (x, y) in enumerate(pairs):
             expected = ref(x, y)
             _same(rows.check(i, x, y), expected)
@@ -742,8 +742,9 @@ def test_row_kernels_match_the_scalar_loops(name, negated):
     sweep = np.array(lams[1:-1])
     for strict in (True, False):
         predicate = "interpolation-strict-bounds" if strict else "interpolation-weak-bounds"
-        rows = check_rows(predicate, fn, np.repeat(xs, len(sweep), axis=0),
-                          np.repeat(ys, len(sweep), axis=0), np.tile(sweep, len(pairs))[:, None])
+        (rows,) = check_requests(fn, [Request(
+            predicate, np.repeat(xs, len(sweep), axis=0), np.repeat(ys, len(sweep), axis=0),
+            np.tile(sweep, len(pairs))[:, None])])
         for i, (x, y) in enumerate(pairs):
             for j, lam in enumerate(sweep):
                 ref = _ref_bounds(fn, x, y, lam, strict)
@@ -751,7 +752,7 @@ def test_row_kernels_match_the_scalar_loops(name, negated):
                 _same(check_interpolation_bounds(fn, x, y, lam, strict), ref)
                 seen.add((predicate, ref[0]))
     with pytest.raises(ValueError):  # rows that neither match nor broadcast
-        check_rows("quasiconvex-segment", fn, xs[:3], ys[:2], LAM_GRID)
+        check_requests(fn, [Request("quasiconvex-segment", xs[:3], ys[:2], LAM_GRID)])
     outcomes = {outcome for _, outcome in seen}
     assert {PASS, VACUOUS} <= outcomes
     if name == "ramp":
@@ -1040,7 +1041,7 @@ def _generator_case(draw):
 def test_generator_kernels_match_the_scalar_loops(case):
     fn, xs, ys, ests, grads = case
     rows = {
-        name: check_generator_rows(name, fn, xs, ys, ests.rows)
+        name: check_requests(fn, [Request(name, xs, ys)], ests.rows)[0]
         for name in ("pseudoconvex-pair", "proportional-identity", "symmetric-equality",
                      "gradient-kernel")
     }
@@ -1107,17 +1108,15 @@ def test_rows_on_f_and_on_minus_f_in_one_call_equal_the_negated_handle(name):
     for predicate, record in PREDICATES.items():
         lams = np.full((len(xs), 1), 0.25) if "bounds" in predicate else LAM_GRID
         reads.clear()
-        if record.segment:
-            rows = check_rows(predicate, once, xs, ys, lams, negated)
-        else:
-            rows = check_generator_rows(predicate, once, xs, ys, generators(1.0), negated)
+        grid = lams if record.segment else None
+        (rows,) = check_requests(once, [Request(predicate, xs, ys, grid, negated)], generators(1.0))
         assert len(reads) == (2 if record.segment else 1)
         for i, (x, y, neg) in enumerate(zip(xs, ys, negated)):
             handle = negate_handle(fn) if neg else fn
             if record.segment:
-                one = check_rows(predicate, handle, x, y, lams[i:i + 1] if lams.ndim > 1 else lams)
-            else:
-                one = check_generator_rows(predicate, handle, x, y, generators(-1.0 if neg else 1.0))
+                grid = lams[i:i + 1] if lams.ndim > 1 else lams
+            (one,) = check_requests(handle, [Request(predicate, x, y, grid)],
+                                    generators(-1.0 if neg else 1.0))
             got, error = _outcome_of(lambda: rows.check(i, x, y))
             want, want_error = _outcome_of(lambda: one.check(0, x, y))
             assert error == want_error, (predicate, i)
@@ -1173,6 +1172,13 @@ def test_generator_kernels_cover_every_outcome():
     assert pair.overall.generator.tobytes() == np.array([-2.0, -0.0]).tobytes()
 
 
+def test_no_requests_give_no_rows():
+    def unread(points):
+        raise AssertionError("f read for no rows")
+
+    assert check_requests(replace(fn_of("paraboloid"), evaluate_rows=unread), []) == []
+
+
 def test_predicate_table_rejects_wrong_calls_and_names_every_predicate():
     # A predicate run by the wrong entry point, or a name not in the table,
     # raises ValueError naming it before anything is read; every predicate
@@ -1184,10 +1190,10 @@ def test_predicate_table_rejects_wrong_calls_and_names_every_predicate():
         raise AssertionError("a rejected call read generators")
 
     def segment(name):
-        return check_rows(name, fn, x, y, LAM_GRID)
+        return check_requests(fn, [Request(name, x, y, LAM_GRID)])
 
     def generator(name):
-        return check_generator_rows(name, fn, x, y, generators)
+        return check_requests(fn, [Request(name, x, y)], generators)
 
     with pytest.raises(ValueError, match="'pseudoconvex-pair' is a generator predicate"):
         segment("pseudoconvex-pair")

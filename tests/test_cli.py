@@ -245,6 +245,18 @@ def test_config_unknown_key_rejected(tmp_path):
                  str(tmp_path / "r.json")]) == EXIT_ERROR
 
 
+def test_analyze_rejects_an_empty_property_list(tmp_path, capsys):
+    # Only an absent property list means every property: an empty one is an
+    # error, not a report of 9 verdicts whose config names none.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"properties": []}))
+    out = tmp_path / "r.json"
+    code = main(["analyze", "--corpus", "ramp", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert not out.exists()
+    assert "no properties requested" in capsys.readouterr().err
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     out = tmp_path / "r.json"
     monkeypatch.setenv("GENCVX_SEED", "5")
@@ -285,6 +297,8 @@ def test_run_config_validation():
         RunConfig(function_source="x1")  # missing dim/region
     with pytest.raises(ValueError):
         RunConfig(corpus_name="affine", properties=("nope",))
+    with pytest.raises(ValueError, match="no properties requested"):
+        RunConfig(corpus_name="affine", properties=())
     with pytest.raises(ValueError):
         RunConfig.from_dict({"corpus_name": "affine", "bogus": 3})
 
