@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import checks as ck
-from .checks import FAIL, INCONCLUSIVE, PASS, VACUOUS
+from .checks import FAIL, INCONCLUSIVE
 from .functions import LOCALLY_LIPSCHITZ, PROPERTIES, FunctionHandle
 from ._pcg import generator, pcg64_states, position, to_ints, uniform_block
 from .geometry import Region, RegionTooThinError, _accept_mask, segment_point
@@ -76,7 +76,8 @@ _DOMAIN_PAIR = 0x9A12
 # row after which pair sampling gives up.
 _PAIR_BLOCK = 8
 _MAX_REJECTIONS = 200_000
-# Draws of every pair stream made at once, before any is tested.
+# Draws of every pair stream read by array operations: its first
+# _PAIR_BLOCK, and the rest only where those hold no pair.
 _PAIR_HEAD = 4 * _PAIR_BLOCK
 
 
@@ -295,6 +296,24 @@ class _Context:
                 return y
         return next(self._accepted(rng))[1]
 
+    def _head_pairs(self, head: np.ndarray, axis: np.ndarray):
+        """Each stream's pair as its head, its first m draws, gives it, for
+        k streams' heads in a (k, m, n) array: the index of the stream's
+        first draw in the region, that draw x, its next draw there y, and
+        whether the head holds the pair.  It does when it holds x and, on a
+        stream other than an axis stream, a y that differs from x.  No gap
+        between draws in a head exceeds m, so a larger rejection limit
+        cannot starve it."""
+        k, m, n = head.shape
+        accepted = _accept_mask(self.region, head.reshape(-1, n)).reshape(k, m)
+        rows = np.arange(k)
+        found = accepted.sum(axis=1)
+        first = np.argmax(accepted, axis=1)
+        accepted[rows, first] = False
+        xs, ys = head[rows, first], head[rows, np.argmax(accepted, axis=1)]
+        quick = np.where(axis, found >= 1, (found >= 2) & (xs != ys).any(axis=1))
+        return first, xs, ys, quick & (_MAX_REJECTIONS >= m)
+
     @property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """The sampled pairs as two read-only (k, n) arrays, x and y.  Pair
@@ -302,29 +321,27 @@ class _Context:
         next one that differs from x, or for every tenth pair x's axis
         partner.
 
-        The first _PAIR_HEAD draws of every stream are made in one
-        uniform_block call, and a pair found there is picked by array
-        operations.  The other pairs, and the axis partners, read their
-        streams through one positioned generator, a stream that runs out
-        continuing from where its head ended."""
+        The first _PAIR_BLOCK draws of every stream are made in one
+        uniform_block call, and the next ones up to _PAIR_HEAD in one more
+        for the streams that hold no pair in them; a pair found there is
+        picked by array operations.  The other pairs, and the axis
+        partners, read their streams through one positioned generator, a
+        stream that runs out continuing from where its head ended."""
         if self._pairs is None:
             region, n, count = self.region, self.fn.dimension, self.plan.pair_count
             seeded = pcg64_states(
                 [(self.plan.seed & 0xFFFFFFFFFFFFFFFF, _DOMAIN_PAIR, i) for i in range(count)])
-            head, ends = uniform_block(seeded, region.lower, region.upper, _PAIR_HEAD)
-            accepted = _accept_mask(region, head.reshape(-1, n)).reshape(count, _PAIR_HEAD)
-            # Each stream's first and second draws in the region.
-            rows = np.arange(count)
-            found = accepted.sum(axis=1)
-            first = np.argmax(accepted, axis=1)
-            accepted[rows, first] = False
-            xs, ys = head[rows, first], head[rows, np.argmax(accepted, axis=1)]
-            axis = rows % 10 == 9
-            # A head holds x where it has an accepted draw, and y where its
-            # second accepted draw differs from x.  No gap between draws in
-            # it exceeds _PAIR_HEAD, so a larger limit cannot starve it.
-            quick = np.where(axis, found >= 1, (found >= 2) & (xs != ys).any(axis=1))
-            quick &= _MAX_REJECTIONS >= _PAIR_HEAD
+            axis = np.arange(count) % 10 == 9
+            head, ends = uniform_block(seeded, region.lower, region.upper, _PAIR_BLOCK)
+            first, xs, ys, quick = self._head_pairs(head, axis)
+            # The streams without a pair there go on from where their rows ended.
+            late, heads = np.flatnonzero(~quick), {}
+            if late.size:
+                more, ends[late] = uniform_block((ends[late], seeded[1][late]), region.lower,
+                                                 region.upper, _PAIR_HEAD - _PAIR_BLOCK)
+                head = np.concatenate([head[late], more], axis=1)
+                first[late], xs[late], ys[late], quick[late] = self._head_pairs(head, axis[late])
+                heads = dict(zip(late.tolist(), head))
             todo = np.flatnonzero(axis | ~quick)
             rng = generator()
             starts, incs, resumes = (to_ints(a[todo]) for a in (*seeded, ends))
@@ -332,7 +349,7 @@ class _Context:
                 if quick[i]:
                     at = int(first[i])
                 else:
-                    draws = self._accepted(position(rng, resume, inc), head[i])
+                    draws = self._accepted(position(rng, resume, inc), heads[i])
                     at, xs[i] = next(draws)
                 if axis[i]:
                     # Kernel conditions live on measure-zero sets: stress them
@@ -961,15 +978,15 @@ def _sampling(ctx: _Context, prop: str) -> _Sampling:
     runs, broken = _runs(ctx, prop, *ctx.pairs)
     # The rows of a pair on which an estimate failed are not counted; the
     # pair counts once, as inconclusive.
-    counts = Counter({PASS: 0, VACUOUS: 0, FAIL: 0, INCONCLUSIVE: int(broken.sum())})
+    tally = np.array([0, 0, 0, int(broken.sum())])  # by outcome code
     passed = np.zeros(len(broken), dtype=bool)
     witnesses: list[Witness] = []
     ties = []  # each run's near-ties as (-residual, pair, run, row)
     for n, (predicate, negated, _, xs, ys, pair, rows, _) in enumerate(runs):
         kept = ~broken[pair]
-        counts.update(rows.outcome[kept].tolist())
-        passed[pair[kept & (rows.outcome == PASS)]] = True
-        fail = kept & (rows.outcome == FAIL)
+        tally += np.bincount(rows.code[kept], minlength=len(tally))
+        passed[pair[kept & (rows.code == ck.PASS_CODE)]] = True
+        fail = kept & (rows.code == ck.FAIL_CODE)
         credible = fail & rows.credible()
         # Only the run's first credible failures in Witness.sort_key order
         # can be kept (a run's witnesses share predicate and side).
@@ -980,6 +997,7 @@ def _sampling(ctx: _Context, prop: str) -> _Sampling:
             witnesses.append(_witness_from_check(predicate, negated, runs[n].check(r), prop))
         t = np.flatnonzero(fail & ~credible)
         ties.append((-rows.residual[t], pair[t], np.full(len(t), n), t))
+    counts = Counter(dict(zip(ck._OUTCOMES, tally.tolist())))
     witnesses = sorted(witnesses, key=Witness.sort_key)[:MAX_WITNESSES]
     # The strongest near-ties, ties broken in pair, probe and row order.
     residual, pair, run_of, row = (np.concatenate(v) for v in zip(*ties))

@@ -112,6 +112,9 @@ PASS = "pass"
 VACUOUS = "vacuous"
 FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
+# A kernel gives each row's outcome as a code, its index in _OUTCOMES.
+_OUTCOMES = np.array([PASS, VACUOUS, FAIL, INCONCLUSIVE], dtype=object)
+PASS_CODE, VACUOUS_CODE, FAIL_CODE, INCONCLUSIVE_CODE = range(len(_OUTCOMES))
 
 
 def eps_strict(fx: float, fy: float) -> float:
@@ -211,7 +214,8 @@ class Predicate(NamedTuple):
 
 class Rows(NamedTuple):
     """A predicate's results over k rows: f at the endpoints and the
-    kernel's per-row outcome, margin and residual.
+    kernel's per-row outcome code (an int array, PASS_CODE ..., which
+    `outcome` decodes to the outcome strings), margin and residual.
 
     A value-only predicate adds each row's witness lam and f there (NaN
     where a row names none).  A generator predicate adds the generator a
@@ -224,7 +228,7 @@ class Rows(NamedTuple):
     predicate: str
     fx: np.ndarray
     fy: np.ndarray
-    outcome: np.ndarray
+    code: np.ndarray
     margin: np.ndarray
     residual: np.ndarray
     lam: np.ndarray | None = None
@@ -235,13 +239,18 @@ class Rows(NamedTuple):
     value: np.ndarray | None = None
     failed: dict | None = None
 
+    @property
+    def outcome(self) -> np.ndarray:
+        """Each row's outcome string, as Check.outcome gives it."""
+        return _OUTCOMES[self.code]
+
     def check(self, i: int, x, y) -> Check:
         """Row i, whose endpoints are x and y, as a Check.  Its generator is
         a copy of the row, so a Check kept does not hold the whole array."""
         failure = (self.failed or {}).get(i)
         if failure is not None:
             raise type(failure)(*failure.args)
-        fx, fy, outcome = float(self.fx[i]), float(self.fy[i]), str(self.outcome[i])
+        fx, fy, outcome = float(self.fx[i]), float(self.fy[i]), str(_OUTCOMES[self.code[i]])
         scored = dict(
             residual=float(self.residual[i]),
             threshold=WITNESS_FACTOR * eps_strict(fx, fy) if outcome == FAIL else float("inf"),
@@ -261,7 +270,7 @@ class Rows(NamedTuple):
     def credible(self) -> np.ndarray:
         """Each row's Check.credible, computed with the same float ops."""
         threshold = WITNESS_FACTOR * eps_strict(self.fx, self.fy)
-        return (self.outcome == FAIL) & (self.residual > threshold)
+        return (self.code == FAIL_CODE) & (self.residual > threshold)
 
 
 # --------------------------------------------------------------------------
@@ -271,19 +280,17 @@ class Rows(NamedTuple):
 # The segment conditions and the interpolation bounds read nothing but f at
 # the endpoints and at points of the segment.  A kernel takes fx, fy (k,),
 # the rows' lambdas and f at their segment points (k, m) (NaN where a row's
-# segment is not read), and returns per row the outcome, margin, residual,
+# segment is not read), and returns per row the outcome code, margin, residual,
 # and the witness lambda and f there.  read_rule names the segment points a
 # predicate reads, kernel_rows runs its kernel on values read, and
 # check_requests reads the values and runs the kernel.
 
 
-_OUTCOMES = np.array([PASS, VACUOUS, FAIL, INCONCLUSIVE], dtype=object)
-
-
 def _outcomes(vacuous, fail, inconclusive) -> np.ndarray:
-    """Each row's outcome: vacuous, else fail, else inconclusive, else pass.
-    (Nested np.where: np.select costs several times as much per call.)"""
-    return _OUTCOMES[np.where(vacuous, 1, np.where(fail, 2, np.where(inconclusive, 3, 0)))]
+    """Each row's outcome code: vacuous, else fail, else inconclusive, else
+    pass.  (Nested np.where: np.select costs several times as much per call.)"""
+    return np.where(vacuous, VACUOUS_CODE, np.where(
+        fail, FAIL_CODE, np.where(inconclusive, INCONCLUSIVE_CODE, PASS_CODE)))
 
 
 def _first_max(score: np.ndarray) -> np.ndarray:
@@ -476,12 +483,16 @@ def check_requests(fn: FunctionHandle, requests, generators=None) -> list[Rows]:
     on the values read, in request order; a generator predicate reads
     generators(points), the Generators of the estimates of the
     subdifferential of f at each row of points, in one call per point set
-    it reads.  Each row's result is bit-identical to the predicate's
+    it reads; without generators, such a request raises ValueError before f
+    is read.  Each row's result is bit-identical to the predicate's
     one-row check on f or on -f, and a row whose estimate failed raises
     when read."""
     placed = []
     for predicate, x, y, lams, negated in requests:
         _predicate(predicate, segment=lams is not None)
+        if lams is None and generators is None:
+            raise ValueError(f"{predicate!r} reads generators: check_requests needs a "
+                             "generators callback")
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.atleast_2d(np.asarray(y, dtype=float))
         if lams is None:
@@ -599,8 +610,8 @@ def check_interlacing(fn: FunctionHandle, x, y, lam_grid) -> Check:
 # one-row check reads them.  Each row's generators are taken in
 # estimate order and its first failing generator is the one it names, as
 # in a loop over them; the per-row reductions run over the flattened
-# generators with ufunc.reduceat.  A kernel returns per row the outcome,
-# margin, residual, named generator and its index, note and noted value,
+# generators with ufunc.reduceat.  A kernel returns per row the outcome
+# code, margin, residual, named generator and its index, note and noted value,
 # and the failed rows.
 
 
@@ -674,7 +685,7 @@ def _kernel_margin(closest, gap, eps):
 class _Note:
     """The predicate and detail of the Check a generator-kernel row gives;
     the detail formats the row's noted value.  Kernels fill object arrays
-    with these, as _outcomes does with the outcomes."""
+    with these."""
 
     predicate: str
     detail: str = ""
@@ -875,10 +886,10 @@ def _kernel_gen(fx, fy, x, y, sub, gradient=False):
     results, _, _ = _subdiff_kernel(fx, fy, x, y, sub(every), sub(every, negated=True))
     if not gradient:
         return results
-    outcome, margin, residual, generator, index, note, value, failed = results
+    code, margin, residual, generator, index, note, value, failed = results
     upper = note == _SUBDIFF_KERNEL_UPPER
-    return (outcome, margin, residual, np.where(upper[:, None], -generator, generator), index,
-            np.where(outcome == FAIL, _GRADIENT_KERNEL_FAIL, _GRADIENT_KERNEL), value, failed)
+    return (code, margin, residual, np.where(upper[:, None], -generator, generator), index,
+            np.where(code == FAIL_CODE, _GRADIENT_KERNEL_FAIL, _GRADIENT_KERNEL), value, failed)
 
 
 # Every predicate the campaign runs, by name.
@@ -913,11 +924,11 @@ def _predicate(name: str, segment: bool | None = None) -> Predicate:
 
 
 def _generator_results(predicate: str, fx, fy, results) -> Rows:
-    outcome, margin, residual, generator, index, note, value, failed = results
+    code, margin, residual, generator, index, note, value, failed = results
     if failed:
         margin = margin.copy()
         margin[list(failed)] = np.nan
-    return Rows(predicate, fx, fy, outcome, margin, residual, None, None,
+    return Rows(predicate, fx, fy, code, margin, residual, None, None,
                 generator, index, note, value, failed)
 
 
@@ -1000,7 +1011,7 @@ def check_subdiff_kernel_pair(
     low, up = (Generators.of([est.generators], x.size) for est in (sub_x, sub_neg_x))
     results, lower, upper = _subdiff_kernel(fx, fy, x[None], y[None], low, up)
     overall = _generator_results("subdifferential-kernel", fx, fy, results).check(0, x, y)
-    return KernelPairCheck(overall, str(lower[0]), str(upper[0]))
+    return KernelPairCheck(overall, str(_OUTCOMES[lower[0]]), str(_OUTCOMES[upper[0]]))
 
 
 # --------------------------------------------------------------------------

@@ -40,6 +40,8 @@ DEFAULT_MARGIN_FRACTION = 0.05
 _MIN_ACCEPT_RATE = 1e-3
 _MIN_ATTEMPTS = 1_000_000
 _BATCH = 8192
+# The feasibility probe's first batch: an ordinary region accepts in it.
+_FIRST_BATCH = 64
 
 # Budget for the construction-time feasibility probe.
 _PROBE_ATTEMPTS = 262_144
@@ -118,8 +120,10 @@ class Region:
     """Sampling box intersected with affine constraints.
 
     ``margin=None`` resolves to DEFAULT_MARGIN_FRACTION of the box diagonal.
-    Construction runs a cheap rejection probe; a region with no interior
-    point at the margin raises RegionTooThinError immediately.
+    Construction runs a rejection probe (_feasibility_probe), which an
+    ordinary region passes on its first 64 draws; a region none of whose
+    262,144 draws lies inside at the margin raises RegionTooThinError
+    immediately.
     """
 
     lower: np.ndarray
@@ -197,11 +201,17 @@ def _accept_mask(region: Region, pts: np.ndarray, margin: float | None = None) -
 
 
 def _feasibility_probe(region: Region) -> None:
+    """Raise RegionTooThinError unless one of the first _PROBE_ATTEMPTS
+    uniform draws over the box, from a fixed seed, lies in the region at
+    its margin.  The draws are tested _FIRST_BATCH rows first, then in
+    blocks of _BATCH: the stream's rows in order, as one block would give
+    them, so the blocks decide only how many are drawn before a pass."""
     rng = np.random.default_rng(_PROBE_SEED)
     attempts = 0
     while attempts < _PROBE_ATTEMPTS:
-        pts = rng.uniform(region.lower, region.upper, size=(_BATCH, region.dimension))
-        attempts += _BATCH
+        size = min(_BATCH if attempts else _FIRST_BATCH, _PROBE_ATTEMPTS - attempts)
+        pts = rng.uniform(region.lower, region.upper, size=(size, region.dimension))
+        attempts += size
         if np.any(_accept_mask(region, pts)):
             return
     raise RegionTooThinError(

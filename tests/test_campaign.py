@@ -641,6 +641,50 @@ def test_pair_heads_starve_where_one_row_draws_did(limit, starves, monkeypatch):
         assert [a.tobytes() for a in ctx.pairs] == [a.tobytes() for a in want]
 
 
+def _uniform_block_calls(monkeypatch):
+    """Each uniform_block call of pair sampling as (streams, rows, draws)."""
+    calls = []
+    uniform_block = campaign.uniform_block
+
+    def recorded(states, low, high, rows):
+        out = uniform_block(states, low, high, rows)
+        calls.append((len(states[0]), rows, out[0]))
+        return out
+
+    monkeypatch.setattr(campaign, "uniform_block", recorded)
+    return calls
+
+
+def test_pair_heads_of_a_corpus_member_are_one_8_row_call(monkeypatch):
+    calls = _uniform_block_calls(monkeypatch)
+    e = corpus_entry("paraboloid")
+    _Context(e.handle, e.region, SamplingPlan(seed=42)).pairs
+    assert [(k, rows) for k, rows, _ in calls] == [(200, 8)]
+
+
+def test_pair_heads_draw_24_more_rows_only_where_8_hold_no_pair(monkeypatch):
+    # In a 5-D box about a quarter of the draws lie inside at the margin, so
+    # some streams hold no pair in their first 8 rows: only those draw rows
+    # 8 to 31, and those are the rows the stream draws next.
+    calls = _uniform_block_calls(monkeypatch)
+    fn = function_from_expression("abs(x1) + abs(x2) + abs(x3) + abs(x4) + abs(x5)", 5)
+    region = parse_region("box(" + ", ".join(["-1..1"] * 5) + ")", 5)
+    _Context(fn, region, SamplingPlan(seed=42)).pairs
+    (_, _, first), (k, rows, more) = calls
+
+    def holds_pair(i):
+        inside = [p for p in first[i] if region.contains(p, region.margin)]
+        if i % 10 == 9:
+            return len(inside) >= 1
+        return len(inside) >= 2 and not np.array_equal(inside[0], inside[1])
+
+    late = [i for i in range(200) if not holds_pair(i)]
+    assert 0 < len(late) < 200 and (k, rows) == (len(late), 24)
+    for i, drawn in zip(late, more):
+        rng = np.random.default_rng(np.random.SeedSequence((42, 0x9A12, i)))
+        assert drawn.tobytes() == rng.uniform(region.lower, region.upper, (32, 5))[8:].tobytes()
+
+
 def test_numpy_streams_draw_rows_as_the_block_sampler_assumes():
     # Pair sampling draws B rows in one uniform call, and starts an axis
     # partner's draws by advancing a rebuilt stream past x: both must give

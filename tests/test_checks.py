@@ -1179,6 +1179,18 @@ def test_no_requests_give_no_rows():
     assert check_requests(replace(fn_of("paraboloid"), evaluate_rows=unread), []) == []
 
 
+@pytest.mark.parametrize("x, y", [([[1.0, 1.0]], [[0.1, 0.1]]), ([[0.1, 0.1]], [[1.0, 1.0]])])
+def test_generator_requests_without_generators_raise_before_f_is_read(x, y):
+    # A descending and an ascending pair alike: nothing can be read without
+    # the generators, so nothing is.
+    def unread(points):
+        raise AssertionError("f read for a request that cannot run")
+
+    fn = replace(fn_of("paraboloid"), evaluate_rows=unread)
+    with pytest.raises(ValueError, match="'pseudoconvex-pair' reads generators"):
+        check_requests(fn, [Request("pseudoconvex-pair", x, y)])
+
+
 def test_predicate_table_rejects_wrong_calls_and_names_every_predicate():
     # A predicate run by the wrong entry point, or a name not in the table,
     # raises ValueError naming it before anything is read; every predicate

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gencvx import geometry
 from gencvx.geometry import (
     AffineConstraint,
     Region,
@@ -126,6 +129,58 @@ def test_contradictory_constraints_region_too_thin():
             margin=0.01,
         )
         sample_region(region, 1, seed=0)
+
+
+def _probe_batches(monkeypatch):
+    """The batches of points the feasibility probe tests, in order."""
+    batches = []
+
+    def recorded(region, pts, margin=None):
+        batches.append(pts.copy())
+        return _accept_mask(region, pts, margin)
+
+    monkeypatch.setattr(geometry, "_accept_mask", recorded)
+    return batches
+
+
+def _probe_stream(region, rows):
+    return np.random.default_rng(geometry._PROBE_SEED).uniform(
+        region.lower, region.upper, size=(rows, region.dimension))
+
+
+def test_feasibility_probe_tests_one_small_batch_of_an_ordinary_box(monkeypatch):
+    batches = _probe_batches(monkeypatch)
+    region = parse_region("box(-1..1, -1..1, -1..1, -1..1, -1..1)", 5)
+    assert [len(b) for b in batches] == [geometry._FIRST_BATCH] == [64]
+    assert batches[0].tobytes() == _probe_stream(region, 64).tobytes()
+
+
+def test_feasibility_probe_draws_its_whole_budget_before_it_raises(monkeypatch):
+    # The contradictory region of the test above: every one of the
+    # _PROBE_ATTEMPTS draws is tested, in stream order, before it raises.
+    batches = _probe_batches(monkeypatch)
+    with pytest.raises(RegionTooThinError, match=re.escape(
+            "region too thin: no point found at margin 0.01 after 262144 attempts")):
+        Region([-1.0], [2.0], constraints=(
+            AffineConstraint([1.0], "<", 0.0), AffineConstraint([-1.0], "<", -1.0)),
+            margin=0.01)
+    sizes = [len(b) for b in batches]
+    assert sum(sizes) == geometry._PROBE_ATTEMPTS == 262_144
+    assert sizes[0] == 64 and set(sizes[1:-1]) == {geometry._BATCH}
+    drawn = np.concatenate(batches)
+    assert drawn.tobytes() == _probe_stream(Region([-1.0], [2.0]), len(drawn)).tobytes()
+
+
+def test_feasibility_probe_goes_on_in_blocks_past_its_first_batch(monkeypatch):
+    # A sliver of the box: its first draw inside comes after the first
+    # batch, and the probe stops at the block that holds it.
+    batches = _probe_batches(monkeypatch)
+    region = Region([0.0, 0.0], [1.0, 1.0], constraints=(
+        AffineConstraint([1.0, 1.0], "<", 0.08),), margin=0.01)
+    drawn = np.concatenate(batches)
+    inside = np.flatnonzero(_accept_mask(region, drawn))
+    assert [len(b) for b in batches] == [64, geometry._BATCH]
+    assert inside[0] >= 64 and drawn.tobytes() == _probe_stream(region, len(drawn)).tobytes()
 
 
 def test_contains_and_interior_slack():
