@@ -3,8 +3,10 @@
 numpy builds a seeded stream as PCG64(SeedSequence(key)): a hash of the key
 into a pool of four words, eight words drawn from the pool, and PCG64's
 seeding step.  Done once per stream, that costs more than the draws a
-campaign reads from most of its streams.  This module does the same work
-for many keys at once:
+campaign reads from most of its pair streams, of which a classify call
+seeds hundreds.  This module does the same work for many keys at once; it
+serves the pair streams only (an estimator that seeds one stream at a time
+leaves it to numpy's default_rng):
 
     pcg64_states(keys)       the (state, inc) of PCG64(SeedSequence(key))
                              for each key;

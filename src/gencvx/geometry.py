@@ -99,21 +99,6 @@ class AffineConstraint:
         ok = s > margin if self.relation == "<" else s >= margin
         return ok if np.ndim(ok) else bool(ok)
 
-    def text(self, names: list[str] | None = None) -> str:
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0.0:
-                continue
-            name = names[i] if names else f"x{i + 1}"
-            if c == 1.0:
-                terms.append(f"+ {name}")
-            elif c == -1.0:
-                terms.append(f"- {name}")
-            else:
-                terms.append(f"{'+' if c > 0 else '-'} {abs(c):g}*{name}")
-        lhs = " ".join(terms).lstrip("+ ").strip()
-        return f"{lhs} {self.relation} {self.bound:g}"
-
 
 @dataclass(frozen=True, eq=False)
 class Region:
@@ -180,13 +165,6 @@ class Region:
         for c in self.constraints:
             r = np.minimum(r, c.slack(x) / float(np.linalg.norm(c.coeffs)))
         return float(r) if x.ndim == 1 else r
-
-    def text(self) -> str:
-        parts = [c.text() for c in self.constraints]
-        ranges = ", ".join(f"{lo:g}..{hi:g}" for lo, hi in zip(self.lower, self.upper))
-        parts.append(f"box({ranges})")
-        parts.append(f"margin({self.margin:g})")
-        return ", ".join(parts)
 
 
 def _accept_mask(region: Region, pts: np.ndarray, margin: float | None = None) -> np.ndarray:

@@ -23,7 +23,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._pcg import generator, pcg64_states, position, to_ints
 from .expr import compile_interval_dual_rows
 from .functions import FunctionHandle
 from .geometry import Region, _accept_mask
@@ -99,19 +98,13 @@ class SubdifferentialEstimate:
             raise ValueError("generator set must be nonempty")
 
 
-def _ball_offsets(raw: np.ndarray, uniform: np.ndarray, radius: float) -> np.ndarray:
-    """Offsets uniform in the euclidean ball B(0, radius), from standard
-    normal rows (..., n) and one uniform draw in [0, 1) per row (..., 1)."""
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    radii = radius * uniform ** (1.0 / raw.shape[-1])
-    return raw / norms * radii
-
-
 def _ball_points(rng: np.random.Generator, center: np.ndarray, radius: float, count: int) -> np.ndarray:
-    """Uniform draws from the euclidean ball B(center, radius)."""
-    raw = rng.standard_normal(size=(count, center.size))
-    return center + _ball_offsets(raw, rng.uniform(0.0, 1.0, size=(count, 1)), radius)
+    """Uniform draws from the euclidean ball B(center, radius): count
+    standard normal rows drawn first, then one uniform per row."""
+    raw = rng.standard_normal((count, center.size))
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    norms[norms == 0.0] = 1.0
+    return center + raw / norms * (radius * rng.random((count, 1)) ** (1.0 / center.size))
 
 
 def _point_and_direction(region: Region, x, v) -> tuple[np.ndarray, np.ndarray]:
@@ -143,13 +136,11 @@ def clarke_directional(
     if float(np.max(np.abs(v))) == 0.0:
         raise ValueError("direction must be nonzero")
 
-    seeded = pcg64_states(
-        [(scheme.seed & 0xFFFFFFFFFFFFFFFF, 0xC1A, k) for k in range(len(scheme.steps))])
-    rng = generator()
+    seed = scheme.seed & 0xFFFFFFFFFFFFFFFF
     per_scale: list[float] = []
-    for t, state, inc in zip(scheme.steps, *map(to_ints, seeded)):
+    for k, t in enumerate(scheme.steps):
         delta = scheme.neighborhood_factor * t
-        position(rng, state, inc)
+        rng = np.random.default_rng((seed, 0xC1A, k))
         best = -np.inf
         ok = True
         for _ in range(scheme.probes_per_scale):
@@ -165,10 +156,7 @@ def clarke_directional(
                 ok = False
                 break
             best = max(best, quotient)
-        if ok:
-            per_scale.append(best)
-        else:
-            per_scale.append(np.nan)
+        per_scale.append(best if ok else np.nan)
 
     finest = [s for s in per_scale if np.isfinite(s)][-3:]
     if not finest:
@@ -308,6 +296,36 @@ class Generators(NamedTuple):
         return SubdifferentialEstimate(tuple(gens), radius, at_kink)
 
 
+def _ball(fn: FunctionHandle, x: np.ndarray, radius: float, count: int, seed: int):
+    """The gradient-sampling estimate at x from its own ball: the gradients
+    at x and at `count` uniform draws from B(x, radius), numpy's stream
+    PCG64(SeedSequence((seed, 0x5D1FF))) drawing the normals first, then
+    one uniform per draw.  The count + 1 probes are read in one call (where
+    it raises, one probe per call).  Returns the EstimationError when more
+    than half the probes failed; else the generators and the kink flag.
+    Smooth at this scale, the probes merely resample the gradient with
+    O(radius) noise, so the gradient at x (or, where that failed, at the
+    first probe that succeeded) is the whole (coherent) estimate.  A kink
+    keeps the probes' gradients, each unless a kept one lies within
+    DEDUPE_TOL of it."""
+    rng = np.random.default_rng((seed & 0xFFFFFFFFFFFFFFFF, 0x5D1FF))
+    probes = np.concatenate([x[None], _ball_points(rng, x, radius, count)])
+    gradients, ok = _by_row(lambda p: _row_gradients(fn, p, radius / 100.0), probes)
+    failures = count + 1 - int(ok.sum())
+    if failures > (count + 1) / 2:
+        return EstimationError(
+            f"gradient evaluation failed at {failures}/{count + 1} probes near {x}")
+    g = gradients[ok]
+    if np.max(g.max(axis=0) - g.min(axis=0)) <= COHERENCE_SPREAD:
+        return g[:1], False
+    close = np.abs(g[:, None] - g[None]).max(axis=2) <= DEDUPE_TOL
+    kept: list[int] = []
+    for r in range(len(g)):
+        if not close[r, kept].any():
+            kept.append(r)
+    return g[kept], True
+
+
 def subdifferential_rows(
     fn: FunctionHandle,
     region: Region,
@@ -326,19 +344,17 @@ def subdifferential_rows(
     for a certificate (_certified): a ball proven coherent is not drawn, and
     its estimate is the handle's gradient at its point, read for all such
     points in one grads call.  That is the coherent estimate sampling gives,
-    bit for bit.  Every other point's ball comes from its own seeded
-    stream, the streams of all those points seeded in one pass and drawn
-    through one generator moved from stream to stream; the draws of all
-    balls are mapped into them at once, the gradients of all probes are
-    read in one call, coherence is tested for all points in one reduction,
-    and the coherent points' generators are placed in one array operation;
-    only kink points keep a per-point dedupe."""
+    bit for bit.  Every other ball with room is drawn and read on its own
+    (_ball), in point order; the proven gradients are then placed in the
+    flat generators in one index operation beside the drawn sets."""
     xs = np.asarray(points, dtype=float)
     seeds = seeds if callable(seeds) else list(seeds)
     if radius <= 0:
         raise ValueError("radius must be positive")
     if xs.ndim != 2 and xs.shape != (0,):
         raise ValueError(f"points must be one (k, n) array, got shape {xs.shape}")
+    if not callable(seeds) and len(seeds) != len(xs):
+        raise ValueError(f"one seed per point: {len(xs)} points, {len(seeds)} seeds")
     if not len(xs):
         none = np.zeros(0, dtype=np.intp)
         return Generators(np.zeros((0, 0)), none, none, none, {}), np.zeros(0, dtype=bool)
@@ -352,68 +368,22 @@ def subdifferential_rows(
         failed[i] = InteriorRoomError(f"ball of radius {radius} at {xs[i]} leaves the region")
     room = np.flatnonzero(~short)
     sure, centre = _certified(fn, xs[room], radius)
-    proven, room = room[sure], room[~sure]  # only the unproven balls are drawn
-    if not room.size:
-        # Every ball with room is proven: one generator per point, none drawn.
-        flat = np.zeros((k, n))
-        flat[proven] = centre[sure]
-        return (Generators(flat, np.arange(k), np.arange(k), np.ones(k, dtype=np.intp), failed),
-                np.zeros(k, dtype=bool))
-    drawn = map(seeds, xs[room]) if callable(seeds) else (seeds[i] for i in room.tolist())
-    seeded = pcg64_states([(seed & 0xFFFFFFFFFFFFFFFF, 0x5D1FF) for seed in drawn])
-    raw = np.empty((len(room), count, n))
-    uniform = np.empty((len(room), count, 1))
-    rng = generator()
-    state = rng.bit_generator.state  # one dict, moved to each stream in turn
-    for j, at in enumerate(zip(*map(to_ints, seeded))):
-        state["state"]["state"], state["state"]["inc"] = at
-        rng.bit_generator.state = state
-        rng.standard_normal(out=raw[j])
-        rng.random(out=uniform[j])
-    centers = xs[room][:, None, :]
-    probes = np.concatenate([centers, centers + _ball_offsets(raw, uniform, radius)], axis=1)
-
-    # The gradients of all probes in one call; where that raises, each
-    # probe is read alone, so failures are counted probe by probe.
-    gradients, ok = _by_row(lambda p: _row_gradients(fn, p, radius / 100.0), probes.reshape(-1, n))
-    gradients, ok = gradients.reshape(probes.shape), ok.reshape(probes.shape[:2])
-    # Each point's generator spread over the probes that succeeded, in one
-    # reduction for all points.
-    have = ok[:, :, None]
-    spread = np.max(np.where(have, gradients, -np.inf).max(axis=1)
-                    - np.where(have, gradients, np.inf).min(axis=1), axis=1)
-    failures = count + 1 - ok.sum(axis=1)
-    broken = failures > (count + 1) / 2
-    for j in np.flatnonzero(broken).tolist():
-        failed[int(room[j])] = EstimationError(
-            f"gradient evaluation failed at {failures[j]}/{count + 1} probes near {xs[room[j]]}"
-        )
-    # Smooth at this scale: the ball probes merely resample the gradient
-    # with O(radius) noise, so the single generator taken at x (or, where
-    # that failed, at the first probe that succeeded) is the whole
-    # (coherent) estimate.  A kink keeps the probes' generators, each
-    # unless a kept one lies within DEDUPE_TOL of it.
-    kinked = ~broken & (spread > COHERENCE_SPREAD)
     sets = {}
-    for j in np.flatnonzero(kinked).tolist():
-        g = gradients[j, ok[j]]
-        close = np.abs(g[:, None] - g[None]).max(axis=2) <= DEDUPE_TOL
-        kept: list[int] = []
-        for r in range(len(g)):
-            if not close[r, kept].any():
-                kept.append(r)
-        sets[int(room[j])] = g[kept]
+    for i in room[~sure].tolist():
+        got = _ball(fn, xs[i], radius, count, seeds(xs[i]) if callable(seeds) else seeds[i])
+        if isinstance(got, EstimationError):
+            failed[i] = got
+        else:
+            sets[i] = got
     sizes = np.ones(k, dtype=np.intp)
-    sizes[list(sets)] = [len(s) for s in sets.values()]
+    sizes[list(sets)] = [len(g) for g, _ in sets.values()]
     start = np.cumsum(sizes) - sizes
     flat = np.zeros((int(sizes.sum()), n))
-    coherent = np.flatnonzero(~broken & ~kinked)
-    flat[start[room[coherent]]] = gradients[coherent, ok.argmax(axis=1)[coherent]]
-    flat[start[proven]] = centre[sure]
-    for i, s in sets.items():
-        flat[start[i]:start[i] + len(s)] = s
+    flat[start[room[sure]]] = centre[sure]
     at_kink = np.zeros(k, dtype=bool)
-    at_kink[list(sets)] = True
+    for i, (g, kink) in sets.items():
+        flat[start[i]:start[i] + len(g)] = g
+        at_kink[i] = kink
     return Generators(flat, np.repeat(np.arange(k), sizes), start, sizes, failed), at_kink
 
 

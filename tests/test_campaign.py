@@ -403,6 +403,20 @@ def test_semistrict_classify_reads_no_interior_point_of_a_rising_orientation():
         assert wanted <= read, prop
 
 
+@pytest.mark.parametrize("seed, passes, fails", [(0, 115, 77), (1, 108, 84), (2, 106, 86)])
+def test_unhardened_near_ties_leave_quasiconvex_inconclusive(seed, passes, fails):
+    # -1e-6*|x1| rises at most 1e-6 above the higher end of a pair across
+    # the origin, below the witness threshold of 100 eps (at least 1e-5):
+    # every raw failure is a near-tie.  Refinement hardens none, so each
+    # candidate it tries is reclassified inconclusive, and the raw failures
+    # left after its budget leave the verdict inconclusive.
+    assert 1e-6 < checks.WITNESS_FACTOR * checks.eps_strict(0.0, 0.0)
+    (got,) = classify(function_from_expression("-0.000001*abs(x1)", 1),
+                      parse_region("box(-1..1)", 1), ("quasiconvex",), SamplingPlan(seed=seed))
+    assert (got.verdict, got.passes, got.vacuous, got.fails, got.inconclusive, got.witnesses) == (
+        INCONCLUSIVE, passes, 0, fails, MAX_REFINED_CANDIDATES, ())
+
+
 def test_witness_serialization_round_trip():
     e = corpus_entry("cubic")
     (v,) = classify(e.handle, e.region, ("pseudoconvex",), FAST)

@@ -40,7 +40,7 @@ from gencvx.checks import (
 )
 from gencvx.functions import negate_handle
 from gencvx.geometry import sample_region, segment_point
-from gencvx.nonsmooth import EstimationError, SubdifferentialEstimate
+from gencvx.nonsmooth import EstimationError, SubdifferentialEstimate, subdifferential
 
 LAM_GRID = np.linspace(0.0, 1.0, 33)
 
@@ -372,6 +372,18 @@ def test_cross_check_equal_values_inconclusive():
         est([1.25, -0.75]),
     )
     assert res.outcome == INCONCLUSIVE
+
+
+def test_cross_check_nonpositive_q_inconclusive():
+    # z = (0.05, 0.2) lies below both ends of the paraboloid's pair, and
+    # its gradient (0.1, 0.4) has <xi, x - y> = -0.21 < 0 while f(x) > f(z):
+    # q(z, x) is negative, so b has no subdifferential route here.
+    e = corpus_entry("paraboloid")
+    x, y = np.array([-0.6, 0.1]), np.array([0.7, 0.3])
+    sub = subdifferential(e.handle, e.region, segment_point(x, y, 0.5), radius=1e-5, count=9, seed=1)
+    res = cross_check_b_via_subdifferential(e.handle, x, y, 0.5, sub)
+    assert (res.outcome, res.b_generators, res.residual, res.detail) == (
+        INCONCLUSIVE, (), 0.0, "q-factor not positive; p undefined here")
 
 
 def test_cross_check_generator_independence_fractional():

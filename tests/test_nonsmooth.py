@@ -14,6 +14,7 @@ from gencvx.nonsmooth import (
     clarke_directional,
     directional_derivative,
     negate_estimate,
+    _row_gradients,
     subdifferential,
     subdifferential_rows,
 )
@@ -330,9 +331,10 @@ def test_many_point_estimates_equal_one_at_a_time():
     plain = function_from_expression("sqrt(max(x1, 0)) + abs(x2)", 2)
     fn, rows = _row_counted(replace(plain, expression=None))
     _many_points(fn, plain)
-    # The joint call raised at the failing points; every probe of the five
-    # balls was then read again alone, one row per call.
-    assert rows == [45] + [1] * 45
+    # Each of the five balls with room is read in one call of its 9 probes,
+    # in point order; the call at [-0.5, 0.2] raised, and its probes were
+    # then read again alone, one row per call, right after it.
+    assert rows == [9] * 4 + [1] * 9 + [9]
 
 
 def test_many_point_certified_estimates_equal_one_at_a_time():
@@ -341,7 +343,7 @@ def test_many_point_certified_estimates_equal_one_at_a_time():
     plain = function_from_expression("sqrt(max(x1, 0)) + abs(x2)", 2)
     fn, rows = _row_counted(plain)
     _many_points(fn, plain)
-    assert rows == [2, 27] + [1] * 27
+    assert rows == [2] + [9] * 3 + [1] * 9
 
 
 def _reference_outcome(fn, region, x, radius, count, seed):
@@ -380,6 +382,30 @@ def _reference_outcome(fn, region, x, radius, count, seed):
     return [g.tobytes() for g in kept], radius, True
 
 
+def _drawn_reads(fn, calls, centres, radius, count):
+    """Check calls, the rows of each gradient_rows call that reads a ball,
+    against the per-ball read: for each centre in order, one call of its
+    count + 1 probes led by the centre, then, where reading that ball with
+    fn raises, one call per probe.  Returns each centre's ball and the
+    number of balls whose read raised."""
+    balls, raised, at = [], 0, 0
+    for x in centres:
+        ball = calls[at]
+        assert ball.shape == (count + 1, x.size) and ball[0].tobytes() == x.tobytes()
+        balls.append(ball)
+        at += 1
+        try:
+            _row_gradients(fn, ball, radius / 100.0)
+        except ArithmeticError:
+            alone = calls[at:at + count + 1]
+            assert len(alone) == count + 1
+            assert all(np.array_equal(c, p[None]) for c, p in zip(alone, ball))
+            raised += 1
+            at += count + 1
+    assert at == len(calls)
+    return balls, raised
+
+
 def _scale_points(dim, seed, radius):
     """200 points of box(-1..1)^dim: random ones, ones on the kinks of
     abs(x1) and max(x2, x3), and five too near the boundary for a ball of
@@ -391,6 +417,9 @@ def _scale_points(dim, seed, radius):
     points[40:45, 0] = 1.0 - radius / 2
     return points
 
+
+# The rows of _scale_points with room for the ball: all but rows 40-44.
+_ROOM = np.r_[0:40, 45:200]
 
 _AT_SCALE = [
     ("abs(x1) + max(x2, x3)", 3, True),
@@ -422,17 +451,20 @@ def _at_scale(fn, plain, source, dim, kinks, radius):
     assert seen["InteriorRoomError"] == 5 and seen[False] > 100
     assert (seen[True] >= 20) == kinks
     assert (seen["EstimationError"] > 0) == source.startswith("log")
+    return points
 
 
 @pytest.mark.parametrize("radius", [1e-5, 1e-8])
 @pytest.mark.parametrize("source, dim, kinks", _AT_SCALE)
 def test_many_point_estimates_at_scale_equal_one_at_a_time(source, dim, kinks, radius):
+    # One call per ball with room, in point order; 46 of the log function's
+    # balls reach below x2 = -0.5, and each is read again probe by probe.
     plain = function_from_expression(source, dim)
-    fn, rows = _row_counted(replace(plain, expression=None))
-    _at_scale(fn, plain, source, dim, kinks, radius)
-    probes = 195 * (2 * dim + 6)
-    assert rows[0] == probes  # one call for the probes of every ball
-    assert rows[1:] == ([1] * probes if source.startswith("log") else [])
+    fn, calls = _reads(replace(plain, expression=None))
+    points = _at_scale(fn, plain, source, dim, kinks, radius)
+    room = points[_ROOM]
+    _, raised = _drawn_reads(plain, calls, room, radius, 2 * dim + 5)
+    assert raised == (46 if source.startswith("log") else 0)
 
 
 @pytest.mark.parametrize("radius, proven", [  # balls proven, by dimension
@@ -442,17 +474,20 @@ def test_many_point_estimates_at_scale_equal_one_at_a_time(source, dim, kinks, r
 @pytest.mark.parametrize("source, dim, kinks", _AT_SCALE)
 def test_many_point_certified_estimates_at_scale_equal_one_at_a_time(
         source, dim, kinks, radius, proven):
-    # One call reads the centres of the proven balls, then one call the
-    # probes of the others (none for the smooth function), which is read
-    # again probe by probe where it raises.  The 40 balls on kinks, and
-    # those that reach below x2 = -0.5, are never proven.
+    # One call reads the centres of the proven balls, then one call each
+    # the probes of the others (none for the smooth function), in point
+    # order, a ball read again probe by probe right after its call where
+    # that raises.  The 40 balls on kinks, and those that reach below
+    # x2 = -0.5, are never proven.
     plain = function_from_expression(source, dim)
-    fn, rows = _row_counted(plain)
-    _at_scale(fn, plain, source, dim, kinks, radius)
-    centres = proven[dim]
-    probes = (195 - centres) * (2 * dim + 6)
-    assert rows == [centres] + ([probes] if probes else []) + (
-        [1] * probes if source.startswith("log") else [])
+    fn, calls = _reads(plain)
+    points = _at_scale(fn, plain, source, dim, kinks, radius)
+    room = points[_ROOM]
+    centres = {c.tobytes() for c in calls[0]}
+    mine = np.array([x.tobytes() in centres for x in room])
+    assert np.array_equal(calls[0], room[mine]) and mine.sum() == proven[dim]
+    _, raised = _drawn_reads(plain, calls[1:], room[~mine], radius, 2 * dim + 5)
+    assert raised == (46 if source.startswith("log") else 0)
 
 
 @pytest.mark.parametrize("name, x", [
@@ -492,6 +527,26 @@ def test_points_of_different_dimensions_are_named():
         subdifferential_rows(fn, BOX2, [[0.1, 0.2], [0.1, 0.2, 0.3]], 1e-5, 8, [0, 1])
     with pytest.raises(ValueError, match=r"one \(k, n\) array, got shape \(2,\)"):
         subdifferential_rows(fn, BOX2, [0.1, 0.2], 1e-5, 8, [0])
+
+
+def test_seeds_of_another_length_than_the_points_are_named():
+    # Before anything is read: a handle without an expression would draw
+    # both balls, the expression's certifies both, and 3 seeds for 1 point
+    # are as wrong as 1 for 2.
+    reads = []
+    cube = FunctionHandle("cube", 1, lambda p: reads.append(len(p)) or p[:, 0] ** 3)
+    certified, calls = _reads(function_from_expression("x1^3", 1))
+    for fn in (cube, certified):
+        with pytest.raises(ValueError, match=r"one seed per point: 2 points, 1 seeds"):
+            subdifferential_rows(fn, BOX1, [[0.1], [0.2]], 1e-5, 9, [1])
+    with pytest.raises(ValueError, match=r"one seed per point: 1 points, 3 seeds"):
+        subdifferential_rows(cube, BOX1, [[0.1]], 1e-5, 9, [1, 2, 3])
+    assert reads == [] and calls == []
+    # A function of a point gives the seed of each ball drawn.
+    gens, _ = subdifferential_rows(cube, BOX1, [[0.1], [0.2]], 1e-5, 9, lambda x: 7)
+    for i, x in enumerate([0.1, 0.2]):
+        alone = subdifferential(cube, BOX1, [x], 1e-5, 9, seed=7)
+        assert gens.estimate(i, 1e-5, False).generators[0].tobytes() == alone.generators[0].tobytes()
 
 
 def test_negated_rows_read_the_negated_gradient():
@@ -573,8 +628,8 @@ def test_certified_balls_are_the_sampled_estimate_bit_for_bit(name, fn, region, 
     # With the handle's expression, a ball proven coherent is the gradient
     # at x; without it every ball is sampled.  The Generators, kink flags
     # and failures must agree bit for bit, and the proven balls read no
-    # probe: after one call at their centres, the rows read are the sampled
-    # path's rows less every row of a proven ball.
+    # probe: after one call at their centres, the calls made are the
+    # sampled path's less those of every proven ball.
     points = _certified_points(region, forms, radius, seed=len(name))
     seeds = [7 * i + 1 for i in range(len(points))]
     count = 2 * fn.dimension + 5
@@ -592,8 +647,9 @@ def test_certified_balls_are_the_sampled_estimate_bit_for_bit(name, fn, region, 
     assert len(points) // 2 <= len(proven_calls[0]) <= len(points)  # the certificate fires
     centres = {c.tobytes() for c in proven_calls[0]}
     assert not any(k for x, k in zip(points, got_kink.tolist()) if x.tobytes() in centres)
-    balls = sampled_calls[0].reshape(-1, count + 1, fn.dimension)
-    mine = np.array([b[0].tobytes() in centres for b in balls], dtype=bool)
-    assert mine.sum() == len(centres)
-    drawn = np.concatenate(proven_calls[1:] or [np.zeros((0, fn.dimension))])
-    assert np.array_equal(drawn, balls[~mine].reshape(-1, fn.dimension))
+    room = points[region.interior_slack(points) >= radius]
+    mine = np.array([x.tobytes() in centres for x in room], dtype=bool)
+    assert np.array_equal(proven_calls[0], room[mine])
+    balls, _ = _drawn_reads(fn, sampled_calls, room, radius, count)
+    drawn, _ = _drawn_reads(fn, proven_calls[1:], room[~mine], radius, count)
+    assert all(np.array_equal(a, b) for a, b in zip(drawn, np.array(balls)[~mine]))
