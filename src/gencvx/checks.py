@@ -98,10 +98,12 @@ __all__ = [
 ]
 
 EPS_COEFF = 1e-7
-# Evaluation-noise floor: strict segment inequalities count as violated only
-# when the compared values tie at this scale.  An exact tie (a flat piece) is
-# a violation; a genuinely strict inequality that merely lands inside the
-# eps band is a near-tie and stays inconclusive.
+# Evaluation-noise floor, relative to |f(x)| + |f(y)|: strict segment
+# inequalities count as violated only when the compared values tie at this
+# scale.  An exact tie (a flat piece) is a violation at any scale; a strict
+# inequality between values far below 1, which floats still resolve, is not
+# a tie, and one that merely lands inside the eps band is a near-tie and
+# stays inconclusive.
 NOISE_COEFF = 1e-12
 # Residuals must clear WITNESS_FACTOR * eps to count as a refutation.
 WITNESS_FACTOR = 100.0
@@ -123,7 +125,7 @@ def eps_strict(fx: float, fy: float) -> float:
 
 
 def noise_floor(fx: float, fy: float) -> float:
-    return NOISE_COEFF * (1.0 + abs(fx) + abs(fy))
+    return NOISE_COEFF * (abs(fx) + abs(fy))
 
 
 def _endpoints(fn: FunctionHandle, x, y) -> tuple[np.ndarray, np.ndarray, float, float]:

@@ -75,11 +75,25 @@ def _resolve_config(args, **fixed) -> RunConfig:
 
 
 def _load_target(config: RunConfig):
-    if config.corpus_name is not None:
-        entry = corpus_entry(config.corpus_name)
+    """The run's handle and region, built once per process (_build_target)."""
+    return _build_target(
+        config.corpus_name, config.function_source, config.dimension, config.region_text
+    )
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _build_target(corpus_name, function_source, dimension, region_text):
+    """Handles and regions are immutable, and a DSL handle's tree keeps its
+    compiled walks, so in-process callers that run main per request reuse a
+    built target: a repeat skips the parse, the walk compilations, the
+    region's feasibility probe and the corpus member's build.  A build that
+    raises is not kept, so a bad target raises on every call.  Keys are
+    typed: a config file's dimension 2.0 is not served the build for 2."""
+    if corpus_name is not None:
+        entry = corpus_entry(corpus_name)
         return entry.handle, entry.region
-    fn = function_from_expression(config.function_source, config.dimension)
-    region = parse_region(config.region_text, config.dimension)
+    fn = function_from_expression(function_source, dimension)
+    region = parse_region(region_text, dimension)
     return fn, region
 
 

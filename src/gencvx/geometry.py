@@ -172,7 +172,7 @@ def _accept_mask(region: Region, pts: np.ndarray, margin: float | None = None) -
     constraint with `margin` of slack (strictly for '<'), region.margin by
     default.  Region.contains is its one-row case."""
     m = region.margin if margin is None else margin
-    ok = np.all(pts >= region.lower + m, axis=1) & np.all(pts <= region.upper - m, axis=1)
+    ok = (pts >= region.lower + m).all(axis=1) & (pts <= region.upper - m).all(axis=1)
     for c in region.constraints:
         ok &= c.satisfied(pts, m)
     return ok

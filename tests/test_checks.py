@@ -180,6 +180,31 @@ def test_interlacing_affine():
     assert check.outcome == PASS
 
 
+def test_noise_floor_is_relative():
+    assert noise_floor(0.0, 0.0) == 0.0
+    assert noise_floor(1e-3, -1e-13) == pytest.approx(1e-15)
+
+
+def test_interlacing_tiny_strict_values_are_no_tie():
+    # f(y) = -1e-13 and every interior value lies strictly above it: floats
+    # resolve values this small, so nothing is pinned and nothing refutes.
+    fn = function_from_expression("0.001*max(x1, 0) + 1e-13*min(x1, 0)", 1)
+    check = check_interlacing(fn, [1.0], [-1.0], LAM_GRID)
+    assert check.outcome == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("source, x, y, kernel", [
+    ("0.001*max(x1, 0) - 1e-13", [1.0], [-1.0], check_interlacing),
+    ("-0.001*max(x1, 0) - 1e-13", [-1.0], [1.0], check_semistrict_quasiconvex_segment),
+], ids=["interlacing", "semistrict"])
+def test_exact_tie_at_tiny_scale_fails(source, x, y, kernel):
+    # The flat piece sits at -1e-13: an exact tie pins at any scale.
+    fn = function_from_expression(source, 1)
+    check = kernel(fn, x, y, LAM_GRID)
+    assert check.outcome == FAIL and check.credible
+    assert check.fz == -1e-13
+
+
 # -- proportional function p ----------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gencvx import cli
 from gencvx.cli import (
     EXIT_ERROR,
     EXIT_INSUFFICIENT,
@@ -67,6 +68,85 @@ def test_byte_identical_reports(tmp_path):
     assert main(args + ["--out", str(out1)]) == EXIT_REFUTED
     assert main(args + ["--out", str(out2)]) == EXIT_REFUTED
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_analyze_a_tiny_strict_descent_is_no_tie(tmp_path):
+    # Its pair descends from 4.92e-14 to 3.45e-18 on -f: strict, though both
+    # values lie within 1e-12 of each other.  A noise floor with an absolute
+    # term pinned it and refuted.
+    t = "0.338*x1 - 0.568*x2 - 0.182"
+    code = main(["analyze", "--function", f"max({t}, 0) + min({t}, 0)^3", "--dim", "2",
+                 "--region", "box(-1..1, -1..1)", "--properties", "semistrictly-quasiconcave",
+                 "--seed", "0", "--out", str(tmp_path / "r.json")])
+    assert code == EXIT_OK
+
+
+# -- the built-target cache ----------------------------------------------------
+
+_BUILDERS = ("corpus_entry", "function_from_expression", "parse_region")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of each builder cli names, counted from an empty target cache."""
+    counts = dict.fromkeys(_BUILDERS, 0)
+    for name in _BUILDERS:
+
+        def counted(*args, _name=name, _build=getattr(cli, name)):
+            counts[_name] += 1
+            return _build(*args)
+
+        monkeypatch.setattr(cli, name, counted)
+    cli._build_target.cache_clear()
+    yield counts
+    cli._build_target.cache_clear()
+
+
+_DSL = ["--function", "max(x1, x2) + 0.5*x1", "--dim", "2",
+        "--region", "x1 + x2 < 1.5, box(-1..1, -1..1)"]
+
+
+@pytest.mark.parametrize("target, built", [
+    (_DSL, {"function_from_expression": 1, "parse_region": 1}),
+    (["--corpus", "ramp"], {"corpus_entry": 1}),
+], ids=["dsl", "corpus"])
+def test_a_repeat_analyze_builds_nothing_and_writes_the_same_bytes(tmp_path, builds, target, built):
+    args = ["analyze", *target, "--properties", "quasiconvex,semistrictly-quasiconcave",
+            "--seed", "3", "--samples", "40"]
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    code = main(args + ["--out", str(out1)])
+    assert code in (EXIT_OK, EXIT_REFUTED)
+    first = dict(builds)
+    assert main(args + ["--out", str(out2)]) == code
+    assert builds == first == dict.fromkeys(_BUILDERS, 0) | built
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("target, built", [
+    (_DSL, {"function_from_expression": 1, "parse_region": 1}),
+    (["--corpus", "affine"], {"corpus_entry": 1}),
+], ids=["dsl", "corpus"])
+def test_a_repeat_bcurve_builds_nothing_and_writes_the_same_csv(tmp_path, builds, target, built):
+    args = ["bcurve", *target, "--x=0.5,0.1", "--y=-0.4,-0.2"]
+    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(args + ["--out", str(out1)]) == EXIT_OK
+    assert main(args + ["--out", str(out2)]) == EXIT_OK
+    assert builds == dict.fromkeys(_BUILDERS, 0) | built
+    assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("config, error, builder", [
+    (RunConfig(function_source="min(x1", dimension=1, region_text="box(-1..1)"),
+     "offset 7", "function_from_expression"),
+    (RunConfig(corpus_name="nope"), "unknown corpus function 'nope'", "corpus_entry"),
+    (RunConfig(function_source="x1", dimension=2, region_text="x1 + x2 > 1.9, box(0..1, 0..1)"),
+     "region too thin", "parse_region"),
+], ids=["malformed-function", "unknown-member", "thin-region"])
+def test_a_bad_target_raises_on_every_call(builds, config, error, builder):
+    for calls in (1, 2):
+        with pytest.raises((ValueError, KeyError), match=error):
+            cli._load_target(config)
+        assert builds[builder] == calls
 
 
 def test_bcurve_matches_closed_form(tmp_path, capsys):

@@ -75,10 +75,32 @@ def _points(entry):
     return _grid_2d(lo[0], hi[0], lo[1], hi[1])
 
 
+def _read_ahead(handle, points, lams):
+    """f as the oracle reads it, served from one `values` call made first.
+    That call reads the grid points and x + lam * (y - x) for every ordered
+    pair and lambda, built with the oracle's float operations; a row's value
+    does not depend on the other rows, so each is bit for bit handle.value
+    at its point.  f looks a point up by its bytes, and falls back to
+    handle.value on a miss."""
+    p = np.array(points)
+    x, y = p[:, None, None, :], p[None, :, None, :]
+    lam = np.array(lams)[None, None, :, None]
+    pairs = ~np.eye(len(p), dtype=bool)  # itertools.permutations: x != y
+    rows = np.concatenate([p, (x + lam * (y - x))[pairs].reshape(-1, p.shape[1])])
+    table = dict(zip((r.tobytes() for r in rows), handle.values(rows).tolist()))
+
+    def f(point):
+        v = table.get(point.tobytes())
+        return handle.value(point) if v is None else v
+
+    return f
+
+
 @pytest.mark.parametrize("entry", corpus(), ids=lambda e: e.handle.name)
 def test_labels_match_grid_oracle(entry):
-    f = lambda p: entry.handle.value(p)
-    labels = oracle_labels(f, _sets(entry), _points(entry), LAMS)
+    points = _points(entry)
+    f = _read_ahead(entry.handle, points, LAMS)
+    labels = oracle_labels(f, _sets(entry), points, LAMS)
     assert labels == entry.labels
 
 
