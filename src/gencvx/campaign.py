@@ -33,6 +33,7 @@ so results are identical however the work is scheduled.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -95,6 +96,15 @@ def _point_entropy(x: np.ndarray) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _check_types(owner, kind, what: str, names: str, optional: bool = False) -> None:
+    """ValueError naming the first of owner's fields (names, space-separated)
+    that is not a kind, None passing where optional; a bool is no number."""
+    for name in names.split():
+        value = getattr(owner, name)
+        if not (optional and value is None or isinstance(value, kind) and not isinstance(value, bool)):
+            raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """Deterministic expansion of a campaign from a seed."""
@@ -107,10 +117,13 @@ class SamplingPlan:
     subdiff_count: int | None = None
 
     def __post_init__(self):
+        _check_types(self, numbers.Integral, "an integer", "pair_count lambda_grid refinement_rounds seed")
+        _check_types(self, numbers.Integral, "an integer", "subdiff_count", optional=True)
+        _check_types(self, numbers.Real, "a number", "subdiff_radius")
         if min(self.pair_count, self.lambda_grid, self.refinement_rounds) <= 0:
             raise ValueError("plan counts must be positive")
-        if self.subdiff_radius <= 0:
-            raise ValueError("subdifferential radius must be positive")
+        if not self.subdiff_radius > 0:  # NaN too
+            raise ValueError(f"subdiff_radius must be positive, got {self.subdiff_radius!r}")
 
     def resolved_subdiff_count(self, dimension: int) -> int:
         """The gradient samples per estimate: at least 2n+1, else ValueError."""

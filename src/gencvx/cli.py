@@ -49,6 +49,9 @@ def _resolve_config(args, **fixed) -> RunConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object, "
+                             f"got a {type(base).__name__}")
     overrides = {
         "corpus_name": args.corpus,
         "function_source": args.function,
@@ -62,11 +65,7 @@ def _resolve_config(args, **fixed) -> RunConfig:
         "subdiff_radius": args.subdiff_radius,
         "subdiff_count": args.subdiff_count,
     }
-    merged = dict(base)
-    for key, value in overrides.items():
-        if value is not None:
-            merged[key] = value
-    merged.update(fixed)
+    merged = {**base, **{k: v for k, v in overrides.items() if v is not None}, **fixed}
     if merged.get("seed") is None:
         env = os.environ.get("GENCVX_SEED")
         merged["seed"] = int(env) if env else 0
@@ -81,14 +80,13 @@ def _load_target(config: RunConfig):
     )
 
 
-@functools.lru_cache(maxsize=32, typed=True)
+@functools.lru_cache(maxsize=32)
 def _build_target(corpus_name, function_source, dimension, region_text):
     """Handles and regions are immutable, and a DSL handle's tree keeps its
     compiled walks, so in-process callers that run main per request reuse a
     built target: a repeat skips the parse, the walk compilations, the
     region's feasibility probe and the corpus member's build.  A build that
-    raises is not kept, so a bad target raises on every call.  Keys are
-    typed: a config file's dimension 2.0 is not served the build for 2."""
+    raises is not kept, so a bad target raises on every call."""
     if corpus_name is not None:
         entry = corpus_entry(corpus_name)
         return entry.handle, entry.region
@@ -148,18 +146,9 @@ def cmd_bcurve(args) -> int:
     lines = ["lambda,b,lambda_b,strict,weak,degenerate"]
     lams = [k / (args.grid + 1) for k in range(1, args.grid + 1)]
     for rec in compute_b_rows(fn, x, y, lams):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(rec.lam),
-                    _fmt(rec.b),
-                    _fmt(rec.lam_b),
-                    str(rec.strict).lower(),
-                    str(rec.weak).lower(),
-                    str(rec.degenerate).lower(),
-                )
-            )
-        )
+        flags = (rec.strict, rec.weak, rec.degenerate)
+        lines.append(",".join([_fmt(rec.lam), _fmt(rec.b), _fmt(rec.lam_b)]
+                              + [str(f).lower() for f in flags]))
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

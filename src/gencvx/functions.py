@@ -66,11 +66,10 @@ class FunctionHandle:
 
     `expression`, when given, is the expr tree f was compiled from, and
     `gradient_rows` is then its gradient: it flags exactly the rows that
-    expr.compile_dual_rows flags, and at the others its gradients agree with
-    that walk's to within nonsmooth.CERTIFY_MARGIN * (1 + |g|) in each
-    coordinate.  Subdifferential estimation relies on this to certify a
-    ball coherent from the expression's interval gradient walk, reading the
-    handle's gradient at the centre only (see nonsmooth.subdifferential_rows);
+    expr.compile_dual_rows flags.  Subdifferential estimation relies on this
+    to certify a ball smooth from the expression's interval gradient walk,
+    reading the handle's gradient at the centre only (see
+    nonsmooth.subdifferential_rows);
     a handle without an expression, negate_handle's among them, has every
     ball sampled.  classify reaches neither where a smooth handle has a
     gradient and room for the ball: that gradient is the subdifferential

@@ -44,10 +44,6 @@ __all__ = [
 COHERENCE_SPREAD = 1e-3
 # Duplicate generators within this tolerance are merged.
 DEDUPE_TOL = 1e-12
-# A handle's gradient_rows may differ from its expression's dual walk by this
-# much, relative to 1 + |g|, in each coordinate (see FunctionHandle); a ball
-# is certified coherent only with twice this margin to spare.
-CERTIFY_MARGIN = 1e-9
 
 _REDRAWS_PER_PROBE = 100
 
@@ -208,30 +204,22 @@ def _by_row(read, rows: np.ndarray):
 
 
 def _certified(fn: FunctionHandle, xs: np.ndarray, radius: float):
-    """The rows of xs whose gradient-sampling ball is proven coherent, and
-    the handle's gradient at each (zero elsewhere).
+    """The rows of xs whose ball is proven smooth, and the handle's gradient
+    at each (zero elsewhere).
 
     For a handle with an expression, the interval dual walk over the box
-    around B(x, radius), padded past any rounding of a probe, encloses the
-    expression's gradient at every probe, and the handle's lies within
-    CERTIFY_MARGIN of it (see FunctionHandle).  Where the walk is certain
-    (no probe can raise, be flagged or be non-finite) and each coordinate's
-    enclosure, widened by the margin both ways, spans at most
-    COHERENCE_SPREAD, sampling would find every probe's gradient and a
-    coherent spread, and take the gradient at x: the centres' one grads
-    call reads it, bit for bit, since a row's gradient does not depend on
-    the other rows.  A centre whose gradient comes out flagged is left to
-    sampling; where that call raises, every ball is."""
+    around B(x, radius), padded past any rounding of a probe, is certain
+    where no point of the ball can raise, be flagged at a kink or tie, or
+    be non-finite.  f is then C1 on the ball, so its Clarke subdifferential
+    at x is {grad f(x)}: the centres' one grads call reads it.  A centre
+    whose gradient comes out flagged is left to sampling; where that call
+    raises, every ball is."""
     sure, centre = np.zeros(len(xs), dtype=bool), np.zeros(xs.shape)
     if fn.expression is None or fn.gradient_rows is None or xs.shape[1] != fn.dimension:
         return sure, centre
     pad = radius * (1.0 + 2.0**-40) + np.abs(xs) * 2.0**-48
     try:
-        glo, ghi, certain = compile_interval_dual_rows(fn.expression)(xs - pad, xs + pad)
-        rows = np.flatnonzero(certain)
-        glo, ghi = glo[rows], ghi[rows]
-        margin = CERTIFY_MARGIN * (1.0 + np.maximum(np.abs(glo), np.abs(ghi)))
-        rows = rows[np.all(ghi - glo + 2.0 * margin <= COHERENCE_SPREAD, axis=1)]
+        rows = np.flatnonzero(compile_interval_dual_rows(fn.expression)(xs - pad, xs + pad)[2])
         if rows.size:
             centre[rows], sure[rows] = fn.grads(xs[rows])
     except _PROBE_ERRORS:
@@ -341,10 +329,10 @@ def subdifferential_rows(
     only for the points whose balls are drawn.
 
     First, for a handle with an expression, the balls with room are tried
-    for a certificate (_certified): a ball proven coherent is not drawn, and
+    for a certificate (_certified): a ball proven smooth is not drawn, and
     its estimate is the handle's gradient at its point, read for all such
-    points in one grads call.  That is the coherent estimate sampling gives,
-    bit for bit.  Every other ball with room is drawn and read on its own
+    points in one grads call.  That is {grad f(x)}, since f is C1 on the
+    ball.  Every other ball with room is drawn and read on its own
     (_ball), in point order; the proven gradients are then placed in the
     flat generators in one index operation beside the drawn sets."""
     xs = np.asarray(points, dtype=float)
@@ -400,7 +388,8 @@ def subdifferential(
     Gradients are taken at x and at `count` random points of B(x, radius):
     the handle gradient where it exists (smooth at the probe), otherwise a
     central difference at step radius/100.  Near-duplicates are merged and a
-    kink is flagged when the generator spread exceeds COHERENCE_SPREAD.
+    kink is flagged when the generator spread exceeds COHERENCE_SPREAD.  A
+    ball proven smooth is not drawn (see subdifferential_rows).
     """
     gens, at_kink = subdifferential_rows(
         fn, region, np.asarray(x, dtype=float).reshape(1, -1), radius, count, [seed])

@@ -9,9 +9,10 @@ the report alone.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field, fields
 
-from .campaign import PropertyVerdict, SamplingPlan, Witness
+from .campaign import PropertyVerdict, SamplingPlan, Witness, _check_types
 from .functions import PROPERTIES
 
 __all__ = ["SCHEMA_VERSION", "TOOL_VERSION", "ASSUMPTIONS", "RunConfig", "Report"]
@@ -49,6 +50,12 @@ class RunConfig:
     subdiff_count: int | None = None
 
     def __post_init__(self):
+        _check_types(self, str, "a string", "corpus_name function_source region_text", optional=True)
+        _check_types(self, numbers.Integral, "an integer", "dimension", optional=True)
+        if not (isinstance(self.properties, (list, tuple))
+                and all(isinstance(p, str) for p in self.properties)):
+            raise ValueError(f"properties must be a list of property names, "
+                             f"got {self.properties!r}")
         if (self.corpus_name is None) == (self.function_source is None):
             raise ValueError("exactly one of corpus_name / function_source is required")
         if self.function_source is not None:
@@ -60,6 +67,7 @@ class RunConfig:
         if bad:
             raise ValueError(f"unknown properties: {', '.join(bad)}")
         object.__setattr__(self, "properties", tuple(self.properties))
+        self.plan()  # the plan's own checks, at config time
 
     def plan(self) -> SamplingPlan:
         return SamplingPlan(**{f.name: getattr(self, f.name) for f in fields(SamplingPlan)})

@@ -4,8 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines as the
 criteria execute.  Tolerances are pinned here and nowhere else.
 """
 
-import hashlib
-import json
 import time
 from contextlib import contextmanager
 
@@ -35,6 +33,8 @@ from gencvx import (
 from gencvx.cli import EXIT_OK, main
 from gencvx.geometry import parse_region
 from gencvx.report import Report, RunConfig
+
+from report_pins import assert_pinned
 
 
 @contextmanager
@@ -232,61 +232,18 @@ def test_criterion_8_determinism_and_replay(tmp_path):
             assert res.residual == w.residual
 
 
-# sha256 of json.dumps([v.to_dict() for v in verdicts], sort_keys=True) for
-# each (corpus member, seed), witness residuals included.  Reports must stay
-# byte-identical, so a change that is faster but one ulp off fails here.  A
-# change that moves verdicts or residuals on purpose updates these digests
-# and says so in CHANGES.md.
-REPORT_SHA256 = {
-    ("affine", 0): "da644d76bfeb630afac470b7c0763f28bb2f031589010b3968c85c22180e6f7e",
-    ("fractional", 0): "183e0db9bb4c2f0325d6b7479fee18264d0a1cd209451d1c2277c6783a21135a",
-    ("arctan", 0): "5af32ece9c031631eb3268e34dd2b47abdba96acf9075d3f05154083e1ba2049",
-    ("cubic", 0): "3eec9780d91060189cdf2c9eeeb6e2ceeb8028d4d9264d2f068216a215f367ce",
-    ("ramp", 0): "9bf9c881bb84763490110d54cdea4844e14f1dde390b82c545f0657790171662",
-    ("twoslope", 0): "5af32ece9c031631eb3268e34dd2b47abdba96acf9075d3f05154083e1ba2049",
-    ("paraboloid", 0): "7b368954099c4ac922724dbbe115ef6568cbfb08aa57b7209fff2274e045b1d4",
-    ("affine", 1): "a2f65a0ad3dc81844842415b95152d63d7252bbbfb4c4e3436b222cab2159eac",
-    ("fractional", 1): "d33f6b507f486e30c6718f44cee3b0555a80c1025bdd02c4c1602d8661c15c31",
-    ("arctan", 1): "5af32ece9c031631eb3268e34dd2b47abdba96acf9075d3f05154083e1ba2049",
-    ("cubic", 1): "ade5d325765888b138a9b6b3f849cae624a571ff49a1f68574816d753b6be9dd",
-    ("ramp", 1): "c3f7ad0aba791b8255d6113f1040286c0dbaf3da1332b49ce1214570f1aa2776",
-    ("twoslope", 1): "5af32ece9c031631eb3268e34dd2b47abdba96acf9075d3f05154083e1ba2049",
-    ("paraboloid", 1): "17b7a79dfef35d355a3a2f6830d6493eae1755e0989004182e8105cc7f9cf26a",
-    ("affine", 2): "22113f92fe78fa09a1c5c56521ec663ff1c9bf39f8773eaad3c8e824893b0aab",
-    ("fractional", 2): "39c0e6f789491d9322cff718c214221d614535c3fc1967c958c36972068fd61b",
-    ("arctan", 2): "5af32ece9c031631eb3268e34dd2b47abdba96acf9075d3f05154083e1ba2049",
-    ("cubic", 2): "ee80075124b23ce13801d24ffa3c80f26abc0d792815e1313a95040764c82811",
-    ("ramp", 2): "6bc78a73d3be70b69dd2fb15956ab8ceb4e275aca855eef5be32d9dc149811c5",
-    ("twoslope", 2): "5af32ece9c031631eb3268e34dd2b47abdba96acf9075d3f05154083e1ba2049",
-    ("paraboloid", 2): "d4b61d0ddc87ac2d7d841d5fadeb912fee4e6e419c3e0a5eea24065a2c41e77c",
-    ("affine", 7): "a2f65a0ad3dc81844842415b95152d63d7252bbbfb4c4e3436b222cab2159eac",
-    ("fractional", 7): "14effe276c0f5223909dc0dcc63add81058dff2dddf27ea98294a46dfa328d89",
-    ("arctan", 7): "5af32ece9c031631eb3268e34dd2b47abdba96acf9075d3f05154083e1ba2049",
-    ("cubic", 7): "00474a15ce8b61dc03489b4da5342967098afe54082869e69b9c51e7d4b74cd6",
-    ("ramp", 7): "b98670f4ff1cc14582044e109032e28371f02480f381754626fb731bc6f45ece",
-    ("twoslope", 7): "5af32ece9c031631eb3268e34dd2b47abdba96acf9075d3f05154083e1ba2049",
-    ("paraboloid", 7): "22b3b7e78f1546667a61d2d315644f6105c1bedbbd2b52d177289373415a3047",
-    ("affine", 42): "d037acada4451cad8019c857b545da19222e99a6f03221125a71eaacd2052caa",
-    ("fractional", 42): "ba7d780e5b90900e4bedf296b52d7b89e4bea0b151cb65a513a9511c0a186ec8",
-    ("arctan", 42): "5af32ece9c031631eb3268e34dd2b47abdba96acf9075d3f05154083e1ba2049",
-    ("cubic", 42): "7a5c785880b6b769dbbd6a4bac85164d7db4a8f364049779fe283304ba03b371",
-    ("ramp", 42): "4649d500749a4bd5389dfd1d1f38ad09457763c06ea5e1574df6b14538f86a93",
-    ("twoslope", 42): "5af32ece9c031631eb3268e34dd2b47abdba96acf9075d3f05154083e1ba2049",
-    ("paraboloid", 42): "1e7b23d27ec68a56705642cb3aa2fe01a5b53daf6229455cd9acbadf74e63c08",
-}
-
-
+# Each (corpus member, seed)'s verdicts are pinned as text, witness residuals
+# included, in report_pins.jsonl (see report_pins.py).
 def test_criterion_9_implication_lattice_five_seeds():
     with criterion(9, "implication lattice clean and reports pinned over the corpus "
                       "for 5 seeds"):
-        digests = {}
+        reports = {}
         for seed in (0, 1, 2, 7, 42):
             plan = SamplingPlan(seed=seed)
             verdict_sets = {}
             for e in corpus():
                 verdicts = classify(e.handle, e.region, None, plan)
                 verdict_sets[e.handle.name] = {v.property: v.verdict for v in verdicts}
-                text = json.dumps([v.to_dict() for v in verdicts], sort_keys=True)
-                digests[e.handle.name, seed] = hashlib.sha256(text.encode()).hexdigest()
+                reports[e.handle.name, seed] = [v.to_dict() for v in verdicts]
             assert check_implication_lattice(verdict_sets) == []
-        assert digests == REPORT_SHA256
+        assert_pinned("criterion-9", reports)

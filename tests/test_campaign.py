@@ -1,5 +1,4 @@
 import gc
-import hashlib
 import json
 import re
 import weakref
@@ -36,6 +35,8 @@ from gencvx.functions import (
     LOCALLY_LIPSCHITZ, PROPERTIES, SMOOTH, FunctionHandle, function_from_expression,
     negate_handle)
 from gencvx.geometry import RegionTooThinError, parse_region, segment_point
+
+from report_pins import assert_pinned, stored_lines
 
 PLAN = SamplingPlan(seed=42)
 FAST = SamplingPlan(pair_count=60, seed=42)
@@ -810,36 +811,45 @@ def test_estimator_failures_never_refute():
     assert calls["n"] > 0
 
 
-# sha256 of json.dumps([v.to_dict() for v in verdicts], sort_keys=True) for DSL
-# handles built without an exact gradient, so that every gradient they read
-# comes from forward-mode differentiation over rows (expr.compile_dual_rows).
-# The corpus members of criterion 9 carry exact gradients and never reach it.
+# The verdicts of DSL handles built without an exact gradient, so that every
+# gradient they read comes from forward-mode differentiation over rows
+# (expr.compile_dual_rows), pinned as text in report_pins.jsonl by (source,
+# dimension, seed).  The corpus members of criterion 9 carry exact gradients
+# and never reach it.
 _S5 = "x1 + x2 + x3 + x4 + x5"
-AD_REPORT_SHA256 = {
-    ("max(x1, x2)", 2, 0): "68486462ad74fe20e74fa82dc29bd89d31e12b1aac4f6c83ff852d9be0da8665",
-    ("max(x1, x2)", 2, 3): "19cc6b2ac29b16168b05018851642ac4d57e8f38905b7247a743fe49f04fb5c9",
-    ("abs(x1) + abs(x2) + abs(x3) + abs(x4) + abs(x5)", 5, 0):
-        "86bf131b384d3f267ed31c9d83b5816a823ead67cca204517147febd201945c2",
-    ("abs(x1) + abs(x2) + abs(x3) + abs(x4) + abs(x5)", 5, 3):
-        "7fe0c9ef059fa64f305902e566c8fa48e9e5d60be154ca5cc2f08c856b2e9228",
-    (f"min({_S5}, 3*({_S5}))", 5, 0):
-        "0e40df5bf20dae4e60e931c8bb9c7853b75bf51f8cad7a43afc60270e6d33008",
-    (f"min({_S5}, 3*({_S5}))", 5, 3):
-        "95a6ece08b7f231bc79ff95d76bd750bfe6d5d39adf69c7e1efb83a197aee0a5",
-    ("x1 + abs(x1)", 1, 0): "274429488e63c50d4f42278bc10e55b93624358c548153e55073d9fbc7bd7e3b",
-    ("x1 + abs(x1)", 1, 3): "5e52ed769bbec7851fc93e0eaf262c383a35dd1094a128c1879a255dcb34a89d",
-}
+_AD_PINNED = [
+    (source, n, seed) for source, n in [
+        ("max(x1, x2)", 2),
+        ("abs(x1) + abs(x2) + abs(x3) + abs(x4) + abs(x5)", 5),
+        (f"min({_S5}, 3*({_S5}))", 5),
+        ("x1 + abs(x1)", 1),
+    ] for seed in (0, 3)]
 
 
 def test_reports_pinned_on_forward_mode_gradients():
-    digests = {}
-    for source, n, seed in AD_REPORT_SHA256:
+    reports = {}
+    for source, n, seed in _AD_PINNED:
         fn = function_from_expression(source, n)
         region = parse_region("box(" + ", ".join(["-1..1"] * n) + ")", n)
         verdicts = classify(fn, region, None, SamplingPlan(pair_count=60, seed=seed))
-        text = json.dumps([v.to_dict() for v in verdicts], sort_keys=True)
-        digests[source, n, seed] = hashlib.sha256(text.encode()).hexdigest()
-    assert digests == AD_REPORT_SHA256
+        reports[source, n, seed] = [v.to_dict() for v in verdicts]
+    assert_pinned("forward-mode", reports)
+
+
+def test_a_changed_pinned_residual_names_its_field():
+    # One ulp on one witness residual fails, naming the verdict and field.
+    reports = {}
+    for line in stored_lines("criterion-9"):
+        d = json.loads(line)
+        reports.setdefault(tuple(d["key"]), []).append(d["verdict"])
+    verdict = next(v for v in reports["cubic", 0] if v["witnesses"])
+    witness = verdict["witnesses"][0]
+    witness["residual"] = float(np.nextafter(witness["residual"], np.inf))
+    with pytest.raises(AssertionError) as info:
+        assert_pinned("criterion-9", reports)
+    assert str(info.value).startswith(
+        f"criterion-9 ('cubic', 0) {verdict['property']}: verdict.witnesses[0].residual is "
+        f"{witness['residual']!r}, pinned ")
 
 
 # The gradient channel raises at sqrt(0), so on x1 <= 0 every estimate fails,
@@ -992,14 +1002,19 @@ _NEAR_THE_POLE = parse_region("x1 >= 0.01, box(0..1, -1..1), margin(0.0001)", 2)
 
 
 def test_a_steep_smooth_point_is_estimated_by_its_gradient():
-    # Gradient sampling flags a kink at both radii, yet f is smooth: classify
-    # reads its gradient at x, and makes no estimate there.
+    # Gradient sampling flags a kink at both radii, yet f is smooth: the
+    # interval walk proves the ball smooth, so the estimate is the gradient
+    # at x, and classify reads that gradient and makes no estimate there.
     x = np.array([0.0101, 0.9])
     count = FAST.resolved_subdiff_count(2)
     for radius in (FAST.subdiff_radius, FAST.subdiff_radius / 1000.0):
-        est = subdifferential(_STEEP, _NEAR_THE_POLE, x, radius, count,
-                              campaign._point_entropy(x))
-        assert est.at_kink and len(est.generators) > 1
+        seed = campaign._point_entropy(x)
+        sampled = subdifferential(replace(_STEEP, expression=None), _NEAR_THE_POLE, x,
+                                  radius, count, seed)
+        assert sampled.at_kink and len(sampled.generators) > 1
+        est = subdifferential(_STEEP, _NEAR_THE_POLE, x, radius, count, seed)
+        assert not est.at_kink
+        assert [g.tobytes() for g in est.generators] == [_STEEP.grad(x).tobytes()]
     ctx = _Context(_STEEP, _NEAR_THE_POLE, FAST)
     gens = ctx.generators(x[None])
     assert gens.count.tolist() == [1] and gens.g.tobytes() == _STEEP.grad(x).tobytes()

@@ -325,6 +325,33 @@ def test_config_unknown_key_rejected(tmp_path):
                  str(tmp_path / "r.json")]) == EXIT_ERROR
 
 
+_DSL_CONFIG = {"function_source": "x1^2", "dimension": 1, "region_text": "box(-1..1)",
+               "properties": ["quasiconvex"], "pair_count": 20}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dimension", 1.0),
+    ("dimension", True),
+    ("lambda_grid", 2.5),
+    ("pair_count", 20.0),
+    ("seed", 1.5),
+    ("subdiff_radius", "1e-5"),
+    ("subdiff_radius", float("nan")),
+    ("properties", "quasiconvex"),  # not split into letters
+    ("subdiff_count", 9.0),  # not echoed as 9.0
+    ("config", [_DSL_CONFIG]),  # the file holds a list, not an object
+])
+def test_bad_config_file_values_are_named(tmp_path, capsys, field, value):
+    # Each is one error line naming the field, never a traceback or a report.
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(value if field == "config" else {**_DSL_CONFIG, field: value}))
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+    assert not out.exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {field} ")
+
+
 def test_analyze_rejects_an_empty_property_list(tmp_path, capsys):
     # Only an absent property list means every property: an empty one is an
     # error, not a report of 9 verdicts whose config names none.
