@@ -88,6 +88,16 @@ def _row_keys(points: np.ndarray) -> list[bytes]:
     return p.view(np.dtype((np.void, p.shape[1] * p.itemsize))).ravel().tolist()
 
 
+def _appended(buffer: np.ndarray, used: int, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """buffer with rows written after its first `used`, in place where it
+    has room, else in a copy about twice as large; and the rows used."""
+    end = used + len(rows)
+    if end > len(buffer):
+        buffer = np.concatenate([buffer[:used], np.empty((end,) + buffer.shape[1:], buffer.dtype)])
+    buffer[used:end] = rows
+    return buffer, end
+
+
 def _point_entropy(x: np.ndarray) -> int:
     """The seed of the estimates at x: 64 bits of a hash of its bytes, so an
     estimate depends on its point alone, not on the plan seed or on the
@@ -249,7 +259,8 @@ class RefineResult:
 class _Context:
     """What a classify call shares: its pairs, their segment grid, and the
     subdifferential at points: on a smooth handle its gradient where it has
-    one (see generators), else an estimate, made once into the cache."""
+    one (see generators), else an estimate, made once into the append-only
+    estimate cache."""
 
     def __init__(self, fn: FunctionHandle, region: Region, plan: SamplingPlan):
         if fn.dimension != region.dimension:
@@ -261,13 +272,15 @@ class _Context:
         self.plan = plan
         self.lam_grid = tuple(float(t) for t in np.linspace(0.0, 1.0, plan.lambda_grid))
         self.interior_lams = tuple(t for t in self.lam_grid if 0.0 < t < 1.0)
-        # The estimate cache: each point's bytes name a row of _cache, the
-        # generators of its estimate (or its failure), with the row's kink
-        # flag and radius beside it.
+        # The estimate cache: each point's bytes name a row, in estimation
+        # order.  Rows are appended to buffers that grow by doubling, of
+        # which the first _gens generators and len(_kink) rows are filled:
+        # _g holds the generators of all rows (a failure one zero generator,
+        # its error in _failed) and _row each row's start and count in _g.
+        # Beside them are each row's kink flag and radius.
         self._at: dict[bytes, int] = {}
-        self._cache = ck.Generators.of([], fn.dimension)
-        self._kink = np.zeros(0, dtype=bool)
-        self._radius = np.zeros(0)
+        self._g, self._row, self._gens = np.zeros((0, fn.dimension)), np.zeros((0, 2), np.intp), 0
+        self._kink, self._radius, self._failed = [], [], {}
         self._pairs: tuple[np.ndarray, np.ndarray] | None = None
         self._segments: _Segments | None = None
 
@@ -391,15 +404,12 @@ class _Context:
     def generators(self, points: np.ndarray) -> ck.Generators:
         """The generators of the estimates of the subdifferential of f at
         each row of points (a check negates those of the rows it runs on
-        -f).  On a smooth handle the Clarke subdifferential at x is
-        {grad f(x)}: a row where the handle has a gradient (all rows read in
-        one grads call, or one by one where that raises) and room for the
-        estimate's ball holds that gradient alone, with no estimate made or
-        stored.  Every other row
-        is gathered from the estimate cache in one index operation, the
-        points not yet estimated being estimated in one call; an estimate
-        that failed is stored, without its traceback, and its row carries
-        the failure, which a check raises afresh when it reads that row."""
+        -f).  On a smooth handle a row with a gradient (all read in one
+        grads call, row by row where that raises) and room for the ball
+        holds that gradient alone, the Clarke subdifferential of a C1
+        function, and no estimate is made.  Every other row is read from
+        the estimate cache; a failed estimate is stored without its
+        traceback, and a check that reads its row raises it afresh."""
         if not self.smooth:
             return self._cached(points)
         g, has = _by_row(self.fn.grads, points)
@@ -413,46 +423,59 @@ class _Context:
         return gens.take(np.argsort(np.concatenate([direct, rest])))
 
     def _cached(self, points: np.ndarray) -> ck.Generators:
-        """The estimates at the rows of points, from the cache."""
+        """The estimates at the rows of points, from the cache, the keys
+        looked up in one pass; the points missed are estimated in one call."""
         keys = _row_keys(points)
-        todo = {key: i for i, key in enumerate(keys) if key not in self._at}
-        if todo:
+        rows = list(map(self._at.get, keys))
+        if None in rows:
+            todo = {key: i for i, (key, r) in enumerate(zip(keys, rows)) if r is None}
             self._estimate(list(todo), points[list(todo.values())])
-        return self._cache.take(np.array([self._at[key] for key in keys], dtype=np.intp))
+            rows = list(map(self._at.get, keys))
+        return self._cache().take(np.array(rows, dtype=np.intp))
+
+    def _cache(self) -> ck.Generators:
+        """The filled rows of the cache as Generators, without their owner
+        array, which neither take nor estimate reads: built in O(1)."""
+        start, count = self._row[:len(self._kink)].T
+        return ck.Generators(self._g, None, start, count, self._failed)
 
     def _estimate(self, keys: list[bytes], xs: np.ndarray) -> None:
         """Estimate f's subdifferential at each row of xs, whose bytes are
         the key beside it, and store each estimate or its failure as a row
         of the cache."""
         radius = self.plan.subdiff_radius
-        rows = self._store(xs, radius)
+        rows, kink = self._store(xs, radius)
         # A spread at radius r may come from a kink merely nearby.  Shrinking
         # the ball separates the cases: at a true kink the spread persists,
         # near one it collapses and the fine coherent estimate (or its
         # failure) is the honest set at x.
-        kinked = np.flatnonzero(self._kink[rows])
+        kinked = kink.nonzero()[0]
         if kinked.size:
-            fine = self._store(xs[kinked], radius / 1000.0)
-            rows[kinked] = np.where(self._kink[fine], rows[kinked], fine)
+            fine, fine_kink = self._store(xs[kinked], radius / 1000.0)
+            rows[kinked] = np.where(fine_kink, rows[kinked], fine)
         self._at.update(zip(keys, rows.tolist()))
 
-    def _store(self, xs: np.ndarray, radius: float) -> np.ndarray:
-        """Append the estimates at xs at the radius to the cache; their rows.
-        A point's seed is hashed only where its ball is drawn."""
+    def _store(self, xs: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+        """Append the estimates at xs at the radius to the cache; their rows
+        and kink flags.  A point's seed is hashed only where its ball is
+        drawn."""
         gens, kink = subdifferential_rows(
             self.fn, self.region, xs, radius, self.subdiff_count, _point_entropy)
         first = len(self._kink)
-        self._cache = self._cache.joined(gens)
-        self._kink = np.concatenate([self._kink, kink])
-        self._radius = np.concatenate([self._radius, np.full(len(kink), radius)])
-        return np.arange(first, len(self._kink))
+        self._failed.update((first + i, e) for i, e in gens.failed.items())
+        self._row, _ = _appended(self._row, first, np.column_stack([gens.start + self._gens,
+                                                                    gens.count]))
+        self._g, self._gens = _appended(self._g, self._gens, gens.g)
+        self._kink += kink.tolist()
+        self._radius += [radius] * len(kink)
+        return np.arange(first, len(self._kink)), kink
 
     def estimates(self) -> dict:
         """Each point estimated so far, by its bytes, in estimation order:
         its SubdifferentialEstimate of f, or the EstimationError stored for
         it."""
-        return {key: self._cache.estimate(r, float(self._radius[r]), bool(self._kink[r]))
-                for key, r in self._at.items()}
+        cache = self._cache()
+        return {key: cache.estimate(r, self._radius[r], self._kink[r]) for key, r in self._at.items()}
 
     def feasible(self, p: np.ndarray):
         """For a point, or for each row of a (k, n) array of points.  The
@@ -536,15 +559,13 @@ _REFINE_RUNGS = tuple(0.25 / (5.0**k) for k in range(9))
 _REFINE_STEPS = np.array([sign * rung for rung in _REFINE_RUNGS for sign in (1.0, -1.0)])
 
 
-# A candidate's phase: scoring its seed, climbing by moves, done.
-_SEED, _MOVES, _DONE = range(3)
-
-
 class _Ascent:
     """Candidates' coordinate ascent on a check's margin, with their state
-    as arrays: each candidate's side, points, lambda (NaN for the grid),
-    phase, move, rounds ended and best margin are rows, and its best (Rows,
-    row) and score trace are kept beside them.
+    as arrays: each candidate's side, point (x, y and lambda, NaN for the
+    grid, as a row of `at`), move, rounds ended, best margin and whether it
+    is done, and the step and row of its best trial.  The candidates are
+    held in (predicate, grid) group order, groups in order of first
+    appearance; results() gives them back in the order given.
 
     A segment seed without a lambda is scored at each interior grid lambda
     and starts at the first of largest margin.  A move is one coordinate of
@@ -554,168 +575,193 @@ class _Ascent:
     outside the feasible region, or with x == y, are dropped, and a move
     left without trials is skipped.  A seed outside the feasible region is
     scored but never moved, and a round without a move taken ends the
-    ascent."""
+    ascent.  The first step scores every seed; each later step builds the
+    trials of every candidate not done as one (candidates,
+    len(_REFINE_STEPS)) block, whose kept trials, in row-major order, are
+    grouped, in candidate order, and in trial order."""
 
     def __init__(self, ctx: _Context, cands: list[Candidate], rounds: int):
-        self.ctx, self.cands, self.rounds = ctx, cands, rounds
-        region, k = ctx.region, len(cands)
-        self.span, self.n = region.upper - region.lower, region.dimension
+        self.ctx, self.rounds, self.n = ctx, rounds, ctx.region.dimension
+        n, k = self.n, len(cands)
+        span = ctx.region.upper - ctx.region.lower
+        self.scale = np.concatenate([span, span, [1.0]])  # each move's step unit
         self.interior = np.array(ctx.interior_lams)
         # Lambda is not moved closer to an endpoint than the grid resolves:
         # the strict segment conditions are sampled no finer, and ties
         # manufactured at vanishing lambda carry no evidence.
         grid = ctx.plan.lambda_grid
         self.lam_lo = 1.0 / (grid - 1) if grid >= 3 else 0.25
-        self.seeded = np.array(
-            [c.lam is None and ck._predicate(c.predicate).segment for c in cands])
-        self.seeded &= len(self.interior) > 0
-        self.negated = np.array([c.negated for c in cands], dtype=bool)
-        self.x = np.array([c.x for c in cands], dtype=float)
-        self.y = np.array([c.y for c in cands], dtype=float)
-        self.lam = np.array([np.nan if c.lam is None else c.lam for c in cands])
-        has_lam = self.seeded | ~np.isnan(self.lam)
-        self.phase = np.full(k, _SEED)
-        self.moves = 2 * self.n + has_lam
-        self.move = np.zeros(k, dtype=int)
-        self.ended = np.zeros(k, dtype=int)
-        self.improved = np.zeros(k, dtype=bool)
-        self.best = np.zeros(k)
-        self.kept: list = [None] * k
-        self.traces: list[list[float]] = [[] for _ in cands]
-        self.failures: list = [None] * k
+        seeded = np.array([c.lam is None and ck._predicate(c.predicate).segment for c in cands])
+        seeded &= len(self.interior) > 0
+        at = np.array([[*c.x, *c.y, np.nan if c.lam is None else c.lam] for c in cands], dtype=float)
+        has_lam = seeded | ~np.isnan(at[:, 2 * n])
         # Each candidate's group, the (predicate, grid) whose kernel call
-        # its rows go to, on f and on -f alike; the calls of a step run in
-        # order of first appearance.
+        # its rows go to, on f and on -f alike.
         keys = [(c.predicate, bool(h)) for c, h in zip(cands, has_lam)]
         self.keys = list(dict.fromkeys(keys))
-        self.group = np.array([self.keys.index(key) for key in keys])
+        group = np.array([self.keys.index(key) for key in keys])
+        self.order = np.argsort(group, kind="stable")
+        self.cands = [cands[i] for i in self.order.tolist()]
+        self.group, self.seeded, self.at = group[self.order], seeded[self.order], at[self.order]
+        self.negated = np.array([c.negated for c in self.cands], dtype=bool)
+        self.moves, self.move = 2 * n + has_lam[self.order], np.zeros(k, dtype=int)
+        self.ended, self.best = np.zeros(k, dtype=int), np.zeros(k)
+        self.improved, self.done = np.zeros(k, dtype=bool), np.zeros(k, dtype=bool)
+        self.failures: list = [None] * k
+        # Every step's Rows while a candidate keeps one of its rows (else
+        # None), and each take's candidates with their margins.
+        self.steps, self.accepted = [], []
+        self.kept_step, self.kept_row = np.zeros(k, dtype=np.intp), np.zeros(k, dtype=np.intp)
+        self.trials = None  # the step's candidates, their row counts, and the rows
 
-    def moving(self) -> bool:
-        return bool((self.phase != _DONE).any())
+    def requests(self) -> list[ck.Request]:
+        """One request of every candidate not done, as one ck.Request per
+        (predicate, grid) that has rows, in group order; the step's trial
+        rows are kept for take."""
+        n = self.n
+        if not self.steps:
+            who = np.arange(len(self.cands))
+            counts = np.where(self.seeded, len(self.interior), 1)
+            rows = self.at.repeat(counts, 0)
+            rows[self.seeded.repeat(counts), 2 * n] = np.tile(self.interior, int(self.seeded.sum()))
+        else:
+            who = (~self.done).nonzero()[0]
+            block, keep = self._trials(who)
+            counts = keep.sum(axis=1)
+            if not counts.all():
+                redo = (counts == 0).nonzero()[0]
+                while redo.size:
+                    # A move left without trials is skipped.
+                    self._next_move(who[redo])
+                    redo = redo[~self.done[who[redo]]]
+                    block[redo], keep[redo] = self._trials(who[redo])
+                    counts[redo] = keep[redo].sum(axis=1)
+                    redo = redo[counts[redo] == 0]
+                who, counts = who[counts > 0], counts[counts > 0]
+            rows = block[keep]
+        self.trials = who, counts, rows
+        xs, ys, lams = rows[:, :n], rows[:, n:2 * n], rows[:, 2 * n:]
+        sides = self.negated[who].repeat(counts)
+        ends = np.concatenate(([0], counts.cumsum()))
+        bounds = ends[self.group[who].searchsorted(np.arange(len(self.keys) + 1))].tolist()
+        out = []
+        for (name, with_lam), lo, hi in zip(self.keys, bounds, bounds[1:]):
+            if lo < hi:
+                grid = None
+                if ck.PREDICATES[name].segment:
+                    grid = lams[lo:hi] if with_lam else self.ctx.lam_grid
+                out.append(ck.Request(name, xs[lo:hi], ys[lo:hi], grid, sides[lo:hi]))
+        return out
 
-    def requests(self):
-        """One request of every candidate still moving, as trial rows: each
-        row's candidate, x, y and lambda, the rows of each (predicate, grid)
-        together, in order of first appearance, and in candidate order
-        within it."""
-        x, y, lam, phase, move, n = self.x, self.y, self.lam, self.phase, self.move, self.n
-        trials = len(_REFINE_STEPS)
-        parts = []
-        i = np.flatnonzero(phase == _SEED)
-        if i.size:
-            reps = np.where(self.seeded[i], len(self.interior), 1)
-            lams = [self.interior if s else lam[j, None] for j, s in zip(i, self.seeded[i])]
-            parts.append((np.repeat(i, reps), np.repeat(x[i], reps, 0), np.repeat(y[i], reps, 0),
-                          np.concatenate(lams)))
-        todo = np.flatnonzero(phase == _MOVES)
-        while todo.size:
-            on_lam = move[todo] == 2 * n
-            if on_lam.any():
-                i = todo[on_lam]
-                lams = np.clip(lam[i, None] + _REFINE_STEPS, self.lam_lo, 1.0 - self.lam_lo)
-                parts.append((np.repeat(i, trials), np.repeat(x[i], trials, 0),
-                              np.repeat(y[i], trials, 0), lams.ravel()))
-                todo = todo[~on_lam]
-            if not todo.size:
-                break
-            on_x = move[todo] < n
-            axis = np.where(on_x, move[todo], move[todo] - n)
-            moved = np.repeat(np.where(on_x[:, None], x[todo], y[todo])[:, None], trials, 1)
-            moved[np.arange(len(todo)), :, axis] += _REFINE_STEPS * self.span[axis][:, None]
-            xs = np.where(on_x[:, None, None], moved, x[todo, None])
-            ys = np.where(on_x[:, None, None], y[todo, None], moved)
-            keep = self.ctx.feasible(moved.reshape(-1, n)).reshape(len(todo), trials)
-            keep &= ~(xs == ys).all(axis=2)
-            flat = keep.ravel()
-            parts.append((np.repeat(todo, trials)[flat], xs[keep], ys[keep],
-                          np.repeat(lam[todo], trials)[flat]))
-            # A move left without trials is skipped.
-            empty = todo[~keep.any(axis=1)]
-            self._next_move(empty)
-            todo = empty[phase[empty] == _MOVES]
-        if len(parts) == 1 and len(self.keys) == 1:
-            return parts[0]
-        owner, xs, ys, lams = (np.concatenate(v) for v in zip(*parts))
-        order = np.argsort(self.group[owner] * len(self.cands) + owner, kind="stable")
-        return owner[order], xs[order], ys[order], lams[order]
+    def _trials(self, i: np.ndarray):
+        """The trials of the current moves of candidates i, a block row of
+        len(_REFINE_STEPS) points each, (k, t, 2n + 1), and the (k, t) mask
+        of the trials kept."""
+        n, move = self.n, self.move[i]
+        on_lam = move == 2 * n
+        block = self.at[i][:, None].repeat(len(_REFINE_STEPS), 1)
+        block[np.arange(len(i)), :, move] += _REFINE_STEPS * self.scale[move, None]
+        lams = block[:, :, 2 * n]
+        lams[on_lam] = np.minimum(np.maximum(lams[on_lam], self.lam_lo), 1.0 - self.lam_lo)
+        x, y = block[:, :, :n], block[:, :, n:2 * n]
+        moved = np.where((move < n)[:, None, None], x, y)
+        keep = self.ctx.feasible(moved.reshape(-1, n)).reshape(len(i), -1)
+        return block, on_lam[:, None] | keep & ~(x == y).all(axis=2)
 
-    def take(self, parts: list, own, xs, ys, lams) -> None:
-        """Read the Rows of one step, parts, whose rows in turn are the
-        trials (xs[r], ys[r], lams[r]) of candidates own[r], each
-        candidate's consecutive, and advance every candidate."""
-        offset = np.cumsum([0] + [len(p.margin) for p in parts])
-        margin = np.concatenate([p.margin for p in parts])
-        failed = {o + r: e for o, p in zip(offset.tolist(), parts)
-                  for r, e in (p.failed or {}).items()}
-        start = np.flatnonzero(np.concatenate(([True], own[1:] != own[:-1])))
-        stop = np.append(start[1:], len(own))
-        who = own[start]
-        seeds = self.phase[who] == _SEED
-        # Each candidate's first row above its best margin (len(own) if none).
-        above = np.where(margin > self.best[own], np.arange(len(own)), len(own))
-        hit = np.minimum.reduceat(above, start)
-        climbing = ~seeds & (hit < len(own))
-        if failed:
-            # A candidate reads its rows up to the trial it takes, or all.
-            end = np.where(climbing, hit, stop)
-            broke = np.zeros(len(who), dtype=bool)
-            for r in sorted(failed):
-                g = np.searchsorted(start, r, side="right") - 1
-                if r < end[g] and not broke[g]:
-                    broke[g] = True
-                    error = failed[r]
-                    self.failures[who[g]] = type(error)(*error.args)
-            self.phase[who[broke]] = _DONE
-            who, seeds, start, stop, hit, climbing = (
-                v[~broke] for v in (who, seeds, start, stop, hit, climbing))
-        hit[seeds] = start[seeds]
-        for g in np.flatnonzero(seeds & self.seeded[who]):
-            hit[g] += int(np.argmax(margin[start[g]:stop[g]]))
-        taken = seeds | climbing
+    def take(self, parts: list) -> None:
+        """Read the Rows of the step's requests, parts, and advance every
+        candidate."""
+        who, counts, rows = self.trials
+        if not who.size:
+            return
+        margin = parts[0].margin if len(parts) == 1 else np.concatenate([p.margin for p in parts])
+        size, index, seeding = len(margin), np.arange(len(margin)), not self.steps
+        start = counts.cumsum() - counts
+        held = set(self.kept_step[who].tolist())
+        if seeding:
+            # A seed takes its row; a seeded one its first row of largest
+            # margin, as np.argmax picks it.
+            top = np.maximum.reduceat(margin, start).repeat(counts)
+            first = np.where((margin == top) | np.isnan(margin), index, size)
+            hit = np.where(self.seeded[who], np.minimum.reduceat(first, start), start)
+        else:
+            # Each candidate's first row above its best margin (size if none).
+            above = np.where(margin > self.best[who].repeat(counts), index, size)
+            hit = np.minimum.reduceat(above, start)
+        taken = hit < size
+        if any(p.failed for p in parts):
+            # A candidate reads its rows up to the trial it takes, or all,
+            # and raises the first failure among them.
+            offset = np.cumsum([0] + [len(p.margin) for p in parts]).tolist()
+            failed = {o + r: e for o, p in zip(offset, parts) for r, e in (p.failed or {}).items()}
+            first = np.full(size, size)
+            first[list(failed)] = list(failed)
+            first = np.minimum.reduceat(first, start)
+            broke = first < (start + counts if seeding else np.where(taken, hit, start + counts))
+            for g in broke.nonzero()[0].tolist():
+                error = failed[int(first[g])]
+                self.failures[who[g]] = type(error)(*error.args)
+            self.done[who[broke]] = True
+            self.kept_step[who[broke]] = -1
+            who, hit, taken = who[~broke], hit[~broke], taken[~broke]
         i, r = who[taken], hit[taken]
-        self.x[i], self.y[i], self.lam[i], self.best[i] = xs[r], ys[r], lams[r], margin[r]
-        part = np.searchsorted(offset, r, side="right") - 1
-        for i, r, p in zip(i.tolist(), r.tolist(), part.tolist()):
-            self.kept[i] = parts[p], r - int(offset[p])
-            self.traces[i].append(float(margin[r]))
-        self.improved[who[climbing]] = True
-        self._next_move(who[~seeds])
-        if seeds.any():
+        self.at[i] = rows[r]
+        self.best[i] = best = margin[r]
+        self.kept_step[i], self.kept_row[i] = len(self.steps), r
+        self.steps.append(parts)
+        self.accepted.append((i, best))
+        # A step of which no candidate keeps a row is let go.
+        for s in held.difference(self.kept_step.tolist()):
+            self.steps[s] = None
+        if seeding:
             # A seed outside the feasible region is scored but never moved.
-            i = who[seeds]
-            feasible = self.ctx.feasible(self.x[i]) & self.ctx.feasible(self.y[i])
-            self.phase[i] = np.where(feasible & (self.rounds > 0), _MOVES, _DONE)
+            n, at = self.n, self.at[who]
+            feasible = self.ctx.feasible(at[:, :n]) & self.ctx.feasible(at[:, n:2 * n])
+            self.done[who] = ~feasible | (self.rounds <= 0)
+        else:
+            self.improved[i] = True
+            self._next_move(who)
 
     def _next_move(self, i: np.ndarray) -> None:
         """Candidates i are done with their current move."""
-        if not i.size:
-            return
         self.move[i] += 1
         i = i[self.move[i] == self.moves[i]]
-        self.ended[i] += 1
-        self.move[i] = 0
-        self.phase[i[~self.improved[i] | (self.ended[i] >= self.rounds)]] = _DONE
-        self.improved[i] = False
+        if i.size:
+            self.ended[i] += 1
+            self.move[i] = 0
+            self.done[i[~self.improved[i] | (self.ended[i] >= self.rounds)]] = True
+            self.improved[i] = False
 
     def results(self) -> list:
-        out = []
-        for i, cand in enumerate(self.cands):
-            if self.failures[i] is not None:
-                out.append(self.failures[i])
-                continue
-            rows, r = self.kept[i]
-            check = rows.check(r, self.x[i].copy(), self.y[i].copy())
-            out.append(RefineResult(
-                _witness_from_check(cand.predicate, cand.negated, check), tuple(self.traces[i])))
+        """Each candidate's RefineResult, its score trace the margins it
+        accepted, or the EstimationError its refinement raised, in the order
+        the candidates were given."""
+        traces = [[] for _ in self.cands]
+        for i, best in self.accepted:
+            for j, v in zip(i.tolist(), best.tolist()):
+                traces[j].append(v)
+        out = [None] * len(self.cands)
+        for i, (cand, at) in enumerate(zip(self.cands, self.order.tolist())):
+            out[at] = self.failures[i]
+            if out[at] is None:
+                r = int(self.kept_row[i])
+                for rows in self.steps[self.kept_step[i]]:
+                    if r < len(rows.margin):
+                        break
+                    r -= len(rows.margin)
+                check = rows.check(r, self.at[i, :self.n].copy(), self.at[i, self.n:-1].copy())
+                out[at] = RefineResult(_witness_from_check(cand.predicate, cand.negated, check),
+                                       tuple(traces[i]))
         return out
 
 
 def _refine_together(ctx: _Context, cands: list[Candidate], rounds: int) -> list:
     """Refine candidates in lockstep: every step scores one request of each
-    candidate still moving (its seed, or its current move's trials), with f
-    read once for all its trial rows and one kernel call per (predicate,
-    grid), whose rows each run on their candidate's side, f or -f; one take
-    then advances every candidate.  Each result is the candidate's
+    candidate still moving (its seed, or its current move's trials, built
+    as one block already in group order), with f read once for all its
+    trial rows and one kernel call per (predicate, grid), whose rows each
+    run on their candidate's side, f or -f; one take then advances every
+    candidate.  Each result is the candidate's
     RefineResult, or the EstimationError its refinement raised: what a
     one-trial-at-a-time ascent gives it.  Identical candidates climb once
     and share their result."""
@@ -725,19 +771,8 @@ def _refine_together(ctx: _Context, cands: list[Candidate], rounds: int) -> list
              None if c.lam is None else np.float64(c.lam).tobytes()) for c in cands]
     unique = dict(zip(keys, cands))
     ascent = _Ascent(ctx, list(unique.values()), rounds)
-    while ascent.moving():
-        owner, xs, ys, lams = ascent.requests()
-        ends = np.cumsum(np.bincount(ascent.group[owner], minlength=len(ascent.keys))).tolist()
-        requests = []
-        for (name, with_lam), lo, hi in zip(ascent.keys, [0] + ends, ends):
-            if lo == hi:
-                continue
-            grid = None
-            if ck.PREDICATES[name].segment:
-                grid = lams[lo:hi, None] if with_lam else ctx.lam_grid
-            requests.append(
-                ck.Request(name, xs[lo:hi], ys[lo:hi], grid, ascent.negated[owner[lo:hi]]))
-        ascent.take(ck.check_requests(ctx.fn, requests, ctx.generators), owner, xs, ys, lams)
+    while not ascent.done.all():
+        ascent.take(ck.check_requests(ctx.fn, ascent.requests(), ctx.generators))
     results = dict(zip(unique, ascent.results()))
     return [results[key] for key in keys]
 

@@ -24,13 +24,14 @@ Strict inequalities are tested with the margin
 
     eps = 1e-7 * (1 + |f(x)| + |f(y)|)
 
-and every failure carries a validity threshold: a failure whose residual does
-not clear the threshold is a near-tie, to be treated as inconclusive (or fed
-to counterexample refinement) rather than as a refutation.  Thresholds are
-set at 100x the margin -- well above the 10x hysteresis floor -- so that
-float-level ties on honest functions can never masquerade as witnesses.  For
-segment checks the credibility of a violation additionally scales with
-min(lam, 1-lam): ties arbitrarily close to an endpoint prove nothing.
+and so are the first-order pairings (a pseudoconvex pair fails where
+<g, y-x> >= -eps: it tests eps-pseudoconvexity).  Every failure carries a
+validity threshold: a failure whose residual does not clear the threshold
+is a near-tie, to be treated as inconclusive (or fed to counterexample
+refinement) rather than as a refutation.  Thresholds are set at 100x the
+margin, well above the 10x hysteresis floor.  For segment checks the
+credibility of a violation additionally scales with min(lam, 1-lam): ties
+arbitrarily close to an endpoint prove nothing.
 
 Every check also carries a signed `margin`, the score counterexample
 refinement climbs: negative while the predicate passes (larger is closer to
@@ -526,9 +527,9 @@ def check_requests(fn: FunctionHandle, requests, generators=None) -> list[Rows]:
     out, at = [], 0
     for predicate, fx, fy, x, y, lams, sign, rule in read:
         if lams is None:
-            def sub(rows, at_y=False, negated=False, x=x, y=y, sign=sign):
+            def sub(rows, at_y=False, x=x, y=y, sign=sign):
                 gens = generators((y if at_y else x)[rows])
-                flip = (sign[rows] < 0.0) != negated
+                flip = sign[rows] < 0.0
                 return gens.negated(flip) if flip.any() else gens
 
             results = PREDICATES[predicate].kernel(fx, fy, x, y, sub)
@@ -641,9 +642,7 @@ def _first(flags: np.ndarray, start: np.ndarray) -> np.ndarray:
 
 def _take(a: np.ndarray, idx: np.ndarray, ok: np.ndarray, fill=np.nan) -> np.ndarray:
     """a[idx] where ok, fill elsewhere."""
-    out = np.full((len(idx),) + a.shape[1:], fill, dtype=np.result_type(a, fill))
-    out[ok] = a[idx[ok]]
-    return out
+    return _spread(len(idx), ok, a[idx[ok]], fill)
 
 
 def _spread(k: int, rows: np.ndarray, a: np.ndarray, fill) -> np.ndarray:
@@ -881,11 +880,12 @@ def _subdiff_kernel(fx, fy, x, y, low: Generators, up: Generators):
 
 def _kernel_gen(fx, fy, x, y, sub, gradient=False):
     """The kernel conditions: check_subdiff_kernel_pair's kernel on the
-    generators of f and of -f.  The gradient kernel condition gives its
+    generators of f and of -f, those of -f the exact negation of those of
+    f, read once.  The gradient kernel condition gives its
     rows check_gradient_kernel's notes and names the generator of f (the
     upper side fails on one of -f)."""
-    every = np.arange(len(x))
-    results, _, _ = _subdiff_kernel(fx, fy, x, y, sub(every), sub(every, negated=True))
+    low = sub(np.arange(len(x)))
+    results, _, _ = _subdiff_kernel(fx, fy, x, y, low, low.negated(np.ones(len(x), dtype=bool)))
     if not gradient:
         return results
     code, margin, residual, generator, index, note, value, failed = results

@@ -14,6 +14,7 @@ the test suite before being hard-coded here.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,8 +86,9 @@ class FunctionHandle:
     gradient_rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
     def __post_init__(self):
-        if self.dimension <= 0:
-            raise ValueError("dimension must be positive")
+        d = self.dimension
+        if isinstance(d, bool) or not isinstance(d, numbers.Integral) or d <= 0:
+            raise ValueError(f"dimension must be a positive integer, got {d!r}")
         if self.smoothness not in (SMOOTH, LOCALLY_LIPSCHITZ):
             raise ValueError(f"unknown smoothness {self.smoothness!r}")
 

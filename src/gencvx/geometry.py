@@ -16,6 +16,7 @@ builds points on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import re
 
 import numpy as np
@@ -161,7 +162,9 @@ class Region:
             raise ValueError(
                 f"points of shape {x.shape} in a region of dimension {self.dimension}"
             )
-        r = np.minimum(np.min(x - self.lower, axis=-1), np.min(self.upper - x, axis=-1))
+        # Column by column: numpy's reduction over a short last axis costs
+        # more, up to about n = 30 on a hundred rows.
+        r = functools.reduce(np.minimum, np.minimum(x - self.lower, self.upper - x).T)
         for c in self.constraints:
             r = np.minimum(r, c.slack(x) / float(np.linalg.norm(c.coeffs)))
         return float(r) if x.ndim == 1 else r

@@ -146,6 +146,22 @@ def test_a_strictly_increasing_kink_of_x1_minus_x2_is_not_refuted(seed):
     assert [v.verdict for v in verdicts] == [HOLDS] * 3
 
 
+def test_the_pseudoconvex_pairing_is_tested_at_the_eps_margin():
+    # The documented case of ROADMAP item 1(b).  f = x^3 + 1e-6 x has
+    # f' > 0, so it is pseudoconvex, yet it is refuted at seed 0: the
+    # pseudoconvex pair counts <g, y-x> >= -eps as not strictly negative,
+    # so it tests eps-pseudoconvexity, and near x = 0 a pairing of about
+    # -1e-7 lies inside the margin while f drops by far more.
+    fn = function_from_expression("x1^3 + 0.000001*x1", 1)
+    (v,) = classify(fn, parse_region("box(-1..1)", 1), ["pseudoconvex"], SamplingPlan(seed=0))
+    assert v.verdict == REFUTED
+    assert v.witnesses[0].relation == "<g, y-x> = -9.94943e-08 is not strictly negative"
+    for w in v.witnesses:
+        pairing = float(w.generator[0] * (w.y - w.x)[0])
+        assert -checks.eps_strict(w.values["fx"], w.values["fy"]) <= pairing < 0.0
+        assert w.residual == w.values["fx"] - w.values["fy"] > w.threshold
+
+
 def test_witness_replay_all_refuted_properties():
     # Every corpus member, so that every predicate a witness can name is
     # replayed through the same check that sampled or refined it.
@@ -1546,7 +1562,17 @@ def _ascent_one_trial_at_a_time(ctx, cand, rounds):
     return tuple(scores), None if witness is None else witness.to_dict()
 
 
-@pytest.mark.parametrize("name, fn, region", _LOCKSTEP_CASES, ids=[c[0] for c in _LOCKSTEP_CASES])
+_T4, _S5 = "x1 - x2 + 0.5*x3 + x4", "x1 + x2 + x3 + x4 + x5"
+# Locally Lipschitz kink functions in 4 and 5 dimensions, as perfbench's
+# kinks-analyze runs them: many moves per round, and estimates read.
+_WIDE_CASES = [(name, function_from_expression(source, n), parse_region(
+    "box(" + ", ".join(["-1..1"] * n) + ")", n))
+    for name, source, n in (("ramp4", f"{_T4} + abs({_T4})", 4),
+                            ("min5", f"min({_S5}, 3*({_S5}))", 5))]
+
+
+@pytest.mark.parametrize("name, fn, region", _LOCKSTEP_CASES + _WIDE_CASES,
+                         ids=[c[0] for c in _LOCKSTEP_CASES + _WIDE_CASES])
 def test_lockstep_refinement_equals_a_one_trial_at_a_time_ascent(name, fn, region):
     # The array-state refinement of every property's candidates, together
     # in one context, against the plain ascent of each alone in another:

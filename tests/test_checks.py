@@ -1162,6 +1162,25 @@ def test_rows_on_f_and_on_minus_f_in_one_call_equal_the_negated_handle(name):
     assert negated.any() and not negated.all()
 
 
+@pytest.mark.parametrize("predicate", ["gradient-kernel", "subdifferential-kernel"])
+def test_a_kernel_condition_reads_generators_once_per_request(predicate):
+    # The generators of -f at x are those of f negated, so a kernel
+    # condition reads generators once per request (it read them twice, f's
+    # and -f's), rows on f and on -f alike.
+    fn, pairs = _kernel_case("ramp")
+    xs, ys = (np.array(side) for side in zip(*pairs))
+    calls = []
+
+    def generators(points):
+        calls.append(len(points))
+        return Generators.of([(p, 0.5 * p - 0.25) for p in points], points.shape[1])
+
+    for negated in (False, True, np.arange(len(xs)) % 2 == 1):
+        calls.clear()
+        check_requests(fn, [Request(predicate, xs, ys, None, negated)], generators)
+        assert calls == [len(xs)]
+
+
 def test_generator_kernels_cover_every_outcome():
     # Fixed rows where each kernel meets each of its outcomes, band and
     # several-generator rows included, against the reference loops.

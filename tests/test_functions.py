@@ -137,6 +137,17 @@ def test_function_from_expression_dimension_guard():
         function_from_expression("x3", 2)
 
 
+@pytest.mark.parametrize("dimension", [1.0, 2.5, True, 0, -1, "1", None])
+def test_a_dimension_that_is_not_a_positive_integer_is_named(dimension):
+    # A float dimension used to give a handle on which classify died with a
+    # TypeError; a bool is no dimension either.
+    with pytest.raises(ValueError, match="dimension must be a positive integer"):
+        FunctionHandle("plain", dimension, lambda p: p[:, 0])
+    if isinstance(dimension, float):
+        with pytest.raises(ValueError, match=f"got {dimension!r}"):
+            function_from_expression("x1^2", dimension)
+
+
 def test_values_reads_rows_as_value_reads_points():
     # `value` is the one-row case of `values`: a row reads alone what it
     # reads among the others, and a handle given any row callable reads
