@@ -693,7 +693,7 @@ class _Note:
 
 
 _PSEUDOCONVEX = _Note("pseudoconvex-pair")
-_PSEUDOCONVEX_FAIL = _Note("pseudoconvex-pair", "<g, y-x> = {:.6g} is not strictly negative")
+_PSEUDOCONVEX_FAIL = _Note("pseudoconvex-pair", "<g, y-x> = {:.6g} is not below -eps")
 _IDENTITY = _Note("proportional-identity")
 _IDENTITY_BAND = _Note("proportional-identity", "<g, y-x> vanishes while the values differ")
 _IDENTITY_SIGN = _Note("proportional-identity", "proportional factor p = {:.6g} is not positive")

@@ -3,7 +3,8 @@
 Verbs:
     analyze   classify one function (corpus member or DSL source) and write
               a JSON report; exit 0 when nothing is refuted, 2 on refutation,
-              1 on error.
+              4 when the verdicts violate the implication lattice (whatever
+              else was refuted), 1 on error.
     bcurve    emit the interpolation-coefficient curve b(lambda) as CSV.
     corpus    classify every corpus member against its ground-truth labels
               and check the verdicts against the implication lattice; exit 0
@@ -30,7 +31,7 @@ from .campaign import HOLDS, REFUTED, check_implication_lattice, classify
 from .checks import compute_b_rows
 from .functions import corpus, corpus_entry, function_from_expression
 from .geometry import parse_region
-from .report import Report, RunConfig
+from .report import SCHEMA_VERSION, Report, RunConfig
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -123,6 +124,10 @@ def cmd_analyze(args) -> int:
     print(f"function: {fn.name}")
     _print_summary(verdicts)
     print(f"report: {out}")
+    violations = check_implication_lattice({fn.name: {v.property: v.verdict for v in verdicts}})
+    if violations:
+        _print_violations(violations, sys.stderr)
+        return EXIT_MISMATCH
     return EXIT_REFUTED if report.any_refuted() else EXIT_OK
 
 
@@ -159,7 +164,13 @@ def cmd_bcurve(args) -> int:
     return EXIT_OK
 
 
-def cmd_corpus(args, label_overrides: dict[str, dict[str, bool]] | None = None) -> int:
+def _print_violations(violations, file=None) -> None:
+    print("implication lattice violations:", file=file)
+    for v in violations:
+        print(f"  {v.function}: {v.antecedent} holds but {v.consequent} is refuted", file=file)
+
+
+def cmd_corpus(args) -> int:
     mismatches: list[str] = []
     starved: list[str] = []
     results = {}
@@ -170,17 +181,14 @@ def cmd_corpus(args, label_overrides: dict[str, dict[str, bool]] | None = None) 
             args, corpus_name=name, function_source=None, dimension=None, region_text=None
         )
         verdicts = classify(entry.handle, entry.region, config.properties, config.plan())
-        labels = dict(entry.labels)
-        if label_overrides and name in label_overrides:
-            labels.update(label_overrides[name])
         results[name] = {
             "verdicts": {v.property: v.verdict for v in verdicts},
-            "labels": labels,
+            "labels": dict(entry.labels),
             "config": config.to_dict(),
         }
         print(f"-- {name}")
         for v in verdicts:
-            expected = HOLDS if labels[v.property] else REFUTED
+            expected = HOLDS if entry.labels[v.property] else REFUTED
             status = "ok"
             if v.verdict == "inconclusive":
                 status = "insufficient"
@@ -194,7 +202,7 @@ def cmd_corpus(args, label_overrides: dict[str, dict[str, bool]] | None = None) 
 
     if args.out:
         doc = {
-            "schema_version": "v1",
+            "schema_version": SCHEMA_VERSION,
             "kind": "corpus",
             "seed": config.seed,
             "entries": results,
@@ -211,9 +219,7 @@ def cmd_corpus(args, label_overrides: dict[str, dict[str, bool]] | None = None) 
         for m in mismatches:
             print(f"  {m}")
     if violations:
-        print("implication lattice violations:")
-        for v in violations:
-            print(f"  {v.function}: {v.antecedent} holds but {v.consequent} is refuted")
+        _print_violations(violations)
     if mismatches or violations:
         return EXIT_MISMATCH
     if starved:

@@ -6,10 +6,10 @@ the function is not differentiable (kinks); set-valued estimation takes
 over there, and wherever a handle has no gradient.  Handles are immutable
 and evaluation is pure, so they can be shared across workers.
 
-The corpus pairs each handle with a convex region and a ground-truth label
-for every tracked generalized-convexity property.  Labels of the non-obvious
-members are machine-verified by the brute-force grid oracle that ships with
-the test suite before being hard-coded here.
+The corpus pairs the handle of each member's DSL source with a convex region
+and a ground-truth label for every tracked generalized-convexity property.
+Labels of the non-obvious members are machine-verified by the brute-force
+grid oracle that ships with the test suite before being hard-coded here.
 """
 
 from __future__ import annotations
@@ -67,12 +67,14 @@ class FunctionHandle:
 
     `expression`, when given, is the expr tree f was compiled from, and
     `gradient_rows` is then its gradient: it flags exactly the rows that
-    expr.compile_dual_rows flags.  Subdifferential estimation relies on this
-    to certify a ball smooth from the expression's interval gradient walk,
-    reading the handle's gradient at the centre only (see
-    nonsmooth.subdifferential_rows);
-    a handle without an expression, negate_handle's among them, has every
-    ball sampled.  classify reaches neither where a smooth handle has a
+    expr.compile_dual_rows flags.  function_from_expression's handles, the
+    corpus among them, read both callables from the tree, so they keep this
+    by construction; a hand-built handle that sets `expression` promises it.
+    Subdifferential estimation relies on this to certify a ball smooth from
+    the expression's interval gradient walk, reading the handle's gradient
+    at the centre only (see nonsmooth.subdifferential_rows); a handle
+    without an expression, negate_handle's among them, has every ball
+    sampled.  classify reaches neither where a smooth handle has a
     gradient and room for the ball: that gradient is the subdifferential
     there (see campaign._Context.generators).
     """
@@ -81,7 +83,6 @@ class FunctionHandle:
     dimension: int
     evaluate_rows: Callable[[np.ndarray], np.ndarray]
     smoothness: str = SMOOTH
-    source: str | None = None
     expression: object | None = None
     gradient_rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
@@ -144,38 +145,24 @@ class FunctionHandle:
         return p
 
 
-def function_from_expression(
-    source: str,
-    dimension: int,
-    name: str | None = None,
-    exact_gradient: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
-) -> FunctionHandle:
-    """Compile DSL source into a handle with a gradient.
-
-    Rows of points are evaluated by the compiled walk of expr.compile_rows.
-    `exact_gradient`, when supplied, is a row callable: it maps a (k, n)
-    array to the (k, n) gradients and the (k,) flags of the rows where f is
-    not differentiable, and becomes the handle's `gradient_rows`; it must be
-    the expression's gradient as FunctionHandle states.  Without it, the
-    gradient is forward-mode differentiation over rows,
-    expr.compile_dual_rows, flagged at kink-flagged points.
+def function_from_expression(source: str, dimension: int, name: str | None = None) -> FunctionHandle:
+    """Compile DSL source into a handle whose expression tree is its one
+    definition of f: rows of points are evaluated by the compiled walk of
+    expr.compile_rows, and gradients by forward-mode differentiation over
+    rows, expr.compile_dual_rows, flagged at kink-flagged points.
     """
     tree = ex.parse(source, dimension)
-    smooth = ex.is_smooth_expression(tree)
-    _gradient_rows = exact_gradient
-    if exact_gradient is None:
-        dual_rows = ex.compile_dual_rows(tree)
+    dual_rows = ex.compile_dual_rows(tree)
 
-        def _gradient_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            _, gradients, kinks = dual_rows(points)
-            return gradients, kinks
+    def _gradient_rows(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        _, gradients, kinks = dual_rows(points)
+        return gradients, kinks
 
     return FunctionHandle(
         name=name or source,
         dimension=dimension,
         evaluate_rows=ex.compile_rows(tree),
-        smoothness=SMOOTH if smooth else LOCALLY_LIPSCHITZ,
-        source=source,
+        smoothness=SMOOTH if ex.is_smooth_expression(tree) else LOCALLY_LIPSCHITZ,
         expression=tree,
         gradient_rows=_gradient_rows,
     )
@@ -199,7 +186,6 @@ def negate_handle(fn: FunctionHandle) -> FunctionHandle:
         dimension=fn.dimension,
         evaluate_rows=_evaluate_rows,
         smoothness=fn.smoothness,
-        source=None,
         expression=None,
         gradient_rows=_gradient_rows,
     )
@@ -209,7 +195,6 @@ def negate_handle(fn: FunctionHandle) -> FunctionHandle:
 class CorpusEntry:
     handle: FunctionHandle
     region: Region
-    region_text: str
     labels: dict[str, bool]
 
     def __post_init__(self):
@@ -218,125 +203,40 @@ class CorpusEntry:
             raise ValueError(f"corpus entry {self.handle.name} lacks labels {missing}")
 
 
-def _labels(true_props: tuple[str, ...]) -> dict[str, bool]:
-    return {p: p in true_props for p in PROPERTIES}
-
-
-_ALL = PROPERTIES
-_MONOTONE_NOT_PSEUDO = (
-    "quasiconvex",
-    "quasiconcave",
-    "quasilinear",
-    "semistrictly-quasiconvex",
-    "semistrictly-quasiconcave",
-    "semistrictly-quasilinear",
-)
-_CONVEX_SIDE_ONLY = ("pseudoconvex", "quasiconvex", "semistrictly-quasiconvex")
-
-
-def _smooth(gradient: Callable[[np.ndarray], np.ndarray]):
-    """A row gradient that flags no row: gradient maps (k, n) points to
-    their (k, n) gradients."""
-    return lambda p: (gradient(p), np.zeros(len(p), dtype=bool))
-
-
-def _kinked_at_origin(left: float, right: float):
-    """The row gradient of a 1-D piecewise-linear f with slope `left` on
-    x < 0 and `right` on x > 0, flagged at x = 0."""
-    return lambda p: (np.where(p < 0.0, left, right), p[:, 0] == 0.0)
-
-
-def _entry_affine() -> CorpusEntry:
-    c = np.array([1.25, -0.75])
-    handle = function_from_expression(
-        "1.25*x1 - 0.75*x2 + 0.5", 2, name="affine",
-        exact_gradient=_smooth(lambda p: np.tile(c, (len(p), 1))),
-    )
-    text = "box(-1..1, -1..1)"
-    return CorpusEntry(handle, parse_region(text, 2), text, _labels(_ALL))
-
-
-def _entry_fractional() -> CorpusEntry:
-    handle = function_from_expression(
-        "x2/x1", 2, name="fractional",
-        exact_gradient=_smooth(lambda p: np.stack(
-            [-p[:, 1] / (p[:, 0] * p[:, 0]), 1.0 / p[:, 0]], axis=1)),
-    )
-    text = "x1 >= 0.05, box(0..2, -1..1)"
-    return CorpusEntry(handle, parse_region(text, 2), text, _labels(_ALL))
-
-
-def _entry_arctan() -> CorpusEntry:
-    handle = function_from_expression(
-        "atan(x1)", 1, name="arctan",
-        exact_gradient=_smooth(lambda p: 1.0 / (1.0 + p * p)),
-    )
-    text = "box(-3..3)"
-    return CorpusEntry(handle, parse_region(text, 1), text, _labels(_ALL))
-
-
-def _entry_cubic() -> CorpusEntry:
-    handle = function_from_expression(
-        "x1^3", 1, name="cubic",
-        exact_gradient=_smooth(lambda p: 3.0 * p * p),
-    )
-    text = "box(-1..1)"
-    return CorpusEntry(handle, parse_region(text, 1), text, _labels(_MONOTONE_NOT_PSEUDO))
-
-
-def _entry_ramp() -> CorpusEntry:
+# Each member by its handle's name, in the corpus order: its DSL source,
+# dimension, region text and the properties that hold on the region.
+_MEMBERS = {
+    "affine": ("1.25*x1 - 0.75*x2 + 0.5", 2, "box(-1..1, -1..1)", PROPERTIES),
+    "fractional": ("x2/x1", 2, "x1 >= 0.05, box(0..2, -1..1)", PROPERTIES),
+    "arctan": ("atan(x1)", 1, "box(-3..3)", PROPERTIES),
+    "cubic": ("x1^3", 1, "box(-1..1)",
+              ("quasiconvex", "quasiconcave", "quasilinear", "semistrictly-quasiconvex",
+               "semistrictly-quasiconcave", "semistrictly-quasilinear")),
     # x + |x|: flat on x <= 0, slope 2 on x > 0; kink at the origin.
-    handle = function_from_expression(
-        "x1 + abs(x1)", 1, name="ramp", exact_gradient=_kinked_at_origin(0.0, 2.0)
-    )
-    text = "box(-1..1)"
-    labels = _labels(
-        ("pseudoconvex", "quasiconvex", "quasiconcave", "quasilinear",
-         "semistrictly-quasiconvex")
-    )
-    return CorpusEntry(handle, parse_region(text, 1), text, labels)
-
-
-def _entry_twoslope() -> CorpusEntry:
+    "ramp": ("x1 + abs(x1)", 1, "box(-1..1)",
+             ("pseudoconvex", "quasiconvex", "quasiconcave", "quasilinear",
+              "semistrictly-quasiconvex")),
     # x for x <= 0, 2x for x > 0: strictly increasing, kink at the origin.
-    handle = function_from_expression(
-        "x1 + max(x1, 0)", 1, name="twoslope", exact_gradient=_kinked_at_origin(1.0, 2.0)
-    )
-    text = "box(-1..1)"
-    return CorpusEntry(handle, parse_region(text, 1), text, _labels(_ALL))
-
-
-def _entry_paraboloid() -> CorpusEntry:
-    handle = function_from_expression(
-        "x1^2 + x2^2", 2, name="paraboloid",
-        exact_gradient=_smooth(lambda p: 2.0 * p),
-    )
-    text = "box(-1..1, -1..1)"
-    return CorpusEntry(handle, parse_region(text, 2), text, _labels(_CONVEX_SIDE_ONLY))
-
-
-# Each member's builder under its handle's name, in the corpus order.
-_BUILDERS = {
-    "affine": _entry_affine,
-    "fractional": _entry_fractional,
-    "arctan": _entry_arctan,
-    "cubic": _entry_cubic,
-    "ramp": _entry_ramp,
-    "twoslope": _entry_twoslope,
-    "paraboloid": _entry_paraboloid,
+    "twoslope": ("x1 + max(x1, 0)", 1, "box(-1..1)", PROPERTIES),
+    "paraboloid": ("x1^2 + x2^2", 2, "box(-1..1, -1..1)",
+                   ("pseudoconvex", "quasiconvex", "semistrictly-quasiconvex")),
 }
 
 
 def corpus() -> list[CorpusEntry]:
     """The seven labeled reference functions, in fixed order."""
-    return [build() for build in _BUILDERS.values()]
+    return [corpus_entry(name) for name in _MEMBERS]
 
 
 def corpus_entry(name: str) -> CorpusEntry:
     """The named member, built alone."""
     try:
-        build = _BUILDERS[name]
+        source, dimension, region_text, true_props = _MEMBERS[name]
     except KeyError:
-        known = ", ".join(_BUILDERS)
+        known = ", ".join(_MEMBERS)
         raise KeyError(f"unknown corpus function {name!r} (known: {known})") from None
-    return build()
+    return CorpusEntry(
+        function_from_expression(source, dimension, name=name),
+        parse_region(region_text, dimension),
+        {p: p in true_props for p in PROPERTIES},
+    )

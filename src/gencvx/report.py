@@ -28,6 +28,9 @@ ASSUMPTIONS = (
     "set-valued conditions are evaluated on finite generator sets; they are "
     "affine in the generator, so generator satisfaction is equivalent to "
     "convex-hull satisfaction",
+    "strict inequalities and first-order pairings are tested at the margin "
+    "eps = 1e-7*(1 + |f(x)| + |f(y)|), so pseudoconvex-pair tests "
+    "eps-pseudoconvexity",
     "holds-at-samples reports the absence of sampled violations, not a proof "
     "over the continuum",
 )

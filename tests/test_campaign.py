@@ -149,13 +149,13 @@ def test_a_strictly_increasing_kink_of_x1_minus_x2_is_not_refuted(seed):
 def test_the_pseudoconvex_pairing_is_tested_at_the_eps_margin():
     # The documented case of ROADMAP item 1(b).  f = x^3 + 1e-6 x has
     # f' > 0, so it is pseudoconvex, yet it is refuted at seed 0: the
-    # pseudoconvex pair counts <g, y-x> >= -eps as not strictly negative,
-    # so it tests eps-pseudoconvexity, and near x = 0 a pairing of about
-    # -1e-7 lies inside the margin while f drops by far more.
+    # pseudoconvex pair fails where <g, y-x> is not below -eps, so it tests
+    # eps-pseudoconvexity, and near x = 0 a pairing of about -1e-7 lies
+    # inside the margin while f drops by far more.
     fn = function_from_expression("x1^3 + 0.000001*x1", 1)
     (v,) = classify(fn, parse_region("box(-1..1)", 1), ["pseudoconvex"], SamplingPlan(seed=0))
     assert v.verdict == REFUTED
-    assert v.witnesses[0].relation == "<g, y-x> = -9.94943e-08 is not strictly negative"
+    assert v.witnesses[0].relation == "<g, y-x> = -9.94943e-08 is not below -eps"
     for w in v.witnesses:
         pairing = float(w.generator[0] * (w.y - w.x)[0])
         assert -checks.eps_strict(w.values["fx"], w.values["fy"]) <= pairing < 0.0
@@ -827,11 +827,10 @@ def test_estimator_failures_never_refute():
     assert calls["n"] > 0
 
 
-# The verdicts of DSL handles built without an exact gradient, so that every
-# gradient they read comes from forward-mode differentiation over rows
-# (expr.compile_dual_rows), pinned as text in report_pins.jsonl by (source,
-# dimension, seed).  The corpus members of criterion 9 carry exact gradients
-# and never reach it.
+# The verdicts of DSL handles, whose every gradient comes from forward-mode
+# differentiation over rows (expr.compile_dual_rows), pinned as text in
+# report_pins.jsonl by (source, dimension, seed).  The corpus members of
+# criterion 9 read the same walk; these add kinks in two to five dimensions.
 _S5 = "x1 + x2 + x3 + x4 + x5"
 _AD_PINNED = [
     (source, n, seed) for source, n in [

@@ -820,7 +820,7 @@ def _ref_pseudoconvex(fn, x, y, sub_x):
         if not (v < -eps):
             return Check("pseudoconvex-pair", x, y, fx, fy, FAIL, residual=fx - fy,
                          threshold=100 * eps, generator=g, generator_index=k,
-                         detail=f"<g, y-x> = {v:.6g} is not strictly negative", margin=fx - fy)
+                         detail=f"<g, y-x> = {v:.6g} is not below -eps", margin=fx - fy)
         worst = max(worst, v)
     return Check("pseudoconvex-pair", x, y, fx, fy, PASS, margin=worst + eps)
 

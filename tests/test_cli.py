@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from gencvx import cli
+from gencvx import cli, corpus
 from gencvx.cli import (
     EXIT_ERROR,
     EXIT_INSUFFICIENT,
@@ -13,7 +14,7 @@ from gencvx.cli import (
     cmd_corpus,
     main,
 )
-from gencvx.campaign import LatticeViolation
+from gencvx.campaign import HOLDS, REFUTED, LatticeViolation, PropertyVerdict
 from gencvx.report import Report, RunConfig
 
 
@@ -248,12 +249,14 @@ def test_corpus_starved_plan_exits_3(capsys):
     assert code == EXIT_INSUFFICIENT
 
 
-def test_corpus_injected_wrong_label_exits_4(tmp_path, capsys):
+def test_corpus_injected_wrong_label_exits_4(tmp_path, monkeypatch, capsys):
+    def wrong_labels():
+        return [replace(e, labels={**e.labels, "pseudoconvex": False})
+                if e.handle.name == "affine" else e for e in corpus()]
+
+    monkeypatch.setattr(cli, "corpus", wrong_labels)
     out = tmp_path / "corpus.json"
-    code = cmd_corpus(
-        _Args(samples=40, seed=42, out=str(out)),
-        label_overrides={"affine": {"pseudoconvex": False}},
-    )
+    code = cmd_corpus(_Args(samples=40, seed=42, out=str(out)))
     assert code == EXIT_MISMATCH
     doc = json.loads(out.read_text())
     assert doc["mismatches"]
@@ -289,6 +292,27 @@ def test_corpus_lattice_violation_exits_4(tmp_path, monkeypatch, capsys):
         {"function": "affine", "antecedent": "pseudoconvex", "consequent": "quasiconvex"}
     ]
     assert "affine: pseudoconvex holds but quasiconvex is refuted" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("quasiconcave, code", [(REFUTED, EXIT_MISMATCH), (HOLDS, EXIT_OK)])
+def test_analyze_checks_its_verdicts_against_the_lattice(tmp_path, monkeypatch, capsys,
+                                                         quasiconcave, code):
+    # pseudoconcave implies quasiconcave, so refuting only the consequent is
+    # a tool bug: analyze names the edge on stderr and exits 4, over the 2 a
+    # refutation gives, and writes the report all the same.
+    def stub(fn, region, properties, plan):
+        verdicts = {"pseudoconcave": HOLDS, "quasiconcave": quasiconcave}
+        return [PropertyVerdict(p, verdicts[p], 1, 0, 0, 0, ()) for p in properties]
+
+    monkeypatch.setattr(cli, "classify", stub)
+    out = tmp_path / "r.json"
+    assert main(["analyze", "--function", "x1", "--dim", "1", "--region", "box(-1..1)",
+                 "--properties", "pseudoconcave,quasiconcave", "--out", str(out)]) == code
+    doc = Report.parse(out.read_text())
+    assert [p["verdict"] for p in doc["properties"]] == [HOLDS, quasiconcave]
+    err = capsys.readouterr().err
+    edge = "x1: pseudoconcave holds but quasiconcave is refuted"
+    assert (edge in err) == (code == EXIT_MISMATCH)
 
 
 def test_bcurve_sqrt_through_zero(capsys):

@@ -696,21 +696,20 @@ def test_certain_boxes_enclose_every_float_gradient(tree, seed):
 
 
 def test_corpus_gradients_lie_in_the_enclosure_with_its_margin():
-    # A corpus member's closed-form gradient is its expression's gradient,
-    # as a certified ball reads it at its centre: it lies in the walk's
-    # enclosure, widened by rounding only (1e-9 relative).
+    # A corpus member's gradient is its expression's forward-mode walk, as a
+    # certified ball reads it at its centre: it lies in the walk's
+    # enclosure, with a zero margin.
     rng = np.random.default_rng(3)
     for entry in corpus():
         centres = np.array(sample_region(entry.region, 30, seed=4))
         for radius in (1e-5, 1e-2):
             glo, ghi, certain = compile_interval_dual_rows(entry.handle.expression)(
                 centres - radius, centres + radius)
-            margin = 1e-9 * (1.0 + np.maximum(np.abs(glo), np.abs(ghi)))
             for r in np.flatnonzero(certain):
                 g, has = entry.handle.grads(_box_points(rng, centres[r] - radius,
                                                         centres[r] + radius, 20))
                 assert has.all()
-                assert (glo[r] - margin[r] <= g).all() and (g <= ghi[r] + margin[r]).all()
+                assert (glo[r] <= g).all() and (g <= ghi[r]).all()
             assert certain.sum() >= 20, entry.handle.name
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gencvx import corpus, corpus_entry, function_from_expression, negate_handle
+from gencvx.expr import compile_dual_rows
 from gencvx.functions import LOCALLY_LIPSCHITZ, PROPERTIES, SMOOTH, FunctionHandle
 from gencvx.geometry import sample_region
 
@@ -46,7 +47,21 @@ def test_smoothness_classification():
         assert kinds[name] == SMOOTH
 
 
-def test_exact_gradients_match_central_differences():
+def test_corpus_gradients_are_the_forward_mode_walk():
+    # A member's expression is its one definition of f: grads is the
+    # forward-mode walk over rows, bit for bit, its kink flags included.
+    for e in corpus():
+        points = sample_region(e.region, 40, seed=5) + [np.zeros(e.handle.dimension)]
+        points = np.array([p for p in points if e.region.contains(p)])
+        _, want, kinks = compile_dual_rows(e.handle.expression)(points)
+        got, has = e.handle.grads(points)
+        assert has.tolist() == (~kinks).tolist(), e.handle.name
+        assert got[has].tobytes() == want[has].tobytes(), e.handle.name
+
+
+def test_forward_mode_gradients_match_central_differences():
+    # The corpus's smooth members read their gradients from the forward-mode
+    # walk, which agrees with central differences of their values.
     step = 1e-5
     for e in corpus():
         if e.handle.smoothness != SMOOTH:
@@ -71,8 +86,8 @@ def test_kink_handles_report_no_gradient_at_zero():
 @pytest.mark.parametrize("name", [e.handle.name for e in corpus()])
 @pytest.mark.parametrize("negated", [False, True])
 def test_corpus_row_gradients_are_the_point_gradients(name, negated):
-    # Each exact gradient is written once, as rows: grad is its one-row case,
-    # bit for bit, and the rows flagged are exactly those where grad is None.
+    # Each gradient is read as rows: grad is its one-row case, bit for bit,
+    # and the rows flagged are exactly those where grad is None.
     e = corpus_entry(name)
     fn = negate_handle(e.handle) if negated else e.handle
     points = sample_region(e.region, 48, seed=21)
@@ -192,11 +207,11 @@ def test_values_rejects_non_finite_values_and_non_rows():
 def test_corpus_entry_builds_only_the_named_member(monkeypatch):
     from gencvx import functions
 
-    assert list(functions._BUILDERS) == [e.handle.name for e in corpus()]
+    assert list(functions._MEMBERS) == [e.handle.name for e in corpus()]
     built = []
-    for name, build in functions._BUILDERS.items():
-        monkeypatch.setitem(functions._BUILDERS, name,
-                            lambda name=name, build=build: built.append(name) or build())
+    build = functions.function_from_expression
+    monkeypatch.setattr(functions, "function_from_expression",
+                        lambda *a, name: built.append(name) or build(*a, name=name))
     assert corpus_entry("ramp").handle.name == "ramp"
     assert built == ["ramp"]
     with pytest.raises(KeyError) as error:

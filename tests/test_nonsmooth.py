@@ -594,7 +594,7 @@ def test_negated_rows_read_the_negated_gradient():
         assert (want is None) == k
         if want is not None:
             assert g.tobytes() == want.tobytes()
-    # An exact gradient is read over rows too, its kink flagged.
+    # A corpus member's gradient is read over rows too, its kink flagged.
     gradients, kinks = corpus_entry("ramp").handle.gradient_rows(np.array([[-0.5], [0.0], [0.5]]))
     assert gradients[[0, 2], 0].tolist() == [0.0, 2.0] and kinks.tolist() == [False, True, False]
 
