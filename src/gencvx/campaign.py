@@ -486,7 +486,8 @@ class _Context:
 class _Segments:
     """f on the segments of the pairs (xs[i], ys[i]) in both orientations,
     row 2i from xs[i] to ys[i] and row 2i+1 back, at each lambda of the
-    plan's grid, with f at each orientation's start.  A cell is read from f
+    plan's grid.  Column 0, lambda = 0, is f at each orientation's start,
+    read at the endpoints on the first read; any other cell is read from f
     when a predicate's read rule first names it, so every value-only probe
     and near-miss scan of the pairs, on f and on -f, reads each cell once
     and only the cells its rule names.  It is a classify call's only cache
@@ -498,9 +499,9 @@ class _Segments:
         self.xs, self.ys = xs, ys
         self.a, self.b = _both(xs, ys)
         self.lams = np.array(ctx.lam_grid)
-        self.starts: np.ndarray | None = None
         self.values = np.empty(len(self.a) * len(self.lams))
         self.known = np.zeros(len(self.values), dtype=bool)
+        self.starts = self.values[::len(self.lams)]  # column 0, a view
         self.runs: dict = {}  # each probe run on these pairs, by _run
 
     def rows(self, predicate: str, negated: bool, orient: np.ndarray, col=None) -> ck.Rows:
@@ -509,11 +510,12 @@ class _Segments:
         order: over the lambda grid, or with col, at grid column col[r] for
         row r.  The grid is read in place of f, through read_rule and
         kernel_rows, so that no cell is read twice."""
-        if self.starts is None:
+        if not self.known[0]:
             # The first read takes f at every pair's endpoints once, xs then
             # ys, in one call.
             f = self.fn.values(np.concatenate([self.xs, self.ys]))
-            self.starts = f.reshape(2, -1).T.ravel()
+            self.starts[:] = f.reshape(2, -1).T.ravel()
+            self.known[::len(self.lams)] = True
         fx, fy = self.starts[orient], self.starts[orient ^ 1]
         if negated:
             fx, fy = -fx, -fy

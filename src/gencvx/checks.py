@@ -1038,7 +1038,11 @@ class PValue:
 
 
 def compute_p(fn: FunctionHandle, x, y, generator) -> PValue:
-    x, y, fx, fy = _endpoints(fn, x, y)
+    return _p_value(*_endpoints(fn, x, y), generator)
+
+
+def _p_value(x, y, fx, fy, generator) -> PValue:
+    """compute_p on the values f(x) = fx and f(y) = fy."""
     num = fy - fx
     den = float(np.dot(np.asarray(generator, dtype=float), y - x))
     p, band = (v.item() for v in _p(np.float64(num), np.float64(den), eps_strict(fx, fy)))
@@ -1060,14 +1064,16 @@ def check_symmetric_inequality(
     """
     x, y, fx, fy = _endpoints(fn, x, y)
     eps = eps_strict(fx, fy)
+
+    def term(pv: PValue) -> float:  # the fallback p = 1 where p is not valid
+        return (pv.p if (not pv.band and pv.positive) else 1.0) * pv.denominator
+
+    back = [term(_p_value(y, x, fy, fx, h)) for h in sub_y.generators]
     worst = -np.inf
     for k, g in enumerate(sub_x.generators):
-        pv1 = compute_p(fn, x, y, g)
-        p1 = pv1.p if (not pv1.band and pv1.positive) else 1.0
-        for j, h in enumerate(sub_y.generators):
-            pv2 = compute_p(fn, y, x, h)
-            p2 = pv2.p if (not pv2.band and pv2.positive) else 1.0
-            s = p1 * pv1.denominator + p2 * pv2.denominator
+        forth = term(_p_value(x, y, fx, fy, g))
+        for t in back:
+            s = forth + t
             if s > eps:
                 return Check(
                     "symmetric-inequality", x, y, fx, fy, FAIL,

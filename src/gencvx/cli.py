@@ -4,17 +4,17 @@ Verbs:
     analyze   classify one function (corpus member or DSL source) and write
               a JSON report; exit 0 when nothing is refuted, 2 on refutation,
               4 when the verdicts violate the implication lattice (whatever
-              else was refuted), 1 on error.
+              else was refuted).
     bcurve    emit the interpolation-coefficient curve b(lambda) as CSV.
     corpus    classify every corpus member against its ground-truth labels
               and check the verdicts against the implication lattice; exit 0
               on full agreement, 3 on insufficient sampling, 4 on a label
-              mismatch or a lattice violation.  The member replaces any
-              corpus or function target given; every other setting applies.
+              mismatch or a lattice violation.  Each member is the target.
 
+Each verb takes only the flags it reads: bcurve no sampling flags, corpus no
+target flags.  Any verb exits 1 on an error, a usage error among them.
 `--config FILE` loads a JSON RunConfig; explicit flags override file fields.
-The environment variable GENCVX_SEED is the seed fallback when no --seed is
-given anywhere.
+GENCVX_SEED is the seed of analyze and corpus when no --seed is given anywhere.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ import functools
 import json
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
-from .campaign import HOLDS, REFUTED, check_implication_lattice, classify
+from .campaign import HOLDS, REFUTED, SamplingPlan, check_implication_lattice, classify
 from .checks import compute_b_rows
 from .functions import corpus, corpus_entry, function_from_expression
 from .geometry import parse_region
@@ -44,8 +45,12 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+_FIELDS = {f.name for f in fields(RunConfig)}
+
+
 def _resolve_config(args, **fixed) -> RunConfig:
-    """The file's fields, overridden by the flags given, then by `fixed`."""
+    """The file's fields, overridden by the flags given, then by `fixed`.
+    The flags' dests are the RunConfig fields they set."""
     base: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -53,21 +58,9 @@ def _resolve_config(args, **fixed) -> RunConfig:
         if not isinstance(base, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object, "
                              f"got a {type(base).__name__}")
-    overrides = {
-        "corpus_name": args.corpus,
-        "function_source": args.function,
-        "dimension": args.dim,
-        "region_text": args.region,
-        "properties": tuple(args.properties.split(",")) if args.properties else None,
-        "pair_count": args.samples,
-        "lambda_grid": args.lambda_grid,
-        "refinement_rounds": args.refine_rounds,
-        "seed": args.seed,
-        "subdiff_radius": args.subdiff_radius,
-        "subdiff_count": args.subdiff_count,
-    }
-    merged = {**base, **{k: v for k, v in overrides.items() if v is not None}, **fixed}
-    if merged.get("seed") is None:
+    flags = {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
+    merged = {**base, **flags, **fixed}
+    if hasattr(args, "seed") and merged.get("seed") is None:  # a verb that reads a seed
         env = os.environ.get("GENCVX_SEED")
         merged["seed"] = int(env) if env else 0
     # RunConfig.from_dict rejects unknown keys.
@@ -176,7 +169,7 @@ def cmd_corpus(args) -> int:
     results = {}
     for entry in corpus():
         name = entry.handle.name
-        # Each member replaces the target; --config and the flags set the rest.
+        # Each member is the target, whatever --config names; the file and the flags set the rest.
         config = _resolve_config(
             args, corpus_name=name, function_source=None, dimension=None, region_text=None
         )
@@ -229,20 +222,29 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", type=str, help="JSON config file (flags override)")
-    p.add_argument("--corpus", type=str, help="corpus function name")
-    p.add_argument("--function", type=str, help="DSL source, e.g. 'x2/x1'")
-    p.add_argument("--dim", type=int, help="dimension for --function")
-    p.add_argument("--region", type=str, help="region text, e.g. 'x1 > 0.05, box(0..2, -1..1)'")
-    p.add_argument("--properties", type=str, help="comma-separated property list")
-    p.add_argument("--samples", type=int, help="point pairs per property (default 200)")
-    p.add_argument("--lambda-grid", dest="lambda_grid", type=int, help="lambda grid size (default 33)")
-    p.add_argument("--refine-rounds", dest="refine_rounds", type=int, help="refinement rounds (default 3)")
-    p.add_argument("--seed", type=int, help="campaign seed (env GENCVX_SEED, then 0)")
-    p.add_argument("--subdiff-radius", dest="subdiff_radius", type=float, help="sampling radius (default 1e-5)")
-    p.add_argument("--subdiff-count", dest="subdiff_count", type=int, help="gradient samples (default max(8, 2n+1))")
-    p.add_argument("--out", type=str, help="output path")
+def _verb(sub, name: str, text: str, target: bool, sampling: bool) -> argparse.ArgumentParser:
+    """A verb's parser: --config, the target and the sampling flags where it
+    reads them, and --out.  An absent flag is None, so that it overrides no
+    field of the config file."""
+    p = sub.add_parser(name, help=text)
+    p.add_argument("--config", help="JSON config file (flags override)")
+    if target:
+        p.add_argument("--corpus", dest="corpus_name", help="corpus function name")
+        p.add_argument("--function", dest="function_source", help="DSL source, e.g. 'x2/x1'")
+        p.add_argument("--dim", dest="dimension", type=int, help="dimension for --function")
+        p.add_argument("--region", dest="region_text", help="region text, e.g. 'x1 > 0.05, box(0..2, -1..1)'")
+    if sampling:
+        d = SamplingPlan()
+        p.add_argument("--properties", type=lambda t: tuple(t.split(",")) if t else None,
+                       help="comma-separated property list")
+        p.add_argument("--samples", dest="pair_count", type=int, help=f"point pairs per property (default {d.pair_count})")
+        p.add_argument("--lambda-grid", type=int, help=f"lambda grid size (default {d.lambda_grid})")
+        p.add_argument("--refine-rounds", dest="refinement_rounds", type=int, help=f"refinement rounds (default {d.refinement_rounds})")
+        p.add_argument("--seed", type=int, help=f"campaign seed (env GENCVX_SEED, then {d.seed})")
+        p.add_argument("--subdiff-radius", type=float, help=f"sampling radius (default {d.subdiff_radius})")
+        p.add_argument("--subdiff-count", type=int, help="gradient samples (default max(8, 2n+1))")
+    p.add_argument("--out", help="output path")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -252,19 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
         "convexity properties of functions on convex regions.",
     )
     sub = parser.add_subparsers(dest="command")
-
-    pa = sub.add_parser("analyze", help="classify one function")
-    _add_common(pa)
-
-    pb = sub.add_parser("bcurve", help="emit b(lambda) as CSV")
-    _add_common(pb)
-    pb.add_argument("--x", type=str, required=True, help="first point, comma-separated")
-    pb.add_argument("--y", type=str, required=True, help="second point, comma-separated")
+    _verb(sub, "analyze", "classify one function", target=True, sampling=True)
+    pb = _verb(sub, "bcurve", "emit b(lambda) as CSV", target=True, sampling=False)
+    pb.add_argument("--x", required=True, help="first point, comma-separated")
+    pb.add_argument("--y", required=True, help="second point, comma-separated")
     pb.add_argument("--grid", type=int, default=9, help="interior lambda count (default 9)")
-
-    pc = sub.add_parser("corpus", help="verify corpus members against their labels")
-    _add_common(pc)
-
+    _verb(sub, "corpus", "verify corpus members against their labels", target=False, sampling=True)
     return parser
 
 
@@ -277,22 +272,19 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse has printed a usage error, or the help
+        return EXIT_OK if exc.code in (0, None) else EXIT_ERROR
     if args.command is None:
         parser.print_help()
         return EXIT_OK
+    verbs = {"analyze": cmd_analyze, "bcurve": cmd_bcurve, "corpus": cmd_corpus}
     try:
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        if args.command == "bcurve":
-            return cmd_bcurve(args)
-        if args.command == "corpus":
-            return cmd_corpus(args)
+        return verbs[args.command](args)
     except (ValueError, KeyError, ArithmeticError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    parser.print_help()
-    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ All estimators are deterministic given their seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -46,6 +46,8 @@ COHERENCE_SPREAD = 1e-3
 DEDUPE_TOL = 1e-12
 
 _REDRAWS_PER_PROBE = 100
+# The steps of directional_derivative's difference quotients.
+DIRECTIONAL_STEPS = (1e-3, 1e-4, 1e-5)
 
 
 class EstimationError(RuntimeError):
@@ -56,29 +58,15 @@ class InteriorRoomError(EstimationError):
     """The base point has no room for the requested probe radius."""
 
 
-def _geometric_steps(first: float, last: float, count: int) -> tuple[float, ...]:
-    return tuple(float(t) for t in np.geomspace(first, last, count))
-
-
 @dataclass(frozen=True)
 class ClarkeScheme:
-    """Discretization of the limsup: step schedule, probe radius factor, probes."""
+    """Discretization of the limsup: a fixed step schedule, probe radius
+    factor and probe count per scale; only the probes' seed is set."""
 
-    steps: tuple[float, ...] = field(default_factory=lambda: _geometric_steps(1e-2, 1e-6, 9))
-    neighborhood_factor: float = 10.0
-    probes_per_scale: int = 64
+    steps: ClassVar[tuple[float, ...]] = tuple(float(t) for t in np.geomspace(1e-2, 1e-6, 9))
+    neighborhood_factor: ClassVar[float] = 10.0
+    probes_per_scale: ClassVar[int] = 64
     seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(float(t) for t in self.steps))
-        if not self.steps or any(t <= 0 for t in self.steps):
-            raise ValueError("steps must be positive")
-        if any(a <= b for a, b in zip(self.steps, self.steps[1:])):
-            raise ValueError("steps must be strictly decreasing")
-        if self.neighborhood_factor <= 0:
-            raise ValueError("neighborhood factor must be positive")
-        if self.probes_per_scale < 8:
-            raise ValueError("need at least 8 probes per scale")
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,14 +402,13 @@ def directional_derivative(
     region: Region,
     x,
     v,
-    steps: tuple[float, ...] = (1e-3, 1e-4, 1e-5),
 ) -> float:
     """One-sided derivative along v, extrapolated by a linear fit in the step.
 
-    f at x and at every step that stays in the region is read in one values
-    call."""
+    f at x and at every step of DIRECTIONAL_STEPS that stays in the region
+    is read in one values call."""
     x, v = _point_and_direction(region, x, v)
-    hs = np.asarray(steps, dtype=float)
+    hs = np.asarray(DIRECTIONAL_STEPS, dtype=float)
     points = x + hs[:, None] * v
     inside = _accept_mask(region, points, 0.0)
     f = fn.values(np.concatenate([x[None], points[inside]]))

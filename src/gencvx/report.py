@@ -37,20 +37,15 @@ ASSUMPTIONS = (
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Everything needed to reproduce a run, echoed into its report."""
+class RunConfig(SamplingPlan):
+    """Everything needed to reproduce a run, echoed into its report: the
+    target and properties, and the sampling settings SamplingPlan declares."""
 
     corpus_name: str | None = None
     function_source: str | None = None
     dimension: int | None = None
     region_text: str | None = None
     properties: tuple[str, ...] = PROPERTIES
-    pair_count: int = 200
-    lambda_grid: int = 33
-    refinement_rounds: int = 3
-    seed: int = 0
-    subdiff_radius: float = 1e-5
-    subdiff_count: int | None = None
 
     def __post_init__(self):
         _check_types(self, str, "a string", "corpus_name function_source region_text", optional=True)
@@ -70,7 +65,7 @@ class RunConfig:
         if bad:
             raise ValueError(f"unknown properties: {', '.join(bad)}")
         object.__setattr__(self, "properties", tuple(self.properties))
-        self.plan()  # the plan's own checks, at config time
+        super().__post_init__()  # the sampling settings' checks
 
     def plan(self) -> SamplingPlan:
         return SamplingPlan(**{f.name: getattr(self, f.name) for f in fields(SamplingPlan)})

@@ -272,10 +272,11 @@ def test_each_segment_grid_cell_is_evaluated_at_most_once(name):
     # near-miss scans revisit every pair in both orientations: all of them
     # read one segment grid, which evaluates each cell at most once, and
     # each pair's endpoints once, whether the first probe runs on one
-    # orientation (_PAIR) or on both (_BOTH).  Two cells can name one point
-    # (lambda 0 or 1 names an endpoint, and the two orientations of a pair
-    # can meet bit for bit), so the reads are matched against the cells
-    # read, not against the distinct points.
+    # orientation (_PAIR) or on both (_BOTH).  The endpoint read fills the
+    # lambda = 0 column, whose cells are never evaluated.  Two cells can
+    # name one point (lambda 1 names an endpoint, and the two orientations
+    # of a pair can meet bit for bit), so the reads are matched against
+    # the cells read, not against the distinct points.
     e = corpus_entry(name)
     rows = []
 
@@ -294,6 +295,8 @@ def test_each_segment_grid_cell_is_evaluated_at_most_once(name):
             _near_misses(ctx, prop)
         segments = ctx.segments(*ctx.pairs)
         o, c = np.divmod(np.flatnonzero(segments.known), len(segments.lams))
+        assert np.array_equal(o[c == 0], np.arange(len(segments.a)))
+        o, c = o[c > 0], c[c > 0]
         cells = segment_point(segments.a[o], segments.b[o], segments.lams[c])
         starts = np.concatenate(ctx.pairs)
         assert Counter(rows) == Counter(p.tobytes() for p in np.concatenate([starts, cells]))

@@ -323,6 +323,46 @@ def test_symmetric_inequality_negated_square_fails():
     assert check.residual == pytest.approx(8.0)
 
 
+def _symmetric_by_compute_p(fn, x, y, gxs, gys):
+    """check_symmetric_inequality's outcome and residual or margin, with p
+    read by compute_p for each generator pair."""
+    fx, fy = fn.values(np.stack([x, y]))
+    eps, sums = eps_strict(fx, fy), []
+    for g in gxs:
+        for h in gys:
+            s = sum((pv.p if not pv.band and pv.positive else 1.0) * pv.denominator
+                    for pv in (compute_p(fn, x, y, g), compute_p(fn, y, x, h)))
+            if s > eps:
+                return FAIL, s
+            sums.append(s)
+    return PASS, max(sums) - eps
+
+
+@pytest.mark.parametrize("gys, outcome", [
+    ([[0.4, 0.9], [0.0, 1.0], [1.0, 0.5]], PASS),
+    ([[0.4, 0.9], [-3.0, 0.0]], FAIL),  # p < 0 at y: p = 1 and S = 1/3 + 1.5
+])
+def test_symmetric_inequality_reads_f_once(gys, outcome):
+    # One two-row read of f for the pair, whatever the generators, and the
+    # sums compute_p gives, bit for bit: a valid p, one in the band and a
+    # nonpositive one at x.
+    entry = corpus_entry("fractional")
+    reads = []
+
+    def counted(points):
+        reads.append(len(points))
+        return entry.handle.evaluate_rows(points)
+
+    fn = replace(entry.handle, evaluate_rows=counted)
+    x, y = np.array([1.0, 0.0]), np.array([1.5, 0.5])
+    gxs = [[0.3, 1.1], [-0.5, 0.5], [1.0, -2.0]]
+    check = check_symmetric_inequality(fn, x, y, est(*gxs), est(*gys))
+    assert reads == [2]
+    want, value = _symmetric_by_compute_p(entry.handle, x, y, gxs, gys)
+    assert (check.outcome, check.residual if want == FAIL else check.margin) == (outcome, value)
+    assert want == outcome
+
+
 # -- interpolation coefficient b -------------------------------------------------
 
 

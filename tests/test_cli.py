@@ -1,3 +1,4 @@
+import argparse
 import json
 from dataclasses import replace
 
@@ -11,7 +12,6 @@ from gencvx.cli import (
     EXIT_OK,
     EXIT_REFUTED,
     build_parser,
-    cmd_corpus,
     main,
 )
 from gencvx.campaign import HOLDS, REFUTED, LatticeViolation, PropertyVerdict
@@ -224,28 +224,8 @@ def test_bcurve_writes_file(tmp_path):
     assert "\r" not in text
 
 
-class _Args:
-    """Bare argparse stand-in for cmd_corpus API tests."""
-
-    def __init__(self, **kw):
-        self.config = None
-        self.corpus = None
-        self.function = None
-        self.dim = None
-        self.region = None
-        self.properties = None
-        self.samples = None
-        self.lambda_grid = None
-        self.refine_rounds = None
-        self.seed = None
-        self.subdiff_radius = None
-        self.subdiff_count = None
-        self.out = None
-        self.__dict__.update(kw)
-
-
 def test_corpus_starved_plan_exits_3(capsys):
-    code = cmd_corpus(_Args(samples=1, seed=42))
+    code = main(["corpus", "--samples", "1", "--seed", "42"])
     assert code == EXIT_INSUFFICIENT
 
 
@@ -256,7 +236,7 @@ def test_corpus_injected_wrong_label_exits_4(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "corpus", wrong_labels)
     out = tmp_path / "corpus.json"
-    code = cmd_corpus(_Args(samples=40, seed=42, out=str(out)))
+    code = main(["corpus", "--samples", "40", "--seed", "42", "--out", str(out)])
     assert code == EXIT_MISMATCH
     doc = json.loads(out.read_text())
     assert doc["mismatches"]
@@ -284,7 +264,8 @@ def test_corpus_lattice_violation_exits_4(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "check_implication_lattice", violated)
     out = tmp_path / "corpus.json"
-    code = cmd_corpus(_Args(samples=40, seed=42, properties="quasiconvex", out=str(out)))
+    code = main(["corpus", "--samples", "40", "--seed", "42", "--properties", "quasiconvex",
+                 "--out", str(out)])
     assert code == EXIT_MISMATCH
     doc = json.loads(out.read_text())
     assert doc["mismatches"] == []
@@ -439,3 +420,55 @@ def test_parser_has_documented_flags():
     text = parser.format_help()
     for verb in ("analyze", "bcurve", "corpus"):
         assert verb in text
+
+
+# -- the flag surface ----------------------------------------------------------
+
+_BCURVE = ["bcurve", "--corpus", "affine", "--x=0.5,0.1", "--y=-0.4,-0.2", "--grid", "2"]
+_BCURVE_CSV = ("lambda,b,lambda_b,strict,weak,degenerate\n"
+               "0.33333333333333331,1.0000000000000002,0.33333333333333337,true,true,false\n"
+               "0.66666666666666663,1,0.66666666666666663,true,true,false\n")
+_TARGET = {"--corpus", "--function", "--dim", "--region"}
+_SAMPLING = {"--samples", "--lambda-grid", "--refine-rounds", "--seed", "--subdiff-radius",
+             "--subdiff-count"}
+
+
+def _flags(verb: str) -> set[str]:
+    (verbs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {s for a in verbs.choices[verb]._actions for s in a.option_strings} - {"-h", "--help"}
+
+
+def test_each_verb_takes_only_the_flags_it_reads():
+    common = {"--config", "--out"}
+    assert _flags("analyze") == common | _TARGET | {"--properties"} | _SAMPLING
+    assert _flags("bcurve") == common | _TARGET | {"--x", "--y", "--grid"}
+    assert _flags("corpus") == common | {"--properties"} | _SAMPLING
+
+
+@pytest.mark.parametrize("verb, flag", [("bcurve", f) for f in sorted(_SAMPLING | {"--properties"})]
+                         + [("corpus", f) for f in sorted(_TARGET)])
+def test_a_flag_the_verb_does_not_read_is_a_usage_error(capsys, verb, flag):
+    # argparse's usage error exits 2, the code of a refutation: main
+    # returns EXIT_ERROR instead, before any run.
+    argv = _BCURVE if verb == "bcurve" else ["corpus"]
+    assert main([*argv, flag, "0"]) == EXIT_ERROR
+    assert f"unrecognized arguments: {flag} 0" in capsys.readouterr().err
+
+
+def test_an_unknown_flag_is_a_usage_error_and_help_is_not(capsys):
+    assert main(["analyze", "--corpus", "affine", "--bogus", "1"]) == EXIT_ERROR
+    assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+    assert main(["analyze", "--help"]) == EXIT_OK
+    assert "--subdiff-radius" in capsys.readouterr().out
+
+
+def test_only_a_verb_that_reads_a_seed_reads_gencvx_seed(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("GENCVX_SEED", "abc")
+    out = tmp_path / "b.csv"
+    assert main([*_BCURVE, "--out", str(out)]) == EXIT_OK
+    assert out.read_text() == _BCURVE_CSV
+    capsys.readouterr()
+    report = tmp_path / "r.json"
+    assert main(["analyze", "--corpus", "affine", "--out", str(report)]) == EXIT_ERROR
+    assert "'abc'" in capsys.readouterr().err
+    assert not report.exists()
