@@ -11,7 +11,7 @@ generator predicates the generator.  Segment points come from
 `geometry.segment_point`, which rejects x == y.  Every predicate the
 campaign runs is written once, as a row kernel, and is one record of
 `PREDICATES`: its kernel, whether it reads f on the segment or generators,
-its read rule and its failure detail.  `check_requests` is the one row
+its read rule and its failure notes.  `check_requests` is the one row
 runner: it runs `Request`s, each one predicate's rows, with f read once for
 all of them, value-only predicates (the segment conditions and the
 interpolation bounds) and generator ones (the pseudoconvex pair, the
@@ -203,29 +203,32 @@ def check_weak_monotone_pair(
 # Every predicate the campaign runs is written once, as a kernel over k rows
 # of pairs, and is one record of PREDICATES (after the kernels); its public
 # check_* function is the kernel's one-row case.  check_requests runs the
-# rows of both kinds and gives each predicate's results as Rows.
+# rows of both kinds and gives each predicate's results as Rows.  A kernel's
+# note codes index its record's notes.
 
 
 class Predicate(NamedTuple):
-    """A predicate's record in PREDICATES: its row kernel and how it reads."""
+    """A predicate's record in PREDICATES: its row kernel, how it reads, and
+    its notes: a row with note code c has the detail notes[c].format(v=value,
+    fx=fx), and notes[0] is "", the detail of a row that names nothing."""
 
     kernel: Callable  # a value-only or a generator kernel, as the sections below take them
     segment: bool  # reads f on the segment (a Request with lams), else generators
+    notes: tuple[str, ...]
     descent: bool = False  # the read rule: only interior lambdas of descending rows
-    detail: Callable | None = None  # a segment Check's detail from (outcome, fx, fy, lam, fz)
 
 
 class Rows(NamedTuple):
     """A predicate's results over k rows: f at the endpoints and the
     kernel's per-row outcome code (an int array, PASS_CODE ..., which
-    `outcome` decodes to the outcome strings), margin and residual.
+    `outcome` decodes to the outcome strings), margin, residual, note code
+    (an int array indexing the record's notes) and noted value.
 
     A value-only predicate adds each row's witness lam and f there (NaN
     where a row names none).  A generator predicate adds the generator a
-    row names (NaN where none) with its index (-1), the row's _Note with
-    the number its detail formats, and the rows whose estimate failed, each
-    with its EstimationError: such a row has no margin (NaN), and reading
-    it raises a fresh copy of the failure.
+    row names (NaN where none) with its index (-1), and the rows whose
+    estimate failed, each with its EstimationError: such a row has no
+    margin (NaN), and reading it raises a fresh copy of the failure.
     """
 
     predicate: str
@@ -234,12 +237,12 @@ class Rows(NamedTuple):
     code: np.ndarray
     margin: np.ndarray
     residual: np.ndarray
+    note: np.ndarray
+    value: np.ndarray
     lam: np.ndarray | None = None
     fz: np.ndarray | None = None
     generator: np.ndarray | None = None
     index: np.ndarray | None = None
-    note: np.ndarray | None = None
-    value: np.ndarray | None = None
     failed: dict | None = None
 
     @property
@@ -254,21 +257,16 @@ class Rows(NamedTuple):
         if failure is not None:
             raise type(failure)(*failure.args)
         fx, fy, outcome = float(self.fx[i]), float(self.fy[i]), str(_OUTCOMES[self.code[i]])
-        scored = dict(
-            residual=float(self.residual[i]),
-            threshold=WITNESS_FACTOR * eps_strict(fx, fy) if outcome == FAIL else float("inf"),
-            margin=float(self.margin[i]),
-        )
-        if self.note is None:
-            lam, fz = (None if np.isnan(v) else float(v) for v in (self.lam[i], self.fz[i]))
-            detail = PREDICATES[self.predicate].detail(outcome, fx, fy, lam, fz)
-            return Check(self.predicate, x, y, fx, fy, outcome, lam=lam, fz=fz, detail=detail,
-                         **scored)
-        note, k = self.note[i], int(self.index[i])
-        return Check(note.predicate, x, y, fx, fy, outcome,
+        lam, fz = (None if a is None or np.isnan(a[i]) else float(a[i])
+                   for a in (self.lam, self.fz))
+        k = -1 if self.index is None else int(self.index[i])
+        note = PREDICATES[self.predicate].notes[self.note[i]]
+        threshold = WITNESS_FACTOR * eps_strict(fx, fy) if outcome == FAIL else float("inf")
+        return Check(self.predicate, x, y, fx, fy, outcome, float(self.residual[i]), threshold,
                      generator=None if k < 0 else self.generator[i].copy(),
-                     generator_index=None if k < 0 else k,
-                     detail=note.detail.format(float(self.value[i])), **scored)
+                     generator_index=None if k < 0 else k, lam=lam, fz=fz,
+                     detail=note.format(v=float(self.value[i]), fx=fx),
+                     margin=float(self.margin[i]))
 
     def credible(self) -> np.ndarray:
         """Each row's Check.credible, computed with the same float ops."""
@@ -283,10 +281,11 @@ class Rows(NamedTuple):
 # The segment conditions and the interpolation bounds read nothing but f at
 # the endpoints and at points of the segment.  A kernel takes fx, fy (k,),
 # the rows' lambdas and f at their segment points (k, m) (NaN where a row's
-# segment is not read), and returns per row the outcome code, margin, residual,
-# and the witness lambda and f there.  read_rule names the segment points a
-# predicate reads, kernel_rows runs its kernel on values read, and
-# check_requests reads the values and runs the kernel.
+# segment is not read), and returns per row the outcome code, margin,
+# residual, note code and noted value, and the witness lambda and f there.
+# read_rule names the segment points a predicate reads, kernel_rows runs its
+# kernel on values read, and check_requests reads the values and runs the
+# kernel.
 
 
 def _outcomes(vacuous, fail, inconclusive) -> np.ndarray:
@@ -327,6 +326,8 @@ def _quasiconvex_rows(fx, fy, lams, fz):
         _outcomes(False, hit, False),
         np.where(bump > eps, bump, bump - eps),
         np.where(hit, fz_hit - top, 0.0),
+        np.where(hit, 1, 0),
+        fz_hit,
         np.where(hit, _at(lams, col), np.nan),
         fz_hit,
     )
@@ -354,22 +355,22 @@ def _descent_rows(fx, fy, lams, fz, two_sided: bool):
     near = ~pinned & ~clear
     tie = desc & ~hit & near.any(axis=1)
     last = lams.shape[1] - 1 - _first_max(near[:, ::-1])
+    fz_hit = np.where(hit, _at(fz, col), np.nan)
+    above = two_sided & ~(fz_hit <= fy + eta[:, 0])
     return (
         _outcomes(~desc, hit, tie),
         np.where(desc, margin, VACUOUS_MARGIN - (fy - fx)),
         np.where(hit, _at(weighted, col), 0.0),
+        np.where(hit, np.where(above, 3, 2), np.where(tie, 1, 0)),
+        fz_hit,
         np.where(hit, _at(lams, col), np.where(tie, _at(lams, last), np.nan)),
-        np.where(hit, _at(fz, col), np.nan),
+        fz_hit,
     )
 
 
-def _b(fx, fy, fz, lam):
-    """The interpolation coefficient b of f(z(lam)) = lam*b*f(y) + (1 - lam*b)*f(x)."""
-    return (fz - fx) / (lam * (fy - fx))
-
-
 def _b_rows(fx, fy, fz, lam):
-    """b and the flags of BRecord, elementwise over arrays or numpy scalars;
+    """The interpolation coefficient b of f(z(lam)) = lam*b*f(y) + (1 - lam*b)*f(x)
+    and the flags of BRecord, elementwise over arrays or numpy scalars;
     b = 1 on degenerate pairs."""
     eps = eps_strict(fx, fy)
     gap = abs(fy - fx)
@@ -377,7 +378,7 @@ def _b_rows(fx, fy, fz, lam):
     # delta and floor are read only on non-degenerate rows, whose gap
     # exceeds eps; on a subnormal gap they may overflow unread.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        b = np.where(degenerate, 1.0, _b(fx, fy, fz, lam))
+        b = np.where(degenerate, 1.0, (fz - fx) / (lam * (fy - fx)))
         # Margins on the lam*b scale: value-scale margins divided by the gap.
         delta = eps / gap
         floor = noise_floor(fx, fy) / gap
@@ -396,7 +397,7 @@ def _bounds_rows(fx, fy, lams, fz, strict: bool):
     lam, fz = lams[:, 0], fz[:, 0]
     if not ((lam > 0.0) & (lam < 1.0)).all():
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    _, degenerate, strict_ok, weak_ok, strict_bad, weak_bad = _b_rows(fx, fy, fz, lam)
+    b, degenerate, strict_ok, weak_ok, strict_bad, weak_bad = _b_rows(fx, fy, fz, lam)
     ok, violated = (strict_ok, strict_bad) if strict else (weak_ok, weak_bad)
     eta = noise_floor(fx, fy)
     lo, hi = np.where(fy < fx, fy, fx), np.where(fy > fx, fy, fx)
@@ -404,35 +405,16 @@ def _bounds_rows(fx, fy, lams, fz, strict: bool):
     pinned = (fz <= lo + eta) | (fz >= hi - eta)
     margin = np.where(pinned, weighted, np.maximum(fz - hi, lo - fz))
     fail = ~degenerate & ~ok & violated
+    inconclusive = ~degenerate & ~ok & ~violated
     return (
-        _outcomes(degenerate, fail, ~ok & ~violated),
+        _outcomes(degenerate, fail, inconclusive),
         np.where(degenerate, VACUOUS_MARGIN, margin),
         np.where(fail, weighted, 0.0),
+        np.where(fail, 2, np.where(inconclusive, 1, 0)),
+        lam * b,
         lam,
         fz,
     )
-
-
-def _bounds_detail(outcome, fx, fy, lam, fz) -> str:
-    if outcome not in (FAIL, INCONCLUSIVE):
-        return ""
-    lam_b = lam * _b(fx, fy, fz, lam)
-    if outcome == FAIL:
-        return f"lambda*b = {lam_b:.9g} outside the required range"
-    return f"lambda*b = {lam_b:.9g} pinned at a bound"
-
-
-def _interlacing_detail(outcome, fx, fy, lam, fz) -> str:
-    if outcome == FAIL:
-        side = "below f(y)" if fz <= fy + noise_floor(fx, fy) else "above f(x)"
-        return f"interior value {fz:.6g} pinned {side}"
-    return "interior value inside the strictness band" if outcome == INCONCLUSIVE else ""
-
-
-def _semistrict_detail(outcome, fx, fy, lam, fz) -> str:
-    if outcome == FAIL:
-        return f"f(z) = {fz:.6g} does not descend below f(x) = {fx:.6g}"
-    return "descent inside the strictness band" if outcome == INCONCLUSIVE else ""
 
 
 def read_rule(predicate: str, lams: np.ndarray, fx, fy) -> tuple[np.ndarray, np.ndarray]:
@@ -614,8 +596,8 @@ def check_interlacing(fn: FunctionHandle, x, y, lam_grid) -> Check:
 # estimate order and its first failing generator is the one it names, as
 # in a loop over them; the per-row reductions run over the flattened
 # generators with ufunc.reduceat.  A kernel returns per row the outcome
-# code, margin, residual, named generator and its index, note and noted value,
-# and the failed rows.
+# code, margin, residual, note code and noted value, named generator and its
+# index, and the failed rows.
 
 
 def dots(g: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -682,39 +664,6 @@ def _kernel_margin(closest, gap, eps):
     return np.where(closest > eps, -closest, np.where(gap > eps, gap, gap - eps))
 
 
-@dataclass(frozen=True)
-class _Note:
-    """The predicate and detail of the Check a generator-kernel row gives;
-    the detail formats the row's noted value.  Kernels fill object arrays
-    with these."""
-
-    predicate: str
-    detail: str = ""
-
-
-_PSEUDOCONVEX = _Note("pseudoconvex-pair")
-_PSEUDOCONVEX_FAIL = _Note("pseudoconvex-pair", "<g, y-x> = {:.6g} is not below -eps")
-_IDENTITY = _Note("proportional-identity")
-_IDENTITY_BAND = _Note("proportional-identity", "<g, y-x> vanishes while the values differ")
-_IDENTITY_SIGN = _Note("proportional-identity", "proportional factor p = {:.6g} is not positive")
-_IDENTITY_RESIDUAL = _Note("proportional-identity", "identity residual above margin")
-_SYMMETRIC = _Note("symmetric-equality")
-_SYMMETRIC_FORWARD = _Note(
-    "symmetric-equality", "forward proportional factor p = {:.6g} is not positive")
-_SYMMETRIC_REVERSE = _Note(
-    "symmetric-equality", "reverse proportional factor p = {:.6g} is not positive")
-_SYMMETRIC_BAND_SUM = _Note(
-    "symmetric-equality", "symmetric sum large despite a vanishing pairing")
-_SYMMETRIC_SUM = _Note("symmetric-equality", "symmetric sum S = {:.6g} is nonzero")
-_SYMMETRIC_UNDECIDED = _Note(
-    "symmetric-equality", "pairing inside the equality band; sum not decidable")
-_GRADIENT_KERNEL = _Note("gradient-kernel")
-_GRADIENT_KERNEL_FAIL = _Note("gradient-kernel", "kernel direction changes the value")
-_SUBDIFF_KERNEL = _Note("subdifferential-kernel")
-_SUBDIFF_KERNEL_LOWER = _Note("subdifferential-kernel", "kernel generator violates f(y) >= f(x)")
-_SUBDIFF_KERNEL_UPPER = _Note("subdifferential-kernel", "kernel generator violates f(y) <= f(x)")
-
-
 def _pseudoconvex_gen(fx, fy, x, y, sub):
     """check_pseudoconvex_pair's kernel: only descending rows read their
     generators, and a pass scores its largest pairing plus eps."""
@@ -733,10 +682,10 @@ def _pseudoconvex_gen(fx, fy, x, y, sub):
         _outcomes(~desc, fail, False),
         np.where(desc, np.where(fail, fx - fy, worst + eps), VACUOUS_MARGIN - (fy - fx)),
         np.where(fail, fx - fy, 0.0),
+        np.where(fail, 1, 0),
+        _spread(k, rows, _take(v, first, hit), np.nan),
         _spread(k, rows, _take(gens.g, first, hit), np.nan),
         _spread(k, rows, np.where(hit, first - gens.start, -1), -1),
-        np.where(fail, _PSEUDOCONVEX_FAIL, _PSEUDOCONVEX),
-        _spread(k, rows, _take(v, first, hit), np.nan),
         {int(rows[i]): e for i, e in gens.failed.items()},
     )
 
@@ -756,16 +705,16 @@ def _identity_gen(fx, fy, x, y, sub):
     first = _first(sign | (r > e), gens.start)
     fail = first >= 0
     residual = np.where(band, abs(num), np.where(sign, _nonpositive_residual(num, den, e), r))
-    note = np.where(band, _IDENTITY_BAND, np.where(sign, _IDENTITY_SIGN, _IDENTITY_RESIDUAL))
+    note = np.where(band, 1, np.where(sign, 2, 3))
     residual = _take(residual, first, fail, 0.0)
     return (
         _outcomes(False, fail, False),
         _proportional_margin(fx, fy, fail, residual, _per_row(np.minimum, abs(den), gens.start)),
         residual,
+        np.where(fail, note[first], 0),
+        _take(np.where(sign, p, np.nan), first, fail),
         _take(gens.g, first, fail),
         np.where(fail, first - gens.start, -1),
-        np.where(fail, note[first], _IDENTITY),
-        _take(np.where(sign, p, np.nan), first, fail),
         gens.failed,
     )
 
@@ -801,28 +750,25 @@ def _symmetric_gen(fx, fy, x, y, sub):
     strict, limit = eps.tolist(), (WITNESS_FACTOR * eps).tolist()
 
     def walk(i):
-        """Row i's note, generators and flat index of the generator it
+        """Row i's note code, generators and flat index of the generator it
         names (None, -1 if none), residual and noted value."""
         saw_band = False
         for a in range(x_at[i], x_end[i]):
             if f1[a]:
-                return (_SYMMETRIC_FORWARD, gx, a,
-                        float(_nonpositive_residual(up[i], d1[a], strict[i])), q1[a])
+                return 1, gx, a, float(_nonpositive_residual(up[i], d1[a], strict[i])), q1[a]
             for b in range(y_at[i], y_end[i]):
                 if r2[b]:
-                    return (_SYMMETRIC_REVERSE, gy, b,
-                            float(_nonpositive_residual(down[i], d2[b], strict[i])), q2[b])
+                    return 2, gy, b, float(_nonpositive_residual(down[i], d2[b], strict[i])), q2[b]
                 s = q1[a] * d1[a] + q2[b] * d2[b]
                 if b1[a] or b2[b]:
                     saw_band = True
                     if abs(s) > limit[i]:
-                        return _SYMMETRIC_BAND_SUM, gx, a, abs(s), s
+                        return 3, gx, a, abs(s), s
                 elif abs(s) > strict[i]:
-                    return _SYMMETRIC_SUM, gx, a, abs(s), s
-        return _SYMMETRIC_UNDECIDED if saw_band else _SYMMETRIC, None, -1, 0.0, np.nan
+                    return 4, gx, a, abs(s), s
+        return 5 if saw_band else 0, None, -1, 0.0, np.nan
 
-    note = np.full(k, _SYMMETRIC, dtype=object)
-    residual, value = np.zeros(k), np.full(k, np.nan)
+    note, residual, value = np.zeros(k, dtype=int), np.zeros(k), np.full(k, np.nan)
     generator, index = np.full(x.shape, np.nan), np.full(k, -1)
     for i in range(k):
         if i in failed:
@@ -833,13 +779,13 @@ def _symmetric_gen(fx, fy, x, y, sub):
             index[i] = a - gens.start[gens.owner[a]]
     fail = index >= 0
     return (
-        _outcomes(False, fail, note == _SYMMETRIC_UNDECIDED),
+        _outcomes(False, fail, note == 5),
         _proportional_margin(fx, fy, fail, residual, _per_row(np.minimum, abs(den1), gx.start)),
         residual,
-        generator,
-        index,
         note,
         value,
+        generator,
+        index,
         failed,
     )
 
@@ -867,12 +813,11 @@ def _subdiff_kernel(fx, fy, x, y, low: Generators, up: Generators):
         _outcomes(~(in_l | in_u), fail, False),
         _kernel_margin(closest, gap, eps),
         np.where(fail, gap, 0.0),
+        np.where(lower, 1, np.where(upper_only, 2, 0)),
+        np.full(len(x), np.nan),
         np.where(upper_only[:, None], _take(up.g, first_u, upper_only),
                  _take(low.g, first_l, lower)),
         np.where(lower, first_l - low.start, np.where(upper_only, first_u - up.start, -1)),
-        np.where(lower, _SUBDIFF_KERNEL_LOWER,
-                 np.where(upper_only, _SUBDIFF_KERNEL_UPPER, _SUBDIFF_KERNEL)),
-        np.full(len(x), np.nan),
         {**low.failed, **up.failed},
     )
     return results, _outcomes(~in_l, lower, False), _outcomes(~in_u, upper, False)
@@ -881,36 +826,57 @@ def _subdiff_kernel(fx, fy, x, y, low: Generators, up: Generators):
 def _kernel_gen(fx, fy, x, y, sub, gradient=False):
     """The kernel conditions: check_subdiff_kernel_pair's kernel on the
     generators of f and of -f, those of -f the exact negation of those of
-    f, read once.  The gradient kernel condition gives its
-    rows check_gradient_kernel's notes and names the generator of f (the
-    upper side fails on one of -f)."""
+    f, read once.  The gradient kernel condition names the generator of f
+    (the upper side fails on one of -f)."""
     low = sub(np.arange(len(x)))
     results, _, _ = _subdiff_kernel(fx, fy, x, y, low, low.negated(np.ones(len(x), dtype=bool)))
     if not gradient:
         return results
-    code, margin, residual, generator, index, note, value, failed = results
-    upper = note == _SUBDIFF_KERNEL_UPPER
-    return (code, margin, residual, np.where(upper[:, None], -generator, generator), index,
-            np.where(code == FAIL_CODE, _GRADIENT_KERNEL_FAIL, _GRADIENT_KERNEL), value, failed)
+    code, margin, residual, note, value, generator, index, failed = results
+    return (code, margin, residual, note, value,
+            np.where((note == 2)[:, None], -generator, generator), index, failed)
 
 
-# Every predicate the campaign runs, by name.
+_BOUNDS_NOTES = ("", "lambda*b = {v:.9g} pinned at a bound",
+                 "lambda*b = {v:.9g} outside the required range")
+
+# Every predicate the campaign runs, by name, with its notes.
 PREDICATES: dict[str, Predicate] = {
-    "quasiconvex-segment": Predicate(_quasiconvex_rows, True, detail=lambda outcome, *_: (
-        "interior value exceeds endpoint maximum" if outcome == FAIL else "")),
+    "quasiconvex-segment": Predicate(
+        _quasiconvex_rows, True, ("", "interior value exceeds endpoint maximum")),
     "semistrict-quasiconvex-segment": Predicate(
-        partial(_descent_rows, two_sided=False), True, descent=True, detail=_semistrict_detail),
+        partial(_descent_rows, two_sided=False), True,
+        ("", "descent inside the strictness band",
+         "f(z) = {v:.6g} does not descend below f(x) = {fx:.6g}"), descent=True),
     "interlacing-segment": Predicate(
-        partial(_descent_rows, two_sided=True), True, descent=True, detail=_interlacing_detail),
+        partial(_descent_rows, two_sided=True), True,
+        ("", "interior value inside the strictness band",
+         "interior value {v:.6g} pinned below f(y)",
+         "interior value {v:.6g} pinned above f(x)"), descent=True),
     "interpolation-strict-bounds": Predicate(
-        partial(_bounds_rows, strict=True), True, detail=_bounds_detail),
+        partial(_bounds_rows, strict=True), True, _BOUNDS_NOTES),
     "interpolation-weak-bounds": Predicate(
-        partial(_bounds_rows, strict=False), True, detail=_bounds_detail),
-    "pseudoconvex-pair": Predicate(_pseudoconvex_gen, False),
-    "proportional-identity": Predicate(_identity_gen, False),
-    "symmetric-equality": Predicate(_symmetric_gen, False),
-    "gradient-kernel": Predicate(partial(_kernel_gen, gradient=True), False),
-    "subdifferential-kernel": Predicate(_kernel_gen, False),
+        partial(_bounds_rows, strict=False), True, _BOUNDS_NOTES),
+    "pseudoconvex-pair": Predicate(
+        _pseudoconvex_gen, False, ("", "<g, y-x> = {v:.6g} is not below -eps")),
+    "proportional-identity": Predicate(
+        _identity_gen, False,
+        ("", "<g, y-x> vanishes while the values differ",
+         "proportional factor p = {v:.6g} is not positive",
+         "identity residual above margin")),
+    "symmetric-equality": Predicate(
+        _symmetric_gen, False,
+        ("", "forward proportional factor p = {v:.6g} is not positive",
+         "reverse proportional factor p = {v:.6g} is not positive",
+         "symmetric sum large despite a vanishing pairing",
+         "symmetric sum S = {v:.6g} is nonzero",
+         "pairing inside the equality band; sum not decidable")),
+    "gradient-kernel": Predicate(  # either failing side changes the value
+        partial(_kernel_gen, gradient=True), False,
+        ("", "kernel direction changes the value", "kernel direction changes the value")),
+    "subdifferential-kernel": Predicate(
+        _kernel_gen, False,
+        ("", "kernel generator violates f(y) >= f(x)", "kernel generator violates f(y) <= f(x)")),
 }
 
 
@@ -926,12 +892,12 @@ def _predicate(name: str, segment: bool | None = None) -> Predicate:
 
 
 def _generator_results(predicate: str, fx, fy, results) -> Rows:
-    code, margin, residual, generator, index, note, value, failed = results
+    code, margin, residual, note, value, generator, index, failed = results
     if failed:
         margin = margin.copy()
         margin[list(failed)] = np.nan
-    return Rows(predicate, fx, fy, code, margin, residual, None, None,
-                generator, index, note, value, failed)
+    return Rows(predicate, fx, fy, code, margin, residual, note, value,
+                generator=generator, index=index, failed=failed)
 
 
 def check_pseudoconvex_pair(

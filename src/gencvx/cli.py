@@ -14,6 +14,8 @@ Verbs:
 Each verb takes only the flags it reads: bcurve no sampling flags, corpus no
 target flags.  Any verb exits 1 on an error, a usage error among them.
 `--config FILE` loads a JSON RunConfig; explicit flags override file fields.
+A verb checks and uses only the file fields it reads (bcurve the four target
+fields, corpus all others), and rejects a key that is no RunConfig field.
 GENCVX_SEED is the seed of analyze and corpus when no --seed is given anywhere.
 """
 
@@ -24,7 +26,7 @@ import functools
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -46,11 +48,12 @@ def _fmt(v: float) -> str:
 
 
 _FIELDS = {f.name for f in fields(RunConfig)}
+_TARGET = ("corpus_name", "function_source", "dimension", "region_text")
 
 
-def _resolve_config(args, **fixed) -> RunConfig:
-    """The file's fields, overridden by the flags given, then by `fixed`.
-    The flags' dests are the RunConfig fields they set."""
+def _resolve_config(args, unread=(), **fixed) -> RunConfig:
+    """The file's fields but the `unread` ones, overridden by the flags given,
+    then by `fixed`.  The flags' dests are the RunConfig fields they set."""
     base: dict = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -58,6 +61,7 @@ def _resolve_config(args, **fixed) -> RunConfig:
         if not isinstance(base, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object, "
                              f"got a {type(base).__name__}")
+        base = {k: v for k, v in base.items() if k not in unread}
     flags = {k: v for k, v in vars(args).items() if k in _FIELDS and v is not None}
     merged = {**base, **flags, **fixed}
     if hasattr(args, "seed") and merged.get("seed") is None:  # a verb that reads a seed
@@ -134,7 +138,7 @@ def _parse_point(text: str, dimension: int) -> np.ndarray:
 def cmd_bcurve(args) -> int:
     if args.grid < 1:
         raise ValueError(f"--grid must be at least 1, got {args.grid}")
-    config = _resolve_config(args)
+    config = _resolve_config(args, unread=_FIELDS.difference(_TARGET))
     fn, region = _load_target(config)
     x = _parse_point(args.x, fn.dimension)
     y = _parse_point(args.y, fn.dimension)
@@ -167,12 +171,12 @@ def cmd_corpus(args) -> int:
     mismatches: list[str] = []
     starved: list[str] = []
     results = {}
-    for entry in corpus():
+    entries = corpus()
+    # Each member is the target, whatever --config names; the file and the flags set the rest.
+    config = _resolve_config(args, unread=_TARGET, corpus_name=entries[0].handle.name)
+    for entry in entries:
         name = entry.handle.name
-        # Each member is the target, whatever --config names; the file and the flags set the rest.
-        config = _resolve_config(
-            args, corpus_name=name, function_source=None, dimension=None, region_text=None
-        )
+        config = replace(config, corpus_name=name)
         verdicts = classify(entry.handle, entry.region, config.properties, config.plan())
         results[name] = {
             "verdicts": {v.property: v.verdict for v in verdicts},

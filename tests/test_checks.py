@@ -1,4 +1,5 @@
 import re
+import string
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gencvx import campaign, checks, corpus, corpus_entry, function_from_expression
+from gencvx import campaign, corpus, corpus_entry, function_from_expression
 from gencvx.checks import (
     FAIL,
     INCONCLUSIVE,
@@ -1162,7 +1163,7 @@ def test_rows_on_f_and_on_minus_f_in_one_call_equal_the_negated_handle(name):
     # A per-row mask puts rows on f and on -f in one call: f is read in the
     # call's usual number of values calls, and each row equals its one-row
     # run on negate_handle(f) with the generators negated, bit for bit, a
-    # failed estimate included.
+    # failed estimate included.  Every kernel gives its note codes as ints.
     fn, pairs = _kernel_case(name)
     xs, ys = (np.array(side) for side in zip(*pairs))
     negated = np.arange(len(xs)) % 3 == 1
@@ -1188,6 +1189,7 @@ def test_rows_on_f_and_on_minus_f_in_one_call_equal_the_negated_handle(name):
         grid = lams if record.segment else None
         (rows,) = check_requests(once, [Request(predicate, xs, ys, grid, negated)], generators(1.0))
         assert len(reads) == (2 if record.segment else 1)
+        assert rows.note.dtype.kind == "i", predicate
         for i, (x, y, neg) in enumerate(zip(xs, ys, negated)):
             handle = negate_handle(fn) if neg else fn
             if record.segment:
@@ -1290,7 +1292,8 @@ def test_generator_requests_without_generators_raise_before_f_is_read(x, y):
 def test_predicate_table_rejects_wrong_calls_and_names_every_predicate():
     # A predicate run by the wrong entry point, or a name not in the table,
     # raises ValueError naming it before anything is read; every predicate
-    # a campaign probe runs or a generator kernel notes is in the table.
+    # a campaign probe runs is in the table, and every record's notes start
+    # with the empty detail and format at most a row's noted value and f(x).
     fn = fn_of("paraboloid")
     x, y = np.array([[0.1, 0.2]]), np.array([[0.5, -0.3]])
 
@@ -1318,8 +1321,11 @@ def test_predicate_table_rejects_wrong_calls_and_names_every_predicate():
             run("convex-pair")
     probes = [p for probes in campaign._PROBES.values() for p in probes]
     named = {p.predicate for p in probes} | {p.nonsmooth for p in probes if p.nonsmooth}
-    noted = {v.predicate for v in vars(checks).values() if isinstance(v, checks._Note)}
-    assert len(noted) == 5 and named | noted <= set(PREDICATES)
+    assert named <= set(PREDICATES)
+    for name, record in PREDICATES.items():
+        fields = {f for note in record.notes for _, f, _, _ in string.Formatter().parse(note)
+                  if f is not None}
+        assert record.notes[0] == "" and fields <= {"v", "fx"}, (name, fields)
 
 
 @settings(max_examples=200, deadline=None)

@@ -256,6 +256,22 @@ def test_corpus_applies_config_file(tmp_path):
         assert entry["config"]["corpus_name"] == name
 
 
+def test_corpus_reads_its_config_file_once(tmp_path, monkeypatch):
+    # The file is resolved once and each member takes it with its own name;
+    # opening it once per member would open it 7 times.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"pair_count": 8, "properties": ["quasiconvex"]}))
+    opened = []
+
+    def counted(path, *args, **kwargs):
+        opened.append(path)
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "open", counted, raising=False)
+    main(["corpus", "--config", str(cfg), "--seed", "1"])
+    assert opened == [str(cfg)]
+
+
 def test_corpus_lattice_violation_exits_4(tmp_path, monkeypatch, capsys):
     import gencvx.cli as cli
 
@@ -460,6 +476,20 @@ def test_an_unknown_flag_is_a_usage_error_and_help_is_not(capsys):
     assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
     assert main(["analyze", "--help"]) == EXIT_OK
     assert "--subdiff-radius" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fields", [{"pair_count": 0}, {"properties": ["nope"]}, {"bogus": 1}])
+def test_bcurve_checks_and_uses_only_the_target_fields_of_its_config(tmp_path, capsys, fields):
+    # bcurve reads no sampling field, so a bad one in the file is no error;
+    # a key that is no RunConfig field still is.
+    cfg, out = tmp_path / "c.json", tmp_path / "b.csv"
+    cfg.write_text(json.dumps(fields))
+    code = main([*_BCURVE, "--config", str(cfg), "--out", str(out)])
+    if "bogus" in fields:
+        assert code == EXIT_ERROR and not out.exists()
+        assert "unknown config keys: bogus" in capsys.readouterr().err
+    else:
+        assert code == EXIT_OK and out.read_text() == _BCURVE_CSV
 
 
 def test_only_a_verb_that_reads_a_seed_reads_gencvx_seed(tmp_path, monkeypatch, capsys):
